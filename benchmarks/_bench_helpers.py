@@ -19,11 +19,8 @@ def engine_from_env() -> ExperimentEngine:
     Configured via environment variables so a benchmark invocation can fan
     trials out and/or reuse cached results without editing the files:
 
-    * ``REPRO_BENCH_WORKERS`` -- worker count (default ``1``, serial;
+    * ``REPRO_BENCH_WORKERS`` -- worker processes (default ``1``, serial;
       aggregates are bit-identical for any width).
-    * ``REPRO_BENCH_BACKEND`` -- execution backend name (``serial`` |
-      ``threads`` | ``processes``; default: serial for one worker, processes
-      otherwise).  Aggregates are bit-identical on every backend.
     * ``REPRO_BENCH_CACHE_DIR`` -- on-disk trial-cache directory (default:
       caching off).
     * ``REPRO_BENCH_NO_CACHE`` -- set to any non-empty value to ignore the
@@ -31,7 +28,6 @@ def engine_from_env() -> ExperimentEngine:
     """
     return ExperimentEngine(
         workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
-        backend=os.environ.get("REPRO_BENCH_BACKEND") or None,
         cache_dir=os.environ.get("REPRO_BENCH_CACHE_DIR") or None,
         use_cache=not os.environ.get("REPRO_BENCH_NO_CACHE"),
     )

@@ -14,7 +14,8 @@ Quickstart::
     result = repro.two_ecss(graph, seed=0)
     print(result.weight, result.rounds, result.verify())
 
-See README.md for the full tour and DESIGN.md for the architecture.
+See ``examples/`` for runnable tours and :mod:`repro.analysis.experiments`
+for the experiments that measure each theorem.
 """
 
 from repro.core.two_ecss import two_ecss, weighted_tap

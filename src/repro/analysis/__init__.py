@@ -1,14 +1,14 @@
-"""Experiment harness: engine, backends, runners, tables and the experiments.
+"""Experiment harness: engine, backends, tables and the experiments.
 
 The paper contains no empirical evaluation, so the experiments here measure
-the quantitative content of its theorems (see DESIGN.md §1 and §4) --
+the quantitative content of its theorems (Theorems 1.1-1.3, Lemma 3.11,
+Claim 4.1 and Lemma 5.4; see :mod:`repro.analysis.experiments`) --
 approximation ratios against exact optima / lower bounds, round-complexity
 scaling against the claimed bounds, iteration counts, decomposition and
 cycle-space properties, and ablations of the design choices.
 
-Trials fan out over pluggable execution backends
-(:mod:`repro.analysis.backends`: serial, threads, processes, or registered
-third-party backends) and replay from an on-disk cache via
+Trials fan out over an execution backend
+(:mod:`repro.analysis.backends`: serial or a process pool) and replay from an on-disk cache via
 :class:`~repro.analysis.engine.ExperimentEngine`.  Cache entries are keyed by
 code versions derived from solver-module content hashes
 (:mod:`repro.analysis.code_version`) and cleaned up with
@@ -20,14 +20,11 @@ trials.
 """
 
 from repro.analysis.tables import Table
-from repro.analysis.runner import ExperimentRunner, TrialFailure, TrialResult
+from repro.analysis.runner import TrialFailure, TrialResult
 from repro.analysis.backends import (
-    BACKENDS,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
-    register_backend,
     resolve_backend,
 )
 from repro.analysis.code_version import code_version_for
@@ -44,7 +41,6 @@ from repro.analysis import experiments
 
 __all__ = [
     "Table",
-    "ExperimentRunner",
     "TrialResult",
     "TrialFailure",
     "ExperimentEngine",
@@ -55,12 +51,9 @@ __all__ = [
     "cache_stats",
     "cache_gc",
     "cache_clear",
-    "BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "register_backend",
     "resolve_backend",
     "experiments",
 ]

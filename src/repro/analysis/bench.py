@@ -95,7 +95,6 @@ def trial_payload(job: TrialJob, result: TrialResult) -> dict:
         "queue_seconds": result.queue_seconds,
         "cached": result.cached,
         "error": result.error,
-        "worker": result.worker,
         "metrics": result.metrics,
     }
 
@@ -108,31 +107,18 @@ def engine_provenance(engine: ExperimentEngine, experiment_id: str) -> dict:
     importing a historical baseline cannot misattribute its results to
     whatever commit is checked out when the import happens.
     """
-    backend_name = engine.backend if isinstance(engine.backend, str) else (
-        getattr(engine.backend, "name", None) if engine.backend is not None else None
-    )
     provenance = {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "code_version": code_version_for(experiment_id),
         "git_describe": git_describe(),
         "engine": {
-            "backend": backend_name or "serial",
+            "backend": engine._backend_instance().name,
             "workers": engine.workers,
             "cache_dir": str(engine.cache_dir) if engine.caching else None,
             "caching": engine.caching,
         },
     }
-    # Graceful degradation is auditable, never silent: when the resolved
-    # backend is a FailoverBackend that fell down its chain, the recorded
-    # events (degraded_from/to/reason each) travel with the results into
-    # baselines and store run manifests.
-    degradations = list(
-        getattr(getattr(engine, "_resolved_backend", None), "degradations", ())
-        or ()
-    )
-    if degradations:
-        provenance["degraded_from"] = degradations
     # When tracing is on, its in-memory aggregate (span counts, per-category
     # seconds, per-proc busy seconds, the trace file path) travels with the
     # results so ``kecss history`` can drill into where a run spent time

@@ -11,8 +11,7 @@ approximation factors (Theorems 1.1-1.3).
 This module packages those checks as trial functions registered in
 :data:`~repro.analysis.experiments.TRIAL_REGISTRY` (names ``"diff-2ecss"``,
 ``"diff-3ecss"``, ``"diff-kecss"``) so the suite fans out over the same
-execution backends as the experiments -- serial, threads, processes, or any
-plugged-in backend -- and scales to thousands of instances.  A trial that
+execution backends as the experiments -- serial or processes -- and scales to thousands of instances.  A trial that
 detects a violation raises; the engine captures the traceback per-trial into
 ``TrialResult.error`` and the aggregation helpers surface it with the
 offending (config, seed) pair attached.
@@ -42,12 +41,6 @@ coverage from :mod:`repro.core.fastaug`) are run against the retained
 identical seeds, asserting bit-identical added-edge sets, weights, iteration
 counts and per-iteration histories.
 
-The ``diff-cluster-protocol`` trial exercises the distributed work-queue's
-wire primitives (:mod:`repro.analysis.cluster.protocol`): frame codec
-round-trips on real graph payloads and exact-partition properties of the
-chunk planner.  It is deliberately pure computation, so it doubles as the
-payload for the cluster-vs-serial parity sweeps in ``tests/test_cluster.py``.
-
 Instance sizes are derived from ``(config, seed)`` exactly as the historical
 per-seed pytest parametrization did, so every backend sees the same graphs
 and every assertion stays deterministic.
@@ -60,12 +53,6 @@ from typing import Mapping, Sequence
 
 import networkx as nx
 
-from repro.analysis.cluster.protocol import (
-    decode_frame,
-    default_chunk_size,
-    encode_frame,
-    plan_chunks,
-)
 from repro.analysis.engine import TrialJob
 from repro.analysis.experiments import register_trial
 from repro.baselines.exact import exact_k_ecss_weight
@@ -115,14 +102,12 @@ __all__ = [
     "diff_labels_exact_trial",
     "diff_three_ecss_kernel_trial",
     "diff_k_ecss_kernel_trial",
-    "diff_cluster_protocol_trial",
     "two_ecss_jobs",
     "three_ecss_jobs",
     "k_ecss_jobs",
     "fastgraph_jobs",
     "tap_labels_jobs",
     "solver_kernel_jobs",
-    "cluster_protocol_jobs",
     "medium_sweep_jobs",
 ]
 
@@ -602,66 +587,6 @@ def diff_k_ecss_kernel_trial(config: Config, seed: int) -> dict:
     }
 
 
-# ----------------------------------------------------------- cluster protocol
-#: Module dependencies of the cluster wire-protocol differential trial: the
-#: cache code-version covers the frame codec / chunk planner and the graph
-#: generators feeding it.
-_CLUSTER_MODULES = (
-    "repro.analysis.differential",
-    "repro.analysis.cluster",
-    # The cluster worker/coordinator are instrumented through repro.obs
-    # (tracing + logging); the closure must name it or CACHE001 flags the
-    # reachable-but-undeclared import.
-    "repro.obs",
-    "repro.graphs",
-)
-
-
-@register_trial("diff-cluster-protocol", modules=_CLUSTER_MODULES)
-def diff_cluster_protocol_trial(config: Config, seed: int) -> dict:
-    """Frame codec round-trip + chunk-plan exactness on one seeded instance.
-
-    Encodes the instance's canonical edge list as a chunk-shaped message and
-    asserts the decode is bit-identical, then checks that ``plan_chunks``
-    partitions the item range exactly (every index once, in order) under a
-    seed-derived worker capacity, with no chunk above the heuristic bound.
-    The trial is pure computation, so it doubles as the payload of the
-    cluster-vs-serial parity sweeps: its metrics must be bit-identical on
-    every backend, worker death or not.
-    """
-    graph = _fastgraph_instance(config, seed)
-    payload = sorted(
-        (canonical_edge(u, v), data.get("weight", 1))
-        for u, v, data in graph.edges(data=True)
-    )
-    message = {
-        "type": "chunk",
-        "lease": seed,
-        "indices": list(range(len(payload))),
-        "items": payload,
-    }
-    frame = encode_frame(message)
-    if decode_frame(frame) != message:
-        raise AssertionError("frame codec round-trip is not bit-identical")
-    n_items = graph.number_of_edges()
-    capacity = 1 + seed % 7
-    chunk_size = default_chunk_size(n_items, capacity)
-    chunks = plan_chunks(n_items, capacity)
-    covered = [i for start, stop in chunks for i in range(start, stop)]
-    if covered != list(range(n_items)):
-        raise AssertionError(
-            f"plan_chunks does not partition range({n_items}) exactly: {chunks!r}"
-        )
-    if any(stop - start > chunk_size for start, stop in chunks):
-        raise AssertionError("a planned chunk exceeds the heuristic size bound")
-    return {
-        "n": graph.number_of_nodes(),
-        "m": n_items,
-        "frame_bytes": len(frame),
-        "chunks": len(chunks),
-    }
-
-
 # ------------------------------------------------------------- job builders
 def _jobs(experiment: str, family: str, seeds: Sequence[int], **extra) -> list[TrialJob]:
     return [
@@ -765,19 +690,6 @@ def solver_kernel_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
             for seed in range(n_graphs)
         ],
     }
-
-
-def cluster_protocol_jobs(n_graphs: int = 50) -> list[TrialJob]:
-    """The cluster wire-protocol grid: *n_graphs* seeds of **every** family.
-
-    The parity sweeps run this grid once per backend (serial vs cluster, with
-    and without an injected worker death) and assert bit-identical metrics.
-    """
-    return [
-        job
-        for family in sorted(FAMILIES)
-        for job in _jobs("diff-cluster-protocol", family, range(n_graphs))
-    ]
 
 
 def medium_sweep_jobs(n_graphs: int = 10) -> dict[str, list[TrialJob]]:

@@ -4,11 +4,11 @@ The experiments E1..E10 (and the sharded differential suite) sweep randomized
 solvers over (configuration, seed) grids.  Every trial is described by a
 picklable :class:`TrialJob` -- the experiment name, the configuration (as
 sorted key/value pairs) and the seed derived for that trial -- so the engine
-can fan trials out over any registered
-:class:`~repro.analysis.backends.ExecutionBackend` (``"serial"``,
-``"threads"``, ``"processes"``, or a plugged-in MPI/ray backend) and still
-reassemble results in deterministic job order.  Because seeds are derived up
-front (see :func:`repro.analysis.runner.derive_seed`), every backend produces
+can fan trials out over an
+:class:`~repro.analysis.backends.ExecutionBackend` (``"serial"`` or
+``"processes"``) and still reassemble results in deterministic job order.
+Because seeds are derived up front (see
+:func:`repro.analysis.runner.derive_seed`), both backends produce
 bit-identical results; only the wall-clock differs.
 
 Results are optionally persisted to an on-disk JSON cache keyed by a stable
@@ -40,14 +40,11 @@ import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.analysis.backends import ExecutionBackend, resolve_backend
-
-if TYPE_CHECKING:  # pragma: no cover -- import would be circular at runtime
-    from repro.analysis.faults import RetryPolicy
 from repro.analysis.code_version import code_version_for
-from repro.analysis.runner import TrialResult, derive_seed
+from repro.analysis.runner import TrialResult
 from repro.obs.trace import get_tracer
 
 __all__ = [
@@ -154,8 +151,8 @@ def _execute_trial(
 
     *submitted* is the wall-clock stamp the engine took when it handed the
     batch to its backend; the gap to this function starting is recorded as
-    ``TrialResult.queue_seconds`` (dispatch + transit + time queued behind
-    other work), splitting trial latency into queue-wait vs compute.  The
+    ``TrialResult.queue_seconds`` (dispatch + time queued behind other
+    work), splitting trial latency into queue-wait vs compute.  The
     trial span is observability only -- it wraps the computation without
     touching its inputs, so traced and untraced runs are bit-identical.
     """
@@ -195,11 +192,11 @@ class ExperimentEngine:
 
     Attributes:
         workers: Fan-out width handed to the backend (``1`` means serial).
-        backend: Execution backend: a registry name (``"serial"``,
-            ``"threads"``, ``"processes"``), an
+        backend: Execution backend: a name (``"serial"`` or
+            ``"processes"``), an
             :class:`~repro.analysis.backends.ExecutionBackend` instance, or
-            ``None`` for the historical default (serial for one worker,
-            processes otherwise).
+            ``None`` for the default (serial for one worker, processes
+            otherwise).
         cache_dir: Directory for the JSON result cache; ``None`` disables
             caching entirely.
         use_cache: Set to ``False`` to bypass the cache even when
@@ -217,21 +214,12 @@ class ExperimentEngine:
             recorders and result stores (:mod:`repro.store`) attach to
             without subclassing the execution path; observers run in the
             driving process regardless of backend.
-        retry_policy: A :class:`~repro.analysis.faults.RetryPolicy` applied
-            to the backend ``map`` call.  Anything ``map`` *raises* is an
-            infrastructure failure -- trial exceptions are captured into
-            ``TrialResult.error`` inside :func:`_execute_trial` and never
-            raise -- so retrying re-runs only transiently failed batches,
-            never failing trials, and recomputation is bit-identical
-            (seeds are derived up front).  ``None`` (default) keeps the
-            historical fail-fast behaviour.
 
     The engine is also a context manager: ``with engine:`` resolves the
     backend once and enters it (when it supports a lifecycle), so one
-    executor pool or one cluster of workers persists across every
-    ``run_jobs`` batch instead of being rebuilt per call.  Outside a
-    ``with`` block nothing changes: backends acquire and release their
-    resources per ``map``, exactly as before.
+    executor pool persists across every ``run_jobs`` batch instead of being
+    rebuilt per call.  Outside a ``with`` block the backend acquires and
+    releases its pool per ``map``.
     """
 
     workers: int = 1
@@ -245,7 +233,6 @@ class ExperimentEngine:
     observers: list[Callable[["TrialJob", TrialResult], None]] = field(
         default_factory=list
     )
-    retry_policy: "RetryPolicy | None" = None
 
     # Runtime backend state (class attributes, not dataclass fields: they
     # are lifecycle bookkeeping, not configuration).
@@ -364,7 +351,7 @@ class ExperimentEngine:
             )
         path = self._cache_path(job, code_version)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique tmp name: concurrent processes/threads sharing a cache dir
+        # Unique tmp name: concurrent processes sharing a cache dir
         # may miss the same key, and a shared tmp path would let one rename
         # the other's half-written file into place.
         tmp = path.with_name(
@@ -422,15 +409,7 @@ class ExperimentEngine:
                 cache_hits=len(jobs) - len(pending),
                 backend=backend.name,
             ):
-                if self.retry_policy is None:
-                    executed = backend.map(function, batch)
-                else:
-                    # Infrastructure retries only: trial exceptions travel as
-                    # TrialResult.error data and never raise through map, and a
-                    # re-run recomputes bit-identical results (up-front seeds).
-                    executed = self.retry_policy.call(
-                        lambda: backend.map(function, batch)
-                    )
+                executed = backend.map(function, batch)
             if len(executed) != len(pending):
                 raise RuntimeError(
                     f"backend {backend.name!r} returned {len(executed)} results "
@@ -454,27 +433,6 @@ class ExperimentEngine:
             for observer in self.observers:
                 observer(job, result)
         return [result for result in results if result is not None]
-
-    def run(
-        self,
-        name: str,
-        configs: Sequence[Mapping[str, object]],
-        trial: TrialFn | str,
-        trials: int = 3,
-        base_seed: int = 0,
-    ) -> list[TrialResult]:
-        """Convenience sweep: derive seeds the classic runner way and execute."""
-        jobs = [
-            TrialJob.make(
-                name,
-                config,
-                derive_seed(name, base_seed, sorted(config.items()), index),
-                index,
-            )
-            for config in configs
-            for index in range(trials)
-        ]
-        return self.run_jobs(trial, jobs)
 
     # ------------------------------------------------------------- reporting
     def summary(self) -> str:

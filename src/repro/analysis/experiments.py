@@ -1,4 +1,4 @@
-"""The experiments E1..E10 (see DESIGN.md §4 and EXPERIMENTS.md).
+"""The experiments E1..E10 (run them with ``kecss experiment``).
 
 Each experiment measures one quantitative claim of the paper and returns a
 :class:`~repro.analysis.tables.Table`.  The benchmark harness in

@@ -1,32 +1,25 @@
-"""Experiment runner: repetition, seeding and aggregation.
+"""Trial results, seeding and failure grouping.
 
 The algorithms are randomised, so each configuration is run over several seeds
 and the experiments report means (and, where interesting, maxima).  Seeds are
 derived deterministically from the configuration so re-running an experiment
 reproduces the same numbers.
 
-:class:`ExperimentRunner` is the small, historical front door; the heavy
-lifting (worker pools, the on-disk result cache) lives in
-:mod:`repro.analysis.engine` and the runner delegates to it.  Trial failures
-are captured per-trial into :attr:`TrialResult.error` rather than aborting a
-whole sweep; aggregating failed trials raises :class:`TrialFailure` so they
-cannot silently disappear into a mean.
+Trials run through :class:`~repro.analysis.engine.ExperimentEngine`, which
+captures failures per trial into :attr:`TrialResult.error` rather than
+aborting a whole sweep; grouping failed trials for aggregation raises
+:class:`TrialFailure` so they cannot silently disappear into a mean.
 """
 
 from __future__ import annotations
 
 import hashlib
-import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.engine import ExperimentEngine
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "TrialResult",
     "TrialFailure",
-    "ExperimentRunner",
     "derive_seed",
     "format_failures",
     "trial_groups",
@@ -62,18 +55,13 @@ class TrialResult:
             replays restore the persisted compute duration; use ``cached`` to
             distinguish replay time from compute time.
         cached: ``True`` when the result was replayed from the on-disk cache.
-        worker: Provenance: the name of the cluster worker that computed
-            this trial (``None`` for in-process backends and cache replays).
-            Never part of the result's identity -- backends are
-            bit-identical on (config, seed, metrics) regardless of which
-            worker ran what.
         queue_seconds: Wall-clock seconds between the engine submitting the
             batch and this trial starting to compute (dispatch, pickling,
-            cluster transit, time spent queued behind other leases).
-            ``duration`` measures compute only, so the two together split a
-            trial's latency into queue-wait vs compute.  Cache replays
-            restore the originally persisted value.  Like ``worker``, pure
-            observability -- never part of the result's identity.
+            time spent queued behind other trials).  ``duration`` measures
+            compute only, so the two together split a trial's latency into
+            queue-wait vs compute.  Cache replays restore the originally
+            persisted value.  Pure observability -- never part of the
+            result's identity.
     """
 
     config: Mapping[str, object]
@@ -83,7 +71,6 @@ class TrialResult:
     index: int = 0
     duration: float = 0.0
     cached: bool = False
-    worker: str | None = None
     queue_seconds: float = 0.0
 
     @property
@@ -124,81 +111,3 @@ def trial_groups(
             continue
         grouped.setdefault(key(result), []).append(result)
     return grouped
-
-
-@dataclass
-class ExperimentRunner:
-    """Runs a trial function over configurations x seeds and aggregates metrics.
-
-    Attributes:
-        trials: Number of seeds per configuration.
-        base_seed: Mixed into every derived seed, so a whole experiment can be
-            re-seeded at once.
-        engine: Optional :class:`~repro.analysis.engine.ExperimentEngine` to
-            execute trials with (worker pool, cache).  ``None`` means a
-            default serial, uncached engine.
-    """
-
-    trials: int = 3
-    base_seed: int = 0
-    engine: "ExperimentEngine | None" = None
-
-    def run(
-        self,
-        name: str,
-        configs: Sequence[Mapping[str, object]],
-        trial: Callable[[Mapping[str, object], int], dict[str, float]],
-    ) -> list[TrialResult]:
-        """Run *trial* for every configuration and seed; return all results.
-
-        A trial that raises does not abort the sweep: the exception is
-        captured into ``TrialResult.error`` and surfaces when the result is
-        aggregated (or when the caller inspects ``result.ok``).
-        """
-        from repro.analysis.engine import ExperimentEngine
-
-        engine = self.engine if self.engine is not None else ExperimentEngine()
-        return engine.run(
-            name, configs, trial, trials=self.trials, base_seed=self.base_seed
-        )
-
-    @staticmethod
-    def aggregate(
-        results: Iterable[TrialResult],
-        key: Callable[[TrialResult], object],
-        skip_failures: bool = False,
-    ) -> dict[object, dict[str, float]]:
-        """Group results by *key* and average each metric within a group.
-
-        Metrics are aggregated over the **union** of metric keys recorded by
-        the trials in each group; a metric missing from some trial of a group
-        raises :class:`TrialFailure` naming the metric and an offending trial
-        (it used to raise a bare ``KeyError`` or silently drop metrics that
-        the group's first trial happened not to record).
-
-        Raises :class:`TrialFailure` if any result carries an error, unless
-        ``skip_failures`` is set (in which case failed trials are excluded
-        from every group).
-        """
-        grouped = trial_groups(results, key, skip_failures=skip_failures)
-        aggregated: dict[object, dict[str, float]] = {}
-        for group_key, group in grouped.items():
-            metric_names: list[str] = []
-            for result in group:
-                for name in result.metrics:
-                    if name not in metric_names:
-                        metric_names.append(name)
-            values: dict[str, float] = {}
-            for name in metric_names:
-                missing = [r for r in group if name not in r.metrics]
-                if missing:
-                    raise TrialFailure(
-                        f"metric {name!r} is missing from {len(missing)} of "
-                        f"{len(group)} trial(s) in group {group_key!r} (e.g. "
-                        f"config={dict(missing[0].config)!r} seed="
-                        f"{missing[0].seed}); trials in a group must record "
-                        f"comparable metric keys"
-                    )
-                values[name] = statistics.fmean(r.metrics[name] for r in group)
-            aggregated[group_key] = values
-        return aggregated

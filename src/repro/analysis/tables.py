@@ -1,7 +1,7 @@
 """Paper-style result tables.
 
 Every experiment returns a :class:`Table`; the benchmarks print them and
-EXPERIMENTS.md embeds them.  Values are kept as Python objects and formatted
+``kecss bench`` records them in ``BENCH_*.json`` baselines.  Values are kept as Python objects and formatted
 lazily so the same table can be rendered as aligned text or Markdown.
 
 The module also hosts the aggregation helpers the experiments use to turn

@@ -1,16 +1,14 @@
 """Command line interface: ``kecss solve | verify | experiment | bench | cache |
-families | history | regress | store | worker | lint | trace``.
+families | history | regress | store | lint | trace``.
 
 Examples::
 
     kecss solve --family weighted-sparse --n 32 --k 2 --seed 1
     kecss experiment e3
-    kecss experiment e1 --backend cluster --trace trace.jsonl
+    kecss experiment e1 --workers 2 --trace trace.jsonl
     kecss trace trace.jsonl                          # timing/utilization report
     kecss trace trace.jsonl --format chrome --out trace.chrome.json
-    kecss experiment e1 --workers 4 --backend threads --cache-dir .repro-cache
-    kecss experiment e1 --workers 4 --backend cluster  # loopback work queue
-    kecss worker --connect 10.0.0.5:7781             # serve a remote engine
+    kecss experiment e1 --workers 4 --cache-dir .repro-cache
     kecss bench e2 --out BENCH_e2.json
     kecss bench all --out-dir baselines --workers 4
     kecss bench e6 --against BENCH_e6.json
@@ -31,18 +29,10 @@ Examples::
 
 The ``experiment`` subcommand runs through the parallel cached
 :class:`~repro.analysis.engine.ExperimentEngine`: ``--workers N`` fans trials
-out over N workers on the execution backend picked with ``--backend``
-(``serial`` | ``threads`` | ``processes`` | ``cluster``; aggregates are
-bit-identical on every backend), ``--cache-dir`` persists per-trial results
-so re-runs and partially failed sweeps resume from disk, and ``--no-cache``
-forces recomputation.  The ``cluster`` backend spawns loopback worker
-processes by default; with ``REPRO_CLUSTER_LISTEN=HOST:PORT`` set it serves
-external ``kecss worker --connect HOST:PORT`` processes instead -- on this
-machine or others (see ``docs/distributed.md``).  ``--heartbeat-timeout``
-(or ``$REPRO_CLUSTER_HEARTBEAT``) tunes how long a silent worker keeps its
-leases before they requeue; ``--backend failover`` degrades
-``cluster -> processes -> serial`` instead of failing the sweep, recording
-every fallback into provenance (see ``docs/robustness.md``).
+out over a pool of N worker processes (``--workers 1``, the default, runs
+serially in-process; aggregates are bit-identical either way),
+``--cache-dir`` persists per-trial results so re-runs and partially failed
+sweeps resume from disk, and ``--no-cache`` forces recomputation.
 
 The ``bench`` subcommand runs the same experiment entrypoints through the
 engine and persists machine-readable ``BENCH_<experiment>.json`` baselines
@@ -70,7 +60,7 @@ drift beyond ``--tolerance`` -- the cross-run superset of ``bench
 (half-written segments, truncated columns, stray tmp files; exit 1 when
 anything is found) and quarantines it under ``<store>/quarantine/``;
 ``store gc --keep-last N`` is per-experiment retention.  See
-``docs/robustness.md`` for the fault model behind both.
+``docs/robustness.md`` for the crash model behind both.
 
 The ``lint`` subcommand runs the :mod:`repro.lint` static analyzer over the
 package sources: the DET00x determinism rules and the CACHE001
@@ -81,14 +71,11 @@ cover the trial's transitive import closure).  Exit codes follow the
 
 Observability (see ``docs/observability.md``): ``--trace FILE`` on
 ``experiment``/``bench`` records a JSONL structured trace of the run
-(engine batches, per-trial queue-wait vs compute, cluster leases/steals/
-requeues, store segment writes) without perturbing any result -- tracing
-observes, never participates.  ``kecss trace FILE`` renders the recorded
-trace as a per-stage timing breakdown and per-worker utilization table
-(``--format json`` for machines, ``--format chrome`` for Perfetto /
-``chrome://tracing``).  The global ``--log-level`` flag (or
-``$REPRO_LOG_LEVEL``) turns on stdlib-logging diagnostics under the
-``repro.*`` namespace.
+(engine batches, per-trial queue-wait vs compute, store segment writes)
+without perturbing any result -- tracing observes, never participates.
+``kecss trace FILE`` renders the recorded trace as a per-stage timing
+breakdown and per-worker utilization table (``--format json`` for machines,
+``--format chrome`` for Perfetto / ``chrome://tracing``).
 """
 
 from __future__ import annotations
@@ -102,7 +89,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import experiments as experiment_module
-from repro.analysis.backends import available_backends
 from repro.analysis.engine import (
     ExperimentEngine,
     cache_clear,
@@ -125,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kecss",
         description="Distributed approximation of minimum k-ECSS (Dory, PODC 2018) - reproduction",
-    )
-    parser.add_argument(
-        "--log-level", default=None, metavar="LEVEL",
-        help="diagnostics level for the repro.* loggers (DEBUG, INFO, "
-             "WARNING, ERROR; default: $REPRO_LOG_LEVEL, then WARNING)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -163,19 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["all", *sorted(_EXPERIMENTS)])
     experiment.add_argument("--markdown", action="store_true", help="emit Markdown tables")
     experiment.add_argument("--workers", type=int, default=1,
-                            help="worker count for trial fan-out (default: 1, serial)")
-    experiment.add_argument("--backend", default=None, choices=available_backends(),
-                            help="execution backend (default: serial for 1 worker, "
-                                 "processes otherwise)")
+                            help="worker processes for trial fan-out (default: 1, serial)")
     experiment.add_argument("--cache-dir", default=None,
                             help="directory for the on-disk trial cache (default: caching off)")
     experiment.add_argument("--no-cache", action="store_true",
                             help="ignore the cache even when --cache-dir is set")
-    experiment.add_argument("--heartbeat-timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="cluster backend: seconds of worker silence "
-                                 "before its leases requeue (> 0; default: "
-                                 "$REPRO_CLUSTER_HEARTBEAT, then 10)")
     experiment.add_argument("--store-dir", default=None,
                             help="append per-trial records to this columnar trial "
                                  "store (default: $REPRO_STORE_DIR; unset: no store)")
@@ -200,19 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare the fresh aggregates against a stored baseline "
                             "and exit non-zero on drift (single id only)")
     bench.add_argument("--workers", type=int, default=1,
-                       help="worker count for trial fan-out (default: 1, serial)")
-    bench.add_argument("--backend", default=None, choices=available_backends(),
-                       help="execution backend (default: serial for 1 worker, "
-                            "processes otherwise)")
+                       help="worker processes for trial fan-out (default: 1, serial)")
     bench.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk trial cache (default: caching off)")
     bench.add_argument("--no-cache", action="store_true",
                        help="ignore the cache even when --cache-dir is set")
-    bench.add_argument("--heartbeat-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="cluster backend: seconds of worker silence "
-                            "before its leases requeue (> 0; default: "
-                            "$REPRO_CLUSTER_HEARTBEAT, then 10)")
     bench.add_argument("--store-dir", default=None,
                        help="also append the run to this columnar trial store "
                             "(default: $REPRO_STORE_DIR; skipped under --dry-run)")
@@ -237,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--by", default=None, metavar="KEY",
                          help="group the --metric drill-down by a per-trial "
                               "column: a config key like 'family', or a bare "
-                              "column like 'worker' or 'seed'")
+                              "column like 'seed'")
 
     regress = subparsers.add_parser(
         "regress",
@@ -275,28 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--keep-last", type=int, default=None, metavar="N",
                        help="gc only: keep the newest N runs per experiment "
                             "and delete the rest (N >= 1)")
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="serve a cluster coordinator: lease trial chunks, compute, "
-             "stream results back (see docs/distributed.md)",
-        description="Serve a cluster coordinator: lease trial chunks, "
-                    "compute, stream results back.  Registration is "
-                    "authenticated: export REPRO_CLUSTER_SECRET with the "
-                    "same value the coordinator was started with.",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the coordinator to register with (the engine "
-                             "process running with REPRO_CLUSTER_LISTEN set)")
-    worker.add_argument("--name", default=None,
-                        help="worker name recorded as per-trial provenance "
-                             "(default: <hostname>-<pid>)")
-    worker.add_argument("--capacity", type=int, default=1,
-                        help="advertised worker slots, weighing chunk "
-                             "planning toward bigger leases (default: 1)")
-    worker.add_argument("--connect-timeout", type=float, default=30.0,
-                        help="seconds to keep retrying the initial connect "
-                             "(default: 30; workers may start first)")
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clean the on-disk trial cache"
@@ -430,9 +373,9 @@ def _open_store(directory: Path, create: bool):
 def _apply_obs_options(args: argparse.Namespace) -> None:
     """Enable tracing when ``--trace FILE`` was given.
 
-    ``enable_tracing`` publishes ``$REPRO_TRACE`` so forked/spawned cluster
-    workers inherit the sink; *truncate* starts each run on a fresh file
-    instead of appending to a stale trace.
+    ``enable_tracing`` publishes ``$REPRO_TRACE`` so pool worker processes
+    inherit the sink; *truncate* starts each run on a fresh file instead of
+    appending to a stale trace.
     """
     value = getattr(args, "trace", None)
     if value is None:
@@ -443,23 +386,6 @@ def _apply_obs_options(args: argparse.Namespace) -> None:
         enable_tracing(value, truncate=True)
     except OSError as exc:
         raise SystemExit(f"cannot write trace file {value!r}: {exc}")
-
-
-def _apply_cluster_options(args: argparse.Namespace) -> None:
-    """Publish ``--heartbeat-timeout`` through the env fallback.
-
-    The env var (rather than an engine kwarg) is the one channel that
-    reaches every ``ClusterBackend`` construction site uniformly --
-    including the cluster stage a ``failover`` chain resolves lazily.
-    """
-    value = getattr(args, "heartbeat_timeout", None)
-    if value is None:
-        return
-    if not value > 0:  # rejects NaN too
-        raise SystemExit(f"--heartbeat-timeout must be > 0, got {value!r}")
-    from repro.analysis.cluster.backend import HEARTBEAT_ENV
-
-    os.environ[HEARTBEAT_ENV] = str(value)
 
 
 def _experiment(args: argparse.Namespace) -> int:
@@ -473,7 +399,6 @@ def _experiment(args: argparse.Namespace) -> int:
             f"vs --id {args.experiment_id!r}"
         )
     experiment_id = args.positional_id or args.experiment_id or "all"
-    _apply_cluster_options(args)
     _apply_obs_options(args)
     if args.cache_dir is not None and not args.no_cache:
         try:
@@ -483,7 +408,6 @@ def _experiment(args: argparse.Namespace) -> int:
     store_dir = _store_dir_from(args)
     engine_kwargs = dict(
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
@@ -502,8 +426,8 @@ def _experiment(args: argparse.Namespace) -> int:
         store = None
         engine = ExperimentEngine(**engine_kwargs)
     ids = list(_EXPERIMENTS) if experiment_id == "all" else [experiment_id]
-    # Entering the engine keeps one backend alive (executor pool, cluster
-    # workers) across every experiment instead of rebuilding it per batch.
+    # Entering the engine keeps one process pool alive across every
+    # experiment instead of rebuilding it per batch.
     with engine:
         for eid in ids:
             start = len(getattr(engine, "recorded", ()))
@@ -528,7 +452,6 @@ def _experiment(args: argparse.Namespace) -> int:
 def _bench(args: argparse.Namespace) -> int:
     from repro.analysis.bench import RecordingEngine
 
-    _apply_cluster_options(args)
     _apply_obs_options(args)
     ids = sorted(_EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
     if args.out is not None and len(ids) != 1:
@@ -547,7 +470,6 @@ def _bench(args: argparse.Namespace) -> int:
             raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
     engine = RecordingEngine(
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
@@ -556,8 +478,8 @@ def _bench(args: argparse.Namespace) -> int:
     if store_dir is not None and not args.dry_run:
         store = _open_store(store_dir, create=True)
     exit_code = 0
-    # Entering the engine keeps one backend alive (executor pool, cluster
-    # workers) across every benchmarked experiment.
+    # Entering the engine keeps one process pool alive across every
+    # benchmarked experiment.
     with engine:
         for experiment_id in ids:
             exit_code = max(
@@ -680,52 +602,6 @@ def _history(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     print(table.to_markdown() if args.markdown else table.to_text())
-    return 0
-
-
-def _worker(args: argparse.Namespace) -> int:
-    from repro.analysis.cluster.protocol import (
-        SECRET_ENV,
-        AuthenticationError,
-        ConnectionClosed,
-        secret_from_env,
-    )
-    from repro.analysis.cluster.worker import run_worker
-
-    host, sep, port_text = args.connect.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"--connect expects HOST:PORT, got {args.connect!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(
-            f"--connect has a non-numeric port: {args.connect!r}"
-        ) from None
-    secret = secret_from_env()
-    if not secret:
-        print(f"worker: {SECRET_ENV} is not set; export the coordinator's "
-              f"shared secret before connecting", file=sys.stderr)
-        return 2
-    try:
-        stats = run_worker(
-            host,
-            port,
-            secret=secret,
-            name=args.name,
-            capacity=args.capacity,
-            connect_timeout=args.connect_timeout,
-        )
-    except (AuthenticationError, ConnectionClosed) as exc:
-        # Reached the coordinator but was turned away (bad secret, protocol
-        # mismatch, ...): surface the rejection instead of a clean exit.
-        print(f"worker: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"worker: cannot reach coordinator at {args.connect}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"worker {stats['name']}: computed {stats['computed']} item(s)",
-          file=sys.stderr)
     return 0
 
 
@@ -973,12 +849,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.obs.logs import configure_logging
-
-    try:
-        configure_logging(args.log_level)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2, the argparse usage convention
     handlers = {
         "solve": _solve,
         "verify": _verify,
@@ -989,7 +859,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "history": _history,
         "regress": _regress,
         "store": _store_cmd,
-        "worker": _worker,
         "lint": _lint,
         "trace": _trace,
     }

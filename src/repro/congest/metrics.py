@@ -1,6 +1,6 @@
 """Round and message accounting.
 
-Two kinds of accounting coexist in this reproduction (see DESIGN.md §6):
+Two kinds of accounting coexist in this reproduction:
 
 * :class:`RoundReport` -- the result of actually running a node program on the
   :class:`~repro.congest.network.CongestNetwork` simulator (``kind ==

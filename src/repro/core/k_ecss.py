@@ -46,7 +46,7 @@ from repro.core.augmentation import (
 from repro.core.cost_effectiveness import rounded_cost_effectiveness
 from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
-from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
+from repro.graphs.connectivity import canonical_edge, check_solver_input
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
 from repro.graphs.fastgraph import hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
@@ -406,8 +406,7 @@ def _k_ecss_impl(
     """Shared Theorem 1.2 composition driver (MST level + ``Aug_2..k``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not is_k_edge_connected(graph, k):
-        raise ValueError(f"the input graph is not {k}-edge-connected; k-ECSS is infeasible")
+    check_solver_input(graph, k, "k-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
 

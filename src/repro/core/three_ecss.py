@@ -42,7 +42,11 @@ from repro.core.cost_effectiveness import round_up_to_power_of_two
 from repro.core.fastaug import GuessingSchedule, PathLabelKernel
 from repro.core.result import ECSSResult
 from repro.cycle_space.labels import compute_labels
-from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
+from repro.graphs.connectivity import (
+    canonical_edge,
+    check_solver_input,
+    is_k_edge_connected,
+)
 from repro.graphs.fastgraph import hop_diameter
 from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
@@ -127,8 +131,7 @@ def _setup(
     simulate_bfs: bool,
 ) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, LCAIndex]:
     """Shared preamble of both 3-ECSS implementations (validation + ``H``)."""
-    if not is_k_edge_connected(graph, 3):
-        raise ValueError("the input graph is not 3-edge-connected; 3-ECSS is infeasible")
+    check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
     cost_model = CostModel(n=n, diameter=hop_diameter(graph))

@@ -19,7 +19,7 @@ from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.core.result import ECSSResult
 from repro.decomposition.segments import TreeDecomposition, build_decomposition
-from repro.graphs.connectivity import is_k_edge_connected
+from repro.graphs.connectivity import check_solver_input
 from repro.graphs.fastgraph import hop_diameter
 from repro.mst.distributed import build_mst_with_fragments
 from repro.tap.cover import CoverageState
@@ -87,8 +87,7 @@ def two_ecss(
         the graph.  ``metadata`` records the MST weight, the TAP stage result
         and the decomposition statistics used in the experiments.
     """
-    if not is_k_edge_connected(graph, 2):
-        raise ValueError("the input graph is not 2-edge-connected; 2-ECSS is infeasible")
+    check_solver_input(graph, 2, "2-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
     mst_stage = build_mst_with_fragments(graph, simulate_bfs=simulate_bfs)

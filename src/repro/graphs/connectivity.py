@@ -27,6 +27,7 @@ __all__ = [
     "edge_connectivity",
     "edge_connectivity_nx",
     "is_k_edge_connected",
+    "check_solver_input",
     "bridges",
     "bridges_nx",
     "subgraph_weight",
@@ -116,6 +117,35 @@ def is_k_edge_connected(graph: nx.Graph, k: int) -> bool:
         # Exact without max-flow: connected, bridgeless, no 2-edge cut.
         return _small_connectivity(fast) >= 3
     return edge_connectivity(graph) >= k
+
+
+def check_solver_input(graph: nx.Graph, k: int, problem: str) -> None:
+    """Enforce the solvers' input contract; raise ``ValueError`` naming the breach.
+
+    Every k-ECSS solver takes a simple undirected graph whose edges are
+    unweighted (weight 1) or carry non-negative ``int`` weights, and which
+    is k-edge-connected.  Parallel edges would pass the connectivity check
+    and then break the tree-augmentation stage, and float or negative
+    weights would break (or silently falsify) the weight classes, so each
+    is rejected here, before any solver work starts.
+    """
+    if graph.is_multigraph():
+        raise ValueError(
+            f"{problem} needs a simple graph; got a {type(graph).__name__} "
+            f"(parallel edges are not supported)"
+        )
+    if graph.is_directed():
+        raise ValueError(f"{problem} needs an undirected graph; got a {type(graph).__name__}")
+    for u, v, weight in graph.edges(data="weight", default=1):
+        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 0:
+            raise ValueError(
+                f"{problem} needs non-negative integer edge weights; "
+                f"edge ({u!r}, {v!r}) has weight {weight!r}"
+            )
+    if not is_k_edge_connected(graph, k):
+        raise ValueError(
+            f"the input graph is not {k}-edge-connected; {problem} is infeasible"
+        )
 
 
 def bridges(graph: nx.Graph) -> set[Edge]:

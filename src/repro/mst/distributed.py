@@ -7,7 +7,8 @@ change any output of the algorithms under study (the MST is unique given the
 canonical tie-breaking), so this module computes the canonical MST centrally,
 derives the fragment decomposition with the cap the paper requires, and
 charges ``O(D + sqrt(n) log* n)`` rounds on the ledger -- the bound of [25]
-evaluated on the instance's measured diameter (see DESIGN.md §6).
+evaluated on the instance's measured diameter (see
+:class:`repro.congest.cost_model.CostModel`).
 
 The BFS tree used for global communication *is* simulated message-by-message
 (:func:`repro.congest.primitives.simulate_bfs_tree`).

@@ -1,6 +1,6 @@
 """``repro.obs``: dependency-free structured observability.
 
-Three pieces, all stdlib:
+Two pieces, both stdlib:
 
 * :mod:`repro.obs.trace` -- a thread-safe :class:`~repro.obs.trace.Tracer`
   emitting span and instant events to a JSONL sink.  The process-global
@@ -9,9 +9,6 @@ Three pieces, all stdlib:
   paths pay one attribute check when tracing is off.  Spans observe, never
   participate: enabling tracing leaves trial results, RNG streams and cache
   keys bit-identical (enforced by ``tests/test_obs.py``).
-* :mod:`repro.obs.metrics` -- a counter / gauge / histogram registry with
-  labels; the cluster coordinator's ad-hoc ``stats()`` counters are backed
-  by one (``Coordinator.metrics``).
 * :mod:`repro.obs.timeline` -- loads a trace file and renders per-stage
   timing, per-worker utilization and the event log (``kecss trace``,
   ``--format text|json|chrome``; chrome emits Chrome trace-event JSON
@@ -20,15 +17,12 @@ Three pieces, all stdlib:
 See ``docs/observability.md`` for the event schema and workflow.
 """
 
-from repro.obs.logs import LOG_LEVEL_ENV, configure_logging, get_logger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     TRACE_ENV,
     JsonlSink,
     MemorySink,
     NullTracer,
     Tracer,
-    collecting,
     disable_tracing,
     enable_tracing,
     get_tracer,
@@ -44,22 +38,14 @@ from repro.obs.timeline import (
 )
 
 __all__ = [
-    "LOG_LEVEL_ENV",
     "TRACE_ENV",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
-    "MetricsRegistry",
     "NullTracer",
     "TraceError",
     "Tracer",
-    "collecting",
-    "configure_logging",
     "disable_tracing",
     "enable_tracing",
-    "get_logger",
     "get_tracer",
     "load_trace",
     "render_chrome",

@@ -12,8 +12,7 @@ with no valid events raises :class:`TraceError` (``kecss trace`` exit 1).
   total queue-wait seconds trial spans carried (queue vs compute split);
 * **workers** -- per process label: span count, busy seconds, utilization
   against the trace's wall-clock window;
-* **event log** -- every instant (steals, requeues, heartbeat misses,
-  retries, degradations, registrations) in timestamp order.
+* **event log** -- every instant event in timestamp order.
 
 :func:`render_chrome` converts the events to Chrome trace-event JSON
 (``ph: "X"`` complete spans, ``ph: "i"`` instants, microsecond timestamps

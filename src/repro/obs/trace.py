@@ -14,15 +14,9 @@ line is valid on its own) and concurrent processes (the sink appends in
 
 The process-global tracer (:func:`get_tracer`) is a shared
 :class:`NullTracer` unless tracing was enabled -- via ``$REPRO_TRACE``
-(which ``kecss ... --trace FILE`` exports, so forked/spawned cluster
-workers inherit it) or :func:`enable_tracing`.  Disabled, every
-instrumentation site costs one attribute check and no allocation.
-
-:func:`collecting` temporarily overrides the *calling thread's* tracer
-with an in-memory collector: cluster workers wrap each leased item in it
-and ship the collected span events back inside the existing result frame,
-so remote workers need no shared filesystem (and loopback workers do not
-double-write events their coordinator will re-emit).
+(which ``kecss ... --trace FILE`` exports, so pool worker processes
+inherit it) or :func:`enable_tracing`.  Disabled, every instrumentation
+site costs one attribute check and no allocation.
 
 The hard invariant (tested): tracing **observes, never participates** --
 enabling it must leave trial results, RNG streams and cache keys
@@ -48,11 +42,10 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "reset_tracer",
-    "collecting",
 ]
 
 #: Environment switch: a file path enables tracing for this process and
-#: every child that inherits the environment (loopback cluster workers).
+#: every child that inherits the environment (pool worker processes).
 TRACE_ENV = "REPRO_TRACE"
 
 
@@ -88,7 +81,7 @@ class JsonlSink:
 
 
 class MemorySink:
-    """Collects events into a list (worker-side shipping, tests)."""
+    """Collects events into a list (tests, in-process consumers)."""
 
     def __init__(self) -> None:
         self.events: list[dict] = []
@@ -196,9 +189,8 @@ class Tracer:
     Args:
         sink: Anything with ``write(event_dict)`` (:class:`JsonlSink`,
             :class:`MemorySink`).
-        proc: Optional process/worker label stamped on every event
-            (cluster workers use their registered name); ``None`` lets the
-            timeline fall back to the numeric pid.
+        proc: Optional process/worker label stamped on every event;
+            ``None`` lets the timeline fall back to the numeric pid.
 
     Span ids are ``"<pid>-<counter>"`` so ids from different processes
     appending to one file never collide.  The parent-span stack is
@@ -258,7 +250,7 @@ class Tracer:
         self.emit(event)
 
     def emit(self, event: Mapping) -> None:
-        """Write a pre-built event (shipped worker spans re-enter here)."""
+        """Write a pre-built event."""
         event = dict(event)
         with self._lock:
             agg = self._agg
@@ -300,19 +292,14 @@ class Tracer:
 # ------------------------------------------------------------ process-global
 _global_lock = threading.Lock()
 _global_tracer: Tracer | NullTracer | None = None
-_thread_override = threading.local()
 
 
 def get_tracer() -> Tracer | NullTracer:
-    """The calling thread's tracer: an override if one is installed (see
-    :func:`collecting`), else the process-global tracer.
+    """The process-global tracer.
 
-    The global is resolved lazily from ``$REPRO_TRACE`` on first use and
-    cached; :func:`reset_tracer` drops the cache (tests, re-configuration).
+    It is resolved lazily from ``$REPRO_TRACE`` on first use and cached;
+    :func:`reset_tracer` drops the cache (tests, re-configuration).
     """
-    override = getattr(_thread_override, "tracer", None)
-    if override is not None:
-        return override
     global _global_tracer
     if _global_tracer is None:
         with _global_lock:
@@ -325,8 +312,8 @@ def get_tracer() -> Tracer | NullTracer:
 def enable_tracing(path: str | Path, truncate: bool = False) -> Tracer:
     """Enable tracing to *path* for this process **and its children**.
 
-    Publishes ``$REPRO_TRACE`` (so forked/spawned cluster workers inherit
-    the sink) and replaces the cached global tracer.  *truncate* empties an
+    Publishes ``$REPRO_TRACE`` (so pool worker processes inherit the
+    sink) and replaces the cached global tracer.  *truncate* empties an
     existing file first -- the driving CLI sets it so each ``--trace`` run
     starts a fresh trace instead of appending to a stale one.
     """
@@ -354,30 +341,6 @@ def reset_tracer() -> None:
     global _global_tracer
     with _global_lock:
         _global_tracer = None
-
-
-class collecting:
-    """Context manager: collect this thread's events into memory.
-
-    Installs a thread-local :class:`Tracer` over a :class:`MemorySink` (so
-    only the *calling* thread is redirected -- chaos tests run several
-    worker loops as threads of one process) and yields the event list.
-    Cluster workers wrap each leased item in one of these and attach the
-    collected events to the item's result frame.
-    """
-
-    def __init__(self, proc: str | None = None) -> None:
-        self._proc = proc
-        self._previous = None
-
-    def __enter__(self) -> list[dict]:
-        sink = MemorySink()
-        self._previous = getattr(_thread_override, "tracer", None)
-        _thread_override.tracer = Tracer(sink, proc=self._proc)
-        return sink.events
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _thread_override.tracer = self._previous
 
 
 def iter_trace_lines(path: str | Path) -> Iterator[str]:

@@ -11,7 +11,7 @@ Two consumers sit on top of :class:`~repro.store.store.TrialStore`:
   [--by KEY]`` switches to :func:`history_drilldown`, which follows one
   metric and -- instead of pooling whole runs -- groups the pooled trials
   by a per-trial column: a configuration key (``--by family``), or a bare
-  column such as the cluster backend's ``worker`` provenance.
+  column such as ``seed``.
 
 * ``kecss regress <exp>`` -- :func:`regress` compares the **latest** stored
   run against the most recent run of a *different* code version (falling
@@ -164,7 +164,7 @@ def history_drilldown(
 
     Where :func:`history_table` pools whole runs, this splits each code
     version's pooled trials by *by* -- resolved as a stored column name
-    first (``"worker"``, ``"seed"``), then as ``config.<by>`` (so ``--by
+    first (``"seed"``, ``"cached"``), then as ``config.<by>`` (so ``--by
     family`` works without the prefix) -- and reports per-group count /
     mean / min / max of *metric*.  ``by=None`` degenerates to a per-version
     trend of the single metric.
@@ -238,8 +238,8 @@ def history_drilldown(
         for info in infos:
             columns = run_columns[info.run_id]
             # Core columns are dense, so "seed" measures the run's row count;
-            # sparse columns (the metric in an older run, "worker" in a
-            # serial run) are None-padded to keep rows aligned.
+            # sparse columns (the metric in an older run, "error" in a
+            # clean run) are None-padded to keep rows aligned.
             rows = len(columns.get("seed", []))
             metric_values = columns.get(metric_column)
             values.extend(

@@ -16,13 +16,15 @@ store is a directory of *run segments*::
 Each ingested batch becomes one immutable segment: core columns (``seed``,
 ``index``, ``duration``, ``cached``), one ``config.<key>`` column per
 configuration key, one ``metrics.<key>`` column per metric, an ``error``
-column only when a trial actually failed, and a ``worker`` provenance column
-only when a cluster worker computed some trial.  Dtypes are inferred per column
+column only when a trial actually failed, and a ``queue_seconds`` column only
+when some trial waited in a queue.  Segments written by older versions may
+carry other sparse columns (such as ``worker``); readers return every column
+a manifest lists.  Dtypes are inferred per column
 (see :mod:`repro.store.columns`), so reading a run back yields exactly the
 values ingested -- the property the bit-identical aggregate checks rely on.
 
 The run manifest records full provenance: experiment id, the engine's
-``code_version`` tag, backend/worker/cache configuration, python/platform,
+``code_version`` tag, backend/workers/cache configuration, python/platform,
 ``git describe`` output when a git checkout is reachable, and the caller's
 wall-clock stamp.  Like ``bench.py`` baselines, manifests are schema-checked
 (:func:`validate_run_manifest`) before anything touches disk.
@@ -37,9 +39,10 @@ manifest is corrupt or schema-invalid is skipped with a
 written segments, truncated columns, stray manifest tmp files -- and
 quarantines damage under ``<root>/quarantine/``; ``TrialStore.gc``
 (``kecss store gc --keep-last N``) is per-experiment retention.  The
-writer's commit sequence carries named fault-injection points
-(:func:`repro.analysis.faults.store_crash_hook`), so the recovery path is
-tested against a crash at every stage (see ``docs/robustness.md``).
+writer's commit sequence carries named crash points (:func:`_crash_point`;
+the tests install a hook through ``_crash_hook`` that kills the writer at
+each one), so the recovery path is tested against a crash at every stage
+(see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -95,10 +98,10 @@ class StoreWarning(UserWarning):
     """
 
 
-#: Fault-injection observer for the writer's crash points; ``None`` in
-#: production.  :func:`repro.analysis.faults.store_crash_hook` installs a
-#: hook that raises at scripted points, simulating a writer dying mid-commit
-#: at every stage the crash-recovery tests need to cover.
+#: Observer for the writer's crash points; ``None`` in production.  The
+#: crash-recovery tests (``store_crash_hook`` in ``tests/_helpers.py``)
+#: install a hook that raises at a chosen point, simulating a writer dying
+#: mid-commit at every stage.
 _crash_hook = None
 
 
@@ -231,9 +234,7 @@ def _trial_columns(trials: Sequence[Mapping]) -> dict[str, list]:
 
     Config and metric keys are the union over the batch; trials missing a key
     contribute ``None`` (which forces the column to the lossless ``json``
-    dtype).  The ``error`` column is emitted only when some trial failed, and
-    the ``worker`` provenance column only when some trial was computed by a
-    named cluster worker.
+    dtype).  The ``error`` column is emitted only when some trial failed.
     """
     for i, trial in enumerate(trials):
         if not isinstance(trial, Mapping) or not _REQUIRED_TRIAL_KEYS <= set(trial):
@@ -262,11 +263,6 @@ def _trial_columns(trials: Sequence[Mapping]) -> dict[str, list]:
         columns[f"metrics.{key}"] = [t["metrics"].get(key) for t in trials]
     if any(t.get("error") is not None for t in trials):
         columns["error"] = [t.get("error") for t in trials]
-    if any(t.get("worker") is not None for t in trials):
-        # Cluster-backend provenance: which worker computed each trial.
-        # Sparse like ``error`` so runs from in-process backends (and
-        # imported historical baselines) keep their exact column set.
-        columns["worker"] = [t.get("worker") for t in trials]
     if any(t.get("queue_seconds") for t in trials):
         # Queue-wait provenance (submit -> compute start), split from
         # ``duration``.  Sparse so historical baselines recorded before the

@@ -11,7 +11,7 @@ when every tree edge is covered.
 The implementation reproduces the iteration structure, randomness and output
 exactly; the per-iteration round cost O(D + sqrt n) of Lemma 3.3 is charged on
 the ledger using the instance's measured diameter and maximum segment diameter
-(see DESIGN.md §6).
+(see :class:`repro.congest.cost_model.CostModel`).
 
 The hot loop runs on the flat-array kernel
 :class:`repro.tap.fastcover.FastCoverage` (candidate scoring from the

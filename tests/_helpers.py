@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Callable
 
 import networkx as nx
 
@@ -17,3 +19,65 @@ def random_tree(n: int, seed: int) -> RootedTree:
     for node in range(1, n):
         tree.add_edge(node, rng.randrange(node))
     return RootedTree(tree, root=0)
+
+
+# -------------------------------------------------------- store crash points
+class InjectedCrash(RuntimeError):
+    """Raised by :func:`crash_store_at` to simulate a store writer dying."""
+
+
+@contextmanager
+def store_crash_hook(hook: Callable[[str], None] | None):
+    """Install *hook* as the store's ``_crash_point`` observer for the block."""
+    from repro.store import store as store_module
+
+    previous = store_module._crash_hook
+    store_module._crash_hook = hook
+    try:
+        yield
+    finally:
+        store_module._crash_hook = previous
+
+
+@contextmanager
+def crash_store_at(point: str):
+    """Kill the store writer (raise :class:`InjectedCrash`) at *point*."""
+
+    def hook(name: str) -> None:
+        if name == point:
+            raise InjectedCrash(f"injected writer crash at store point {name!r}")
+
+    with store_crash_hook(hook):
+        yield
+
+
+def record_store_crash_points(action: Callable[[], object]) -> list[str]:
+    """Run *action* with a recording hook; returns the crash points it passed.
+
+    This is how the crash-point test matrix stays exhaustive without a
+    hand-maintained list: record one clean write, then kill a fresh writer
+    at every recorded point.
+    """
+    points: list[str] = []
+    with store_crash_hook(points.append):
+        action()
+    return points
+
+
+def ingest_sample_run(store, experiment: str = "e3", stamp: float = 1.0):
+    """Ingest a fixed three-trial run: the unit write the crash tests kill."""
+    trials = [
+        {
+            "config": {"family": "f"},
+            "seed": i,
+            "index": i,
+            "duration": 0.25,
+            "cached": False,
+            "metrics": {"value": i * 2},
+        }
+        for i in range(3)
+    ]
+    return store.ingest(
+        experiment, trials, created_unix=stamp,
+        provenance={"code_version": "v1"},
+    )

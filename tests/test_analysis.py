@@ -1,4 +1,4 @@
-"""Tests for the experiment harness: tables, runner and (small) experiments."""
+"""Tests for the experiment harness: tables, seeding and (small) experiments."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.analysis.experiments import (
     experiment_e7_cycle_space,
     experiment_e8_augmentation_invariants,
 )
-from repro.analysis.runner import ExperimentRunner, derive_seed
+from repro.analysis.runner import derive_seed
 from repro.analysis.tables import Table
 
 
@@ -60,19 +60,6 @@ class TestRunner:
     def test_derive_seed_is_deterministic_and_sensitive(self):
         assert derive_seed("a", 1) == derive_seed("a", 1)
         assert derive_seed("a", 1) != derive_seed("a", 2)
-
-    def test_run_and_aggregate(self):
-        runner = ExperimentRunner(trials=3)
-        configs = [{"n": 4}, {"n": 8}]
-
-        def trial(config, seed):
-            return {"value": config["n"] + (seed % 2)}
-
-        results = runner.run("unit", configs, trial)
-        assert len(results) == 6
-        aggregated = ExperimentRunner.aggregate(results, key=lambda r: r.config["n"])
-        assert set(aggregated) == {4, 8}
-        assert 4 <= aggregated[4]["value"] <= 5
 
 
 class TestSmallExperiments:

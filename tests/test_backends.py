@@ -1,13 +1,14 @@
-"""Tests for the pluggable execution backends and the content-hash cache
-lifecycle.
+"""Tests for the execution backends and the content-hash cache lifecycle.
 
-Covers the backend registry (lookup, errors, third-party registration, the
-lazy ``cluster`` autoload), the determinism guarantee (serial == threads ==
-processes == cluster on golden seeds, both for synthetic trials and for a
-real experiment table), the pooled-executor lifecycle (an entered backend
+Covers backend resolution (names, the workers-based default, instance
+pass-through, errors), the determinism guarantee (serial == processes on
+golden seeds, both for synthetic trials and for a real experiment table),
+the pool's chunking and batch contract (every item back once, in order,
+for empty to multi-chunk batches; a failing item surfaces and the pool
+serves the next batch), the pooled-executor lifecycle (an entered backend
 reuses one pool across ``map`` calls; the engine enters/exits it), the
-solver-module derived code versions, and ``cache gc`` evicting exactly the
-stale-version entries.
+backend recorded in run provenance, the solver-module derived code
+versions, and ``cache gc`` evicting exactly the stale-version entries.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import os
 import pytest
 
 from repro.analysis.backends import (
-    BACKENDS,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
-    available_backends,
-    register_backend,
+    _map_chunksize,
     resolve_backend,
 )
+from repro.analysis.bench import engine_provenance
 from repro.analysis.code_version import (
     MODULE_DEPENDENCIES,
     code_version_for,
@@ -54,6 +53,22 @@ def _getpid(_item):
     return os.getpid()
 
 
+def _square(x):
+    return x * x
+
+
+def _fail_on_five(x):
+    if x == 5:
+        raise ValueError(f"item {x} is poison")
+    return x
+
+
+def _fragile_trial(config, seed):
+    if config["x"] == 2:
+        raise ValueError(f"bad x={config['x']}")
+    return {"value": config["x"] * 10 + (seed % 7)}
+
+
 def _jobs(trial_name, xs, trials=2):
     return [
         TrialJob.make(trial_name, {"x": x}, derive_seed(trial_name, x, t), t)
@@ -62,41 +77,24 @@ def _jobs(trial_name, xs, trials=2):
     ]
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert {"serial", "threads", "processes"} <= set(BACKENDS)
-
-    def test_available_backends_lists_the_lazy_cluster_backend(self):
-        # ``cluster`` is importable on demand, so it must be advertised (and
-        # accepted by the CLI ``--backend`` choices) even before its module
-        # has been loaded.
-        assert {"serial", "threads", "processes", "cluster"} <= set(
-            available_backends()
-        )
-
-    def test_cluster_backend_autoloads_on_resolve(self):
-        backend = resolve_backend("cluster", workers=2)
-        assert type(backend).__name__ == "ClusterBackend"
-        assert backend.workers == 2 and backend.name == "cluster"
-        assert "cluster" in BACKENDS
-
+class TestBackendResolution:
     def test_resolve_by_name(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        threads = resolve_backend("threads", workers=3)
-        assert isinstance(threads, ThreadBackend) and threads.workers == 3
-        assert isinstance(resolve_backend("processes", workers=2), ProcessBackend)
+        processes = resolve_backend("processes", workers=3)
+        assert isinstance(processes, ProcessBackend) and processes.workers == 3
 
-    def test_resolve_none_matches_historical_default(self):
+    def test_resolve_none_picks_serial_for_one_worker_else_processes(self):
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
         assert isinstance(resolve_backend(None, workers=4), ProcessBackend)
 
     def test_resolve_passes_instances_through(self):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert resolve_backend(backend) is backend
 
-    def test_unknown_name_raises_with_known_backends_listed(self):
-        with pytest.raises(KeyError, match="no execution backend.*serial"):
-            resolve_backend("mpi")
+    @pytest.mark.parametrize("name", ["threads", "cluster", "failover", "mpi"])
+    def test_unknown_name_raises_with_known_backends_listed(self, name):
+        with pytest.raises(KeyError, match="no execution backend.*processes.*serial"):
+            resolve_backend(name)
 
     def test_engine_surfaces_unknown_backend(self):
         engine = ExperimentEngine(backend="ray")
@@ -104,7 +102,7 @@ class TestBackendRegistry:
             engine.run_jobs(_value_trial, _jobs("unit", (1,), trials=1))
 
     def test_backend_returning_short_results_is_a_loud_error(self):
-        """A buggy plugged-in backend must not silently drop trials."""
+        """A buggy backend instance must not silently drop trials."""
 
         class ShortBackend:
             name = "short"
@@ -117,39 +115,34 @@ class TestBackendRegistry:
         with pytest.raises(RuntimeError, match="one result per item"):
             engine.run_jobs(_value_trial, _jobs("unit", (1, 2)))
 
-    def test_third_party_backend_plugs_in_by_name(self):
+    def test_engine_accepts_a_backend_instance(self):
         calls = []
 
-        @register_backend("recording")
         class RecordingBackend:
-            def __init__(self, workers=1):
-                self.workers = workers
-                self.name = "recording"
+            name = "recording"
+            workers = 5
 
             def map(self, function, items):
                 calls.append(len(items))
                 return [function(item) for item in items]
 
-        try:
-            engine = ExperimentEngine(backend="recording", workers=5)
-            results = engine.run_jobs(_value_trial, _jobs("unit", (1, 2)))
-            assert calls == [4]
-            assert len(results) == 4
-            assert "backend=recording" in engine.summary()
-        finally:
-            BACKENDS.pop("recording", None)
+        engine = ExperimentEngine(backend=RecordingBackend(), workers=5)
+        results = engine.run_jobs(_value_trial, _jobs("unit", (1, 2)))
+        assert calls == [4]
+        assert len(results) == 4
+        assert "backend=recording" in engine.summary()
 
 
 class TestBackendParity:
-    """Bit-identical results on every backend, for synthetic and real trials."""
+    """Bit-identical results on both backends, for synthetic and real trials."""
 
-    BACKEND_NAMES = ("serial", "threads", "processes", "cluster")
+    BACKEND_NAMES = ("serial", "processes")
 
     def test_synthetic_trials_identical_across_backends(self):
         jobs = _jobs("unit", (1, 2, 3, 4), trials=3)
         outcomes = {}
         for name in self.BACKEND_NAMES:
-            with ExperimentEngine(workers=4, backend=name) as engine:
+            with ExperimentEngine(workers=2, backend=name) as engine:
                 outcomes[name] = engine.run_jobs(_value_trial, jobs)
         baseline = [(r.config, r.seed, r.metrics) for r in outcomes["serial"]]
         for name, results in outcomes.items():
@@ -167,8 +160,103 @@ class TestBackendParity:
         assert all(table.rows == tables[0].rows for table in tables)
 
 
+BATCH_SIZES = [0, 1, 2, 7, 64, 65, 400]
+
+
+class TestMapChunking:
+    """``_map_chunksize``: a few chunks per worker, never below 1."""
+
+    @pytest.mark.parametrize("n_items", BATCH_SIZES)
+    @pytest.mark.parametrize("pool_size", [1, 3, 8])
+    def test_four_to_eight_chunks_per_worker_once_the_batch_allows(
+        self, pool_size, n_items
+    ):
+        size = _map_chunksize(n_items, pool_size)
+        assert size >= 1
+        chunks = -(-n_items // size)
+        if n_items >= 4 * pool_size:
+            # Enough chunks to balance load, few enough to amortise pickling.
+            assert 4 * pool_size <= chunks <= 8 * pool_size
+        else:
+            # A batch smaller than the chunk budget goes one item per chunk.
+            assert size == 1
+
+    def test_a_non_positive_pool_size_counts_as_one_worker(self):
+        assert _map_chunksize(40, 0) == _map_chunksize(40, 1) == 10
+
+
+@pytest.fixture(scope="module")
+def shared_pool():
+    """One entered 2-worker process backend reused across a test class."""
+    with ProcessBackend(workers=2) as backend:
+        yield backend
+
+
+class TestPooledBatchContract:
+    """The entered pool returns each item exactly once, in item order."""
+
+    @pytest.mark.parametrize("n_items", BATCH_SIZES)
+    def test_every_item_comes_back_once_in_order(self, shared_pool, n_items):
+        assert shared_pool.map(_square, range(n_items)) == [
+            x * x for x in range(n_items)
+        ]
+
+    def test_a_failing_item_surfaces_and_the_pool_serves_the_next_batch(
+        self, shared_pool
+    ):
+        pool = shared_pool._pool
+        with pytest.raises(ValueError, match="item 5 is poison"):
+            shared_pool.map(_fail_on_five, range(10))
+        assert shared_pool._pool is pool
+        assert shared_pool.map(_square, range(10)) == [x * x for x in range(10)]
+
+    def test_unentered_empty_batch_returns_empty_without_a_pool(self):
+        backend = ProcessBackend(workers=2)
+        assert backend.map(_square, []) == []
+        assert backend._pool is None
+
+    def test_engine_runs_an_empty_batch_without_resolving_the_backend(self):
+        engine = ExperimentEngine(workers=2, backend="ray")  # unknown name
+        assert engine.run_jobs(_value_trial, []) == []
+        assert engine.stats["executed"] == 0
+
+    def test_trial_exceptions_are_captured_once_and_identically(self):
+        jobs = _jobs("unit", (1, 2, 3), trials=2)
+        outcomes = {}
+        for name in ("serial", "processes"):
+            with ExperimentEngine(workers=2, backend=name) as engine:
+                results = engine.run_jobs(_fragile_trial, jobs)
+            assert engine.stats["executed"] == len(jobs)
+            assert engine.stats["failures"] == 2
+            outcomes[name] = [
+                (r.config, r.seed, r.metrics,
+                 r.error and r.error.strip().splitlines()[-1])
+                for r in results
+            ]
+        assert outcomes["processes"] == outcomes["serial"]
+        errors = [error for *_, error in outcomes["serial"] if error]
+        assert errors == ["ValueError: bad x=2"] * 2
+
+
+class TestBackendProvenance:
+    """Bench baselines and store manifests name the backend that ran."""
+
+    @pytest.mark.parametrize(
+        "workers, expected", [(1, "serial"), (2, "processes"), (4, "processes")]
+    )
+    def test_workers_decide_the_recorded_backend(self, workers, expected):
+        engine = ExperimentEngine(workers=workers)
+        recorded = engine_provenance(engine, "e3")["engine"]
+        assert recorded["backend"] == expected
+        assert recorded["workers"] == workers
+
+    def test_an_instance_backend_records_its_own_name(self):
+        engine = ExperimentEngine(workers=3, backend=ProcessBackend(workers=3))
+        assert engine_provenance(engine, "e3")["engine"]["backend"] == "processes"
+
+
 class TestPooledExecutorLifecycle:
-    """Entered pool backends keep one executor alive across ``map`` calls."""
+    """An entered process backend keeps one executor alive across ``map`` calls."""
 
     def test_entered_process_backend_reuses_its_worker_processes(self):
         backend = ProcessBackend(workers=2)
@@ -186,11 +274,11 @@ class TestPooledExecutorLifecycle:
         first = set(backend.map(_getpid, range(8)))
         second = set(backend.map(_getpid, range(8)))
         assert backend._pool is None
-        # Historical per-call behaviour: fresh processes each time.
+        # Per-call behaviour: fresh processes each time.
         assert first.isdisjoint(second)
 
-    def test_entered_thread_backend_maps_correctly_across_calls(self):
-        backend = ThreadBackend(workers=4)
+    def test_entered_process_backend_maps_correctly_across_calls(self):
+        backend = ProcessBackend(workers=2)
         with backend:
             assert backend.map(str, range(10)) == [str(i) for i in range(10)]
             assert backend.map(abs, [-3, -1]) == [3, 1]
@@ -199,7 +287,7 @@ class TestPooledExecutorLifecycle:
 
     def test_chunked_map_preserves_item_order(self):
         # 64 items over a 2-worker pool -> chunksize > 1; order must hold.
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         items = list(range(64))
         with backend:
             assert backend.map(str, items) == [str(i) for i in items]
@@ -209,7 +297,7 @@ class TestEngineBackendLifecycle:
     """``with engine:`` enters the resolved backend once and exits it after."""
 
     def test_entered_engine_keeps_one_backend_and_one_pool(self):
-        engine = ExperimentEngine(workers=2, backend="threads")
+        engine = ExperimentEngine(workers=2, backend="processes")
         with engine:
             backend = engine._backend_instance()
             engine.run_jobs(_value_trial, _jobs("unit", (1,)))
@@ -225,8 +313,8 @@ class TestEngineBackendLifecycle:
             results = engine.run_jobs(_value_trial, _jobs("unit", (1,)))
         assert all(result.ok for result in results)
 
-    def test_unentered_engine_matches_historical_behaviour(self):
-        engine = ExperimentEngine(workers=2, backend="threads")
+    def test_unentered_engine_uses_a_pool_per_batch(self):
+        engine = ExperimentEngine(workers=2, backend="processes")
         results = engine.run_jobs(_value_trial, _jobs("unit", (1, 2)))
         assert len(results) == 4
         assert engine._backend_instance()._pool is None

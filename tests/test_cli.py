@@ -106,18 +106,24 @@ class TestExperimentCommand:
         assert code == 0
         assert "|" in capsys.readouterr().out
 
-    def test_backend_flag_runs_through_named_backend(self, capsys):
-        code = main(["experiment", "--id", "e7", "--backend", "threads",
-                     "--workers", "2"])
+    def test_workers_flag_picks_the_process_pool(self, capsys):
+        code = main(["experiment", "--id", "e7", "--workers", "2"])
         assert code == 0
         captured = capsys.readouterr()
         assert "E7" in captured.out
-        assert "backend=threads" in captured.err
+        assert "backend=processes" in captured.err
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--id", "e7", "--backend", "threads"],
+            ["--log-level", "debug", "families"],
+            ["worker", "--connect", "127.0.0.1:7781"],
+        ],
+    )
+    def test_retired_options_are_rejected(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "--id", "e7",
-                                       "--backend", "mpi"])
+            build_parser().parse_args(argv)
 
     def test_no_cache_does_not_create_the_cache_dir(self, tmp_path, capsys):
         cache_dir = tmp_path / "never-created"

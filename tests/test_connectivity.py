@@ -5,9 +5,13 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.core.k_ecss import k_ecss
+from repro.core.three_ecss import three_ecss
+from repro.core.two_ecss import two_ecss
 from repro.graphs.connectivity import (
     bridges,
     canonical_edge,
+    check_solver_input,
     edge_connectivity,
     edge_set,
     is_k_edge_connected,
@@ -140,3 +144,60 @@ class TestVerifySpanningSubgraph:
         cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
         ok, _ = verify_spanning_subgraph(graph, cycle, 2)
         assert ok
+
+
+def _unit_k5(graph_cls=nx.Graph):
+    graph = graph_cls(nx.complete_graph(5))
+    nx.set_edge_attributes(graph, 1, "weight")
+    return graph
+
+
+#: Every solver, called on a graph that is 3-edge-connected when valid.
+SOLVERS = {
+    "2-ECSS": lambda graph: two_ecss(graph, seed=0),
+    "3-ECSS": lambda graph: three_ecss(graph, seed=0),
+    "k-ECSS": lambda graph: k_ecss(graph, 3, seed=0),
+}
+
+
+class TestCheckSolverInput:
+    def test_valid_input_passes(self):
+        check_solver_input(_unit_k5(), 3, "k-ECSS")
+
+    @pytest.mark.parametrize("problem", sorted(SOLVERS))
+    def test_every_solver_enforces_the_contract(self, problem):
+        solve = SOLVERS[problem]
+        assert solve(_unit_k5()).verify()[0]
+
+        negative = _unit_k5()
+        negative[0][1]["weight"] = -5
+        with pytest.raises(ValueError, match=f"{problem} needs non-negative integer"):
+            solve(negative)
+
+        fractional = _unit_k5()
+        fractional[1][2]["weight"] = 1.5
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight 1\.5"):
+            solve(fractional)
+
+        multi = _unit_k5(nx.MultiGraph)
+        multi.add_edge(0, 1, weight=1)
+        with pytest.raises(ValueError, match=f"{problem} needs a simple graph"):
+            solve(multi)
+
+        directed = _unit_k5(nx.DiGraph)
+        with pytest.raises(ValueError, match=f"{problem} needs an undirected graph"):
+            solve(directed)
+
+        path = nx.path_graph(5)
+        with pytest.raises(ValueError, match=f"edge-connected; {problem} is infeasible"):
+            solve(path)
+
+    @pytest.mark.parametrize("weight", [True, 2.0, "3", None])
+    def test_non_int_weights_are_rejected(self, weight):
+        graph = _unit_k5()
+        graph[0][1]["weight"] = weight
+        with pytest.raises(ValueError, match="non-negative integer edge weights"):
+            check_solver_input(graph, 3, "k-ECSS")
+
+    def test_missing_weights_default_to_one(self):
+        check_solver_input(nx.complete_graph(5), 3, "3-ECSS")

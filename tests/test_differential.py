@@ -24,7 +24,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.differential import (
-    cluster_protocol_jobs,
     k_ecss_jobs,
     medium_sweep_jobs,
     three_ecss_jobs,
@@ -32,16 +31,15 @@ from repro.analysis.differential import (
 )
 from repro.analysis.engine import ExperimentEngine
 from repro.analysis.runner import trial_groups
-from repro.graphs.generators import FAMILIES
 
 N_GRAPHS = 50
 EXACT_GRAPHS = 15
 
-#: The full-size sweeps run once through the threads backend: it exercises
-#: the concurrent engine path on every default test run without paying
-#: process start-up for sub-millisecond trials.
-SWEEP_BACKEND = "threads"
-SWEEP_WORKERS = 4
+#: The full-size sweeps run serially: the trials take milliseconds, so a
+#: pool would cost more in start-up than it saves.  The process path is
+#: covered by the parity test below.
+SWEEP_BACKEND = "serial"
+SWEEP_WORKERS = 1
 
 
 def _run(experiment: str, jobs, backend=SWEEP_BACKEND, workers=SWEEP_WORKERS):
@@ -88,17 +86,8 @@ class TestKEcssDifferential:
             assert 1.0 <= result.metrics["ratio"] <= result.metrics["factor"]
 
 
-class TestClusterProtocolDifferential:
-    def test_sweep_round_trips_frames_and_partitions_chunks(self):
-        results = _run("diff-cluster-protocol", cluster_protocol_jobs(N_GRAPHS))
-        assert len(results) == N_GRAPHS * len(FAMILIES)
-        assert all(result.metrics["chunks"] >= 1 for result in results)
-        # Every frame holds at least its 8-byte header plus a pickled payload.
-        assert all(result.metrics["frame_bytes"] > 8 for result in results)
-
-
 class TestBackendParityOnDifferentialTrials:
-    """A reduced grid must be bit-identical on every built-in backend."""
+    """A reduced grid must be bit-identical on both backends."""
 
     @pytest.mark.parametrize(
         "experiment, jobs",
@@ -106,13 +95,12 @@ class TestBackendParityOnDifferentialTrials:
             ("diff-2ecss", two_ecss_jobs(6, 3)),
             ("diff-3ecss", three_ecss_jobs(6, 3)),
             ("diff-kecss", k_ecss_jobs(6, 2)),
-            ("diff-cluster-protocol", cluster_protocol_jobs(3)),
         ],
     )
     def test_backends_agree_bit_for_bit(self, experiment, jobs):
         outcomes = {
-            backend: _run(experiment, jobs, backend=backend, workers=4)
-            for backend in ("serial", "threads", "processes", "cluster")
+            backend: _run(experiment, jobs, backend=backend, workers=2)
+            for backend in ("serial", "processes")
         }
         baseline = [
             (r.config, r.seed, r.metrics) for r in outcomes["serial"]

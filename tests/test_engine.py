@@ -26,11 +26,7 @@ from repro.analysis.experiments import (
     experiment_e1_two_ecss_approximation,
     experiment_e4_k_ecss,
 )
-from repro.analysis.runner import (
-    ExperimentRunner,
-    TrialFailure,
-    derive_seed,
-)
+from repro.analysis.runner import TrialFailure, derive_seed
 from repro.analysis.tables import metric_mean, trial_groups
 
 
@@ -152,14 +148,12 @@ class TestEngineExecution:
         assert engine.stats["failures"] == 1
         # Aggregation surfaces the failure ...
         with pytest.raises(TrialFailure, match="boom on x=2"):
-            ExperimentRunner.aggregate(results, key=lambda r: r.config["x"])
-        with pytest.raises(TrialFailure, match="boom on x=2"):
             trial_groups(results, key=lambda r: r.config["x"])
         # ... unless explicitly told to skip failed trials.
-        aggregated = ExperimentRunner.aggregate(
+        grouped = trial_groups(
             results, key=lambda r: r.config["x"], skip_failures=True
         )
-        assert set(aggregated) == {1, 3}
+        assert set(grouped) == {1, 3}
 
     def test_no_cache_runs_count_as_executed_not_as_misses(self):
         """Regression: with caching disabled there are no cache lookups, so
@@ -173,46 +167,6 @@ class TestEngineExecution:
             "failures": 0,
         }
         assert "2 executed" in engine.summary()
-
-    def test_aggregate_over_heterogeneous_metric_keys(self):
-        """Regression: ``aggregate`` used the first trial's metric keys, so a
-        group whose trials recorded different keys raised a bare ``KeyError``
-        (or silently dropped metrics the first trial lacked)."""
-
-        def uneven_trial(config, seed):
-            metrics = {"always": 1.0}
-            if seed % 2:
-                metrics["sometimes"] = 2.0
-            return metrics
-
-        jobs = [
-            TrialJob.make("unit", {"x": 0}, seed, seed) for seed in range(4)
-        ]
-        results = ExperimentEngine().run_jobs(uneven_trial, jobs)
-        with pytest.raises(TrialFailure, match="'sometimes' is missing"):
-            ExperimentRunner.aggregate(results, key=lambda r: r.config["x"])
-        # Metrics recorded by every trial of a group still aggregate, and the
-        # union is used even when the first trial lacks a key.
-        flipped = list(reversed(results))
-        with pytest.raises(TrialFailure, match="'sometimes' is missing"):
-            ExperimentRunner.aggregate(flipped, key=lambda r: r.config["x"])
-        even = [r for r in results if "sometimes" in r.metrics]
-        aggregated = ExperimentRunner.aggregate(even, key=lambda r: r.config["x"])
-        assert aggregated[0] == {"always": 1.0, "sometimes": 2.0}
-
-    def test_runner_facade_matches_legacy_behaviour(self):
-        runner = ExperimentRunner(trials=3)
-        configs = [{"n": 4}, {"n": 8}]
-
-        def trial(config, seed):
-            return {"value": config["n"] + (seed % 2)}
-
-        results = runner.run("unit", configs, trial)
-        assert len(results) == 6
-        # Seeds derive exactly as the historical runner did.
-        assert results[0].seed == derive_seed("unit", 0, [("n", 4)], 0)
-        aggregated = ExperimentRunner.aggregate(results, key=lambda r: r.config["n"])
-        assert set(aggregated) == {4, 8}
 
 
 class TestEngineCache:

@@ -55,8 +55,8 @@ from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.lca import LCAIndex
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
-SWEEP_WORKERS = 4
+SWEEP_BACKEND = "serial"
+SWEEP_WORKERS = 1
 
 
 # ------------------------------------------------------------ GuessingSchedule

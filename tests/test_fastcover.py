@@ -33,8 +33,8 @@ from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
-SWEEP_WORKERS = 4
+SWEEP_BACKEND = "serial"
+SWEEP_WORKERS = 1
 
 
 def _mst_instance(n: int, seed: int, prob: float = 0.3):

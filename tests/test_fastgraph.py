@@ -25,8 +25,8 @@ from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.graphs.generators import FAMILIES
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
-SWEEP_WORKERS = 4
+SWEEP_BACKEND = "serial"
+SWEEP_WORKERS = 1
 
 
 # ---------------------------------------------------------------- unit tests

@@ -1,36 +1,27 @@
-"""Tests for ``repro.obs``: tracing, metrics, logging, the timeline CLI.
+"""Tests for ``repro.obs``: tracing and the timeline CLI.
 
 Covers the :class:`~repro.obs.trace.Tracer` event model (span nesting,
-thread safety, JSONL round-trip, the disabled no-op path, the
-``collecting`` thread-local override cluster workers ship spans with),
-the :class:`~repro.obs.metrics.MetricsRegistry` instruments and their
-flattening into ``Coordinator.stats()``, the stdlib-logging adoption
-(``repro.*`` namespace, idempotent configuration, env fallback), the
-``kecss trace`` verb and its exit-code contract, the Chrome trace-event
-export, the ``queue_seconds`` queue-wait/compute split end-to-end
-(engine -> cache replay -> bench payload -> store column -> history
-drill-down), and -- the hard invariant -- that a traced loopback cluster
-run stays bit-identical to an untraced serial one while still producing
-a trace with worker-side spans and lease events.
+thread safety, JSONL round-trip, the disabled no-op path), the ``kecss
+trace`` verb and its exit-code contract, the Chrome trace-event export, the
+``queue_seconds`` queue-wait/compute split end-to-end (engine -> cache
+replay -> bench payload -> store column -> history drill-down), and -- the
+hard invariant -- that a traced process-pool run stays bit-identical to an
+untraced serial one while still producing a trace with the pool workers'
+trial spans.
 """
 
 from __future__ import annotations
 
 import json
-import logging
+import os
 import threading
-from functools import partial
 
 import pytest
 
 from repro.analysis.bench import engine_provenance, trial_payload
-from repro.analysis.cluster import ClusterBackend
-from repro.analysis.differential import cluster_protocol_jobs
-from repro.analysis.engine import ExperimentEngine, TrialJob, _execute_trial
+from repro.analysis.engine import ExperimentEngine, TrialJob
 from repro.analysis.runner import TrialResult, derive_seed
 from repro.cli import main as kecss_main
-from repro.obs.logs import LOG_LEVEL_ENV, configure_logging, get_logger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import (
     TraceError,
     load_trace,
@@ -44,7 +35,6 @@ from repro.obs.trace import (
     MemorySink,
     NullTracer,
     Tracer,
-    collecting,
     disable_tracing,
     enable_tracing,
     get_tracer,
@@ -151,8 +141,6 @@ class TestTracer:
     def test_enable_tracing_publishes_env_and_truncates(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("stale garbage\n")
-        import os
-
         tracer = enable_tracing(path, truncate=True)
         assert os.environ[TRACE_ENV] == str(path)
         assert get_tracer() is tracer
@@ -160,109 +148,17 @@ class TestTracer:
         events, skipped = load_trace(path)
         assert skipped == 0 and events[0]["name"] == "fresh"
 
-    def test_collecting_overrides_only_the_calling_thread(self, tmp_path):
-        enable_tracing(tmp_path / "global.jsonl")
-        seen_other: list = []
-
-        def other_thread():
-            seen_other.append(get_tracer())
-
-        with collecting(proc="w9") as events:
-            get_tracer().instant("local", cat="unit")
-            thread = threading.Thread(target=other_thread)
-            thread.start()
-            thread.join()
-        assert [e["name"] for e in events] == ["local"]
-        assert events[0]["proc"] == "w9"
-        # The sibling thread kept the process-global tracer, and after the
-        # block this thread is back on it too.
-        assert seen_other[0] is get_tracer()
-
     def test_tracer_summary_aggregates(self):
         tracer = Tracer(MemorySink(), proc="driver")
         with tracer.span("a", cat="engine"):
             pass
-        tracer.instant("b", cat="cluster")
+        tracer.instant("b", cat="unit")
         summary = tracer.summary()
         assert summary["enabled"] is True
         assert summary["events"] == 2
         assert summary["spans"] == 1 and summary["instants"] == 1
         assert set(summary["seconds_by_cat"]) == {"engine"}
         assert set(summary["busy_by_proc"]) == {"driver"}
-
-
-# ------------------------------------------------------------------ metrics
-class TestMetrics:
-    def test_counter_labels_and_total(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("steals", "steal events")
-        counter.inc(thief="w0")
-        counter.inc(2, thief="w1")
-        counter.inc()
-        assert counter.value(thief="w0") == 1
-        assert counter.value(thief="w1") == 2
-        assert counter.total() == 4
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_and_histogram(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("queue_depth", "items queued")
-        gauge.set(5)
-        gauge.set(2, worker="w0")
-        assert gauge.value() == 5 and gauge.value(worker="w0") == 2
-        gauge.set(None, worker="w0")
-        assert gauge.value(worker="w0") is None
-        histogram = registry.histogram("lease_seconds", "lease durations")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        stats = histogram.value()
-        assert stats["count"] == 3
-        assert stats["min"] == 1.0 and stats["max"] == 3.0
-
-    def test_reregistration_type_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x", "a counter")
-        assert registry.counter("x", "same instrument") is registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x", "not a gauge")
-
-    def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", "cache hits").inc(3, experiment="e1")
-        snapshot = registry.snapshot()
-        assert snapshot["hits"]["type"] == "counter"
-        assert snapshot["hits"]["total"] == 3
-        assert any(
-            dict(series["labels"]) == {"experiment": "e1"}
-            for series in snapshot["hits"]["series"]
-        )
-
-
-# ------------------------------------------------------------------ logging
-class TestLogging:
-    def test_get_logger_enforces_the_namespace(self):
-        assert get_logger("cluster.worker").name == "repro.cluster.worker"
-        assert get_logger("repro.store").name == "repro.store"
-        assert get_logger("repro").name == "repro"
-
-    def test_configure_is_idempotent_and_relevels(self):
-        first = configure_logging("INFO")
-        second = configure_logging("DEBUG")
-        assert first == logging.INFO and second == logging.DEBUG
-        root = logging.getLogger("repro")
-        flagged = [
-            h for h in root.handlers
-            if getattr(h, "_repro_obs_handler", False)
-        ]
-        assert len(flagged) == 1
-        assert flagged[0].level == logging.DEBUG
-
-    def test_env_fallback_and_bad_level(self, monkeypatch):
-        monkeypatch.setenv(LOG_LEVEL_ENV, "error")
-        assert configure_logging() == logging.ERROR
-        with pytest.raises(ValueError):
-            configure_logging("loud")
 
 
 # ----------------------------------------------------------------- timeline
@@ -272,7 +168,7 @@ class TestTimeline:
         with tracer.span("engine.run_jobs", cat="engine", jobs=2):
             with tracer.span("trial", cat="trial", queue_seconds=0.5):
                 pass
-        tracer.instant("lease.dispatch", cat="cluster", worker="w0")
+        tracer.instant("checkpoint", cat="unit", worker="w0")
 
     def test_summarize_views(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -281,13 +177,13 @@ class TestTimeline:
         summary = summarize(events, skipped=skipped)
         assert summary["spans"] == 2 and summary["instants"] == 1
         assert summary["stages"]["trial"]["queue_seconds"] == 0.5
-        assert summary["event_counts"] == {"lease.dispatch": 1}
+        assert summary["event_counts"] == {"checkpoint": 1}
         assert "driver" in summary["workers"]
         assert summary["workers"]["driver"]["spans"] == 2
         text = render_text(summary)
         assert "per-stage timing" in text
         assert "per-worker utilization" in text
-        assert "lease.dispatch" in text
+        assert "checkpoint" in text
 
     def test_chrome_export_is_loadable_trace_event_json(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -344,16 +240,13 @@ class TestTraceCli:
         with pytest.raises(SystemExit) as excinfo:
             kecss_main(["trace", str(tmp_path / "t.jsonl"), "--format", "svg"])
         assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            kecss_main(["--log-level", "loud", "families"])
-        assert excinfo.value.code == 2
 
 
 # ------------------------------------------------------------- queue_seconds
 class TestQueueSeconds:
     def test_engine_records_and_cache_replays_it(self, tmp_path):
         jobs = _jobs([1, 2])
-        engine = ExperimentEngine(workers=2, backend="threads",
+        engine = ExperimentEngine(workers=2, backend="processes",
                                   cache_dir=tmp_path)
         first = engine.run_jobs(_value_trial, jobs)
         assert all(result.queue_seconds >= 0.0 for result in first)
@@ -413,40 +306,33 @@ class TestQueueSeconds:
             history_drilldown(store, "eq", "nope")
 
 
-# ----------------------------------------------------- cluster + provenance
-class TestClusterTracing:
-    def test_traced_loopback_run_is_bit_identical_and_produces_a_trace(
+# ------------------------------------------------ process pool + provenance
+class TestPoolTracing:
+    def test_traced_process_run_is_bit_identical_and_produces_a_trace(
         self, tmp_path
     ):
-        jobs = cluster_protocol_jobs(6)
-        function = partial(_execute_trial, "diff-cluster-protocol")
-        untraced = [function(job) for job in jobs]
+        jobs = _jobs([1, 2, 3, 4])
+        untraced = ExperimentEngine(backend="serial").run_jobs(_value_trial, jobs)
 
-        trace_file = tmp_path / "cluster.jsonl"
+        trace_file = tmp_path / "pool.jsonl"
         enable_tracing(trace_file, truncate=True)
-        backend = ClusterBackend(workers=2, chunk_size=2)
-        with backend:
-            traced = backend.map(function, jobs)
-            stats = backend.coordinator.stats()
+        with ExperimentEngine(workers=2, backend="processes") as engine:
+            traced = engine.run_jobs(_value_trial, jobs)
 
         def key(results):
             return [(r.config, r.seed, r.metrics, r.error) for r in results]
 
         assert key(traced) == key(untraced)
-        assert stats["total_completed"] >= len(jobs)
 
         events, _ = load_trace(trace_file)
         summary = summarize(events)
-        assert summary["event_counts"].get("worker.register", 0) >= 2
-        assert summary["event_counts"].get("lease.dispatch", 0) >= 1
-        # Worker-side trial spans shipped back in result frames and were
-        # re-emitted under the computing worker's name.
+        assert summary["stages"]["engine.run_jobs"]["count"] == 1
+        # Pool workers inherit $REPRO_TRACE and append their own trial spans.
         trial_spans = [
             e for e in events if e["ev"] == "span" and e["name"] == "trial"
         ]
-        assert len(trial_spans) >= len(jobs)
-        assert {e.get("proc") for e in trial_spans} <= {"w0", "w1"}
-        assert {e.get("proc") for e in trial_spans} & {"w0", "w1"}
+        assert len(trial_spans) == len(jobs)
+        assert {e["pid"] for e in trial_spans} - {os.getpid()}
 
     def test_engine_provenance_gains_a_trace_block_when_enabled(self, tmp_path):
         engine = ExperimentEngine()

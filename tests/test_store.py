@@ -2,7 +2,10 @@
 
 Covers the column codec (dtype inference, lossless round trips -- including
 a hypothesis property over arbitrary JSON-ish value lists), the append-only
-segment store (ingest / enumerate / query / crash-safety), the regression
+segment store (ingest / enumerate / query / crash-safety), crash recovery (a
+writer killed at *every* crash point, ``fsck`` detection/quarantine of each
+damage class, ``runs()`` warn-and-skip, ``gc --keep-last`` retention), the
+regression
 layer (history grouping, baseline-run selection, tolerance-based drift
 detection) and the ``BENCH_*.json`` importer, whose aggregates must be
 bit-identical to the committed baselines.
@@ -22,6 +25,7 @@ from repro.store import (
     ColumnCodecError,
     ColumnSpec,
     StoreError,
+    StoreWarning,
     TrialStore,
     duration_stats,
     history_table,
@@ -35,6 +39,14 @@ from repro.store import (
     validate_run_manifest,
 )
 from repro.store.columns import build_column, decode_column, read_column, write_column
+
+from _helpers import (
+    InjectedCrash,
+    crash_store_at,
+    ingest_sample_run,
+    record_store_crash_points,
+    store_crash_hook,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -254,6 +266,115 @@ class TestTrialStore:
         info = _ingest(store, [_trial(1, {"m": 1})])
         with pytest.raises(StoreError, match="no column"):
             store.columns(info, ["metrics.nope"])
+
+
+# ----------------------------------------------------------- crash recovery
+class TestStoreCrashRecovery:
+    def test_recording_hook_enumerates_the_writer_crash_points(self, tmp_path):
+        store = TrialStore(tmp_path / "probe")
+        points = record_store_crash_points(lambda: ingest_sample_run(store))
+        assert "segment-claimed" in points
+        assert "before-manifest" in points
+        assert any(p.startswith("column-written:") for p in points)
+        assert any(p.startswith("tmp-written:manifest.json") for p in points)
+
+    def test_writer_killed_at_every_crash_point_leaves_a_recoverable_store(
+        self, tmp_path
+    ):
+        probe = TrialStore(tmp_path / "probe")
+        points = record_store_crash_points(lambda: ingest_sample_run(probe))
+        assert points, "the writer exposed no crash points"
+        for number, point in enumerate(points):
+            root = tmp_path / f"store-{number}"
+            store = TrialStore(root)
+            healthy = ingest_sample_run(store, stamp=1.0)
+            with crash_store_at(point):
+                with pytest.raises(InjectedCrash):
+                    ingest_sample_run(store, stamp=2.0)
+            # Reads never see the half-written segment.
+            assert [info.run_id for info in store.runs()] == [healthy.run_id]
+            findings = store.fsck()
+            assert len(findings) == 1, (point, findings)
+            assert findings[0].kind == "uncommitted"
+            repaired = store.fsck(repair=True)
+            assert len(repaired) == 1 and repaired[0].repaired
+            assert (root / "quarantine" / repaired[0].segment).is_dir()
+            assert store.fsck() == []
+            assert [info.run_id for info in store.runs()] == [healthy.run_id]
+
+    def test_store_crash_hook_restores_the_previous_hook(self):
+        from repro.store import store as store_module
+
+        assert store_module._crash_hook is None
+        with store_crash_hook(lambda point: None):
+            assert store_module._crash_hook is not None
+        assert store_module._crash_hook is None
+
+    def test_corrupt_manifest_is_skipped_with_a_warning(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        good = ingest_sample_run(store, stamp=1.0)
+        bad = ingest_sample_run(store, stamp=2.0)
+        (bad.path / "manifest.json").write_text("{ not json at all")
+        with pytest.warns(StoreWarning, match="corrupt run manifest"):
+            runs = store.runs()
+        assert [info.run_id for info in runs] == [good.run_id]
+        findings = store.fsck()
+        assert [f.kind for f in findings] == ["manifest-corrupt"]
+
+    def test_schema_invalid_manifest_is_skipped_with_a_warning(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        good = ingest_sample_run(store, stamp=1.0)
+        bad = ingest_sample_run(store, stamp=2.0)
+        (bad.path / "manifest.json").write_text(json.dumps({"schema": "nope"}))
+        with pytest.warns(StoreWarning, match="invalid run manifest"):
+            runs = store.runs()
+        assert [info.run_id for info in runs] == [good.run_id]
+        findings = store.fsck()
+        assert [f.kind for f in findings] == ["manifest-schema"]
+
+    def test_truncated_column_is_an_fsck_finding(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        info = ingest_sample_run(store)
+        spec = info.column_specs()[0]
+        column = info.path / spec.file
+        column.write_bytes(column.read_bytes()[:-1])
+        findings = store.fsck()
+        assert [f.kind for f in findings] == ["column"]
+        assert spec.name in findings[0].detail
+        repaired = store.fsck(repair=True)
+        assert repaired[0].repaired
+        assert store.runs() == []  # the damaged segment is quarantined
+
+    def test_stray_manifest_tmp_is_reported_and_unlinked(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        info = ingest_sample_run(store)
+        stray = info.path / "manifest.json.12345.tmp"
+        stray.write_text("half-written junk")
+        findings = store.fsck()
+        assert [f.kind for f in findings] == ["stray-tmp"]
+        repaired = store.fsck(repair=True)
+        assert repaired[0].repaired
+        assert not stray.exists()
+        # The healthy segment itself is untouched.
+        assert [i.run_id for i in store.runs()] == [info.run_id]
+        assert store.fsck() == []
+
+    def test_gc_keeps_the_newest_runs_per_experiment(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        runs_a = [ingest_sample_run(store, "ea", stamp=float(i)) for i in range(4)]
+        runs_b = [ingest_sample_run(store, "eb", stamp=float(i)) for i in range(2)]
+        removed = store.gc(keep_last=2)
+        assert [info.run_id for info in removed] == [
+            runs_a[0].run_id, runs_a[1].run_id
+        ]
+        assert [info.run_id for info in store.runs("ea")] == [
+            runs_a[2].run_id, runs_a[3].run_id
+        ]
+        assert [info.run_id for info in store.runs("eb")] == [
+            info.run_id for info in runs_b
+        ]
+        with pytest.raises(StoreError):
+            store.gc(0)
 
 
 # --------------------------------------------------------------- regression

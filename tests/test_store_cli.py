@@ -1,9 +1,9 @@
 """CLI tests for the trial-store verbs and their engine wiring.
 
-Exercises ``kecss store import | ls``, ``kecss history``, ``kecss regress``,
-the ``--store-dir`` / ``REPRO_STORE_DIR`` ingestion hooks of ``kecss bench``
-and ``kecss experiment``, and the engine observer hook the recording path
-rides on.
+Exercises ``kecss store import | ls | fsck | gc``, ``kecss history``,
+``kecss regress``, the ``--store-dir`` / ``REPRO_STORE_DIR`` ingestion hooks
+of ``kecss bench`` and ``kecss experiment``, the engine observer hook the
+recording path rides on, and reading segments written by older versions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from repro.analysis.engine import ExperimentEngine, TrialJob
 from repro.analysis.runner import derive_seed
 from repro.cli import main
 from repro.store import StoreWarning, TrialStore
+
+from _helpers import InjectedCrash, crash_store_at, ingest_sample_run
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 E3_BASELINE = REPO_ROOT / "BENCH_e3.json"
@@ -244,3 +246,101 @@ class TestHistoryAndRegress:
         # Mean iterations moved by ~26%; a 50% tolerance accepts it.
         assert main(["regress", "e3", "--store-dir", str(store_dir),
                      "--tolerance", "0.5"]) == 0
+
+
+class TestStoreCliVerbs:
+    def test_fsck_clean_store_exits_zero(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        ingest_sample_run(TrialStore(store_dir))
+        assert main(["store", "fsck", "--store-dir", str(store_dir)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_fsck_repair_quarantines_and_history_keeps_working(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "store"
+        store = TrialStore(store_dir)
+        ingest_sample_run(store, stamp=1.0)
+        with crash_store_at("before-manifest"):
+            with pytest.raises(InjectedCrash):
+                ingest_sample_run(store, stamp=2.0)
+        assert main(["store", "fsck", "--store-dir", str(store_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "uncommitted" in out and "--repair" in out
+        assert main(
+            ["store", "fsck", "--repair", "--store-dir", str(store_dir)]
+        ) == 1
+        assert "quarantined" in capsys.readouterr().out
+        assert main(["store", "fsck", "--store-dir", str(store_dir)]) == 0
+        capsys.readouterr()
+        assert main(["store", "ls", "--store-dir", str(store_dir)]) == 0
+        assert main(["history", "e3", "--store-dir", str(store_dir)]) == 0
+
+    def test_gc_cli_retention(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        store = TrialStore(store_dir)
+        for stamp in range(3):
+            ingest_sample_run(store, stamp=float(stamp))
+        assert main(
+            ["store", "gc", "--keep-last", "1", "--store-dir", str(store_dir)]
+        ) == 0
+        assert "removed 2 run(s)" in capsys.readouterr().out
+        assert len(TrialStore(store_dir, create=False).runs()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "gc", "--store-dir", "{d}"],
+            ["store", "gc", "--keep-last", "0", "--store-dir", "{d}"],
+            ["store", "ls", "--repair", "--store-dir", "{d}"],
+            ["store", "fsck", "--keep-last", "1", "--store-dir", "{d}"],
+        ],
+    )
+    def test_usage_errors(self, tmp_path, argv):
+        store_dir = tmp_path / "store"
+        ingest_sample_run(TrialStore(store_dir))
+        argv = [arg.format(d=store_dir) for arg in argv]
+        with pytest.raises(SystemExit):
+            main(argv)
+
+
+class TestLegacySegments:
+    def test_worker_column_segment_reads_through_columns_and_history(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Older writers stamped a sparse ``worker`` column (which remote
+        worker computed each trial).  Such segments must stay readable."""
+        from repro.store import store as store_module
+
+        write_columns = store_module._trial_columns
+
+        def with_worker_column(trials):
+            columns = write_columns(trials)
+            columns["worker"] = [t.get("worker") for t in trials]
+            return columns
+
+        trials = [
+            {"config": {"n": 8}, "seed": seed, "index": seed, "duration": 0.5,
+             "cached": False, "metrics": {"value": 2 * seed}, "worker": worker}
+            for seed, worker in enumerate(["w0", "w1", "w0"])
+        ]
+        store_dir = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_trial_columns", with_worker_column)
+            info = TrialStore(store_dir).ingest(
+                "e3", trials, created_unix=1.0, provenance={"code_version": "v1"}
+            )
+        assert "worker" in [spec.name for spec in info.column_specs()]
+
+        columns = TrialStore(store_dir, create=False).columns(info.run_id)
+        assert columns["worker"] == ["w0", "w1", "w0"]
+        assert columns["metrics.value"] == [0, 2, 4]
+        assert main(["store", "fsck", "--store-dir", str(store_dir)]) == 0
+        capsys.readouterr()
+        assert main(["history", "e3", "--store-dir", str(store_dir)]) == 0
+        assert "history: e3" in capsys.readouterr().out
+        assert main(["history", "e3", "--store-dir", str(store_dir),
+                     "--metric", "value", "--by", "worker"]) == 0
+        out = capsys.readouterr().out
+        assert "metric value by worker" in out
+        assert "w0" in out and "w1" in out

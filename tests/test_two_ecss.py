@@ -100,6 +100,31 @@ class TestTwoEcss:
         with pytest.raises(ValueError):
             two_ecss(graph)
 
+    def test_rejects_a_negative_weight(self):
+        graph = nx.cycle_graph(6)
+        nx.set_edge_attributes(graph, 1, "weight")
+        graph[0][1]["weight"] = -5
+        with pytest.raises(ValueError, match=r"non-negative integer edge weights.*-5"):
+            two_ecss(graph, seed=0)
+
+    def test_rejects_float_weights(self):
+        graph = nx.cycle_graph(6)
+        nx.set_edge_attributes(graph, 1.5, "weight")
+        with pytest.raises(ValueError, match=r"non-negative integer edge weights.*1\.5"):
+            two_ecss(graph, seed=0)
+
+    def test_rejects_a_multigraph_with_parallel_edges(self):
+        graph = nx.MultiGraph(nx.path_graph(5))
+        graph.add_edges_from(nx.path_graph(5).edges())  # double every edge
+        with pytest.raises(ValueError, match="simple graph.*MultiGraph"):
+            two_ecss(graph, seed=0)
+
+    def test_zero_weights_are_inside_the_contract(self):
+        graph = nx.cycle_graph(6)
+        nx.set_edge_attributes(graph, 0, "weight")
+        result = two_ecss(graph, seed=0)
+        assert result.weight == 0 and result.verify()[0]
+
     def test_mst_edges_are_always_included(self):
         graph = random_k_edge_connected_graph(16, 2, extra_edge_prob=0.3, seed=12)
         result = two_ecss(graph, seed=12, simulate_bfs=False)
