@@ -316,7 +316,6 @@ def experiment_e3_tap_iterations(
         "repro.baselines.mst_baseline",
         "repro.graphs",
         "repro.mst",
-        "repro.tap.cover",
         "repro.tap.fastcover",
         "repro.trees",
         "repro.congest",

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
-from repro.tap.cover import CoverageState
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -50,9 +50,8 @@ def exact_tap(graph: nx.Graph, tree: RootedTree) -> tuple[frozenset[Edge], int]:
     Returns ``(links, weight)``.  Raises if the tree cannot be augmented
     (the graph is not 2-edge-connected).
     """
-    state = CoverageState(graph, tree)
-    fast = state.fast
-    links = state.non_tree_edges
+    fast = FastCoverage(graph, tree)
+    links = fast.nt_edges
     if not links:
         raise ValueError("the graph has no non-tree edges; TAP is infeasible")
     weights = np.array(fast.nt_weight, dtype=float)
@@ -70,8 +69,8 @@ def exact_tap(graph: nx.Graph, tree: RootedTree) -> tuple[frozenset[Edge], int]:
         rows.append(row)
     constraint = LinearConstraint(np.array(rows), lb=1, ub=np.inf)
     solution = _solve_binary_program(weights, [constraint])
-    chosen = frozenset(links[j] for j in range(len(links)) if solution[j] == 1)
-    return chosen, int(sum(state.weight(edge) for edge in chosen))
+    chosen = [j for j in range(len(links)) if solution[j] == 1]
+    return frozenset(links[j] for j in chosen), int(sum(fast.nt_weight[j] for j in chosen))
 
 
 def _violated_cuts(graph: nx.Graph, chosen: Iterable[Edge], k: int) -> list[frozenset[Hashable]]:

@@ -6,13 +6,13 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 
 * :class:`PathLabelKernel` -- the per-iteration cost-effectiveness scoring of
   the 3-ECSS algorithm (Claim 5.8).  Candidate tree paths are materialised
-  once as CSR flat arrays over integer tree-edge ids (extracted with
-  :class:`repro.graphs.fastgraph.TreePathIndex` through the caller's
-  :class:`~repro.trees.lca.LCAIndex`); each iteration assigns dense integer
-  ids to the fresh labels, turns the tree-edge labels into one flat array,
-  and scores every candidate with round-stamped count arrays -- no
-  ``Counter`` is allocated per candidate per iteration, and the power-of-two
-  rounding collapses to one ``int.bit_length()`` per value.
+  once as CSR flat arrays over integer tree-edge ids (extracted with the
+  BFS tree's cached path index, :attr:`repro.trees.rooted.RootedTree.paths`);
+  each iteration assigns dense integer ids to the fresh labels, turns the
+  tree-edge labels into one flat array, and scores every candidate with
+  round-stamped count arrays -- no ``Counter`` is allocated per candidate
+  per iteration, and the power-of-two rounding collapses to one
+  ``int.bit_length()`` per value.
 
 * :class:`BitsetCoverKernel` -- the cut-coverage bookkeeping of one ``Aug_k``
   level (Section 4).  The ``covers`` relation is packed into one integer
@@ -49,7 +49,7 @@ import networkx as nx
 
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
+from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
@@ -134,8 +134,8 @@ class PathLabelKernel:
 
     Args:
         graph: The 3-edge-connected input graph ``G``.
-        lca: The :class:`LCAIndex` over the BFS tree ``T`` (the same index the
-            driver hands to :func:`repro.cycle_space.labels.compute_labels`).
+        tree: The BFS tree ``T`` (the same tree the driver hands to
+            :func:`repro.cycle_space.labels.compute_labels`).
         skip: Edges excluded from candidacy (the 2-ECSS subgraph ``H``).
 
     Attributes:
@@ -146,19 +146,19 @@ class PathLabelKernel:
             join ``A``; flagged candidates are skipped by the scorer).
 
     Tree edges are identified by the integer id of their child vertex in the
-    LCA index, so :meth:`score_round` never touches a hashable edge object
+    tree, so :meth:`score_round` never touches a hashable edge object
     inside the per-candidate loop.
     """
 
     __slots__ = (
-        "lca", "cand_edges", "cand_repr", "in_added",
+        "tree", "cand_edges", "cand_repr", "in_added",
         "path_indptr", "path_child", "n_vertices", "_touched",
     )
 
-    def __init__(self, graph: nx.Graph, lca: LCAIndex, skip: Iterable[Edge]) -> None:
-        self.lca = lca
+    def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
+        self.tree = tree
         skip_set = set(skip)
-        index_of, paths = lca.index, lca.paths
+        index_of, paths = tree.index, tree.paths
         cand_edges: list[Edge] = []
         path_indptr = [0]
         path_child: list[int] = []
@@ -176,7 +176,7 @@ class PathLabelKernel:
         self.in_added = bytearray(len(cand_edges))
         self.path_indptr = path_indptr
         self.path_child = path_child
-        self.n_vertices = len(lca.nodes)
+        self.n_vertices = len(index_of)
         self._touched = [0] * max(1, longest)
 
     @property
@@ -227,7 +227,7 @@ class PathLabelKernel:
         # the Claim 5.10 termination condition on the way.
         tlabel = [0] * self.n_vertices
         tree_in_pairs = 0
-        for vid, edge in enumerate(self.lca.parent_edges):
+        for vid, edge in enumerate(self.tree.parent_edges):
             if edge is None:
                 continue
             lid = ids[labels[edge]]

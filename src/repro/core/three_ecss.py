@@ -48,7 +48,6 @@ from repro.graphs.connectivity import (
     is_k_edge_connected,
 )
 from repro.graphs.fastgraph import hop_diameter
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -92,7 +91,6 @@ def unweighted_two_ecss_2approx(
     if cost_model is None:
         cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
     tree = RootedTree.bfs_tree(graph, root=root)
-    lca = LCAIndex(tree)
     tree_edges = tree.tree_edges()
     tree_edge_set = set(tree_edges)
 
@@ -101,7 +99,7 @@ def unweighted_two_ecss_2approx(
         edge = canonical_edge(u, v)
         if edge in tree_edge_set:
             continue
-        paths[edge] = frozenset(lca.tree_path_edges(u, v))
+        paths[edge] = frozenset(tree.tree_path_edges(u, v))
 
     chosen: set[Edge] = set(tree_edge_set)
     covered: set[Edge] = set()
@@ -129,7 +127,7 @@ def _setup(
     graph: nx.Graph,
     seed: int | random.Random | None,
     simulate_bfs: bool,
-) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, LCAIndex]:
+) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree]:
     """Shared preamble of both 3-ECSS implementations (validation + ``H``)."""
     check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -145,7 +143,7 @@ def _setup(
 
     h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
     ledger.extend(h_ledger)
-    return rng, cost_model, ledger, h_edges, tree, LCAIndex(tree)
+    return rng, cost_model, ledger, h_edges, tree
 
 
 def _result(
@@ -202,8 +200,8 @@ def three_ecss(
         edges because the problem is unweighted.  Bit-identical to
         :func:`three_ecss_nx` for the same arguments.
     """
-    rng, cost_model, ledger, h_edges, tree, lca = _setup(graph, seed, simulate_bfs)
-    kernel = PathLabelKernel(graph, lca, skip=h_edges)
+    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
+    kernel = PathLabelKernel(graph, tree, skip=h_edges)
     cand_repr = kernel.cand_repr
 
     added: set[Edge] = set()
@@ -227,8 +225,7 @@ def three_ecss(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode,
-                                   seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),
@@ -346,7 +343,7 @@ def three_ecss_nx(
     iteration rebuilds label counts with :class:`collections.Counter` per
     candidate path and compares exact :class:`~fractions.Fraction` values.
     """
-    rng, cost_model, ledger, h_edges, tree, lca = _setup(graph, seed, simulate_bfs)
+    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
     tree_edge_set = set(tree.tree_edges())
 
     # Pre-compute the tree path of every potential candidate edge.
@@ -355,7 +352,7 @@ def three_ecss_nx(
         edge = canonical_edge(u, v)
         if edge in h_edges:
             continue
-        candidate_paths[edge] = [canonical_edge(a, b) for a, b in lca.tree_path_edges(u, v)]
+        candidate_paths[edge] = [canonical_edge(a, b) for a, b in tree.tree_path_edges(u, v)]
 
     added: set[Edge] = set()
     history: list[ThreeEcssIterationStats] = []
@@ -378,8 +375,7 @@ def three_ecss_nx(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode,
-                                   seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),

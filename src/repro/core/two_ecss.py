@@ -22,7 +22,6 @@ from repro.decomposition.segments import TreeDecomposition, build_decomposition
 from repro.graphs.connectivity import check_solver_input
 from repro.graphs.fastgraph import hop_diameter
 from repro.mst.distributed import build_mst_with_fragments
-from repro.tap.cover import CoverageState
 from repro.tap.distributed import TapResult, distributed_tap
 from repro.trees.rooted import RootedTree
 
@@ -43,18 +42,15 @@ def weighted_tap(
 
     A thin wrapper over :func:`repro.tap.distributed.distributed_tap` that
     derives the segment-diameter round charge from *decomposition* when given
-    (the decomposition the 2-ECSS pipeline builds anyway) and pre-builds the
-    coverage kernel on the decomposition's LCA index, so the tree is indexed
-    once per instance instead of once per stage.
+    (the decomposition the 2-ECSS pipeline builds anyway).  The tree carries
+    its own cached path index, so the decomposition and the coverage kernel
+    index the MST once per instance.
     """
     if cost_model is None:
         cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
     segment_diameter = None
-    coverage = None
     if decomposition is not None:
         segment_diameter = max(1, decomposition.max_segment_diameter())
-        lca = decomposition.lca if decomposition.lca.tree is tree else None
-        coverage = CoverageState(graph, tree, lca=lca)
     return distributed_tap(
         graph,
         tree,
@@ -62,7 +58,6 @@ def weighted_tap(
         segment_diameter=segment_diameter,
         cost_model=cost_model,
         symmetry_breaking=symmetry_breaking,
-        coverage=coverage,
     )
 
 

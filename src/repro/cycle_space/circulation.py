@@ -15,7 +15,6 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -35,12 +34,10 @@ def is_binary_circulation(graph: nx.Graph, edges: Iterable[Edge]) -> bool:
     return all(count % 2 == 0 for count in degree.values())
 
 
-def fundamental_cycle(
-    lca: LCAIndex, non_tree_edge: Edge
-) -> frozenset[Edge]:
+def fundamental_cycle(tree: RootedTree, non_tree_edge: Edge) -> frozenset[Edge]:
     """Return ``Cyc_e``: the non-tree edge plus the tree path between its endpoints."""
     u, v = non_tree_edge
-    cycle = set(lca.tree_path_edges(u, v))
+    cycle = set(tree.tree_path_edges(u, v))
     cycle.add(canonical_edge(u, v))
     return frozenset(cycle)
 
@@ -49,7 +46,6 @@ def random_circulation(
     graph: nx.Graph,
     tree: RootedTree,
     seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
 ) -> frozenset[Edge]:
     """Sample a uniformly random binary circulation of *graph*.
 
@@ -58,8 +54,6 @@ def random_circulation(
     of the fundamental cycles of ``E'`` (Proposition 2.6 of [32]).
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    if lca is None:
-        lca = LCAIndex(tree)
     tree_edges = set(tree.tree_edges())
     result: set[Edge] = set()
     for u, v in graph.edges():
@@ -67,5 +61,5 @@ def random_circulation(
         if edge in tree_edges:
             continue
         if rng.random() < 0.5:
-            result.symmetric_difference_update(fundamental_cycle(lca, edge))
+            result.symmetric_difference_update(fundamental_cycle(tree, edge))
     return frozenset(result)

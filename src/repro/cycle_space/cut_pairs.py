@@ -87,7 +87,7 @@ def covered_cut_pairs(
     labelling's tree (the candidate edge need not belong to the labelled graph).
     """
     u, v = candidate
-    path = labelling.lca_index().tree_path_edges(u, v)
+    path = labelling.tree.tree_path_edges(u, v)
     n_phi = label_multiplicities(labelling)
     on_path = Counter(labelling.labels[canonical_edge(*t)] for t in path)
     total = 0

@@ -34,7 +34,6 @@ from typing import Hashable
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -67,7 +66,6 @@ class EdgeLabelling:
         bits: int,
         mode: str,
         tree_paths: dict[Edge, frozenset[Edge]] | None = None,
-        lca: LCAIndex | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
@@ -75,7 +73,6 @@ class EdgeLabelling:
         self.bits = bits
         self.mode = mode
         self._tree_paths = tree_paths
-        self._lca = lca
 
     def label(self, u: Hashable, v: Hashable) -> Label:
         """Return ``phi({u, v})``."""
@@ -92,19 +89,13 @@ class EdgeLabelling:
             if canonical_edge(u, v) not in tree_edges
         ]
 
-    def lca_index(self) -> LCAIndex:
-        """A (cached) LCA index over the labelling's tree."""
-        if self._lca is None:
-            self._lca = LCAIndex(self.tree)
-        return self._lca
-
     @property
     def tree_paths(self) -> dict[Edge, frozenset[Edge]]:
         """Map from non-tree edge to the tree edges it covers (lazy)."""
         if self._tree_paths is None:
-            lca = self.lca_index()
+            tree = self.tree
             self._tree_paths = {
-                edge: frozenset(lca.tree_path_edges(*edge))
+                edge: frozenset(tree.tree_path_edges(*edge))
                 for edge in self.non_tree_edges()
             }
         return self._tree_paths
@@ -145,7 +136,6 @@ def compute_labels(
     bits: int | None = None,
     mode: str = "random",
     seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
 ) -> EdgeLabelling:
     """Compute the cycle-space labelling of a connected graph.
 
@@ -157,9 +147,6 @@ def compute_labels(
             union bound of Lemma 5.4 leaves polynomially small error.
         mode: ``"random"`` (paper) or ``"exact"`` (covering-set labels).
         seed: Randomness for the random mode.
-        lca: Optional pre-built LCA index over *tree* (reused by the 3-ECSS
-            driver across iterations; only exact mode and the lazy
-            ``tree_paths`` need it).
 
     In the distributed implementation the tree-edge labels are produced by a
     single leaves-to-root scan of the BFS tree (Theorem 4.2 of [32], O(D)
@@ -179,30 +166,25 @@ def compute_labels(
         # non-tree edges with an odd number of endpoints in the subtree of v,
         # so its label is the subtree XOR of the tags (Theorem 4.2 of [32]).
         order = tree.bfs_order()
-        index = {node: i for i, node in enumerate(order)}
+        index, parent_edges = tree.index, tree.parent_edges
         tags = [0] * len(order)
         for edge in non_tree_edges:
             label = labels[edge]
             u, v = edge
             tags[index[u]] ^= label
             tags[index[v]] ^= label
-        # bfs_order puts every parent before its children, so the reverse
-        # scan sees each subtree complete before folding it into the parent.
+        # Vertex ids follow bfs_order, which puts every parent before its
+        # children, so the reverse scan sees each subtree complete before
+        # folding it into the parent.
         for i in range(len(order) - 1, 0, -1):
-            node = order[i]
-            parent = tree.parent(node)
-            labels[canonical_edge(node, parent)] = tags[i]
-            tags[index[parent]] ^= tags[i]
-        return EdgeLabelling(
-            graph=graph, tree=tree, labels=labels, bits=bits, mode=mode, lca=lca
-        )
+            labels[parent_edges[i]] = tags[i]
+            tags[index[tree.parent(order[i])]] ^= tags[i]
+        return EdgeLabelling(graph=graph, tree=tree, labels=labels, bits=bits, mode=mode)
 
     # Exact mode: the label of a tree edge is its covering set, materialised
     # per child vertex over the integer-array path extractor.
-    if lca is None:
-        lca = LCAIndex(tree)
-    index_of, paths = lca.index, lca.paths
-    covering: list[set[Edge]] = [set() for _ in range(len(lca.nodes))]
+    index_of, paths, parent_edges = tree.index, tree.paths, tree.parent_edges
+    covering: list[set[Edge]] = [set() for _ in range(len(index_of))]
     tree_paths: dict[Edge, frozenset[Edge]] = {}
     for edge in non_tree_edges:
         labels[edge] = frozenset({edge})
@@ -210,15 +192,12 @@ def compute_labels(
         children = paths.path_edges(index_of[u], index_of[v])
         for child in children:
             covering[child].add(edge)
-        tree_paths[edge] = frozenset(
-            lca.parent_edges[child] for child in children
-        )
-    for child, tree_edge in enumerate(lca.parent_edges):
+        tree_paths[edge] = frozenset(parent_edges[child] for child in children)
+    for child, tree_edge in enumerate(parent_edges):
         if tree_edge is not None:
             labels[tree_edge] = frozenset(covering[child])
     return EdgeLabelling(
-        graph=graph, tree=tree, labels=labels, bits=0, mode=mode,
-        tree_paths=tree_paths, lca=lca,
+        graph=graph, tree=tree, labels=labels, bits=0, mode=mode, tree_paths=tree_paths
     )
 
 
@@ -229,7 +208,6 @@ def compute_labels_nx(
     bits: int | None = None,
     mode: str = "random",
     seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
 ) -> EdgeLabelling:
     """The historical per-path accumulation (reference oracle).
 
@@ -240,14 +218,12 @@ def compute_labels_nx(
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tree, bits, non_tree_edges = _prepare(graph, tree, bits, mode)
-    if lca is None:
-        lca = LCAIndex(tree)
     tree_edge_set = set(tree.tree_edges())
 
     labels: dict[Edge, Label] = {}
     tree_paths: dict[Edge, frozenset[Edge]] = {}
     for edge in non_tree_edges:
-        tree_paths[edge] = frozenset(lca.tree_path_edges(*edge))
+        tree_paths[edge] = frozenset(tree.tree_path_edges(*edge))
 
     if mode == "random":
         for edge in non_tree_edges:
@@ -269,6 +245,5 @@ def compute_labels_nx(
         bits = 0
 
     return EdgeLabelling(
-        graph=graph, tree=tree, labels=labels, bits=bits, mode=mode,
-        tree_paths=tree_paths, lca=lca,
+        graph=graph, tree=tree, labels=labels, bits=bits, mode=mode, tree_paths=tree_paths
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from repro.mst.fragments import FragmentDecomposition
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 __all__ = ["mark_vertices", "lca_closure"]
@@ -37,11 +36,7 @@ def _euler_entry_order(tree: RootedTree) -> dict[Hashable, int]:
     return order
 
 
-def lca_closure(
-    tree: RootedTree,
-    vertices: Iterable[Hashable],
-    lca_index: LCAIndex | None = None,
-) -> set[Hashable]:
+def lca_closure(tree: RootedTree, vertices: Iterable[Hashable]) -> set[Hashable]:
     """Return the closure of *vertices* under pairwise LCA.
 
     Standard fact: sorting the vertices by DFS entry time and adding the LCA
@@ -52,21 +47,15 @@ def lca_closure(
     vertex_list = list(dict.fromkeys(vertices))
     if not vertex_list:
         return set()
-    if lca_index is None:
-        lca_index = LCAIndex(tree)
     entry = _euler_entry_order(tree)
     ordered = sorted(vertex_list, key=lambda v: entry[v])
     closed = set(ordered)
     for left, right in zip(ordered, ordered[1:]):
-        closed.add(lca_index.lca(left, right))
+        closed.add(tree.lca(left, right))
     return closed
 
 
-def mark_vertices(
-    mst: RootedTree,
-    fragments: FragmentDecomposition,
-    lca_index: LCAIndex | None = None,
-) -> set[Hashable]:
+def mark_vertices(mst: RootedTree, fragments: FragmentDecomposition) -> set[Hashable]:
     """Return the marked vertex set of the decomposition (Section 3.2 (II)).
 
     Marked vertices are the endpoints of global edges (MST edges between two
@@ -76,4 +65,4 @@ def mark_vertices(
     for u, v in fragments.global_edges():
         marked.add(u)
         marked.add(v)
-    return lca_closure(mst, marked, lca_index=lca_index)
+    return lca_closure(mst, marked)

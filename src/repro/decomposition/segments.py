@@ -21,7 +21,6 @@ from repro.decomposition.marking import mark_vertices
 from repro.decomposition.skeleton import SkeletonTree
 from repro.graphs.connectivity import canonical_edge
 from repro.mst.fragments import FragmentDecomposition
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -80,7 +79,6 @@ class TreeDecomposition:
     """The full decomposition: marked vertices, segments and skeleton tree."""
 
     tree: RootedTree
-    lca: LCAIndex
     marked: set[Hashable]
     segments: list[Segment]
     skeleton: SkeletonTree
@@ -160,14 +158,10 @@ class TreeDecomposition:
 
 
 def build_decomposition(
-    mst: RootedTree,
-    fragments: FragmentDecomposition,
-    lca_index: LCAIndex | None = None,
+    mst: RootedTree, fragments: FragmentDecomposition
 ) -> TreeDecomposition:
     """Build the segment decomposition of Section 3.2 from the MST fragments."""
-    if lca_index is None:
-        lca_index = LCAIndex(mst)
-    marked = mark_vertices(mst, fragments, lca_index=lca_index)
+    marked = mark_vertices(mst, fragments)
 
     # Nearest marked (proper) ancestor of every vertex; the root maps to itself.
     nearest_marked_ancestor: dict[Hashable, Hashable] = {}
@@ -256,7 +250,6 @@ def build_decomposition(
 
     return TreeDecomposition(
         tree=mst,
-        lca=lca_index,
         marked=marked,
         segments=segments,
         skeleton=skeleton,

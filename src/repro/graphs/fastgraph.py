@@ -23,8 +23,9 @@ All kernels below are loops over those flat lists:
   plain lists, shared by Kruskal and the Karger contraction pass;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
   query) plus ancestor-array tree-path extraction over integer parent/depth
-  arrays, the extractor under ``LCAIndex.tree_path_edges`` and the TAP
-  coverage kernel (:mod:`repro.tap.fastcover`).
+  arrays; every :class:`~repro.trees.rooted.RootedTree` builds one lazily
+  (``tree.paths``) and its LCA/path queries, the TAP coverage kernel
+  (:mod:`repro.tap.fastcover`) and the labelling kernels all run on it.
 
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the
 original label of vertex ``i``), so the kernel slots under the existing
@@ -137,8 +138,8 @@ class TreePathIndex:
     def path_edges(self, u: int, v: int) -> list[int]:
         """Tree edges on the ``u``-``v`` path, as child-endpoint vertex ids.
 
-        The order matches the historical ``LCAIndex.tree_path_edges``: first
-        the edges climbing from *u* to the LCA, then those climbing from *v*.
+        The order matches ``RootedTree.tree_path_edges``: first the edges
+        climbing from *u* to the LCA, then those climbing from *v*.
         """
         if u == v:
             return []

@@ -26,6 +26,9 @@ def minimum_spanning_tree(graph: nx.Graph) -> nx.Graph:
 
     Edges are compared by ``(weight, canonical edge id)`` so the result is
     unique even when weights repeat; weights are copied onto the output tree.
+    When the node labels are not mutually comparable (e.g. mixed int/str)
+    the edge id is compared by ``repr`` instead, as :func:`canonical_edge`
+    does.
     The forest is tracked by the path-compressed array union-find of the CSR
     kernel (nodes are relabelled to ``0..n-1`` up front), so the inner loop
     touches flat integer lists rather than node-keyed dicts.
@@ -33,10 +36,14 @@ def minimum_spanning_tree(graph: nx.Graph) -> nx.Graph:
     if graph.number_of_nodes() == 0:
         raise ValueError("cannot compute an MST of an empty graph")
     index = {node: i for i, node in enumerate(graph.nodes())}
-    ordered = sorted(
+    weighted = [
         (data.get("weight", 1), canonical_edge(u, v))
         for u, v, data in graph.edges(data=True)
-    )
+    ]
+    try:
+        ordered = sorted(weighted)
+    except TypeError:
+        ordered = sorted(weighted, key=_repr_key)
     forest = ArrayUnionFind(len(index))
     tree = nx.Graph()
     tree.add_nodes_from(graph.nodes())
@@ -52,24 +59,36 @@ def minimum_spanning_tree(graph: nx.Graph) -> nx.Graph:
     return tree
 
 
+def _repr_key(item: tuple[int, Edge]) -> tuple[int, str]:
+    """``(weight, edge)`` ordering for node labels that do not compare."""
+    return item[0], repr(item[1])
+
+
 def prim_mst(graph: nx.Graph, start: Hashable | None = None) -> nx.Graph:
-    """Return an MST of *graph* via Prim's algorithm (used as a cross-check in tests)."""
+    """Return an MST of *graph* via Prim's algorithm (used as a cross-check in tests).
+
+    Heap entries compare by ``(weight, repr(edge))``, so node labels need
+    not be mutually comparable.
+    """
     if graph.number_of_nodes() == 0:
         raise ValueError("cannot compute an MST of an empty graph")
     if not nx.is_connected(graph):
         raise ValueError("the graph is not connected; it has no spanning tree")
     if start is None:
         start = min(graph.nodes(), key=repr)
+
+    def push(heap: list, u: Hashable, v: Hashable) -> None:
+        edge = canonical_edge(u, v)
+        heapq.heappush(heap, (graph[u][v].get("weight", 1), repr(edge), edge))
+
     visited = {start}
     tree = nx.Graph()
     tree.add_nodes_from(graph.nodes())
-    heap: list[tuple[int, Edge]] = []
+    heap: list[tuple[int, str, Edge]] = []
     for neighbor in graph.neighbors(start):
-        heapq.heappush(
-            heap, (graph[start][neighbor].get("weight", 1), canonical_edge(start, neighbor))
-        )
+        push(heap, start, neighbor)
     while heap and len(visited) < graph.number_of_nodes():
-        weight, (u, v) = heapq.heappop(heap)
+        weight, _, (u, v) = heapq.heappop(heap)
         if u in visited and v in visited:
             continue
         new = v if u in visited else u
@@ -77,10 +96,7 @@ def prim_mst(graph: nx.Graph, start: Hashable | None = None) -> nx.Graph:
         visited.add(new)
         for neighbor in graph.neighbors(new):
             if neighbor not in visited:
-                heapq.heappush(
-                    heap,
-                    (graph[new][neighbor].get("weight", 1), canonical_edge(new, neighbor)),
-                )
+                push(heap, new, neighbor)
     return tree
 
 

@@ -5,25 +5,23 @@ add a minimum-weight set of non-tree edges so that ``T`` plus the added edges
 is 2-edge-connected -- equivalently, every tree edge must be *covered* by an
 added edge whose tree path contains it.
 
-* :mod:`repro.tap.fastcover` -- the flat-array coverage/voting kernel (CSR
-  tree paths over integer tree-edge ids, incremental ``|C_e|`` counters,
-  array-stamped voting rounds),
-* :mod:`repro.tap.cover` -- coverage bookkeeping shared by all TAP solvers
-  (a thin facade over the kernel; the historical set-based implementation
-  survives as ``CoverageStateNX`` for differential testing),
+* :mod:`repro.tap.fastcover` -- the flat-array coverage/voting kernel every
+  TAP solver runs on (CSR tree paths over integer tree-edge ids, incremental
+  ``|C_e|`` counters, array-stamped voting rounds),
+* :mod:`repro.tap.cover` -- ``CoverageStateNX``, the historical set-based
+  coverage bookkeeping, kept as the oracle of the differential suite,
 * :mod:`repro.tap.distributed` -- the paper's randomised voting algorithm
   (Theorem 3.12): O(log n)-approximation, O(log^2 n) iterations w.h.p.,
 * :mod:`repro.tap.greedy` -- the classic sequential greedy set-cover TAP used
   as a quality baseline.
 """
 
-from repro.tap.cover import CoverageState, CoverageStateNX
+from repro.tap.cover import CoverageStateNX
 from repro.tap.distributed import TapResult, distributed_tap, distributed_tap_nx
 from repro.tap.fastcover import FastCoverage
 from repro.tap.greedy import greedy_tap, greedy_tap_nx
 
 __all__ = [
-    "CoverageState",
     "CoverageStateNX",
     "FastCoverage",
     "TapResult",

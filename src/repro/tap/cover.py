@@ -1,18 +1,13 @@
-"""Coverage bookkeeping for tree augmentation.
+"""Set-based coverage bookkeeping for tree augmentation (reference oracle).
 
-``CoverageState`` exposes, for every non-tree edge ``e`` of the input graph,
-the set ``S_e`` of tree edges on its tree path (the cuts of size 1 it covers)
-and maintains the set of tree edges already covered by the augmentation built
-so far.  Both the distributed and the sequential TAP algorithms, as well as
-the exact ILP baseline, are built on top of it.
-
-Since the flat-array port it is a thin facade over
-:class:`repro.tap.fastcover.FastCoverage`: the paths live in CSR arrays over
-integer tree-edge ids, the uncovered set is maintained incrementally, and
-the TAP hot loops bypass the facade entirely and drive the kernel directly
-(``state.fast``).  The historical ``frozenset``-based implementation survives
-as :class:`CoverageStateNX`, the reference oracle of the ``diff-tap-*``
-differential suite.
+:class:`CoverageStateNX` exposes, for every non-tree edge ``e`` of the input
+graph, the set ``S_e`` of tree edges on its tree path (the cuts of size 1 it
+covers) as a ``frozenset`` of tree-edge indices, and tracks the tree edges
+covered by the augmentation built so far with Python set algebra.  It is the
+historical implementation, kept as the reference oracle of the ``diff-tap-*``
+differential suite; the solvers run on the flat-array kernel
+:class:`repro.tap.fastcover.FastCoverage`, which uses the same tree-edge
+index space (tree edges sorted by ``repr``).
 """
 
 from __future__ import annotations
@@ -22,113 +17,11 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.tap.fastcover import FastCoverage
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["CoverageState", "CoverageStateNX"]
-
-
-class CoverageState:
-    """Tracks which tree edges are covered by the augmentation edges added so far.
-
-    Args:
-        graph: The weighted 2-edge-connected graph ``G``.
-        tree: The spanning tree ``T`` to augment (typically the MST).
-        lca: Optional pre-built LCA index over *tree*.
-
-    The tree-edge index space (``tree_edge_index`` / ``tree_edge_by_index``)
-    is the tree edges sorted by ``repr``, exactly as it always was; the
-    underlying :class:`FastCoverage` kernel is exposed as ``self.fast`` for
-    the array-native solver loops.
-    """
-
-    def __init__(self, graph: nx.Graph, tree: RootedTree, lca: LCAIndex | None = None) -> None:
-        self.graph = graph
-        self.tree = tree
-        self.fast = FastCoverage(graph, tree, lca=lca)
-        self.lca = self.fast.lca
-        self._path_cache: dict[Edge, frozenset[int]] = {}
-
-    # --------------------------------------------------------------- queries
-    @property
-    def tree_edges(self) -> list[Edge]:
-        """All tree edges (cuts of size 1) in canonical form."""
-        return list(self.fast.tree_edges)
-
-    @property
-    def non_tree_edges(self) -> list[Edge]:
-        """All non-tree edges of the graph (the augmentation candidates)."""
-        return list(self.fast.nt_edges)
-
-    def weight(self, edge: Edge) -> int:
-        """Weight of a non-tree *edge*."""
-        return self.fast.nt_weight[self.fast.nt_index[canonical_edge(*edge)]]
-
-    def path(self, edge: Edge) -> frozenset[int]:
-        """Indices of the tree edges covered by non-tree *edge* (the set ``S_e``)."""
-        edge = canonical_edge(*edge)
-        cached = self._path_cache.get(edge)
-        if cached is None:
-            cached = frozenset(self.fast.path_indices(self.fast.nt_index[edge]))
-            self._path_cache[edge] = cached
-        return cached
-
-    def tree_edge_by_index(self, index: int) -> Edge:
-        return self.fast.tree_edges[index]
-
-    def tree_edge_index(self, edge: Edge) -> int:
-        return self.fast.tree_edge_index[canonical_edge(*edge)]
-
-    def is_covered(self, tree_edge: Edge) -> bool:
-        """Is *tree_edge* covered by the augmentation added so far?"""
-        return bool(self.fast.covered[self.tree_edge_index(tree_edge)])
-
-    def covered_indices(self) -> frozenset[int]:
-        covered = self.fast.covered
-        return frozenset(t for t in range(self.fast.n_tree) if covered[t])
-
-    def uncovered_indices(self) -> frozenset[int]:
-        """The still-uncovered tree edges (incrementally maintained, O(|result|))."""
-        return frozenset(self.fast.uncovered)
-
-    def uncovered_on_path(self, edge: Edge) -> frozenset[int]:
-        """Return ``C_e``: the still-uncovered tree edges on the path of *edge*."""
-        return frozenset(
-            self.fast.uncovered_path_indices(self.fast.nt_index[canonical_edge(*edge)])
-        )
-
-    def uncovered_count(self, edge: Edge) -> int:
-        """Return ``|C_e|`` for non-tree *edge* (O(1): maintained incrementally)."""
-        return self.fast.nt_uncovered[self.fast.nt_index[canonical_edge(*edge)]]
-
-    def all_covered(self) -> bool:
-        """Are all tree edges covered (i.e. is ``T ∪ A`` 2-edge-connected)?"""
-        return self.fast.all_covered()
-
-    # --------------------------------------------------------------- updates
-    def cover_with(self, edge: Edge) -> set[int]:
-        """Mark the tree edges on the path of *edge* covered; return the newly covered ones."""
-        return set(self.fast.cover(self.fast.nt_index[canonical_edge(*edge)]))
-
-    def cover_with_many(self, edges: Iterable[Edge]) -> set[int]:
-        """Cover with several edges at once; return all newly covered indices."""
-        nt_index = self.fast.nt_index
-        return set(
-            self.fast.cover_many(
-                nt_index[canonical_edge(*edge)] for edge in edges
-            )
-        )
-
-    # ------------------------------------------------------------ validation
-    def verify_augmentation(self, edges: Iterable[Edge]) -> bool:
-        """Return ``True`` iff *edges* cover every tree edge (independent re-check)."""
-        nt_index = self.fast.nt_index
-        return self.fast.covers_everything(
-            nt_index[canonical_edge(*edge)] for edge in edges
-        )
+__all__ = ["CoverageStateNX"]
 
 
 class CoverageStateNX:
@@ -139,10 +32,9 @@ class CoverageStateNX:
     behaviour the flat-array kernel must reproduce bit-identically.
     """
 
-    def __init__(self, graph: nx.Graph, tree: RootedTree, lca: LCAIndex | None = None) -> None:
+    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
         self.graph = graph
         self.tree = tree
-        self.lca = lca if lca is not None else LCAIndex(tree)
 
         self._tree_edges: list[Edge] = sorted(tree.tree_edges(), key=repr)
         self._tree_edge_index: dict[Edge, int] = {
@@ -159,7 +51,7 @@ class CoverageStateNX:
                 continue
             path = frozenset(
                 self._tree_edge_index[canonical_edge(a, b)]
-                for a, b in self.lca.tree_path_edges(u, v)
+                for a, b in tree.tree_path_edges(u, v)
             )
             self._paths[edge] = path
             self._weights[edge] = data.get("weight", 1)

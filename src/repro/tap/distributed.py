@@ -34,7 +34,8 @@ from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.core.cost_effectiveness import rounded_cost_effectiveness
 from repro.graphs.fastgraph import hop_diameter
-from repro.tap.cover import CoverageState, CoverageStateNX
+from repro.tap.cover import CoverageStateNX
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -105,7 +106,6 @@ def distributed_tap(
     cost_model: CostModel | None = None,
     symmetry_breaking: bool = True,
     max_iterations: int | None = None,
-    coverage: CoverageState | None = None,
 ) -> TapResult:
     """Run the distributed weighted-TAP algorithm on ``(graph, tree)``.
 
@@ -121,8 +121,6 @@ def distributed_tap(
             candidate with maximum rounded cost-effectiveness is added
             (the naive parallelisation the paper argues against; ablation E9).
         max_iterations: Safety bound; defaults to ``64 * log(n)^2 + 64``.
-        coverage: Optional pre-built :class:`CoverageState` (reused by callers
-            that already computed the tree paths, e.g. the 2-ECSS driver).
 
     Returns:
         A :class:`TapResult`; ``augmentation ∪ T`` is guaranteed to be
@@ -134,8 +132,7 @@ def distributed_tap(
         graph, cost_model, segment_diameter, max_iterations
     )
 
-    state = coverage if coverage is not None else CoverageState(graph, tree)
-    fast = state.fast
+    fast = FastCoverage(graph, tree)
     ledger = RoundLedger()
     history: list[TapIterationStats] = []
 
@@ -258,7 +255,6 @@ def distributed_tap_nx(
     cost_model: CostModel | None = None,
     symmetry_breaking: bool = True,
     max_iterations: int | None = None,
-    coverage: CoverageStateNX | None = None,
 ) -> TapResult:
     """The historical set-algebra implementation (reference oracle).
 
@@ -273,7 +269,7 @@ def distributed_tap_nx(
         graph, cost_model, segment_diameter, max_iterations
     )
 
-    state = coverage if coverage is not None else CoverageStateNX(graph, tree)
+    state = CoverageStateNX(graph, tree)
     ledger = RoundLedger()
     augmentation: set[Edge] = set()
     history: list[TapIterationStats] = []

@@ -1,9 +1,10 @@
 """Flat-array coverage/voting kernel for tree augmentation (Section 3).
 
-:class:`FastCoverage` is the array-native engine under
-:class:`repro.tap.cover.CoverageState`.  It materialises, for every non-tree
-edge of the input graph, the tree path between its endpoints as CSR-style
-flat arrays over integer tree-edge ids:
+:class:`FastCoverage` is the coverage bookkeeping every TAP solver runs on
+(:func:`~repro.tap.distributed.distributed_tap`,
+:func:`~repro.tap.greedy.greedy_tap` and the exact ILP baseline).  It
+materialises, for every non-tree edge of the input graph, the tree path
+between its endpoints as CSR-style flat arrays over integer tree-edge ids:
 
 * ``path_indptr`` / ``path_tree`` -- non-tree edge id ``j`` covers the tree
   edges ``path_tree[path_indptr[j]:path_indptr[j + 1]]`` (the set ``S_e``);
@@ -15,12 +16,12 @@ flat arrays over integer tree-edge ids:
   candidate scoring of the distributed TAP algorithm is a flat array scan
   instead of per-edge ``frozenset`` subtraction.
 
-Tree-edge ids are the public :class:`~repro.tap.cover.CoverageState` index
-space (tree edges sorted by ``repr``), so facade callers (the exact ILP
-baseline, the tests) and the kernel agree on indices.  Paths are extracted
-with :class:`repro.graphs.fastgraph.TreePathIndex` via the
-:class:`~repro.trees.lca.LCAIndex` arrays, never through per-edge hashable
-path objects.
+Tree-edge ids are the tree edges sorted by ``repr`` -- the index space of
+the set-based oracle :class:`~repro.tap.cover.CoverageStateNX` -- so the
+kernel and the oracle agree on indices.  Paths are extracted with the
+tree's own cached :class:`repro.graphs.fastgraph.TreePathIndex`
+(:attr:`RootedTree.paths <repro.trees.rooted.RootedTree.paths>`), never
+through per-edge hashable path objects.
 
 :meth:`FastCoverage.voting_round` implements Lines 3-5 of the paper's
 iteration (Theorem 3.12) as one pass over the candidate columns with
@@ -36,7 +37,6 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -49,13 +49,12 @@ class FastCoverage:
 
     Args:
         graph: The weighted 2-edge-connected graph ``G``.
-        tree: The spanning tree ``T`` to augment (typically the MST).
-        lca: Optional pre-built :class:`LCAIndex` over *tree* (the 2-ECSS
-            driver reuses the decomposition's index).
+        tree: The spanning tree ``T`` to augment (typically the MST); its
+            cached path index is reused, so the 2-ECSS driver indexes the
+            MST once for both the decomposition and the coverage kernel.
 
     Attributes:
-        tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``; the
-            public ``CoverageState`` index space).
+        tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``).
         nt_edges: Non-tree edge id -> canonical edge (``graph.edges()``
             order, the order the historical implementation iterated in).
         nt_weight: Non-tree edge id -> integer weight.
@@ -67,17 +66,14 @@ class FastCoverage:
     """
 
     __slots__ = (
-        "lca", "tree_edges", "tree_edge_index", "n_tree",
+        "tree_edges", "tree_edge_index", "n_tree",
         "nt_edges", "nt_index", "nt_weight", "nt_repr",
         "path_indptr", "path_tree", "cover_indptr", "cover_nt",
         "covered", "uncovered", "nt_uncovered",
         "_vote_owner", "_vote_stamp", "_round",
     )
 
-    def __init__(
-        self, graph: nx.Graph, tree: RootedTree, lca: LCAIndex | None = None
-    ) -> None:
-        self.lca = lca if lca is not None else LCAIndex(tree)
+    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
         self.tree_edges: list[Edge] = sorted(tree.tree_edges(), key=repr)
         self.tree_edge_index: dict[Edge, int] = {
             edge: index for index, edge in enumerate(self.tree_edges)
@@ -85,13 +81,13 @@ class FastCoverage:
         self.n_tree = len(self.tree_edges)
 
         # Tree edge id of the parent edge of each vertex id (-1 for the root).
-        index_of = self.lca.index
-        child_tid = [-1] * len(self.lca.nodes)
-        for vid, edge in enumerate(self.lca.parent_edges):
+        index_of = tree.index
+        child_tid = [-1] * len(index_of)
+        for vid, edge in enumerate(tree.parent_edges):
             if edge is not None:
                 child_tid[vid] = self.tree_edge_index[edge]
 
-        paths = self.lca.paths
+        paths = tree.paths
         tree_edge_set = set(self.tree_edges)
         nt_edges: list[Edge] = []
         nt_weight: list[int] = []

@@ -23,7 +23,8 @@ from typing import Hashable
 import networkx as nx
 
 from repro.core.cost_effectiveness import cost_effectiveness
-from repro.tap.cover import CoverageState, CoverageStateNX
+from repro.tap.cover import CoverageStateNX
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -40,11 +41,7 @@ class GreedyTapResult:
     steps: int
 
 
-def greedy_tap(
-    graph: nx.Graph,
-    tree: RootedTree,
-    coverage: CoverageState | None = None,
-) -> GreedyTapResult:
+def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
     """Greedy weighted TAP: always add the single most cost-effective edge.
 
     Zero-weight edges are taken first (their cost-effectiveness is infinite),
@@ -52,8 +49,7 @@ def greedy_tap(
     tree edge is covered.  Ties are broken towards the smallest edge ``repr``,
     exactly as the historical scan did.
     """
-    state = coverage if coverage is not None else CoverageState(graph, tree)
-    fast = state.fast
+    fast = FastCoverage(graph, tree)
     weights = fast.nt_weight
     uncovered_counts = fast.nt_uncovered
     in_augmentation = bytearray(fast.m_nt)
@@ -105,18 +101,14 @@ def greedy_tap(
     )
 
 
-def greedy_tap_nx(
-    graph: nx.Graph,
-    tree: RootedTree,
-    coverage: CoverageStateNX | None = None,
-) -> GreedyTapResult:
+def greedy_tap_nx(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
     """The historical per-step rescan implementation (reference oracle).
 
     Kept for the ``diff-tap-greedy`` differential suite: it re-evaluates
     ``cost_effectiveness`` as exact fractions and breaks ties by ``repr``
     inside the loop, the behaviour :func:`greedy_tap` reproduces exactly.
     """
-    state = coverage if coverage is not None else CoverageStateNX(graph, tree)
+    state = CoverageStateNX(graph, tree)
     augmentation: set[Edge] = set()
     steps = 0
 

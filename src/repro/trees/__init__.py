@@ -1,12 +1,12 @@
 """Rooted-tree substrate: parent/depth bookkeeping, LCA queries and tree paths.
 
 The 2-ECSS algorithm (Section 3) spends most of its time reasoning about the
-unique tree path covered by a non-tree edge; this subpackage provides that
-machinery once, shared by the TAP algorithm, the segment decomposition and
-the cycle-space sampling code.
+unique tree path covered by a non-tree edge; :class:`RootedTree` answers that
+question once per tree -- integer vertex ids in BFS order and one cached
+Euler-tour path index -- and the TAP algorithm, the segment decomposition and
+the cycle-space sampling code all share it.
 """
 
 from repro.trees.rooted import RootedTree
-from repro.trees.lca import LCAIndex
 
-__all__ = ["RootedTree", "LCAIndex"]
+__all__ = ["RootedTree"]

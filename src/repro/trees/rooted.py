@@ -1,4 +1,14 @@
-"""A rooted spanning tree with parent pointers, depths and traversal helpers."""
+"""A rooted spanning tree: parent pointers, depths, traversals and tree paths.
+
+Every non-tree edge ``e = {u, v}`` of the paper's algorithms covers exactly
+the tree edges on the unique tree path ``P_e`` between ``u`` and ``v``
+(Section 3).  :class:`RootedTree` answers that question itself: it numbers
+its vertices in BFS order (root 0) and lazily builds one flat-array
+Euler-tour index (:class:`repro.graphs.fastgraph.TreePathIndex`) over those
+ids, cached on the tree, so every stage that shares the tree object -- the
+segment decomposition, the TAP coverage kernel, the labelling and scoring
+kernels -- shares one index.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +17,7 @@ from typing import Hashable, Iterable, Iterator
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
+from repro.graphs.fastgraph import TreePathIndex
 
 Edge = tuple[Hashable, Hashable]
 
@@ -24,6 +35,13 @@ class RootedTree:
     Args:
         tree: A connected acyclic graph (a tree).
         root: The root vertex (the paper uses the minimum-id vertex).
+
+    Attributes:
+        index: Vertex label -> integer vertex id, the vertex's position in
+            :meth:`bfs_order` (the root is 0).
+        parent_edges: Vertex id -> canonical tree edge to its parent
+            (``None`` for the root).  Kernels that key tree edges by their
+            child vertex id use it with :attr:`paths`.
     """
 
     def __init__(self, tree: nx.Graph, root: Hashable | None = None) -> None:
@@ -46,6 +64,13 @@ class RootedTree:
             self._depth[child] = self._depth[parent] + 1
             self._children[parent].append(child)
             self._bfs_order.append(child)
+        self.index: dict[Hashable, int] = {
+            node: i for i, node in enumerate(self._bfs_order)
+        }
+        self.parent_edges: list[Edge | None] = [None] + [
+            canonical_edge(child, self._parent[child]) for child in self._bfs_order[1:]
+        ]
+        self._paths: TreePathIndex | None = None
 
     # ------------------------------------------------------------------ basic
     @property
@@ -86,17 +111,6 @@ class RootedTree:
         """Return every tree edge in canonical (sorted-endpoint) form."""
         return [canonical_edge(u, v) for u, v in self._tree.edges()]
 
-    def edge_to_parent(self, node: Hashable) -> Edge:
-        """Return the canonical tree edge between *node* and its parent."""
-        parent = self._parent[node]
-        if parent is None:
-            raise ValueError("the root has no parent edge")
-        return canonical_edge(node, parent)
-
-    def is_tree_edge(self, u: Hashable, v: Hashable) -> bool:
-        """Return ``True`` iff ``{u, v}`` is an edge of the tree."""
-        return self._tree.has_edge(u, v)
-
     def deeper_endpoint(self, edge: Edge) -> Hashable:
         """Return the endpoint of a tree *edge* farther from the root (the child)."""
         u, v = edge
@@ -112,13 +126,6 @@ class RootedTree:
     def leaves_to_root_order(self) -> list[Hashable]:
         """Vertices in an order where every child precedes its parent."""
         return list(reversed(self._bfs_order))
-
-    def ancestors(self, node: Hashable, include_self: bool = False) -> Iterator[Hashable]:
-        """Yield the ancestors of *node* walking up towards the root."""
-        current = node if include_self else self._parent[node]
-        while current is not None:
-            yield current
-            current = self._parent[current]
 
     def is_ancestor(self, ancestor: Hashable, node: Hashable) -> bool:
         """Return ``True`` iff *ancestor* lies on the path from *node* to the root."""
@@ -139,18 +146,6 @@ class RootedTree:
             stack.extend(self._children[current])
         return result
 
-    def path_to_ancestor(self, node: Hashable, ancestor: Hashable) -> list[Edge]:
-        """Return the tree edges on the path from *node* up to *ancestor*."""
-        if not self.is_ancestor(ancestor, node):
-            raise ValueError(f"{ancestor!r} is not an ancestor of {node!r}")
-        edges = []
-        current = node
-        while current != ancestor:
-            parent = self._parent[current]
-            edges.append(canonical_edge(current, parent))
-            current = parent
-        return edges
-
     def path_vertices_to_ancestor(self, node: Hashable, ancestor: Hashable) -> list[Hashable]:
         """Return the vertices on the path from *node* up to *ancestor* (inclusive)."""
         if not self.is_ancestor(ancestor, node):
@@ -161,6 +156,37 @@ class RootedTree:
             current = self._parent[current]
             vertices.append(current)
         return vertices
+
+    # ------------------------------------------------------------ tree paths
+    @property
+    def paths(self) -> TreePathIndex:
+        """The Euler-tour path index over the vertex ids (built once, on first use).
+
+        Building it is ``O(n log n)``; ``lca`` is then ``O(1)`` and path
+        extraction ``O(|path|)`` per query.
+        """
+        if self._paths is None:
+            index, parent_of, order = self.index, self._parent, self._bfs_order
+            parent = [-1] + [index[parent_of[node]] for node in order[1:]]
+            self._paths = TreePathIndex(parent, [self._depth[node] for node in order])
+        return self._paths
+
+    def lca(self, u: Hashable, v: Hashable) -> Hashable:
+        """Return the lowest common ancestor of *u* and *v*."""
+        return self._bfs_order[self.paths.lca(self.index[u], self.index[v])]
+
+    def tree_path_edges(self, u: Hashable, v: Hashable) -> list[Edge]:
+        """Return the tree edges on the unique path between *u* and *v*.
+
+        This is the set ``S_e`` of cuts of size 1 covered by the non-tree edge
+        ``e = {u, v}`` in the weighted-TAP algorithm: edges from *u* up to the
+        LCA first, then edges from *v* up to the LCA.
+        """
+        parent_edges = self.parent_edges
+        return [
+            parent_edges[child]
+            for child in self.paths.path_edges(self.index[u], self.index[v])
+        ]
 
     # ----------------------------------------------------------- construction
     @staticmethod

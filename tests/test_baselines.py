@@ -22,7 +22,7 @@ from repro.graphs.generators import (
     random_k_edge_connected_graph,
 )
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.cover import CoverageState
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 
@@ -101,15 +101,14 @@ class TestExactTap:
         graph = random_k_edge_connected_graph(8, 2, extra_edge_prob=0.3, seed=8)
         tree = RootedTree(minimum_spanning_tree(graph), root=0)
         chosen, weight = exact_tap(graph, tree)
-        state = CoverageState(graph, tree)
-        assert state.verify_augmentation(chosen)
+        fast = FastCoverage(graph, tree)
+        assert fast.covers_everything(fast.nt_index[edge] for edge in chosen)
         # Brute force over all subsets of links.
-        links = state.non_tree_edges
         best = None
-        for r in range(len(links) + 1):
-            for subset in itertools.combinations(links, r):
-                if CoverageState(graph, tree).verify_augmentation(subset):
-                    cost = sum(state.weight(edge) for edge in subset)
+        for r in range(fast.m_nt + 1):
+            for subset in itertools.combinations(range(fast.m_nt), r):
+                if fast.covers_everything(subset):
+                    cost = sum(fast.nt_weight[j] for j in subset)
                     best = cost if best is None else min(best, cost)
             if best is not None and r >= 3:
                 break

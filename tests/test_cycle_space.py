@@ -24,7 +24,6 @@ from repro.cycle_space.cut_pairs import (
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import cycle_with_chords, harary_graph
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 
@@ -45,13 +44,12 @@ class TestCirculations:
     def test_fundamental_cycle_contains_the_edge_and_its_path(self):
         graph = cycle_with_chords(8, extra_edges=0)
         tree = RootedTree.bfs_tree(graph, root=0)
-        lca = LCAIndex(tree)
         non_tree = next(
             canonical_edge(u, v)
             for u, v in graph.edges()
             if canonical_edge(u, v) not in set(tree.tree_edges())
         )
-        cycle = fundamental_cycle(lca, non_tree)
+        cycle = fundamental_cycle(tree, non_tree)
         assert non_tree in cycle
         assert is_binary_circulation(graph, cycle)
 

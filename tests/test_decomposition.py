@@ -13,7 +13,6 @@ from repro.decomposition.segments import build_decomposition
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import random_k_edge_connected_graph
 from repro.mst.distributed import build_mst_with_fragments
-from repro.trees.lca import LCAIndex
 
 from _helpers import random_tree
 
@@ -27,12 +26,10 @@ def _pipeline(n: int, seed: int):
 
 class TestLcaClosure:
     def test_already_closed_set_is_unchanged(self, path_tree):
-        lca = LCAIndex(path_tree)
-        assert lca_closure(path_tree, {0, 3, 7}, lca) == {0, 3, 7}
+        assert lca_closure(path_tree, {0, 3, 7}) == {0, 3, 7}
 
     def test_adds_missing_lcas(self, star_tree):
-        lca = LCAIndex(star_tree)
-        closed = lca_closure(star_tree, {3, 7}, lca)
+        closed = lca_closure(star_tree, {3, 7})
         assert closed == {0, 3, 7}
 
     def test_empty_input(self, path_tree):
@@ -42,15 +39,14 @@ class TestLcaClosure:
     @settings(max_examples=20, deadline=None)
     def test_property_closure_is_closed_under_pairwise_lca(self, n, seed):
         tree = random_tree(n, seed)
-        lca = LCAIndex(tree)
         import random as _random
 
         rng = _random.Random(seed)
         sample = {rng.randrange(n) for _ in range(min(6, n))}
-        closed = lca_closure(tree, sample, lca)
+        closed = lca_closure(tree, sample)
         for a in closed:
             for b in closed:
-                assert lca.lca(a, b) in closed
+                assert tree.lca(a, b) in closed
         # The closure adds at most |sample| - 1 vertices.
         assert len(closed) <= 2 * max(len(sample), 1)
 
@@ -59,8 +55,7 @@ class TestMarkedVertices:
     def test_lemma_3_4_properties(self):
         for seed in range(3):
             graph, stage, _ = _pipeline(49, seed)
-            lca = LCAIndex(stage.mst)
-            marked = mark_vertices(stage.mst, stage.fragments, lca)
+            marked = mark_vertices(stage.mst, stage.fragments)
             n = graph.number_of_nodes()
             # (1) the root is marked.
             assert stage.mst.root in marked
@@ -68,7 +63,7 @@ class TestMarkedVertices:
             marked_list = sorted(marked, key=repr)
             for a in marked_list:
                 for b in marked_list:
-                    assert lca.lca(a, b) in marked
+                    assert stage.mst.lca(a, b) in marked
             # (3) O(sqrt n) marked vertices: endpoints of <= 2 sqrt(n) global
             # edges plus at most that many LCAs.
             global_edges = stage.fragments.global_edges()
@@ -168,12 +163,12 @@ class TestSkeletonTree:
 
     def test_expand_path_matches_tree_path(self):
         _, stage, decomposition = _pipeline(60, 18)
-        lca = decomposition.lca
+        tree = decomposition.tree
         marked = sorted(decomposition.marked, key=repr)
         for a in marked[:5]:
             for b in marked[-5:]:
                 expanded = decomposition.skeleton.expand_path_to_tree_edges(a, b)
-                expected = lca.tree_path_edges(a, b)
+                expected = tree.tree_path_edges(a, b)
                 assert sorted(expanded) == sorted(expected)
 
     def test_path_endpoints_must_be_marked(self):

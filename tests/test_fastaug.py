@@ -9,7 +9,7 @@ Three layers:
   produces;
 * direct unit tests of :class:`repro.core.fastaug.PathLabelKernel` and
   :class:`repro.core.fastaug.BitsetCoverKernel` -- CSR path parity with
-  ``LCAIndex.tree_path_edges``, Claim 5.8 scores vs the ``Counter`` oracle,
+  ``RootedTree.tree_path_edges``, Claim 5.8 scores vs the ``Counter`` oracle,
   packed cover masks vs the frozenset relation, and the incremental live
   counters vs recomputation;
 * the seeded ``diff-3ecss-kernel`` / ``diff-kecss-kernel`` differential
@@ -52,7 +52,6 @@ from repro.graphs.connectivity import canonical_edge
 from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.trees.lca import LCAIndex
 
 N_GRAPHS = 50
 SWEEP_BACKEND = "serial"
@@ -146,38 +145,35 @@ def _three_ecss_state(n: int, seed: int):
         n, 3, extra_edge_prob=0.3, weight_range=None, seed=seed
     )
     h_edges, tree, _ = unweighted_two_ecss_2approx(graph)
-    lca = LCAIndex(tree)
-    return graph, h_edges, tree, lca
+    return graph, h_edges, tree
 
 
 class TestPathLabelKernel:
-    def test_candidate_paths_match_lca_index(self):
-        graph, h_edges, _, lca = _three_ecss_state(16, 0)
-        kernel = PathLabelKernel(graph, lca, skip=h_edges)
+    def test_candidate_paths_match_rooted_tree(self):
+        graph, h_edges, tree = _three_ecss_state(16, 0)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
         assert kernel.m_candidates == len(
             [e for u, v in graph.edges() if (e := canonical_edge(u, v)) not in h_edges]
         )
         for j, (u, v) in enumerate(kernel.cand_edges):
-            expected = [canonical_edge(a, b) for a, b in lca.tree_path_edges(u, v)]
-            materialised = [lca.parent_edges[vid] for vid in kernel.path_indices(j)]
+            expected = [canonical_edge(a, b) for a, b in tree.tree_path_edges(u, v)]
+            materialised = [tree.parent_edges[vid] for vid in kernel.path_indices(j)]
             assert materialised == expected
 
     def test_score_round_matches_counter_oracle(self):
         for seed in range(4):
-            graph, h_edges, tree, lca = _three_ecss_state(14, seed)
-            kernel = PathLabelKernel(graph, lca, skip=h_edges)
+            graph, h_edges, tree = _three_ecss_state(14, seed)
+            kernel = PathLabelKernel(graph, tree, skip=h_edges)
             tree_edge_set = set(tree.tree_edges())
             candidate_paths = {
-                edge: [canonical_edge(a, b) for a, b in lca.tree_path_edges(*edge)]
+                edge: [canonical_edge(a, b) for a, b in tree.tree_path_edges(*edge)]
                 for edge in kernel.cand_edges
             }
             current = nx.Graph()
             current.add_nodes_from(graph.nodes())
             current.add_edges_from(h_edges)
             for mode in ("random", "exact"):
-                labelling = compute_labels(
-                    current, tree=tree, mode=mode, seed=seed, lca=lca
-                )
+                labelling = compute_labels(current, tree=tree, mode=mode, seed=seed)
                 pairs, cand_ids, values, max_value = kernel.score_round(
                     labelling.labels
                 )
@@ -196,12 +192,12 @@ class TestPathLabelKernel:
                     )
 
     def test_mark_added_skips_candidates(self):
-        graph, h_edges, tree, lca = _three_ecss_state(14, 1)
-        kernel = PathLabelKernel(graph, lca, skip=h_edges)
+        graph, h_edges, tree = _three_ecss_state(14, 1)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges)
-        labelling = compute_labels(current, tree=tree, mode="exact", lca=lca)
+        labelling = compute_labels(current, tree=tree, mode="exact")
         _, before_ids, _, _ = kernel.score_round(labelling.labels)
         assert before_ids
         kernel.mark_added(before_ids[:1])
@@ -210,8 +206,8 @@ class TestPathLabelKernel:
         assert set(after_ids) == set(before_ids[1:])
 
     def test_termination_when_every_label_unique(self):
-        graph, h_edges, _, lca = _three_ecss_state(12, 2)
-        kernel = PathLabelKernel(graph, lca, skip=h_edges)
+        graph, h_edges, tree = _three_ecss_state(12, 2)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
         labels = {
             canonical_edge(u, v): index
             for index, (u, v) in enumerate(graph.edges())

@@ -5,7 +5,7 @@ Three layers:
 * direct unit tests of :class:`repro.graphs.fastgraph.TreePathIndex` (the
   Euler-tour LCA / path extractor) against brute-force parent walks;
 * direct unit tests of :class:`repro.tap.fastcover.FastCoverage` -- CSR path
-  parity with ``LCAIndex.tree_path_edges``, incremental ``|C_e|`` counters
+  parity with ``RootedTree.tree_path_edges``, incremental ``|C_e|`` counters
   vs recomputation, the transposed covering lists, and the voting round vs
   the historical set-based implementation;
 * the seeded ``diff-tap-*`` / ``diff-labels-*`` differential sweep, wired
@@ -28,8 +28,8 @@ from repro.analysis.runner import trial_groups
 from repro.graphs.fastgraph import TreePathIndex
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.cover import CoverageState, CoverageStateNX
-from repro.trees.lca import LCAIndex
+from repro.tap.cover import CoverageStateNX
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
@@ -98,38 +98,35 @@ class TestTreePathIndex:
         with pytest.raises(ValueError):
             TreePathIndex([0, 0], [0, 1])  # no root
 
-    def test_matches_lca_index_on_random_trees(self):
+    def test_matches_rooted_tree_on_random_trees(self):
         for seed in range(4):
             graph = random_k_edge_connected_graph(30, 2, extra_edge_prob=0.2, seed=seed)
             tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes()))
-            lca = LCAIndex(tree)
+            order = tree.bfs_order()
             rng = random.Random(seed)
             nodes = list(tree.nodes())
             for _ in range(40):
                 u, v = rng.choice(nodes), rng.choice(nodes)
-                assert lca.lca(u, v) == lca.nodes[
-                    lca.paths.lca(lca.index[u], lca.index[v])
-                ]
-                assert lca.distance(u, v) == len(lca.tree_path_edges(u, v))
+                iu, iv = tree.index[u], tree.index[v]
+                assert tree.lca(u, v) == order[tree.paths.lca(iu, iv)]
+                assert tree.paths.distance(iu, iv) == len(tree.tree_path_edges(u, v))
 
 
 # ----------------------------------------------------------------- FastCoverage
 class TestFastCoverage:
-    def test_paths_match_lca_index(self):
+    def test_paths_match_rooted_tree(self):
         graph, tree = _mst_instance(16, 0)
-        state = CoverageState(graph, tree)
-        fast = state.fast
-        lca = LCAIndex(tree)
+        fast = FastCoverage(graph, tree)
         for j, edge in enumerate(fast.nt_edges):
             expected = {
-                fast.tree_edge_index[e] for e in lca.tree_path_edges(*edge)
+                fast.tree_edge_index[e] for e in tree.tree_path_edges(*edge)
             }
             assert set(fast.path_indices(j)) == expected
             assert fast.path_indptr[j + 1] - fast.path_indptr[j] == len(expected)
 
     def test_covering_is_the_exact_transpose(self):
         graph, tree = _mst_instance(14, 1)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         for t in range(fast.n_tree):
             expected = [
                 j for j in range(fast.m_nt) if t in set(fast.path_indices(j))
@@ -138,7 +135,7 @@ class TestFastCoverage:
 
     def test_uncovered_counters_stay_consistent_under_covering(self):
         graph, tree = _mst_instance(18, 2)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         rng = random.Random(2)
         ids = list(range(fast.m_nt))
         rng.shuffle(ids)
@@ -156,45 +153,47 @@ class TestFastCoverage:
 
     def test_cover_many_reports_each_tree_edge_once(self):
         graph, tree = _mst_instance(16, 3)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         newly = fast.cover_many(range(fast.m_nt))
         assert sorted(newly) == sorted(set(newly))
         assert fast.all_covered()
         assert fast.uncovered_total() == 0
         assert fast.cover_many(range(fast.m_nt)) == []
 
-    def test_facade_matches_reference_state_step_by_step(self):
+    def test_kernel_matches_reference_state_step_by_step(self):
         graph, tree = _mst_instance(15, 4)
-        state = CoverageState(graph, tree)
+        fast = FastCoverage(graph, tree)
         oracle = CoverageStateNX(graph, tree)
-        assert state.tree_edges == oracle.tree_edges
-        assert state.non_tree_edges == oracle.non_tree_edges
-        for edge in state.non_tree_edges:
-            assert state.path(edge) == oracle.path(edge)
-            assert state.weight(edge) == oracle.weight(edge)
-        for edge in state.non_tree_edges[::2]:
-            assert state.cover_with(edge) == oracle.cover_with(edge)
-            assert state.uncovered_indices() == oracle.uncovered_indices()
-            assert state.covered_indices() == oracle.covered_indices()
-            for probe in state.non_tree_edges:
-                assert state.uncovered_count(probe) == oracle.uncovered_count(probe)
-                assert state.uncovered_on_path(probe) == oracle.uncovered_on_path(probe)
-        assert state.all_covered() == oracle.all_covered()
+        assert fast.tree_edges == oracle.tree_edges
+        assert fast.nt_edges == oracle.non_tree_edges
+        for j, edge in enumerate(fast.nt_edges):
+            assert frozenset(fast.path_indices(j)) == oracle.path(edge)
+            assert fast.nt_weight[j] == oracle.weight(edge)
+        for j in range(0, fast.m_nt, 2):
+            assert set(fast.cover(j)) == oracle.cover_with(fast.nt_edges[j])
+            assert frozenset(fast.uncovered) == oracle.uncovered_indices()
+            covered = frozenset(t for t in range(fast.n_tree) if fast.covered[t])
+            assert covered == oracle.covered_indices()
+            for k, probe in enumerate(fast.nt_edges):
+                assert fast.nt_uncovered[k] == oracle.uncovered_count(probe)
+                assert frozenset(fast.uncovered_path_indices(k)) == oracle.uncovered_on_path(probe)
+        assert fast.all_covered() == oracle.all_covered()
 
     def test_zero_weight_ids(self):
         graph, tree = _mst_instance(12, 5)
         free = CoverageStateNX(graph, tree).non_tree_edges[0]
         graph[free[0]][free[1]]["weight"] = 0
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         assert fast.zero_weight_ids() == [fast.nt_index[free]]
 
     def test_verify_augmentation_parity(self):
         graph, tree = _mst_instance(14, 6)
-        state = CoverageState(graph, tree)
+        fast = FastCoverage(graph, tree)
         oracle = CoverageStateNX(graph, tree)
-        edges = state.non_tree_edges
+        edges = fast.nt_edges
         for subset in (edges, edges[:1], edges[: len(edges) // 2]):
-            assert state.verify_augmentation(subset) == oracle.verify_augmentation(subset)
+            ids = [fast.nt_index[edge] for edge in subset]
+            assert fast.covers_everything(ids) == oracle.verify_augmentation(subset)
 
 
 # ------------------------------------------------- engine-driven differential

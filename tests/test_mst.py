@@ -42,6 +42,14 @@ class TestSequentialMst:
         second = set(minimum_spanning_tree(graph).edges())
         assert first == second
 
+    def test_comparable_labels_keep_the_plain_tie_order(self):
+        # On a unit-weight 12-cycle the plain order leaves out (10, 11), the
+        # largest edge id; the repr order would leave out "(9, 10)" instead.
+        graph = nx.cycle_graph(12)
+        nx.set_edge_attributes(graph, 1, "weight")
+        tree = minimum_spanning_tree(graph)
+        assert not tree.has_edge(10, 11) and tree.has_edge(9, 10)
+
     def test_mst_weight_helper(self, small_weighted_graph):
         assert mst_weight(small_weighted_graph) == int(
             nx.minimum_spanning_tree(small_weighted_graph).size(weight="weight")
@@ -56,6 +64,14 @@ class TestSequentialMst:
             minimum_spanning_tree(nx.Graph())
         with pytest.raises(ValueError):
             prim_mst(disconnected)
+
+    def test_mixed_int_and_str_labels(self):
+        # Equal weights force the edge-id tie-break across int/str labels.
+        graph = nx.relabel_nodes(nx.cycle_graph(6), {0: "a", 3: "b"})
+        nx.set_edge_attributes(graph, 1, "weight")
+        for tree in (minimum_spanning_tree(graph), prim_mst(graph)):
+            assert nx.is_tree(tree) and set(tree.nodes()) == set(graph.nodes())
+            assert tree.size(weight="weight") == 5
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=15, deadline=None)

@@ -79,7 +79,6 @@ from repro.graphs.fastgraph import hop_diameter
 from repro.graphs.generators import clique_chain, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import distributed_tap, distributed_tap_nx
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 # Generous ceiling: the smoke-mode sweep takes well under a second locally;
@@ -273,17 +272,16 @@ def _three_ecss_scoring_speedup(n: int, seed: int) -> float:
         n, 3, extra_edge_prob=3.0 / n, weight_range=None, seed=seed
     )
     h_edges, tree, _ = unweighted_two_ecss_2approx(graph)
-    lca = LCAIndex(tree)
-    kernel = PathLabelKernel(graph, lca, skip=h_edges)
+    kernel = PathLabelKernel(graph, tree, skip=h_edges)
     tree_edge_set = set(tree.tree_edges())
     candidate_paths = {
-        edge: [canonical_edge(a, b) for a, b in lca.tree_path_edges(*edge)]
+        edge: [canonical_edge(a, b) for a, b in tree.tree_path_edges(*edge)]
         for edge in kernel.cand_edges
     }
     current = nx.Graph()
     current.add_nodes_from(graph.nodes())
     current.add_edges_from(h_edges)
-    labels = compute_labels(current, tree=tree, seed=seed, lca=lca).labels
+    labels = compute_labels(current, tree=tree, seed=seed).labels
 
     pairs, cand_ids, values, _ = kernel.score_round(labels)
     oracle_pairs, rounded = _score_round_nx(

@@ -13,7 +13,7 @@ from repro.baselines.exact import exact_tap
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.generators import cycle_with_chords, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.cover import CoverageState
+from repro.tap.fastcover import FastCoverage
 from repro.tap.distributed import distributed_tap
 from repro.tap.greedy import greedy_tap
 from repro.trees.rooted import RootedTree
@@ -25,55 +25,59 @@ def _mst_instance(n: int, seed: int, prob: float = 0.3):
     return graph, tree
 
 
-class TestCoverageState:
+def _covers_every_tree_edge(graph, tree, edges) -> bool:
+    """Independent re-check on a fresh kernel: do *edges* cover the whole tree?"""
+    fast = FastCoverage(graph, tree)
+    return fast.covers_everything(fast.nt_index[canonical_edge(*edge)] for edge in edges)
+
+
+class TestFastCoverage:
     def test_partitions_tree_and_non_tree_edges(self):
         graph, tree = _mst_instance(14, 0)
-        state = CoverageState(graph, tree)
-        tree_edges = set(state.tree_edges)
-        non_tree = set(state.non_tree_edges)
+        fast = FastCoverage(graph, tree)
+        tree_edges = set(fast.tree_edges)
+        non_tree = set(fast.nt_edges)
         assert tree_edges | non_tree == {canonical_edge(u, v) for u, v in graph.edges()}
         assert not (tree_edges & non_tree)
 
     def test_paths_match_lca_paths(self):
         graph, tree = _mst_instance(12, 1)
-        state = CoverageState(graph, tree)
-        for edge in state.non_tree_edges:
-            path_edges = {state.tree_edge_by_index(i) for i in state.path(edge)}
-            u, v = edge
+        fast = FastCoverage(graph, tree)
+        for j, (u, v) in enumerate(fast.nt_edges):
+            path_edges = {fast.tree_edges[t] for t in fast.path_indices(j)}
             assert len(path_edges) == nx.shortest_path_length(tree.graph, u, v)
 
-    def test_cover_with_updates_counts(self):
+    def test_cover_updates_counts(self):
         graph, tree = _mst_instance(12, 2)
-        state = CoverageState(graph, tree)
-        edge = state.non_tree_edges[0]
-        before = state.uncovered_count(edge)
-        newly = state.cover_with(edge)
+        fast = FastCoverage(graph, tree)
+        before = fast.nt_uncovered[0]
+        newly = fast.cover(0)
         assert len(newly) == before
-        assert state.uncovered_count(edge) == 0
+        assert fast.nt_uncovered[0] == 0
         for index in newly:
-            assert state.is_covered(state.tree_edge_by_index(index))
+            assert fast.covered[index]
 
     def test_all_covered_and_verify(self):
         graph, tree = _mst_instance(12, 3)
-        state = CoverageState(graph, tree)
-        assert not state.all_covered()
-        state.cover_with_many(state.non_tree_edges)
-        assert state.all_covered()
-        assert CoverageState(graph, tree).verify_augmentation(state.non_tree_edges)
+        fast = FastCoverage(graph, tree)
+        assert not fast.all_covered()
+        fast.cover_many(range(fast.m_nt))
+        assert fast.all_covered()
+        assert _covers_every_tree_edge(graph, tree, fast.nt_edges)
 
     def test_weight_lookup(self):
         graph, tree = _mst_instance(10, 4)
-        state = CoverageState(graph, tree)
-        for edge in state.non_tree_edges:
-            assert state.weight(edge) == graph[edge[0]][edge[1]]["weight"]
+        fast = FastCoverage(graph, tree)
+        for (u, v), weight in zip(fast.nt_edges, fast.nt_weight):
+            assert weight == graph[u][v]["weight"]
 
     def test_uncovered_indices_shrink(self):
         graph, tree = _mst_instance(12, 5)
-        state = CoverageState(graph, tree)
-        total = len(state.tree_edges)
-        assert len(state.uncovered_indices()) == total
-        state.cover_with(state.non_tree_edges[0])
-        assert len(state.uncovered_indices()) < total
+        fast = FastCoverage(graph, tree)
+        total = fast.n_tree
+        assert fast.uncovered_total() == len(fast.uncovered) == total
+        fast.cover(0)
+        assert fast.uncovered_total() < total
 
 
 class TestDistributedTap:
@@ -118,8 +122,7 @@ class TestDistributedTap:
     def test_zero_weight_edges_taken_first(self):
         graph, tree = _mst_instance(12, 13)
         # Make one non-tree edge free.
-        state = CoverageState(graph, tree)
-        free_edge = state.non_tree_edges[0]
+        free_edge = FastCoverage(graph, tree).nt_edges[0]
         graph[free_edge[0]][free_edge[1]]["weight"] = 0
         result = distributed_tap(graph, tree, seed=13)
         assert free_edge in result.augmentation
@@ -171,14 +174,14 @@ class TestDistributedTap:
     def test_property_augmentation_always_covers_every_tree_edge(self, seed):
         graph, tree = _mst_instance(12, seed, prob=0.25)
         result = distributed_tap(graph, tree, seed=seed)
-        assert CoverageState(graph, tree).verify_augmentation(result.augmentation)
+        assert _covers_every_tree_edge(graph, tree, result.augmentation)
 
 
 class TestGreedyTap:
     def test_produces_a_valid_cover(self):
         graph, tree = _mst_instance(16, 50)
         result = greedy_tap(graph, tree)
-        assert CoverageState(graph, tree).verify_augmentation(result.augmentation)
+        assert _covers_every_tree_edge(graph, tree, result.augmentation)
         assert result.weight == sum(graph[u][v]["weight"] for u, v in result.augmentation)
 
     def test_matches_exact_on_easy_instances(self):
@@ -197,7 +200,7 @@ class TestGreedyTap:
 
     def test_zero_weight_edges_taken_first(self):
         graph, tree = _mst_instance(12, 70)
-        free_edge = CoverageState(graph, tree).non_tree_edges[0]
+        free_edge = FastCoverage(graph, tree).nt_edges[0]
         graph[free_edge[0]][free_edge[1]]["weight"] = 0
         result = greedy_tap(graph, tree)
         assert free_edge in result.augmentation

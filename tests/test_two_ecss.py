@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.exact import exact_k_ecss_weight
 from repro.baselines.khuller_vishkin import mst_plus_greedy_two_ecss
 from repro.baselines.mst_baseline import mst_lower_bound
+from repro.core.k_ecss import k_ecss
+from repro.core.three_ecss import three_ecss
 from repro.core.two_ecss import two_ecss, weighted_tap
+from repro.graphs.connectivity import verify_spanning_subgraph
 from repro.graphs.generators import (
     clique_chain,
     cycle_with_chords,
@@ -124,6 +127,20 @@ class TestTwoEcss:
         nx.set_edge_attributes(graph, 0, "weight")
         result = two_ecss(graph, seed=0)
         assert result.weight == 0 and result.verify()[0]
+
+    @pytest.mark.parametrize("solver", ["2-ECSS", "k-ECSS k=3", "3-ECSS"])
+    def test_mixed_int_and_str_labels(self, solver):
+        k = 2 if solver == "2-ECSS" else 3
+        for seed in range(3):
+            graph = random_k_edge_connected_graph(14, k, seed=seed)
+            graph = nx.relabel_nodes(graph, {v: f"v{v}" for v in graph if v % 2})
+            if solver == "2-ECSS":
+                result = two_ecss(graph, seed=seed)
+            elif solver == "k-ECSS k=3":
+                result = k_ecss(graph, 3, seed=seed)
+            else:
+                result = three_ecss(graph, seed=seed)
+            assert verify_spanning_subgraph(graph, result.edges, k)
 
     def test_mst_edges_are_always_included(self):
         graph = random_k_edge_connected_graph(16, 2, extra_edge_prob=0.3, seed=12)
