@@ -12,7 +12,10 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
   tree-edge labels into one flat array, and scores every candidate with
   round-stamped count arrays -- no ``Counter`` is allocated per candidate
   per iteration, and the power-of-two rounding collapses to one
-  ``int.bit_length()`` per value.
+  ``int.bit_length()`` per value.  The scan is memoised: a labelling with
+  the same partition (tree-edge id array and class sizes) under the same
+  ``A`` (a version counter :meth:`PathLabelKernel.mark_added` bumps) returns
+  the previous result without touching the candidates.
 
 * :class:`BitsetCoverKernel` -- the cut-coverage bookkeeping of one ``Aug_k``
   level (Section 4).  The ``covers`` relation is packed into one integer
@@ -34,8 +37,9 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
   the next maximum drop.
 
 Rounded cost-effectiveness values are represented by their integer exponents
-(``rho~ = 2^e``), compared exactly against the ``Fraction`` values the
-retained ``*_nx`` oracles produce; the ``diff-3ecss-kernel`` /
+(``rho~ = 2^e``) in both solvers, including the 3-ECSS Lemma 5.11 clamp, and
+compared exactly against the ``Fraction`` values the retained ``*_nx``
+oracles produce; the ``diff-3ecss-kernel`` /
 ``diff-kecss-kernel`` differential sweeps assert bit-identical added-edge
 sets, weights, iteration counts and histories.
 """
@@ -144,6 +148,9 @@ class PathLabelKernel:
         cand_repr: Candidate id -> ``repr`` string (the tie-break/sort key).
         in_added: Bytearray flag per candidate (set by the driver as edges
             join ``A``; flagged candidates are skipped by the scorer).
+        version: Bumped by :meth:`mark_added` whenever a candidate is newly
+            flagged -- together with the label partition it keys the
+            :meth:`score_round` memo.
 
     Tree edges are identified by the integer id of their child vertex in the
     tree, so :meth:`score_round` never touches a hashable edge object
@@ -151,8 +158,8 @@ class PathLabelKernel:
     """
 
     __slots__ = (
-        "tree", "cand_edges", "cand_repr", "in_added",
-        "path_indptr", "path_child", "n_vertices", "_touched",
+        "tree", "cand_edges", "cand_repr", "in_added", "version",
+        "path_indptr", "path_child", "n_vertices", "_touched", "_memo",
     )
 
     def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
@@ -174,10 +181,13 @@ class PathLabelKernel:
         self.cand_edges = cand_edges
         self.cand_repr = [repr(edge) for edge in cand_edges]
         self.in_added = bytearray(len(cand_edges))
+        self.version = 0
         self.path_indptr = path_indptr
         self.path_child = path_child
         self.n_vertices = len(index_of)
         self._touched = [0] * max(1, longest)
+        # (version, tlabel, totals, result) of the last candidate scan.
+        self._memo: tuple | None = None
 
     @property
     def m_candidates(self) -> int:
@@ -190,8 +200,11 @@ class PathLabelKernel:
 
     def mark_added(self, ids: Iterable[int]) -> None:
         """Flag candidates that joined ``A`` (skipped by future rounds)."""
+        in_added = self.in_added
         for j in ids:
-            self.in_added[j] = 1
+            if not in_added[j]:
+                in_added[j] = 1
+                self.version += 1
 
     def score_round(
         self, labels: Mapping[Edge, object]
@@ -211,6 +224,14 @@ class PathLabelKernel:
             cost-effectiveness, and *max_value* is the largest such value
             (0 when there is none).  When *tree_in_pairs* is 0 the candidate
             scan is skipped entirely.
+
+        The scores are a function of the label *partition* alone -- the
+        tree-edge dense-id array and the class sizes, both built below in
+        first-occurrence order -- and of ``A``.  While ``H ∪ A`` (hence the
+        label order) and the cut-pair classes of Property 5.1 hold, a fresh
+        labelling reproduces both arrays exactly, so the previous scan's
+        result is returned (the lists are shared; callers must not mutate
+        them).
         """
         # Dense ids for this round's labels; totals[i] is n_phi of label i.
         ids: dict = {}
@@ -236,6 +257,14 @@ class PathLabelKernel:
                 tree_in_pairs += 1
         if tree_in_pairs == 0:
             return 0, [], [], 0
+        memo = self._memo
+        if (
+            memo is not None
+            and memo[0] == self.version
+            and memo[1] == tlabel
+            and memo[2] == totals
+        ):
+            return memo[3]
 
         # Claim 5.8 per candidate: sum over the distinct labels on its path of
         # n_{phi,e} * (n_phi - n_{phi,e}), with per-candidate label counts on
@@ -272,7 +301,9 @@ class PathLabelKernel:
                 values.append(value)
                 if value > max_value:
                     max_value = value
-        return tree_in_pairs, cand_ids, values, max_value
+        result = (tree_in_pairs, cand_ids, values, max_value)
+        self._memo = (self.version, tlabel, totals, result)
+        return result
 
 
 class BitsetCoverKernel:

@@ -14,16 +14,30 @@ rounds (a BFS tree plus one covering non-tree edge per tree edge, following
 4. the algorithm stops once no tree edge shares its label with another edge
    (Claim 5.10), i.e. ``H ∪ A`` is 3-edge-connected.
 
-Two implementations share this driver structure.  :func:`three_ecss` scores
-each iteration with :class:`repro.core.fastaug.PathLabelKernel` -- candidate
-tree paths as CSR flat arrays over integer tree-edge ids, per-label counts on
-round-stamped arrays, and the power-of-two rounding collapsed to one
-``int.bit_length()`` per value.  :func:`three_ecss_nx` is the historical
-``Counter``-per-candidate implementation, retained as the differential oracle
-(the ``diff-3ecss-kernel`` sweep asserts bit-identical results).  Both consume
-the seeded RNG in exactly the same order -- labels first, then one draw per
-candidate in ``repr`` order -- so outputs, iteration counts and histories
-match bit for bit.
+Both implementations label one persistent ``H ∪ A`` graph per solve: ``H``
+in ``graph.edges()`` order, then each activated batch appended in activation
+(``repr``) order.  That order fixes the label draw order, so runs do not
+depend on ``PYTHONHASHSEED`` even for string vertex names.
+
+:func:`three_ecss` scores each iteration with
+:class:`repro.core.fastaug.PathLabelKernel` -- candidate tree paths as CSR
+flat arrays over integer tree-edge ids, per-label counts on round-stamped
+arrays, the power-of-two rounding collapsed to one ``int.bit_length()`` per
+value, and the last scan memoised while the label partition and ``A`` are
+unchanged (most iterations add nothing, and by Property 5.1 their fresh
+labels split the edges into the same cut-pair classes).  The Lemma 5.11
+clamp runs on the integer exponents ``e`` of ``rho~ = 2^e``.
+:func:`three_ecss_nx` is the historical ``Counter``-per-candidate
+implementation with exact ``Fraction`` values, retained as the differential
+oracle (the ``diff-3ecss-kernel`` sweep asserts bit-identical results).  Both
+consume the seeded RNG in exactly the same order -- labels first, then one
+draw per candidate in ``repr`` order -- so outputs, iteration counts and
+histories match bit for bit.
+
+A round where tree edges still share a label but no candidate scores is a
+label collision (the input was checked 3-edge-connected at entry); it raises
+a :class:`RuntimeError` suggesting a larger ``label_bits`` or
+``exact_labels=True``.
 """
 
 from __future__ import annotations
@@ -126,9 +140,12 @@ def unweighted_two_ecss_2approx(
 def _setup(
     graph: nx.Graph,
     seed: int | random.Random | None,
+    label_bits: int | None,
     simulate_bfs: bool,
-) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree]:
+) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, nx.Graph]:
     """Shared preamble of both 3-ECSS implementations (validation + ``H``)."""
+    if label_bits is not None and label_bits < 1:
+        raise ValueError(f"label_bits must be at least 1, got {label_bits}")
     check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
@@ -143,7 +160,32 @@ def _setup(
 
     h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
     ledger.extend(h_ledger)
-    return rng, cost_model, ledger, h_edges, tree
+
+    # The labelled graph H ∪ A, built once per solve: H in graph.edges()
+    # order, then each activated batch appended in activation order.  Its
+    # edge order fixes the label draw order, independent of set hashing.
+    current = nx.Graph()
+    current.add_nodes_from(graph.nodes())
+    current.add_edges_from(
+        edge for edge in (canonical_edge(u, v) for u, v in graph.edges()) if edge in h_edges
+    )
+    return rng, cost_model, ledger, h_edges, tree, current
+
+
+def _stall(tree_in_pairs: int, label_bits: int | None) -> RuntimeError:
+    """The error for a round where cut pairs remain but nothing covers them.
+
+    :func:`check_solver_input` has proved ``G`` 3-edge-connected, so every
+    true cut pair of ``H ∪ A`` is covered by some edge outside it; a tree
+    edge that shares its label while no candidate scores is a label
+    collision (Property 5.1 failed), not a property of the input.
+    """
+    bits = "the default" if label_bits is None else str(label_bits)
+    return RuntimeError(
+        f"{tree_in_pairs} tree edge(s) share a label but no candidate covers a "
+        f"cut pair: a cycle-space label collision with label_bits={bits}; "
+        "use a larger label_bits or exact_labels=True"
+    )
 
 
 def _result(
@@ -189,7 +231,8 @@ def three_ecss(
         graph: A 3-edge-connected graph (weights, if any, are ignored --
             the problem is the minimum *size* 3-ECSS).
         seed: Randomness for labels and candidate activation.
-        label_bits: Width of the cycle-space labels (default ``4 log n + 8``).
+        label_bits: Width of the cycle-space labels (default ``4 log n + 8``;
+            at least 1).
         exact_labels: Use deterministic covering-set labels instead of random
             ones (removes the 2^-b error; used by tests and the E7 ablation).
         schedule_constant: The ``M`` of the probability-doubling schedule.
@@ -200,7 +243,9 @@ def three_ecss(
         edges because the problem is unweighted.  Bit-identical to
         :func:`three_ecss_nx` for the same arguments.
     """
-    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
+    rng, cost_model, ledger, h_edges, tree, current = _setup(
+        graph, seed, label_bits, simulate_bfs
+    )
     kernel = PathLabelKernel(graph, tree, skip=h_edges)
     cand_repr = kernel.cand_repr
 
@@ -211,7 +256,7 @@ def three_ecss(
     schedule = GuessingSchedule(
         graph.number_of_edges(), max(1, schedule_constant * cost_model.log_n)
     )
-    previous_max: Fraction | None = None
+    previous_max: int | None = None
     previous_probability_was_one = False
 
     n = graph.number_of_nodes()
@@ -222,9 +267,6 @@ def three_ecss(
         if iteration > max_iterations:
             raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
 
-        current = nx.Graph()
-        current.add_nodes_from(graph.nodes())
-        current.add_edges_from(h_edges | added)
         labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
@@ -245,28 +287,21 @@ def three_ecss(
             )
             break
         if not cand_ids:
-            raise RuntimeError(
-                "no remaining edge covers the remaining cut pairs; "
-                "the input graph is not 3-edge-connected"
-            )
+            raise _stall(tree_in_pairs, label_bits)
 
-        # rho~ = 2^bit_length(value), the smallest power of two strictly
-        # greater than the integer Claim 5.8 value -- kept as a Fraction so
-        # the Lemma 5.11 halving below stays exact.
-        computed_max = Fraction(1 << max_value.bit_length())
+        # rho~ = 2^e with e = bit_length(value), the smallest power of two
+        # strictly greater than the integer Claim 5.8 value; the clamp and
+        # the filter work on the exponents e, exactly.
+        maximum = max_value.bit_length()
         # Lemma 5.11's robustness tweak: the maximum rounded cost-effectiveness
-        # is forced to be non-increasing, and to halve after a p = 1 iteration.
-        maximum = computed_max
+        # is forced to be non-increasing, and to halve (exponent - 1) after a
+        # p = 1 iteration.
         if previous_max is not None:
-            maximum = min(maximum, previous_max)
-            if previous_probability_was_one:
-                maximum = min(maximum, previous_max / 2)
+            maximum = min(
+                maximum, previous_max - 1 if previous_probability_was_one else previous_max
+            )
         candidate_ids = sorted(
-            (
-                j
-                for j, value in zip(cand_ids, values)
-                if (1 << value.bit_length()) >= maximum
-            ),
+            (j for j, value in zip(cand_ids, values) if value.bit_length() >= maximum),
             key=cand_repr.__getitem__,
         )
 
@@ -281,7 +316,9 @@ def three_ecss(
         else:
             active_ids = [j for j in candidate_ids if rng.random() < probability]
         kernel.mark_added(active_ids)
-        added.update(kernel.cand_edges[j] for j in active_ids)
+        active = [kernel.cand_edges[j] for j in active_ids]
+        added.update(active)
+        current.add_edges_from(active)
 
         history.append(
             ThreeEcssIterationStats(
@@ -343,7 +380,9 @@ def three_ecss_nx(
     iteration rebuilds label counts with :class:`collections.Counter` per
     candidate path and compares exact :class:`~fractions.Fraction` values.
     """
-    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
+    rng, cost_model, ledger, h_edges, tree, current = _setup(
+        graph, seed, label_bits, simulate_bfs
+    )
     tree_edge_set = set(tree.tree_edges())
 
     # Pre-compute the tree path of every potential candidate edge.
@@ -372,9 +411,6 @@ def three_ecss_nx(
         if iteration > max_iterations:
             raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
 
-        current = nx.Graph()
-        current.add_nodes_from(graph.nodes())
-        current.add_edges_from(h_edges | added)
         labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
@@ -397,10 +433,7 @@ def three_ecss_nx(
             )
             break
         if not rounded:
-            raise RuntimeError(
-                "no remaining edge covers the remaining cut pairs; "
-                "the input graph is not 3-edge-connected"
-            )
+            raise _stall(tree_in_pairs, label_bits)
 
         computed_max = max(rounded.values())
         # Lemma 5.11's robustness tweak: the maximum rounded cost-effectiveness
@@ -426,6 +459,7 @@ def three_ecss_nx(
         else:
             active = [edge for edge in candidates if rng.random() < probability]
         added.update(active)
+        current.add_edges_from(active)
 
         history.append(
             ThreeEcssIterationStats(

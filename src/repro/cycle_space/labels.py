@@ -121,11 +121,13 @@ def _prepare(
     n = graph.number_of_nodes()
     if bits is None:
         bits = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
-    tree_edge_set = set(tree.tree_edges())
+    # parent_edges holds the same canonical tree edges as tree_edges(),
+    # without walking the tree's nx edges (slot 0 is the root's ``None``).
+    tree_edge_set = set(tree.parent_edges[1:])
     non_tree_edges = [
-        canonical_edge(u, v)
-        for u, v in graph.edges()
-        if canonical_edge(u, v) not in tree_edge_set
+        edge
+        for edge in (canonical_edge(u, v) for u, v in graph.edges())
+        if edge not in tree_edge_set
     ]
     return tree, bits, non_tree_edges
 

@@ -10,6 +10,7 @@ Three layers:
 * direct unit tests of :class:`repro.core.fastaug.PathLabelKernel` and
   :class:`repro.core.fastaug.BitsetCoverKernel` -- CSR path parity with
   ``RootedTree.tree_path_edges``, Claim 5.8 scores vs the ``Counter`` oracle,
+  the score memo (reused for an unchanged partition, rescored otherwise),
   packed cover masks vs the frozenset relation, and the incremental live
   counters vs recomputation;
 * the seeded ``diff-3ecss-kernel`` / ``diff-kecss-kernel`` differential
@@ -204,6 +205,79 @@ class TestPathLabelKernel:
         _, after_ids, _, _ = kernel.score_round(labelling.labels)
         assert before_ids[0] not in after_ids
         assert set(after_ids) == set(before_ids[1:])
+
+    def _h_graph(self, graph, h_edges):
+        current = nx.Graph()
+        current.add_nodes_from(graph.nodes())
+        current.add_edges_from(h_edges)
+        return current
+
+    def _oracle(self, kernel, tree, labels, added=frozenset()):
+        candidate_paths = {
+            edge: [canonical_edge(a, b) for a, b in tree.tree_path_edges(*edge)]
+            for edge in kernel.cand_edges
+        }
+        pairs, rounded = _score_round_nx(
+            labels, set(tree.tree_edges()), candidate_paths, set(added)
+        )
+        return pairs, rounded
+
+    def _rounded(self, kernel, cand_ids, values):
+        return {
+            kernel.cand_edges[j]: Fraction(1 << value.bit_length())
+            for j, value in zip(cand_ids, values)
+        }
+
+    def test_memo_returns_equal_result_for_the_same_partition(self):
+        graph, h_edges, tree = _three_ecss_state(16, 3)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        current = self._h_graph(graph, h_edges)
+        first = kernel.score_round(compute_labels(current, tree=tree, seed=1).labels)
+        assert first[0] > 0 and first[1]
+        # The same labelling, and a fresh draw that splits H into the same
+        # cut-pair classes, both hit the memo.
+        again = kernel.score_round(compute_labels(current, tree=tree, seed=1).labels)
+        fresh = kernel.score_round(compute_labels(current, tree=tree, seed=2).labels)
+        assert again == first and again is first
+        assert fresh == first and fresh is first
+
+    def test_memo_rescores_a_different_partition(self):
+        graph, h_edges, tree = _three_ecss_state(16, 4)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        current = self._h_graph(graph, h_edges)
+        first = kernel.score_round(compute_labels(current, tree=tree, mode="exact").labels)
+        # Label H plus one candidate without marking it added: A (and the
+        # kernel version) is unchanged but the partition is not.
+        current.add_edge(*kernel.cand_edges[first[1][0]])
+        labels = compute_labels(current, tree=tree, seed=5).labels
+        second = kernel.score_round(labels)
+        assert second is not first and second != first
+        pairs, rounded = self._oracle(kernel, tree, labels)
+        assert second[0] == pairs
+        assert self._rounded(kernel, second[1], second[2]) == rounded
+
+    def test_memo_with_exact_labels(self):
+        graph, h_edges, tree = _three_ecss_state(14, 5)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        current = self._h_graph(graph, h_edges)
+        labels = compute_labels(current, tree=tree, mode="exact").labels
+        assert all(isinstance(label, frozenset) for label in labels.values())
+        first = kernel.score_round(labels)
+        second = kernel.score_round(compute_labels(current, tree=tree, mode="exact").labels)
+        assert second is first
+        pairs, rounded = self._oracle(kernel, tree, labels)
+        assert first[0] == pairs
+        assert self._rounded(kernel, first[1], first[2]) == rounded
+
+    def test_mark_added_bumps_version_only_for_new_candidates(self):
+        graph, h_edges, tree = _three_ecss_state(14, 1)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        kernel.mark_added([])
+        assert kernel.version == 0
+        kernel.mark_added([0, 1])
+        assert kernel.version == 2
+        kernel.mark_added([1])
+        assert kernel.version == 2
 
     def test_termination_when_every_label_unique(self):
         graph, h_edges, tree = _three_ecss_state(12, 2)

@@ -24,6 +24,11 @@ Guards in the default test run:
   retained ``Counter``/frozenset oracle loops on n >= 256 instances --
   asserting value-identical scores first, so the guards double as one more
   parity check -- with stricter n = 400 variants behind the ``slow`` marker;
+  the 3-ECSS kernel is timed on cold scans (first calls on fresh kernels),
+  since a repeat call on one labelling is a memo hit;
+* a 16 x 16 torus 3-ECSS solve labels one persistent ``H ∪ A`` graph and
+  runs the candidate scan once plus once per iteration that follows an
+  addition (a count-based, machine-independent guard);
 * an entered (pooled) ``processes`` backend re-running several small batches
   beats the historical fresh-executor-per-call behaviour by at least 2x --
   the acceptance bar for the pooled-executor reuse;
@@ -41,6 +46,7 @@ Guards in the default test run:
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from fractions import Fraction
@@ -76,7 +82,11 @@ from repro.graphs.cuts import (
     enumerate_cuts_of_size,
 )
 from repro.graphs.fastgraph import hop_diameter
-from repro.graphs.generators import clique_chain, random_k_edge_connected_graph
+from repro.graphs.generators import (
+    clique_chain,
+    grid_torus,
+    random_k_edge_connected_graph,
+)
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import distributed_tap, distributed_tap_nx
 from repro.trees.rooted import RootedTree
@@ -265,8 +275,10 @@ def _three_ecss_scoring_speedup(n: int, seed: int) -> float:
     Times exactly the inner loop the kernel replaced -- the Claim 5.8 scoring
     of every candidate under one labelling -- after asserting both sides
     produce identical rounded cost-effectiveness maps.  The shared per-
-    iteration costs (graph rebuild, ``compute_labels``) are outside the
-    timers on both sides.
+    iteration costs (``compute_labels``) are outside the timers on both
+    sides.  Each kernel timing is the first call on a kernel built outside
+    the timer: a repeat call on the same labelling would be a memo hit, not
+    a candidate scan.
     """
     graph = random_k_edge_connected_graph(
         n, 3, extra_edge_prob=3.0 / n, weight_range=None, seed=seed
@@ -293,7 +305,12 @@ def _three_ecss_scoring_speedup(n: int, seed: int) -> float:
         for j, value in zip(cand_ids, values)
     } == rounded
 
-    fast = _best_of(lambda: kernel.score_round(labels))
+    fast = float("inf")
+    for _ in range(3):
+        cold = PathLabelKernel(graph, tree, skip=h_edges)
+        started = time.perf_counter()
+        cold.score_round(labels)
+        fast = min(fast, time.perf_counter() - started)
     oracle = _best_of(
         lambda: _score_round_nx(labels, tree_edge_set, candidate_paths, set())
     )
@@ -319,6 +336,52 @@ def test_three_ecss_scoring_speedup_at_n400():
         f"3-ECSS scoring kernel only {speedup:.1f}x at n=400 "
         f"(bar: {THREE_ECSS_MIN_SPEEDUP}x)"
     )
+
+
+def test_three_ecss_solve_scans_only_after_additions(monkeypatch):
+    """Count-based guard on a 16 x 16 torus solve (machine-independent).
+
+    ``compute_labels`` must label one persistent ``H ∪ A`` graph object for
+    the whole solve, and the Claim 5.8 candidate scan must run once, then
+    once per iteration that follows an addition: every other iteration
+    reproduces the previous label partition and reuses its scores.
+    """
+    # The package re-exports the solver under the module's name, so the
+    # module itself comes from the import system, not attribute access.
+    module = importlib.import_module("repro.core.three_ecss")
+
+    labelled: list[int] = []
+    scans: list[bool] = []
+    label = module.compute_labels
+    score = PathLabelKernel.score_round
+
+    def counting_labels(graph, *args, **kwargs):
+        labelled.append(id(graph))
+        return label(graph, *args, **kwargs)
+
+    def counting_score(self, labels):
+        memo = self._memo
+        result = score(self, labels)
+        scans.append(self._memo is not memo)
+        return result
+
+    monkeypatch.setattr(module, "compute_labels", counting_labels)
+    monkeypatch.setattr(PathLabelKernel, "score_round", counting_score)
+    result = module.three_ecss(grid_torus(16, 16), seed=1)
+    ok, reason = result.verify()
+    assert ok, reason
+
+    history = result.metadata["iterations_history"]
+    assert len(labelled) == len(scans) == result.iterations == len(history)
+    assert len(set(labelled)) == 1
+    # The last iteration finds no cut pair and never reaches the scan.
+    expected = [True] + [step.added > 0 for step in history[:-2]] + [False]
+    print(
+        f"\n3-ECSS torus 16x16: {sum(scans)} candidate scans over "
+        f"{result.iterations} iterations"
+    )
+    assert scans == expected
+    assert sum(scans) < result.iterations // 2
 
 
 def _kecss_coverage_speedup(n: int, seed: int) -> float:

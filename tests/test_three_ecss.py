@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import repro
 from repro.baselines.thurimella import sparse_certificate_k_ecss
-from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
+from repro.core.three_ecss import three_ecss, three_ecss_nx, unweighted_two_ecss_2approx
 from repro.graphs.connectivity import is_k_edge_connected
 from repro.graphs.generators import grid_torus, harary_graph, random_k_edge_connected_graph
 
@@ -103,5 +109,72 @@ class TestThreeEcss:
         # 3-connected, but the loop must still terminate and verify.
         graph = nx.complete_graph(9)
         result = three_ecss(graph, seed=8)
+        ok, reason = result.verify()
+        assert ok, reason
+
+
+def _string_torus() -> nx.Graph:
+    """The 6 x 6 torus with vertices relabelled ``"v0"`` .. ``"v35"``."""
+    graph = grid_torus(6, 6)
+    return nx.relabel_nodes(graph, {node: f"v{i}" for i, node in enumerate(graph.nodes())})
+
+
+_HASH_SEED_SCRIPT = """
+import json
+import networkx as nx
+from repro.core.three_ecss import three_ecss
+from repro.graphs.generators import grid_torus
+
+graph = grid_torus(6, 6)
+graph = nx.relabel_nodes(graph, {node: f"v{i}" for i, node in enumerate(graph.nodes())})
+outcomes = []
+for seed in range(4):
+    try:
+        result = three_ecss(graph, seed=seed, label_bits=10)
+        outcomes.append([sorted(map(list, result.edges)), result.iterations])
+    except RuntimeError as error:
+        outcomes.append(str(error))
+print(json.dumps(outcomes))
+"""
+
+
+class TestThreeEcssDeterminism:
+    def _run_under_hash_seed(self, hash_seed: str) -> list:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return json.loads(completed.stdout)
+
+    def test_string_labelled_solve_ignores_hash_seed(self):
+        # H ∪ A is built in graph.edges() + activation order, so the label
+        # draw order -- and with 10-bit labels, which collisions happen --
+        # cannot depend on how Python hashes the vertex names.
+        first = self._run_under_hash_seed("1")
+        assert len(first) == 4
+        assert first == self._run_under_hash_seed("2")
+
+
+class TestThreeEcssLabelCollisions:
+    @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
+    def test_rejects_non_positive_label_bits(self, solver):
+        with pytest.raises(ValueError, match="label_bits"):
+            solver(_string_torus(), seed=0, label_bits=0)
+
+    @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
+    def test_stall_is_reported_as_a_label_collision(self, solver):
+        # 6-bit labels on 72 edges collide: the input is 3-edge-connected
+        # (checked at entry), so the stall must not blame the graph.
+        with pytest.raises(RuntimeError, match="label collision") as info:
+            solver(_string_torus(), seed=0, label_bits=6)
+        message = str(info.value)
+        assert "not 3-edge-connected" not in message
+        assert "label_bits" in message and "exact_labels=True" in message
+
+    def test_exact_labels_never_stall(self):
+        result = three_ecss(_string_torus(), seed=0, exact_labels=True)
         ok, reason = result.verify()
         assert ok, reason
