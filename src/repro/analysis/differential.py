@@ -109,6 +109,7 @@ __all__ = [
     "tap_labels_jobs",
     "solver_kernel_jobs",
     "medium_sweep_jobs",
+    "KECSS_K4_SEEDS",
 ]
 
 Config = Mapping[str, object]
@@ -664,14 +665,21 @@ def tap_labels_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
     }
 
 
+#: Seeds of the k=4 ``diff-kecss-kernel`` cells: every family builds more
+#: than 14 vertices at these seeds, so ``Aug_4`` covers cuts found by random
+#: contraction (not the exhaustive small-graph enumerator), on top of forests
+#: that persist through ``Aug_2``..``Aug_4``.
+KECSS_K4_SEEDS = (11, 12)
+
+
 def solver_kernel_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
     """The solver-kernel differential grid, keyed by trial name.
 
     *n_graphs* seeded instances of **every** registered generator family per
     solver, mirroring :func:`tap_labels_jobs` (the acceptance bar is >= 50
     per family).  The k-ECSS grid alternates the target connectivity between
-    2 and 3 by seed so both the bridge-cut and the randomised cut-enumeration
-    paths are exercised.
+    2 and 3 by seed, which exercises the bridge and cut-pair enumerators,
+    and adds k=4 cells at :data:`KECSS_K4_SEEDS` for the contraction path.
     """
     return {
         "diff-3ecss-kernel": [
@@ -688,6 +696,10 @@ def solver_kernel_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
             )
             for family in sorted(FAMILIES)
             for seed in range(n_graphs)
+        ] + [
+            TrialJob.make("diff-kecss-kernel", {"family": family, "k": 4}, seed, index=seed)
+            for family in sorted(FAMILIES)
+            for seed in KECSS_K4_SEEDS
         ],
     }
 

@@ -24,7 +24,10 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
   cover count ``|C_e|`` of every edge is maintained *incrementally* when
   edges join ``A``, so the per-iteration recompute drops from
   ``O(|E| * |cuts|)`` frozenset intersections to a flat counter scan after
-  ``O(changed)`` update work.
+  ``O(changed)`` update work.  The scan itself is memoised on a version
+  counter :meth:`BitsetCoverKernel.add_many` bumps: an iteration that added
+  nothing gets the previous scores (and their ``repr``-sorted maximum
+  bucket) back without touching the candidates.
 
 * :class:`GuessingSchedule` -- the probability-guessing schedule shared by
   ``Aug_k`` and the 3-ECSS loop: ``p`` starts at ``1 / 2^ceil(log2 m)``,
@@ -321,12 +324,14 @@ class BitsetCoverKernel:
         uncovered_mask: Bitmask of still-uncovered cut indices.
         masks: Candidate id -> bitmask of all cuts the edge covers.
         in_added: Bytearray flag per candidate already in ``A``.
+        version: Bumped by :meth:`add_many` whenever a candidate is newly
+            flagged; it keys the :meth:`score` memo.
     """
 
     __slots__ = (
         "cand_edges", "cand_repr", "weights", "masks", "live",
         "cut_indptr", "cut_cover", "uncovered_mask", "uncovered_count",
-        "n_cuts", "in_added",
+        "n_cuts", "in_added", "version", "_memo",
     )
 
     def __init__(
@@ -374,6 +379,9 @@ class BitsetCoverKernel:
         self.uncovered_mask = (1 << n_cuts) - 1
         self.uncovered_count = n_cuts
         self.in_added = bytearray(len(self.cand_edges))
+        self.version = 0
+        # [version, (cand_ids, exponents, maximum), max bucket or None].
+        self._memo: list | None = None
 
     @property
     def all_covered(self) -> bool:
@@ -397,9 +405,12 @@ class BitsetCoverKernel:
         O(|E| * |cuts|) recompute of the historical implementation.
         """
         newly = 0
+        in_added, masks = self.in_added, self.masks
         for j in ids:
-            self.in_added[j] = 1
-            newly |= self.masks[j]
+            if not in_added[j]:
+                in_added[j] = 1
+                self.version += 1
+            newly |= masks[j]
         newly &= self.uncovered_mask
         if not newly:
             return 0
@@ -423,8 +434,14 @@ class BitsetCoverKernel:
         Returns ``(cand_ids, exponents, maximum)``: integer exponents ``e``
         (``rho~ = 2^e``), :data:`INFINITE_EFFECTIVENESS` for zero-weight
         edges, and the maximum (``None`` when no candidate is live).  One
-        flat scan of the incrementally maintained counters.
+        flat scan of the incrementally maintained counters -- or none: the
+        scores depend only on ``A``, so while :attr:`version` is unchanged
+        the previous result is returned (the lists are shared; callers must
+        not mutate them).
         """
+        memo = self._memo
+        if memo is not None and memo[0] == self.version:
+            return memo[1]
         cand_ids: list[int] = []
         exponents: list[object] = []
         maximum: object = None
@@ -444,4 +461,22 @@ class BitsetCoverKernel:
             exponents.append(exponent)
             if maximum is None or exponent > maximum:
                 maximum = exponent
-        return cand_ids, exponents, maximum
+        result = (cand_ids, exponents, maximum)
+        self._memo = [self.version, result, None]
+        return result
+
+    def max_bucket(self) -> list[int]:
+        """The ids scoring the maximum in the last :meth:`score`, ``repr``-sorted.
+
+        Sorted once per scan and cached with it; call :meth:`score` first.
+        """
+        memo = self._memo
+        if memo is None or memo[0] != self.version:
+            raise RuntimeError("max_bucket() needs a score() of the current A")
+        if memo[2] is None:
+            cand_ids, exponents, maximum = memo[1]
+            memo[2] = sorted(
+                (j for j, exponent in zip(cand_ids, exponents) if exponent == maximum),
+                key=self.cand_repr.__getitem__,
+            )
+        return memo[2]

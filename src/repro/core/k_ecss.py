@@ -11,7 +11,14 @@ Each level ``i`` raises the connectivity of the running subgraph ``H`` from
    cost-effectiveness drops);
 4. an MST of ``G`` under weights (A: 0, active candidates: 1, rest: 2) filters
    the active candidates -- only those in the MST join ``A``, which keeps ``A``
-   acyclic (Claim 4.1) and therefore at most ``n - 1`` edges per level;
+   acyclic (Claim 4.1) and therefore at most ``n - 1`` edges per level.
+   Because ``A`` is a forest, Kruskal keeps all of it and then each active
+   edge, in its tie order, iff it joins two components; the weight-2 edges
+   come last and change nothing.  :func:`augment_to_k` therefore runs this
+   step on one union-find of ``A`` per level that persists across
+   iterations (``O(|active| α)`` per iteration); only the oracle rebuilds
+   the reweighted graph and runs :func:`minimum_spanning_tree`
+   (:func:`_mst_filter`);
 5. the level ends when every cut of size ``i - 1`` is covered.
 
 Level 1 is solved by the MST itself (the MST is an optimal augmentation from
@@ -20,9 +27,10 @@ procedure is used for every level ``i >= 2``.
 
 Two implementations share this structure.  :func:`augment_to_k` keeps the
 cut-coverage state in :class:`repro.core.fastaug.BitsetCoverKernel` -- packed
-integer bitmasks with incrementally maintained live-cover counters, so each
-iteration costs a flat counter scan instead of ``O(|E| * |cuts|)`` frozenset
-intersections.  :func:`augment_to_k_nx` (and :func:`k_ecss_nx` above it) is
+integer bitmasks with incrementally maintained live-cover counters, so an
+iteration that follows an addition costs a flat counter scan instead of
+``O(|E| * |cuts|)`` frozenset intersections, and any other iteration reuses
+the previous scan.  :func:`augment_to_k_nx` (and :func:`k_ecss_nx` above it) is
 the historical frozenset implementation, retained as the differential oracle;
 the ``diff-kecss-kernel`` sweep asserts bit-identical added-edge sets,
 weights, iteration counts and histories.
@@ -48,7 +56,7 @@ from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
 from repro.graphs.connectivity import canonical_edge, check_solver_input
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 
 Edge = tuple[Hashable, Hashable]
@@ -144,7 +152,7 @@ def augment_to_k(
     if not cuts:
         return AugmentationResult(
             added=frozenset(), weight=0, iterations=0, ledger=ledger,
-            metadata={"cuts": 0, "history": []},
+            metadata={"cuts": 0, "history": [], "k": k},
         )
 
     kernel = BitsetCoverKernel(
@@ -156,10 +164,16 @@ def augment_to_k(
         ],
         len(cuts),
     )
-    index_of = {edge: j for j, edge in enumerate(candidates_pool)}
-    cand_repr = kernel.cand_repr
+    cand_edges = kernel.cand_edges
+    if use_mst_filter:
+        # The forest of A (empty at the start of every level) and, per
+        # candidate, its endpoint ids and Kruskal tie rank.
+        forest = ArrayUnionFind(n)
+        node_id = {node: i for i, node in enumerate(graph.nodes())}
+        ends = [(node_id[u], node_id[v]) for u, v in cand_edges]
+        rank = _kruskal_rank(graph, cand_edges)
 
-    added: set[Edge] = set()
+    added_ids: list[int] = []
     history: list[AugIterationStats] = []
     schedule = GuessingSchedule(m, max(1, schedule_constant * cost_model.log_n))
 
@@ -171,41 +185,32 @@ def augment_to_k(
                 f"Aug_{k} did not converge within {max_iterations} iterations"
             )
 
-        # Lines 1-2: one flat scan of the incrementally maintained counters.
-        cand_ids, exponents, maximum = kernel.score()
+        # Lines 1-2: a flat scan of the incrementally maintained counters,
+        # or the previous one when nothing joined A since.
+        _, _, maximum = kernel.score()
         if maximum is None:
             raise RuntimeError(
                 f"no edge of G covers the remaining cuts of size {k - 1}; "
                 f"the input graph is not {k}-edge-connected"
             )
-        candidate_ids = sorted(
-            (j for j, exponent in zip(cand_ids, exponents) if exponent == maximum),
-            key=cand_repr.__getitem__,
-        )
+        candidate_ids = kernel.max_bucket()
 
         probability = schedule.update(maximum)
 
         # Line 3: activation.
         if probability >= 1.0:
-            active_ids = list(candidate_ids)
+            active_ids = candidate_ids
         else:
             active_ids = [j for j in candidate_ids if rng.random() < probability]
-        active = [kernel.cand_edges[j] for j in active_ids]
 
         # Line 4: MST filtering keeps A acyclic.
-        newly_added: list[Edge] = []
-        if active:
-            if use_mst_filter:
-                chosen = _mst_filter(graph, added, active)
-            else:
-                chosen = list(active)
-            for edge in chosen:
-                if edge not in added:
-                    added.add(edge)
-                    newly_added.append(edge)
-
+        if use_mst_filter:
+            newly_added = _forest_filter(forest, ends, rank, active_ids)
+        else:
+            newly_added = active_ids
         if newly_added:
-            kernel.add_many(index_of[edge] for edge in newly_added)
+            kernel.add_many(newly_added)
+            added_ids.extend(newly_added)
 
         ledger.add(
             "aug-iteration",
@@ -217,19 +222,55 @@ def augment_to_k(
                 iteration=iteration,
                 probability=probability,
                 candidates=len(candidate_ids),
-                active=len(active),
+                active=len(active_ids),
                 added=len(newly_added),
                 uncovered_remaining=kernel.uncovered_count,
             )
         )
 
     return AugmentationResult(
-        added=frozenset(added),
-        weight=sum(weight_of[edge] for edge in added),
+        added=frozenset(cand_edges[j] for j in added_ids),
+        weight=sum(kernel.weights[j] for j in added_ids),
         iterations=iteration,
         ledger=ledger,
         metadata={"cuts": len(cuts), "history": history, "k": k},
     )
+
+
+def _kruskal_rank(graph: nx.Graph, cand_edges: list[Edge]) -> list[int]:
+    """Candidate id -> position in the tie order of :func:`minimum_spanning_tree`.
+
+    Canonical edge tuples, or their ``repr`` when the node labels do not
+    compare -- decided once per level, by whether the edges of ``G`` sort.
+    """
+    edges = [canonical_edge(u, v) for u, v in graph.edges()]
+    try:
+        ordered = sorted(edges)
+    except TypeError:
+        ordered = sorted(edges, key=repr)
+    position = {edge: i for i, edge in enumerate(ordered)}
+    return [position[edge] for edge in cand_edges]
+
+
+def _forest_filter(
+    forest: ArrayUnionFind,
+    ends: list[tuple[int, int]],
+    rank: list[int],
+    active_ids: list[int],
+) -> list[int]:
+    """Line 4 on the persistent union-find of ``A``; returns the kept ids.
+
+    Kruskal under weights (A: 0, active: 1, rest: 2) keeps the forest ``A``
+    whole (Claim 4.1), then each active edge in *rank* order iff it joins two
+    components; the weight-2 edges cannot change that.  The kept edges join
+    ``A``, so *forest* is already the next iteration's.  Same result as
+    :func:`_mst_filter`, in *active_ids* order.
+    """
+    kept = set()
+    for j in sorted(active_ids, key=rank.__getitem__):
+        if forest.union(*ends[j]):
+            kept.add(j)
+    return [j for j in active_ids if j in kept]
 
 
 def _recompute_effectiveness_nx(
@@ -279,7 +320,7 @@ def augment_to_k_nx(
     if not cuts:
         return AugmentationResult(
             added=frozenset(), weight=0, iterations=0, ledger=ledger,
-            metadata={"cuts": 0, "history": []},
+            metadata={"cuts": 0, "history": [], "k": k},
         )
 
     covers: dict[Edge, frozenset[int]] = {}
@@ -377,7 +418,9 @@ def _mst_filter(graph: nx.Graph, zero_weight_edges: set[Edge], active: list[Edge
     The MST is computed over ``G`` with weight 0 for edges already in ``A``,
     weight 1 for active candidates and weight 2 for everything else; ties are
     broken by canonical edge id, so the filter is deterministic given the set
-    of active candidates.
+    of active candidates.  Oracle only: :func:`augment_to_k_nx` rebuilds the
+    reweighted graph on every call, :func:`augment_to_k` runs the equivalent
+    :func:`_forest_filter`.
     """
     active_set = set(active)
     reweighted = nx.Graph()

@@ -287,7 +287,9 @@ def enumerate_min_cuts_contraction(
 
     Contraction, crossing-edge counting and minimality verification all run
     on the flat-array kernel (array union-find, skip-edge BFS); the graph is
-    never copied.
+    never copied.  Most runs end on a side an earlier run already produced,
+    and the check of a side is deterministic, so each distinct side is
+    checked once.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
@@ -298,8 +300,13 @@ def enumerate_min_cuts_contraction(
 
     fast = FastGraph.from_nx(graph)
     found: dict[frozenset, Cut] = {}
+    seen: set[tuple[int, ...]] = set()
 
     def record(side_ids: list[int]) -> None:
+        key = tuple(side_ids)
+        if key in seen:
+            return
+        seen.add(key)
         if not side_ids or len(side_ids) >= fast.n:
             return
         crossing = fast.crossing_edges(side_ids)

@@ -602,18 +602,30 @@ class FastGraph:
         returned side identifies a bipartition; which of the two sides comes
         back is irrelevant downstream because cuts are canonicalised.
         """
-        forest = ArrayUnionFind(self.n)
+        # A local parent array (path halving, no union by size): only the
+        # final partition matters, and it does not depend on the tree shape.
+        parent = list(range(self.n))
         tail, head = self.tail, self.head
+        components = self.n
         for eid in order:
-            if forest.components <= 2:
+            if components <= 2:
                 break
-            forest.union(tail[eid], head[eid])
+            a, b = tail[eid], head[eid]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+                components -= 1
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
-            groups.setdefault(forest.find(v), []).append(v)
-        # Smaller side; ties broken by first-created group (lowest root id,
-        # which is also first-vertex order since roots are minimal members'
-        # representatives under union-by-size with stable tie-breaking).
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(v)
+        # Smaller side; ties go to the group created first, the one holding
+        # the lowest vertex id.
         return min(groups.values(), key=len)
 
 

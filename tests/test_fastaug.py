@@ -10,14 +10,15 @@ Three layers:
 * direct unit tests of :class:`repro.core.fastaug.PathLabelKernel` and
   :class:`repro.core.fastaug.BitsetCoverKernel` -- CSR path parity with
   ``RootedTree.tree_path_edges``, Claim 5.8 scores vs the ``Counter`` oracle,
-  the score memo (reused for an unchanged partition, rescored otherwise),
-  packed cover masks vs the frozenset relation, and the incremental live
-  counters vs recomputation;
+  the score memos (reused for an unchanged partition or ``A``, rescored
+  otherwise), packed cover masks vs the frozenset relation, and the
+  incremental live counters vs recomputation;
 * the seeded ``diff-3ecss-kernel`` / ``diff-kecss-kernel`` differential
   sweep, wired through the experiment engine: 50 instances of **every**
-  registered generator family per solver, each asserting bit-identical
-  output (added-edge sets, weights, iteration counts, histories) against
-  the retained ``three_ecss_nx`` / ``k_ecss_nx`` oracles.
+  registered generator family per solver (plus k=4 k-ECSS cells on
+  contraction-enumerated cuts), each asserting bit-identical output
+  (added-edge sets, weights, iteration counts, histories) against the
+  retained ``three_ecss_nx`` / ``k_ecss_nx`` oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from repro.analysis.differential import solver_kernel_jobs
+from repro.analysis.differential import KECSS_K4_SEEDS, solver_kernel_jobs
 from repro.analysis.engine import ExperimentEngine
 from repro.analysis.runner import trial_groups
 from repro.core.cost_effectiveness import (
@@ -373,6 +374,41 @@ class TestBitsetCoverKernel:
         if covers[free]:
             assert maximum is INFINITE_EFFECTIVENESS
 
+    def test_score_is_memoised_until_an_addition(self):
+        _, pool, _, covers, _, kernel = _aug_level_state(16, 5)
+        first = kernel.score()
+        bucket = kernel.max_bucket()
+        assert kernel.score() is first
+        assert kernel.max_bucket() is bucket
+        cand_ids, exponents, maximum = first
+        assert bucket == sorted(
+            (j for j, e in zip(cand_ids, exponents) if e == maximum),
+            key=lambda j: repr(pool[j]),
+        )
+
+        kernel.add_many(bucket[:1])
+        version = kernel.version
+        rescored = kernel.score()
+        assert rescored is not first
+        assert bucket[0] not in rescored[0]
+        # Re-adding a candidate already in A changes nothing: still a hit.
+        kernel.add_many(bucket[:1])
+        assert kernel.version == version
+        assert kernel.score() is rescored
+
+        fresh = BitsetCoverKernel(pool, kernel.weights, covers, kernel.n_cuts)
+        fresh.add_many(bucket[:1])
+        assert fresh.score() == rescored
+
+    def test_max_bucket_needs_a_current_score(self):
+        _, _, _, _, _, kernel = _aug_level_state(12, 6)
+        with pytest.raises(RuntimeError):
+            kernel.max_bucket()
+        kernel.score()
+        kernel.add_many(kernel.max_bucket()[:1])
+        with pytest.raises(RuntimeError):
+            kernel.max_bucket()
+
     def test_rounded_exponent_matches_reference(self):
         for uncovered in range(1, 40):
             for weight in range(1, 40):
@@ -411,6 +447,9 @@ class TestSolverKernelDifferentialSweep:
     def test_parity_with_reference_implementations(self, name):
         jobs = solver_kernel_jobs(N_GRAPHS)[name]
         results = _run_sweep(name, jobs)
-        assert len(results) == N_GRAPHS * len(FAMILIES)
+        k4_cells = len(KECSS_K4_SEEDS) * len(FAMILIES) if name == "diff-kecss-kernel" else 0
+        assert len(results) == N_GRAPHS * len(FAMILIES) + k4_cells
         assert {r.config["family"] for r in results} == set(FAMILIES)
         assert all(r.ok for r in results)
+        if name == "diff-kecss-kernel":
+            assert sum(r.config["k"] == 4 for r in results) == k4_cells

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -14,9 +15,18 @@ from repro.core.augmentation import (
     build_subgraph,
     compose_augmentations,
 )
-from repro.core.k_ecss import augment_to_k, k_ecss
+from repro.core.k_ecss import (
+    _forest_filter,
+    _kruskal_rank,
+    _mst_filter,
+    augment_to_k,
+    augment_to_k_nx,
+    k_ecss,
+    k_ecss_nx,
+)
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
+from repro.graphs.fastgraph import ArrayUnionFind
 from repro.graphs.generators import harary_graph, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 
@@ -63,6 +73,16 @@ class TestAugmentToK:
         assert result.added == frozenset()
         assert result.iterations == 0
 
+    @pytest.mark.parametrize("level_solver", [augment_to_k, augment_to_k_nx])
+    def test_no_cut_metadata_names_the_level(self, level_solver):
+        graph = harary_graph(10, 3)
+        all_edges = frozenset(canonical_edge(u, v) for u, v in graph.edges())
+        early = level_solver(graph, all_edges, 3, seed=0)
+        assert early.metadata == {"cuts": 0, "history": [], "k": 3}
+        full = level_solver(graph, self._mst_edges(graph), 2, seed=0)
+        assert full.metadata["k"] == 2
+        assert set(early.metadata) == set(full.metadata)
+
     def test_history_and_ledger_are_consistent(self):
         graph = random_k_edge_connected_graph(12, 2, extra_edge_prob=0.3, seed=4)
         result = augment_to_k(graph, self._mst_edges(graph), 2, seed=4)
@@ -88,6 +108,56 @@ class TestAugmentToK:
         graph = random_k_edge_connected_graph(12, 2, extra_edge_prob=0.3, seed=7)
         with pytest.raises(RuntimeError):
             augment_to_k(graph, self._mst_edges(graph), 2, seed=7, max_iterations=1)
+
+
+def _relabelled(graph: nx.Graph, labels: str) -> nx.Graph:
+    """*graph* with int, str (``v<i>``) or mixed (odd ids as str) labels."""
+    if labels == "int":
+        return graph
+    return nx.relabel_nodes(
+        graph, {v: f"v{v}" for v in graph if labels == "str" or v % 2}
+    )
+
+
+class TestForestFilter:
+    """The persistent union-find filter against the rebuilt-MST oracle."""
+
+    @pytest.mark.parametrize("labels", ["int", "str", "mixed"])
+    def test_matches_mst_filter_on_random_forests(self, labels):
+        for seed in range(6):
+            rng = random.Random(seed)
+            graph = _relabelled(
+                random_k_edge_connected_graph(18, 3, extra_edge_prob=0.3, seed=seed),
+                labels,
+            )
+            pool = [canonical_edge(u, v) for u, v in graph.edges()]
+            rng.shuffle(pool)
+            node_id = {node: i for i, node in enumerate(graph.nodes())}
+            ends = [(node_id[u], node_id[v]) for u, v in pool]
+            rank = _kruskal_rank(graph, pool)
+
+            # A random forest A: a random prefix of a random spanning forest.
+            spanning_forest = ArrayUnionFind(len(node_id))
+            spanning = [j for j in range(len(pool)) if spanning_forest.union(*ends[j])]
+            forest = ArrayUnionFind(len(node_id))
+            added: set = set()
+            for j in spanning[: rng.randrange(len(spanning))]:
+                forest.union(*ends[j])
+                added.add(pool[j])
+
+            # Several rounds on the same forest, as Aug_k runs them.
+            for _ in range(4):
+                free = [j for j in range(len(pool)) if pool[j] not in added]
+                active_ids = sorted(
+                    rng.sample(free, rng.randrange(1, len(free) + 1)),
+                    key=lambda j: repr(pool[j]),
+                )
+                active = [pool[j] for j in active_ids]
+                expected = _mst_filter(graph, added, active)
+                kept = _forest_filter(forest, ends, rank, active_ids)
+                assert [pool[j] for j in kept] == expected
+                added.update(expected)
+                assert nx.is_forest(nx.Graph(list(added)))
 
 
 class TestKEcss:
@@ -142,6 +212,19 @@ class TestKEcss:
         cycle = nx.cycle_graph(10)  # exactly 2-edge-connected: 3-ECSS is infeasible
         with pytest.raises(ValueError):
             k_ecss(cycle, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_mixed_labels_match_the_oracle(self, k):
+        for seed in range(2):
+            graph = _relabelled(
+                random_k_edge_connected_graph(16, k, extra_edge_prob=0.3, seed=seed),
+                "mixed",
+            )
+            fast = k_ecss(graph, k, seed=seed)
+            oracle = k_ecss_nx(graph, k, seed=seed)
+            assert fast.edges == oracle.edges
+            assert (fast.weight, fast.iterations) == (oracle.weight, oracle.iterations)
+            assert fast.metadata["stages"] == oracle.metadata["stages"]
 
     def test_deterministic_given_seed(self, weighted_k3_graph):
         a = k_ecss(weighted_k3_graph, 3, seed=99)
