@@ -8,11 +8,17 @@ accounted per directed edge per round in *words*, where one word models the
 raises :class:`BandwidthExceeded` so that algorithm bugs (accidentally
 shipping whole paths over one edge in one round) surface as test failures
 rather than silently unrealistic simulations.
+
+A round only touches nodes with work: ``on_round`` runs for every node that
+has not halted plus every halted node with mail, and only the nodes that
+queued a message that round have their outbox drained (a node registers
+with the network on its first queued message of a round).  Both visits go
+in node order, so every inbox receives its messages in sender node order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 import networkx as nx
@@ -53,11 +59,15 @@ class CongestNode:
     round).  Sending is done with :meth:`send`; a node signals local
     termination with :meth:`halt` -- the simulation stops when every node has
     halted or ``max_rounds`` is reached.
+
+    A halted node is woken only by incoming mail: its ``on_round`` runs in a
+    round where its inbox is non-empty and is skipped otherwise.
     """
 
     def __init__(self, node_id: Hashable, neighbors: tuple[Hashable, ...], network: "CongestNetwork") -> None:
         self.node_id = node_id
         self.neighbors = neighbors
+        self._neighbor_set = frozenset(neighbors)
         self._network = network
         self._outbox: list[Message] = []
         self._halted = False
@@ -73,16 +83,24 @@ class CongestNode:
     # --------------------------------------------------------------- actions
     def send(self, dst: Hashable, content: object, words: int = 1) -> None:
         """Queue a message to neighbour *dst* for delivery next round."""
-        if dst not in self.neighbors:
+        if dst not in self._neighbor_set:
             raise ValueError(f"node {self.node_id!r} has no edge to {dst!r}")
         if words < 1:
             raise ValueError("a message occupies at least one word")
+        if not self._outbox:
+            self._network._note_sender(self)
         self._outbox.append(Message(self.node_id, dst, content, words))
 
     def send_all(self, content: object, words: int = 1) -> None:
         """Queue the same message to every neighbour (local broadcast)."""
-        for neighbor in self.neighbors:
-            self.send(neighbor, content, words)
+        if not self.neighbors:
+            return
+        if words < 1:
+            raise ValueError("a message occupies at least one word")
+        if not self._outbox:
+            self._network._note_sender(self)
+        src = self.node_id
+        self._outbox.extend([Message(src, dst, content, words) for dst in self.neighbors])
 
     def halt(self) -> None:
         """Mark this node as locally terminated."""
@@ -98,28 +116,6 @@ class CongestNode:
     def _drain_outbox(self) -> list[Message]:
         queued, self._outbox = self._outbox, []
         return queued
-
-
-@dataclass
-class _EdgeUsage:
-    """Per-round accounting of how many words crossed each directed edge.
-
-    One instance is reused across rounds (``reset`` clears the dict in place)
-    so the round loop does not reallocate the accounting structures.
-    """
-
-    words: dict[tuple[Hashable, Hashable], int] = field(default_factory=dict)
-
-    def add(self, src: Hashable, dst: Hashable, words: int) -> int:
-        key = (src, dst)
-        self.words[key] = self.words.get(key, 0) + words
-        return self.words[key]
-
-    def max_congestion(self) -> int:
-        return max(self.words.values(), default=0)
-
-    def reset(self) -> None:
-        self.words.clear()
 
 
 class CongestNetwork:
@@ -143,10 +139,15 @@ class CongestNetwork:
         self.nodes: dict[Hashable, CongestNode] = {}
         self._last_report: RoundReport | None = None
         self._halted_count = 0
+        self._senders: list[CongestNode] = []
 
     def _note_halt(self) -> None:
         """Called by :meth:`CongestNode.halt` (at most once per node)."""
         self._halted_count += 1
+
+    def _note_sender(self, node: CongestNode) -> None:
+        """Called by a node when it queues its first message of a round."""
+        self._senders.append(node)
 
     # ------------------------------------------------------------------ runs
     def run(
@@ -163,45 +164,63 @@ class CongestNetwork:
         *max_rounds*.
         """
         self._halted_count = 0
+        self._senders = []
         self.nodes = {
             v: node_factory(v, tuple(self.graph.neighbors(v)), self)
             for v in self.graph.nodes()
         }
-        for node in self.nodes.values():
+        programs = list(self.nodes.values())
+        position = {v: i for i, v in enumerate(self.nodes)}
+        for node in programs:
             node.initialize()
 
         total_messages = 0
         max_congestion = 0
-        node_count = len(self.nodes)
-        # Double-buffered per-node message buckets, reused (swap + clear)
-        # every round instead of reallocating a dict of fresh lists; halted
-        # state is tracked by a counter maintained in halt() rather than
-        # rescanning every node each round.
-        inboxes: dict[Hashable, list[Message]] = {v: [] for v in self.nodes}
-        next_inboxes: dict[Hashable, list[Message]] = {v: [] for v in self.nodes}
-        usage = _EdgeUsage()
+        node_count = len(programs)
+        # Positions of the nodes that have not halted, in node order; halts
+        # are counted in halt(), so the list is refiltered only after a
+        # round in which some node halted.
+        live = [i for i, node in enumerate(programs) if not node._halted]
+        inboxes: dict[int, list[Message]] = {}
+        bandwidth = self.bandwidth_words
         rounds = 0
         for round_number in range(1, max_rounds + 1):
-            if self._halted_count == node_count:
+            halted_before = self._halted_count
+            if halted_before == node_count:
                 break
             rounds = round_number
-            usage.reset()
-            for node in self.nodes.values():
-                node.on_round(round_number, inboxes[node.node_id])
-            for node in self.nodes.values():
-                for message in node._drain_outbox():
-                    used = usage.add(message.src, message.dst, message.words)
-                    if used > self.bandwidth_words:
+            woken = [i for i in inboxes if programs[i]._halted]
+            for i in sorted(live + woken) if woken else live:
+                programs[i].on_round(round_number, inboxes.get(i) or [])
+            # Nodes that sent during initialize() are drained with round 1,
+            # so restore node order before draining.
+            senders, self._senders = self._senders, []
+            senders.sort(key=lambda node: position[node.node_id])
+            inboxes = {}
+            for node in senders:
+                # A sender is drained once per round, so its own tally is
+                # the per-directed-edge word count of this round.
+                words_to: dict[Hashable, int] = {}
+                outbox = node._drain_outbox()
+                total_messages += len(outbox)
+                for message in outbox:
+                    dst = message.dst
+                    used = words_to.get(dst, 0) + message.words
+                    if used > bandwidth:
                         raise BandwidthExceeded(
-                            f"edge {message.src!r}->{message.dst!r} carried {used} words "
-                            f"in round {round_number} (budget {self.bandwidth_words})"
+                            f"edge {message.src!r}->{dst!r} carried {used} words "
+                            f"in round {round_number} (budget {bandwidth})"
                         )
-                    next_inboxes[message.dst].append(message)
-                    total_messages += 1
-            max_congestion = max(max_congestion, usage.max_congestion())
-            inboxes, next_inboxes = next_inboxes, inboxes
-            for bucket in next_inboxes.values():
-                bucket.clear()
+                    words_to[dst] = used
+                    if used > max_congestion:
+                        max_congestion = used
+                    slot = position[dst]
+                    bucket = inboxes.get(slot)
+                    if bucket is None:
+                        inboxes[slot] = bucket = []
+                    bucket.append(message)
+            if self._halted_count != halted_before:
+                live = [i for i in live if not programs[i]._halted]
         else:
             raise RuntimeError(f"{label}: did not terminate within {max_rounds} rounds")
 

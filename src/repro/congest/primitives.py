@@ -43,7 +43,7 @@ class _BfsNode(CongestNode):
             self.halt()
 
     def on_round(self, round_number: int, messages: list[Message]) -> None:
-        if self.distance is not None:
+        if self.distance is not None or not messages:
             return
         waves = [m for m in messages if isinstance(m.content, tuple) and m.content[0] == "bfs"]
         if not waves:

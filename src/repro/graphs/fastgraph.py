@@ -17,8 +17,10 @@ All kernels below are loops over those flat lists:
   characterisation of Claim 5.6 on integer arrays;
 * :meth:`FastGraph.components_without_edges` -- BFS that skips a few edge
   ids, used to verify candidate cuts without copying the graph;
-* :meth:`FastGraph.hop_diameter` / :meth:`FastGraph.eccentricity` -- BFS
-  sweeps on the CSR arrays;
+* :meth:`FastGraph.hop_diameter` -- the exact hop diameter from three BFS
+  sweeps plus one bit-parallel (64 sources per ``uint64`` word) NumPy BFS
+  over the vertices whose eccentricity bound survives the sweeps, with no
+  all-pairs distance matrix; :meth:`FastGraph.eccentricity` is one sweep;
 * :class:`ArrayUnionFind` -- path-compressed, size-united union-find over
   plain lists, shared by Kruskal and the Karger contraction pass;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
@@ -39,6 +41,7 @@ from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 __all__ = ["ArrayUnionFind", "FastGraph", "TreePathIndex", "hop_diameter"]
 
@@ -317,35 +320,82 @@ class FastGraph:
         return furthest
 
     def hop_diameter(self) -> int:
-        """The hop diameter (one BFS sweep per vertex); raises when disconnected.
+        """The exact hop diameter; raises when the graph is empty or disconnected.
 
-        The CSR arrays are handed to ``scipy.sparse.csgraph`` verbatim when
-        scipy is available (C BFS per source); the pure-Python frontier sweep
-        is the fallback so the kernel stays dependency-light.
+        Eccentricity-bound pruning (Takes & Kosters, CIKM 2011): three BFS
+        sweeps -- from vertex 0, from its farthest vertex ``a``, and from
+        the midpoint ``c`` of a longest ``a``-``b`` path out of ``a`` --
+        give a lower bound ``LB`` (the largest eccentricity seen) and, for
+        every vertex ``v``, the upper bound
+        ``ub(v) = min_s ecc(s) + d(s, v)`` over the swept sources.  Only
+        vertices with ``ub(v) > LB`` can raise the diameter; one
+        bit-parallel BFS from all of them (:meth:`_max_eccentricity`)
+        settles the rest.  No ``n x n`` distance matrix is ever built.
         """
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             raise ValueError("diameter of an empty graph is undefined")
-        if self.n == 1:
+        if n == 1:
             return 0
-        try:
-            import numpy as np
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import shortest_path
-        except ImportError:  # pragma: no cover - scipy ships with the repo deps
-            return max(self.eccentricity(v) for v in range(self.n))
-        matrix = csr_matrix(
-            (
-                np.ones(len(self.adj), dtype=np.int8),
-                np.asarray(self.adj, dtype=np.int64),
-                np.asarray(self.indptr, dtype=np.int64),
-            ),
-            shape=(self.n, self.n),
-        )
-        dist = shortest_path(matrix, method="D", unweighted=True)
-        furthest = dist.max()
-        if np.isinf(furthest):
+        dist0 = self.bfs_levels(0)
+        if min(dist0) < 0:
             raise ValueError("graph is not connected; eccentricity is infinite")
-        return int(furthest)
+        ecc0 = max(dist0)
+        a = dist0.index(ecc0)
+        dist_a = self.bfs_levels(a)
+        ecc_a = max(dist_a)
+        # Walk back from the farthest vertex b to the middle of the a-b path.
+        indptr, adj = self.indptr, self.adj
+        c = dist_a.index(ecc_a)
+        while dist_a[c] > ecc_a // 2:
+            step = dist_a[c] - 1
+            c = next(w for w in adj[indptr[c]:indptr[c + 1]] if dist_a[w] == step)
+        dist_c = self.bfs_levels(c)
+        ecc_c = max(dist_c)
+        lower = max(ecc0, ecc_a, ecc_c)
+        candidates = [
+            v for v in range(n)
+            if min(ecc0 + dist0[v], ecc_a + dist_a[v], ecc_c + dist_c[v]) > lower
+        ]
+        if not candidates:
+            return lower
+        return max(lower, self._max_eccentricity(candidates))
+
+    def _max_eccentricity(self, sources: Sequence[int]) -> int:
+        """The largest eccentricity among *sources* (graph connected, n >= 2).
+
+        Bit-parallel BFS: ``reach[v]`` holds one bit per source (64 sources
+        per ``uint64`` word), and one level ORs every vertex's neighbour
+        rows together with a single ``np.bitwise_or.reduceat`` over the CSR
+        ``adj`` slices.  A block of sources is done when every source's bit
+        is set on all ``n`` rows; its level count is its largest
+        eccentricity.  Blocks are sized so the per-level ``2m x words``
+        gather stays within the ``n x n x 8`` bytes of an all-pairs
+        distance matrix.
+        """
+        n = self.n
+        adj = np.asarray(self.adj, dtype=np.intp)
+        starts = np.asarray(self.indptr[:-1], dtype=np.intp)
+        words_per_block = max(1, (n * n) // len(adj))
+        block = 64 * words_per_block
+        best = 0
+        for first in range(0, len(sources), block):
+            chunk = np.asarray(sources[first:first + block], dtype=np.intp)
+            words = (len(chunk) + 63) // 64
+            bits = np.arange(len(chunk))
+            reach = np.zeros((n, words), dtype=np.uint64)
+            reach[chunk, bits >> 6] = np.left_shift(
+                np.uint64(1), (bits & 63).astype(np.uint64)
+            )
+            full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+            if len(chunk) & 63:
+                full[-1] = np.uint64((1 << (len(chunk) & 63)) - 1)
+            levels = 0
+            while not np.array_equal(np.bitwise_and.reduce(reach, axis=0), full):
+                reach |= np.bitwise_or.reduceat(reach[adj], starts, axis=0)
+                levels += 1
+            best = max(best, levels)
+        return best
 
     def is_connected(self) -> bool:
         if self.n == 0:

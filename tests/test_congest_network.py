@@ -103,6 +103,29 @@ class TestNetworkExecution:
         network = CongestNetwork(nx.path_graph(5))
         assert network.diameter() == 4
 
+    def test_inbox_lists_senders_in_node_order(self):
+        """Messages queued in initialize() and in round 1 share one delivery
+        round; the inbox still lists them by sender node order."""
+
+        class Mixed(CongestNode):
+            def initialize(self):
+                self.inboxes = []
+                if self.node_id == 2:
+                    self.send(1, "from 2, initialize")
+
+            def on_round(self, round_number, messages):
+                self.inboxes.append([m.content for m in messages])
+                if round_number == 1 and self.node_id == 0:
+                    self.send(1, "from 0, round 1")
+                if round_number == 2:
+                    self.halt()
+
+        network = CongestNetwork(nx.path_graph(3))
+        network.run(lambda *args: Mixed(*args), max_rounds=3)
+        assert network.node_states()[1].inboxes == [
+            [], ["from 0, round 1", "from 2, initialize"],
+        ]
+
     def test_max_congestion_reported(self):
         graph = nx.cycle_graph(4)
         network = CongestNetwork(graph)

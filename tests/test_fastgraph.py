@@ -14,15 +14,18 @@ Two layers:
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.differential import fastgraph_jobs
 from repro.analysis.engine import ExperimentEngine
 from repro.analysis.runner import trial_groups
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
-from repro.graphs.generators import FAMILIES
+from repro.graphs.generators import FAMILIES, cycle_with_chords
 
 N_GRAPHS = 50
 SWEEP_BACKEND = "serial"
@@ -82,7 +85,9 @@ class TestFastGraphBfs:
         assert {fast.labels[v]: d for v, d in enumerate(levels)} == dict(oracle)
 
     def test_diameter_matches_networkx(self):
-        for graph in (nx.path_graph(9), nx.cycle_graph(10), nx.complete_graph(5)):
+        for graph in (
+            nx.path_graph(9), nx.cycle_graph(10), nx.complete_graph(5), nx.star_graph(6),
+        ):
             assert hop_diameter(graph) == nx.diameter(graph)
 
     def test_diameter_raises_on_disconnected_and_empty_graphs(self):
@@ -91,6 +96,68 @@ class TestFastGraphBfs:
         disconnected = nx.Graph([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             hop_diameter(disconnected)
+
+    def test_diameter_of_a_single_vertex_is_zero(self):
+        assert hop_diameter(nx.empty_graph(1)) == 0
+
+
+class TestHopDiameterParity:
+    """``hop_diameter`` (sweeps + bit-parallel BFS) against ``nx.diameter``."""
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            # Vertex-transitive: every vertex has the same eccentricity, so
+            # the sweeps prune nothing and (almost) all n are BFS sources.
+            ("torus", 64),
+            ("torus", 144),
+            ("hypercube", 64),
+            ("hypercube", 128),
+            # D = Theta(n): the sweeps leave only a few candidates.
+            ("clique-chain", 64),
+            ("clique-chain", 400),
+            # D = 2 and m ~ 0.15 n^2.  At n = 200 the 197 sources need two
+            # blocks of 192: the per-level 2m x words gather is capped at
+            # the n^2 words of the distance matrix it replaces.
+            ("weighted-dense", 60),
+            ("weighted-dense", 200),
+            ("weighted-sparse", 300),
+            ("powerlaw", 300),
+        ],
+    )
+    def test_family_instances(self, family, n):
+        for seed in (1, 2):
+            graph = FAMILIES[family](n, seed=seed)
+            assert hop_diameter(graph) == nx.diameter(graph)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129])
+    def test_around_the_64_bit_word_boundary(self, n):
+        graphs = [nx.complete_graph(n), nx.path_graph(n), nx.star_graph(n - 1)]
+        if n >= 3:
+            graphs.append(nx.cycle_graph(n))
+        if n >= 4:
+            graphs.append(cycle_with_chords(n, extra_edges=n // 4, seed=n))
+        for graph in graphs:
+            assert hop_diameter(graph) == nx.diameter(graph)
+
+    @given(
+        n=st.integers(min_value=2, max_value=90),
+        chords=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_connected_graphs(self, n, chords, seed):
+        """A random spanning tree plus random chords: connected by construction."""
+        rng = random.Random(seed)
+        graph = nx.Graph()
+        graph.add_node(0)
+        for v in range(1, n):
+            graph.add_edge(v, rng.randrange(v))
+        for _ in range(chords):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                graph.add_edge(u, v)
+        assert hop_diameter(graph) == nx.diameter(graph)
 
     def test_components_without_edges_skips_without_copying(self):
         graph = nx.cycle_graph(6)

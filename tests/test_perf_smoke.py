@@ -33,6 +33,10 @@ Guards in the default test run:
   level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
   the cover scan once per level plus once per iteration that follows an
   addition (count-based, machine-independent);
+* ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
+  of traced allocation (no n x n distance matrix), and the CONGEST BFS
+  simulation on a clique chain drains at most n outboxes however many
+  rounds it runs (both machine-independent);
 * an entered (pooled) ``processes`` backend re-running several small batches
   beats the historical fresh-executor-per-call behaviour by at least 2x --
   the acceptance bar for the pooled-executor reuse;
@@ -53,6 +57,7 @@ from __future__ import annotations
 import importlib
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +73,8 @@ from repro.analysis.experiments import (
 )
 from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
+from repro.congest.network import CongestNode
+from repro.congest.primitives import simulate_bfs_tree
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
 from repro.core.k_ecss import _recompute_effectiveness_nx
@@ -85,7 +92,7 @@ from repro.graphs.cuts import (
     enumerate_cut_pairs_nx,
     enumerate_cuts_of_size,
 )
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
     grid_torus,
@@ -535,6 +542,54 @@ def test_kecss_solve_runs_kruskal_once_and_scans_only_after_additions(monkeypatc
     )
     assert scans == expected
     assert sum(scans) <= len(levels) + with_addition
+
+
+# ------------------------------------------- diameter and simulator guards
+#: Peak traced allocation of ``FastGraph.hop_diameter`` on weighted-sparse
+#: n = 2048 (~3.9 MB measured; the all-pairs matrix it replaced was 32 MB).
+DIAMETER_PEAK_BYTES = 8_000_000
+
+
+def test_hop_diameter_allocates_no_all_pairs_matrix():
+    """Memory guard (machine-independent): no n x n distance matrix."""
+    graph = random_k_edge_connected_graph(2048, 2, extra_edge_prob=3.0 / 2048, seed=1)
+    fast = FastGraph.from_nx(graph)
+    tracemalloc.start()
+    try:
+        diameter = fast.hop_diameter()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(
+        f"\nhop_diameter (weighted-sparse n=2048, D={diameter}): "
+        f"peak {peak / 1e6:.1f} MB (bar {DIAMETER_PEAK_BYTES / 1e6:.0f} MB)"
+    )
+    assert peak < DIAMETER_PEAK_BYTES
+
+
+def test_bfs_simulation_drains_only_nodes_that_sent(monkeypatch):
+    """Count-based guard: one outbox drain per BFS node, not one per round.
+
+    Every node of the flooding BFS sends exactly once, so the round loop may
+    call ``_drain_outbox`` at most n times however many rounds it runs.
+    """
+    drains: list[int] = []
+    drain = CongestNode._drain_outbox
+
+    def counting_drain(self):
+        drains.append(1)
+        return drain(self)
+
+    monkeypatch.setattr(CongestNode, "_drain_outbox", counting_drain)
+    graph = clique_chain(128, 4, 2)
+    n = graph.number_of_nodes()
+    _, report = simulate_bfs_tree(graph)
+    print(
+        f"\nCONGEST BFS (clique-chain n={n}): {len(drains)} outbox drains "
+        f"over {report.rounds} rounds"
+    )
+    assert report.rounds > 100
+    assert len(drains) <= n
 
 
 # ------------------------------------------------------ pooled-executor guard
