@@ -18,10 +18,10 @@ offending (config, seed) pair attached.
 
 The ``diff-fastgraph-*`` trials differential-test the flat-array CSR kernel
 (:mod:`repro.graphs.fastgraph`) against the historical networkx oracles:
-bridges, exact edge connectivity, cut-pair enumeration, contraction-based
-min-cut enumeration (same seed, hence identical RNG stream) and the Kruskal
-MST, across every registered generator family in
-:data:`repro.graphs.generators.FAMILIES`.
+bridges, exact edge connectivity, cut-pair enumeration, the exact
+cycle-space enumeration of cuts of size 3 and 4 (against a brute force over
+edge subsets) and the Kruskal MST, across every registered generator family
+in :data:`repro.graphs.generators.FAMILIES`.
 
 The ``diff-tap-*`` and ``diff-labels-*`` trials do the same for the
 flat-array TAP coverage/voting kernel (:mod:`repro.tap.fastcover`) and the
@@ -48,6 +48,7 @@ and every assertion stays deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Sequence
 
@@ -69,15 +70,10 @@ from repro.graphs.connectivity import (
     subgraph_weight,
     verify_spanning_subgraph,
 )
-from repro.graphs.cuts import (
-    enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
-    enumerate_min_cuts_contraction,
-    enumerate_min_cuts_contraction_nx,
-)
+from repro.graphs.cuts import Cut, enumerate_cut_pairs, enumerate_cut_pairs_nx
 from repro.cycle_space.cut_pairs import cut_pairs_from_labels
 from repro.cycle_space.labels import compute_labels, compute_labels_nx
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.graphs.generators import (
     FAMILIES,
     cycle_with_chords,
@@ -282,26 +278,76 @@ def diff_fastgraph_cut_pairs_trial(config: Config, seed: int) -> dict:
     return {"n": graph.number_of_nodes(), "cut_pairs": len(fast)}
 
 
+def _brute_force_cuts(graph: nx.Graph, size: int) -> set:
+    """Every cut of exactly *size* edges of a connected graph, by trying
+    every *size*-subset of its edges.
+
+    An edge set is an edge cut iff it meets every fundamental cycle of a
+    spanning tree in an even number of edges (exact GF(2) orthogonality to
+    the cycle space; no sampling).  So for each ``(size - 1)``-subset the
+    only completions worth trying are the edges whose cycle-incidence mask
+    equals the subset's XOR, looked up in a dict; each resulting set is kept
+    iff removing it from a copy of the graph leaves exactly two components
+    with every removed edge between them.
+    """
+    tree = nx.minimum_spanning_tree(graph, weight=None)
+    edges = [canonical_edge(u, v) for u, v in graph.edges()]
+    masks = {edge: 0 for edge in edges}
+    fundamental = [edge for edge in edges if not tree.has_edge(*edge)]
+    for bit, edge in enumerate(fundamental):
+        masks[edge] |= 1 << bit
+        path = nx.shortest_path(tree, *edge)
+        for u, v in zip(path, path[1:]):
+            masks[canonical_edge(u, v)] |= 1 << bit
+    by_mask: dict[int, list] = {}
+    for edge in edges:
+        by_mask.setdefault(masks[edge], []).append(edge)
+    subsets = set()
+    for rest in itertools.combinations(edges, size - 1):
+        parity = 0
+        for edge in rest:
+            parity ^= masks[edge]
+        for edge in by_mask.get(parity, ()):
+            if edge not in rest:
+                subsets.add(frozenset((*rest, edge)))
+    cuts = set()
+    for subset in subsets:
+        pruned = graph.copy()
+        pruned.remove_edges_from(subset)
+        components = list(nx.connected_components(pruned))
+        if len(components) != 2:
+            continue
+        cut = Cut.from_side(graph, components[0])
+        if cut.size == size:
+            cuts.add((cut.side, cut.edges))
+    return cuts
+
+
 @register_trial("diff-fastgraph-min-cuts")
 def diff_fastgraph_min_cuts_trial(config: Config, seed: int) -> dict:
-    """Contraction enumerator parity: same seed, identical RNG stream, same cuts."""
+    """Exact cycle-space cut enumeration vs a brute force over edge subsets.
+
+    Size 3 on every instance -- non-minimum cuts on the 2-edge-connected
+    families, none on the 4- and 5-edge-connected ones -- and size 4 on
+    the 4-edge-connected instances, where the 4-cuts are the minimum cuts.
+    """
     graph = _fastgraph_instance(config, seed)
-    size = max(3, edge_connectivity_nx(graph))
-    # Parity holds for any run budget (both enumerators consume the identical
-    # RNG stream); a small budget keeps the 300-trial default sweep cheap.
-    runs = 60
-    fast = _cut_key_set(
-        enumerate_min_cuts_contraction(graph, size, seed=seed, runs=runs)
-    )
-    oracle = _cut_key_set(
-        enumerate_min_cuts_contraction_nx(graph, size, seed=seed, runs=runs)
-    )
-    if fast != oracle:
-        raise AssertionError(
-            f"contraction cuts of size {size} disagree: fastgraph found "
-            f"{len(fast)}, oracle {len(oracle)}"
+    sizes = (3, 4) if edge_connectivity_nx(graph) == 4 else (3,)
+    fast_graph = FastGraph.from_nx(graph)
+    counts = {}
+    for size in sizes:
+        fast = _cut_key_set(
+            Cut.from_side(graph, [fast_graph.labels[v] for v in side])
+            for _, side in fast_graph.cuts_of_size(size)
         )
-    return {"n": graph.number_of_nodes(), "size": size, "cuts": len(fast)}
+        oracle = _brute_force_cuts(graph, size)
+        if fast != oracle:
+            raise AssertionError(
+                f"cuts of size {size} disagree: fastgraph found {len(fast)}, "
+                f"brute force {len(oracle)}"
+            )
+        counts[f"cuts{size}"] = len(fast)
+    return {"n": graph.number_of_nodes(), **counts}
 
 
 @register_trial("diff-fastgraph-mst")
@@ -541,7 +587,7 @@ def diff_k_ecss_kernel_trial(config: Config, seed: int) -> dict:
 
     Checks the full Theorem 1.2 composition (added edges, weight, iteration
     counts, per-stage summaries) and, separately, one explicit ``Aug_2``
-    level over the MST base with a pinned ``cut_seed``, where the
+    level over the MST base, where the
     per-iteration :class:`~repro.core.k_ecss.AugIterationStats` histories --
     including the incrementally maintained uncovered-cut counts -- must match
     record for record.
@@ -569,8 +615,8 @@ def diff_k_ecss_kernel_trial(config: Config, seed: int) -> dict:
     mst_edges = frozenset(
         canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
     )
-    level = augment_to_k(graph, mst_edges, 2, seed=seed, cut_seed=seed)
-    level_oracle = augment_to_k_nx(graph, mst_edges, 2, seed=seed, cut_seed=seed)
+    level = augment_to_k(graph, mst_edges, 2, seed=seed)
+    level_oracle = augment_to_k_nx(graph, mst_edges, 2, seed=seed)
     if level.added != level_oracle.added:
         raise AssertionError("Aug_2 added-edge sets disagree")
     if (level.weight, level.iterations) != (level_oracle.weight, level_oracle.iterations):
@@ -665,10 +711,9 @@ def tap_labels_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
     }
 
 
-#: Seeds of the k=4 ``diff-kecss-kernel`` cells: every family builds more
-#: than 14 vertices at these seeds, so ``Aug_4`` covers cuts found by random
-#: contraction (not the exhaustive small-graph enumerator), on top of forests
-#: that persist through ``Aug_2``..``Aug_4``.
+#: Seeds of the k=4 ``diff-kecss-kernel`` cells: ``Aug_4`` covers the 3-edge
+#: cuts found by the cycle-space label lookup, on top of forests that persist
+#: through ``Aug_2``..``Aug_4``.
 KECSS_K4_SEEDS = (11, 12)
 
 
@@ -679,7 +724,7 @@ def solver_kernel_jobs(n_graphs: int = 50) -> dict[str, list[TrialJob]]:
     solver, mirroring :func:`tap_labels_jobs` (the acceptance bar is >= 50
     per family).  The k-ECSS grid alternates the target connectivity between
     2 and 3 by seed, which exercises the bridge and cut-pair enumerators,
-    and adds k=4 cells at :data:`KECSS_K4_SEEDS` for the contraction path.
+    and adds k=4 cells at :data:`KECSS_K4_SEEDS` for the size-3 cut lookup.
     """
     return {
         "diff-3ecss-kernel": [

@@ -87,7 +87,6 @@ def _level_setup(
     current_edges: frozenset[Edge],
     k: int,
     cost_model: CostModel | None,
-    cut_seed: int | None,
 ) -> tuple[CostModel, RoundLedger, list[Cut], list[Edge], dict[Edge, int]]:
     """Shared preamble of one ``Aug_k`` level (broadcast + cut enumeration)."""
     if cost_model is None:
@@ -99,7 +98,7 @@ def _level_setup(
         cost_model.aug_state_broadcast_rounds(len(current_edges)),
         note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
     )
-    cuts: list[Cut] = enumerate_cuts_of_size(subgraph, k - 1, seed=cut_seed)
+    cuts: list[Cut] = enumerate_cuts_of_size(subgraph, k - 1)
     current = frozenset(canonical_edge(u, v) for u, v in current_edges)
     candidates_pool = [
         canonical_edge(u, v) for u, v in graph.edges() if canonical_edge(u, v) not in current
@@ -119,7 +118,6 @@ def augment_to_k(
     cost_model: CostModel | None = None,
     use_mst_filter: bool = True,
     max_iterations: int | None = None,
-    cut_seed: int | None = None,
 ) -> AugmentationResult:
     """Raise the connectivity of ``current_edges`` from ``k - 1`` to ``k`` (Section 4).
 
@@ -127,14 +125,15 @@ def augment_to_k(
         graph: The k-edge-connected input graph ``G``.
         current_edges: Edges of the (k-1)-edge-connected subgraph ``H``.
         k: Target connectivity of this level.
-        seed: Randomness for candidate activation.
+        seed: Randomness for candidate activation -- the only randomness of
+            a level: the cuts of size ``k - 1`` of ``H`` come from the exact,
+            deterministic :func:`~repro.graphs.cuts.enumerate_cuts_of_size`.
         schedule_constant: The ``M`` in "double ``p`` every ``M log n``
             iterations" (the paper leaves the constant to the analysis).
         cost_model: Round cost model (built from the graph when omitted).
         use_mst_filter: Disable to add every active candidate without the MST
             filtering of Line 4 (ablation E10 / Claim 4.1 demonstration).
         max_iterations: Safety bound on iterations.
-        cut_seed: Seed for the randomised cut enumeration (sizes >= 3).
 
     Returns:
         An :class:`AugmentationResult` whose ``added`` edges, together with
@@ -145,7 +144,7 @@ def augment_to_k(
     n = graph.number_of_nodes()
     m = graph.number_of_edges()
     cost_model, ledger, cuts, candidates_pool, weight_of = _level_setup(
-        graph, current_edges, k, cost_model, cut_seed
+        graph, current_edges, k, cost_model
     )
     if max_iterations is None:
         max_iterations = 16 * schedule_constant * cost_model.log_n ** 3 + 8 * n + 64
@@ -301,7 +300,6 @@ def augment_to_k_nx(
     cost_model: CostModel | None = None,
     use_mst_filter: bool = True,
     max_iterations: int | None = None,
-    cut_seed: int | None = None,
 ) -> AugmentationResult:
     """Historical frozenset ``Aug_k``, retained as the differential oracle.
 
@@ -313,7 +311,7 @@ def augment_to_k_nx(
     n = graph.number_of_nodes()
     m = graph.number_of_edges()
     cost_model, ledger, cuts, candidates_pool, weight_of = _level_setup(
-        graph, current_edges, k, cost_model, cut_seed
+        graph, current_edges, k, cost_model
     )
     if max_iterations is None:
         max_iterations = 16 * schedule_constant * cost_model.log_n ** 3 + 8 * n + 64

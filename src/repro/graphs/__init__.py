@@ -10,7 +10,8 @@ subpackage provides
 * :mod:`repro.graphs.cuts` -- enumeration of small edge cuts (the objects the
   augmentation algorithms must cover),
 * :mod:`repro.graphs.fastgraph` -- the flat-array CSR kernel the hot paths
-  above run on (integer relabelling, iterative Tarjan, array union-find).
+  above run on (integer relabelling, iterative Tarjan, array union-find,
+  cycle-space cut lookup).
 """
 
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
@@ -39,8 +40,6 @@ from repro.graphs.cuts import (
     enumerate_bridge_cuts,
     enumerate_cut_pairs,
     enumerate_cut_pairs_nx,
-    enumerate_min_cuts_contraction,
-    enumerate_min_cuts_contraction_nx,
     cut_is_covered,
 )
 
@@ -68,7 +67,5 @@ __all__ = [
     "enumerate_bridge_cuts",
     "enumerate_cut_pairs",
     "enumerate_cut_pairs_nx",
-    "enumerate_min_cuts_contraction",
-    "enumerate_min_cuts_contraction_nx",
     "cut_is_covered",
 ]

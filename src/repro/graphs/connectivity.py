@@ -7,10 +7,12 @@ suite checks that promise with the functions here.
 The hot paths run on the flat-array CSR kernel of
 :mod:`repro.graphs.fastgraph`: connectivity 0/1/2 is decided exactly by BFS,
 iterative Tarjan bridge finding and the exact cut-pair characterisation of
-Claim 5.6, so the common ``k <= 3`` verification never touches networkx
-max-flow.  Only the exact connectivity *value* of a 3-edge-connected graph
-still falls back to ``nx.edge_connectivity``.  The historical networkx
-implementations are kept as ``*_nx`` oracles for the differential tests.
+Claim 5.6, and connectivity 3 by a certificate -- a degree-3 vertex or a
+3-edge cut the exact cycle-space enumerator found and a skip-edge BFS
+confirmed.  So every ``k <= 4`` check is exact without networkx max-flow,
+and ``nx.edge_connectivity`` runs only to get the *value* of a graph with
+edge connectivity >= 4.  The historical networkx implementations are kept
+as ``*_nx`` oracles for the differential tests.
 """
 
 from __future__ import annotations
@@ -75,19 +77,28 @@ def _small_connectivity(fast: FastGraph) -> int:
     return 3
 
 
+def _edge_connectivity(fast: FastGraph, graph: nx.Graph) -> int:
+    """:func:`edge_connectivity` on the kernel snapshot *fast* of *graph*."""
+    small = _small_connectivity(fast)
+    if small < 3:
+        return small
+    if fast.min_degree() == 3 or fast.has_cut_triple():
+        return 3
+    return nx.edge_connectivity(graph)
+
+
 def edge_connectivity(graph: nx.Graph) -> int:
     """Return the (global, unweighted) edge connectivity of *graph*.
 
     A disconnected or single-vertex graph has edge connectivity 0.  Values
-    up to 2 are decided exactly on the flat-array kernel; only genuinely
-    3-edge-connected graphs pay for a networkx max-flow sweep.
+    up to 3 are decided exactly on the flat-array kernel, each with a
+    certificate (a bridge, a cut pair, a degree-3 vertex or a confirmed
+    3-edge cut); only graphs with edge connectivity >= 4 pay for a networkx
+    max-flow sweep.
     """
     if graph.number_of_nodes() <= 1:
         return 0
-    small = _small_connectivity(FastGraph.from_nx(graph))
-    if small < 3:
-        return small
-    return nx.edge_connectivity(graph)
+    return _edge_connectivity(FastGraph.from_nx(graph), graph)
 
 
 def edge_connectivity_nx(graph: nx.Graph) -> int:
@@ -105,7 +116,11 @@ def is_k_edge_connected(graph: nx.Graph, k: int) -> bool:
         return True
     if graph.number_of_nodes() <= 1:
         return False
-    fast = FastGraph.from_nx(graph)
+    return _is_k_edge_connected(FastGraph.from_nx(graph), graph, k)
+
+
+def _is_k_edge_connected(fast: FastGraph, graph: nx.Graph, k: int) -> bool:
+    """:func:`is_k_edge_connected` (``k >= 1``, ``n >= 2``) on the snapshot *fast*."""
     if k == 1:
         return fast.is_connected()
     if fast.min_degree() < k:
@@ -113,10 +128,11 @@ def is_k_edge_connected(graph: nx.Graph, k: int) -> bool:
     if k == 2:
         # Connected and bridgeless suffices; no need to look for 2-cuts.
         return fast.is_connected() and not fast.bridges()
-    if k == 3:
-        # Exact without max-flow: connected, bridgeless, no 2-edge cut.
-        return _small_connectivity(fast) >= 3
-    return edge_connectivity(graph) >= k
+    if k <= 4:
+        # Exact without max-flow: connected, bridgeless, no 2-edge cut, and
+        # for k = 4 no 3-edge cut.
+        return _small_connectivity(fast) >= 3 and (k == 3 or not fast.has_cut_triple())
+    return _edge_connectivity(fast, graph) >= k
 
 
 def check_solver_input(graph: nx.Graph, k: int, problem: str) -> None:

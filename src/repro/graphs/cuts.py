@@ -6,36 +6,46 @@ subgraph ``H``.  Because ``H`` is ``(k-1)``-edge-connected, those cuts are
 exactly the *minimum* cuts of ``H`` (when any exist), and there are at most
 ``n choose 2`` of them (Dinitz-Karzanov-Lomonosov; footnote 4 of the paper).
 
-This module enumerates them:
+This module enumerates them, exactly and without randomness in the result:
 
-* size 1 -- bridges (exact, linear time),
+* size 1 -- bridges, each side read off one DFS as a preorder interval,
 * size 2 -- cut pairs via the spanning-tree covering-set characterisation of
-  Claim 5.6 (exact),
-* size >= 3 -- randomised contraction (Karger) seeded with all degree cuts,
-  which finds every minimum cut with high probability, plus an exhaustive
-  bipartition enumeration used as ground truth on tiny graphs.
+  Claim 5.6,
+* size >= 3 -- cycle space sampling (Pritchard & Thurimella, ref. [32]).
+  Every cut meets every cycle in an even number of edges, so under any
+  cycle-space labelling ``phi`` (random labels on the non-tree edges of a
+  spanning tree, XOR-propagated to the tree edges) the labels of a cut's
+  edges XOR to 0, and every cut contains a tree edge.  Looking up
+  ``phi(t) ^ phi(X)`` for each tree edge ``t`` and each ``(size - 2)``-set
+  ``X`` of other edges therefore proposes every cut of that size; a
+  skip-edge BFS confirms each proposal, so the output does not depend on
+  the labels.  :func:`enumerate_cuts_exhaustive` (every bipartition) stays
+  as the ground truth for tests on tiny graphs.
 
 A cut is represented by the vertex set of one side; an edge *covers* the cut
 iff it crosses the bipartition, matching Definition 2.1 (removing the cut
 leaves exactly two components, and a crossing edge reconnects them).
 
 The enumerators run on the flat-array CSR kernel of
-:mod:`repro.graphs.fastgraph` (integer ids, skip-edge BFS verification,
-array union-find contraction) and return exactly the same :class:`Cut` sets
-as the historical dict-of-dicts implementations, which remain available as
-``*_nx`` oracles for the differential tests.
+:mod:`repro.graphs.fastgraph` (integer ids, one-pass bridge sides, label
+lookup and skip-edge BFS confirmation); the cut-pair enumerator keeps its
+historical dict-of-dicts implementation as the ``enumerate_cut_pairs_nx``
+oracle for the differential tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.graphs.connectivity import canonical_edge, edge_connectivity
+from repro.graphs.connectivity import (
+    _is_k_edge_connected,
+    canonical_edge,
+    edge_connectivity,
+)
 from repro.graphs.fastgraph import FastGraph
 
 Edge = tuple[Hashable, Hashable]
@@ -45,8 +55,6 @@ __all__ = [
     "enumerate_bridge_cuts",
     "enumerate_cut_pairs",
     "enumerate_cut_pairs_nx",
-    "enumerate_min_cuts_contraction",
-    "enumerate_min_cuts_contraction_nx",
     "enumerate_cuts_exhaustive",
     "enumerate_cuts_of_size",
     "cut_is_covered",
@@ -106,49 +114,40 @@ def cut_is_covered(cut: Cut, edges: Iterable[Edge]) -> bool:
     return any(edge_covers_cut(edge, cut) for edge in edges)
 
 
-def _cut_from_side_ids(graph: nx.Graph, fast: FastGraph, side_ids: Iterable[int]) -> Cut:
-    """Build a :class:`Cut` of *graph* from kernel vertex ids (one side).
+def _cut_from_side_ids(fast: FastGraph, side_ids: Iterable[int], crossing: Iterable[int]) -> Cut:
+    """Build a :class:`Cut` from kernel vertex ids (one side) and edge ids.
 
-    Produces exactly what ``Cut.from_side`` would, but computes the crossing
-    edges on the flat edge arrays instead of iterating ``graph.edges()``.
+    Produces exactly what ``Cut.from_side`` would when *crossing* holds the
+    ids of the edges crossing the bipartition, which every caller already
+    knows (a bridge, a verified pair, a confirmed cut).
     """
-    in_side = [False] * fast.n
-    for v in side_ids:
-        in_side[v] = True
     labels = fast.labels
-    side = frozenset(labels[v] for v in range(fast.n) if in_side[v])
-    other = frozenset(labels[v] for v in range(fast.n) if not in_side[v])
+    side = frozenset(labels[v] for v in side_ids)
+    other = frozenset(labels) - side
     if not side or not other:
         raise ValueError("a cut side must be a proper non-empty subset of the vertices")
     tail, head = fast.tail, fast.head
-    crossing = frozenset(
-        canonical_edge(labels[tail[eid]], labels[head[eid]])
-        for eid in range(fast.m)
-        if in_side[tail[eid]] != in_side[head[eid]]
+    edges = frozenset(
+        canonical_edge(labels[tail[eid]], labels[head[eid]]) for eid in crossing
     )
-    return Cut(side=_canonical_side(side, other), edges=crossing)
+    return Cut(side=_canonical_side(side, other), edges=edges)
 
 
 def enumerate_bridge_cuts(graph: nx.Graph) -> list[Cut]:
-    """Return one :class:`Cut` per bridge of a connected *graph* (cuts of size 1).
+    """Return one :class:`Cut` per bridge of *graph*.
 
-    Bridges come from the kernel's iterative Tarjan pass and each side from a
-    skip-edge BFS; the graph is never copied.
+    One DFS finds every bridge and its side (the component of one endpoint
+    once the bridge is gone) as a preorder interval; the crossing set is the
+    bridge itself.  No per-bridge search, and the graph is never copied.
     """
-    fast = FastGraph.from_nx(graph)
-    cuts = []
-    for eid in fast.bridges():
-        # The cut side is the component containing one endpoint of the
-        # bridge (not components[0], which on a disconnected input could be
-        # an unrelated component whose "cut" the bridge does not cross).
-        endpoint = fast.tail[eid]
-        side = next(
-            component
-            for component in fast.components_without_edges((eid,))
-            if endpoint in component
-        )
-        cuts.append(_cut_from_side_ids(graph, fast, side))
-    return cuts
+    return _bridge_cuts(FastGraph.from_nx(graph))
+
+
+def _bridge_cuts(fast: FastGraph) -> list[Cut]:
+    # The side holds the bridge's tail endpoint, within the bridge's own
+    # component (on a disconnected input the rest of the vertex set is
+    # other components the bridge does not separate).
+    return [_cut_from_side_ids(fast, side, (eid,)) for eid, side in fast.bridge_sides()]
 
 
 def enumerate_cut_pairs(graph: nx.Graph) -> list[Cut]:
@@ -169,11 +168,16 @@ def enumerate_cut_pairs(graph: nx.Graph) -> list[Cut]:
     fast = FastGraph.from_nx(graph)
     if not fast.is_connected():
         raise ValueError("cut-pair enumeration requires a connected graph")
-    cuts = []
-    for pair in fast.cut_pairs():
-        components = fast.components_without_edges(pair)
-        cuts.append(_cut_from_side_ids(graph, fast, components[0]))
-    return _dedupe(cuts)
+    return _cut_pair_cuts(fast)
+
+
+def _cut_pair_cuts(fast: FastGraph) -> list[Cut]:
+    # Both edges of a verified pair cross: each candidate is a fundamental
+    # cut or the symmetric difference of two.
+    return _dedupe(
+        _cut_from_side_ids(fast, fast.components_without_edges(pair)[0], pair)
+        for pair in fast.cut_pairs()
+    )
 
 
 def enumerate_cut_pairs_nx(graph: nx.Graph) -> list[Cut]:
@@ -271,138 +275,6 @@ def _is_minimal_cut(graph: nx.Graph, cut: Cut) -> bool:
     return nx.number_connected_components(pruned) == 2
 
 
-def enumerate_min_cuts_contraction(
-    graph: nx.Graph,
-    size: int,
-    seed: int | random.Random | None = None,
-    runs: int | None = None,
-) -> list[Cut]:
-    """Enumerate cuts of exactly *size* edges via repeated random contraction.
-
-    Karger's analysis shows each minimum cut survives a single contraction run
-    with probability at least ``1 / (n choose 2)``, so ``O(n^2 log n)`` runs
-    find all of them with high probability.  The run count can be overridden
-    for speed; all degree cuts of the right size are always included, and
-    every returned cut is verified.
-
-    Contraction, crossing-edge counting and minimality verification all run
-    on the flat-array kernel (array union-find, skip-edge BFS); the graph is
-    never copied.  Most runs end on a side an earlier run already produced,
-    and the check of a side is deterministic, so each distinct side is
-    checked once.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    if n < 2:
-        return []
-    if runs is None:
-        runs = min(4 * n * n, 6000)
-
-    fast = FastGraph.from_nx(graph)
-    found: dict[frozenset, Cut] = {}
-    seen: set[tuple[int, ...]] = set()
-
-    def record(side_ids: list[int]) -> None:
-        key = tuple(side_ids)
-        if key in seen:
-            return
-        seen.add(key)
-        if not side_ids or len(side_ids) >= fast.n:
-            return
-        crossing = fast.crossing_edges(side_ids)
-        if len(crossing) != size:
-            return
-        if len(fast.components_without_edges(crossing)) != 2:
-            return
-        cut = _cut_from_side_ids(graph, fast, side_ids)
-        found[cut.side] = cut
-
-    # Seed with all single-vertex (degree) cuts.
-    for v in range(fast.n):
-        if fast.degree(v) == size:
-            record([v])
-
-    for _ in range(runs):
-        order = list(range(fast.m))
-        rng.shuffle(order)
-        record(fast.contract_to_side(order))
-    return list(found.values())
-
-
-def enumerate_min_cuts_contraction_nx(
-    graph: nx.Graph,
-    size: int,
-    seed: int | random.Random | None = None,
-    runs: int | None = None,
-) -> list[Cut]:
-    """The historical dict-based contraction enumerator (differential oracle)."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    if n < 2:
-        return []
-    if runs is None:
-        runs = min(4 * n * n, 6000)
-
-    found: dict[frozenset, Cut] = {}
-
-    def record(side: Iterable[Hashable]) -> None:
-        try:
-            cut = Cut.from_side(graph, side)
-        except ValueError:
-            return
-        if cut.size == size and _is_minimal_cut(graph, cut):
-            found[cut.side] = cut
-
-    # Seed with all single-vertex (degree) cuts.
-    for node in graph.nodes():
-        if graph.degree(node) == size:
-            record({node})
-
-    edges = [canonical_edge(u, v) for u, v in graph.edges()]
-    for _ in range(runs):
-        side = _contract_once(graph, edges, rng)
-        record(side)
-    return list(found.values())
-
-
-def _contract_once(
-    graph: nx.Graph,
-    edges: Sequence[Edge],
-    rng: random.Random,
-) -> set[Hashable]:
-    """One run of Karger contraction; returns the vertex set of one super-node."""
-    label: dict[Hashable, Hashable] = {v: v for v in graph.nodes()}
-    members: dict[Hashable, set[Hashable]] = {v: {v} for v in graph.nodes()}
-    remaining = len(members)
-    order = list(edges)
-    rng.shuffle(order)
-    for u, v in order:
-        if remaining <= 2:
-            break
-        ru, rv = _find(label, u), _find(label, v)
-        if ru == rv:
-            continue
-        # Union by size.
-        if len(members[ru]) < len(members[rv]):
-            ru, rv = rv, ru
-        label[rv] = ru
-        members[ru].update(members[rv])
-        del members[rv]
-        remaining -= 1
-    # Return the smaller remaining super-node as the cut side.
-    groups = sorted(members.values(), key=len)
-    return set(groups[0])
-
-
-def _find(label: dict, node: Hashable) -> Hashable:
-    root = node
-    while label[root] != root:
-        root = label[root]
-    while label[node] != root:
-        label[node], node = root, label[node]
-    return root
-
-
 def _dedupe(cuts: Iterable[Cut]) -> list[Cut]:
     seen: dict[frozenset, Cut] = {}
     for cut in cuts:
@@ -410,35 +282,28 @@ def _dedupe(cuts: Iterable[Cut]) -> list[Cut]:
     return list(seen.values())
 
 
-def enumerate_cuts_of_size(
-    graph: nx.Graph,
-    size: int,
-    seed: int | random.Random | None = None,
-    runs: int | None = None,
-) -> list[Cut]:
-    """Enumerate the cuts of exactly *size* edges of a connected *graph*.
+def enumerate_cuts_of_size(graph: nx.Graph, size: int) -> list[Cut]:
+    """Enumerate the cuts of exactly *size* edges of a connected *graph* (exact).
 
-    Dispatches to the exact enumerators for sizes 1 and 2, and to randomised
-    contraction (exact w.h.p.) otherwise.  When the edge connectivity of the
-    graph exceeds *size* the result is empty (there is nothing to cover and
-    the corresponding ``Aug`` instance is already solved).
+    Sizes 1 and 2 go to the bridge and cut-pair enumerators, every larger
+    size to the cycle-space label lookup of
+    :meth:`~repro.graphs.fastgraph.FastGraph.cuts_of_size`; none of them is
+    randomised.  When the edge connectivity of the graph exceeds *size*
+    the result is empty (there is nothing to cover and the corresponding
+    ``Aug`` instance is already solved).
     """
     if size < 1:
         raise ValueError("cut size must be >= 1")
     if graph.number_of_nodes() < 2:
         return []
-    connectivity = edge_connectivity(graph)
-    if connectivity > size:
-        return []
-    if connectivity < size:
+    fast = FastGraph.from_nx(graph)
+    if not _is_k_edge_connected(fast, graph, size):
         raise ValueError(
-            f"graph has edge connectivity {connectivity} < requested cut size {size}; "
-            "the augmentation framework requires a (size)-edge-connected input"
+            f"graph has edge connectivity {edge_connectivity(graph)} < requested cut "
+            f"size {size}; the augmentation framework requires a (size)-edge-connected input"
         )
     if size == 1:
-        return enumerate_bridge_cuts(graph)
+        return _bridge_cuts(fast)
     if size == 2:
-        return enumerate_cut_pairs(graph)
-    if graph.number_of_nodes() <= 14:
-        return enumerate_cuts_exhaustive(graph, size)
-    return enumerate_min_cuts_contraction(graph, size, seed=seed, runs=runs)
+        return _cut_pair_cuts(fast)
+    return [_cut_from_side_ids(fast, side, edges) for edges, side in fast.cuts_of_size(size)]

@@ -2,7 +2,7 @@
 
 Every solver in :mod:`repro.core` bottoms out in the same verification and
 enumeration primitives -- connectivity checks, bridge finding, cut-pair
-enumeration, Karger contraction, MST union-find, BFS/diameter -- and going
+and small-cut enumeration, MST union-find, BFS/diameter -- and going
 through networkx's hashable-node dict-of-dicts representation makes those
 primitives pay for Python dict traffic rather than algorithmic work.
 
@@ -13,8 +13,14 @@ All kernels below are loops over those flat lists:
 
 * :meth:`FastGraph.bridges` -- iterative (non-recursive) Tarjan low-link,
   safe for deep graphs that would blow the Python recursion limit;
+  :meth:`FastGraph.bridge_sides` reads every bridge's side off the same
+  DFS as a preorder interval;
 * :meth:`FastGraph.cut_pairs` -- the exact spanning-tree covering-set
   characterisation of Claim 5.6 on integer arrays;
+* :meth:`FastGraph.cuts_of_size` / :meth:`FastGraph.has_cut_triple` --
+  exact, seed-free enumeration of cuts of size >= 3: cycle-space XOR labels
+  propose a superset of the cuts by hash lookup, and a skip-edge BFS
+  confirms each candidate;
 * :meth:`FastGraph.components_without_edges` -- BFS that skips a few edge
   ids, used to verify candidate cuts without copying the graph;
 * :meth:`FastGraph.hop_diameter` -- the exact hop diameter from three BFS
@@ -22,7 +28,7 @@ All kernels below are loops over those flat lists:
   over the vertices whose eccentricity bound survives the sweeps, with no
   all-pairs distance matrix; :meth:`FastGraph.eccentricity` is one sweep;
 * :class:`ArrayUnionFind` -- path-compressed, size-united union-find over
-  plain lists, shared by Kruskal and the Karger contraction pass;
+  plain lists, shared by Kruskal and the k-ECSS Line 4 forest filter;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
   query) plus ancestor-array tree-path extraction over integer parent/depth
   arrays; every :class:`~repro.trees.rooted.RootedTree` builds one lazily
@@ -37,13 +43,23 @@ implementations stay available as oracles for the differential tests.
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["ArrayUnionFind", "FastGraph", "TreePathIndex", "hop_diameter"]
+__all__ = ["ArrayUnionFind", "CUT_LABEL_BITS", "FastGraph", "TreePathIndex", "hop_diameter"]
+
+#: Width of the cycle-space labels that propose candidate cuts
+#: (:meth:`FastGraph.cuts_of_size`).  Every candidate is confirmed by a
+#: skip-edge BFS, so any width gives the same cuts; narrower labels only let
+#: more false candidates through to the confirmation.
+CUT_LABEL_BITS = 64
+#: Seed of the fixed label draw; like the width, it cannot change a result.
+CUT_LABEL_SEED = 0
 
 
 class TreePathIndex:
@@ -479,22 +495,58 @@ class FastGraph:
     # ---------------------------------------------------------------- bridges
     def bridges(self) -> list[int]:
         """Edge ids of all bridges (iterative Tarjan low-link, any # components)."""
+        return [eid for eid, _, _ in self._bridge_dfs()[0]]
+
+    def bridge_sides(self) -> list[tuple[int, list[int]]]:
+        """Every bridge with the side of it that holds its ``tail`` endpoint.
+
+        One DFS: a bridge is a DFS tree edge, so the side below it is the
+        preorder interval of its child endpoint's subtree, and the side above
+        it is the rest of its component's interval.  Same bridges, in the
+        same order, as :meth:`bridges`; on a disconnected graph each side
+        stays within the bridge's own component.
+        """
+        found, order, first, size = self._bridge_dfs()
+        tail = self.tail
+        sides: list[tuple[int, list[int]]] = []
+        for eid, child, root in found:
+            low, high = first[child], first[child] + size[child]
+            if tail[eid] == child:
+                side = order[low:high]
+            else:
+                start = first[root]
+                side = order[start:low] + order[high:start + size[root]]
+            sides.append((eid, side))
+        return sides
+
+    def _bridge_dfs(
+        self,
+    ) -> tuple[list[tuple[int, int, int]], list[int], list[int], list[int]]:
+        """Iterative Tarjan low-link over every component.
+
+        Returns ``(found, order, first, size)``: ``found`` lists each bridge
+        as ``(edge id, child endpoint, DFS root of its component)``;
+        ``order`` is the DFS preorder, ``first[v]`` the position of ``v`` in
+        it and ``size[v]`` the vertex count of the DFS subtree of ``v``, so
+        a subtree is the interval ``order[first[v]:first[v] + size[v]]``.
+        """
         n = self.n
-        disc = [0] * n  # 0 = unvisited; timestamps start at 1
+        first = [-1] * n  # preorder position; -1 = unvisited
         low = [0] * n
-        bridges: list[int] = []
+        size = [1] * n
+        order: list[int] = []
+        found: list[tuple[int, int, int]] = []
         indptr, adj, adj_eid = self.indptr, self.adj, self.adj_eid
-        clock = 1
         # Explicit DFS stack: per frame the vertex, the edge id to its parent
         # and the next adjacency slot to scan.
         stack_v: list[int] = []
         stack_peid: list[int] = []
         stack_slot: list[int] = []
         for root in range(n):
-            if disc[root]:
+            if first[root] >= 0:
                 continue
-            disc[root] = low[root] = clock
-            clock += 1
+            first[root] = low[root] = len(order)
+            order.append(root)
             stack_v.append(root)
             stack_peid.append(-1)
             stack_slot.append(indptr[root])
@@ -507,12 +559,12 @@ class FastGraph:
                     if eid == stack_peid[-1]:
                         continue  # the tree edge back to the parent
                     w = adj[slot]
-                    if disc[w]:
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
+                    if first[w] >= 0:
+                        if first[w] < low[v]:
+                            low[v] = first[w]
                     else:
-                        disc[w] = low[w] = clock
-                        clock += 1
+                        first[w] = low[w] = len(order)
+                        order.append(w)
                         stack_v.append(w)
                         stack_peid.append(eid)
                         stack_slot.append(indptr[w])
@@ -522,11 +574,12 @@ class FastGraph:
                     stack_slot.pop()
                     if stack_v:
                         u = stack_v[-1]
+                        size[u] += size[v]
                         if low[v] < low[u]:
                             low[u] = low[v]
-                        if low[v] > disc[u]:
-                            bridges.append(peid)
-        return bridges
+                        if low[v] > first[u]:
+                            found.append((peid, v, root))
+        return found, order, first, size
 
     # ---------------------------------------------------------- spanning tree
     def bfs_tree(self, root: int = 0) -> tuple[list[int], list[int], list[int]]:
@@ -634,49 +687,107 @@ class FastGraph:
                     candidates.add((t1, t2))
         return candidates
 
-    # ------------------------------------------------------------ contraction
-    def crossing_edges(self, side: Iterable[int]) -> list[int]:
-        """Edge ids crossing the bipartition identified by vertex-id set *side*."""
+    # ------------------------------------------------------------ small cuts
+    def cuts_of_size(self, size: int) -> list[tuple[tuple[int, ...], list[int]]]:
+        """Every cut of exactly *size* >= 3 edges of a connected graph (exact).
+
+        A cut here is an edge set whose removal leaves exactly two
+        components with every removed edge between them (Definition 2.1).
+        Returns ``(sorted edge ids, vertex ids of the side holding vertex
+        0)`` pairs.  Candidates come from :meth:`_cut_candidates` and each
+        is confirmed by a skip-edge BFS, so the result does not depend on
+        the label draw.
+        """
+        cuts = []
+        for candidate in self._cut_candidates(size):
+            side = self._cut_side(candidate)
+            if side is not None:
+                cuts.append((candidate, side))
+        return cuts
+
+    def has_cut_triple(self) -> bool:
+        """True iff the connected graph has a 3-edge cut.
+
+        Stops at the first candidate that survives confirmation, like
+        :meth:`has_cut_pair`.
+        """
+        return any(
+            self._cut_side(candidate) is not None
+            for candidate in self._cut_candidates(3)
+        )
+
+    def _cut_side(self, edges: Sequence[int]) -> list[int] | None:
+        """The side holding vertex 0 if *edges* is a cut, else ``None``."""
+        components = self.components_without_edges(edges)
+        if len(components) != 2:
+            return None
+        side = components[0]
         in_side = [False] * self.n
         for v in side:
             in_side[v] = True
         tail, head = self.tail, self.head
-        return [
-            eid for eid in range(self.m) if in_side[tail[eid]] != in_side[head[eid]]
-        ]
+        if all(in_side[tail[eid]] != in_side[head[eid]] for eid in edges):
+            return side
+        return None
 
-    def contract_to_side(self, order: Sequence[int]) -> list[int]:
-        """One Karger contraction run; returns the smaller super-node's vertices.
+    def _cut_candidates(self, size: int) -> Iterator[tuple[int, ...]]:
+        """Sorted edge-id tuples that include every cut of *size* edges.
 
-        *order* is the (pre-shuffled) sequence of edge ids to contract.  The
-        returned side identifies a bipartition; which of the two sides comes
-        back is irrelevant downstream because cuts are canonicalised.
+        Cycle space sampling (Pritchard & Thurimella, TALG 2011): every
+        non-tree edge of a BFS tree draws a :data:`CUT_LABEL_BITS`-bit label
+        and each tree edge gets the XOR of the labels of the non-tree edges
+        covering it -- endpoint XOR tags folded leaves-to-root, O(m + n).
+        A cut meets every cycle in an even number of edges, so the labels of
+        its edges XOR to 0 whatever the draw; and it contains a tree edge.
+        So a cut ``C`` is proposed when ``t`` is its lowest-id tree edge and
+        ``X`` the ``size - 2`` lowest-id edges of ``C - t``: the one edge
+        left carries the label ``phi(t) ^ phi(X)``.  Each edge set is
+        proposed at most once; O(n * m^(size-2)) lookups.
         """
-        # A local parent array (path halving, no union by size): only the
-        # final partition matters, and it does not depend on the tree shape.
-        parent = list(range(self.n))
+        if size < 3:
+            raise ValueError("cut candidates by label lookup need size >= 3")
+        n, m = self.n, self.m
+        if n < 2:
+            return
+        parent, parent_eid, depth = self.bfs_tree(0)
+        is_tree = [False] * m
+        for eid in parent_eid:
+            if eid >= 0:
+                is_tree[eid] = True
+        rng = random.Random(CUT_LABEL_SEED)
+        bits = CUT_LABEL_BITS
+        label = [0] * m
+        tag = [0] * n
         tail, head = self.tail, self.head
-        components = self.n
-        for eid in order:
-            if components <= 2:
-                break
-            a, b = tail[eid], head[eid]
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[b] = a
-                components -= 1
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            groups.setdefault(root, []).append(v)
-        # Smaller side; ties go to the group created first, the one holding
-        # the lowest vertex id.
-        return min(groups.values(), key=len)
+        for eid in range(m):
+            if not is_tree[eid]:
+                draw = rng.getrandbits(bits)
+                label[eid] = draw
+                tag[tail[eid]] ^= draw
+                tag[head[eid]] ^= draw
+        # Deepest vertices first: each subtree is complete before it folds
+        # into its parent, and the subtree XOR at v labels the edge above v.
+        for v in sorted(range(n), key=depth.__getitem__, reverse=True):
+            if parent[v] >= 0:
+                label[parent_eid[v]] = tag[v]
+                tag[parent[v]] ^= tag[v]
+        by_label: dict[int, list[int]] = {}
+        for eid in range(m):
+            by_label.setdefault(label[eid], []).append(eid)
+
+        for t in range(m):
+            if not is_tree[t]:
+                continue
+            # Edges that may share a cut with t as its lowest tree edge.
+            pool = [eid for eid in range(m) if eid != t and not (is_tree[eid] and eid < t)]
+            for rest in itertools.combinations(pool, size - 2):
+                target = label[t]
+                for eid in rest:
+                    target ^= label[eid]
+                for eid in by_label.get(target, ()):
+                    if eid > rest[-1] and eid != t and not (is_tree[eid] and eid < t):
+                        yield tuple(sorted((t, *rest, eid)))
+
 
 
 def hop_diameter(graph: nx.Graph) -> int:

@@ -18,6 +18,12 @@ from repro.graphs.connectivity import (
     subgraph_weight,
     verify_spanning_subgraph,
 )
+from repro.graphs.generators import (
+    grid_torus,
+    harary_graph,
+    hypercube_graph,
+    random_k_edge_connected_graph,
+)
 
 
 class TestCanonicalEdge:
@@ -57,6 +63,55 @@ class TestEdgeConnectivity:
         graph = nx.Graph()
         graph.add_node(0)
         assert edge_connectivity(graph) == 0
+
+
+def _two_k5s_joined_by_three_edges() -> nx.Graph:
+    """Edge connectivity 3 with minimum degree 4: no degree certificate."""
+    graph = nx.complete_graph(5)
+    graph.add_edges_from((u + 5, v + 5) for u, v in nx.complete_graph(5).edges())
+    graph.add_edges_from([(0, 5), (1, 6), (2, 7)])
+    return graph
+
+
+#: Graphs with edge connectivity 3, 4 and 5 (networkx max-flow decides).
+CERTIFIED_GRAPHS = {
+    "harary-3": lambda: harary_graph(10, 3),
+    "two-k5s": _two_k5s_joined_by_three_edges,
+    "random-k3": lambda: random_k_edge_connected_graph(18, 3, extra_edge_prob=0.1, seed=3),
+    "torus": lambda: grid_torus(5, 5),
+    "harary-4": lambda: harary_graph(11, 4),
+    "random-k4": lambda: random_k_edge_connected_graph(16, 4, extra_edge_prob=0.15, seed=4),
+    "hypercube": lambda: hypercube_graph(5),
+    "harary-5": lambda: harary_graph(12, 5),
+}
+
+
+class TestCertifiedConnectivity:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_GRAPHS))
+    def test_matches_max_flow(self, name):
+        graph = CERTIFIED_GRAPHS[name]()
+        expected = nx.edge_connectivity(graph)
+        assert edge_connectivity(graph) == expected
+        for k in range(1, 7):
+            assert is_k_edge_connected(graph, k) == (expected >= k)
+
+    def test_the_lambda_values_are_covered(self):
+        values = {nx.edge_connectivity(build()) for build in CERTIFIED_GRAPHS.values()}
+        assert values == {3, 4, 5}
+
+    @pytest.mark.parametrize("name", ["harary-3", "two-k5s", "random-k3", "torus", "harary-4"])
+    def test_no_max_flow_below_connectivity_4(self, monkeypatch, name):
+        graph = CERTIFIED_GRAPHS[name]()
+        expected = nx.edge_connectivity(graph)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nx.edge_connectivity called")
+
+        monkeypatch.setattr(nx, "edge_connectivity", forbidden)
+        assert is_k_edge_connected(graph, 4) == (expected >= 4)
+        if expected == 3:
+            # two-k5s has minimum degree 4: a confirmed 3-edge cut certifies it.
+            assert edge_connectivity(graph) == 3
 
 
 class TestIsKEdgeConnected:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graphs import fastgraph
 from repro.graphs.cuts import (
     Cut,
     cut_is_covered,
@@ -14,9 +17,47 @@ from repro.graphs.cuts import (
     enumerate_cut_pairs,
     enumerate_cuts_exhaustive,
     enumerate_cuts_of_size,
-    enumerate_min_cuts_contraction,
 )
-from repro.graphs.generators import cycle_with_chords, harary_graph
+from repro.graphs.fastgraph import FastGraph
+from repro.graphs.generators import (
+    FAMILIES,
+    cycle_with_chords,
+    harary_graph,
+    random_k_edge_connected_graph,
+)
+
+
+def _cut_keys(cuts) -> set:
+    return {(cut.side, cut.edges) for cut in cuts}
+
+
+def _kernel_cuts(graph: nx.Graph, size: int) -> set:
+    """``FastGraph.cuts_of_size`` as (side, crossing edges) keys of *graph*."""
+    fast = FastGraph.from_nx(graph)
+    keys = set()
+    for edge_ids, side in fast.cuts_of_size(size):
+        cut = Cut.from_side(graph, [fast.labels[v] for v in side])
+        assert {frozenset(fast.edge_labels(eid)) for eid in edge_ids} == {
+            frozenset(edge) for edge in cut.edges
+        }
+        keys.add((cut.side, cut.edges))
+    return keys
+
+
+def _brute_force_cuts(graph: nx.Graph, size: int) -> set:
+    """Every *size*-subset of edges whose removal leaves exactly two
+    components with every removed edge between them."""
+    keys = set()
+    for subset in itertools.combinations(graph.edges(), size):
+        pruned = graph.copy()
+        pruned.remove_edges_from(subset)
+        components = list(nx.connected_components(pruned))
+        if len(components) != 2:
+            continue
+        cut = Cut.from_side(graph, components[0])
+        if cut.size == size:
+            keys.add((cut.side, cut.edges))
+    return keys
 
 
 class TestCutObject:
@@ -54,7 +95,57 @@ class TestCutObject:
         assert not cut_is_covered(cut, [(0, 1), (3, 5)])
 
 
+def _oracle_bridge_cuts(graph: nx.Graph) -> set:
+    """``nx.bridges`` plus ``Cut.from_side`` on a connected *graph*."""
+    keys = set()
+    for u, v in nx.bridges(graph):
+        pruned = graph.copy()
+        pruned.remove_edge(u, v)
+        cut = Cut.from_side(graph, nx.node_connected_component(pruned, u))
+        keys.add((cut.side, cut.edges))
+    return keys
+
+
 class TestBridgeCuts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_sides_match_nx_bridges_on_msts(self, seed):
+        graph = random_k_edge_connected_graph(40, 2, extra_edge_prob=0.1, seed=seed)
+        tree = nx.minimum_spanning_tree(graph)
+        cuts = enumerate_bridge_cuts(tree)
+        assert len(cuts) == tree.number_of_nodes() - 1
+        assert _cut_keys(cuts) == _oracle_bridge_cuts(tree)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_sides_match_nx_bridges_on_bridged_graphs(self, seed):
+        # Cycles with chords hung off each other by single edges, plus a
+        # pendant path: bridges between 2-edge-connected blocks.
+        graph = nx.Graph()
+        offset = 0
+        for block in range(4):
+            part = cycle_with_chords(5 + block, extra_edges=2, seed=seed + block)
+            graph.add_edges_from((u + offset, v + offset) for u, v in part.edges())
+            if offset:
+                graph.add_edge(offset - 1, offset + seed % 3)
+            offset += part.number_of_nodes()
+        graph.add_edges_from([(offset - 1, offset), (offset, offset + 1)])
+        assert graph.number_of_edges() > graph.number_of_nodes()
+        cuts = enumerate_bridge_cuts(graph)
+        assert len(cuts) == 5
+        assert _cut_keys(cuts) == _oracle_bridge_cuts(graph)
+
+    def test_disconnected_input_keeps_each_side_in_its_component(self):
+        graph = nx.Graph([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
+        cuts = {cut.edges: cut.side for cut in enumerate_bridge_cuts(graph)}
+        assert cuts == {
+            frozenset({(2, 3)}): frozenset({0, 1, 2}),
+            frozenset({(5, 6)}): frozenset({4, 5}),
+            frozenset({(4, 5)}): frozenset({4}),
+        }
+        assert set(cuts.items()) == {
+            (cut.edges, cut.side)
+            for cut in (Cut.from_side(graph, side) for side in ({0, 1, 2}, {4, 5}, {4}))
+        }
+
     def test_path_graph(self):
         graph = nx.path_graph(5)
         cuts = enumerate_bridge_cuts(graph)
@@ -106,23 +197,80 @@ class TestCutPairs:
             assert cut.size == 2
 
 
-class TestContractionEnumeration:
-    def test_matches_exhaustive_on_small_graph(self):
-        graph = harary_graph(9, 3)
-        expected = {cut.side for cut in enumerate_cuts_exhaustive(graph, 3)}
-        actual = {
-            cut.side
-            for cut in enumerate_min_cuts_contraction(graph, 3, seed=0, runs=4000)
-        }
-        assert actual == expected
+#: Family instances with at most 16 vertices (exhaustive search is 2^(n-1)).
+SMALL_FAMILY_GRAPHS = [
+    pytest.param(name, n, id=f"{name}-{n}")
+    for name in sorted(FAMILIES)
+    for n in (10, 14)
+    if FAMILIES[name](n, seed=n).number_of_nodes() <= 16
+]
 
-    def test_every_cut_is_verified(self):
-        graph = harary_graph(12, 4)
-        for cut in enumerate_min_cuts_contraction(graph, 4, seed=1, runs=500):
-            assert cut.size == 4
-            pruned = graph.copy()
-            pruned.remove_edges_from(cut.edges)
-            assert nx.number_connected_components(pruned) == 2
+
+class TestExactEnumeration:
+    @pytest.mark.parametrize("name, n", SMALL_FAMILY_GRAPHS)
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_matches_exhaustive_on_every_family(self, name, n, size):
+        graph = FAMILIES[name](n, seed=n)
+        assert _kernel_cuts(graph, size) == _cut_keys(enumerate_cuts_exhaustive(graph, size))
+
+    @pytest.mark.parametrize("n, k", [(9, 3), (12, 4)])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_matches_exhaustive_on_harary_graphs(self, n, k, size):
+        # H_{3,9} has odd n, so its antipodal edges make it 4-regular and
+        # 4-edge-connected: both graphs have 4-cuts and no 3-cut.
+        graph = harary_graph(n, k)
+        expected = _cut_keys(enumerate_cuts_exhaustive(graph, size))
+        assert bool(expected) == (size == 4)
+        assert _kernel_cuts(graph, size) == expected
+        assert _cut_keys(enumerate_cuts_of_size(graph, size)) == expected
+
+    @given(
+        n=st.integers(min_value=5, max_value=9),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_matches_brute_force_on_3_edge_connected_graphs(self, n, seed):
+        graph = random_k_edge_connected_graph(n, 3, extra_edge_prob=0.15, seed=seed)
+        assert _kernel_cuts(graph, 3) == _brute_force_cuts(graph, 3)
+
+    @pytest.mark.parametrize(
+        "graph, size",
+        [
+            (harary_graph(10, 3), 3),
+            (harary_graph(11, 4), 4),
+            # Edge connectivity 2: a cut pair plus any third edge leaves two
+            # components, so confirmation must also check every edge crosses.
+            (cycle_with_chords(11, extra_edges=3, seed=2), 3),
+        ],
+        ids=["harary-3", "harary-4", "cycle-chords"],
+    )
+    def test_label_collisions_cannot_change_the_output(self, monkeypatch, graph, size):
+        expected = _cut_keys(enumerate_cuts_exhaustive(graph, size))
+        assert expected
+        fast = FastGraph.from_nx(graph)
+        wide = len(list(fast._cut_candidates(size)))
+        monkeypatch.setattr(fastgraph, "CUT_LABEL_BITS", 2)
+        # Two-bit labels collide constantly: far more false candidates...
+        assert len(list(fast._cut_candidates(size))) > 2 * wide
+        # ...and every one of them is rejected by the confirmation.
+        assert _kernel_cuts(graph, size) == expected
+
+    def test_has_cut_triple(self):
+        assert FastGraph.from_nx(harary_graph(10, 3)).has_cut_triple()
+        assert not FastGraph.from_nx(harary_graph(10, 4)).has_cut_triple()
+        assert not FastGraph.from_nx(nx.complete_graph(6)).has_cut_triple()
+
+    def test_candidates_need_size_three(self):
+        with pytest.raises(ValueError):
+            FastGraph.from_nx(harary_graph(8, 3)).cuts_of_size(2)
+
+    def test_output_does_not_depend_on_the_label_seed(self, monkeypatch):
+        graph = random_k_edge_connected_graph(40, 3, extra_edge_prob=0.02, seed=5)
+        expected = _cut_keys(enumerate_cuts_of_size(graph, 3))
+        assert expected
+        for label_seed in (1, 2, 3):
+            monkeypatch.setattr(fastgraph, "CUT_LABEL_SEED", label_seed)
+            assert _cut_keys(enumerate_cuts_of_size(graph, 3)) == expected
 
 
 class TestEnumerateCutsOfSize:

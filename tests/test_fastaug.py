@@ -15,9 +15,9 @@ Three layers:
   incremental live counters vs recomputation;
 * the seeded ``diff-3ecss-kernel`` / ``diff-kecss-kernel`` differential
   sweep, wired through the experiment engine: 50 instances of **every**
-  registered generator family per solver (plus k=4 k-ECSS cells on
-  contraction-enumerated cuts), each asserting bit-identical output
-  (added-edge sets, weights, iteration counts, histories) against the
+  registered generator family per solver (plus k=4 k-ECSS cells on 3-edge
+  cuts from the cycle-space label lookup), each asserting bit-identical
+  output (added-edge sets, weights, iteration counts, histories) against the
   retained ``three_ecss_nx`` / ``k_ecss_nx`` oracles.
 """
 
@@ -300,7 +300,7 @@ def _aug_level_state(n: int, seed: int, k: int = 2):
     subgraph = nx.Graph()
     subgraph.add_nodes_from(graph.nodes())
     subgraph.add_edges_from(base)
-    cuts = enumerate_cuts_of_size(subgraph, k - 1, seed=seed)
+    cuts = enumerate_cuts_of_size(subgraph, k - 1)
     pool = [
         canonical_edge(u, v)
         for u, v in graph.edges()
@@ -422,8 +422,8 @@ class TestBitsetCoverKernel:
                 canonical_edge(u, v)
                 for u, v in minimum_spanning_tree(graph).edges()
             )
-            fast = augment_to_k(graph, base, 2, seed=seed, cut_seed=seed)
-            oracle = augment_to_k_nx(graph, base, 2, seed=seed, cut_seed=seed)
+            fast = augment_to_k(graph, base, 2, seed=seed)
+            oracle = augment_to_k_nx(graph, base, 2, seed=seed)
             assert fast.added == oracle.added
             assert fast.weight == oracle.weight
             assert fast.iterations == oracle.iterations

@@ -8,8 +8,9 @@ Two layers:
 * the seeded ``diff-fastgraph-*`` differential sweep, wired through the
   experiment engine: 50 instances of **every** registered generator family
   per kernel primitive, each asserting exact parity with the historical
-  networkx oracles (bridges, edge connectivity, cut pairs, contraction min
-  cuts, Kruskal MST weight, hop diameter).
+  networkx oracles (bridges, edge connectivity, cut pairs, Kruskal MST
+  weight, hop diameter) and, for the exact cycle-space enumeration of cuts
+  of size 3 and 4, with a brute force over edge subsets.
 """
 
 from __future__ import annotations

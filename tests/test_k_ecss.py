@@ -27,7 +27,11 @@ from repro.core.k_ecss import (
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.fastgraph import ArrayUnionFind
-from repro.graphs.generators import harary_graph, random_k_edge_connected_graph
+from repro.graphs.generators import (
+    harary_graph,
+    hypercube_graph,
+    random_k_edge_connected_graph,
+)
 from repro.mst.sequential import minimum_spanning_tree
 
 
@@ -184,6 +188,16 @@ class TestKEcss:
         result = k_ecss(graph, 4, seed=20)
         ok, reason = result.verify()
         assert ok, reason
+
+    def test_k5_on_the_hypercube_covers_4_edge_cuts(self):
+        graph = hypercube_graph(5)  # n = 32, 5-regular, edge connectivity 5
+        result = k_ecss(graph, 5, seed=5)
+        ok, reason = result.verify()
+        assert ok, reason
+        # Every edge is needed, and Aug_5 had 4-edge cuts of H to cover.
+        assert result.num_edges == graph.number_of_edges()
+        assert result.metadata["stages"][-1]["level"] == 5
+        assert result.metadata["stages"][-1]["cuts"] > 0
 
     def test_weight_between_lower_bound_and_klogn_times_optimum(self):
         graph = random_k_edge_connected_graph(12, 3, extra_edge_prob=0.4, seed=21)

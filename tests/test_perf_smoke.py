@@ -88,6 +88,7 @@ from repro.graphs.connectivity import (
     is_k_edge_connected,
 )
 from repro.graphs.cuts import (
+    enumerate_bridge_cuts,
     enumerate_cut_pairs,
     enumerate_cut_pairs_nx,
     enumerate_cuts_of_size,
@@ -96,6 +97,7 @@ from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
     grid_torus,
+    make_family,
     random_k_edge_connected_graph,
 )
 from repro.mst.sequential import minimum_spanning_tree
@@ -412,7 +414,7 @@ def _kecss_coverage_speedup(n: int, seed: int) -> float:
     subgraph = nx.Graph()
     subgraph.add_nodes_from(graph.nodes())
     subgraph.add_edges_from(base)
-    cuts = enumerate_cuts_of_size(subgraph, 1, seed=seed)
+    cuts = enumerate_cuts_of_size(subgraph, 1)
     pool = [
         canonical_edge(u, v)
         for u, v in graph.edges()
@@ -542,6 +544,51 @@ def test_kecss_solve_runs_kruskal_once_and_scans_only_after_additions(monkeypatc
     )
     assert scans == expected
     assert sum(scans) <= len(levels) + with_addition
+
+
+def test_kecss_torus_solve_runs_no_max_flow(monkeypatch):
+    """Count-based guard: an 8 x 8 torus k=4 solve never calls max-flow.
+
+    The input check needs ``lambda >= 4`` and the levels need
+    ``lambda(H) >= 1, 2, 3``; each is decided by an exact certificate
+    (bridges, cut pairs, confirmed 3-edge cuts), and the 3-edge cuts of
+    ``Aug_4`` come from the cycle-space label lookup.
+    """
+    module = importlib.import_module("repro.core.k_ecss")
+    calls: list[int] = []
+    max_flow = nx.edge_connectivity
+
+    def counting_max_flow(graph, *args, **kwargs):
+        calls.append(graph.number_of_nodes())
+        return max_flow(graph, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "edge_connectivity", counting_max_flow)
+    result = module.k_ecss(grid_torus(8, 8), 4, seed=1)
+    solve_calls = len(calls)
+    ok, reason = result.verify()
+    assert ok, reason
+    print(f"\nk-ECSS torus 8x8 k=4: {solve_calls} nx.edge_connectivity calls in the solve")
+    assert solve_calls == 0
+
+
+def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
+    """Count-based guard: the bridge sides of an MST come from one DFS."""
+    calls: list[int] = []
+    search = FastGraph.components_without_edges
+
+    def counting_search(self, removed):
+        calls.append(1)
+        return search(self, removed)
+
+    monkeypatch.setattr(FastGraph, "components_without_edges", counting_search)
+    tree = minimum_spanning_tree(make_family("weighted-sparse")(256, seed=1))
+    cuts = enumerate_bridge_cuts(tree)
+    print(
+        f"\nbridge cuts (MST of weighted-sparse n=256): {len(cuts)} cuts, "
+        f"{len(calls)} components_without_edges calls"
+    )
+    assert len(cuts) == 255
+    assert calls == []
 
 
 # ------------------------------------------- diameter and simulator guards
