@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Mapping, Sequence
 
 import networkx as nx
@@ -58,6 +59,7 @@ from repro.analysis.engine import TrialJob
 from repro.analysis.experiments import register_trial
 from repro.baselines.exact import exact_k_ecss_weight
 from repro.core.k_ecss import augment_to_k, augment_to_k_nx, k_ecss, k_ecss_nx
+from repro.core.result import ECSSResult
 from repro.core.three_ecss import three_ecss, three_ecss_nx
 from repro.core.two_ecss import two_ecss
 from repro.graphs.connectivity import (
@@ -536,6 +538,48 @@ def _solver_instance(config: Config, seed: int, k: int) -> nx.Graph:
     return graph
 
 
+def _shuffled_string_copy(graph: nx.Graph, seed: int) -> nx.Graph:
+    """*graph* with vertices renamed ``"v<name>"``, in seeded-shuffled node and edge order."""
+    rng = random.Random(seed)
+    nodes = [f"v{node}" for node in graph.nodes()]
+    edges = [(f"v{u}", f"v{v}") for u, v in graph.edges()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    copy = nx.Graph()
+    copy.add_nodes_from(nodes)
+    copy.add_edges_from(edges)
+    return copy
+
+
+def _assert_three_ecss_parity(graph: nx.Graph, seed: int, **options) -> ECSSResult:
+    """Run ``three_ecss`` and ``three_ecss_nx`` alike; raise on any difference."""
+    fast = three_ecss(graph, seed=seed, **options)
+    oracle = three_ecss_nx(graph, seed=seed, **options)
+    if fast.edges != oracle.edges:
+        raise AssertionError(
+            f"3-ECSS edge sets disagree ({options}): only-fast="
+            f"{sorted(fast.edges - oracle.edges)!r} "
+            f"only-oracle={sorted(oracle.edges - fast.edges)!r}"
+        )
+    if (fast.weight, fast.num_edges, fast.iterations) != (
+        oracle.weight, oracle.num_edges, oracle.iterations
+    ):
+        raise AssertionError(
+            f"weight/size/iterations disagree ({options}): "
+            f"fast ({fast.weight}, {fast.num_edges}, {fast.iterations}) vs "
+            f"oracle ({oracle.weight}, {oracle.num_edges}, {oracle.iterations})"
+        )
+    if fast.metadata["iterations_history"] != oracle.metadata["iterations_history"]:
+        raise AssertionError(f"per-iteration histories disagree ({options})")
+    if (fast.metadata["h_size"], fast.metadata["augmentation_size"]) != (
+        oracle.metadata["h_size"], oracle.metadata["augmentation_size"]
+    ):
+        raise AssertionError(f"H/A split disagrees ({options})")
+    if fast.ledger.total_rounds != oracle.ledger.total_rounds:
+        raise AssertionError(f"ledger round charges disagree ({options})")
+    return fast
+
+
 @register_trial("diff-3ecss-kernel", modules=_AUG_MODULES)
 def diff_three_ecss_kernel_trial(config: Config, seed: int) -> dict:
     """Kernel-backed 3-ECSS vs the ``Counter`` oracle: bit-identical runs.
@@ -543,36 +587,15 @@ def diff_three_ecss_kernel_trial(config: Config, seed: int) -> dict:
     Both consume the same RNG stream (labels first, then one draw per
     candidate in ``repr`` order), so the added-edge set, the iteration count
     and every :class:`~repro.core.three_ecss.ThreeEcssIterationStats` record
-    must match exactly -- in random- and exact-label modes.
+    must match exactly -- in random- and exact-label modes, with 100-bit
+    (multi-word) labels, and on a copy with string vertex names in shuffled
+    node and edge order (which fixes a different label draw order).
     """
     graph = _solver_instance(config, seed, 3)
-    for exact in (False, True):
-        fast = three_ecss(graph, seed=seed, exact_labels=exact)
-        oracle = three_ecss_nx(graph, seed=seed, exact_labels=exact)
-        if fast.edges != oracle.edges:
-            raise AssertionError(
-                f"3-ECSS edge sets disagree (exact={exact}): only-fast="
-                f"{sorted(fast.edges - oracle.edges)!r} "
-                f"only-oracle={sorted(oracle.edges - fast.edges)!r}"
-            )
-        if (fast.weight, fast.num_edges, fast.iterations) != (
-            oracle.weight, oracle.num_edges, oracle.iterations
-        ):
-            raise AssertionError(
-                f"weight/size/iterations disagree (exact={exact}): "
-                f"fast ({fast.weight}, {fast.num_edges}, {fast.iterations}) vs "
-                f"oracle ({oracle.weight}, {oracle.num_edges}, {oracle.iterations})"
-            )
-        if fast.metadata["iterations_history"] != oracle.metadata["iterations_history"]:
-            raise AssertionError(f"per-iteration histories disagree (exact={exact})")
-        if (fast.metadata["h_size"], fast.metadata["augmentation_size"]) != (
-            oracle.metadata["h_size"], oracle.metadata["augmentation_size"]
-        ):
-            raise AssertionError(f"H/A split disagrees (exact={exact})")
-        if fast.ledger.total_rounds != oracle.ledger.total_rounds:
-            raise AssertionError(f"ledger round charges disagree (exact={exact})")
-        if exact is False:
-            random_result = fast
+    random_result = _assert_three_ecss_parity(graph, seed)
+    _assert_three_ecss_parity(graph, seed, exact_labels=True)
+    _assert_three_ecss_parity(graph, seed, label_bits=100)
+    _assert_three_ecss_parity(_shuffled_string_copy(graph, seed), seed)
     return {
         "n": graph.number_of_nodes(),
         "m": graph.number_of_edges(),

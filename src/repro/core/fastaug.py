@@ -7,15 +7,16 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 * :class:`PathLabelKernel` -- the per-iteration cost-effectiveness scoring of
   the 3-ECSS algorithm (Claim 5.8).  Candidate tree paths are materialised
   once as CSR flat arrays over integer tree-edge ids (extracted with the
-  BFS tree's cached path index, :attr:`repro.trees.rooted.RootedTree.paths`);
-  each iteration assigns dense integer ids to the fresh labels, turns the
-  tree-edge labels into one flat array, and scores every candidate with
-  round-stamped count arrays -- no ``Counter`` is allocated per candidate
-  per iteration, and the power-of-two rounding collapses to one
-  ``int.bit_length()`` per value.  The scan is memoised: a labelling with
-  the same partition (tree-edge id array and class sizes) under the same
-  ``A`` (a version counter :meth:`PathLabelKernel.mark_added` bumps) returns
-  the previous result without touching the candidates.
+  BFS tree's cached path index, :attr:`repro.trees.rooted.RootedTree.paths`)
+  plus their transpose (tree edge -> candidates).  Each iteration reads the
+  labelling's two label lists and turns them into a class-id list with
+  C-level builtins; the scan is memoised on that list and on ``A`` (a
+  version counter :meth:`PathLabelKernel.mark_added` bumps), so a labelling
+  with the same partition returns the previous result without touching the
+  candidates.  A scan gathers, with NumPy, the candidates of only the tree
+  edges whose class holds more than one edge, counts (candidate, class)
+  pairs with ``np.unique`` and sums ``c * (n_phi - c)`` per candidate; the
+  ``repr``-ordered candidates at or above an exponent are cached with it.
 
 * :class:`BitsetCoverKernel` -- the cut-coverage bookkeeping of one ``Aug_k``
   level (Section 4).  The ``covers`` relation is packed into one integer
@@ -50,13 +51,17 @@ sets, weights, iteration counts and histories.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.graphs.connectivity import canonical_edge
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:
+    from repro.cycle_space.labels import EdgeLabelling
 
 Edge = tuple[Hashable, Hashable]
 
@@ -141,7 +146,7 @@ class PathLabelKernel:
 
     Args:
         graph: The 3-edge-connected input graph ``G``.
-        tree: The BFS tree ``T`` (the same tree the driver hands to
+        tree: The BFS tree ``T`` (the same tree the driver labels over with
             :func:`repro.cycle_space.labels.compute_labels`).
         skip: Edges excluded from candidacy (the 2-ECSS subgraph ``H``).
 
@@ -156,13 +161,15 @@ class PathLabelKernel:
             :meth:`score_round` memo.
 
     Tree edges are identified by the integer id of their child vertex in the
-    tree, so :meth:`score_round` never touches a hashable edge object
-    inside the per-candidate loop.
+    tree.  The candidate paths are kept as a CSR pair (candidate -> child
+    ids) and its transpose (child id -> candidate ids), both built once, so
+    :meth:`score_round` never touches a hashable edge object.
     """
 
     __slots__ = (
         "tree", "cand_edges", "cand_repr", "in_added", "version",
-        "path_indptr", "path_child", "n_vertices", "_touched", "_memo",
+        "path_indptr", "path_child", "_tree_indptr", "_tree_cand",
+        "_by_repr", "_memo",
     )
 
     def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
@@ -172,14 +179,12 @@ class PathLabelKernel:
         cand_edges: list[Edge] = []
         path_indptr = [0]
         path_child: list[int] = []
-        longest = 0
         for u, v in graph.edges():
             edge = canonical_edge(u, v)
             if edge in skip_set:
                 continue
             cand_edges.append(edge)
             path_child.extend(paths.path_edges(index_of[u], index_of[v]))
-            longest = max(longest, len(path_child) - path_indptr[-1])
             path_indptr.append(len(path_child))
         self.cand_edges = cand_edges
         self.cand_repr = [repr(edge) for edge in cand_edges]
@@ -187,10 +192,25 @@ class PathLabelKernel:
         self.version = 0
         self.path_indptr = path_indptr
         self.path_child = path_child
-        self.n_vertices = len(index_of)
-        self._touched = [0] * max(1, longest)
-        # (version, tlabel, totals, result) of the last candidate scan.
-        self._memo: tuple | None = None
+
+        # CSR transpose: child id -> the candidates whose path holds that
+        # tree edge (ascending candidate ids, by the stable sort).
+        child = np.asarray(path_child, dtype=np.int64)
+        owner = np.repeat(
+            np.arange(len(cand_edges), dtype=np.int64), np.diff(path_indptr)
+        )
+        self._tree_cand = owner[np.argsort(child, kind="stable")]
+        self._tree_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(child, minlength=len(index_of))))
+        )
+        # Candidate ids in repr order (the tie-break of the activation draw).
+        self._by_repr = np.asarray(
+            sorted(range(len(cand_edges)), key=self.cand_repr.__getitem__),
+            dtype=np.int64,
+        )
+        # [version, class ids, result, exponents, {maximum: repr-ordered ids}]
+        # of the last candidate scan.
+        self._memo: list | None = None
 
     @property
     def m_candidates(self) -> int:
@@ -209,104 +229,100 @@ class PathLabelKernel:
                 in_added[j] = 1
                 self.version += 1
 
-    def score_round(
-        self, labels: Mapping[Edge, object]
-    ) -> tuple[int, list[int], list[int], int]:
+    def score_round(self, labelling: EdgeLabelling) -> tuple[int, list[int], list[int], int]:
         """Score one iteration under the labelling ``phi``.
 
         Args:
-            labels: The full label map of ``H ∪ A`` (tree and non-tree edges)
-                as produced by ``compute_labels``; values may be any hashable
-                label (random ints or exact covering frozensets).
+            labelling: The :class:`~repro.cycle_space.labels.EdgeLabelling`
+                of ``H ∪ A`` over this kernel's tree; its labels may be any
+                hashable values (random ints, exact bitmasks or frozensets).
 
         Returns:
             ``(tree_in_pairs, cand_ids, values, max_value)`` where
             *tree_in_pairs* is the number of tree edges sharing their label
             with another edge (the Claim 5.10 termination count), *cand_ids*
-            and *values* list the candidates with positive Claim 5.8
-            cost-effectiveness, and *max_value* is the largest such value
-            (0 when there is none).  When *tree_in_pairs* is 0 the candidate
-            scan is skipped entirely.
+            (ascending) and *values* list the candidates with positive
+            Claim 5.8 cost-effectiveness, and *max_value* is the largest
+            such value (0 when there is none).  When *tree_in_pairs* is 0 the
+            candidate scan is skipped entirely.
 
-        The scores are a function of the label *partition* alone -- the
-        tree-edge dense-id array and the class sizes, both built below in
-        first-occurrence order -- and of ``A``.  While ``H ∪ A`` (hence the
-        label order) and the cut-pair classes of Property 5.1 hold, a fresh
-        labelling reproduces both arrays exactly, so the previous scan's
-        result is returned (the lists are shared; callers must not mutate
-        them).
+        The scores are a function of the label *partition* alone and of
+        ``A``.  The partition is the class-id list below (each edge's class
+        is the position of the last edge carrying its label).  While
+        ``H ∪ A`` and the cut-pair classes of Property 5.1 hold, a fresh
+        labelling reproduces that list exactly, so the previous scan's result
+        is returned (the lists are shared; callers must not mutate them).
         """
-        # Dense ids for this round's labels; totals[i] is n_phi of label i.
-        ids: dict = {}
-        totals: list[int] = []
-        for label in labels.values():
-            lid = ids.get(label)
-            if lid is None:
-                ids[label] = len(totals)
-                totals.append(1)
-            else:
-                totals[lid] += 1
-
-        # Tree-edge labels as one flat array over child-vertex ids, counting
-        # the Claim 5.10 termination condition on the way.
-        tlabel = [0] * self.n_vertices
-        tree_in_pairs = 0
-        for vid, edge in enumerate(self.tree.parent_edges):
-            if edge is None:
-                continue
-            lid = ids[labels[edge]]
-            tlabel[vid] = lid
-            if totals[lid] > 1:
-                tree_in_pairs += 1
-        if tree_in_pairs == 0:
-            return 0, [], [], 0
+        values = labelling.non_tree_labels + labelling.tree_labels
+        last = dict(zip(values, range(len(values))))
+        classes = list(map(last.__getitem__, values))
         memo = self._memo
-        if (
-            memo is not None
-            and memo[0] == self.version
-            and memo[1] == tlabel
-            and memo[2] == totals
-        ):
-            return memo[3]
+        if memo is not None and memo[0] == self.version and memo[1] == classes:
+            return memo[2]
 
-        # Claim 5.8 per candidate: sum over the distinct labels on its path of
-        # n_{phi,e} * (n_phi - n_{phi,e}), with per-candidate label counts on
-        # round-stamped arrays (stamped by candidate id, so nothing is reset).
-        n_labels = len(totals)
-        stamp = [-1] * n_labels
-        count = [0] * n_labels
-        touched = self._touched
-        path_indptr, path_child = self.path_indptr, self.path_child
-        in_added = self.in_added
-        cand_ids: list[int] = []
-        values: list[int] = []
-        max_value = 0
-        for j in range(len(self.cand_edges)):
-            if in_added[j]:
-                continue
-            touched_n = 0
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                lid = tlabel[path_child[s]]
-                if stamp[lid] != j:
-                    stamp[lid] = j
-                    count[lid] = 1
-                    touched[touched_n] = lid
-                    touched_n += 1
-                else:
-                    count[lid] += 1
-            value = 0
-            for i in range(touched_n):
-                lid = touched[i]
-                c = count[lid]
-                value += c * (totals[lid] - c)
-            if value > 0:
-                cand_ids.append(j)
-                values.append(value)
-                if value > max_value:
-                    max_value = value
-        result = (tree_in_pairs, cand_ids, values, max_value)
-        self._memo = (self.version, tlabel, totals, result)
+        # Claim 5.10: a tree edge is in a cut pair iff its class has size > 1.
+        sizes = np.bincount(classes, minlength=len(values))
+        tree_class = np.asarray(classes[len(labelling.non_tree_labels):], dtype=np.int64)
+        shared = np.flatnonzero(sizes[tree_class] > 1)
+        if not len(shared):
+            return 0, [], [], 0
+
+        # Claim 5.8 per candidate: sum over the classes on its path of
+        # n_{phi,e} * (n_phi - n_{phi,e}).  Only tree edges of classes with
+        # n_phi > 1 can contribute, so gather just their candidate lists from
+        # the transpose, tagged with the class, and count (candidate, class)
+        # pairs.
+        indptr = self._tree_indptr
+        starts = indptr[shared + 1]
+        lengths = indptr[shared + 2] - starts
+        ends = np.cumsum(lengths)
+        gather = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+        cand = self._tree_cand[gather]
+        cls = np.repeat(tree_class[shared], lengths)
+        live = np.frombuffer(self.in_added, dtype=np.uint8)[cand] == 0
+        keys, counts = np.unique(
+            cand[live] * len(values) + cls[live], return_counts=True
+        )
+        # The sums are integers far below 2^53, so float64 holds them
+        # exactly -- and frexp's exponent is their bit_length, the e of
+        # rho~ = 2^e.
+        totals = np.bincount(
+            keys // len(values),
+            weights=counts * (sizes[keys % len(values)] - counts),
+            minlength=len(self.cand_edges),
+        )
+        cand_ids = np.flatnonzero(totals > 0)
+        scores = totals[cand_ids]
+        result = (
+            len(shared),
+            cand_ids.tolist(),
+            scores.astype(np.int64).tolist(),
+            int(scores.max()) if len(scores) else 0,
+        )
+        # Candidates that scored nothing never pass the filter, whatever
+        # exponent the clamp asks for.
+        exponents = np.full(len(self.cand_edges), np.iinfo(np.int64).min)
+        exponents[cand_ids] = np.frexp(scores)[1]
+        self._memo = [self.version, classes, result, exponents, {}]
         return result
+
+    def candidates(self, min_exponent: int) -> list[int]:
+        """Ids of the last scan's candidates with ``bit_length(value) >= min_exponent``.
+
+        Listed in ``repr`` order (the activation draw order), computed once
+        per scan and exponent and cached with the scan; call
+        :meth:`score_round` first.
+        """
+        memo = self._memo
+        if memo is None or memo[0] != self.version:
+            raise RuntimeError("candidates() needs a score_round() of the current A")
+        by_exponent = memo[4]
+        chosen = by_exponent.get(min_exponent)
+        if chosen is None:
+            order = self._by_repr
+            chosen = order[memo[3][order] >= min_exponent].tolist()
+            by_exponent[min_exponent] = chosen
+        return chosen
 
 
 class BitsetCoverKernel:

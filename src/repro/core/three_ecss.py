@@ -14,25 +14,30 @@ rounds (a BFS tree plus one covering non-tree edge per tree edge, following
 4. the algorithm stops once no tree edge shares its label with another edge
    (Claim 5.10), i.e. ``H ∪ A`` is 3-edge-connected.
 
-Both implementations label one persistent ``H ∪ A`` graph per solve: ``H``
-in ``graph.edges()`` order, then each activated batch appended in activation
+Both implementations label ``H ∪ A`` in one fixed edge order: ``H`` in
+``graph.edges()`` order, then each activated batch appended in activation
 (``repr``) order.  That order fixes the label draw order, so runs do not
 depend on ``PYTHONHASHSEED`` even for string vertex names.
 
-:func:`three_ecss` scores each iteration with
-:class:`repro.core.fastaug.PathLabelKernel` -- candidate tree paths as CSR
-flat arrays over integer tree-edge ids, per-label counts on round-stamped
-arrays, the power-of-two rounding collapsed to one ``int.bit_length()`` per
-value, and the last scan memoised while the label partition and ``A`` are
-unchanged (most iterations add nothing, and by Property 5.1 their fresh
-labels split the edges into the same cut-pair classes).  The Lemma 5.11
-clamp runs on the integer exponents ``e`` of ``rho~ = 2^e``.
-:func:`three_ecss_nx` is the historical ``Counter``-per-candidate
-implementation with exact ``Fraction`` values, retained as the differential
-oracle (the ``diff-3ecss-kernel`` sweep asserts bit-identical results).  Both
-consume the seeded RNG in exactly the same order -- labels first, then one
-draw per candidate in ``repr`` order -- so outputs, iteration counts and
-histories match bit for bit.
+:func:`three_ecss` keeps ``H ∪ A`` as one append-only
+:class:`repro.cycle_space.labels.CycleSpace` per solve (integer endpoint
+arrays over the BFS tree's vertex ids, in the order ``networkx`` would
+iterate the grown graph), labels it with Python-int XOR tags in
+O(n + |H ∪ A|) per iteration, and scores each iteration with
+:class:`repro.core.fastaug.PathLabelKernel`: the label partition comes from
+C-level builtins, the last scan is memoised while the partition and ``A``
+are unchanged (most iterations add nothing, and by Property 5.1 their fresh
+labels split the edges into the same cut-pair classes), and a scan counts
+(candidate, class) pairs with NumPy over the tree edges whose class holds
+more than one edge.  The power-of-two rounding is ``rho~ = 2^e`` with
+``e = bit_length(value)``; the Lemma 5.11 clamp and the ``repr``-ordered
+candidate filter run on those integer exponents.  :func:`three_ecss_nx` is
+the historical implementation -- an ``nx.Graph`` of ``H ∪ A``, a
+``Counter`` per candidate and exact ``Fraction`` values -- retained as the
+differential oracle (the ``diff-3ecss-kernel`` sweep asserts bit-identical
+results).  Both consume the seeded RNG in exactly the same order -- labels
+first, then one draw per candidate in ``repr`` order -- so outputs,
+iteration counts and histories match bit for bit.
 
 A round where tree edges still share a label but no candidate scores is a
 label collision (the input was checked 3-edge-connected at entry); it raises
@@ -55,7 +60,7 @@ from repro.congest.metrics import RoundLedger
 from repro.core.cost_effectiveness import round_up_to_power_of_two
 from repro.core.fastaug import GuessingSchedule, PathLabelKernel
 from repro.core.result import ECSSResult
-from repro.cycle_space.labels import compute_labels
+from repro.cycle_space.labels import CycleSpace, compute_labels
 from repro.graphs.connectivity import (
     canonical_edge,
     check_solver_input,
@@ -137,15 +142,26 @@ def unweighted_two_ecss_2approx(
     return chosen, tree, ledger
 
 
+def _is_positive_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _setup(
     graph: nx.Graph,
     seed: int | random.Random | None,
     label_bits: int | None,
+    schedule_constant: int,
     simulate_bfs: bool,
 ) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, nx.Graph]:
-    """Shared preamble of both 3-ECSS implementations (validation + ``H``)."""
-    if label_bits is not None and label_bits < 1:
-        raise ValueError(f"label_bits must be at least 1, got {label_bits}")
+    """Shared preamble of both 3-ECSS implementations (validation + ``H``).
+
+    Returns ``H`` as an ``nx.Graph`` too: the oracle grows it into
+    ``H ∪ A``, the kernel solver turns it into its :class:`CycleSpace`.
+    """
+    if label_bits is not None and not _is_positive_int(label_bits):
+        raise ValueError(f"label_bits must be an int >= 1 or None, got {label_bits!r}")
+    if not _is_positive_int(schedule_constant):
+        raise ValueError(f"schedule_constant must be an int >= 1, got {schedule_constant!r}")
     check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
@@ -161,9 +177,9 @@ def _setup(
     h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
     ledger.extend(h_ledger)
 
-    # The labelled graph H ∪ A, built once per solve: H in graph.edges()
-    # order, then each activated batch appended in activation order.  Its
-    # edge order fixes the label draw order, independent of set hashing.
+    # H in graph.edges() order; the solvers append each activated batch in
+    # activation order.  That edge order fixes the label draw order,
+    # independent of set hashing.
     current = nx.Graph()
     current.add_nodes_from(graph.nodes())
     current.add_edges_from(
@@ -231,11 +247,12 @@ def three_ecss(
         graph: A 3-edge-connected graph (weights, if any, are ignored --
             the problem is the minimum *size* 3-ECSS).
         seed: Randomness for labels and candidate activation.
-        label_bits: Width of the cycle-space labels (default ``4 log n + 8``;
-            at least 1).
+        label_bits: Width of the cycle-space labels, an ``int >= 1``
+            (default ``4 log n + 8``).
         exact_labels: Use deterministic covering-set labels instead of random
             ones (removes the 2^-b error; used by tests and the E7 ablation).
-        schedule_constant: The ``M`` of the probability-doubling schedule.
+        schedule_constant: The ``M`` of the probability-doubling schedule,
+            an ``int >= 1``.
         simulate_bfs: Run the BFS construction as a message-passing simulation.
 
     Returns:
@@ -243,11 +260,11 @@ def three_ecss(
         edges because the problem is unweighted.  Bit-identical to
         :func:`three_ecss_nx` for the same arguments.
     """
-    rng, cost_model, ledger, h_edges, tree, current = _setup(
-        graph, seed, label_bits, simulate_bfs
+    rng, cost_model, ledger, h_edges, tree, h_graph = _setup(
+        graph, seed, label_bits, schedule_constant, simulate_bfs
     )
+    space = CycleSpace(h_graph, tree)
     kernel = PathLabelKernel(graph, tree, skip=h_edges)
-    cand_repr = kernel.cand_repr
 
     added: set[Edge] = set()
     history: list[ThreeEcssIterationStats] = []
@@ -267,14 +284,14 @@ def three_ecss(
         if iteration > max_iterations:
             raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
 
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
+        labelling = compute_labels(space, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),
             note=f"iteration {iteration} (labels + cost-effectiveness, O(D))",
         )
 
-        tree_in_pairs, cand_ids, values, max_value = kernel.score_round(labelling.labels)
+        tree_in_pairs, cand_ids, _, max_value = kernel.score_round(labelling)
         if tree_in_pairs == 0:
             history.append(
                 ThreeEcssIterationStats(
@@ -300,10 +317,7 @@ def three_ecss(
             maximum = min(
                 maximum, previous_max - 1 if previous_probability_was_one else previous_max
             )
-        candidate_ids = sorted(
-            (j for j, value in zip(cand_ids, values) if value.bit_length() >= maximum),
-            key=cand_repr.__getitem__,
-        )
+        candidate_ids = kernel.candidates(maximum)
 
         probability = schedule.update(maximum)
         previous_max = maximum
@@ -312,13 +326,13 @@ def three_ecss(
         previous_probability_was_one = probability >= 1.0  # repro: disable=DET004
 
         if probability >= 1.0:  # repro: disable=DET004
-            active_ids = list(candidate_ids)
+            active_ids = candidate_ids
         else:
             active_ids = [j for j in candidate_ids if rng.random() < probability]
         kernel.mark_added(active_ids)
         active = [kernel.cand_edges[j] for j in active_ids]
         added.update(active)
-        current.add_edges_from(active)
+        space.add_edges(active)
 
         history.append(
             ThreeEcssIterationStats(
@@ -381,7 +395,7 @@ def three_ecss_nx(
     candidate path and compares exact :class:`~fractions.Fraction` values.
     """
     rng, cost_model, ledger, h_edges, tree, current = _setup(
-        graph, seed, label_bits, simulate_bfs
+        graph, seed, label_bits, schedule_constant, simulate_bfs
     )
     tree_edge_set = set(tree.tree_edges())
 

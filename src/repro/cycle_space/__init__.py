@@ -8,13 +8,18 @@ algorithm uses the labels to compute cost-effectiveness in O(D) rounds.
 * :mod:`repro.cycle_space.circulation` -- sampling circulations from the
   fundamental-cycle basis of a spanning tree,
 * :mod:`repro.cycle_space.labels` -- the edge labelling ``phi`` (random and
-  exact variants),
+  exact variants) over an append-only :class:`CycleSpace`,
 * :mod:`repro.cycle_space.cut_pairs` -- cut-pair detection and the
   ``n_phi`` counts used by Claim 5.8.
 """
 
 from repro.cycle_space.circulation import random_circulation, is_binary_circulation
-from repro.cycle_space.labels import EdgeLabelling, compute_labels, compute_labels_nx
+from repro.cycle_space.labels import (
+    CycleSpace,
+    EdgeLabelling,
+    compute_labels,
+    compute_labels_nx,
+)
 from repro.cycle_space.cut_pairs import (
     cut_pairs_from_labels,
     exact_cut_pairs,
@@ -24,6 +29,7 @@ from repro.cycle_space.cut_pairs import (
 __all__ = [
     "random_circulation",
     "is_binary_circulation",
+    "CycleSpace",
     "EdgeLabelling",
     "compute_labels",
     "compute_labels_nx",

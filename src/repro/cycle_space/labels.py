@@ -15,13 +15,18 @@ Two label modes are provided:
   (Claim 5.6), which the tests use as ground truth and the algorithms can use
   to factor out label-collision effects.
 
-Random-mode tree labels are produced in O(m + n): each non-tree edge XOR-tags
-its two endpoints and one leaves-to-root scan accumulates subtree XORs --
-the label of tree edge ``(v, p(v))`` is the subtree XOR at ``v``, because the
-tags of a non-tree edge with both endpoints inside the subtree cancel.  This
-is exactly the single convergecast the distributed implementation performs
-(Theorem 4.2 of [32]).  Exact-mode covering sets are materialised over the
-flat-array path extractor.  The historical per-path accumulation survives as
+Both modes run one code path over a :class:`CycleSpace` -- the labelled
+graph as integer arrays over the tree's BFS vertex ids.  Non-tree edge ``i``
+gets a random ``b``-bit Python int (random mode) or the one-hot ``1 << i``
+(exact mode); each XOR-tags its two endpoints and one leaves-to-root scan
+accumulates subtree XORs -- the label of tree edge ``(v, p(v))`` is the
+subtree XOR at ``v``, because the tags of a non-tree edge with both
+endpoints inside the subtree cancel.  This is exactly the single convergecast
+the distributed implementation performs (Theorem 4.2 of [32]), O(n + m) per
+labelling for any label width.  With one-hot labels the subtree XOR is the
+covering set as a bitmask, so exact-mode label equality is covering-set
+equality; :attr:`EdgeLabelling.labels` turns the masks back into frozensets
+on first use.  The historical per-path accumulation survives as
 :func:`compute_labels_nx`, the oracle of the ``diff-labels-*`` suite.
 """
 
@@ -29,7 +34,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable
+from bisect import bisect_right
+from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -39,40 +45,140 @@ from repro.trees.rooted import RootedTree
 Edge = tuple[Hashable, Hashable]
 Label = object  # int (random mode) or frozenset (exact mode)
 
-__all__ = ["EdgeLabelling", "compute_labels", "compute_labels_nx"]
+__all__ = ["CycleSpace", "EdgeLabelling", "compute_labels", "compute_labels_nx"]
+
+
+class CycleSpace:
+    """A labelled graph as append-only integer arrays over a spanning tree.
+
+    Args:
+        graph: The graph to label; *tree* must be a spanning tree of it.
+        tree: The spanning tree of the fundamental-cycle basis.
+
+    Attributes:
+        tree: The spanning tree.
+        parent: Vertex id -> parent vertex id (BFS ids of *tree*, root -1).
+        u, v: Endpoint vertex ids of every non-tree edge.
+        edges: The canonical form of every non-tree edge.
+
+    The non-tree edges are kept in ``graph.edges()`` order, and
+    :meth:`add_edges` preserves the order ``networkx`` would iterate the
+    grown graph in: an edge belongs to the bucket of whichever endpoint
+    comes first in the graph's node order, buckets follow node order, and
+    edges within a bucket keep insertion order.  That is how ``nx.Graph``
+    iterates a graph that only ever gains edges, so labelling the space
+    draws the same RNG stream as labelling the equivalent ``nx.Graph``.
+    :meth:`add_edges` replaces the lists instead of mutating them, so a
+    labelling keeps the edge set it was computed on.
+    """
+
+    __slots__ = ("tree", "parent", "u", "v", "edges", "_bucket", "_position", "_present")
+
+    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
+        self.tree = tree
+        index = tree.index
+        order = tree.bfs_order()
+        self.parent = [-1] + [index[tree.parent(node)] for node in order[1:]]
+        self._position = {node: i for i, node in enumerate(graph)}
+        self.u: list[int] = []
+        self.v: list[int] = []
+        self.edges: list[Edge] = []
+        self._bucket: list[int] = []
+        self._present: set[Edge] = set()
+        self.add_edges(graph.edges())
+
+    @property
+    def n(self) -> int:
+        """Number of vertices."""
+        return len(self.parent)
+
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        """Add *edges* to the labelled graph (tree edges and repeats are ignored)."""
+        index, parent, position = self.tree.index, self.parent, self._position
+        present = self._present
+        bucket = u = v = out = None
+        for a, b in edges:
+            ia, ib = index[a], index[b]
+            if parent[ia] == ib or parent[ib] == ia:
+                continue
+            edge = canonical_edge(a, b)
+            if edge in present:
+                continue
+            present.add(edge)
+            if bucket is None:
+                bucket, u, v, out = self._bucket[:], self.u[:], self.v[:], self.edges[:]
+            key = min(position[a], position[b])
+            at = bisect_right(bucket, key)
+            bucket.insert(at, key)
+            u.insert(at, ia)
+            v.insert(at, ib)
+            out.insert(at, edge)
+        if bucket is not None:
+            self._bucket, self.u, self.v, self.edges = bucket, u, v, out
 
 
 class EdgeLabelling:
     """The labelling ``phi`` of all edges of a 2-edge-connected graph.
 
     Attributes:
-        graph: The labelled graph ``H`` (2-edge-connected).
+        graph: The labelled ``nx.Graph`` (``None`` when a :class:`CycleSpace`
+            was labelled).
         tree: The spanning tree used for the fundamental-cycle basis.
-        labels: Map from canonical edge to its label.
+        non_tree_labels: Label of each non-tree edge, in label draw order
+            (:meth:`non_tree_edges` order; ints, one-hot in exact mode).
+        tree_labels: Label of the tree edge of vertex id ``i + 1``, i.e. in
+            ``tree.parent_edges[1:]`` order (ints; covering-set bitmasks in
+            exact mode).
         bits: Number of label bits (0 for exact mode).
         mode: ``"random"`` or ``"exact"``.
 
-    The map from non-tree edge to the tree edges it covers (``S^1_e`` in the
-    paper's notation) is exposed as :attr:`tree_paths` /
-    :meth:`covering_path`; it is materialised lazily, so the O(m + n)
-    random-mode labelling never pays the O(sum of path lengths) it replaced.
+    :attr:`labels` (canonical edge -> label, frozensets in exact mode) and
+    the map from non-tree edge to the tree edges it covers (``S^1_e``,
+    :attr:`tree_paths` / :meth:`covering_path`) are materialised lazily, so
+    a labelling that is only scored never builds them.
     """
 
     def __init__(
         self,
-        graph: nx.Graph,
         tree: RootedTree,
-        labels: dict[Edge, Label],
+        non_tree_edges: list[Edge],
+        non_tree_labels: list,
+        tree_labels: list,
         bits: int,
         mode: str,
+        graph: nx.Graph | None = None,
+        labels: dict[Edge, Label] | None = None,
         tree_paths: dict[Edge, frozenset[Edge]] | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
-        self.labels = labels
+        self._non_tree_edges = non_tree_edges
+        self.non_tree_labels = non_tree_labels
+        self.tree_labels = tree_labels
         self.bits = bits
         self.mode = mode
+        self._labels = labels
         self._tree_paths = tree_paths
+
+    @property
+    def labels(self) -> dict[Edge, Label]:
+        """Map from canonical edge to its label (lazy)."""
+        if self._labels is None:
+            edges, tree_edges = self._non_tree_edges, self.tree.parent_edges[1:]
+            if self.mode == "exact":
+                labels: dict[Edge, Label] = {edge: frozenset((edge,)) for edge in edges}
+                for tree_edge, mask in zip(tree_edges, self.tree_labels):
+                    cover = []
+                    while mask:
+                        low = mask & -mask
+                        cover.append(edges[low.bit_length() - 1])
+                        mask ^= low
+                    labels[tree_edge] = frozenset(cover)
+            else:
+                labels = dict(zip(edges, self.non_tree_labels))
+                labels.update(zip(tree_edges, self.tree_labels))
+            self._labels = labels
+        return self._labels
 
     def label(self, u: Hashable, v: Hashable) -> Label:
         """Return ``phi({u, v})``."""
@@ -82,12 +188,7 @@ class EdgeLabelling:
         return self.tree.tree_edges()
 
     def non_tree_edges(self) -> list[Edge]:
-        tree_edges = set(self.tree.tree_edges())
-        return [
-            canonical_edge(u, v)
-            for u, v in self.graph.edges()
-            if canonical_edge(u, v) not in tree_edges
-        ]
+        return list(self._non_tree_edges)
 
     @property
     def tree_paths(self) -> dict[Edge, frozenset[Edge]]:
@@ -96,7 +197,7 @@ class EdgeLabelling:
             tree = self.tree
             self._tree_paths = {
                 edge: frozenset(tree.tree_path_edges(*edge))
-                for edge in self.non_tree_edges()
+                for edge in self._non_tree_edges
             }
         return self._tree_paths
 
@@ -105,35 +206,21 @@ class EdgeLabelling:
         return self.tree_paths[canonical_edge(*non_tree_edge)]
 
 
-def _prepare(
-    graph: nx.Graph,
-    tree: RootedTree | None,
-    bits: int | None,
-    mode: str,
-) -> tuple[RootedTree, int, list[Edge]]:
-    """Shared validation + defaults of both labelling implementations."""
-    if graph.number_of_nodes() < 2:
+def _check(n: int, mode: str) -> None:
+    """Shared validation of both labelling implementations."""
+    if n < 2:
         raise ValueError("labelling needs at least two vertices")
     if mode not in {"random", "exact"}:
         raise ValueError("mode must be 'random' or 'exact'")
-    if tree is None:
-        tree = RootedTree.bfs_tree(graph)
-    n = graph.number_of_nodes()
-    if bits is None:
-        bits = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
-    # parent_edges holds the same canonical tree edges as tree_edges(),
-    # without walking the tree's nx edges (slot 0 is the root's ``None``).
-    tree_edge_set = set(tree.parent_edges[1:])
-    non_tree_edges = [
-        edge
-        for edge in (canonical_edge(u, v) for u, v in graph.edges())
-        if edge not in tree_edge_set
-    ]
-    return tree, bits, non_tree_edges
+
+
+def _default_bits(n: int) -> int:
+    """``4 * ceil(log2 n) + 8``: Lemma 5.4's union bound leaves ``poly(1/n)`` error."""
+    return 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
 
 
 def compute_labels(
-    graph: nx.Graph,
+    graph: nx.Graph | CycleSpace,
     tree: RootedTree | None = None,
     bits: int | None = None,
     mode: str = "random",
@@ -142,9 +229,11 @@ def compute_labels(
     """Compute the cycle-space labelling of a connected graph.
 
     Args:
-        graph: The graph ``H`` to label (the 3-ECSS algorithm labels ``H ∪ A``).
+        graph: The graph ``H`` to label, as an ``nx.Graph`` or a
+            :class:`CycleSpace` (the 3-ECSS algorithm labels ``H ∪ A``).
         tree: Spanning tree to use; defaults to a BFS tree from the minimum-id
-            vertex, matching the O(D)-depth requirement of Section 5.
+            vertex, matching the O(D)-depth requirement of Section 5.  A
+            :class:`CycleSpace` brings its own tree.
         bits: Label width; defaults to ``4 * ceil(log2 n) + 8`` so that the
             union bound of Lemma 5.4 leaves polynomially small error.
         mode: ``"random"`` (paper) or ``"exact"`` (covering-set labels).
@@ -157,49 +246,45 @@ def compute_labels(
     the callers' ledgers.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    tree, bits, non_tree_edges = _prepare(graph, tree, bits, mode)
-
-    labels: dict[Edge, Label] = {}
-
+    if isinstance(graph, CycleSpace):
+        space, graph = graph, None
+        if tree is not None and tree is not space.tree:
+            raise ValueError("a CycleSpace is labelled over its own tree")
+        _check(space.n, mode)
+    else:
+        _check(graph.number_of_nodes(), mode)
+        space = CycleSpace(graph, RootedTree.bfs_tree(graph) if tree is None else tree)
+    n = space.n
     if mode == "random":
-        for edge in non_tree_edges:
-            labels[edge] = rng.getrandbits(bits)
-        # Endpoint XOR tags: tree edge (v, p(v)) is crossed by exactly the
-        # non-tree edges with an odd number of endpoints in the subtree of v,
-        # so its label is the subtree XOR of the tags (Theorem 4.2 of [32]).
-        order = tree.bfs_order()
-        index, parent_edges = tree.index, tree.parent_edges
-        tags = [0] * len(order)
-        for edge in non_tree_edges:
-            label = labels[edge]
-            u, v = edge
-            tags[index[u]] ^= label
-            tags[index[v]] ^= label
-        # Vertex ids follow bfs_order, which puts every parent before its
-        # children, so the reverse scan sees each subtree complete before
-        # folding it into the parent.
-        for i in range(len(order) - 1, 0, -1):
-            labels[parent_edges[i]] = tags[i]
-            tags[index[tree.parent(order[i])]] ^= tags[i]
-        return EdgeLabelling(graph=graph, tree=tree, labels=labels, bits=bits, mode=mode)
+        if bits is None:
+            bits = _default_bits(n)
+        getrandbits = rng.getrandbits
+        non_tree_labels = [getrandbits(bits) for _ in space.edges]
+    else:
+        bits = 0
+        non_tree_labels = [1 << i for i in range(len(space.edges))]
 
-    # Exact mode: the label of a tree edge is its covering set, materialised
-    # per child vertex over the integer-array path extractor.
-    index_of, paths, parent_edges = tree.index, tree.paths, tree.parent_edges
-    covering: list[set[Edge]] = [set() for _ in range(len(index_of))]
-    tree_paths: dict[Edge, frozenset[Edge]] = {}
-    for edge in non_tree_edges:
-        labels[edge] = frozenset({edge})
-        u, v = edge
-        children = paths.path_edges(index_of[u], index_of[v])
-        for child in children:
-            covering[child].add(edge)
-        tree_paths[edge] = frozenset(parent_edges[child] for child in children)
-    for child, tree_edge in enumerate(parent_edges):
-        if tree_edge is not None:
-            labels[tree_edge] = frozenset(covering[child])
+    # Endpoint XOR tags: tree edge (v, p(v)) is crossed by exactly the
+    # non-tree edges with an odd number of endpoints in the subtree of v, so
+    # its label is the subtree XOR of the tags (Theorem 4.2 of [32]).
+    tags = [0] * n
+    for a, b, label in zip(space.u, space.v, non_tree_labels):
+        tags[a] ^= label
+        tags[b] ^= label
+    # Vertex ids follow the BFS order, which puts every parent before its
+    # children, so the reverse scan sees each subtree complete before
+    # folding it into the parent.
+    parent = space.parent
+    for i in range(n - 1, 0, -1):
+        tags[parent[i]] ^= tags[i]
     return EdgeLabelling(
-        graph=graph, tree=tree, labels=labels, bits=0, mode=mode, tree_paths=tree_paths
+        tree=space.tree,
+        non_tree_edges=space.edges,
+        non_tree_labels=non_tree_labels,
+        tree_labels=tags[1:],
+        bits=bits,
+        mode=mode,
+        graph=graph,
     )
 
 
@@ -219,8 +304,17 @@ def compute_labels_nx(
     ``diff-labels-*`` differential suite asserts the parity.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    tree, bits, non_tree_edges = _prepare(graph, tree, bits, mode)
+    _check(graph.number_of_nodes(), mode)
+    if tree is None:
+        tree = RootedTree.bfs_tree(graph)
+    if bits is None:
+        bits = _default_bits(graph.number_of_nodes())
     tree_edge_set = set(tree.tree_edges())
+    non_tree_edges = [
+        edge
+        for edge in (canonical_edge(u, v) for u, v in graph.edges())
+        if edge not in tree_edge_set
+    ]
 
     labels: dict[Edge, Label] = {}
     tree_paths: dict[Edge, frozenset[Edge]] = {}
@@ -247,5 +341,13 @@ def compute_labels_nx(
         bits = 0
 
     return EdgeLabelling(
-        graph=graph, tree=tree, labels=labels, bits=bits, mode=mode, tree_paths=tree_paths
+        tree=tree,
+        non_tree_edges=non_tree_edges,
+        non_tree_labels=[labels[edge] for edge in non_tree_edges],
+        tree_labels=[labels[edge] for edge in tree.parent_edges[1:]],
+        bits=bits,
+        mode=mode,
+        graph=graph,
+        labels=labels,
+        tree_paths=tree_paths,
     )

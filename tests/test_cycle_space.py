@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.differential import _shuffled_string_copy
 from repro.cycle_space.circulation import (
     fundamental_cycle,
     is_binary_circulation,
@@ -21,7 +22,7 @@ from repro.cycle_space.cut_pairs import (
     is_cut_pair,
     label_multiplicities,
 )
-from repro.cycle_space.labels import compute_labels
+from repro.cycle_space.labels import CycleSpace, compute_labels, compute_labels_nx
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import cycle_with_chords, harary_graph
 from repro.trees.rooted import RootedTree
@@ -126,6 +127,79 @@ class TestLabels:
         single.add_node(0)
         with pytest.raises(ValueError):
             compute_labels(single)
+
+
+def _shuffled_string_graph(n: int, rng: random.Random) -> nx.Graph:
+    """A 2-edge-connected graph with string names and shuffled insertion orders."""
+    base = cycle_with_chords(n, extra_edges=n // 3, seed=rng.randrange(1 << 30))
+    return _shuffled_string_copy(base, rng.randrange(1 << 30))
+
+
+#: Label settings of the parity property: widths 1, 10, the default and a
+#: multi-word 100, plus exact (covering-set) labels.
+_LABEL_SETTINGS = [
+    {"bits": 1}, {"bits": 10}, {"bits": None}, {"bits": 100}, {"mode": "exact"},
+]
+
+
+class TestCycleSpaceOrder:
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_property_appended_space_labels_like_the_grown_graph(self, seed, n):
+        # A CycleSpace grown by add_edges must draw exactly the labels (and
+        # leave exactly the RNG state) of the nx.Graph grown the same way,
+        # including repeats of edges that are already present.
+        rng = random.Random(seed)
+        graph = _shuffled_string_graph(n, rng)
+        tree = RootedTree.bfs_tree(graph)
+        nodes = list(graph.nodes())
+        batches = [
+            [tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(4))]
+            for _ in range(3)
+        ]
+        for setting in _LABEL_SETTINGS:
+            grown = graph.copy()
+            space = CycleSpace(graph, tree)
+            for batch in [[]] + batches:
+                grown.add_edges_from(batch)
+                space.add_edges(batch)
+                fast_rng, nx_rng, oracle_rng = (random.Random(seed) for _ in range(3))
+                fast = compute_labels(space, seed=fast_rng, **setting)
+                from_nx = compute_labels(grown, tree=tree, seed=nx_rng, **setting)
+                oracle = compute_labels_nx(grown, tree=tree, seed=oracle_rng, **setting)
+                assert fast.labels == from_nx.labels == oracle.labels
+                assert fast.non_tree_edges() == oracle.non_tree_edges()
+                assert fast_rng.getstate() == nx_rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("mode", ["random", "exact"])
+    def test_nx_input_matches_the_oracle(self, mode):
+        for seed in range(5):
+            graph = _shuffled_string_graph(12, random.Random(seed))
+            fast = compute_labels(graph, mode=mode, seed=seed)
+            oracle = compute_labels_nx(graph, mode=mode, seed=seed)
+            assert fast.labels == oracle.labels
+            assert fast.bits == oracle.bits
+            assert fast.tree_paths == oracle.tree_paths
+
+    def test_space_brings_its_own_tree(self):
+        graph = cycle_with_chords(8, extra_edges=2, seed=1)
+        space = CycleSpace(graph, RootedTree.bfs_tree(graph))
+        assert compute_labels(space, tree=space.tree, seed=1).labels == (
+            compute_labels(graph, seed=1).labels
+        )
+        with pytest.raises(ValueError, match="own tree"):
+            compute_labels(space, tree=RootedTree.bfs_tree(graph, root=3))
+
+    def test_labelling_keeps_its_edge_set_after_add_edges(self):
+        graph = cycle_with_chords(10, extra_edges=1, seed=2)
+        assert not graph.has_edge(0, 5) and not graph.has_edge(2, 7)
+        space = CycleSpace(graph, RootedTree.bfs_tree(graph))
+        before = compute_labels(space, seed=3)
+        edges = before.non_tree_edges()
+        space.add_edges([(0, 5), (2, 7)])
+        assert len(space.edges) == len(edges) + 2
+        assert before.non_tree_edges() == edges
+        assert set(before.labels) == {canonical_edge(u, v) for u, v in graph.edges()}
 
 
 class TestCutPairHelpers:

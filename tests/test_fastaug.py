@@ -49,7 +49,7 @@ from repro.core.three_ecss import (
     three_ecss,
     unweighted_two_ecss_2approx,
 )
-from repro.cycle_space.labels import compute_labels
+from repro.cycle_space.labels import CycleSpace, compute_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
@@ -176,9 +176,7 @@ class TestPathLabelKernel:
             current.add_edges_from(h_edges)
             for mode in ("random", "exact"):
                 labelling = compute_labels(current, tree=tree, mode=mode, seed=seed)
-                pairs, cand_ids, values, max_value = kernel.score_round(
-                    labelling.labels
-                )
+                pairs, cand_ids, values, max_value = kernel.score_round(labelling)
                 oracle_pairs, rounded = _score_round_nx(
                     labelling.labels, tree_edge_set, candidate_paths, set()
                 )
@@ -200,10 +198,10 @@ class TestPathLabelKernel:
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges)
         labelling = compute_labels(current, tree=tree, mode="exact")
-        _, before_ids, _, _ = kernel.score_round(labelling.labels)
+        _, before_ids, _, _ = kernel.score_round(labelling)
         assert before_ids
         kernel.mark_added(before_ids[:1])
-        _, after_ids, _, _ = kernel.score_round(labelling.labels)
+        _, after_ids, _, _ = kernel.score_round(labelling)
         assert before_ids[0] not in after_ids
         assert set(after_ids) == set(before_ids[1:])
 
@@ -233,12 +231,12 @@ class TestPathLabelKernel:
         graph, h_edges, tree = _three_ecss_state(16, 3)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = self._h_graph(graph, h_edges)
-        first = kernel.score_round(compute_labels(current, tree=tree, seed=1).labels)
+        first = kernel.score_round(compute_labels(current, tree=tree, seed=1))
         assert first[0] > 0 and first[1]
         # The same labelling, and a fresh draw that splits H into the same
         # cut-pair classes, both hit the memo.
-        again = kernel.score_round(compute_labels(current, tree=tree, seed=1).labels)
-        fresh = kernel.score_round(compute_labels(current, tree=tree, seed=2).labels)
+        again = kernel.score_round(compute_labels(current, tree=tree, seed=1))
+        fresh = kernel.score_round(compute_labels(current, tree=tree, seed=2))
         assert again == first and again is first
         assert fresh == first and fresh is first
 
@@ -246,14 +244,14 @@ class TestPathLabelKernel:
         graph, h_edges, tree = _three_ecss_state(16, 4)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = self._h_graph(graph, h_edges)
-        first = kernel.score_round(compute_labels(current, tree=tree, mode="exact").labels)
+        first = kernel.score_round(compute_labels(current, tree=tree, mode="exact"))
         # Label H plus one candidate without marking it added: A (and the
         # kernel version) is unchanged but the partition is not.
         current.add_edge(*kernel.cand_edges[first[1][0]])
-        labels = compute_labels(current, tree=tree, seed=5).labels
-        second = kernel.score_round(labels)
+        labelling = compute_labels(current, tree=tree, seed=5)
+        second = kernel.score_round(labelling)
         assert second is not first and second != first
-        pairs, rounded = self._oracle(kernel, tree, labels)
+        pairs, rounded = self._oracle(kernel, tree, labelling.labels)
         assert second[0] == pairs
         assert self._rounded(kernel, second[1], second[2]) == rounded
 
@@ -261,10 +259,11 @@ class TestPathLabelKernel:
         graph, h_edges, tree = _three_ecss_state(14, 5)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = self._h_graph(graph, h_edges)
-        labels = compute_labels(current, tree=tree, mode="exact").labels
+        labelling = compute_labels(current, tree=tree, mode="exact")
+        labels = labelling.labels
         assert all(isinstance(label, frozenset) for label in labels.values())
-        first = kernel.score_round(labels)
-        second = kernel.score_round(compute_labels(current, tree=tree, mode="exact").labels)
+        first = kernel.score_round(labelling)
+        second = kernel.score_round(compute_labels(current, tree=tree, mode="exact"))
         assert second is first
         pairs, rounded = self._oracle(kernel, tree, labels)
         assert first[0] == pairs
@@ -283,12 +282,64 @@ class TestPathLabelKernel:
     def test_termination_when_every_label_unique(self):
         graph, h_edges, tree = _three_ecss_state(12, 2)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
-        labels = {
-            canonical_edge(u, v): index
-            for index, (u, v) in enumerate(graph.edges())
-        }
-        pairs, cand_ids, values, max_value = kernel.score_round(labels)
+        # G is 3-edge-connected, so its exact labels are pairwise distinct.
+        labelling = compute_labels(graph, tree=tree, mode="exact")
+        assert len(set(labelling.labels.values())) == graph.number_of_edges()
+        pairs, cand_ids, values, max_value = kernel.score_round(labelling)
         assert (pairs, cand_ids, values, max_value) == (0, [], [], 0)
+
+    def _assert_matches_oracle(self, kernel, tree, labelling, added=frozenset()):
+        pairs, cand_ids, values, max_value = kernel.score_round(labelling)
+        oracle_pairs, rounded = self._oracle(kernel, tree, labelling.labels, added)
+        assert pairs == oracle_pairs
+        if pairs:
+            assert self._rounded(kernel, cand_ids, values) == rounded
+            assert max_value == max(values, default=0)
+        return pairs, cand_ids
+
+    def test_multi_word_labels_match_counter_oracle(self):
+        for seed in range(3):
+            graph, h_edges, tree = _three_ecss_state(16, seed)
+            kernel = PathLabelKernel(graph, tree, skip=h_edges)
+            labelling = compute_labels(
+                self._h_graph(graph, h_edges), tree=tree, bits=100, seed=seed
+            )
+            assert max(labelling.non_tree_labels).bit_length() > 64
+            pairs, cand_ids = self._assert_matches_oracle(kernel, tree, labelling)
+            assert pairs > 0 and cand_ids
+
+    def test_colliding_two_bit_labels_match_counter_oracle(self):
+        collided = False
+        for seed in range(6):
+            graph, h_edges, tree = _three_ecss_state(16, seed)
+            kernel = PathLabelKernel(graph, tree, skip=h_edges)
+            labelling = compute_labels(
+                self._h_graph(graph, h_edges), tree=tree, bits=2, seed=seed
+            )
+            # With four label values some non-tree edge shares the label of
+            # a tree edge it does not form a cut pair with.
+            collided |= bool(
+                set(labelling.non_tree_labels) & set(labelling.tree_labels)
+            )
+            self._assert_matches_oracle(kernel, tree, labelling)
+        assert collided
+
+    def test_labelling_after_mark_added_matches_counter_oracle(self):
+        graph, h_edges, tree = _three_ecss_state(18, 6)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        space = CycleSpace(self._h_graph(graph, h_edges), tree)
+        _, cand_ids = self._assert_matches_oracle(
+            kernel, tree, compute_labels(space, seed=1)
+        )
+        chosen = cand_ids[::3]
+        kernel.mark_added(chosen)
+        active = [kernel.cand_edges[j] for j in chosen]
+        space.add_edges(active)
+        for seed in (2, 3):
+            labelling = compute_labels(space, seed=seed)
+            self._assert_matches_oracle(kernel, tree, labelling, added=active)
+            _, after_ids, _, _ = kernel.score_round(labelling)
+            assert not set(after_ids) & set(chosen)
 
 
 # ------------------------------------------------------------ BitsetCoverKernel

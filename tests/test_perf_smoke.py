@@ -26,9 +26,10 @@ Guards in the default test run:
   parity check -- with stricter n = 400 variants behind the ``slow`` marker;
   both kernels are timed on cold scans (first calls on fresh kernels),
   since a repeat call on one labelling or one ``A`` is a memo hit;
-* a 16 x 16 torus 3-ECSS solve labels one persistent ``H ∪ A`` graph and
-  runs the candidate scan once plus once per iteration that follows an
-  addition (a count-based, machine-independent guard);
+* a 16 x 16 torus 3-ECSS solve labels one persistent ``H ∪ A`` cycle
+  space, runs the candidate scan once plus once per iteration that follows
+  an addition, and makes at most 8 ``canonical_edge`` calls per edge of
+  ``G`` (count-based, machine-independent guards);
 * an 8 x 8 torus k=4 k-ECSS solve runs ``minimum_spanning_tree`` once (for
   level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
   the cover scan once per level plus once per iteration that follows an
@@ -54,6 +55,7 @@ Guards in the default test run:
 
 from __future__ import annotations
 
+import cProfile
 import importlib
 import json
 import time
@@ -78,7 +80,11 @@ from repro.congest.primitives import simulate_bfs_tree
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
 from repro.core.k_ecss import _recompute_effectiveness_nx
-from repro.core.three_ecss import _score_round_nx, unweighted_two_ecss_2approx
+from repro.core.three_ecss import (
+    _score_round_nx,
+    three_ecss,
+    unweighted_two_ecss_2approx,
+)
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import (
     bridges,
@@ -306,9 +312,10 @@ def _three_ecss_scoring_speedup(n: int, seed: int) -> float:
     current = nx.Graph()
     current.add_nodes_from(graph.nodes())
     current.add_edges_from(h_edges)
-    labels = compute_labels(current, tree=tree, seed=seed).labels
+    labelling = compute_labels(current, tree=tree, seed=seed)
+    labels = labelling.labels
 
-    pairs, cand_ids, values, _ = kernel.score_round(labels)
+    pairs, cand_ids, values, _ = kernel.score_round(labelling)
     oracle_pairs, rounded = _score_round_nx(
         labels, tree_edge_set, candidate_paths, set()
     )
@@ -322,7 +329,7 @@ def _three_ecss_scoring_speedup(n: int, seed: int) -> float:
     for _ in range(3):
         cold = PathLabelKernel(graph, tree, skip=h_edges)
         started = time.perf_counter()
-        cold.score_round(labels)
+        cold.score_round(labelling)
         fast = min(fast, time.perf_counter() - started)
     oracle = _best_of(
         lambda: _score_round_nx(labels, tree_edge_set, candidate_paths, set())
@@ -354,7 +361,7 @@ def test_three_ecss_scoring_speedup_at_n400():
 def test_three_ecss_solve_scans_only_after_additions(monkeypatch):
     """Count-based guard on a 16 x 16 torus solve (machine-independent).
 
-    ``compute_labels`` must label one persistent ``H ∪ A`` graph object for
+    ``compute_labels`` must label one persistent ``H ∪ A`` cycle space for
     the whole solve, and the Claim 5.8 candidate scan must run once, then
     once per iteration that follows an addition: every other iteration
     reproduces the previous label partition and reuses its scores.
@@ -395,6 +402,39 @@ def test_three_ecss_solve_scans_only_after_additions(monkeypatch):
     )
     assert scans == expected
     assert sum(scans) < result.iterations // 2
+
+
+#: ``canonical_edge`` calls allowed per edge of G in one 3-ECSS solve: the
+#: setup (H, the kernel's candidates, the cycle space) canonicalises each
+#: edge a few times; the iterations label and score integer arrays only.
+THREE_ECSS_CANONICAL_PER_EDGE = 8
+
+
+def test_three_ecss_solve_canonicalises_each_edge_a_bounded_number_of_times():
+    """Count-based guard on a 16 x 16 torus solve (machine-independent).
+
+    The iterations must not rebuild canonical edges: a per-iteration walk of
+    ``H ∪ A`` would cost about m calls for each of the solve's 536
+    iterations, far above the bound.
+    """
+    graph = grid_torus(16, 16)
+    m = graph.number_of_edges()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = three_ecss(graph, seed=1)
+    finally:
+        profiler.disable()
+    calls = sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if entry.code is canonical_edge.__code__
+    )
+    print(
+        f"\n3-ECSS torus 16x16: {calls} canonical_edge calls for m={m} over "
+        f"{result.iterations} iterations (bound {THREE_ECSS_CANONICAL_PER_EDGE}m)"
+    )
+    assert calls <= THREE_ECSS_CANONICAL_PER_EDGE * m
 
 
 def _kecss_coverage_speedup(n: int, seed: int) -> float:

@@ -165,6 +165,30 @@ class TestThreeEcssLabelCollisions:
             solver(_string_torus(), seed=0, label_bits=0)
 
     @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
+    @pytest.mark.parametrize("label_bits", [True, False, 12.0, "12", -3])
+    def test_rejects_label_bits_that_are_not_positive_ints(self, solver, label_bits):
+        # True used to run with 1-bit labels and end in a "label collision";
+        # 12.0 and "12" used to raise TypeError deep inside the labelling.
+        with pytest.raises(ValueError, match="label_bits"):
+            solver(_string_torus(), seed=0, label_bits=label_bits)
+
+    @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
+    @pytest.mark.parametrize("schedule_constant", [-1, 0, 1.5, 2.0, "2", True, None])
+    def test_rejects_schedule_constant_that_is_not_a_positive_int(
+        self, solver, schedule_constant
+    ):
+        # -1 used to run until "did not converge within -832 iterations".
+        with pytest.raises(ValueError, match="schedule_constant"):
+            solver(_string_torus(), seed=0, schedule_constant=schedule_constant)
+
+    @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
+    @pytest.mark.parametrize("schedule_constant", [1, 2, 4])
+    def test_accepts_the_schedule_constants_callers_use(self, solver, schedule_constant):
+        result = solver(_string_torus(), seed=0, schedule_constant=schedule_constant)
+        ok, reason = result.verify()
+        assert ok, reason
+
+    @pytest.mark.parametrize("solver", [three_ecss, three_ecss_nx])
     def test_stall_is_reported_as_a_label_collision(self, solver):
         # 6-bit labels on 72 edges collide: the input is 3-edge-connected
         # (checked at entry), so the stall must not blame the graph.
