@@ -6,8 +6,9 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 
 * :class:`PathLabelKernel` -- the per-iteration cost-effectiveness scoring of
   the 3-ECSS algorithm (Claim 5.8).  Candidate tree paths are materialised
-  once as CSR flat arrays over integer tree-edge ids (extracted with the
-  BFS tree's cached path index, :attr:`repro.trees.rooted.RootedTree.paths`)
+  once as a CSR pair of NumPy arrays over integer tree-edge ids (built in one
+  call of the BFS tree's vectorised path builder,
+  :meth:`TreePathIndex.path_csr <repro.graphs.fastgraph.TreePathIndex.path_csr>`)
   plus their transpose (tree edge -> candidates).  Each iteration reads the
   labelling's two label lists and turns them into a class-id list with
   C-level builtins; the scan is memoised on that list and on ``A`` (a
@@ -175,29 +176,28 @@ class PathLabelKernel:
     def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
         self.tree = tree
         skip_set = set(skip)
-        index_of, paths = tree.index, tree.paths
+        index_of = tree.index
         cand_edges: list[Edge] = []
-        path_indptr = [0]
-        path_child: list[int] = []
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in graph.edges():
             edge = canonical_edge(u, v)
             if edge in skip_set:
                 continue
             cand_edges.append(edge)
-            path_child.extend(paths.path_edges(index_of[u], index_of[v]))
-            path_indptr.append(len(path_child))
+            us.append(index_of[u])
+            vs.append(index_of[v])
         self.cand_edges = cand_edges
         self.cand_repr = [repr(edge) for edge in cand_edges]
         self.in_added = bytearray(len(cand_edges))
         self.version = 0
-        self.path_indptr = path_indptr
-        self.path_child = path_child
+        self.path_indptr, child = tree.paths.path_csr(us, vs)
+        self.path_child = child
 
         # CSR transpose: child id -> the candidates whose path holds that
         # tree edge (ascending candidate ids, by the stable sort).
-        child = np.asarray(path_child, dtype=np.int64)
         owner = np.repeat(
-            np.arange(len(cand_edges), dtype=np.int64), np.diff(path_indptr)
+            np.arange(len(cand_edges), dtype=np.int64), np.diff(self.path_indptr)
         )
         self._tree_cand = owner[np.argsort(child, kind="stable")]
         self._tree_indptr = np.concatenate(
@@ -219,7 +219,7 @@ class PathLabelKernel:
 
     def path_indices(self, j: int) -> list[int]:
         """Child-vertex ids of the tree edges on the path of candidate *j*."""
-        return self.path_child[self.path_indptr[j]:self.path_indptr[j + 1]]
+        return self.path_child[self.path_indptr[j]:self.path_indptr[j + 1]].tolist()
 
     def mark_added(self, ids: Iterable[int]) -> None:
         """Flag candidates that joined ``A`` (skipped by future rounds)."""

@@ -20,7 +20,7 @@ from repro.congest.metrics import RoundLedger
 from repro.core.result import ECSSResult
 from repro.decomposition.segments import TreeDecomposition, build_decomposition
 from repro.graphs.connectivity import check_solver_input
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph
 from repro.mst.distributed import build_mst_with_fragments
 from repro.tap.distributed import TapResult, distributed_tap
 from repro.trees.rooted import RootedTree
@@ -37,6 +37,7 @@ def weighted_tap(
     seed: int | random.Random | None = None,
     symmetry_breaking: bool = True,
     cost_model: CostModel | None = None,
+    snapshot: FastGraph | None = None,
 ) -> TapResult:
     """Distributed weighted tree augmentation (Theorem 3.12).
 
@@ -44,10 +45,9 @@ def weighted_tap(
     derives the segment-diameter round charge from *decomposition* when given
     (the decomposition the 2-ECSS pipeline builds anyway).  The tree carries
     its own cached path index, so the decomposition and the coverage kernel
-    index the MST once per instance.
+    index the MST once per instance; *snapshot* (a :class:`FastGraph` of
+    *graph*) spares the coverage kernel its own conversion.
     """
-    if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
     segment_diameter = None
     if decomposition is not None:
         segment_diameter = max(1, decomposition.max_segment_diameter())
@@ -58,6 +58,7 @@ def weighted_tap(
         segment_diameter=segment_diameter,
         cost_model=cost_model,
         symmetry_breaking=symmetry_breaking,
+        snapshot=snapshot,
     )
 
 
@@ -82,10 +83,14 @@ def two_ecss(
         the graph.  ``metadata`` records the MST weight, the TAP stage result
         and the decomposition statistics used in the experiments.
     """
-    check_solver_input(graph, 2, "2-ECSS")
+    # One CSR snapshot serves the input check, the diameter and the TAP kernel.
+    snapshot = FastGraph.from_nx(graph)
+    check_solver_input(graph, 2, "2-ECSS", snapshot)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
-    mst_stage = build_mst_with_fragments(graph, simulate_bfs=simulate_bfs)
+    mst_stage = build_mst_with_fragments(
+        graph, simulate_bfs=simulate_bfs, snapshot=snapshot
+    )
     cost_model = CostModel(n=graph.number_of_nodes(), diameter=mst_stage.diameter)
 
     decomposition = build_decomposition(mst_stage.mst, mst_stage.fragments)
@@ -104,6 +109,7 @@ def two_ecss(
         seed=rng,
         symmetry_breaking=symmetry_breaking,
         cost_model=cost_model,
+        snapshot=snapshot,
     )
     ledger.extend(tap_result.ledger)
 

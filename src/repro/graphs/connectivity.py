@@ -110,13 +110,20 @@ def edge_connectivity_nx(graph: nx.Graph) -> int:
     return nx.edge_connectivity(graph)
 
 
-def is_k_edge_connected(graph: nx.Graph, k: int) -> bool:
-    """Return ``True`` iff *graph* remains connected after any ``k - 1`` edge removals."""
+def is_k_edge_connected(
+    graph: nx.Graph, k: int, snapshot: FastGraph | None = None
+) -> bool:
+    """Return ``True`` iff *graph* remains connected after any ``k - 1`` edge removals.
+
+    Pass *snapshot* (a :class:`FastGraph` of *graph*) to skip the conversion.
+    """
     if k <= 0:
         return True
     if graph.number_of_nodes() <= 1:
         return False
-    return _is_k_edge_connected(FastGraph.from_nx(graph), graph, k)
+    if snapshot is None:
+        snapshot = FastGraph.from_nx(graph)
+    return _is_k_edge_connected(snapshot, graph, k)
 
 
 def _is_k_edge_connected(fast: FastGraph, graph: nx.Graph, k: int) -> bool:
@@ -135,7 +142,9 @@ def _is_k_edge_connected(fast: FastGraph, graph: nx.Graph, k: int) -> bool:
     return _edge_connectivity(fast, graph) >= k
 
 
-def check_solver_input(graph: nx.Graph, k: int, problem: str) -> None:
+def check_solver_input(
+    graph: nx.Graph, k: int, problem: str, snapshot: FastGraph | None = None
+) -> None:
     """Enforce the solvers' input contract; raise ``ValueError`` naming the breach.
 
     Every k-ECSS solver takes a simple undirected graph whose edges are
@@ -143,7 +152,8 @@ def check_solver_input(graph: nx.Graph, k: int, problem: str) -> None:
     is k-edge-connected.  Parallel edges would pass the connectivity check
     and then break the tree-augmentation stage, and float or negative
     weights would break (or silently falsify) the weight classes, so each
-    is rejected here, before any solver work starts.
+    is rejected here, before any solver work starts.  *snapshot* (a
+    :class:`FastGraph` of *graph*) is handed to the connectivity check.
     """
     if graph.is_multigraph():
         raise ValueError(
@@ -158,7 +168,7 @@ def check_solver_input(graph: nx.Graph, k: int, problem: str) -> None:
                 f"{problem} needs non-negative integer edge weights; "
                 f"edge ({u!r}, {v!r}) has weight {weight!r}"
             )
-    if not is_k_edge_connected(graph, k):
+    if not is_k_edge_connected(graph, k, snapshot):
         raise ValueError(
             f"the input graph is not {k}-edge-connected; {problem} is infeasible"
         )

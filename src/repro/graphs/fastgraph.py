@@ -31,8 +31,10 @@ All kernels below are loops over those flat lists:
   plain lists, shared by Kruskal and the k-ECSS Line 4 forest filter;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
   query) plus ancestor-array tree-path extraction over integer parent/depth
-  arrays; every :class:`~repro.trees.rooted.RootedTree` builds one lazily
-  (``tree.paths``) and its LCA/path queries, the TAP coverage kernel
+  arrays, one pair at a time (``path_edges``) or for whole arrays of pairs
+  at once as a NumPy CSR (``path_csr``); every
+  :class:`~repro.trees.rooted.RootedTree` builds one lazily (``tree.paths``)
+  and its LCA/path queries, the TAP coverage kernel
   (:mod:`repro.tap.fastcover`) and the labelling kernels all run on it.
 
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the
@@ -74,7 +76,7 @@ class TreePathIndex:
     never touch a hashable edge object.
     """
 
-    __slots__ = ("n", "parent", "depth", "root", "_first", "_table", "_logs")
+    __slots__ = ("n", "parent", "depth", "root", "_first", "_table", "_logs", "_arrays")
 
     def __init__(self, parent: Sequence[int], depth: Sequence[int]) -> None:
         self.parent = list(parent)
@@ -139,6 +141,7 @@ class TreePathIndex:
             table.append(row)
             level += 1
         self._table = table
+        self._arrays: tuple[np.ndarray, ...] | None = None
 
     def lca(self, u: int, v: int) -> int:
         """The lowest common ancestor of vertices *u* and *v*."""
@@ -174,6 +177,78 @@ class TreePathIndex:
             out.append(x)
             x = parent[x]
         return out
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(parent, depth, first, logs, min_depth)`` as NumPy arrays, built on first use.
+
+        ``min_depth[level, i]`` is the depth of the minimum-depth vertex of
+        the Euler-tour window ``[i, i + 2^level)`` -- the sparse table
+        :meth:`lca` reads, as depths, zero-padded to one rectangle -- and
+        ``logs[w]`` is ``floor(log2(w))``.  All are int32: they hold vertex
+        ids, depths and tour positions, all below ``2n``.
+        """
+        if self._arrays is None:
+            table = np.zeros((len(self._table), len(self._table[0])), dtype=np.int32)
+            for level, row in enumerate(self._table):
+                table[level, :len(row)] = row
+            depth = np.asarray(self.depth, dtype=np.int32)
+            self._arrays = (
+                np.asarray(self.parent, dtype=np.int32),
+                depth,
+                np.asarray(self._first, dtype=np.int32),
+                np.asarray(self._logs, dtype=np.int32),
+                depth[table],
+            )
+        return self._arrays
+
+    def path_csr(
+        self, us: Sequence[int] | np.ndarray, vs: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The tree paths of many vertex pairs at once, as a CSR pair.
+
+        Returns ``(indptr, child)``: the path of pair ``i`` is
+        ``child[indptr[i]:indptr[i + 1]]``, element for element equal to
+        ``path_edges(us[i], vs[i])`` (``indptr`` is int64, ``child`` int32).
+
+        No per-pair Python loop and no sort of path entries: one vectorised
+        sparse-table lookup gives every LCA depth, so each side's length --
+        and with a cumulative sum every slot -- is known up front.  The 2q
+        sides (u-side and v-side of every pair) are ordered once by length,
+        longest first, so the sides still climbing at step ``s`` are a
+        prefix; a scatter climb then moves that prefix one step up per
+        NumPy pass, writing the vertex each side leaves into its slot
+        ``s``.  The climb takes as many passes as the longest side.
+        """
+        parent, depth, first, logs, min_depth = self.arrays()
+        q = len(us)
+        # Temporaries are int32 and dropped as soon as they are used: on
+        # dense graphs q is large, and they would otherwise set the peak.
+        start = np.concatenate((us, vs)).astype(np.int32)
+        order = first[start]
+        left = np.minimum(order[:q], order[q:])
+        right = np.maximum(order[:q], order[q:])
+        del order
+        level = logs[right - left + 1]
+        right -= (1 << level) - 1
+        top = np.minimum(min_depth[level, left], min_depth[level, right])
+        del left, right, level
+        length = depth[start]
+        length[:q] -= top
+        length[q:] -= top
+        indptr = np.zeros(q + 1, dtype=np.int64)
+        (length[:q] + length[q:]).cumsum(dtype=np.int64, out=indptr[1:])
+        child = np.empty(indptr[-1], dtype=np.int32)
+
+        by_length = (-length).argsort()
+        node = start[by_length]
+        slot = np.concatenate((indptr[:-1], indptr[:-1] + length[:q]))[by_length]
+        # climbing[s]: how many sides are longer than s.
+        climbing = np.bincount(length)[:0:-1].cumsum()[::-1].tolist()
+        del start, length, by_length
+        for step, k in enumerate(climbing):
+            child[slot[:k] + step] = node[:k]
+            node[:k] = parent[node[:k]]
+        return indptr, child
 
 
 class ArrayUnionFind:
@@ -790,10 +865,13 @@ class FastGraph:
 
 
 
-def hop_diameter(graph: nx.Graph) -> int:
+def hop_diameter(graph: nx.Graph, snapshot: FastGraph | None = None) -> int:
     """The hop diameter of a connected networkx graph via the CSR kernel.
 
     Drop-in fast path for ``nx.diameter`` on unweighted connected graphs;
-    raises ``ValueError`` when the graph is empty or disconnected.
+    raises ``ValueError`` when the graph is empty or disconnected.  Pass
+    *snapshot* (a :class:`FastGraph` of *graph*) to skip the conversion.
     """
-    return FastGraph.from_nx(graph).hop_diameter()
+    if snapshot is None:
+        snapshot = FastGraph.from_nx(graph)
+    return snapshot.hop_diameter()

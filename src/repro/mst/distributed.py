@@ -25,7 +25,7 @@ import networkx as nx
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.congest.primitives import simulate_bfs_tree
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.mst.fragments import FragmentDecomposition, decompose_tree_into_fragments
 from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.rooted import RootedTree
@@ -57,6 +57,7 @@ def build_mst_with_fragments(
     root: Hashable | None = None,
     fragment_cap: int | None = None,
     simulate_bfs: bool = True,
+    snapshot: FastGraph | None = None,
 ) -> MstResult:
     """Build the rooted MST, its fragment decomposition and the round ledger.
 
@@ -68,6 +69,8 @@ def build_mst_with_fragments(
             message passing and its measured rounds recorded; when ``False``
             the BFS tree is computed centrally and O(D) rounds are charged
             (useful for very large experiment instances).
+        snapshot: A :class:`FastGraph` of *graph* for the diameter
+            computation; one is built when omitted.
     """
     if graph.number_of_nodes() == 0:
         raise ValueError("cannot build an MST of an empty graph")
@@ -77,7 +80,7 @@ def build_mst_with_fragments(
         root = min(graph.nodes(), key=repr)
 
     ledger = RoundLedger()
-    diameter = hop_diameter(graph)
+    diameter = hop_diameter(graph, snapshot)
     cost = CostModel(n=graph.number_of_nodes(), diameter=diameter)
 
     if simulate_bfs and graph.number_of_nodes() > 1:

@@ -5,9 +5,9 @@ add a minimum-weight set of non-tree edges so that ``T`` plus the added edges
 is 2-edge-connected -- equivalently, every tree edge must be *covered* by an
 added edge whose tree path contains it.
 
-* :mod:`repro.tap.fastcover` -- the flat-array coverage/voting kernel every
-  TAP solver runs on (CSR tree paths over integer tree-edge ids, incremental
-  ``|C_e|`` counters, array-stamped voting rounds),
+* :mod:`repro.tap.fastcover` -- the NumPy coverage/voting kernel every TAP
+  solver runs on (a CSR of tree paths over integer tree-edge ids, ``|C_e|``
+  recounted per cover, voting with ``np.minimum.at``),
 * :mod:`repro.tap.cover` -- ``CoverageStateNX``, the historical set-based
   coverage bookkeeping, kept as the oracle of the differential suite,
 * :mod:`repro.tap.distributed` -- the paper's randomised voting algorithm

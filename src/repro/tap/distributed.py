@@ -13,12 +13,14 @@ exactly; the per-iteration round cost O(D + sqrt n) of Lemma 3.3 is charged on
 the ledger using the instance's measured diameter and maximum segment diameter
 (see :class:`repro.congest.cost_model.CostModel`).
 
-The hot loop runs on the flat-array kernel
-:class:`repro.tap.fastcover.FastCoverage` (candidate scoring from the
-incrementally maintained ``|C_e|`` counters, voting on round-stamped
-ownership arrays); the historical set-algebra implementation survives as
-:func:`distributed_tap_nx`, the reference oracle of the ``diff-tap-*``
-differential suite, and both consume identical RNG streams and tie-breaks.
+The hot loop runs on the NumPy kernel :class:`repro.tap.fastcover.FastCoverage`:
+each iteration scores every live non-tree edge with integer array ops on
+the ``|C_e|`` array, sorts only the maximum-effectiveness candidates by their
+(lazily built) ``repr``, votes with ``np.minimum.at`` over the candidates'
+uncovered path entries, and recounts ``|C_e|`` after the cover.  The
+historical set-algebra implementation survives as :func:`distributed_tap_nx`,
+the reference oracle of the ``diff-tap-*`` differential suite, and both
+consume identical RNG streams and tie-breaks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import networkx as nx
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.core.cost_effectiveness import rounded_cost_effectiveness
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.tap.cover import CoverageStateNX
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
@@ -84,11 +86,12 @@ def _resolve_run_parameters(
     cost_model: CostModel | None,
     segment_diameter: int | None,
     max_iterations: int | None,
+    snapshot: FastGraph | None = None,
 ) -> tuple[CostModel, int, int]:
     """Shared defaults of the fast path and the reference oracle."""
     n = graph.number_of_nodes()
     if cost_model is None:
-        cost_model = CostModel(n=n, diameter=hop_diameter(graph))
+        cost_model = CostModel(n=n, diameter=hop_diameter(graph, snapshot))
     if segment_diameter is None:
         segment_diameter = cost_model.sqrt_n
     if max_iterations is None:
@@ -106,6 +109,7 @@ def distributed_tap(
     cost_model: CostModel | None = None,
     symmetry_breaking: bool = True,
     max_iterations: int | None = None,
+    snapshot: FastGraph | None = None,
 ) -> TapResult:
     """Run the distributed weighted-TAP algorithm on ``(graph, tree)``.
 
@@ -120,27 +124,30 @@ def distributed_tap(
         symmetry_breaking: When ``False`` the voting step is skipped and every
             candidate with maximum rounded cost-effectiveness is added
             (the naive parallelisation the paper argues against; ablation E9).
-        max_iterations: Safety bound; defaults to ``64 * log(n)^2 + 64``.
+        max_iterations: Safety bound; defaults to
+            ``max(64 * log(n)^2, 4 * n) + 64``.
+        snapshot: A :class:`FastGraph` of *graph* (the one the 2-ECSS
+            driver built for its input check); one is built when omitted.
 
     Returns:
         A :class:`TapResult`; ``augmentation ∪ T`` is guaranteed to be
         2-edge-connected when the input graph is.
+
+    Raises:
+        ValueError: When *tree* is not a spanning tree of *graph*.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
+    if snapshot is None:
+        snapshot = FastGraph.from_nx(graph)
     cost_model, segment_diameter, max_iterations = _resolve_run_parameters(
-        graph, cost_model, segment_diameter, max_iterations
+        graph, cost_model, segment_diameter, max_iterations, snapshot
     )
 
-    fast = FastCoverage(graph, tree)
+    fast = FastCoverage(graph, tree, snapshot)
     ledger = RoundLedger()
     history: list[TapIterationStats] = []
 
-    m_nt = fast.m_nt
-    weights = fast.nt_weight
-    uncovered_counts = fast.nt_uncovered
-    reprs = fast.nt_repr
-    in_augmentation = bytearray(m_nt)
     augmentation_ids: list[int] = []
     iteration_rounds = cost_model.tap_iteration_rounds(segment_diameter)
 
@@ -148,8 +155,6 @@ def distributed_tap(
     # algorithm we add to A all the edges with weight 0").
     zero_weight = fast.zero_weight_ids()
     if zero_weight:
-        for j in zero_weight:
-            in_augmentation[j] = 1
         augmentation_ids.extend(zero_weight)
         fast.cover_many(zero_weight)
         ledger.add(
@@ -167,57 +172,33 @@ def distributed_tap(
                 "is the input graph 2-edge-connected?"
             )
 
-        # Line 1-2: rounded cost-effectiveness and candidate selection, as one
-        # scan over the incrementally maintained |C_e| array.  The rounded
-        # value of an edge with |C_e| = u > 0 and weight w > 0 is the power
-        # of two 2^e with 2^(e-1) <= u/w < 2^e, i.e. e = floor(log2(u/w)) + 1,
-        # so candidates compare by the integer exponent -- exactly, with no
-        # Fraction arithmetic in the loop.
-        max_exponent = None
-        scored: list[int] = []
-        exponents: list[int] = []
-        for j in range(m_nt):
-            if in_augmentation[j]:
-                continue
-            uncovered = uncovered_counts[j]
-            if uncovered == 0:
-                continue
-            weight = weights[j]
-            shift = uncovered.bit_length() - weight.bit_length()
-            if shift >= 0:
-                exponent = shift + 1 if uncovered >= weight << shift else shift
-            else:
-                exponent = shift + 1 if uncovered << -shift >= weight else shift
-            scored.append(j)
-            exponents.append(exponent)
-            if max_exponent is None or exponent > max_exponent:
-                max_exponent = exponent
-        if not scored:
+        # Line 1-2: rounded cost-effectiveness and candidate selection.  An
+        # edge already in A has its whole path covered, so the live edges
+        # are exactly those with |C_e| > 0; candidates compare by the integer
+        # exponent of their rounded value, with no Fraction in the loop.
+        best = fast.max_exponent_edges()
+        if best is None:
             raise RuntimeError(
                 "no non-tree edge covers the remaining uncovered tree edges; "
                 "the input graph is not 2-edge-connected"
             )
+        max_exponent, candidates = best
         maximum = (
             Fraction(1 << max_exponent)
             if max_exponent >= 0
             else Fraction(1, 1 << -max_exponent)
         )
-        candidates = sorted(
-            (j for j, exponent in zip(scored, exponents) if exponent == max_exponent),
-            key=reprs.__getitem__,
-        )
+        candidates.sort(key=fast.nt_repr)
 
+        uncovered_before = fast.uncovered_total()
         if symmetry_breaking:
             # Line 3: one random number per candidate, drawn in the sorted
             # candidate order (the historical RNG stream).
             numbers = [rng.randint(1, n ** 8) for _ in candidates]
             added = fast.voting_round(candidates, numbers)
         else:
-            added = list(candidates)
-
-        newly_covered = fast.cover_many(added)
-        for j in added:
-            in_augmentation[j] = 1
+            added = candidates
+            fast.cover_many(added)
         augmentation_ids.extend(added)
 
         ledger.add(
@@ -231,14 +212,14 @@ def distributed_tap(
                 max_rounded_effectiveness=maximum,
                 candidates=len(candidates),
                 added=len(added),
-                newly_covered=len(newly_covered),
+                newly_covered=uncovered_before - fast.uncovered_total(),
                 uncovered_remaining=fast.uncovered_total(),
             )
         )
 
-    nt_edges = fast.nt_edges
+    weights = fast.nt_weight
     return TapResult(
-        augmentation={nt_edges[j] for j in augmentation_ids},
+        augmentation={fast.nt_edge(j) for j in augmentation_ids},
         weight=sum(weights[j] for j in augmentation_ids),
         iterations=iteration,
         ledger=ledger,

@@ -1,33 +1,41 @@
-"""Flat-array coverage/voting kernel for tree augmentation (Section 3).
+"""NumPy coverage/voting kernel for tree augmentation (Section 3).
 
 :class:`FastCoverage` is the coverage bookkeeping every TAP solver runs on
 (:func:`~repro.tap.distributed.distributed_tap`,
-:func:`~repro.tap.greedy.greedy_tap` and the exact ILP baseline).  It
-materialises, for every non-tree edge of the input graph, the tree path
-between its endpoints as CSR-style flat arrays over integer tree-edge ids:
+:func:`~repro.tap.greedy.greedy_tap` and the exact ILP baseline).  It holds,
+for every non-tree edge of the input graph, the tree path between its
+endpoints as one CSR pair of NumPy arrays over integer tree-edge ids:
 
 * ``path_indptr`` / ``path_tree`` -- non-tree edge id ``j`` covers the tree
-  edges ``path_tree[path_indptr[j]:path_indptr[j + 1]]`` (the set ``S_e``);
-* ``cover_indptr`` / ``cover_nt`` -- the transpose: the non-tree edges
-  covering tree edge ``t`` (the column the voting round walks);
-* ``covered`` (bytearray) plus ``nt_uncovered[j] = |C_e|`` maintained
-  incrementally: when a tree edge flips to covered, the count of every
-  non-tree edge over it is decremented exactly once, so the per-iteration
-  candidate scoring of the distributed TAP algorithm is a flat array scan
-  instead of per-edge ``frozenset`` subtraction.
+  edges ``path_tree[path_indptr[j]:path_indptr[j + 1]]`` (the set ``S_e``),
+  built in one call of :meth:`TreePathIndex.path_csr
+  <repro.graphs.fastgraph.TreePathIndex.path_csr>`;
+* ``covered`` -- one flag per tree edge, and ``nt_uncovered[j] = |C_e|``,
+  recounted after every cover as a segment sum of ``~covered[path_tree]``.
+
+There is no transposed (tree edge -> covering edges) index: the voting round
+gathers the path entries of its candidates, and :meth:`FastCoverage.covering`
+builds a column on demand for the ILP baseline.
+
+The kernel reads the graph from a :class:`~repro.graphs.fastgraph.FastGraph`
+snapshot (the one the 2-ECSS driver already built, or its own) and splits
+tree from non-tree edges by the parent test ``parent[a] == b`` on the tree's
+vertex ids, checking on the way that the tree is a spanning tree of the
+graph.  Non-tree edges keep the ``graph.edges()`` order; their canonical
+edge tuples and ``repr`` strings are built only when asked for -- for the
+candidates the distributed algorithm sorts and for the output.  Weights are
+an int64 array, or an object array of Python ints when one does not fit, so
+every comparison stays exact.
 
 Tree-edge ids are the tree edges sorted by ``repr`` -- the index space of
 the set-based oracle :class:`~repro.tap.cover.CoverageStateNX` -- so the
-kernel and the oracle agree on indices.  Paths are extracted with the
-tree's own cached :class:`repro.graphs.fastgraph.TreePathIndex`
-(:attr:`RootedTree.paths <repro.trees.rooted.RootedTree.paths>`), never
-through per-edge hashable path objects.
+kernel and the oracle agree on indices.
 
 :meth:`FastCoverage.voting_round` implements Lines 3-5 of the paper's
-iteration (Theorem 3.12) as one pass over the candidate columns with
-round-stamped ownership arrays; ties are broken exactly as the historical
-set-based implementation did (smallest random number, then smallest edge
-``repr``), so the augmentation output is bit-identical.
+iteration (Theorem 3.12) with ``np.minimum.at`` and ``np.bincount``; ties
+are broken exactly as the historical set-based implementation did (smallest
+random number, then smallest edge ``repr``), so the augmentation output is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -35,13 +43,31 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.connectivity import canonical_edge
+from repro.graphs.fastgraph import FastGraph
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
 __all__ = ["FastCoverage"]
+
+#: Scale of the exact exponent test: both of its sides fit in 62 bits.
+_TOP = 62
+#: Exponent of an edge that covers nothing new (never a candidate).
+_DEAD = np.iinfo(np.int64).min
+
+
+def _bit_lengths(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every non-negative entry, exactly, as int64."""
+    if values.dtype == object:
+        return np.frompyfunc(int.bit_length, 1, 1)(values).astype(np.int64)
+    bits = np.frexp(values.astype(np.float64))[1].astype(np.int64)
+    # Past 2^53 the float conversion can round up to the next power of two,
+    # one bit too many; the shift test takes that bit back.
+    bits -= (values >> np.maximum(bits - 1, 0)) == 0
+    return np.maximum(bits, 0)
 
 
 class FastCoverage:
@@ -52,222 +78,269 @@ class FastCoverage:
         tree: The spanning tree ``T`` to augment (typically the MST); its
             cached path index is reused, so the 2-ECSS driver indexes the
             MST once for both the decomposition and the coverage kernel.
+        snapshot: A :class:`FastGraph` of *graph* to read the edges from;
+            one is built when omitted.
+
+    Raises:
+        ValueError: When *tree* is not a spanning tree of *graph* (a vertex
+            of the graph is missing from the tree, or a tree edge from the
+            graph); the message names the vertex or edge.
 
     Attributes:
         tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``).
-        nt_edges: Non-tree edge id -> canonical edge (``graph.edges()``
-            order, the order the historical implementation iterated in).
+        n_tree: Number of tree edges.
+        m_nt: Number of non-tree edges (augmentation candidates).
         nt_weight: Non-tree edge id -> integer weight.
-        nt_repr: Non-tree edge id -> ``repr`` string (the tie-break key).
-        nt_uncovered: Non-tree edge id -> current ``|C_e|``.
-        covered: Bytearray flag per tree edge.
-        uncovered: Set of still-uncovered tree-edge ids (maintained
-            incrementally; never rebuilt).
+        path_indptr / path_tree: The path CSR (int64 / int32 arrays).
+        covered: Boolean array, one flag per tree edge.
+        nt_uncovered: Non-tree edge id -> current ``|C_e|`` (int64 array).
     """
 
     __slots__ = (
-        "tree_edges", "tree_edge_index", "n_tree",
-        "nt_edges", "nt_index", "nt_weight", "nt_repr",
-        "path_indptr", "path_tree", "cover_indptr", "cover_nt",
-        "covered", "uncovered", "nt_uncovered",
-        "_vote_owner", "_vote_stamp", "_round",
+        "tree_edges", "n_tree", "m_nt", "nt_weight",
+        "path_indptr", "path_tree", "covered", "nt_uncovered",
+        "_uncovered_total", "_weights", "_weight_bits", "_weight_top", "_lengths",
+        "_nonempty",
+        "_snapshot", "_nt_eid", "_nt_edges", "_nt_repr", "_nt_index",
     )
 
-    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
-        self.tree_edges: list[Edge] = sorted(tree.tree_edges(), key=repr)
-        self.tree_edge_index: dict[Edge, int] = {
-            edge: index for index, edge in enumerate(self.tree_edges)
-        }
-        self.n_tree = len(self.tree_edges)
-
-        # Tree edge id of the parent edge of each vertex id (-1 for the root).
+    def __init__(
+        self, graph: nx.Graph, tree: RootedTree, snapshot: FastGraph | None = None
+    ) -> None:
+        if snapshot is None:
+            snapshot = FastGraph.from_nx(graph)
         index_of = tree.index
-        child_tid = [-1] * len(index_of)
-        for vid, edge in enumerate(tree.parent_edges):
-            if edge is not None:
-                child_tid[vid] = self.tree_edge_index[edge]
+        tree_id = np.fromiter(
+            (index_of.get(label, -1) for label in snapshot.labels),
+            dtype=np.int64, count=snapshot.n,
+        )
+        if snapshot.n and tree_id.min() < 0:
+            missing = snapshot.labels[int(np.argmin(tree_id))]
+            raise ValueError(f"vertex {missing!r} of the graph is not a vertex of the tree")
 
+        # Edge (a, b) is a tree edge iff one endpoint is the other's parent;
+        # every non-root vertex must be the child end of one of them.
         paths = tree.paths
-        tree_edge_set = set(self.tree_edges)
-        nt_edges: list[Edge] = []
-        nt_weight: list[int] = []
-        path_indptr = [0]
-        path_tree: list[int] = []
-        for u, v, data in graph.edges(data=True):
-            edge = canonical_edge(u, v)
-            if edge in tree_edge_set:
-                continue
-            nt_edges.append(edge)
-            nt_weight.append(data.get("weight", 1))
-            for child in paths.path_edges(index_of[u], index_of[v]):
-                path_tree.append(child_tid[child])
-            path_indptr.append(len(path_tree))
-        self.nt_edges = nt_edges
-        self.nt_index = {edge: j for j, edge in enumerate(nt_edges)}
-        self.nt_weight = nt_weight
-        self.nt_repr = [repr(edge) for edge in nt_edges]
-        self.path_indptr = path_indptr
-        self.path_tree = path_tree
+        parent = paths.arrays()[0]
+        a = tree_id[snapshot.tail]
+        b = tree_id[snapshot.head]
+        a_child = parent[a] == b
+        is_tree = a_child | (parent[b] == a)
+        found = np.bincount(np.where(a_child, a, b)[is_tree], minlength=paths.n)
+        found[paths.root] = 1
+        if not found.all():
+            edge = tree.parent_edges[int(np.argmin(found))]
+            raise ValueError(f"tree edge {edge!r} is not an edge of the graph")
 
-        # Transpose: tree edge -> covering non-tree edges, ascending edge id.
-        counts = [0] * self.n_tree
-        for t in path_tree:
-            counts[t] += 1
-        cover_indptr = [0] * (self.n_tree + 1)
-        for t in range(self.n_tree):
-            cover_indptr[t + 1] = cover_indptr[t] + counts[t]
-        cursor = cover_indptr[:-1].copy()
-        cover_nt = [0] * len(path_tree)
-        for j in range(len(nt_edges)):
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                t = path_tree[s]
-                cover_nt[cursor[t]] = j
-                cursor[t] += 1
-        self.cover_indptr = cover_indptr
-        self.cover_nt = cover_nt
+        # Tree-edge ids: the tree edges (keyed by child vertex) in repr order.
+        parent_edges = tree.parent_edges
+        by_repr = sorted(range(1, paths.n), key=lambda child: repr(parent_edges[child]))
+        self.tree_edges: list[Edge] = [parent_edges[child] for child in by_repr]
+        self.n_tree = len(by_repr)
+        tree_edge_of = np.zeros(paths.n, dtype=np.int32)
+        tree_edge_of[by_repr] = np.arange(self.n_tree, dtype=np.int32)
 
-        self.covered = bytearray(self.n_tree)
-        self.uncovered: set[int] = set(range(self.n_tree))
-        self.nt_uncovered = [
-            path_indptr[j + 1] - path_indptr[j] for j in range(len(nt_edges))
-        ]
-        self._vote_owner = [0] * self.n_tree
-        self._vote_stamp = [0] * self.n_tree
-        self._round = 0
+        nt_eid = (~is_tree).nonzero()[0]
+        self.m_nt = len(nt_eid)
+        self.path_indptr, child = paths.path_csr(a[nt_eid], b[nt_eid])
+        self.path_tree = tree_edge_of[child]
+        del child
+
+        weights = snapshot.weight
+        self.nt_weight: list[int] = [weights[eid] for eid in nt_eid.tolist()]
+        self._weights = np.asarray(self.nt_weight)
+        if self._weights.dtype.kind != "i":
+            # Past int64 (or mixed with non-integers): keep the exact objects.
+            self._weights = np.array(self.nt_weight, dtype=object)
+        # bits(w) and ceil(w * 2^(62 - bits(w))), built on the first scan.
+        self._weight_bits: np.ndarray | None = None
+        self._weight_top: np.ndarray | None = None
+
+        self.covered = np.zeros(self.n_tree, dtype=bool)
+        self._lengths = self.path_indptr[1:] - self.path_indptr[:-1]
+        self.nt_uncovered = self._lengths.copy()
+        self._uncovered_total = self.n_tree
+        # The segments the |C_e| recount sums: every path, or (when some
+        # non-tree edge is a self-loop) just the non-empty ones.
+        self._nonempty = None if self._lengths.all() else self._lengths.nonzero()[0]
+
+        self._snapshot = snapshot
+        self._nt_eid = nt_eid
+        self._nt_edges: list[Edge | None] = [None] * self.m_nt
+        self._nt_repr: list[str | None] = [None] * self.m_nt
+        self._nt_index: dict[Edge, int] | None = None
+
+    # ----------------------------------------------------------- edge objects
+    def nt_edge(self, j: int) -> Edge:
+        """The canonical edge of non-tree edge *j* (built on first use)."""
+        edge = self._nt_edges[j]
+        if edge is None:
+            edge = canonical_edge(*self._snapshot.edge_labels(int(self._nt_eid[j])))
+            self._nt_edges[j] = edge
+        return edge
+
+    def nt_repr(self, j: int) -> str:
+        """``repr`` of the canonical edge of *j* -- the tie-break and sort key."""
+        text = self._nt_repr[j]
+        if text is None:
+            text = self._nt_repr[j] = repr(self.nt_edge(j))
+        return text
+
+    @property
+    def nt_edges(self) -> list[Edge]:
+        """Non-tree edge id -> canonical edge, in ``graph.edges()`` order."""
+        return [self.nt_edge(j) for j in range(self.m_nt)]
+
+    @property
+    def nt_index(self) -> dict[Edge, int]:
+        """Canonical edge -> non-tree edge id."""
+        if self._nt_index is None:
+            self._nt_index = {edge: j for j, edge in enumerate(self.nt_edges)}
+        return self._nt_index
+
+    @property
+    def tree_edge_index(self) -> dict[Edge, int]:
+        """Canonical tree edge -> tree-edge id."""
+        return {edge: t for t, edge in enumerate(self.tree_edges)}
 
     # --------------------------------------------------------------- queries
-    @property
-    def m_nt(self) -> int:
-        """Number of non-tree edges (augmentation candidates)."""
-        return len(self.nt_edges)
-
     def path_indices(self, j: int) -> list[int]:
         """Tree-edge ids on the path of non-tree edge *j* (the set ``S_e``)."""
-        return self.path_tree[self.path_indptr[j]:self.path_indptr[j + 1]]
+        return self.path_tree[self.path_indptr[j]:self.path_indptr[j + 1]].tolist()
 
     def covering(self, t: int) -> list[int]:
-        """Non-tree edge ids covering tree edge *t*, in ascending edge id."""
-        return self.cover_nt[self.cover_indptr[t]:self.cover_indptr[t + 1]]
+        """Non-tree edge ids covering tree edge *t*, ascending (built per call)."""
+        slots = np.flatnonzero(self.path_tree == t)
+        return (np.searchsorted(self.path_indptr, slots, side="right") - 1).tolist()
 
     def uncovered_path_indices(self, j: int) -> list[int]:
         """Still-uncovered tree-edge ids on the path of *j* (the set ``C_e``)."""
-        covered = self.covered
-        return [
-            t
-            for t in self.path_tree[self.path_indptr[j]:self.path_indptr[j + 1]]
-            if not covered[t]
-        ]
+        path = self.path_tree[self.path_indptr[j]:self.path_indptr[j + 1]]
+        return path[~self.covered[path]].tolist()
+
+    @property
+    def uncovered(self) -> set[int]:
+        """The still-uncovered tree-edge ids (computed on demand)."""
+        return set(np.flatnonzero(~self.covered).tolist())
 
     def uncovered_total(self) -> int:
         """How many tree edges are still uncovered (O(1))."""
-        return len(self.uncovered)
+        return self._uncovered_total
 
     def all_covered(self) -> bool:
-        return not self.uncovered
+        return self._uncovered_total == 0
 
     def zero_weight_ids(self) -> list[int]:
         """Ids of the zero-weight non-tree edges (added up front by both TAPs)."""
-        return [j for j, w in enumerate(self.nt_weight) if w == 0]
+        return (self._weights == 0).nonzero()[0].tolist()
+
+    def max_exponent_edges(self) -> tuple[int, list[int]] | None:
+        """The best rounded cost-effectiveness ``2^e`` and the live edges attaining it.
+
+        For ``u = |C_e| > 0`` and weight ``w > 0`` the rounded value is the
+        power of two ``2^e`` with ``2^(e-1) <= u/w < 2^e``, i.e. ``e`` is
+        ``bits(u) - bits(w)`` plus one when ``u * 2^(bits(w) - bits(u)) >= w``
+        -- one shift comparison.  Scaled by ``2^(62 - bits(w))`` its left
+        side is the integer ``u << (62 - bits(u))``, so it holds iff that is
+        at least ``ceil(w * 2^(62 - bits(w)))``, precomputed once per edge
+        from the exact weight: both sides are int64, for weights past int64
+        too.  Returns ``(e, ids)`` (ids ascending), or ``None`` when no edge
+        is live.  Zero-weight edges must already be covered.
+        """
+        if self._weight_top is None:
+            bits = _bit_lengths(self._weights)
+            up, down = np.maximum(_TOP - bits, 0), np.maximum(bits - _TOP, 0)
+            if self._weights.dtype == object:
+                up, down = up.astype(object), down.astype(object)
+            top = np.where(bits <= _TOP, self._weights << up, -(-self._weights >> down))
+            self._weight_bits = bits
+            self._weight_top = top.astype(np.int64)
+        uncovered = self.nt_uncovered
+        bits = np.frexp(uncovered)[1]  # exact: |C_e| is far below 2^53
+        exponent = bits - self._weight_bits
+        exponent += (uncovered << (_TOP - bits)) >= self._weight_top
+        exponent = np.where(uncovered, exponent, _DEAD)
+        best = int(exponent.max(initial=_DEAD))
+        if best == _DEAD:
+            return None
+        return best, (exponent == best).nonzero()[0].tolist()
+
+    def _entries(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The concatenated path entries of *ids*, and each path's length."""
+        lengths = self._lengths[ids]
+        ends = lengths.cumsum()
+        # Entry i of path j sits at path_indptr[j] + i; shift[j] moves the
+        # running position (ends[j] - lengths[j] + i) onto it.
+        shift = self.path_indptr[ids] + lengths - ends
+        gather = shift.repeat(lengths)
+        gather += np.arange(len(gather))
+        return self.path_tree[gather], lengths
 
     # --------------------------------------------------------------- updates
     def cover(self, j: int) -> list[int]:
         """Cover the path of non-tree edge *j*; return the newly covered tree ids."""
-        covered = self.covered
-        newly: list[int] = []
-        for s in range(self.path_indptr[j], self.path_indptr[j + 1]):
-            t = self.path_tree[s]
-            if not covered[t]:
-                covered[t] = 1
-                newly.append(t)
-        if newly:
-            self._apply_newly_covered(newly)
-        return newly
+        return self.cover_many([j])
 
     def cover_many(self, ids: Iterable[int]) -> list[int]:
-        """Cover with several edges; return all newly covered tree ids."""
-        covered = self.covered
-        path_indptr, path_tree = self.path_indptr, self.path_tree
-        newly: list[int] = []
-        for j in ids:
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                t = path_tree[s]
-                if not covered[t]:
-                    covered[t] = 1
-                    newly.append(t)
-        if newly:
-            self._apply_newly_covered(newly)
-        return newly
+        """Cover with several edges; return all newly covered tree ids (ascending)."""
+        was = self.covered.copy()
+        self._cover_entries(self._entries(np.fromiter(ids, dtype=np.int64))[0])
+        return (self.covered != was).nonzero()[0].tolist()
 
-    def _apply_newly_covered(self, newly: Sequence[int]) -> None:
-        """Maintain the uncovered set and the per-edge ``|C_e|`` counters."""
-        uncovered = self.uncovered
-        nt_uncovered = self.nt_uncovered
-        cover_indptr, cover_nt = self.cover_indptr, self.cover_nt
-        for t in newly:
-            uncovered.discard(t)
-            for s in range(cover_indptr[t], cover_indptr[t + 1]):
-                nt_uncovered[cover_nt[s]] -= 1
+    def _cover_entries(self, tree_ids: np.ndarray) -> None:
+        """Flag *tree_ids* covered and recount ``|C_e|``."""
+        self.covered[tree_ids] = True
+        remaining = self.n_tree - int(self.covered.sum())
+        if remaining == self._uncovered_total:
+            return
+        self._uncovered_total = remaining
+        # |C_e| of every edge: the per-path sums of the uncovered flags,
+        # gathered and summed as int32 (a sum in any other dtype would first
+        # copy the whole gather into it).
+        uncovered = (~self.covered).astype(np.int32)[self.path_tree]
+        if self._nonempty is None:
+            counts = np.add.reduceat(uncovered, self.path_indptr[:-1], dtype=np.int32)
+        else:
+            counts = np.zeros(self.m_nt, dtype=np.int32)
+            counts[self._nonempty] = np.add.reduceat(
+                uncovered, self.path_indptr[self._nonempty], dtype=np.int32
+            )
+        self.nt_uncovered = counts.astype(np.int64)
 
     # ---------------------------------------------------------------- voting
     def voting_round(
         self, candidates: Sequence[int], numbers: Sequence[int]
     ) -> list[int]:
-        """Lines 3-5 of the TAP iteration: votes of uncovered tree edges.
+        """Lines 3-6 of the TAP iteration: vote, then cover with the winners.
 
-        *candidates* must be in ascending ``repr`` order (the historical
-        candidate order) and ``numbers[i]`` is the random number drawn for
-        ``candidates[i]``.  Every uncovered tree edge on a candidate path
-        votes for the covering candidate with the smallest ``(number,
-        repr)``; a candidate with at least ``|C_e| / 8`` votes is returned.
-        Because candidates arrive in ``repr`` order, keeping the earlier
-        owner on equal numbers reproduces the historical tie-break exactly.
+        *candidates* must be live (``|C_e| > 0``) and in ascending ``repr``
+        order (the historical candidate order); ``numbers[i]`` is the random
+        number drawn for ``candidates[i]``.  Every uncovered tree edge on a
+        candidate path votes for the covering candidate with the smallest
+        ``(number, repr)``; the candidates with at least ``|C_e| / 8`` votes
+        cover their paths and are returned, by ascending number.  The numbers
+        may exceed int64, so the candidates are ranked first: a stable sort by
+        number keeps the ``repr`` order on ties, which is exactly the
+        historical tie-break.
         """
-        self._round += 1
-        round_id = self._round
-        owner, stamp = self._vote_owner, self._vote_stamp
-        covered = self.covered
-        path_indptr, path_tree = self.path_indptr, self.path_tree
-
-        candidate_uncovered = [0] * len(candidates)
-        for pos, j in enumerate(candidates):
-            number = numbers[pos]
-            count = 0
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                t = path_tree[s]
-                if covered[t]:
-                    continue
-                count += 1
-                if stamp[t] != round_id:
-                    stamp[t] = round_id
-                    owner[t] = pos
-                elif number < numbers[owner[t]]:
-                    owner[t] = pos
-            candidate_uncovered[pos] = count
-
-        votes = [0] * len(candidates)
-        for pos, j in enumerate(candidates):
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                t = path_tree[s]
-                if not covered[t] and stamp[t] == round_id and owner[t] == pos:
-                    votes[pos] += 1
-
-        return [
-            j
-            for pos, j in enumerate(candidates)
-            if candidate_uncovered[pos]
-            and 8 * votes[pos] >= candidate_uncovered[pos]
-        ]
+        ranked = np.asarray(
+            [candidates[i] for i in sorted(range(len(candidates)), key=numbers.__getitem__)],
+            dtype=np.int64,
+        )
+        tree_ids, lengths = self._entries(ranked)
+        voter = np.arange(len(ranked)).repeat(lengths)
+        # best[t]: the first-ranked candidate over tree edge t; -1 marks a
+        # covered tree edge, which casts no vote.
+        best = np.where(self.covered, -1, len(ranked))
+        np.minimum.at(best, tree_ids, voter)
+        votes = np.bincount(voter, weights=best[tree_ids] == voter, minlength=len(ranked))
+        passed = 8 * votes >= self.nt_uncovered[ranked]
+        self._cover_entries(tree_ids[passed[voter]])
+        return ranked[passed].tolist()
 
     # ------------------------------------------------------------ validation
     def covers_everything(self, ids: Iterable[int]) -> bool:
         """Do the paths of *ids* jointly cover every tree edge (stateless check)?"""
-        seen = bytearray(self.n_tree)
-        count = 0
-        path_indptr, path_tree = self.path_indptr, self.path_tree
-        for j in ids:
-            for s in range(path_indptr[j], path_indptr[j + 1]):
-                t = path_tree[s]
-                if not seen[t]:
-                    seen[t] = 1
-                    count += 1
-        return count == self.n_tree
+        seen = np.zeros(self.n_tree, dtype=bool)
+        seen[self._entries(np.fromiter(ids, dtype=np.int64))[0]] = True
+        return bool(seen.all())

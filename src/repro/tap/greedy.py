@@ -6,10 +6,10 @@ maximum cost-effectiveness yields an O(log n)-approximation (Chvatal / Johnson
 this quality while adding many edges per iteration; the experiments (E1, E9)
 compare the two.
 
-The selection loop runs on the flat-array kernel: the candidate order is the
-``repr``-sorted edge list computed once up front, ``|C_e|`` comes from the
-incrementally maintained counter array, and cost-effectiveness ties are
-decided by integer cross-multiplication -- no list copies, ``repr`` calls or
+The selection loop runs on the NumPy coverage kernel: the candidate order is
+the ``repr``-sorted edge list computed once up front, ``|C_e|`` comes from the
+kernel's counter array (recounted after every cover), and cost-effectiveness
+ties are decided by integer cross-multiplication -- no ``repr`` calls or
 ``Fraction`` allocations per step.  The output is identical to the historical
 implementation, which survives as :func:`greedy_tap_nx` for the differential
 suite.
@@ -47,11 +47,11 @@ def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
     Zero-weight edges are taken first (their cost-effectiveness is infinite),
     then edges are added one at a time by exact ``|C_e| / w(e)`` until every
     tree edge is covered.  Ties are broken towards the smallest edge ``repr``,
-    exactly as the historical scan did.
+    exactly as the historical scan did.  Raises ``ValueError`` when *tree* is
+    not a spanning tree of *graph*.
     """
     fast = FastCoverage(graph, tree)
     weights = fast.nt_weight
-    uncovered_counts = fast.nt_uncovered
     in_augmentation = bytearray(fast.m_nt)
     augmentation_ids: list[int] = []
     steps = 0
@@ -66,10 +66,11 @@ def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
     # The candidate order is fixed for the whole run: ascending repr, the
     # historical tie-break.  Scanning it with a strict ">" keeps the first
     # (smallest-repr) maximiser, so no repr() is evaluated inside the loop.
-    order = sorted(range(fast.m_nt), key=fast.nt_repr.__getitem__)
+    order = sorted(range(fast.m_nt), key=fast.nt_repr)
 
     while not fast.all_covered():
         steps += 1
+        uncovered_counts = fast.nt_uncovered.tolist()
         best = -1
         best_uncovered = 0
         best_weight = 1
@@ -93,9 +94,8 @@ def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
         augmentation_ids.append(best)
         fast.cover(best)
 
-    nt_edges = fast.nt_edges
     return GreedyTapResult(
-        augmentation={nt_edges[j] for j in augmentation_ids},
+        augmentation={fast.nt_edge(j) for j in augmentation_ids},
         weight=sum(weights[j] for j in augmentation_ids),
         steps=steps,
     )

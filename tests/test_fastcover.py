@@ -1,13 +1,18 @@
 """The flat-array TAP/labelling kernels: unit tests and differential sweeps.
 
-Three layers:
+Four layers:
 
 * direct unit tests of :class:`repro.graphs.fastgraph.TreePathIndex` (the
-  Euler-tour LCA / path extractor) against brute-force parent walks;
+  Euler-tour LCA / path extractor) against brute-force parent walks, and of
+  its vectorised ``path_csr`` builder against ``path_edges`` element for
+  element (random trees, a 2,000-vertex path, a star, n = 1 and 2, empty
+  ``u == v`` paths);
 * direct unit tests of :class:`repro.tap.fastcover.FastCoverage` -- CSR path
-  parity with ``RootedTree.tree_path_edges``, incremental ``|C_e|`` counters
-  vs recomputation, the transposed covering lists, and the voting round vs
-  the historical set-based implementation;
+  parity with ``RootedTree.tree_path_edges``, ``|C_e|`` counters vs
+  recomputation, the on-demand covering lists, and the voting round vs the
+  historical set-based implementation;
+* oracle parity of both TAP solvers on deep trees (clique chains, n = 256)
+  and on weights past int64 (exact integer scoring);
 * the seeded ``diff-tap-*`` / ``diff-labels-*`` differential sweep, wired
   through the experiment engine: 50 instances of **every** registered
   generator family per solver, each asserting bit-identical output
@@ -20,16 +25,19 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.analysis.differential import tap_labels_jobs
 from repro.analysis.engine import ExperimentEngine
 from repro.analysis.runner import trial_groups
 from repro.graphs.fastgraph import TreePathIndex
-from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
+from repro.graphs.generators import FAMILIES, make_family, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.cover import CoverageStateNX
+from repro.tap.distributed import distributed_tap, distributed_tap_nx
 from repro.tap.fastcover import FastCoverage
+from repro.tap.greedy import greedy_tap, greedy_tap_nx
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
@@ -110,6 +118,61 @@ class TestTreePathIndex:
                 iu, iv = tree.index[u], tree.index[v]
                 assert tree.lca(u, v) == order[tree.paths.lca(iu, iv)]
                 assert tree.paths.distance(iu, iv) == len(tree.tree_path_edges(u, v))
+
+
+class TestPathCsr:
+    """``path_csr`` equals ``path_edges`` element for element, order included."""
+
+    @staticmethod
+    def _assert_matches(index: TreePathIndex, us, vs):
+        indptr, child = index.path_csr(us, vs)
+        assert len(indptr) == len(us) + 1 and indptr[0] == 0
+        assert child.dtype == np.int32
+        for i, (u, v) in enumerate(zip(us, vs)):
+            assert child[indptr[i]:indptr[i + 1]].tolist() == index.path_edges(u, v)
+
+    @staticmethod
+    def _all_pairs(n):
+        return [u for u in range(n) for _ in range(n)], [v for _ in range(n) for v in range(n)]
+
+    def test_random_trees(self):
+        for seed in range(6):
+            n = 10 + 40 * seed
+            index = TreePathIndex(*_random_parent_arrays(n, seed))
+            rng = random.Random(seed)
+            us = [rng.randrange(n) for _ in range(300)]
+            vs = [rng.randrange(n) for _ in range(300)]
+            self._assert_matches(index, us, vs)
+
+    def test_long_path_climbs_to_full_height(self):
+        n = 2000
+        index = TreePathIndex([-1] + list(range(n - 1)), list(range(n)))
+        rng = random.Random(7)
+        us = [0, n - 1, 1, n - 2] + [rng.randrange(n) for _ in range(40)]
+        vs = [n - 1, 0, n - 1, 3] + [rng.randrange(n) for _ in range(40)]
+        self._assert_matches(index, us, vs)
+        indptr, _ = index.path_csr([0], [n - 1])
+        assert indptr[-1] == n - 1
+
+    def test_star(self):
+        n = 12
+        index = TreePathIndex([-1] + [0] * (n - 1), [0] + [1] * (n - 1))
+        self._assert_matches(index, *self._all_pairs(n))
+
+    def test_one_and_two_vertices(self):
+        self._assert_matches(TreePathIndex([-1], [0]), [0], [0])
+        self._assert_matches(TreePathIndex([-1, 0], [0, 1]), *self._all_pairs(2))
+        self._assert_matches(TreePathIndex([1, -1], [1, 0]), *self._all_pairs(2))
+
+    def test_equal_endpoints_give_empty_paths(self):
+        index = TreePathIndex(*_random_parent_arrays(30, 3))
+        indptr, child = index.path_csr(range(30), range(30))
+        assert indptr.tolist() == [0] * 31 and len(child) == 0
+        self._assert_matches(index, [4, 5, 5, 9], [4, 9, 5, 9])
+
+    def test_no_pairs(self):
+        indptr, child = TreePathIndex([-1, 0], [0, 1]).path_csr([], [])
+        assert indptr.tolist() == [0] and len(child) == 0
 
 
 # ----------------------------------------------------------------- FastCoverage
@@ -194,6 +257,52 @@ class TestFastCoverage:
         for subset in (edges, edges[:1], edges[: len(edges) // 2]):
             ids = [fast.nt_index[edge] for edge in subset]
             assert fast.covers_everything(ids) == oracle.verify_augmentation(subset)
+
+
+def _assert_tap_parity(graph, tree, seed):
+    for symmetry_breaking in (True, False):
+        fast = distributed_tap(graph, tree, seed=seed, symmetry_breaking=symmetry_breaking)
+        oracle = distributed_tap_nx(
+            graph, tree, seed=seed, symmetry_breaking=symmetry_breaking
+        )
+        assert fast.augmentation == oracle.augmentation
+        assert (fast.weight, fast.iterations) == (oracle.weight, oracle.iterations)
+        assert fast.history == oracle.history
+        assert fast.ledger.total_rounds == oracle.ledger.total_rounds
+    greedy, greedy_oracle = greedy_tap(graph, tree), greedy_tap_nx(graph, tree)
+    assert (greedy.augmentation, greedy.weight, greedy.steps) == (
+        greedy_oracle.augmentation, greedy_oracle.weight, greedy_oracle.steps
+    )
+
+
+class TestTapOracleParity:
+    """Cases the ``diff-tap-*`` grid (n <= 30, small weights) never reaches."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deep_clique_chain_mst(self, seed):
+        graph = make_family("clique-chain")(256, seed=seed)
+        tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes(), key=repr))
+        assert tree.height() >= 60
+        _assert_tap_parity(graph, tree, seed)
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(2 ** 63, 2 ** 80), (2 ** 53, 2 ** 63 - 1)],
+        ids=["past-int64", "past-float53"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_huge_weights_mixed_with_zero_and_one(self, low, high, seed):
+        graph, _ = _mst_instance(24, seed, prob=0.35)
+        rng = random.Random(seed)
+        for u, v in graph.edges():
+            roll = rng.random()
+            weight = 0 if roll < 0.1 else 1 if roll < 0.3 else rng.randint(low, high)
+            graph[u][v]["weight"] = weight
+        # Powers of two sit exactly on the rounding boundaries.
+        for (u, v), power in zip(list(graph.edges())[::7], range(53, 81)):
+            graph[u][v]["weight"] = min(max(2 ** power, low), high)
+        tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes()))
+        _assert_tap_parity(graph, tree, seed)
 
 
 # ------------------------------------------------- engine-driven differential

@@ -34,6 +34,10 @@ Guards in the default test run:
   level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
   the cover scan once per level plus once per iteration that follows an
   addition (count-based, machine-independent);
+* a weighted-sparse n = 256 2-ECSS solve calls ``FastGraph.from_nx`` exactly
+  once (one snapshot for the input check, the diameter and the TAP kernel),
+  and neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
+  ``TreePathIndex.path_edges`` (count-based, machine-independent);
 * ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
   of traced allocation (no n x n distance matrix), and the CONGEST BFS
   simulation on a clique chain drains at most n outboxes however many
@@ -85,6 +89,7 @@ from repro.core.three_ecss import (
     three_ecss,
     unweighted_two_ecss_2approx,
 )
+from repro.core.two_ecss import two_ecss
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import (
     bridges,
@@ -99,7 +104,7 @@ from repro.graphs.cuts import (
     enumerate_cut_pairs_nx,
     enumerate_cuts_of_size,
 )
-from repro.graphs.fastgraph import FastGraph, hop_diameter
+from repro.graphs.fastgraph import FastGraph, TreePathIndex, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
     grid_torus,
@@ -108,6 +113,7 @@ from repro.graphs.generators import (
 )
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import distributed_tap, distributed_tap_nx
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 # Generous ceiling: the smoke-mode sweep takes well under a second locally;
@@ -677,6 +683,69 @@ def test_bfs_simulation_drains_only_nodes_that_sent(monkeypatch):
     )
     assert report.rounds > 100
     assert len(drains) <= n
+
+
+def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
+    """Count-based guard on a weighted-sparse n = 256 solve (machine-independent).
+
+    The input check, ``hop_diameter`` and the TAP kernel share one
+    ``FastGraph`` snapshot, so the solve converts the graph exactly once.
+    """
+    snapshots: list[int] = []
+    from_nx = FastGraph.from_nx.__func__
+
+    def counting_from_nx(cls, graph):
+        snapshots.append(id(graph))
+        return from_nx(cls, graph)
+
+    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    graph = make_family("weighted-sparse")(256, seed=1)
+    result = two_ecss(graph, seed=1)
+    print(f"\n2-ECSS weighted-sparse n=256: {len(snapshots)} FastGraph.from_nx call(s)")
+    assert snapshots == [id(graph)]
+    monkeypatch.undo()
+    ok, reason = result.verify()
+    assert ok, reason
+
+
+def test_path_kernels_build_paths_without_per_pair_extraction(monkeypatch):
+    """Count-based guard (machine-independent): ``FastCoverage`` and
+    ``PathLabelKernel`` build every tree path with the vectorised
+    ``TreePathIndex.path_csr``, never with per-pair ``path_edges`` calls --
+    checked over a weighted-sparse n = 256 2-ECSS solve (TAP kernel) and an
+    8 x 8 torus 3-ECSS solve (path-label kernel).
+    """
+    inside: list[str] = []
+    built: dict[str, int] = {}
+    per_pair_calls: list[str] = []
+    path_edges = TreePathIndex.path_edges
+
+    def counting_path_edges(self, u, v):
+        if inside:
+            per_pair_calls.append(inside[-1])
+        return path_edges(self, u, v)
+
+    def tracking(kernel):
+        init = kernel.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            inside.append(kernel.__name__)
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                inside.pop()
+            built[kernel.__name__] = built.get(kernel.__name__, 0) + 1
+
+        monkeypatch.setattr(kernel, "__init__", tracked_init)
+
+    monkeypatch.setattr(TreePathIndex, "path_edges", counting_path_edges)
+    tracking(FastCoverage)
+    tracking(PathLabelKernel)
+    two_ecss(make_family("weighted-sparse")(256, seed=1), seed=1)
+    three_ecss(grid_torus(8, 8), seed=1)
+    print(f"\npath kernels built {built}: {len(per_pair_calls)} path_edges calls inside")
+    assert built == {"FastCoverage": 1, "PathLabelKernel": 1}
+    assert per_pair_calls == []
 
 
 # ------------------------------------------------------ pooled-executor guard

@@ -210,3 +210,28 @@ class TestGreedyTap:
         tree = RootedTree(nx.path_graph(5), root=0)
         with pytest.raises(RuntimeError):
             greedy_tap(graph, tree)
+
+
+class TestTreeMustSpanTheGraph:
+    """Both TAP solvers reject a tree that is not a spanning tree of the graph."""
+
+    @pytest.mark.parametrize("solve", [distributed_tap, greedy_tap])
+    def test_tree_edge_missing_from_the_graph(self, solve):
+        graph = nx.cycle_graph(6)
+        # 0-2 and 1-3 are not edges of the cycle.
+        tree = RootedTree.from_edges([(0, 2), (2, 1), (1, 3), (3, 4), (4, 5)], root=0)
+        with pytest.raises(ValueError, match=r"tree edge \(0, 2\) is not an edge of the graph"):
+            solve(graph, tree)
+
+    @pytest.mark.parametrize("solve", [distributed_tap, greedy_tap])
+    def test_graph_vertex_missing_from_the_tree(self, solve):
+        graph = nx.cycle_graph(6)
+        tree = RootedTree(nx.path_graph(5), root=0)
+        with pytest.raises(ValueError, match="vertex 5 of the graph is not a vertex of the tree"):
+            solve(graph, tree)
+
+    def test_tree_vertex_missing_from_the_graph(self):
+        graph = nx.cycle_graph(5)
+        tree = RootedTree(nx.path_graph(6), root=0)
+        with pytest.raises(ValueError, match=r"tree edge \(4, 5\) is not an edge"):
+            distributed_tap(graph, tree, seed=0)
