@@ -1,23 +1,21 @@
-"""Machine-readable benchmark baselines (``kecss bench``).
+"""Machine-readable benchmark baselines and the drift gate (``kecss bench``).
 
-The ``benchmarks/`` pytest modules print experiment tables but never record
-them, so the repository has no perf trajectory: a PR claiming a speedup has
-nothing to diff against.  This module closes that loop.  ``kecss bench e2
---out BENCH_e2.json`` runs the experiment's benchmark entrypoint through the
-ordinary :class:`~repro.analysis.engine.ExperimentEngine` (any backend /
-worker count / cache configuration) and persists a JSON baseline holding
+``kecss bench e2 --out BENCH_e2.json`` runs the experiment's benchmark
+entrypoint through the ordinary :class:`~repro.analysis.engine.ExperimentEngine`
+(any worker count / cache configuration) and persists a JSON baseline holding
 
 * the rendered experiment table (title, columns, rows, notes) -- the
   bit-identical aggregates a later run must reproduce;
-* every per-trial record: config, seed, wall-clock duration, metrics and
-  whether it was a cache replay -- the raw material for regression tracking
-  of round counts, ratios and durations across commits;
+* every per-trial record: config, seed, index, wall-clock duration, metrics
+  and whether it was a cache replay;
 * provenance: engine backend/workers/cache, the experiment's derived
   code-version tag, platform and python version, and a wall-clock stamp.
 
-:func:`validate_baseline` is the schema check used by ``--dry-run`` and the
-perf smoke tests; :func:`compare_tables` diffs a fresh run against a stored
-baseline (used to assert aggregate stability across refactors).
+``kecss bench e2 --against BENCH_e2.json`` is the drift gate: it reads the
+stored file through :func:`load_baseline` (schema check plus experiment id),
+re-runs the experiment and fails on any difference :func:`compare_tables` or
+:func:`compare_trials` reports -- a changed table cell, a trial present on
+one side only, or a trial whose ``metrics`` differ (NaN never matches).
 """
 
 from __future__ import annotations
@@ -43,7 +41,9 @@ __all__ = [
     "build_baseline",
     "write_baseline",
     "validate_baseline",
+    "load_baseline",
     "compare_tables",
+    "compare_trials",
     "baseline_path",
     "table_payload",
     "trial_payload",
@@ -58,10 +58,10 @@ SCHEMA_VERSION = 1
 class RecordingEngine(ExperimentEngine):
     """An :class:`ExperimentEngine` that also keeps every trial it ran.
 
-    The experiment functions only return aggregate tables; the baseline (and
-    the trial store) wants the underlying per-trial durations and metrics
-    too, so this subclass captures them through the engine's observer hook
-    as they flow through ``run_jobs`` (cache replays included, flagged by
+    The experiment functions only return aggregate tables; the baseline
+    wants the underlying per-trial durations and metrics too, so this
+    subclass captures them through the engine's observer hook as they flow
+    through ``run_jobs`` (cache replays included, flagged by
     ``TrialResult.cached``).
     """
 
@@ -121,8 +121,8 @@ def engine_provenance(engine: ExperimentEngine, experiment_id: str) -> dict:
     }
     # When tracing is on, its in-memory aggregate (span counts, per-category
     # seconds, per-proc busy seconds, the trace file path) travels with the
-    # results so ``kecss history`` can drill into where a run spent time
-    # without the trace file itself.
+    # results, so a baseline says where its run spent time without the trace
+    # file itself.
     tracer = get_tracer()
     if tracer.enabled:
         provenance["trace"] = tracer.summary()
@@ -238,12 +238,25 @@ def validate_baseline(payload: object) -> list[str]:
     if not isinstance(trials, list):
         problems.append("trials must be a list")
     else:
-        required = {"experiment", "config", "seed", "duration", "cached", "metrics"}
+        required = {
+            "experiment", "config", "seed", "index", "duration", "cached", "metrics"
+        }
         for i, trial in enumerate(trials):
             if not isinstance(trial, dict) or not required.issubset(trial):
                 missing = required - set(trial) if isinstance(trial, dict) else required
                 problems.append(
                     f"trials[{i}] is missing fields: {sorted(missing)}"
+                )
+                break
+            if not (
+                isinstance(trial["config"], dict)
+                and isinstance(trial["metrics"], dict)
+                and isinstance(trial["seed"], int)
+                and isinstance(trial["index"], int)
+            ):
+                problems.append(
+                    f"trials[{i}]: config and metrics must be objects, "
+                    f"seed and index integers"
                 )
                 break
     summary = payload.get("summary")
@@ -263,8 +276,7 @@ def compare_tables(baseline: dict, fresh: Table) -> list[str]:
     """Diff a stored baseline against a freshly produced table.
 
     Returns human-readable mismatch descriptions (empty when the aggregates
-    are identical) -- the cross-run regression check future PRs assert
-    against instead of claiming speedups without evidence.
+    are identical).
     """
     problems: list[str] = []
     stored = baseline.get("table", {})
@@ -285,3 +297,70 @@ def compare_tables(baseline: dict, fresh: Table) -> list[str]:
         if old != new:
             problems.append(f"row {i} differs: baseline {old!r} vs fresh {new!r}")
     return problems
+
+
+def load_baseline(path: str | Path, experiment_id: str) -> dict:
+    """Read a stored baseline of *experiment_id* for ``--against``.
+
+    Raises :class:`ValueError` naming the problem when the file cannot be
+    read or parsed, fails :func:`validate_baseline`, or records another
+    experiment.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc}") from exc
+    problems = validate_baseline(payload)
+    if problems:
+        raise ValueError(f"invalid baseline {path}: " + "; ".join(problems))
+    if payload["experiment"] != experiment_id:
+        raise ValueError(
+            f"baseline {path} records experiment {payload['experiment']!r}, "
+            f"not {experiment_id!r}"
+        )
+    return payload
+
+
+def _trials_by_key(payload: dict) -> dict[tuple, dict]:
+    """Trial metrics keyed by ``(config, seed, index)``; the config is its
+    sorted JSON text so the key is hashable and orderable."""
+    return {
+        (json.dumps(trial["config"], sort_keys=True), trial["seed"], trial["index"]):
+            trial["metrics"]
+        for trial in payload["trials"]
+    }
+
+
+def compare_trials(baseline: dict, fresh: dict) -> list[str]:
+    """Diff the per-trial metrics of two baseline payloads.
+
+    Both runs must hold the same ``(config, seed, index)`` trial keys, and
+    each trial's ``metrics`` must equal the baseline's key for key.  Values
+    compare with ``==`` after a JSON round trip of *fresh* (what a written
+    baseline would hold), so a NaN metric never matches.  Equal tables do
+    not imply equal trials: swapping two trials' metrics keeps every mean.
+    """
+    old = _trials_by_key(baseline)
+    new = _trials_by_key(json.loads(json.dumps(fresh)))
+    problems: list[str] = []
+    for key in sorted(old.keys() - new.keys()):
+        problems.append(f"trial {_describe(key)} is missing from the fresh run")
+    for key in sorted(new.keys() - old.keys()):
+        problems.append(f"trial {_describe(key)} is not in the baseline")
+    for key in sorted(old.keys() & new.keys()):
+        before, after = old[key], new[key]
+        differing = [
+            name for name in sorted(before.keys() | after.keys())
+            if name not in before or name not in after or before[name] != after[name]
+        ]
+        if differing:
+            problems.append(
+                f"trial {_describe(key)} metrics differ on {', '.join(differing)}: "
+                f"baseline {before!r} vs fresh {after!r}"
+            )
+    return problems
+
+
+def _describe(key: tuple) -> str:
+    config, seed, index = key
+    return f"config={config} seed={seed} index={index}"

@@ -210,9 +210,9 @@ class ExperimentEngine:
             ``executed`` counts trials actually run.
         observers: Callables ``(job, result) -> None`` invoked once per
             completed trial -- cache replays included -- in deterministic job
-            order after every ``run_jobs`` batch.  This is the ingestion hook
-            recorders and result stores (:mod:`repro.store`) attach to
-            without subclassing the execution path; observers run in the
+            order after every ``run_jobs`` batch.  This is the hook
+            recorders (:class:`~repro.analysis.bench.RecordingEngine`) attach
+            to without subclassing the execution path; observers run in the
             driving process regardless of backend.
 
     The engine is also a context manager: ``with engine:`` resolves the

@@ -1,5 +1,5 @@
 """Command line interface: ``kecss solve | verify | experiment | bench | cache |
-families | history | regress | store | lint | trace``.
+families | lint | trace``.
 
 Examples::
 
@@ -11,15 +11,7 @@ Examples::
     kecss experiment e1 --workers 4 --cache-dir .repro-cache
     kecss bench e2 --out BENCH_e2.json
     kecss bench all --out-dir baselines --workers 4
-    kecss bench e6 --against BENCH_e6.json
-    kecss bench e3 --store-dir .repro-store          # record + append to the store
-    kecss store import BENCH_e3.json BENCH_e9.json --store-dir .repro-store
-    kecss store ls --store-dir .repro-store
-    kecss store fsck --repair --store-dir .repro-store   # quarantine crash damage
-    kecss store gc --keep-last 5 --store-dir .repro-store
-    kecss history e3 --store-dir .repro-store
-    kecss history e3 --metric ratio --by family      # per-configuration drill-down
-    kecss regress e3 --store-dir .repro-store --tolerance 0.0
+    kecss bench e6 --against BENCH_e6.json           # the drift gate
     kecss cache stats --cache-dir .repro-cache
     kecss cache gc --cache-dir .repro-cache
     kecss families
@@ -38,9 +30,11 @@ The ``bench`` subcommand runs the same experiment entrypoints through the
 engine and persists machine-readable ``BENCH_<experiment>.json`` baselines
 (per-trial durations, metrics, aggregate tables, engine/cache provenance) so
 future changes can be diffed against a recorded perf trajectory instead of
-claimed speedups: ``--dry-run`` prints the JSON without writing, ``--against
-PATH`` re-runs the experiment and fails when its aggregates drift from the
-stored baseline.
+claimed speedups: ``--dry-run`` prints the JSON without writing.  ``--against
+PATH`` is the drift gate: it re-runs the experiment and exits 1 when the
+table, the set of ``(config, seed, index)`` trial keys or any trial's
+``metrics`` differ from the stored baseline, and 2 when the file is
+unreadable, fails the baseline schema or records another experiment.
 
 The ``cache`` subcommand manages that on-disk trial cache: ``stats`` prints
 per-experiment entry/stale/byte counts, ``gc`` evicts entries whose stored
@@ -48,31 +42,16 @@ code version no longer matches the one derived from the solver-module
 content hashes (i.e. results computed by since-edited code), and ``clear``
 removes every entry.
 
-The result-store verbs sit on :mod:`repro.store` (append-only columnar run
-segments; see ``benchmarks/README.md``): ``bench``/``experiment`` append
-their per-trial records to the store named by ``--store-dir`` (default:
-``$REPRO_STORE_DIR``), ``store import`` migrates committed
-``BENCH_*.json`` baselines, ``store ls`` lists stored runs, ``history``
-tabulates per-code-version aggregate trends, and ``regress`` compares the
-latest stored run against the previous code version and exits non-zero on
-drift beyond ``--tolerance`` -- the cross-run superset of ``bench
---against``.  ``store fsck [--repair]`` detects crashed-writer residue
-(half-written segments, truncated columns, stray tmp files; exit 1 when
-anything is found) and quarantines it under ``<store>/quarantine/``;
-``store gc --keep-last N`` is per-experiment retention.  See
-``docs/robustness.md`` for the crash model behind both.
-
 The ``lint`` subcommand runs the :mod:`repro.lint` static analyzer over the
 package sources: the DET00x determinism rules and the CACHE001
 cache-soundness rule (``register_trial(modules=...)`` declarations must
-cover the trial's transitive import closure).  Exit codes follow the
-``regress`` convention: 0 clean, 1 new findings, 2 usage error.  See
-``docs/lint.md``.
+cover the trial's transitive import closure).  Exit codes: 0 clean, 1 new
+findings, 2 usage error.  See ``docs/lint.md``.
 
 Observability (see ``docs/observability.md``): ``--trace FILE`` on
-``experiment``/``bench`` records a JSONL structured trace of the run
-(engine batches, per-trial queue-wait vs compute, store segment writes)
-without perturbing any result -- tracing observes, never participates.
+``experiment``/``bench`` records a JSONL structured trace of the run (engine
+batches, per-trial queue-wait vs compute) without perturbing any result --
+tracing observes, never participates.
 ``kecss trace FILE`` renders the recorded trace as a per-stage timing
 breakdown and per-worker utilization table (``--format json`` for machines,
 ``--format chrome`` for Perfetto / ``chrome://tracing``).
@@ -82,9 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -149,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="directory for the on-disk trial cache (default: caching off)")
     experiment.add_argument("--no-cache", action="store_true",
                             help="ignore the cache even when --cache-dir is set")
-    experiment.add_argument("--store-dir", default=None,
-                            help="append per-trial records to this columnar trial "
-                                 "store (default: $REPRO_STORE_DIR; unset: no store)")
     experiment.add_argument("--trace", default=None, metavar="FILE",
                             help="record a JSONL structured trace of the run "
                                  "(summarize with 'kecss trace FILE'); results "
@@ -170,76 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dry-run", action="store_true",
                        help="print the baseline JSON to stdout without writing files")
     bench.add_argument("--against", default=None, metavar="PATH",
-                       help="compare the fresh aggregates against a stored baseline "
-                            "and exit non-zero on drift (single id only)")
+                       help="compare the fresh table and per-trial metrics against "
+                            "a stored baseline and exit 1 on drift (single id only)")
     bench.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial fan-out (default: 1, serial)")
     bench.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk trial cache (default: caching off)")
     bench.add_argument("--no-cache", action="store_true",
                        help="ignore the cache even when --cache-dir is set")
-    bench.add_argument("--store-dir", default=None,
-                       help="also append the run to this columnar trial store "
-                            "(default: $REPRO_STORE_DIR; skipped under --dry-run)")
     bench.add_argument("--trace", default=None, metavar="FILE",
                        help="record a JSONL structured trace of the run "
                             "(summarize with 'kecss trace FILE'); results "
                             "stay bit-identical")
-
-    history = subparsers.add_parser(
-        "history",
-        help="tabulate per-code-version aggregate trends from the trial store",
-    )
-    history.add_argument("experiment_id", metavar="id",
-                         help="experiment whose stored runs to tabulate")
-    history.add_argument("--store-dir", default=None,
-                         help="the trial store to read (default: $REPRO_STORE_DIR)")
-    history.add_argument("--markdown", action="store_true",
-                         help="emit a Markdown table")
-    history.add_argument("--metric", default=None, metavar="NAME",
-                         help="drill into one metric (count/mean/min/max per "
-                              "code version) instead of the pooled trend")
-    history.add_argument("--by", default=None, metavar="KEY",
-                         help="group the --metric drill-down by a per-trial "
-                              "column: a config key like 'family', or a bare "
-                              "column like 'seed'")
-
-    regress = subparsers.add_parser(
-        "regress",
-        help="compare the latest stored run against the previous code version "
-             "and exit non-zero on drift",
-    )
-    regress.add_argument("experiment_id", metavar="id",
-                         help="experiment whose stored runs to compare")
-    regress.add_argument("--store-dir", default=None,
-                         help="the trial store to read (default: $REPRO_STORE_DIR)")
-    regress.add_argument("--tolerance", type=float, default=0.0,
-                         help="relative drift allowed on table cells and metric "
-                              "means (default: 0.0, bit-identical)")
-    regress.add_argument("--duration-tolerance", type=float, default=None,
-                         help="relative drift allowed on the mean trial duration "
-                              "(default: report durations but never fail on them)")
-
-    store = subparsers.add_parser(
-        "store", help="manage the columnar trial store"
-    )
-    store.add_argument("action", choices=["import", "ls", "fsck", "gc"],
-                       help="import: ingest BENCH_*.json baselines; "
-                            "ls: list stored runs; "
-                            "fsck: check segments for crash damage "
-                            "(exit 1 when any is found); "
-                            "gc: per-experiment retention")
-    store.add_argument("paths", nargs="*",
-                       help="baseline files to import (import only)")
-    store.add_argument("--store-dir", default=None,
-                       help="the trial store to operate on "
-                            "(default: $REPRO_STORE_DIR)")
-    store.add_argument("--repair", action="store_true",
-                       help="fsck only: quarantine damaged segments under "
-                            "<store>/quarantine/ and unlink stray tmp files")
-    store.add_argument("--keep-last", type=int, default=None, metavar="N",
-                       help="gc only: keep the newest N runs per experiment "
-                            "and delete the rest (N >= 1)")
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clean the on-disk trial cache"
@@ -349,27 +265,6 @@ def _verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _store_dir_from(args: argparse.Namespace, required: bool = False) -> Path | None:
-    """Resolve ``--store-dir`` with the ``REPRO_STORE_DIR`` fallback."""
-    value = args.store_dir or os.environ.get("REPRO_STORE_DIR")
-    if value:
-        return Path(value)
-    if required:
-        raise SystemExit(
-            "no trial store configured: pass --store-dir or set REPRO_STORE_DIR"
-        )
-    return None
-
-
-def _open_store(directory: Path, create: bool):
-    from repro.store import StoreError, TrialStore
-
-    try:
-        return TrialStore(directory, create=create)
-    except StoreError as exc:
-        raise SystemExit(str(exc))
-
-
 def _apply_obs_options(args: argparse.Namespace) -> None:
     """Enable tracing when ``--trace FILE`` was given.
 
@@ -405,52 +300,25 @@ def _experiment(args: argparse.Namespace) -> int:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
-    store_dir = _store_dir_from(args)
-    engine_kwargs = dict(
+    engine = ExperimentEngine(
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
-    if store_dir is not None:
-        # Record per-trial results and append one store run per experiment.
-        from repro.analysis.bench import (
-            RecordingEngine,
-            engine_provenance,
-            table_payload,
-            trial_payload,
-        )
-
-        store = _open_store(store_dir, create=True)
-        engine = RecordingEngine(**engine_kwargs)
-    else:
-        store = None
-        engine = ExperimentEngine(**engine_kwargs)
     ids = list(_EXPERIMENTS) if experiment_id == "all" else [experiment_id]
     # Entering the engine keeps one process pool alive across every
     # experiment instead of rebuilding it per batch.
     with engine:
         for eid in ids:
-            start = len(getattr(engine, "recorded", ()))
-            created = time.time()
             table = _EXPERIMENTS[eid](engine=engine)
             print(table.to_markdown() if args.markdown else table.to_text())
             print()
-            if store is not None:
-                info = store.ingest(
-                    eid,
-                    [trial_payload(j, r) for j, r in engine.recorded[start:]],
-                    created_unix=created,
-                    table=table_payload(table),
-                    provenance=engine_provenance(engine, eid),
-                    source="kecss experiment",
-                )
-                print(f"{eid}: stored {info.run_id} in {store_dir}", file=sys.stderr)
     print(engine.summary(), file=sys.stderr)
     return 0
 
 
 def _bench(args: argparse.Namespace) -> int:
-    from repro.analysis.bench import RecordingEngine
+    from repro.analysis.bench import RecordingEngine, load_baseline
 
     _apply_obs_options(args)
     ids = sorted(_EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
@@ -463,6 +331,15 @@ def _bench(args: argparse.Namespace) -> int:
             "--against does not write baselines; drop --out (or record a new "
             "baseline first, then compare)"
         )
+    stored = None
+    if args.against is not None:
+        # Checked before anything runs: a baseline the gate cannot use is a
+        # usage error (exit 2), not drift.
+        try:
+            stored = load_baseline(args.against, ids[0])
+        except ValueError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 2
     if args.cache_dir is not None and not args.no_cache:
         try:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
@@ -473,28 +350,26 @@ def _bench(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
-    store_dir = _store_dir_from(args)
-    store = None
-    if store_dir is not None and not args.dry_run:
-        store = _open_store(store_dir, create=True)
     exit_code = 0
     # Entering the engine keeps one process pool alive across every
     # benchmarked experiment.
     with engine:
         for experiment_id in ids:
             exit_code = max(
-                exit_code, _bench_one(args, engine, experiment_id, store, store_dir)
+                exit_code, _bench_one(args, engine, experiment_id, stored)
             )
     print(engine.summary(), file=sys.stderr)
     return exit_code
 
 
-def _bench_one(args, engine, experiment_id, store, store_dir) -> int:
-    """Benchmark one experiment on an already-entered engine."""
+def _bench_one(args, engine, experiment_id, stored) -> int:
+    """Benchmark one experiment on an already-entered engine; *stored* is
+    the ``--against`` baseline, if any."""
     from repro.analysis.bench import (
         baseline_path,
         build_baseline,
         compare_tables,
+        compare_trials,
         validate_baseline,
         write_baseline,
     )
@@ -507,32 +382,23 @@ def _bench_one(args, engine, experiment_id, store, store_dir) -> int:
             f"internal error: {experiment_id} baseline failed its own schema "
             f"check: {'; '.join(problems)}"
         )
-    if args.against is not None:
-        try:
-            stored = json.loads(Path(args.against).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.against!r}: {exc}")
+    if stored is not None:
         fresh = Table(
             title=payload["table"]["title"],
             columns=payload["table"]["columns"],
             rows=[tuple(row) for row in payload["table"]["rows"]],
         )
-        mismatches = compare_tables(stored, fresh)
+        mismatches = compare_tables(stored, fresh) + compare_trials(stored, payload)
         if mismatches:
             exit_code = 1
-            print(f"{experiment_id}: aggregates drifted from {args.against}:")
+            print(f"{experiment_id}: drifted from {args.against}:")
             for line in mismatches:
                 print(f"  {line}")
         else:
-            print(f"{experiment_id}: aggregates match {args.against}")
-    if store is not None:
-        from repro.store import StoreError, import_baseline
-
-        try:
-            info = import_baseline(store, payload, source="kecss bench")
-        except StoreError as exc:
-            raise SystemExit(str(exc))
-        print(f"{experiment_id}: stored {info.run_id} in {store_dir}")
+            print(
+                f"{experiment_id}: table and {len(payload['trials'])} trials "
+                f"match {args.against}"
+            )
     if args.dry_run:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.against is None:
@@ -582,132 +448,6 @@ def _cache(args: argparse.Namespace) -> int:
     else:  # clear
         removed = cache_clear(cache_dir)
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} from {cache_dir}")
-    return 0
-
-
-def _history(args: argparse.Namespace) -> int:
-    from repro.store import StoreError, history_drilldown, history_table
-
-    if args.by is not None and args.metric is None:
-        raise SystemExit("--by requires --metric (the metric to drill into)")
-    store = _open_store(_store_dir_from(args, required=True), create=False)
-    try:
-        if args.metric is not None:
-            table = history_drilldown(
-                store, args.experiment_id, args.metric, by=args.by
-            )
-        else:
-            table = history_table(store, args.experiment_id)
-    except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(table.to_markdown() if args.markdown else table.to_text())
-    return 0
-
-
-def _regress(args: argparse.Namespace) -> int:
-    from repro.store import StoreError, regress
-
-    store = _open_store(_store_dir_from(args, required=True), create=False)
-    try:
-        exit_code, lines = regress(
-            store,
-            args.experiment_id,
-            tolerance=args.tolerance,
-            duration_tolerance=args.duration_tolerance,
-        )
-    except StoreError as exc:
-        # E.g. a corrupt run manifest: an operational error, not drift.
-        raise SystemExit(str(exc))
-    for line in lines:
-        print(line)
-    return exit_code
-
-
-def _store_cmd(args: argparse.Namespace) -> int:
-    from repro.store import StoreError, import_baseline_file
-
-    store_dir = _store_dir_from(args, required=True)
-    if args.repair and args.action != "fsck":
-        raise SystemExit("--repair only applies to store fsck")
-    if args.keep_last is not None and args.action != "gc":
-        raise SystemExit("--keep-last only applies to store gc")
-    if args.action == "import":
-        if not args.paths:
-            raise SystemExit("store import needs at least one BENCH_*.json path")
-        store = _open_store(store_dir, create=True)
-        for path in args.paths:
-            try:
-                info = import_baseline_file(store, path)
-            except StoreError as exc:
-                raise SystemExit(str(exc))
-            print(
-                f"imported {path} as {info.run_id} "
-                f"({info.trial_count} trials, version {info.code_version})"
-            )
-        return 0
-    if args.paths:
-        raise SystemExit(f"store {args.action} takes no positional arguments")
-    if args.action == "fsck":
-        store = _open_store(store_dir, create=False)
-        findings = store.fsck(repair=args.repair)
-        if not findings:
-            print(f"store at {store_dir} is clean")
-            return 0
-        for finding in findings:
-            status = "quarantined" if finding.repaired and finding.kind != "stray-tmp" \
-                else ("removed" if finding.repaired else "found")
-            print(f"{status} {finding.kind} in {finding.segment}: {finding.detail}")
-        if args.repair:
-            quarantined = sum(
-                1 for f in findings if f.repaired and f.kind != "stray-tmp"
-            )
-            print(
-                f"fsck: {len(findings)} finding(s); {quarantined} segment(s) "
-                f"moved to {store_dir}/quarantine"
-            )
-        else:
-            print(f"fsck: {len(findings)} finding(s); re-run with --repair "
-                  f"to quarantine")
-        return 1
-    if args.action == "gc":
-        if args.keep_last is None:
-            raise SystemExit("store gc needs --keep-last N (N >= 1)")
-        if args.keep_last < 1:
-            raise SystemExit(f"--keep-last must be >= 1, got {args.keep_last}")
-        store = _open_store(store_dir, create=False)
-        try:
-            removed = store.gc(args.keep_last)
-        except StoreError as exc:
-            raise SystemExit(str(exc))
-        for info in removed:
-            print(f"removed {info.run_id} ({info.experiment}, "
-                  f"{info.trial_count} trials)")
-        print(f"gc: removed {len(removed)} run(s), kept the newest "
-              f"{args.keep_last} per experiment")
-        return 0
-    # ls
-    store = _open_store(store_dir, create=False)
-    try:
-        runs = store.runs()
-    except StoreError as exc:
-        raise SystemExit(str(exc))
-    if not runs:
-        print(f"store at {store_dir} holds no runs")
-        return 0
-    table = Table(
-        title=f"trial store at {store_dir}",
-        columns=["run", "experiment", "code version", "trials", "source"],
-    )
-    for info in runs:
-        table.add_row(
-            info.run_id,
-            info.experiment,
-            info.code_version,
-            info.trial_count,
-            info.provenance.get("source") or "-",
-        )
-    print(table.to_text())
     return 0
 
 
@@ -856,9 +596,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _bench,
         "cache": _cache,
         "families": _families,
-        "history": _history,
-        "regress": _regress,
-        "store": _store_cmd,
         "lint": _lint,
         "trace": _trace,
     }

@@ -3,10 +3,10 @@
 Every guarantee this reproduction makes -- bit-identical kernel/oracle
 parity, replay-safe caches keyed by content-hashed code versions, identical
 aggregates across execution backends -- is a determinism invariant that the
-runtime checks (``diff-*`` sweeps, ``kecss regress``) only verify on the
-seeds actually swept.  This package checks the *sources* of nondeterminism
-statically, before execution, AST-only (the analysed tree is never
-imported):
+runtime checks (``diff-*`` sweeps, ``kecss bench --against``) only verify
+on the seeds actually swept.  This package checks the *sources* of
+nondeterminism statically, before execution, AST-only (the analysed tree is
+never imported):
 
 * a rule registry mirroring the solver/backend registries
   (:mod:`repro.lint.registry`), shipped with the DET00x determinism family

@@ -41,8 +41,8 @@ class LintResult:
 
     @property
     def exit_code(self) -> int:
-        """0 clean (baselined findings do not fail), 1 on new findings --
-        the ``kecss regress`` convention (2 is reserved for usage errors)."""
+        """0 clean (baselined findings do not fail), 1 on new findings; 2 is
+        reserved for usage errors."""
         return 1 if self.new else 0
 
 

@@ -3,7 +3,7 @@
 Every guarantee the reproduction makes -- bit-identical kernel/oracle parity,
 replay-safe caches, identical aggregates across execution backends -- is a
 determinism invariant.  The runtime checks (``diff-*`` sweeps, ``kecss
-regress``) only cover the seeds actually swept; these rules check the
+bench --against``) only cover the seeds actually swept; these rules check the
 *sources* of nondeterminism statically, before execution:
 
 * DET001 -- global ``random`` / ``numpy.random`` module state instead of a

@@ -1,33 +1,17 @@
-"""``repro.store``: columnar trial store + cross-run regression tracking.
+"""``repro.store``: columnar trial store.
 
-The engine's :class:`~repro.analysis.runner.TrialResult` batches (and the
-``BENCH_*.json`` baselines built from them) persist here as append-only
-*run segments* -- flat typed columns plus a schema-checked JSON manifest --
-so multi-baseline queries and regression tracking across runs are cheap.
+The engine's :class:`~repro.analysis.runner.TrialResult` batches persist
+here as append-only *run segments* -- flat typed columns plus a
+schema-checked JSON manifest -- with crash-safe writes and an ``fsck`` that
+finds and quarantines whatever a crashed writer leaves behind.
 
 * :mod:`repro.store.columns` -- the dependency-free column codec
   (``i64`` / ``f64`` / dictionary-encoded strings / lossless JSON).
-* :mod:`repro.store.store` -- :class:`TrialStore`: ingest, enumerate and
-  query runs (filter by experiment / code version / per-trial equality,
-  project columns).
-* :mod:`repro.store.regression` -- ``kecss history`` per-version trend
-  tables and the ``kecss regress`` latest-vs-previous-version drift check.
-* :mod:`repro.store.importer` -- ``kecss store import`` for migrating
-  committed ``BENCH_*.json`` baselines.
+* :mod:`repro.store.store` -- :class:`TrialStore`: ingest runs, enumerate
+  them, read their columns back, ``fsck``.
 """
 
 from repro.store.columns import ColumnCodecError, ColumnSpec, infer_dtype
-from repro.store.importer import import_baseline, import_baseline_file
-from repro.store.regression import (
-    compare_tables_with_tolerance,
-    duration_stats,
-    history_drilldown,
-    history_table,
-    metric_means,
-    pick_baseline_run,
-    regress,
-    relative_drift,
-)
 from repro.store.store import (
     CORE_COLUMNS,
     RUN_SCHEMA_NAME,
@@ -35,11 +19,9 @@ from repro.store.store import (
     STORE_SCHEMA_NAME,
     FsckFinding,
     RunInfo,
-    RunSlice,
     StoreError,
     StoreWarning,
     TrialStore,
-    git_describe,
     validate_run_manifest,
 )
 
@@ -52,21 +34,9 @@ __all__ = [
     "ColumnSpec",
     "FsckFinding",
     "RunInfo",
-    "RunSlice",
     "StoreError",
     "StoreWarning",
     "TrialStore",
-    "compare_tables_with_tolerance",
-    "duration_stats",
-    "git_describe",
-    "history_drilldown",
-    "history_table",
-    "import_baseline",
-    "import_baseline_file",
     "infer_dtype",
-    "metric_means",
-    "pick_baseline_run",
-    "regress",
-    "relative_drift",
     "validate_run_manifest",
 ]

@@ -1,8 +1,7 @@
 """Append-only columnar store of experiment trial batches.
 
-``BENCH_<exp>.json`` baselines are isolated snapshots; this store is the
-durable, queryable layer between the engine and any cross-run tooling.  A
-store is a directory of *run segments*::
+A store is a directory of *run segments*, one per ingested batch of
+engine trial results::
 
     <root>/
       store.json                    # store manifest (schema + version)
@@ -35,27 +34,23 @@ last, so a segment is visible to readers only once complete.  Directories
 without a manifest are ignored (and left for inspection); a segment whose
 manifest is corrupt or schema-invalid is skipped with a
 :class:`StoreWarning` rather than failing the read.  ``TrialStore.fsck``
-(``kecss store fsck [--repair]``) detects every crash residue -- half
-written segments, truncated columns, stray manifest tmp files -- and
-quarantines damage under ``<root>/quarantine/``; ``TrialStore.gc``
-(``kecss store gc --keep-last N``) is per-experiment retention.  The
-writer's commit sequence carries named crash points (:func:`_crash_point`;
-the tests install a hook through ``_crash_hook`` that kills the writer at
-each one), so the recovery path is tested against a crash at every stage
-(see ``docs/robustness.md``).
+detects every crash residue -- half written segments, truncated columns,
+stray manifest tmp files -- and with ``repair=True`` quarantines damage
+under ``<root>/quarantine/``.  The writer's commit sequence carries named
+crash points (:func:`_crash_point`; the tests install a hook through
+``_crash_hook`` that kills the writer at each one), so the recovery path is
+tested against a crash at every stage (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.code_version import git_describe
 from repro.obs.trace import get_tracer
 from repro.store.columns import ColumnCodecError, ColumnSpec, build_column, read_column
 
@@ -68,9 +63,7 @@ __all__ = [
     "StoreWarning",
     "FsckFinding",
     "RunInfo",
-    "RunSlice",
     "TrialStore",
-    "git_describe",
     "validate_run_manifest",
 ]
 
@@ -92,9 +85,9 @@ class StoreError(RuntimeError):
 class StoreWarning(UserWarning):
     """Warned (not raised) for damage a read path can safely step around.
 
-    A single corrupt segment must not take down ``kecss history`` for the
-    whole store; reads skip it with this warning and ``kecss store fsck``
-    reports (and optionally quarantines) it.
+    A single corrupt segment must not take down reads of the whole store;
+    they skip it with this warning and ``TrialStore.fsck`` reports (and
+    optionally quarantines) it.
     """
 
 
@@ -166,20 +159,6 @@ class RunInfo:
             ColumnSpec.from_manifest(entry)
             for entry in self.manifest.get("columns", [])
         ]
-
-
-@dataclass
-class RunSlice:
-    """One run's (possibly filtered and projected) columns."""
-
-    info: RunInfo
-    columns: dict[str, list]
-
-    @property
-    def trial_count(self) -> int:
-        if not self.columns:
-            return 0
-        return len(next(iter(self.columns.values())))
 
 
 def validate_run_manifest(payload: object) -> list[str]:
@@ -319,15 +298,14 @@ class TrialStore:
     def runs(self, experiment: str | None = None) -> list[RunInfo]:
         """All committed runs (optionally of one experiment), oldest first.
 
-        Ordering is by the monotonically increasing ingestion sequence, which
-        is what ``history`` / ``regress`` mean by "latest" and "previous" --
-        not by the caller-supplied wall clock, which may be skewed.
+        Ordering is by the monotonically increasing ingestion sequence, not
+        by the caller-supplied wall clock, which may be skewed.
 
         A segment with a corrupt or schema-invalid manifest is *skipped*
         with a :class:`StoreWarning` instead of failing the whole read: one
-        damaged run must not take down ``kecss history``/``regress`` for
-        every healthy run in the store.  ``kecss store fsck`` reports (and
-        ``--repair`` quarantines) what was skipped.
+        damaged run must not hide every healthy run in the store.
+        :meth:`fsck` reports (and ``repair=True`` quarantines) what was
+        skipped.
         """
         runs: list[RunInfo] = []
         if not self.segments_dir.is_dir():
@@ -342,7 +320,7 @@ class TrialStore:
                 warnings.warn(
                     StoreWarning(
                         f"skipping segment {path.name}: corrupt run manifest "
-                        f"({exc}); run `kecss store fsck` to inspect"
+                        f"({exc}); run TrialStore.fsck() to inspect"
                     ),
                     stacklevel=2,
                 )
@@ -352,7 +330,7 @@ class TrialStore:
                 warnings.warn(
                     StoreWarning(
                         f"skipping segment {path.name}: invalid run manifest "
-                        f"({'; '.join(problems)}); run `kecss store fsck` "
+                        f"({'; '.join(problems)}); run TrialStore.fsck() "
                         f"to inspect"
                     ),
                     stacklevel=2,
@@ -403,54 +381,6 @@ class TrialStore:
         except ColumnCodecError as exc:
             raise StoreError(f"run {info.run_id!r}: {exc}") from exc
 
-    def query(
-        self,
-        experiment: str | None = None,
-        *,
-        code_version: str | None = None,
-        where: Mapping[str, object] | None = None,
-        columns: Iterable[str] | None = None,
-    ) -> list[RunSlice]:
-        """Filter runs and project columns; one :class:`RunSlice` per run.
-
-        *experiment* and *code_version* filter whole runs via the manifest;
-        *where* filters **rows** by equality on column values (e.g.
-        ``{"config.family": "powerlaw"}``).  A run lacking a ``where`` column
-        contributes no rows and is omitted.  *columns* projects the result
-        (default: every stored column); a projected column absent from a run
-        -- the sparse ``error`` column, or a metric introduced by a newer
-        code version -- is ``None``-filled for that run rather than aborting
-        the query.
-        """
-        where = dict(where or {})
-        slices: list[RunSlice] = []
-        for info in self.runs(experiment):
-            if code_version is not None and info.code_version != code_version:
-                continue
-            available = {spec.name for spec in info.column_specs()}
-            if not set(where) <= available:
-                continue
-            wanted = list(columns) if columns is not None else sorted(available)
-            data = self.columns(info, (set(wanted) | set(where)) & available)
-            for name in wanted:
-                if name not in available:
-                    data[name] = [None] * info.trial_count
-            if where:
-                mask = [
-                    all(data[name][row] == value for name, value in where.items())
-                    for row in range(info.trial_count)
-                ]
-                if not any(mask):
-                    continue
-                data = {
-                    name: [v for v, keep in zip(values, mask) if keep]
-                    for name, values in data.items()
-                }
-            slices.append(
-                RunSlice(info, {name: data[name] for name in wanted})
-            )
-        return slices
-
     # ---------------------------------------------------------------- writing
     def _claim_segment(self, experiment: str) -> tuple[int, Path]:
         """Atomically claim the next run directory (mkdir is the lock)."""
@@ -482,7 +412,6 @@ class TrialStore:
         created_unix: float,
         table: Mapping | None = None,
         provenance: Mapping[str, object] | None = None,
-        source: str | None = None,
     ) -> RunInfo:
         """Append one run segment and return its :class:`RunInfo`.
 
@@ -496,12 +425,9 @@ class TrialStore:
         if not isinstance(experiment, str) or not experiment:
             raise StoreError("experiment must be a non-empty string")
         # Provenance is recorded verbatim: the *producer* of the data stamps
-        # git describe (see repro.analysis.bench.engine_provenance).  Stamping
-        # here would misattribute imported historical baselines to whatever
-        # commit happens to be checked out at ingestion time.
+        # git describe (see repro.analysis.bench.engine_provenance), not the
+        # process that happens to ingest it.
         provenance = dict(provenance or {})
-        if source is not None:
-            provenance.setdefault("source", source)
         with get_tracer().span(
             "store.ingest", cat="store",
             experiment=experiment, trials=len(trials),
@@ -637,25 +563,3 @@ class TrialStore:
             target = target_dir / f"{path.name}.{suffix}"
         path.rename(target)
         return target
-
-    def gc(self, keep_last: int) -> list[RunInfo]:
-        """Retention: keep the newest *keep_last* runs **per experiment**.
-
-        Older segments are deleted outright (unlike quarantine, this is the
-        intentional retention path) and their :class:`RunInfo` records are
-        returned.  "Newest" follows the ingestion sequence, the same order
-        ``history``/``regress`` use.  Damaged segments are not touched --
-        they are invisible to :meth:`runs` -- so run :meth:`fsck` first to
-        account for those.
-        """
-        if keep_last < 1:
-            raise StoreError(f"gc keep_last must be >= 1, got {keep_last}")
-        removed: list[RunInfo] = []
-        by_experiment: dict[str, list[RunInfo]] = {}
-        for info in self.runs():  # already oldest-first by sequence
-            by_experiment.setdefault(info.experiment, []).append(info)
-        for experiment in sorted(by_experiment):
-            for info in by_experiment[experiment][:-keep_last]:
-                shutil.rmtree(info.path)
-                removed.append(info)
-        return removed

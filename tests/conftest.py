@@ -16,18 +16,6 @@ from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.rooted import RootedTree
 
 
-@pytest.fixture(autouse=True)
-def _isolate_trial_store_env(monkeypatch):
-    """Keep test runs out of the developer's real trial store.
-
-    ``kecss bench`` / ``kecss experiment`` honour ``REPRO_STORE_DIR`` as the
-    ``--store-dir`` default, and many tests invoke them without the flag;
-    with the variable inherited from the environment every such test would
-    append junk run segments to a personal store.
-    """
-    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-
-
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -119,6 +123,11 @@ class TestExperimentCommand:
             ["experiment", "--id", "e7", "--backend", "threads"],
             ["--log-level", "debug", "families"],
             ["worker", "--connect", "127.0.0.1:7781"],
+            ["experiment", "--id", "e7", "--store-dir", "store"],
+            ["bench", "e3", "--store-dir", "store"],
+            ["history", "e3"],
+            ["regress", "e3"],
+            ["store", "ls"],
         ],
     )
     def test_retired_options_are_rejected(self, argv):
@@ -176,8 +185,8 @@ class TestCacheCommand:
 
 
 class TestLintCommand:
-    """Exit codes follow the ``kecss regress`` convention: 0 clean, 1 new
-    findings, 2 usage error (argparse errors also exit 2)."""
+    """Exit codes: 0 clean, 1 new findings, 2 usage error (argparse errors
+    also exit 2)."""
 
     @staticmethod
     def _root_with_finding(tmp_path):
@@ -243,3 +252,133 @@ class TestLintCommand:
         output = capsys.readouterr().out
         for code in ("DET001", "DET002", "DET003", "DET004", "CACHE001"):
             assert code in output
+
+
+def _swap_n16_metrics(payload):
+    first, second = [t for t in payload["trials"] if t["config"] == {"n": 16}][:2]
+    assert first["metrics"] != second["metrics"]
+    first["metrics"], second["metrics"] = second["metrics"], first["metrics"]
+
+
+def _nan_metric(payload):
+    payload["trials"][0]["metrics"]["iterations"] = float("nan")
+
+
+def _one_sided_metric(payload):
+    payload["trials"][0]["metrics"]["baseline_only"] = 1
+
+
+def _missing_trial(payload):
+    payload["trials"].pop()
+    payload["summary"]["trial_count"] -= 1
+
+
+def _extra_trial(payload):
+    extra = copy.deepcopy(payload["trials"][0])
+    extra["index"] = 99
+    payload["trials"].append(extra)
+    payload["summary"]["trial_count"] += 1
+
+
+class TestBenchAgainst:
+    """``kecss bench <id> --against PATH``: 0 match, 1 drift, 2 a baseline
+    the gate cannot use."""
+
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [
+            (_swap_n16_metrics, "metrics differ on iterations"),
+            (_nan_metric, "metrics differ on iterations"),
+            (_one_sided_metric, "metrics differ on baseline_only"),
+            (_missing_trial, "is not in the baseline"),
+            (_extra_trial, "is missing from the fresh run"),
+        ],
+        ids=["swapped", "nan", "one-sided-key", "missing-trial", "extra-trial"],
+    )
+    def test_trial_drift_with_an_equal_table_exits_one(
+        self, tmp_path, capsys, mutate, expected
+    ):
+        """Each edited copy of ``BENCH_e3.json`` keeps the stored table, so
+        only the per-trial check can catch it.  A trial missing from the
+        baseline shows up as a fresh trial the baseline lacks, and vice
+        versa."""
+        payload = json.loads((REPO_ROOT / "BENCH_e3.json").read_text())
+        mutate(payload)
+        path = tmp_path / "BENCH_e3.json"
+        path.write_text(json.dumps(payload))
+        assert main(["bench", "e3", "--against", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert expected in out
+        assert "row" not in out and "columns differ" not in out
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ("[]", "baseline must be a JSON object, got list"),
+            ('{"schema": "nope"}', "schema must be 'kecss-bench-baseline'"),
+            (None, "cannot read baseline"),
+            ("BENCH_e9.json", "records experiment 'e9', not 'e3'"),
+        ],
+        ids=["list", "schema-broken", "unreadable", "other-experiment"],
+    )
+    def test_unusable_baseline_exits_two_with_a_message(
+        self, tmp_path, capsys, content, expected
+    ):
+        if content is None:
+            path = tmp_path / "missing.json"
+        elif content.startswith("BENCH_"):
+            path = REPO_ROOT / content
+        else:
+            path = tmp_path / "baseline.json"
+            path.write_text(content)
+        assert main(["bench", "e3", "--against", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert expected in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_table_drift_exits_one(self, tmp_path, capsys):
+        payload = json.loads((REPO_ROOT / "BENCH_e3.json").read_text())
+        payload["table"]["rows"][1][1] += 1
+        path = tmp_path / "BENCH_e3.json"
+        path.write_text(json.dumps(payload))
+        assert main(["bench", "e3", "--against", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "row 1 differs" in out
+        assert "metrics differ" not in out
+
+    def test_a_matching_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "BENCH_e3.json"
+        path.write_text((REPO_ROOT / "BENCH_e3.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "e3", "--against", str(path)]) == 0
+        assert "table and 9 trials match" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_e3.json"]
+        assert path.read_text() == (REPO_ROOT / "BENCH_e3.json").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["bench", "all", "--against", "BENCH_e3.json"],
+             "--against requires a single experiment id"),
+            (["bench", "e3", "--against", "BENCH_e3.json", "--out", "x.json"],
+             "--against does not write baselines"),
+        ],
+        ids=["all", "with-out"],
+    )
+    def test_against_usage_errors_write_nothing(
+        self, tmp_path, monkeypatch, argv, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [str(REPO_ROOT / a) if a.startswith("BENCH_") else a for a in argv]
+        with pytest.raises(SystemExit, match=expected):
+            main(argv)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fresh_baselines_carry_producer_git_provenance(self):
+        """Live runs stamp git describe at production time (when a checkout
+        is reachable), so a baseline names the commit that produced it."""
+        from repro.analysis.bench import build_baseline
+        from repro.analysis.code_version import git_describe
+
+        payload = build_baseline("e3")
+        assert payload["provenance"]["git_describe"] == git_describe()

@@ -287,6 +287,27 @@ class TestEngineCache:
         assert "1 executed" in line and "workers=2" in line
 
 
+class TestEngineObservers:
+    def test_observers_see_every_trial_in_job_order(self):
+        jobs = _jobs("obs", [1, 2])
+        seen: list[tuple[TrialJob, object]] = []
+        engine = ExperimentEngine(observers=[lambda job, res: seen.append((job, res))])
+        results = engine.run_jobs(_value_trial, jobs)
+        assert [job for job, _ in seen] == list(jobs)
+        assert [result for _, result in seen] == results
+
+    def test_observers_fire_on_cache_replays_too(self, tmp_path):
+        jobs = _jobs("obs", [3], trials=1)
+        ExperimentEngine(cache_dir=tmp_path).run_jobs(_value_trial, jobs)
+        seen = []
+        warm = ExperimentEngine(
+            cache_dir=tmp_path, observers=[lambda job, res: seen.append(res)]
+        )
+        warm.run_jobs(_value_trial, jobs)
+        assert warm.stats["hits"] == 1
+        assert len(seen) == 1 and seen[0].cached
+
+
 class TestExperimentParity:
     """Engine determinism on the real experiments: E1 and E4 tables must be
     identical across workers=1, workers=4 and a cache replay."""

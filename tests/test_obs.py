@@ -4,10 +4,9 @@ Covers the :class:`~repro.obs.trace.Tracer` event model (span nesting,
 thread safety, JSONL round-trip, the disabled no-op path), the ``kecss
 trace`` verb and its exit-code contract, the Chrome trace-event export, the
 ``queue_seconds`` queue-wait/compute split end-to-end (engine -> cache
-replay -> bench payload -> store column -> history drill-down), and -- the
-hard invariant -- that a traced process-pool run stays bit-identical to an
-untraced serial one while still producing a trace with the pool workers'
-trial spans.
+replay -> bench payload -> store column), and -- the hard invariant --
+that a traced process-pool run stays bit-identical to an untraced serial
+one while still producing a trace with the pool workers' trial spans.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.obs.trace import (
     get_tracer,
     reset_tracer,
 )
-from repro.store import StoreError, TrialStore, history_drilldown
+from repro.store import TrialStore
 
 
 @pytest.fixture(autouse=True)
@@ -290,20 +289,6 @@ class TestQueueSeconds:
             dict(base), dict(base, seed=2, index=1, queue_seconds=0.0),
         ])
         assert "queue_seconds" not in store2.columns(info2)
-
-    def test_history_drilldown_accepts_bare_timing_columns(self, tmp_path):
-        base = {"config": {"x": 1}, "seed": 1, "index": 0, "duration": 0.5,
-                "cached": False, "error": None, "metrics": {"v": 1.0}}
-        store, _ = self._ingest(tmp_path, [
-            dict(base, queue_seconds=0.25),
-            dict(base, seed=2, index=1, queue_seconds=0.75),
-        ])
-        table = history_drilldown(store, "eq", "queue_seconds")
-        assert "queue_seconds" in table.title
-        table = history_drilldown(store, "eq", "duration")
-        assert "duration" in table.title
-        with pytest.raises(StoreError, match="timing columns"):
-            history_drilldown(store, "eq", "nope")
 
 
 # ------------------------------------------------ process pool + provenance

@@ -47,12 +47,9 @@ Guards in the default test run:
   the acceptance bar for the pooled-executor reuse;
 * ``kecss bench --dry-run`` emits baseline JSON that passes the published
   schema check (and a written baseline round-trips through it);
-* ``kecss bench e3 --against BENCH_e3.json`` and ``kecss bench e9 --against
-  BENCH_e9.json`` reproduce the committed baselines bit-identically, so the
-  drift detection itself is exercised on every default test run;
-* ``kecss regress`` round-trips on a columnar store freshly populated from
-  the committed baselines plus a live ``kecss bench --store-dir`` run of
-  each (the cross-run superset of ``--against``);
+* ``kecss bench <id> --against BENCH_<id>.json`` reproduces every committed
+  baseline (e2, e3, e4, e5, e6, e9) -- table and per-trial metrics -- so the
+  drift gate itself is exercised on every default test run;
 * timings are printed so the speedups are visible in the test log with
   ``-s``.
 """
@@ -797,48 +794,17 @@ def test_bench_dry_run_emits_schema_valid_baseline_json(capsys):
     assert all(trial["error"] is None for trial in payload["trials"])
 
 
-def test_bench_against_committed_e3_baseline(capsys):
-    """``kecss bench e3 --against`` matches the committed TAP-heavy baseline.
-
-    Exercises the drift detection itself on every default run: the E3
-    aggregates (TAP iteration counts over the deterministic seed grid) must
-    reproduce the repository's ``BENCH_e3.json`` bit-identically, which is
-    exactly the check a refactor PR relies on.
-    """
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_e3.json"
-    assert baseline.is_file(), "BENCH_e3.json must be committed at the repo root"
-    exit_code = kecss_main(["bench", "e3", "--against", str(baseline)])
+@pytest.mark.parametrize("experiment", ["e2", "e3", "e4", "e5", "e6", "e9"])
+def test_bench_against_committed_baseline(experiment, capsys):
+    """``kecss bench <id> --against BENCH_<id>.json`` passes on every
+    committed baseline: the table and every trial's metrics reproduce
+    exactly, which is the check a refactor PR relies on."""
+    baseline = Path(__file__).resolve().parents[1] / f"BENCH_{experiment}.json"
+    assert baseline.is_file(), f"{baseline.name} must be committed at the repo root"
+    exit_code = kecss_main(["bench", experiment, "--against", str(baseline)])
     out = capsys.readouterr().out
-    assert exit_code == 0, f"E3 aggregates drifted from the committed baseline:\n{out}"
-    assert "aggregates match" in out
-
-
-def test_bench_against_committed_e9_baseline(capsys):
-    """``kecss bench e9 --against`` matches the committed voting-ablation
-    baseline, so drift detection is exercised on a second experiment (the
-    voting/no-voting TAP comparison) in every default run."""
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_e9.json"
-    assert baseline.is_file(), "BENCH_e9.json must be committed at the repo root"
-    exit_code = kecss_main(["bench", "e9", "--against", str(baseline)])
-    out = capsys.readouterr().out
-    assert exit_code == 0, f"E9 aggregates drifted from the committed baseline:\n{out}"
-    assert "aggregates match" in out
-
-
-def test_bench_against_committed_e5_baseline(capsys):
-    """``kecss bench e5 --against`` matches the committed 3-ECSS baseline.
-
-    The E5 aggregates (3-ECSS sizes, iteration counts and approximation
-    ratios over the deterministic seed grid) exercise the full kernel-backed
-    solver -- path-label scoring, the guessing schedule and the Lemma 5.11
-    clamp -- so any behavioural drift in the ported inner loop fails the
-    default test run, mirroring the e3/e9 guards."""
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_e5.json"
-    assert baseline.is_file(), "BENCH_e5.json must be committed at the repo root"
-    exit_code = kecss_main(["bench", "e5", "--against", str(baseline)])
-    out = capsys.readouterr().out
-    assert exit_code == 0, f"E5 aggregates drifted from the committed baseline:\n{out}"
-    assert "aggregates match" in out
+    assert exit_code == 0, f"{experiment} drifted from the committed baseline:\n{out}"
+    assert "trials match" in out
 
 
 def test_bench_writes_and_revalidates_a_baseline(tmp_path, capsys):
@@ -850,36 +816,4 @@ def test_bench_writes_and_revalidates_a_baseline(tmp_path, capsys):
     assert validate_baseline(payload) == []
     capsys.readouterr()
     assert kecss_main(["bench", "e7", "--against", str(out)]) == 0
-    assert "aggregates match" in capsys.readouterr().out
-
-
-# ------------------------------------------------- store regression round trip
-def test_regress_round_trips_on_committed_baselines(tmp_path, capsys):
-    """The cross-run drift check round-trips on the committed baselines.
-
-    ``kecss store import`` migrates the repository's ``BENCH_e3.json`` /
-    ``BENCH_e9.json`` into a fresh columnar store, ``kecss bench
-    --store-dir`` appends a live run of each, and ``kecss regress`` --
-    comparing the live run against the imported baseline version at zero
-    tolerance -- must pass: the end-to-end superset of ``bench --against``.
-    """
-    root = Path(__file__).resolve().parents[1]
-    store_dir = tmp_path / "store"
-    assert kecss_main([
-        "store", "import", str(root / "BENCH_e3.json"),
-        str(root / "BENCH_e9.json"), "--store-dir", str(store_dir),
-    ]) == 0
-    for experiment in ("e3", "e9"):
-        assert kecss_main([
-            "bench", experiment, "--store-dir", str(store_dir),
-            "--out", str(tmp_path / f"B_{experiment}.json"),
-        ]) == 0
-        capsys.readouterr()
-        assert kecss_main(["history", experiment, "--store-dir", str(store_dir)]) == 0
-        assert f"history: {experiment}" in capsys.readouterr().out
-        exit_code = kecss_main(["regress", experiment, "--store-dir", str(store_dir)])
-        out = capsys.readouterr().out
-        assert exit_code == 0, (
-            f"{experiment} drifted from its imported baseline:\n{out}"
-        )
-        assert "no drift beyond tolerance" in out
+    assert "trials match" in capsys.readouterr().out

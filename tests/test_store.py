@@ -2,40 +2,26 @@
 
 Covers the column codec (dtype inference, lossless round trips -- including
 a hypothesis property over arbitrary JSON-ish value lists), the append-only
-segment store (ingest / enumerate / query / crash-safety), crash recovery (a
-writer killed at *every* crash point, ``fsck`` detection/quarantine of each
-damage class, ``runs()`` warn-and-skip, ``gc --keep-last`` retention), the
-regression
-layer (history grouping, baseline-run selection, tolerance-based drift
-detection) and the ``BENCH_*.json`` importer, whose aggregates must be
-bit-identical to the committed baselines.
+segment store (ingest / enumerate / read back / crash-safety), crash
+recovery (a writer killed at *every* crash point, ``fsck``
+detection/quarantine of each damage class, ``runs()`` warn-and-skip),
+segments written by older versions, and concurrent writers.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.bench import build_baseline
 from repro.store import (
     ColumnCodecError,
     ColumnSpec,
     StoreError,
     StoreWarning,
     TrialStore,
-    duration_stats,
-    history_table,
-    import_baseline,
-    import_baseline_file,
     infer_dtype,
-    metric_means,
-    pick_baseline_run,
-    regress,
-    relative_drift,
     validate_run_manifest,
 )
 from repro.store.columns import build_column, decode_column, read_column, write_column
@@ -47,8 +33,6 @@ from _helpers import (
     record_store_crash_points,
     store_crash_hook,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _trial(seed, metrics, config=None, duration=0.25, cached=False, error=None, index=0):
@@ -213,43 +197,6 @@ class TestTrialStore:
         with pytest.raises(StoreError, match="missing fields"):
             _ingest(store, [{"config": {}, "seed": 1}])
 
-    def test_query_filters_and_projects(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        trials = [
-            _trial(s, {"w": float(s)}, config={"family": fam})
-            for s, fam in [(1, "a"), (2, "b"), (3, "a")]
-        ]
-        _ingest(store, trials, experiment="diff")
-        _ingest(store, trials, experiment="diff", version="v2")
-        slices = store.query(
-            "diff", where={"config.family": "a"}, columns=["seed", "metrics.w"]
-        )
-        assert len(slices) == 2
-        for run_slice in slices:
-            assert run_slice.columns == {"seed": [1, 3], "metrics.w": [1.0, 3.0]}
-        only_v2 = store.query("diff", code_version="v2")
-        assert len(only_v2) == 1 and only_v2[0].info.code_version == "v2"
-
-    def test_query_skips_runs_without_the_where_column(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"m": 1})], experiment="diff")
-        assert store.query("diff", where={"config.family": "a"}) == []
-
-    def test_query_none_fills_sparse_projected_columns(self, tmp_path):
-        """Projecting a column only some runs carry (e.g. ``error``) must not
-        abort the query; absent columns are None-filled per run."""
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"m": 1})], experiment="diff")
-        _ingest(
-            store,
-            [_trial(2, {"m": 2}, error="Traceback ...")],
-            experiment="diff",
-            version="v2",
-        )
-        slices = store.query("diff", columns=["seed", "error"])
-        assert [s.columns["error"] for s in slices] == [[None], ["Traceback ..."]]
-        assert [s.columns["seed"] for s in slices] == [[1], [2]]
-
     def test_crashed_manifest_write_leaves_only_a_tmp_file(self, tmp_path):
         """Manifests are committed by rename: a segment can hold column files
         and a partial .tmp manifest, and the store stays fully readable."""
@@ -345,6 +292,29 @@ class TestStoreCrashRecovery:
         assert repaired[0].repaired
         assert store.runs() == []  # the damaged segment is quarantined
 
+    def test_fsck_of_a_clean_store_finds_nothing_and_repair_moves_nothing(
+        self, tmp_path
+    ):
+        store = TrialStore(tmp_path / "s")
+        runs = [ingest_sample_run(store, stamp=float(i)) for i in range(2)]
+        assert store.fsck() == []
+        assert store.fsck(repair=True) == []
+        assert not (store.root / "quarantine").exists()
+        assert [i.run_id for i in store.runs()] == [i.run_id for i in runs]
+
+    def test_repair_keeps_the_damaged_bytes_and_the_healthy_runs(self, tmp_path):
+        store = TrialStore(tmp_path / "s")
+        good = ingest_sample_run(store, stamp=1.0)
+        bad = ingest_sample_run(store, stamp=2.0)
+        (bad.path / "manifest.json").write_text("{ not json at all")
+        [finding] = store.fsck(repair=True)
+        assert (finding.kind, finding.repaired) == ("manifest-corrupt", True)
+        quarantined = store.root / "quarantine" / bad.path.name
+        assert (quarantined / "manifest.json").read_text() == "{ not json at all"
+        assert [i.run_id for i in store.runs()] == [good.run_id]
+        assert store.columns(good.run_id)["metrics.value"] == [0, 2, 4]
+        assert store.fsck() == []
+
     def test_stray_manifest_tmp_is_reported_and_unlinked(self, tmp_path):
         store = TrialStore(tmp_path / "s")
         info = ingest_sample_run(store)
@@ -359,202 +329,40 @@ class TestStoreCrashRecovery:
         assert [i.run_id for i in store.runs()] == [info.run_id]
         assert store.fsck() == []
 
-    def test_gc_keeps_the_newest_runs_per_experiment(self, tmp_path):
-        store = TrialStore(tmp_path / "s")
-        runs_a = [ingest_sample_run(store, "ea", stamp=float(i)) for i in range(4)]
-        runs_b = [ingest_sample_run(store, "eb", stamp=float(i)) for i in range(2)]
-        removed = store.gc(keep_last=2)
-        assert [info.run_id for info in removed] == [
-            runs_a[0].run_id, runs_a[1].run_id
+# ------------------------------------------------------------ legacy segments
+class TestLegacySegments:
+    def test_worker_column_segment_reads_back_and_passes_fsck(
+        self, tmp_path, monkeypatch
+    ):
+        """Older writers stamped a sparse ``worker`` column (which remote
+        worker computed each trial).  Such segments must stay readable."""
+        from repro.store import store as store_module
+
+        write_columns = store_module._trial_columns
+
+        def with_worker_column(trials):
+            columns = write_columns(trials)
+            columns["worker"] = [t.get("worker") for t in trials]
+            return columns
+
+        trials = [
+            {"config": {"n": 8}, "seed": seed, "index": seed, "duration": 0.5,
+             "cached": False, "metrics": {"value": 2 * seed}, "worker": worker}
+            for seed, worker in enumerate(["w0", "w1", "w0"])
         ]
-        assert [info.run_id for info in store.runs("ea")] == [
-            runs_a[2].run_id, runs_a[3].run_id
-        ]
-        assert [info.run_id for info in store.runs("eb")] == [
-            info.run_id for info in runs_b
-        ]
-        with pytest.raises(StoreError):
-            store.gc(0)
-
-
-# --------------------------------------------------------------- regression
-class TestRegression:
-    def test_duration_stats(self):
-        stats = duration_stats([0.1, 0.3, 0.2])
-        assert stats["trials"] == 3
-        assert stats["mean"] == pytest.approx(0.2)
-        assert stats["p50"] == pytest.approx(0.2)
-        assert stats["max"] == 0.3
-        assert duration_stats([])["trials"] == 0
-
-    def test_metric_means_skip_missing_and_non_numeric(self):
-        means = metric_means(
-            {
-                "metrics.ratio": [1.0, None, 3.0],
-                "metrics.label": ["a", "b", "c"],
-                "seed": [1, 2, 3],
-            }
-        )
-        assert means == {"ratio": 2.0}
-
-    def test_relative_drift(self):
-        assert relative_drift(2.0, 2.0) == 0.0
-        assert relative_drift(2.0, 3.0) == pytest.approx(0.5)
-        assert relative_drift(0.0, 1.0) > 1e9  # old ~0: any change is huge
-
-    def test_pick_baseline_prefers_previous_version(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        old = _ingest(store, [_trial(1, {"m": 1})], version="v1")
-        _ingest(store, [_trial(2, {"m": 1})], version="v2")
-        _ingest(store, [_trial(3, {"m": 1})], version="v2")
-        runs = store.runs("unit")
-        # Latest is v2: the baseline is the most recent run of a *different*
-        # version (v1), not the sibling v2 run sitting in between.
-        assert pick_baseline_run(runs).run_id == old.run_id
-        # All runs at one version: the immediately preceding run.
-        assert pick_baseline_run(runs[1:]).run_id == runs[1].run_id
-        assert pick_baseline_run(runs[:1]) is None
-
-    def test_regress_detects_metric_drift(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"weight": 100.0})], version="v1")
-        _ingest(store, [_trial(1, {"weight": 103.0})], version="v2")
-        code, lines = regress(store, "unit")
-        assert code == 1
-        assert any("weight" in line and "DRIFT" in line for line in lines)
-        # 3% drift passes a 5% tolerance.
-        code, _ = regress(store, "unit", tolerance=0.05)
-        assert code == 0
-
-    def test_regress_detects_table_drift(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        table = {"title": "t", "columns": ["n", "w"], "rows": [[8, 10.0]], "notes": []}
-        drifted = {**table, "rows": [[8, 12.0]]}
-        _ingest(store, [_trial(1, {"w": 1.0})], version="v1", table=table)
-        _ingest(store, [_trial(1, {"w": 1.0})], version="v2", table=drifted)
-        code, lines = regress(store, "unit")
-        assert code == 1
-        assert any("table[0]" in line for line in lines)
-        code, _ = regress(store, "unit", tolerance=0.25)
-        assert code == 0
-
-    def test_regress_duration_check_is_opt_in(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"m": 1.0}, duration=0.1)], version="v1")
-        _ingest(store, [_trial(1, {"m": 1.0}, duration=0.4)], version="v2")
-        code, _ = regress(store, "unit")
-        assert code == 0  # durations reported, never enforced by default
-        code, lines = regress(store, "unit", duration_tolerance=0.5)
-        assert code == 1
-        assert any("duration" in line for line in lines)
-
-    def test_regress_nan_aggregates_are_always_drift(self, tmp_path):
-        """NaN must never sneak through the gate: `NaN > tolerance` is False,
-        so a broken (NaN) mean would otherwise pass at any tolerance."""
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"ratio": 2.0})], version="v1")
-        _ingest(store, [_trial(1, {"ratio": float("nan")})], version="v2")
-        code, lines = regress(store, "unit", tolerance=1e9)
-        assert code == 1
-        assert any("ratio" in line and "DRIFT" in line for line in lines)
-
-    def test_regress_metric_set_mismatch_is_drift(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"old_only": 1.0})], version="v1")
-        _ingest(store, [_trial(1, {"new_only": 1.0})], version="v2")
-        code, lines = regress(store, "unit")
-        assert code == 1
-        assert any("only in" in line or "only by" in line for line in lines)
-
-    def test_regress_exit_codes_for_thin_stores(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        assert regress(store, "unit")[0] == 2  # nothing stored at all
-        _ingest(store, [_trial(1, {"m": 1})])
-        assert regress(store, "unit")[0] == 0  # single run: nothing to compare
-
-    def test_history_groups_by_version_oldest_first(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        _ingest(store, [_trial(1, {"iters": 2})], version="v1")
-        _ingest(store, [_trial(2, {"iters": 4})], version="v1")
-        _ingest(store, [_trial(3, {"iters": 6})], version="v2")
-        table = history_table(store, "unit")
-        assert table.column("code version") == ["v1", "v2"]
-        assert table.column("runs") == [2, 1]
-        assert table.column("trials") == [2, 1]
-        assert table.column("mean iters") == [3.0, 6.0]
-
-    def test_history_of_unknown_experiment_is_loud(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        with pytest.raises(StoreError, match="no stored runs"):
-            history_table(store, "nope")
-
-
-# ----------------------------------------------------------------- importer
-class TestImporter:
-    @pytest.mark.parametrize("name", ["BENCH_e3.json", "BENCH_e9.json"])
-    def test_committed_baselines_import_bit_identically(self, tmp_path, name):
-        """The acceptance bar: stored aggregates == the JSON baselines, bit
-        for bit -- the manifest keeps the rendered table verbatim and every
-        per-trial column (seeds, durations, metrics) round-trips exactly."""
-        payload = json.loads((REPO_ROOT / name).read_text())
-        store = TrialStore(tmp_path / "store")
-        info = import_baseline_file(store, REPO_ROOT / name)
-        assert info.experiment == payload["experiment"]
-        assert info.code_version == payload["provenance"]["code_version"]
-        assert info.created_unix == payload["created_unix"]
-        assert info.table == payload["table"]
-        columns = store.columns(info)
-        trials = payload["trials"]
-        assert columns["seed"] == [t["seed"] for t in trials]
-        assert columns["duration"] == [t["duration"] for t in trials]
-        assert columns["cached"] == [int(t["cached"]) for t in trials]
-        for key in {k for t in trials for k in t["metrics"]}:
-            assert columns[f"metrics.{key}"] == [
-                t["metrics"].get(key) for t in trials
-            ]
-            stored_mean = metric_means(columns)[key]
-            assert stored_mean == fmean(
-                t["metrics"][key] for t in trials if key in t["metrics"]
+        store_dir = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_trial_columns", with_worker_column)
+            info = TrialStore(store_dir).ingest(
+                "e3", trials, created_unix=1.0, provenance={"code_version": "v1"}
             )
+        assert "worker" in [spec.name for spec in info.column_specs()]
 
-    def test_import_does_not_stamp_the_current_git_state(self, tmp_path):
-        """A historical baseline without git provenance must stay without it:
-        stamping the importing checkout's describe would misattribute old
-        results to the current commit."""
-        payload = json.loads((REPO_ROOT / "BENCH_e3.json").read_text())
-        assert "git_describe" not in payload["provenance"]
-        store = TrialStore(tmp_path / "store")
-        info = import_baseline(store, payload)
-        assert "git_describe" not in info.provenance
-
-    def test_fresh_baselines_carry_producer_git_provenance(self):
-        """Live runs stamp git describe at production time (when a checkout
-        is reachable), so stores can attribute results to commits."""
-        from repro.store import git_describe
-
-        payload = build_baseline("e3")
-        assert payload["provenance"]["git_describe"] == git_describe()
-
-    def test_invalid_baseline_is_rejected(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        with pytest.raises(StoreError, match="invalid bench baseline"):
-            import_baseline(store, {"schema": "nope"})
-
-    def test_unreadable_file_is_rejected(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        with pytest.raises(StoreError, match="cannot read"):
-            import_baseline_file(store, tmp_path / "missing.json")
-
-    def test_fresh_bench_run_matches_imported_baseline_aggregates(self, tmp_path):
-        """A store fed by ``kecss bench`` and one fed by ``store import`` of
-        the same experiment hold identical tables and metric columns."""
-        store = TrialStore(tmp_path / "store")
-        imported = import_baseline_file(store, REPO_ROOT / "BENCH_e3.json")
-        fresh = import_baseline(store, build_baseline("e3"), source="live")
-        assert fresh.table == imported.table
-        assert store.columns(fresh, ["seed", "metrics.iterations"]) == (
-            store.columns(imported, ["seed", "metrics.iterations"])
-        )
+        store = TrialStore(store_dir, create=False)
+        columns = store.columns(info.run_id)
+        assert columns["worker"] == ["w0", "w1", "w0"]
+        assert columns["metrics.value"] == [0, 2, 4]
+        assert store.fsck() == []
 
 
 # ------------------------------------------------ concurrent writer contention
