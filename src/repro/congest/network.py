@@ -14,12 +14,21 @@ has not halted plus every halted node with mail, and only the nodes that
 queued a message that round have their outbox drained (a node registers
 with the network on its first queued message of a round).  Both visits go
 in node order, so every inbox receives its messages in sender node order.
+A node whose whole round is one :meth:`CongestNode.send_all` is delivered as
+one fan-out: one message per neighbour, checked against the budget once.
+
+A run stops at quiescence: every node has halted and no mail is in flight.
+Its ``rounds`` is the last round that started with a live (not halted) node
+or in which some node sent -- mail sent in ``initialize()`` counts as sent
+in round 1 -- so a trailing round that only delivers mail to halted nodes
+which send nothing is not counted.  A program that is not quiet after
+``max_rounds`` rounds raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from collections import defaultdict
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 import networkx as nx
 
@@ -33,8 +42,7 @@ class BandwidthExceeded(RuntimeError):
     """Raised when a node ships more words over one edge in one round than allowed."""
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A single CONGEST message.
 
     Attributes:
@@ -56,12 +64,15 @@ class CongestNode:
 
     Subclasses override :meth:`initialize` (called once before round 1) and
     :meth:`on_round` (called every round with the messages received that
-    round).  Sending is done with :meth:`send`; a node signals local
-    termination with :meth:`halt` -- the simulation stops when every node has
-    halted or ``max_rounds`` is reached.
+    round).  Sending is done with :meth:`send` and :meth:`send_all`; a node
+    signals local termination with :meth:`halt` -- the simulation stops once
+    every node has halted and no mail is in flight, and raises
+    ``RuntimeError`` if that has not happened after ``max_rounds`` rounds.
 
     A halted node is woken only by incoming mail: its ``on_round`` runs in a
-    round where its inbox is non-empty and is skipped otherwise.
+    round where its inbox is non-empty and is skipped otherwise.  A node may
+    therefore halt in :meth:`initialize` and still take part, woken by its
+    first message; such a dormant node costs nothing in rounds it gets no mail.
     """
 
     def __init__(self, node_id: Hashable, neighbors: tuple[Hashable, ...], network: "CongestNetwork") -> None:
@@ -70,6 +81,9 @@ class CongestNode:
         self._neighbor_set = frozenset(neighbors)
         self._network = network
         self._outbox: list[Message] = []
+        # A send_all into an empty outbox is kept as (content, words) and
+        # delivered as one fan-out unless the node queues more that round.
+        self._fanout: tuple[object, int] | None = None
         self._halted = False
 
     # ------------------------------------------------------------- overrides
@@ -87,7 +101,9 @@ class CongestNode:
             raise ValueError(f"node {self.node_id!r} has no edge to {dst!r}")
         if words < 1:
             raise ValueError("a message occupies at least one word")
-        if not self._outbox:
+        if self._fanout is not None:
+            self._expand_fanout()
+        elif not self._outbox:
             self._network._note_sender(self)
         self._outbox.append(Message(self.node_id, dst, content, words))
 
@@ -97,8 +113,12 @@ class CongestNode:
             return
         if words < 1:
             raise ValueError("a message occupies at least one word")
-        if not self._outbox:
+        if self._fanout is not None:
+            self._expand_fanout()
+        elif not self._outbox:
             self._network._note_sender(self)
+            self._fanout = (content, words)
+            return
         src = self.node_id
         self._outbox.extend([Message(src, dst, content, words) for dst in self.neighbors])
 
@@ -113,9 +133,18 @@ class CongestNode:
         return self._halted
 
     # -------------------------------------------------------------- internal
-    def _drain_outbox(self) -> list[Message]:
-        queued, self._outbox = self._outbox, []
-        return queued
+    def _expand_fanout(self) -> None:
+        """Turn a pending fan-out into queued messages, so more can join them."""
+        (content, words), self._fanout = self._fanout, None
+        src = self.node_id
+        self._outbox = [Message(src, dst, content, words) for dst in self.neighbors]
+
+    def _drain_outbox(self) -> tuple[tuple[object, int] | None, list[Message]]:
+        """Hand over this round's mail: a fan-out ``(content, words)`` or
+        ``None``, and the queued messages (empty when there is a fan-out)."""
+        fanout, queued = self._fanout, self._outbox
+        self._fanout, self._outbox = None, []
+        return fanout, queued
 
 
 class CongestNetwork:
@@ -156,12 +185,13 @@ class CongestNetwork:
         max_rounds: int = 10_000,
         label: str = "congest-run",
     ) -> RoundReport:
-        """Instantiate one node program per vertex and run rounds to completion.
+        """Instantiate one node program per vertex and run rounds to quiescence.
 
-        Returns a :class:`RoundReport` with the number of rounds executed, the
+        Returns a :class:`RoundReport` with the number of rounds (the last
+        round that started with a live node or in which some node sent), the
         total message count and the maximum per-edge congestion observed.
-        Raises ``RuntimeError`` if the algorithm does not terminate within
-        *max_rounds*.
+        Raises ``RuntimeError`` if the network is not quiet -- every node
+        halted and no mail in flight -- after *max_rounds* rounds.
         """
         self._halted_count = 0
         self._senders = []
@@ -176,32 +206,54 @@ class CongestNetwork:
 
         total_messages = 0
         max_congestion = 0
-        node_count = len(programs)
         # Positions of the nodes that have not halted, in node order; halts
         # are counted in halt(), so the list is refiltered only after a
         # round in which some node halted.
         live = [i for i, node in enumerate(programs) if not node._halted]
-        inboxes: dict[int, list[Message]] = {}
+        inboxes: defaultdict[int, list[Message]] = defaultdict(list)
+        # Message's own constructor minus its Python-level __new__ frame.
+        new_message = tuple.__new__
         bandwidth = self.bandwidth_words
         rounds = 0
-        for round_number in range(1, max_rounds + 1):
+        round_number = 0
+        while live or inboxes or self._senders:
+            if round_number == max_rounds:
+                raise RuntimeError(f"{label}: did not terminate within {max_rounds} rounds")
+            round_number += 1
             halted_before = self._halted_count
-            if halted_before == node_count:
-                break
-            rounds = round_number
+            if live:
+                rounds = round_number
             woken = [i for i in inboxes if programs[i]._halted]
             for i in sorted(live + woken) if woken else live:
                 programs[i].on_round(round_number, inboxes.get(i) or [])
             # Nodes that sent during initialize() are drained with round 1,
             # so restore node order before draining.
             senders, self._senders = self._senders, []
-            senders.sort(key=lambda node: position[node.node_id])
-            inboxes = {}
+            if senders:
+                rounds = round_number
+                senders.sort(key=lambda node: position[node.node_id])
+            inboxes = defaultdict(list)
             for node in senders:
+                fanout, outbox = node._drain_outbox()
+                if fanout is not None:
+                    # One message of `words` words to each distinct
+                    # neighbour: every directed edge carries `words`.
+                    content, words = fanout
+                    src = node.node_id
+                    if words > bandwidth:
+                        raise BandwidthExceeded(
+                            f"edge {src!r}->{node.neighbors[0]!r} carried {words} words "
+                            f"in round {round_number} (budget {bandwidth})"
+                        )
+                    if words > max_congestion:
+                        max_congestion = words
+                    total_messages += len(node.neighbors)
+                    for dst in node.neighbors:
+                        inboxes[position[dst]].append(new_message(Message, (src, dst, content, words)))
+                    continue
                 # A sender is drained once per round, so its own tally is
                 # the per-directed-edge word count of this round.
                 words_to: dict[Hashable, int] = {}
-                outbox = node._drain_outbox()
                 total_messages += len(outbox)
                 for message in outbox:
                     dst = message.dst
@@ -214,15 +266,9 @@ class CongestNetwork:
                     words_to[dst] = used
                     if used > max_congestion:
                         max_congestion = used
-                    slot = position[dst]
-                    bucket = inboxes.get(slot)
-                    if bucket is None:
-                        inboxes[slot] = bucket = []
-                    bucket.append(message)
+                    inboxes[position[dst]].append(message)
             if self._halted_count != halted_before:
                 live = [i for i in live if not programs[i]._halted]
-        else:
-            raise RuntimeError(f"{label}: did not terminate within {max_rounds} rounds")
 
         report = RoundReport(
             label=label,

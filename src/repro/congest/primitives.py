@@ -30,7 +30,13 @@ __all__ = [
 
 # --------------------------------------------------------------------------- BFS
 class _BfsNode(CongestNode):
-    """Flooding BFS: join the tree on the first wave received, then forward."""
+    """Flooding BFS: join the tree on the first wave received, then forward.
+
+    Every node halts in :meth:`initialize` -- the root right after its
+    ``send_all`` -- and is woken only by mail, so a round runs ``on_round``
+    just for the nodes the wave reaches that round (plus already-joined
+    neighbours of the wave front, which ignore the echo).
+    """
 
     root: Hashable = None
 
@@ -40,10 +46,10 @@ class _BfsNode(CongestNode):
         if self.node_id == self.root:
             self.distance = 0
             self.send_all(("bfs", 0))
-            self.halt()
+        self.halt()
 
     def on_round(self, round_number: int, messages: list[Message]) -> None:
-        if self.distance is not None or not messages:
+        if self.distance is not None:
             return
         waves = [m for m in messages if isinstance(m.content, tuple) and m.content[0] == "bfs"]
         if not waves:
@@ -52,7 +58,6 @@ class _BfsNode(CongestNode):
         self.parent = best.src
         self.distance = best.content[1] + 1
         self.send_all(("bfs", self.distance))
-        self.halt()
 
 
 def simulate_bfs_tree(
@@ -63,7 +68,13 @@ def simulate_bfs_tree(
     """Build a BFS tree of *graph* by flooding from *root* (min-id by default).
 
     Returns the resulting :class:`RootedTree` together with the simulated
-    round report (``rounds`` is ``D + O(1)``).
+    round report.  On two or more vertices ``rounds`` is the root's
+    eccentricity plus one (``D + O(1)``; the echo the wave's last senders
+    cause is not counted) and ``messages`` is ``2m`` (every vertex
+    broadcasts once).  Nodes sleep until the wave reaches them, so the
+    simulation touches each vertex only in the rounds it receives mail.
+    Raises ``ValueError`` naming a vertex the wave did not reach when
+    *graph* is disconnected.
     """
     if root is None:
         root = min(graph.nodes(), key=repr)
@@ -78,6 +89,11 @@ def simulate_bfs_tree(
     tree = nx.Graph()
     tree.add_node(root)
     for node_id, node in network.node_states().items():
+        if node.distance is None:
+            raise ValueError(
+                f"bfs-tree: vertex {node_id!r} is not reachable from root {root!r} "
+                "(the graph is disconnected)"
+            )
         if node.parent is not None:
             tree.add_edge(node_id, node.parent)
     rooted = RootedTree(tree, root=root)

@@ -217,12 +217,12 @@ def build_decomposition(
 
     # Left-over subtrees below marked vertices whose children have no marked
     # descendants: attach to an existing segment rooted at the marked vertex
-    # or open a highway-less segment (v, v).
+    # or open a highway-less segment (v, v).  No highway edge leads to such
+    # a child: the lower end of every highway edge has the highway's marked
+    # descendant d below it (or is d).
     for v in sorted(marked, key=repr):
         orphan_children = [
-            child
-            for child in mst.children(v)
-            if not has_marked_descendant[child] and not _child_in_some_highway(child, v, segments)
+            child for child in mst.children(v) if not has_marked_descendant[child]
         ]
         if not orphan_children:
             continue
@@ -256,11 +256,3 @@ def build_decomposition(
         home_segment=home_segment,
     )
 
-
-def _child_in_some_highway(child: Hashable, parent: Hashable, segments: list[Segment]) -> bool:
-    """Return True if the tree edge (parent, child) is already a highway edge."""
-    target = canonical_edge(child, parent)
-    for segment in segments:
-        if target in set(segment.highway_edges):
-            return True
-    return False

@@ -224,3 +224,177 @@ class TestBandwidthConformance:
         network = CongestNetwork(nx.path_graph(2), bandwidth_words=2)
         report = network.run(lambda *args: TwoRounds(*args), max_rounds=5)
         assert report.messages == 2
+
+
+class _DormantFlood(CongestNode):
+    """Every node halts in initialize(); node 0 starts a flood first.
+
+    A node forwards the flood once, on the first mail it gets, and records
+    every round in which it ran with the size of its inbox.
+    """
+
+    def initialize(self):
+        self.calls = []
+        self.reached = 0 if self.node_id == 0 else None
+        if self.node_id == 0:
+            self.send_all("flood")
+        self.halt()
+
+    def on_round(self, round_number, messages):
+        self.calls.append((round_number, len(messages)))
+        if self.reached is None:
+            self.reached = round_number
+            self.send_all("flood")
+
+
+class _PingPong(CongestNode):
+    """Halted nodes that answer every message: the mail never stops."""
+
+    def initialize(self):
+        if self.node_id == 0:
+            self.send(1, "ping")
+        self.halt()
+
+    def on_round(self, round_number, messages):
+        for message in messages:
+            self.send(message.src, "pong")
+
+
+class _Silent(CongestNode):
+    def initialize(self):
+        self.calls = 0
+        self.halt()
+
+    def on_round(self, round_number, messages):
+        self.calls += 1
+
+
+class TestQuiescence:
+    """A run ends when every node has halted and no mail is in flight."""
+
+    def test_flood_of_nodes_halted_in_initialize_runs_to_completion(self):
+        network = CongestNetwork(nx.path_graph(4))
+        report = network.run(lambda *args: _DormantFlood(*args), max_rounds=10)
+        # Node 0's mail leaves in round 1; node 3 forwards last, in round 4.
+        # The echo it causes is delivered in round 5, which is not counted.
+        assert (report.rounds, report.messages, report.max_congestion) == (4, 6, 1)
+        nodes = network.node_states()
+        assert {v: node.reached for v, node in nodes.items()} == {0: 0, 1: 2, 2: 3, 3: 4}
+        # Dormant nodes run only in rounds in which they have mail.
+        assert {v: node.calls for v, node in nodes.items()} == {
+            0: [(3, 1)], 1: [(2, 1), (4, 1)], 2: [(3, 1), (5, 1)], 3: [(4, 1)],
+        }
+
+    def test_flood_round_count_fits_max_rounds_with_the_echo(self):
+        """The uncounted echo round still runs inside ``max_rounds``."""
+        network = CongestNetwork(nx.path_graph(4))
+        assert network.run(lambda *args: _DormantFlood(*args), max_rounds=5).rounds == 4
+        with pytest.raises(RuntimeError, match="did not terminate within 4 rounds"):
+            network.run(lambda *args: _DormantFlood(*args), max_rounds=4)
+
+    def test_halted_nodes_ping_ponging_hit_max_rounds(self):
+        network = CongestNetwork(nx.path_graph(2))
+        with pytest.raises(RuntimeError, match="did not terminate within 6 rounds"):
+            network.run(lambda *args: _PingPong(*args), max_rounds=6)
+
+    def test_network_that_halts_without_sending_reports_zero_rounds(self):
+        network = CongestNetwork(nx.cycle_graph(5))
+        report = network.run(lambda *args: _Silent(*args), max_rounds=3)
+        assert (report.rounds, report.messages, report.max_congestion) == (0, 0, 0)
+        assert all(node.calls == 0 for node in network.node_states().values())
+
+
+class _PlanNode(CongestNode):
+    """Node 1 of a path 0-1-2 runs a plan of sends in round 1.
+
+    Plan steps are ``("send", words)`` (to neighbour 0) and
+    ``("send_all", words)``; every node halts after round 1.
+    """
+
+    plan: list[tuple[str, int]] = []
+
+    def on_round(self, round_number, messages):
+        if round_number == 1 and self.node_id == 1:
+            for kind, words in self.plan:
+                if kind == "send":
+                    self.send(0, "payload", words=words)
+                else:
+                    self.send_all("payload", words=words)
+        self.halt()
+
+
+def _run_send_plan(plan, bandwidth_words):
+    class Node(_PlanNode):
+        pass
+
+    Node.plan = list(plan)
+    network = CongestNetwork(nx.path_graph(3), bandwidth_words=bandwidth_words)
+    return network.run(lambda *args: Node(*args), max_rounds=3)
+
+
+class TestSendAllBandwidth:
+    """A lone send_all is checked once per fan-out; mixed with more sends it
+    adds up per directed edge like any other traffic."""
+
+    def test_send_all_at_budget_is_allowed(self):
+        report = _run_send_plan([("send_all", 3)], bandwidth_words=3)
+        assert (report.rounds, report.messages, report.max_congestion) == (1, 2, 3)
+
+    def test_send_all_over_budget_raises(self):
+        with pytest.raises(BandwidthExceeded) as excinfo:
+            _run_send_plan([("send_all", 4)], bandwidth_words=3)
+        assert "edge 1->0 carried 4 words in round 1 (budget 3)" in str(excinfo.value)
+
+    @pytest.mark.parametrize("plan", [
+        [("send_all", 2), ("send", 1)],
+        [("send", 1), ("send_all", 2)],
+    ])
+    def test_send_all_and_send_add_up_to_the_budget(self, plan):
+        report = _run_send_plan(plan, bandwidth_words=3)
+        assert (report.messages, report.max_congestion) == (3, 3)
+
+    @pytest.mark.parametrize("plan", [
+        [("send_all", 2), ("send", 2)],
+        [("send", 2), ("send_all", 2)],
+    ])
+    def test_send_all_and_send_fire_at_budget_plus_one(self, plan):
+        with pytest.raises(BandwidthExceeded) as excinfo:
+            _run_send_plan(plan, bandwidth_words=3)
+        assert "edge 1->0 carried 4 words" in str(excinfo.value)
+
+    def test_two_send_alls_add_up(self):
+        report = _run_send_plan([("send_all", 2), ("send_all", 2)], bandwidth_words=4)
+        assert (report.messages, report.max_congestion) == (4, 4)
+        with pytest.raises(BandwidthExceeded) as excinfo:
+            _run_send_plan([("send_all", 2), ("send_all", 2)], bandwidth_words=3)
+        assert "edge 1->0 carried 4 words" in str(excinfo.value)
+
+    def test_fan_out_and_queued_mail_arrive_alike(self):
+        """A lone send_all and the same messages queued with send() give
+        identical inboxes."""
+
+        class Recorder(CongestNode):
+            fan_out = True
+
+            def initialize(self):
+                self.inbox = None
+
+            def on_round(self, round_number, messages):
+                if round_number == 1 and self.node_id == 1:
+                    if self.fan_out:
+                        self.send_all(("x", 1), words=2)
+                    else:
+                        for neighbor in self.neighbors:
+                            self.send(neighbor, ("x", 1), words=2)
+                if round_number == 2:
+                    self.inbox = messages
+                    self.halt()
+
+        inboxes = []
+        for fan_out in (True, False):
+            Recorder.fan_out = fan_out
+            network = CongestNetwork(nx.path_graph(3))
+            network.run(lambda *args: Recorder(*args), max_rounds=4)
+            inboxes.append({v: node.inbox for v, node in network.node_states().items()})
+        assert inboxes[0] == inboxes[1]
+        assert inboxes[0][0] == [Message(1, 0, ("x", 1), 2)]

@@ -47,6 +47,22 @@ class TestBfsTree:
         assert report.messages <= 2 * graph.number_of_edges()
         assert report.max_congestion <= 1
 
+    def test_rounds_are_root_eccentricity_plus_one_and_messages_2m(self):
+        graph = cycle_with_chords(14, extra_edges=3, seed=0)
+        _, report = simulate_bfs_tree(graph, root=0)
+        assert report.rounds == nx.eccentricity(graph, 0) + 1
+        assert report.messages == 2 * graph.number_of_edges()
+
+    def test_single_vertex_takes_zero_rounds(self):
+        tree, report = simulate_bfs_tree(nx.empty_graph(1))
+        assert (report.rounds, report.messages) == (0, 0)
+        assert tree.number_of_nodes() == 1
+
+    def test_disconnected_graph_names_an_unreached_vertex(self):
+        graph = nx.Graph([(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(ValueError, match=r"vertex 3 is not reachable from root 0"):
+            simulate_bfs_tree(graph)
+
 
 class TestBroadcast:
     def test_all_vertices_receive_all_items_in_order(self):

@@ -41,7 +41,11 @@ Guards in the default test run:
 * ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
   of traced allocation (no n x n distance matrix), and the CONGEST BFS
   simulation on a clique chain drains at most n outboxes however many
-  rounds it runs (both machine-independent);
+  rounds it runs, never runs a node with an empty inbox and runs
+  ``on_round`` at most once per message (all machine-independent);
+* building the decomposition of a weighted-sparse n = 256 2-ECSS solve
+  evaluates ``Segment.highway_edges`` at most once per segment
+  (count-based, machine-independent);
 * an entered (pooled) ``processes`` backend re-running several small batches
   beats the historical fresh-executor-per-call behaviour by at least 2x --
   the acceptance bar for the pooled-executor reuse;
@@ -77,7 +81,7 @@ from repro.analysis.experiments import (
 from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
 from repro.congest.network import CongestNode
-from repro.congest.primitives import simulate_bfs_tree
+from repro.congest.primitives import _BfsNode, simulate_bfs_tree
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
 from repro.core.k_ecss import _recompute_effectiveness_nx
@@ -88,6 +92,7 @@ from repro.core.three_ecss import (
 )
 from repro.core.two_ecss import two_ecss
 from repro.cycle_space.labels import compute_labels
+from repro.decomposition.segments import Segment, TreeDecomposition
 from repro.graphs.connectivity import (
     bridges,
     bridges_nx,
@@ -680,6 +685,70 @@ def test_bfs_simulation_drains_only_nodes_that_sent(monkeypatch):
     )
     assert report.rounds > 100
     assert len(drains) <= n
+
+
+def test_bfs_simulation_visits_only_nodes_with_mail(monkeypatch):
+    """Count-based guard: a BFS node sleeps until mail arrives.
+
+    Every ``_BfsNode`` halts in ``initialize()`` and is woken only by
+    mail, so ``on_round`` never runs with an empty inbox, and it runs at
+    most once per delivered message however many rounds the wave takes.
+    """
+    inbox_sizes: list[int] = []
+    on_round = _BfsNode.on_round
+
+    def counting_on_round(self, round_number, messages):
+        inbox_sizes.append(len(messages))
+        return on_round(self, round_number, messages)
+
+    monkeypatch.setattr(_BfsNode, "on_round", counting_on_round)
+    graph = clique_chain(128, 4, 2)
+    _, report = simulate_bfs_tree(graph)
+    empty = inbox_sizes.count(0)
+    print(
+        f"\nCONGEST BFS (clique-chain n={graph.number_of_nodes()}): "
+        f"{len(inbox_sizes)} on_round calls, {empty} with an empty inbox, "
+        f"{report.messages} messages over {report.rounds} rounds"
+    )
+    assert report.rounds > 100
+    assert empty == 0
+    assert len(inbox_sizes) <= report.messages
+
+
+def test_build_decomposition_reads_each_highway_at_most_once(monkeypatch):
+    """Count-based guard on a weighted-sparse n = 256 2-ECSS solve: building
+    the decomposition evaluates ``Segment.highway_edges`` at most once per
+    segment (no per-orphan-child rescan of every highway)."""
+    module = importlib.import_module("repro.core.two_ecss")
+    inside: list[bool] = []
+    built: list[TreeDecomposition] = []
+    evaluations: list[int] = []
+    highway_edges = Segment.highway_edges.fget
+    build = module.build_decomposition
+
+    def counting_highway_edges(self):
+        if inside:
+            evaluations.append(1)
+        return highway_edges(self)
+
+    def tracked_build(*args, **kwargs):
+        inside.append(True)
+        try:
+            built.append(build(*args, **kwargs))
+        finally:
+            inside.pop()
+        return built[-1]
+
+    monkeypatch.setattr(Segment, "highway_edges", property(counting_highway_edges))
+    monkeypatch.setattr(module, "build_decomposition", tracked_build)
+    two_ecss(make_family("weighted-sparse")(256, seed=1), seed=1)
+    assert len(built) == 1
+    segments = len(built[0].segments)
+    print(
+        f"\n2-ECSS weighted-sparse n=256: {len(evaluations)} highway_edges "
+        f"evaluations in build_decomposition for {segments} segments"
+    )
+    assert len(evaluations) <= segments
 
 
 def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
