@@ -10,8 +10,8 @@ cycle-space properties, and ablations of the design choices.
 Trials fan out over an execution backend
 (:mod:`repro.analysis.backends`: serial or a process pool) and replay from an on-disk cache via
 :class:`~repro.analysis.engine.ExperimentEngine`.  Cache entries are keyed by
-code versions derived from solver-module content hashes
-(:mod:`repro.analysis.code_version`) and cleaned up with
+:data:`~repro.analysis.engine.CODE_VERSION`, the content hash of the whole
+``repro`` package (:mod:`repro.analysis.code_version`), and cleaned up with
 :func:`~repro.analysis.engine.cache_gc` /
 :func:`~repro.analysis.engine.cache_clear`.  See
 :mod:`repro.analysis.experiments` for the registered experiments and
@@ -27,7 +27,6 @@ from repro.analysis.backends import (
     SerialBackend,
     resolve_backend,
 )
-from repro.analysis.code_version import code_version_for
 from repro.analysis.engine import (
     CODE_VERSION,
     CacheFidelityError,
@@ -47,7 +46,6 @@ __all__ = [
     "TrialJob",
     "CODE_VERSION",
     "CacheFidelityError",
-    "code_version_for",
     "cache_stats",
     "cache_gc",
     "cache_clear",

@@ -8,8 +8,9 @@ entrypoint through the ordinary :class:`~repro.analysis.engine.ExperimentEngine`
   bit-identical aggregates a later run must reproduce;
 * every per-trial record: config, seed, index, wall-clock duration, metrics
   and whether it was a cache replay;
-* provenance: engine backend/workers/cache, the experiment's derived
-  code-version tag, platform and python version, and a wall-clock stamp.
+* provenance: engine backend/workers/cache, the package's
+  :data:`~repro.analysis.engine.CODE_VERSION`, platform and python version,
+  and a wall-clock stamp.
 
 ``kecss bench e2 --against BENCH_e2.json`` is the drift gate: it reads the
 stored file through :func:`load_baseline` (schema check plus experiment id),
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from repro.analysis.code_version import code_version_for, git_describe
-from repro.analysis.engine import ExperimentEngine, TrialJob
+from repro.analysis.code_version import git_describe
+from repro.analysis.engine import CODE_VERSION, ExperimentEngine, TrialJob
 from repro.analysis.runner import TrialResult
 from repro.analysis.tables import Table
 from repro.obs.trace import get_tracer
@@ -99,7 +100,7 @@ def trial_payload(job: TrialJob, result: TrialResult) -> dict:
     }
 
 
-def engine_provenance(engine: ExperimentEngine, experiment_id: str) -> dict:
+def engine_provenance(engine: ExperimentEngine) -> dict:
     """The provenance block baselines and trial-store runs both record.
 
     ``git describe`` is stamped here -- at production time, by the process
@@ -110,7 +111,7 @@ def engine_provenance(engine: ExperimentEngine, experiment_id: str) -> dict:
     provenance = {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "code_version": code_version_for(experiment_id),
+        "code_version": CODE_VERSION,
         "git_describe": git_describe(),
         "engine": {
             "backend": engine._backend_instance().name,
@@ -163,7 +164,7 @@ def build_baseline(
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment_id,
         "created_unix": wall_started,
-        "provenance": engine_provenance(engine, experiment_id),
+        "provenance": engine_provenance(engine),
         "table": table_payload(table),
         "trials": [trial_payload(job, result) for job, result in recorded],
         "summary": {

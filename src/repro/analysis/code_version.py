@@ -1,45 +1,41 @@
-"""Content-addressed code versions for the experiment cache.
+"""Content-addressed code version for the experiment cache.
 
 Cache entries written by :class:`~repro.analysis.engine.ExperimentEngine` are
-keyed by a *code version* so results computed by stale solver code are never
-replayed.  Historically that tag was a hand-bumped string constant; this
-module derives it from SHA-256 hashes of the solver source files instead, so
-editing a solver automatically invalidates exactly the cache entries that
-depend on it.
-
-Each experiment registered in
-:data:`~repro.analysis.experiments.TRIAL_REGISTRY` may declare the modules
-(or whole packages) its trial function depends on via
-``register_trial(name, modules=...)``; :func:`code_version_for` combines the
-per-file digests of those declarations into the experiment's version string.
-Experiments that declare nothing fall back to the conservative default of
-hashing *every* module in the ``repro`` package, which can only
-over-invalidate, never replay stale results.
+keyed by one *code version*: :func:`package_version` of the ``repro``
+package, the SHA-256 of every ``*.py`` file under it.  An edit anywhere in
+the package therefore invalidates every entry, so no result computed by
+older code is ever replayed.  :func:`git_describe` is the human-readable
+companion recorded in baseline provenance.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import subprocess
-from functools import lru_cache
 from pathlib import Path
 
-__all__ = [
-    "DEFAULT_PACKAGE",
-    "MODULE_DEPENDENCIES",
-    "declare_modules",
-    "declared_modules",
-    "module_files",
-    "code_version_for",
-    "git_describe",
-]
+__all__ = ["package_version", "git_describe"]
+
+
+def package_version(package_dir: str | Path) -> str:
+    """16-hex-digit SHA-256 over every ``*.py`` file under *package_dir*.
+
+    Each file contributes its path relative to *package_dir* and its bytes,
+    in sorted path order, so editing, adding or renaming any file changes
+    the tag and nothing else does.
+    """
+    root = Path(package_dir)
+    combined = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        combined.update(path.relative_to(root).as_posix().encode() + b"\0")
+        combined.update(hashlib.sha256(path.read_bytes()).digest())
+    return combined.hexdigest()[:16]
 
 
 def git_describe(start: Path | None = None) -> str | None:
     """``git describe --always --dirty`` of the checkout holding this file.
 
-    The human-readable companion to the content-hash tags: baselines and
+    The human-readable companion to the content-hash tag: baselines and
     trial-store runs record it at *production* time (see
     :func:`repro.analysis.bench.engine_provenance`) so results can be
     attributed to commits.  Returns ``None`` when git is unavailable or the
@@ -61,93 +57,3 @@ def git_describe(start: Path | None = None) -> str | None:
         return None
     described = proc.stdout.strip()
     return described or None
-
-#: Package hashed when an experiment declares no module dependencies.
-DEFAULT_PACKAGE = "repro"
-
-#: Experiment name -> module/package names its trial function depends on.
-#: Populated by ``register_trial(name, modules=...)`` declarations.
-MODULE_DEPENDENCIES: dict[str, tuple[str, ...]] = {}
-
-
-def declare_modules(experiment: str, modules: tuple[str, ...] | None) -> None:
-    """Record the module dependencies of *experiment* (``None`` clears them)."""
-    if modules is None:
-        MODULE_DEPENDENCIES.pop(experiment, None)
-    else:
-        MODULE_DEPENDENCIES[experiment] = tuple(modules)
-
-
-def declared_modules() -> dict[str, tuple[str, ...]]:
-    """Every experiment's declared module dependencies, registrations loaded.
-
-    The runtime counterpart of the static extraction in
-    :func:`repro.lint.trial_declarations`: importing the trial modules runs
-    their ``register_trial(modules=...)`` declarations, so the returned map is
-    exactly what :func:`code_version_for` will hash.  ``kecss lint``'s tests
-    cross-check the two views against each other.
-    """
-    _ensure_declarations()
-    return dict(MODULE_DEPENDENCIES)
-
-
-def module_files(name: str) -> list[Path]:
-    """The source files behind module or package *name*.
-
-    A package name expands to every ``*.py`` file under it (recursively), so
-    declarations can stay at package granularity (``"repro.core"``) and remain
-    correct when files are added or split.
-    """
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"cannot locate module {name!r} to hash it")
-    if spec.submodule_search_locations:
-        files: list[Path] = []
-        for location in spec.submodule_search_locations:
-            files.extend(Path(location).rglob("*.py"))
-        return sorted(set(files))
-    if spec.origin is None or not Path(spec.origin).exists():
-        raise ModuleNotFoundError(f"module {name!r} has no source file to hash")
-    return [Path(spec.origin)]
-
-
-@lru_cache(maxsize=4096)
-def _file_digest(path: str, mtime_ns: int, size: int) -> str:
-    """SHA-256 of one source file, memoised on its (path, mtime, size) stamp.
-
-    The stat stamp is part of the key so an edited file is re-hashed on the
-    next call instead of replaying a stale digest.
-    """
-    del mtime_ns, size  # cache-key components only
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _ensure_declarations() -> None:
-    """Import the trial modules so their ``register_trial`` declarations ran."""
-    import repro.analysis.differential  # noqa: F401
-    import repro.analysis.experiments  # noqa: F401
-
-
-def code_version_for(experiment: str | None = None) -> str:
-    """Derive the content-addressed code version of *experiment*.
-
-    Combines the SHA-256 digest of every source file the experiment declared
-    (default: all of :data:`DEFAULT_PACKAGE`) into one stable hex tag.  The
-    tag changes whenever any of those files changes, so cache entries written
-    under an older tag are recognisably stale (see
-    :func:`repro.analysis.engine.cache_gc`).
-    """
-    if experiment is None:
-        names: tuple[str, ...] = (DEFAULT_PACKAGE,)
-    else:
-        _ensure_declarations()
-        names = MODULE_DEPENDENCIES.get(experiment, (DEFAULT_PACKAGE,))
-    files: set[Path] = set()
-    for name in names:
-        files.update(module_files(name))
-    combined = hashlib.sha256()
-    for path in sorted(files):
-        stat = path.stat()
-        combined.update(path.name.encode())
-        combined.update(_file_digest(str(path), stat.st_mtime_ns, stat.st_size).encode())
-    return combined.hexdigest()[:16]

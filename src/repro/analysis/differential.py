@@ -374,25 +374,6 @@ def diff_fastgraph_mst_trial(config: Config, seed: int) -> dict:
 
 
 # ----------------------------------------------------------- tap and labels
-#: Module dependencies of the TAP / labelling differential trials: the cache
-#: code-version covers both the kernels under test and their oracles.
-_TAP_MODULES = (
-    "repro.analysis.differential",
-    "repro.tap",
-    "repro.trees",
-    "repro.graphs",
-    "repro.mst",
-    "repro.congest",
-    "repro.core.cost_effectiveness",
-)
-_LABEL_MODULES = (
-    "repro.analysis.differential",
-    "repro.cycle_space",
-    "repro.trees",
-    "repro.graphs",
-)
-
-
 def _tap_instance(config: Config, seed: int) -> tuple[nx.Graph, RootedTree]:
     """One seeded family instance plus its rooted MST (as the TAP stage sees it)."""
     graph = _fastgraph_instance(config, seed)
@@ -402,7 +383,7 @@ def _tap_instance(config: Config, seed: int) -> tuple[nx.Graph, RootedTree]:
     return graph, tree
 
 
-@register_trial("diff-tap-distributed", modules=_TAP_MODULES)
+@register_trial("diff-tap-distributed")
 def diff_tap_distributed_trial(config: Config, seed: int) -> dict:
     """Fast distributed TAP vs the set-algebra oracle: bit-identical runs.
 
@@ -444,7 +425,7 @@ def diff_tap_distributed_trial(config: Config, seed: int) -> dict:
     }
 
 
-@register_trial("diff-tap-greedy", modules=_TAP_MODULES)
+@register_trial("diff-tap-greedy")
 def diff_tap_greedy_trial(config: Config, seed: int) -> dict:
     """Array-scan greedy TAP vs the per-step rescan oracle: identical output."""
     graph, tree = _tap_instance(config, seed)
@@ -465,7 +446,7 @@ def diff_tap_greedy_trial(config: Config, seed: int) -> dict:
     }
 
 
-@register_trial("diff-labels-random", modules=_LABEL_MODULES)
+@register_trial("diff-labels-random")
 def diff_labels_random_trial(config: Config, seed: int) -> dict:
     """O(m+n) XOR labelling vs the per-path oracle: identical label maps."""
     graph = _fastgraph_instance(config, seed)
@@ -490,7 +471,7 @@ def diff_labels_random_trial(config: Config, seed: int) -> dict:
     }
 
 
-@register_trial("diff-labels-exact", modules=_LABEL_MODULES)
+@register_trial("diff-labels-exact")
 def diff_labels_exact_trial(config: Config, seed: int) -> dict:
     """Exact covering-set labels and the cut pairs detected from them."""
     graph = _fastgraph_instance(config, seed)
@@ -510,24 +491,6 @@ def diff_labels_exact_trial(config: Config, seed: int) -> dict:
 
 
 # ----------------------------------------------------- solver kernel parity
-#: Module dependencies of the solver-kernel differential trials: the cache
-#: code-version covers the fastaug kernels, both solvers and their oracles.
-_AUG_MODULES = (
-    "repro.analysis.differential",
-    "repro.core.fastaug",
-    "repro.core.three_ecss",
-    "repro.core.k_ecss",
-    "repro.core.augmentation",
-    "repro.core.cost_effectiveness",
-    "repro.core.result",
-    "repro.cycle_space",
-    "repro.trees",
-    "repro.graphs",
-    "repro.mst",
-    "repro.congest",
-)
-
-
 def _solver_instance(config: Config, seed: int, k: int) -> nx.Graph:
     """One seeded family instance lifted to k-edge-connectivity if needed."""
     family = FAMILIES[config["family"]]
@@ -580,7 +543,7 @@ def _assert_three_ecss_parity(graph: nx.Graph, seed: int, **options) -> ECSSResu
     return fast
 
 
-@register_trial("diff-3ecss-kernel", modules=_AUG_MODULES)
+@register_trial("diff-3ecss-kernel")
 def diff_three_ecss_kernel_trial(config: Config, seed: int) -> dict:
     """Kernel-backed 3-ECSS vs the ``Counter`` oracle: bit-identical runs.
 
@@ -604,7 +567,7 @@ def diff_three_ecss_kernel_trial(config: Config, seed: int) -> dict:
     }
 
 
-@register_trial("diff-kecss-kernel", modules=_AUG_MODULES)
+@register_trial("diff-kecss-kernel")
 def diff_k_ecss_kernel_trial(config: Config, seed: int) -> dict:
     """Bitset-kernel k-ECSS vs the frozenset oracle: bit-identical runs.
 

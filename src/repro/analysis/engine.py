@@ -12,10 +12,10 @@ Because seeds are derived up front (see
 bit-identical results; only the wall-clock differs.
 
 Results are optionally persisted to an on-disk JSON cache keyed by a stable
-hash of ``(experiment, config, seed, code-version tag)``.  The code-version
-tag is **derived from SHA-256 hashes of the solver modules the experiment
-depends on** (see :mod:`repro.analysis.code_version`), so editing a solver
-automatically invalidates exactly its stale cache entries -- no hand bumping.
+hash of ``(experiment, config, seed, CODE_VERSION)``.  :data:`CODE_VERSION`
+is the SHA-256 of every source file of the ``repro`` package, taken once at
+import (see :mod:`repro.analysis.code_version`), so an edit anywhere in the
+package invalidates every entry.
 Metrics that would not survive a JSON round trip are rejected at store time
 (:class:`CacheFidelityError`) rather than silently stringified, so a
 warm-cache replay is metric-identical to the live run.  Trials that failed
@@ -23,8 +23,8 @@ are *not* cached, so a partially failed sweep resumes from where it crashed
 instead of recomputing everything.
 
 Cache lifecycle tooling lives here too: :func:`cache_stats`,
-:func:`cache_gc` (evict entries whose code version no longer matches the
-derived one) and :func:`cache_clear`, surfaced on the command line as
+:func:`cache_gc` (evict entries written under another :data:`CODE_VERSION`)
+and :func:`cache_clear`, surfaced on the command line as
 ``kecss cache stats | gc | clear``.
 """
 
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.analysis.backends import ExecutionBackend, resolve_backend
-from repro.analysis.code_version import code_version_for
+from repro.analysis.code_version import package_version
 from repro.analysis.runner import TrialResult
 from repro.obs.trace import get_tracer
 
@@ -59,10 +59,9 @@ __all__ = [
     "cache_clear",
 ]
 
-#: Conservative all-modules code version (every ``repro`` source file hashed).
-#: Experiments that declare their module dependencies get a narrower tag via
-#: :func:`repro.analysis.code_version.code_version_for`.
-CODE_VERSION = code_version_for(None)
+#: The code version every cache entry is keyed on: the content hash of the
+#: ``repro`` package as loaded by this process.
+CODE_VERSION = package_version(Path(__file__).resolve().parent.parent)
 
 TrialFn = Callable[[Mapping[str, object], int], dict]
 
@@ -130,16 +129,10 @@ class TrialJob:
     def config_dict(self) -> dict[str, object]:
         return dict(self.config)
 
-    def cache_key(self, code_version: str | None = None) -> str:
-        """Stable hash of (experiment, config, seed, code-version tag).
-
-        ``None`` derives the tag from the experiment's declared solver
-        modules via :func:`~repro.analysis.code_version.code_version_for`.
-        """
-        if code_version is None:
-            code_version = code_version_for(self.experiment)
+    def cache_key(self) -> str:
+        """Stable hash of (experiment, config, seed, :data:`CODE_VERSION`)."""
         payload = "|".join(
-            (self.experiment, code_version, repr(self.config), str(self.seed))
+            (self.experiment, CODE_VERSION, repr(self.config), str(self.seed))
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -199,11 +192,6 @@ class ExperimentEngine:
             otherwise).
         cache_dir: Directory for the JSON result cache; ``None`` disables
             caching entirely.
-        use_cache: Set to ``False`` to bypass the cache even when
-            ``cache_dir`` is configured (forces recomputation, still no
-            writes).
-        code_version: Tag mixed into every cache key; ``None`` (the default)
-            derives it per experiment from the solver-module content hashes.
         stats: Running ``hits`` / ``misses`` / ``executed`` / ``failures``
             counters across all ``run_jobs`` calls on this engine.  ``misses``
             counts cache lookups that missed (always 0 with caching off);
@@ -225,8 +213,6 @@ class ExperimentEngine:
     workers: int = 1
     backend: str | ExecutionBackend | None = None
     cache_dir: str | Path | None = None
-    use_cache: bool = True
-    code_version: str | None = None
     stats: dict[str, int] = field(
         default_factory=lambda: {"hits": 0, "misses": 0, "executed": 0, "failures": 0}
     )
@@ -266,42 +252,19 @@ class ExperimentEngine:
     # ---------------------------------------------------------------- caching
     @property
     def caching(self) -> bool:
-        return self.use_cache and self.cache_dir is not None
+        return self.cache_dir is not None
 
-    def _job_code_version(
-        self, job: TrialJob, memo: dict[str, str] | None = None
-    ) -> str:
-        """The code-version tag for *job*, memoised per experiment via *memo*.
+    def _cache_path(self, job: TrialJob) -> Path:
+        return Path(self.cache_dir) / job.experiment / f"{job.cache_key()}.json"
 
-        Deriving a version walks and stats every declared solver file, so
-        ``run_jobs`` shares one memo across its whole batch instead of paying
-        that per job.
-        """
-        if self.code_version is not None:
-            return self.code_version
-        if memo is None:
-            return code_version_for(job.experiment)
-        if job.experiment not in memo:
-            memo[job.experiment] = code_version_for(job.experiment)
-        return memo[job.experiment]
-
-    def _cache_path(self, job: TrialJob, code_version: str) -> Path:
-        return (
-            Path(self.cache_dir)
-            / job.experiment
-            / f"{job.cache_key(code_version)}.json"
-        )
-
-    def _load_cached(
-        self, job: TrialJob, code_version: str
-    ) -> TrialResult | None:
+    def _load_cached(self, job: TrialJob) -> TrialResult | None:
         try:
-            payload = json.loads(self._cache_path(job, code_version).read_text())
+            payload = json.loads(self._cache_path(job).read_text())
         except (OSError, ValueError):
             return None
         if not isinstance(payload, dict):
             return None
-        if payload.get("code_version") != code_version:
+        if payload.get("code_version") != CODE_VERSION:
             return None
         if "metrics" not in payload:
             return None
@@ -315,7 +278,7 @@ class ExperimentEngine:
             queue_seconds=float(payload.get("queue_seconds", 0.0)),
         )
 
-    def _store(self, job: TrialJob, result: TrialResult, code_version: str) -> None:
+    def _store(self, job: TrialJob, result: TrialResult) -> None:
         if result.error is not None:
             # Failed trials are never cached: a resumed sweep retries them.
             return
@@ -323,12 +286,7 @@ class ExperimentEngine:
             "experiment": job.experiment,
             "config": job.config_dict,
             "seed": job.seed,
-            "code_version": code_version,
-            # "derived" versions can be re-checked against the solver hashes;
-            # explicitly pinned ones cannot, so lifecycle gc must keep them.
-            "code_version_source": (
-                "pinned" if self.code_version is not None else "derived"
-            ),
+            "code_version": CODE_VERSION,
             "metrics": result.metrics,
             "duration": result.duration,
             "queue_seconds": result.queue_seconds,
@@ -349,7 +307,7 @@ class ExperimentEngine:
                 f"non-string keys and NaN all decode differently); a warm-cache "
                 f"replay would differ from the live run"
             )
-        path = self._cache_path(job, code_version)
+        path = self._cache_path(job)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Unique tmp name: concurrent processes sharing a cache dir
         # may miss the same key, and a shared tmp path would let one rename
@@ -372,15 +330,10 @@ class ExperimentEngine:
         :class:`~repro.analysis.runner.TrialFailure` when asked to average
         failed trials, so failures surface instead of silently vanishing.
         """
-        versions: dict[str, str] = {}
         results: list[TrialResult | None] = [None] * len(jobs)
         pending: list[tuple[int, TrialJob]] = []
         for position, job in enumerate(jobs):
-            cached = (
-                self._load_cached(job, self._job_code_version(job, versions))
-                if self.caching
-                else None
-            )
+            cached = self._load_cached(job) if self.caching else None
             if cached is not None:
                 results[position] = cached
                 self.stats["hits"] += 1
@@ -419,7 +372,7 @@ class ExperimentEngine:
             for (position, job), result in zip(pending, executed):
                 results[position] = result
                 if self.caching:
-                    self._store(job, result, self._job_code_version(job, versions))
+                    self._store(job, result)
 
         self.stats["failures"] += sum(
             1 for result in results if result is not None and result.error is not None
@@ -499,29 +452,9 @@ def _entry_experiment(path: Path, payload: dict | None) -> str:
     return path.parent.name
 
 
-def _entry_is_stale(
-    path: Path, payload: dict | None, versions: dict[str, str | None]
-) -> bool:
-    """An entry is stale when corrupt or written under an outdated code version.
-
-    *versions* memoises the derived code version per experiment so a sweep
-    over thousands of entries hashes each experiment's modules once.
-    """
-    if payload is None:
-        return True
-    if payload.get("code_version_source") == "pinned":
-        # Written under an explicit ExperimentEngine.code_version; there is
-        # no derived hash to re-check it against, so gc must not touch it.
-        return False
-    experiment = _entry_experiment(path, payload)
-    if experiment not in versions:
-        try:
-            versions[experiment] = code_version_for(experiment)
-        except ModuleNotFoundError:
-            # A dependency module vanished: entries can never be validated.
-            versions[experiment] = None
-    current = versions[experiment]
-    return current is None or payload.get("code_version") != current
+def _entry_is_stale(payload: dict | None) -> bool:
+    """An entry is stale when corrupt or written under another code version."""
+    return payload is None or payload.get("code_version") != CODE_VERSION
 
 
 def cache_stats(cache_dir: str | Path) -> dict[str, dict[str, int]]:
@@ -534,12 +467,11 @@ def cache_stats(cache_dir: str | Path) -> dict[str, dict[str, int]]:
             experiment, {"entries": 0, "stale": 0, "tmp": 0, "bytes": 0}
         )
 
-    versions: dict[str, str | None] = {}
     for path, payload in iter_cache_entries(cache_dir):
         bucket = bucket_for(_entry_experiment(path, payload))
         bucket["entries"] += 1
         bucket["bytes"] += path.stat().st_size
-        if _entry_is_stale(path, payload, versions):
+        if _entry_is_stale(payload):
             bucket["stale"] += 1
     for path in _orphan_tmp_files(cache_dir):
         bucket = bucket_for(path.parent.name)
@@ -558,17 +490,14 @@ def _remove_entry(path: Path) -> None:
 def cache_gc(cache_dir: str | Path) -> list[Path]:
     """Evict stale cache entries; entries at the current code version survive.
 
-    Stale means the stored code version no longer matches the one derived
-    from the experiment's solver modules (or the entry is corrupt); entries
-    written under an explicitly pinned ``code_version`` are kept, since there
-    is nothing to re-derive for them.  Orphaned ``*.tmp`` files left by
+    Stale means the stored code version is not :data:`CODE_VERSION` (or the
+    entry is corrupt).  Orphaned ``*.tmp`` files left by
     crashed writers are reclaimed too, so do not run gc concurrently with an
     active sweep on the same cache directory.  Returns the paths removed.
     """
     removed: list[Path] = []
-    versions: dict[str, str | None] = {}
     for path, payload in iter_cache_entries(cache_dir):
-        if _entry_is_stale(path, payload, versions):
+        if _entry_is_stale(payload):
             _remove_entry(path)
             removed.append(path)
     for path in _orphan_tmp_files(cache_dir):

@@ -29,7 +29,6 @@ import functools
 import math
 from typing import Callable, Mapping, Sequence
 
-from repro.analysis.code_version import declare_modules
 from repro.analysis.engine import ExperimentEngine, TrialJob
 from repro.analysis.runner import derive_seed
 from repro.analysis.tables import Table, metric_max, metric_mean, trial_groups
@@ -77,19 +76,11 @@ Config = Mapping[str, object]
 TRIAL_REGISTRY: dict[str, Callable[[Config, int], dict]] = {}
 
 
-def register_trial(name: str, modules: Sequence[str] | None = None):
-    """Register the decorated function as the trial function of experiment *name*.
-
-    *modules* declares the solver modules/packages the trial depends on; the
-    engine derives the experiment's cache code-version from their content
-    hashes (see :mod:`repro.analysis.code_version`).  Omitting it falls back
-    to the conservative default of hashing every ``repro`` module, which can
-    over-invalidate but never replays stale results.
-    """
+def register_trial(name: str):
+    """Register the decorated function as the trial function of experiment *name*."""
 
     def decorate(function):
         TRIAL_REGISTRY[name] = function
-        declare_modules(name, tuple(modules) if modules is not None else None)
         return function
 
     return decorate
@@ -104,22 +95,7 @@ def _log2(n: int) -> float:
 
 
 # --------------------------------------------------------------------------- E1
-@register_trial(
-    "e1",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.two_ecss",
-        "repro.core.result",
-        "repro.core.cost_effectiveness",
-        "repro.baselines",
-        "repro.decomposition",
-        "repro.tap",
-        "repro.mst",
-        "repro.trees",
-        "repro.graphs",
-        "repro.congest",
-    ),
-)
+@register_trial("e1")
 def e1_trial(config: Config, seed: int) -> dict:
     n = config["n"]
     graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=0.25, seed=seed)
@@ -192,21 +168,7 @@ E2_FAMILIES: dict[str, Callable[[int, int], object]] = {
 }
 
 
-@register_trial(
-    "e2",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.two_ecss",
-        "repro.core.result",
-        "repro.core.cost_effectiveness",
-        "repro.decomposition",
-        "repro.tap",
-        "repro.mst",
-        "repro.trees",
-        "repro.graphs",
-        "repro.congest",
-    ),
-)
+@register_trial("e2")
 def e2_trial(config: Config, seed: int) -> dict:
     graph = E2_FAMILIES[config["family"]](config["n"], seed)
     result = two_ecss(graph, seed=seed, simulate_bfs=False)
@@ -251,18 +213,7 @@ def experiment_e2_two_ecss_rounds(
 
 
 # --------------------------------------------------------------------------- E3
-@register_trial(
-    "e3",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.tap",
-        "repro.mst",
-        "repro.trees",
-        "repro.graphs",
-        "repro.congest",
-        "repro.core.cost_effectiveness",
-    ),
-)
+@register_trial("e3")
 def e3_trial(config: Config, seed: int) -> dict:
     graph = random_k_edge_connected_graph(
         config["n"], 2, extra_edge_prob=0.2, seed=seed
@@ -303,24 +254,7 @@ def experiment_e3_tap_iterations(
 
 
 # --------------------------------------------------------------------------- E4
-@register_trial(
-    "e4",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.k_ecss",
-        "repro.core.fastaug",
-        "repro.core.augmentation",
-        "repro.core.cost_effectiveness",
-        "repro.core.result",
-        "repro.baselines.exact",
-        "repro.baselines.mst_baseline",
-        "repro.graphs",
-        "repro.mst",
-        "repro.tap.fastcover",
-        "repro.trees",
-        "repro.congest",
-    ),
-)
+@register_trial("e4")
 def e4_trial(config: Config, seed: int) -> dict:
     n, k = config["n"], config["k"]
     graph = random_k_edge_connected_graph(n, k, extra_edge_prob=0.3, seed=seed)
@@ -380,21 +314,7 @@ def experiment_e4_k_ecss(
 
 
 # --------------------------------------------------------------------------- E5
-@register_trial(
-    "e5",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.three_ecss",
-        "repro.core.fastaug",
-        "repro.core.cost_effectiveness",
-        "repro.core.result",
-        "repro.baselines.thurimella",
-        "repro.cycle_space",
-        "repro.graphs",
-        "repro.trees",
-        "repro.congest",
-    ),
-)
+@register_trial("e5")
 def e5_trial(config: Config, seed: int) -> dict:
     n = config["n"]
     graph = random_k_edge_connected_graph(
@@ -445,17 +365,7 @@ def experiment_e5_three_ecss_rounds(
 
 
 # --------------------------------------------------------------------------- E6
-@register_trial(
-    "e6",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.mst",
-        "repro.decomposition",
-        "repro.trees",
-        "repro.graphs",
-        "repro.congest",
-    ),
-)
+@register_trial("e6")
 def e6_trial(config: Config, seed: int) -> dict:
     n = config["n"]
     graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=3.0 / n, seed=seed)
@@ -513,16 +423,7 @@ def _e7_instance(n: int):
     return graph, exact_cut_pairs(graph)
 
 
-@register_trial(
-    "e7",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.analysis.runner",
-        "repro.cycle_space",
-        "repro.graphs",
-        "repro.trees",
-    ),
-)
+@register_trial("e7")
 def e7_trial(config: Config, seed: int) -> dict:
     graph, truth = _e7_instance(config["n"])
     labelling = compute_labels(graph, bits=config["bits"], seed=seed)
@@ -566,21 +467,7 @@ def experiment_e7_cycle_space(
 
 
 # --------------------------------------------------------------------------- E8
-@register_trial(
-    "e8",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.k_ecss",
-        "repro.core.fastaug",
-        "repro.core.augmentation",
-        "repro.core.cost_effectiveness",
-        "repro.core.result",
-        "repro.graphs",
-        "repro.mst",
-        "repro.trees",
-        "repro.congest",
-    ),
-)
+@register_trial("e8")
 def e8_trial(config: Config, seed: int) -> dict:
     n, k = config["n"], config["k"]
     graph = random_k_edge_connected_graph(n, k, extra_edge_prob=0.35, seed=seed)
@@ -621,21 +508,7 @@ def experiment_e8_augmentation_invariants(
 
 
 # --------------------------------------------------------------------------- E9
-@register_trial(
-    "e9",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.two_ecss",
-        "repro.core.result",
-        "repro.core.cost_effectiveness",
-        "repro.decomposition",
-        "repro.tap",
-        "repro.mst",
-        "repro.trees",
-        "repro.graphs",
-        "repro.congest",
-    ),
-)
+@register_trial("e9")
 def e9_trial(config: Config, seed: int) -> dict:
     graph = random_k_edge_connected_graph(
         config["n"], 2, extra_edge_prob=0.3, seed=seed
@@ -685,21 +558,7 @@ def experiment_e9_voting_ablation(
 
 
 # -------------------------------------------------------------------------- E10
-@register_trial(
-    "e10",
-    modules=(
-        "repro.analysis.experiments",
-        "repro.core.k_ecss",
-        "repro.core.fastaug",
-        "repro.core.augmentation",
-        "repro.core.cost_effectiveness",
-        "repro.core.result",
-        "repro.graphs",
-        "repro.mst",
-        "repro.trees",
-        "repro.congest",
-    ),
-)
+@register_trial("e10")
 def e10_trial(config: Config, seed: int) -> dict:
     n, k = config["n"], config["k"]
     graph = random_k_edge_connected_graph(n, k, extra_edge_prob=0.35, seed=seed)

@@ -9,20 +9,24 @@ and moderate instances.  Both problems are covering ILPs:
   lazily: solve, find a violated cut of the chosen subgraph, add it, repeat.
 
 Solved with ``scipy.optimize.milp`` (HiGHS); practical up to roughly a hundred
-vertices for the instance families used in the benchmarks.
+vertices for the instance families used in the benchmarks.  ``scipy.optimize``
+is imported inside the functions that use it: it costs about half a second,
+and every ``import repro.cli`` reaches this module.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:
+    from scipy.optimize import LinearConstraint
 
 Edge = tuple[Hashable, Hashable]
 
@@ -33,6 +37,8 @@ def _solve_binary_program(
     weights: np.ndarray, constraints: list[LinearConstraint]
 ) -> np.ndarray:
     """Solve ``min w.x`` over binary x subject to *constraints*; return x."""
+    from scipy.optimize import Bounds, milp
+
     result = milp(
         c=weights,
         constraints=constraints,
@@ -50,6 +56,8 @@ def exact_tap(graph: nx.Graph, tree: RootedTree) -> tuple[frozenset[Edge], int]:
     Returns ``(links, weight)``.  Raises if the tree cannot be augmented
     (the graph is not 2-edge-connected).
     """
+    from scipy.optimize import LinearConstraint
+
     fast = FastCoverage(graph, tree)
     links = fast.nt_edges
     if not links:
@@ -98,6 +106,8 @@ def exact_k_ecss(
 
     Returns ``(edges, weight)``.
     """
+    from scipy.optimize import LinearConstraint
+
     if k < 1:
         raise ValueError("k must be >= 1")
     edges = [canonical_edge(u, v) for u, v in graph.edges()]

@@ -15,38 +15,37 @@ Examples::
     kecss cache stats --cache-dir .repro-cache
     kecss cache gc --cache-dir .repro-cache
     kecss families
-    kecss lint                                       # determinism & cache-soundness checks
-    kecss lint --format json --select CACHE001
+    kecss lint                                       # determinism checks
+    kecss lint --format json --select DET002
     kecss lint --list-rules
 
 The ``experiment`` subcommand runs through the parallel cached
 :class:`~repro.analysis.engine.ExperimentEngine`: ``--workers N`` fans trials
 out over a pool of N worker processes (``--workers 1``, the default, runs
 serially in-process; aggregates are bit-identical either way),
-``--cache-dir`` persists per-trial results so re-runs and partially failed
-sweeps resume from disk, and ``--no-cache`` forces recomputation.
+and ``--cache-dir`` persists per-trial results so re-runs and partially
+failed sweeps resume from disk (without it nothing is cached).
 
 The ``bench`` subcommand runs the same experiment entrypoints through the
 engine and persists machine-readable ``BENCH_<experiment>.json`` baselines
-(per-trial durations, metrics, aggregate tables, engine/cache provenance) so
+(per-trial durations, metrics, aggregate tables, engine provenance) so
 future changes can be diffed against a recorded perf trajectory instead of
 claimed speedups: ``--dry-run`` prints the JSON without writing.  ``--against
 PATH`` is the drift gate: it re-runs the experiment and exits 1 when the
 table, the set of ``(config, seed, index)`` trial keys or any trial's
 ``metrics`` differ from the stored baseline, and 2 when the file is
-unreadable, fails the baseline schema or records another experiment.
+unreadable, fails the baseline schema or records another experiment.  A
+baseline always comes from running the code: ``bench`` reads no cache.
 
 The ``cache`` subcommand manages that on-disk trial cache: ``stats`` prints
-per-experiment entry/stale/byte counts, ``gc`` evicts entries whose stored
-code version no longer matches the one derived from the solver-module
-content hashes (i.e. results computed by since-edited code), and ``clear``
+per-experiment entry/stale/byte counts, ``gc`` evicts stale entries -- those
+written under another code version, the content hash of the whole ``repro``
+package, so any source edit makes every older entry stale -- and ``clear``
 removes every entry.
 
 The ``lint`` subcommand runs the :mod:`repro.lint` static analyzer over the
-package sources: the DET00x determinism rules and the CACHE001
-cache-soundness rule (``register_trial(modules=...)`` declarations must
-cover the trial's transitive import closure).  Exit codes: 0 clean, 1 new
-findings, 2 usage error.  See ``docs/lint.md``.
+package sources: the DET001-DET004 determinism rules.  Exit codes: 0
+clean, 1 new findings, 2 usage error.  See ``docs/lint.md``.
 
 Observability (see ``docs/observability.md``): ``--trace FILE`` on
 ``experiment``/``bench`` records a JSONL structured trace of the run (engine
@@ -124,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker processes for trial fan-out (default: 1, serial)")
     experiment.add_argument("--cache-dir", default=None,
                             help="directory for the on-disk trial cache (default: caching off)")
-    experiment.add_argument("--no-cache", action="store_true",
-                            help="ignore the cache even when --cache-dir is set")
     experiment.add_argument("--trace", default=None, metavar="FILE",
                             help="record a JSONL structured trace of the run "
                                  "(summarize with 'kecss trace FILE'); results "
@@ -148,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a stored baseline and exit 1 on drift (single id only)")
     bench.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial fan-out (default: 1, serial)")
-    bench.add_argument("--cache-dir", default=None,
-                       help="directory for the on-disk trial cache (default: caching off)")
-    bench.add_argument("--no-cache", action="store_true",
-                       help="ignore the cache even when --cache-dir is set")
     bench.add_argument("--trace", default=None, metavar="FILE",
                        help="record a JSONL structured trace of the run "
                             "(summarize with 'kecss trace FILE'); results "
@@ -161,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or clean the on-disk trial cache"
     )
     cache.add_argument("action", choices=["stats", "gc", "clear"],
-                       help="stats: per-experiment counts; gc: evict entries with "
-                            "stale code versions; clear: remove everything")
+                       help="stats: per-experiment counts; gc: evict entries "
+                            "written by other code; clear: remove everything")
     cache.add_argument("--cache-dir", required=True,
                        help="the trial-cache directory to operate on")
 
@@ -186,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the determinism & cache-soundness static analyzer",
+        help="run the determinism static analyzer",
     )
     lint.add_argument("--root", default=None, metavar="PATH",
                       help="repository root holding src/repro (default: the "
@@ -295,16 +288,12 @@ def _experiment(args: argparse.Namespace) -> int:
         )
     experiment_id = args.positional_id or args.experiment_id or "all"
     _apply_obs_options(args)
-    if args.cache_dir is not None and not args.no_cache:
+    if args.cache_dir is not None:
         try:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
-    engine = ExperimentEngine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
+    engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
     ids = list(_EXPERIMENTS) if experiment_id == "all" else [experiment_id]
     # Entering the engine keeps one process pool alive across every
     # experiment instead of rebuilding it per batch.
@@ -340,16 +329,7 @@ def _bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bench: {exc}", file=sys.stderr)
             return 2
-    if args.cache_dir is not None and not args.no_cache:
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
-    engine = RecordingEngine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
+    engine = RecordingEngine(workers=args.workers)
     exit_code = 0
     # Entering the engine keeps one process pool alive across every
     # benchmarked experiment.
@@ -437,8 +417,8 @@ def _cache(args: argparse.Namespace) -> int:
                 bucket["bytes"],
             )
         table.add_note(
-            "stale = stored code version no longer matches the hash derived "
-            "from the experiment's solver modules; evict with 'kecss cache gc'"
+            "stale = written by other code (another content hash of the "
+            "repro package) or corrupt; evict with 'kecss cache gc'"
         )
         print(table.to_text())
     elif args.action == "gc":
@@ -465,11 +445,10 @@ def _lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         table = Table(
             title="registered lint rules",
-            columns=["code", "scope", "title"],
+            columns=["code", "title"],
         )
         for code in sorted(RULES):
-            rule = RULES[code]
-            table.add_row(code, rule.scope, rule.title)
+            table.add_row(code, RULES[code].title)
         table.add_note("rationales and the suppression/baseline workflow: docs/lint.md")
         print(table.to_text())
         return 0

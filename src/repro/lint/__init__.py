@@ -1,18 +1,14 @@
-"""repro.lint: determinism & cache-soundness static analysis (``kecss lint``).
+"""repro.lint: determinism static analysis (``kecss lint``).
 
 Every guarantee this reproduction makes -- bit-identical kernel/oracle
-parity, replay-safe caches keyed by content-hashed code versions, identical
-aggregates across execution backends -- is a determinism invariant that the
-runtime checks (``diff-*`` sweeps, ``kecss bench --against``) only verify
-on the seeds actually swept.  This package checks the *sources* of
-nondeterminism statically, before execution, AST-only (the analysed tree is
-never imported):
+parity, replayable trials, identical aggregates across execution backends --
+is a determinism invariant that the runtime checks (``diff-*`` sweeps,
+``kecss bench --against``) only verify on the seeds actually swept.  This
+package checks the *sources* of nondeterminism statically, before execution,
+AST-only (the analysed tree is never imported):
 
-* a rule registry mirroring the solver/backend registries
-  (:mod:`repro.lint.registry`), shipped with the DET00x determinism family
-  and the CACHE001 cache-soundness rule (:mod:`repro.lint.rules`);
-* an intra-package import graph and ``register_trial`` declaration
-  extractor (:mod:`repro.lint.imports`) powering CACHE001;
+* a rule registry (:mod:`repro.lint.registry`), shipped with the
+  DET001-DET004 determinism rules (:mod:`repro.lint.rules`);
 * inline ``# repro: disable=CODE`` suppressions and a committed baseline
   file for grandfathered findings (:mod:`repro.lint.report`).
 
@@ -20,14 +16,6 @@ See ``docs/lint.md`` for the rule catalogue and workflows.
 """
 
 from repro.lint.driver import LintResult, default_package_dir, lint_project, run_lint
-from repro.lint.imports import (
-    ImportGraph,
-    TrialDeclaration,
-    build_import_graph,
-    expand_declaration,
-    trial_closure,
-    trial_declarations,
-)
 from repro.lint.registry import RULES, Rule, register_rule, select_rules
 from repro.lint.report import (
     Finding,
@@ -53,12 +41,6 @@ __all__ = [
     "lint_project",
     "run_lint",
     "default_package_dir",
-    "ImportGraph",
-    "TrialDeclaration",
-    "build_import_graph",
-    "expand_declaration",
-    "trial_closure",
-    "trial_declarations",
     "RULES",
     "Rule",
     "register_rule",

@@ -52,11 +52,8 @@ def lint_project(
     """Run the (selected) rules over *project*; inline suppressions applied."""
     findings: list[Finding] = []
     for rule in select_rules(select):
-        if rule.scope == "module":
-            for _, ctx in sorted(project.modules.items()):
-                findings.extend(rule.check(ctx))
-        else:
-            findings.extend(rule.check(project))
+        for _, ctx in sorted(project.modules.items()):
+            findings.extend(rule.check(ctx))
     lines_by_path = {
         ctx.relpath: ctx.lines for ctx in project.modules.values()
     }

@@ -1,18 +1,10 @@
-"""The lint rule registry, mirroring the solver/backend registry pattern.
+"""The lint rule registry.
 
-Rules plug in by code the same way execution backends plug in by name
-(:mod:`repro.analysis.backends`): a ``@register_rule("DET001", ...)``
-decorator adds the checker to :data:`RULES` without the driver knowing any
-rule concretely, so downstream forks can register project-specific rules and
-``kecss lint --select`` can subset them.
-
-Two scopes exist:
-
-* ``"module"`` -- the checker is called once per :class:`ModuleContext` and
-  sees only that file (all DET rules);
-* ``"project"`` -- the checker is called once with the whole
-  :class:`ProjectContext` and may cross files (CACHE001 walks the import
-  graph).
+Rules plug in by code: a ``@register_rule("DET001", ...)`` decorator adds
+the checker to :data:`RULES` without the driver knowing any rule
+concretely, so downstream forks can register project-specific rules and
+``kecss lint --select`` can subset them.  A checker is called once per
+:class:`~repro.lint.walker.ModuleContext` and sees only that file.
 """
 
 from __future__ import annotations
@@ -23,17 +15,12 @@ from typing import Callable, Iterable
 
 __all__ = ["Rule", "RULES", "register_rule", "select_rules"]
 
-#: Valid rule scopes.
-SCOPES = ("module", "project")
-
-
 @dataclass(frozen=True)
 class Rule:
     """One registered lint rule."""
 
     code: str
     title: str
-    scope: str
     check: Callable
     rationale: str = field(default="", compare=False)
 
@@ -42,20 +29,16 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def register_rule(code: str, title: str, scope: str = "module"):
+def register_rule(code: str, title: str):
     """Register the decorated checker under *code*.
 
     The checker's docstring becomes the rule's rationale, shown by
     ``kecss lint --list-rules`` and quoted in ``docs/lint.md``.
     """
-    if scope not in SCOPES:
-        raise ValueError(f"unknown rule scope {scope!r}; expected one of {SCOPES}")
-
     def decorate(check):
         RULES[code] = Rule(
             code=code,
             title=title,
-            scope=scope,
             check=check,
             rationale=inspect.getdoc(check) or "",
         )

@@ -39,7 +39,7 @@ __all__ = [
     "render_json",
 ]
 
-#: ``# repro: disable=DET001,CACHE001 -- optional justification``
+#: ``# repro: disable=DET001,DET004 -- optional justification``
 _SUPPRESSION = re.compile(r"#\s*repro:\s*disable=([A-Z0-9_,\s]+)")
 
 #: Schema version of the baseline file.
@@ -196,7 +196,7 @@ def render_json(new: list[Finding], baselined: list[Finding]) -> str:
         ],
         "summary": _summary(new, baselined),
         "rules": {
-            code: {"title": rule.title, "scope": rule.scope}
+            code: {"title": rule.title}
             for code, rule in sorted(RULES.items())
         },
     }

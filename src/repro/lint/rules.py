@@ -1,4 +1,4 @@
-"""The shipped rule families: determinism (DET00x) and cache soundness (CACHE001).
+"""The shipped rule family: determinism (DET001-DET004).
 
 Every guarantee the reproduction makes -- bit-identical kernel/oracle parity,
 replay-safe caches, identical aggregates across execution backends -- is a
@@ -13,11 +13,7 @@ bench --against``) only cover the seeds actually swept; these rules check the
 * DET003 -- wall-clock, ``uuid`` or OS-entropy calls inside registered trial
   functions;
 * DET004 -- float arithmetic in modules whose scoring paths are documented
-  exact (``Fraction``/int);
-* CACHE001 -- a trial's statically-reachable module closure escaping its
-  ``register_trial(modules=...)`` declaration, the hole that lets an edit to
-  an undeclared dependency replay stale cache entries under an unchanged
-  code version.
+  exact (``Fraction``/int).
 """
 
 from __future__ import annotations
@@ -25,21 +21,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.imports import (
-    build_import_graph,
-    expand_declaration,
-    is_register_trial_decorator,
-    trial_closure,
-    trial_declarations,
-)
 from repro.lint.registry import register_rule
 from repro.lint.report import Finding
-from repro.lint.walker import (
-    ModuleContext,
-    ProjectContext,
-    dotted_name,
-    walk_with_symbol,
-)
+from repro.lint.walker import ModuleContext, dotted_name, walk_with_symbol
 
 __all__ = ["EXACT_MODULES"]
 
@@ -130,7 +114,15 @@ def _qualified(func: ast.expr, ctx: ModuleContext) -> str | None:
     return f"{base}.{rest}" if rest else base
 
 
-@register_rule("DET001", "global RNG state", scope="module")
+def is_register_trial_decorator(decorator: ast.expr) -> bool:
+    """True for ``@register_trial(...)`` (bare or attribute-qualified)."""
+    if not isinstance(decorator, ast.Call):
+        return False
+    name = dotted_name(decorator.func)
+    return name is not None and name.split(".")[-1] == "register_trial"
+
+
+@register_rule("DET001", "global RNG state")
 def det001_global_random(ctx: ModuleContext) -> Iterator[Finding]:
     """Global ``random``/``numpy.random`` calls draw from interpreter-wide
     state: results then depend on import order, on other trials sharing the
@@ -177,7 +169,7 @@ def _is_set_expression(node: ast.expr) -> bool:
 _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 
 
-@register_rule("DET002", "unordered set iteration", scope="module")
+@register_rule("DET002", "unordered set iteration")
 def det002_set_iteration_order(ctx: ModuleContext) -> Iterator[Finding]:
     """Iterating a ``set`` materialises an order that depends on hash seeds
     and insertion history, not on the data -- any list, RNG draw or
@@ -214,7 +206,7 @@ def det002_set_iteration_order(ctx: ModuleContext) -> Iterator[Finding]:
             yield finding(node.args[0], symbol, f"passed to {node.func.id}(...)")
 
 
-@register_rule("DET003", "nondeterminism inside trial functions", scope="module")
+@register_rule("DET003", "nondeterminism inside trial functions")
 def det003_trial_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     """A registered trial function is the unit of caching and replay: its
     metrics must be a pure function of ``(config, seed)``.  Wall-clock
@@ -248,7 +240,7 @@ def det003_trial_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
                 )
 
 
-@register_rule("DET004", "float arithmetic in exact paths", scope="module")
+@register_rule("DET004", "float arithmetic in exact paths")
 def det004_float_in_exact_path(ctx: ModuleContext) -> Iterator[Finding]:
     """The TAP/3-ECSS/k-ECSS scoring pipeline is documented exact: integer
     weights and ``Fraction`` cost-effectiveness values, compared without
@@ -288,45 +280,3 @@ def det004_float_in_exact_path(ctx: ModuleContext) -> Iterator[Finding]:
                     f"results are 53-bit floats, not exact values",
                     symbol,
                 )
-
-
-@register_rule("CACHE001", "trial import closure escapes modules= declaration",
-               scope="project")
-def cache001_undeclared_dependency(project: ProjectContext) -> Iterator[Finding]:
-    """The engine's replay cache keys results by a code version hashed from
-    the modules each experiment *declares* (``register_trial(name,
-    modules=...)``).  If the trial can reach a module the tuple omits, an
-    edit to that module changes behaviour without changing the code version
-    -- and the cache replays stale results that no longer match a fresh
-    run.  This rule rebuilds each declared trial's reachable-module closure
-    statically (names referenced in the trial body, chased through
-    same-module helpers, expanded through the intra-package import graph)
-    and fails when the closure escapes the declaration.  Trials that
-    declare nothing use the hash-everything default and cannot go stale."""
-    graph = build_import_graph(project)
-    for declaration in trial_declarations(project):
-        if declaration.modules is None:
-            continue
-        ctx = project.modules[declaration.module]
-        covered: set[str] = set()
-        for entry in declaration.modules:
-            expanded = expand_declaration(entry, project)
-            if expanded is None:
-                yield Finding(
-                    "CACHE001", ctx.relpath, declaration.lineno, 0,
-                    f"trial '{declaration.trial}' declares module "
-                    f"'{entry}' which does not exist in the project",
-                    declaration.function,
-                )
-            else:
-                covered |= expanded
-        closure = trial_closure(project, graph, declaration)
-        missing = sorted(closure - covered)
-        if missing:
-            yield Finding(
-                "CACHE001", ctx.relpath, declaration.lineno, 0,
-                f"trial '{declaration.trial}' reaches modules outside its "
-                f"modules= declaration: {', '.join(missing)} -- edits to "
-                f"them will not bump the cache code version (stale replays)",
-                declaration.function,
-            )

@@ -2,14 +2,14 @@
 
 ``repro.lint`` never imports the code it checks -- every rule works on the
 :mod:`ast` of the source files, so linting a broken or half-edited tree is
-safe and the CACHE001 mutation test can analyse a *copy* of the package
-without fighting ``sys.modules``.  This module owns the two context objects
+safe and the tests can analyse a *copy* of the package without fighting
+``sys.modules``.  This module owns the two context objects
 the rules consume:
 
 * :class:`ModuleContext` -- one parsed source file: dotted module name,
   repo-relative path, source text/lines, AST, and the flattened import table
   (:class:`ImportBinding` records, with ``TYPE_CHECKING``-guarded imports
-  marked so dependency analysis can skip them -- they never execute).
+  marked so name resolution can skip them -- they never execute).
 * :class:`ProjectContext` -- the whole package tree keyed by dotted name,
   built either from the filesystem (:func:`load_project`) or from in-memory
   sources (:func:`project_from_sources`, used heavily by the test fixtures).
@@ -41,12 +41,7 @@ class ImportBinding:
     ``None``); ``from a.b import c as x`` binds ``x`` with ``module='a.b'``
     and ``attr='c'``.  ``type_checking`` marks bindings inside an
     ``if TYPE_CHECKING:`` block: they are visible to annotations only and
-    never execute, so the import-graph builder ignores them.
-    ``function_local`` marks imports nested inside a function body: they are
-    lazy and call-site gated, so the import graph excludes them too (the
-    engine's registry-resolution imports would otherwise connect every
-    module to every other), but they still resolve names for the
-    fine-grained trial-body scan.
+    never execute, so call-target resolution ignores them.
     """
 
     local: str
@@ -54,7 +49,6 @@ class ImportBinding:
     attr: str | None
     lineno: int
     type_checking: bool = False
-    function_local: bool = False
 
 
 @dataclass
@@ -74,13 +68,6 @@ class ModuleContext:
             self.lines = self.source.splitlines()
         if not self.imports:
             self.imports = _collect_imports(self.tree, self.name, self.is_package)
-
-    @property
-    def package(self) -> str:
-        """The package this module's relative imports resolve against."""
-        if self.is_package:
-            return self.name
-        return self.name.rpartition(".")[0]
 
     def alias_map(self) -> dict[str, str]:
         """Local name -> dotted module for plain ``import X [as y]`` bindings."""
@@ -121,32 +108,28 @@ def _collect_imports(
 ) -> list[ImportBinding]:
     """Flatten every import statement (module-level, nested, function-local).
 
-    Function-local imports count: a trial that lazily imports a solver still
-    depends on it.  ``TYPE_CHECKING`` blocks are flagged instead of dropped so
-    callers can decide (the import graph skips them; nothing else cares).
+    ``TYPE_CHECKING`` blocks are flagged instead of dropped so callers can
+    decide (call-target resolution skips them).
     """
     package = module_name if is_package else module_name.rpartition(".")[0]
     bindings: list[ImportBinding] = []
 
-    def visit(node: ast.AST, type_checking: bool, function_local: bool) -> None:
+    def visit(node: ast.AST, type_checking: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.If) and _is_type_checking_test(child.test):
                 for sub in child.body:
-                    visit_stmt(sub, True, function_local)
+                    visit_stmt(sub, True)
                 for sub in child.orelse:
-                    visit_stmt(sub, type_checking, function_local)
+                    visit_stmt(sub, type_checking)
                 continue
-            visit_stmt(child, type_checking, function_local)
+            visit_stmt(child, type_checking)
 
-    def visit_stmt(child: ast.AST, type_checking: bool, function_local: bool) -> None:
+    def visit_stmt(child: ast.AST, type_checking: bool) -> None:
         if isinstance(child, ast.Import):
             for alias in child.names:
                 local = alias.asname or alias.name.partition(".")[0]
                 bindings.append(
-                    ImportBinding(
-                        local, alias.name, None, child.lineno,
-                        type_checking, function_local,
-                    )
+                    ImportBinding(local, alias.name, None, child.lineno, type_checking)
                 )
         elif isinstance(child, ast.ImportFrom):
             base = child.module or ""
@@ -165,14 +148,11 @@ def _collect_imports(
                         alias.name,
                         child.lineno,
                         type_checking,
-                        function_local,
                     )
                 )
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function_local = True
-        visit(child, type_checking, function_local)
+        visit(child, type_checking)
 
-    visit(tree, False, False)
+    visit(tree, False)
     return bindings
 
 
@@ -204,30 +184,6 @@ class ProjectContext:
     package: str
     modules: dict[str, ModuleContext]
     root: Path | None = None
-
-    def is_project_package(self, name: str) -> bool:
-        """True when *name* is a package (has submodules in this project)."""
-        prefix = name + "."
-        return any(other.startswith(prefix) for other in self.modules)
-
-    def resolve_import(self, binding: ImportBinding) -> str | None:
-        """The project module *binding* depends on, or ``None`` if external.
-
-        ``from repro.tap import fastcover`` resolves to the submodule
-        ``repro.tap.fastcover`` when it exists, else to the package
-        ``repro.tap`` (the name is then an attribute of its ``__init__``).
-        Plain ``import a.b.c`` resolves to the deepest known prefix.
-        """
-        if binding.attr is not None:
-            candidate = f"{binding.module}.{binding.attr}"
-            if candidate in self.modules:
-                return candidate
-        name = binding.module
-        while name:
-            if name in self.modules:
-                return name
-            name = name.rpartition(".")[0]
-        return None
 
 
 def _module_name_for(path: Path, package_dir: Path, package: str) -> str:

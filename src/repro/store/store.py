@@ -420,7 +420,7 @@ class TrialStore:
         the rendered aggregate table payload, if the caller has one;
         *created_unix* is the caller's wall-clock stamp (the store never
         reads the clock itself); *provenance* should carry the engine
-        configuration and the experiment's ``code_version`` tag.
+        configuration and the package's ``code_version`` tag.
         """
         if not isinstance(experiment, str) or not experiment:
             raise StoreError("experiment must be a non-empty string")

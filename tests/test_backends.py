@@ -7,16 +7,21 @@ the pool's chunking and batch contract (every item back once, in order,
 for empty to multi-chunk batches; a failing item surfaces and the pool
 serves the next batch), the pooled-executor lifecycle (an entered backend
 reuses one pool across ``map`` calls; the engine enters/exits it), the
-backend recorded in run provenance, the solver-module derived code
-versions, and ``cache gc`` evicting exactly the stale-version entries.
+backend recorded in run provenance, the package-wide code version every
+cache entry is keyed on, and ``cache gc`` evicting exactly the entries
+written under another code version.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.analysis.engine as engine_module
 from repro.analysis.backends import (
     ProcessBackend,
     SerialBackend,
@@ -24,12 +29,7 @@ from repro.analysis.backends import (
     resolve_backend,
 )
 from repro.analysis.bench import engine_provenance
-from repro.analysis.code_version import (
-    MODULE_DEPENDENCIES,
-    code_version_for,
-    declare_modules,
-    module_files,
-)
+from repro.analysis.code_version import package_version
 from repro.analysis.engine import (
     CODE_VERSION,
     ExperimentEngine,
@@ -38,10 +38,7 @@ from repro.analysis.engine import (
     cache_gc,
     cache_stats,
 )
-from repro.analysis.experiments import (
-    TRIAL_REGISTRY,
-    experiment_e1_two_ecss_approximation,
-)
+from repro.analysis.experiments import experiment_e1_two_ecss_approximation
 from repro.analysis.runner import derive_seed
 
 
@@ -246,13 +243,16 @@ class TestBackendProvenance:
     )
     def test_workers_decide_the_recorded_backend(self, workers, expected):
         engine = ExperimentEngine(workers=workers)
-        recorded = engine_provenance(engine, "e3")["engine"]
+        recorded = engine_provenance(engine)["engine"]
         assert recorded["backend"] == expected
         assert recorded["workers"] == workers
 
     def test_an_instance_backend_records_its_own_name(self):
         engine = ExperimentEngine(workers=3, backend=ProcessBackend(workers=3))
-        assert engine_provenance(engine, "e3")["engine"]["backend"] == "processes"
+        assert engine_provenance(engine)["engine"]["backend"] == "processes"
+
+    def test_provenance_records_the_package_code_version(self):
+        assert engine_provenance(ExperimentEngine())["code_version"] == CODE_VERSION
 
 
 class TestPooledExecutorLifecycle:
@@ -320,92 +320,126 @@ class TestEngineBackendLifecycle:
         assert engine._backend_instance()._pool is None
 
 
-class TestCodeVersion:
-    def test_default_is_the_all_modules_hash(self):
-        assert code_version_for(None) == CODE_VERSION
-        assert code_version_for("never-declared") == CODE_VERSION
-        assert isinstance(CODE_VERSION, str) and CODE_VERSION
-
-    def test_declared_experiments_get_a_narrower_version(self):
-        # e3/e6/e7 declare their solver modules; their tags differ from the
-        # all-modules default and from each other.
-        versions = {code_version_for(name) for name in ("e3", "e6", "e7")}
-        assert len(versions) == 3
-        assert CODE_VERSION not in versions
-
-    def test_versions_are_stable_across_calls(self):
-        assert code_version_for("e3") == code_version_for("e3")
-        assert code_version_for(None) == code_version_for(None)
-
-    def test_module_files_expands_packages(self):
-        package_files = module_files("repro.tap")
-        assert len(package_files) >= 3
-        (single,) = module_files("repro.tap.cover")
-        assert single in package_files
-
-    def test_unknown_module_raises(self):
-        with pytest.raises(ModuleNotFoundError):
-            module_files("repro.no_such_module")
+PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 
 @pytest.fixture
-def fake_solver(tmp_path, monkeypatch):
-    """A temp solver module + a registered trial declaring it, cleaned up after."""
-    solver = tmp_path / "fake_solver_mod.py"
-    solver.write_text("VALUE = 1\n")
-    monkeypatch.syspath_prepend(str(tmp_path))
+def package(tmp_path):
+    """A small package tree to hash: two modules and a subpackage."""
+    root = tmp_path / "pkg"
+    (root / "sub").mkdir(parents=True)
+    (root / "__init__.py").write_text("")
+    (root / "solver.py").write_text("VALUE = 1\n")
+    (root / "sub" / "__init__.py").write_text("")
+    (root / "sub" / "helper.py").write_text("def helper():\n    return 2\n")
+    return root
 
-    def fake_trial(config, seed):
-        return {"value": float(config["x"])}
 
-    TRIAL_REGISTRY["fake-exp"] = fake_trial
-    declare_modules("fake-exp", ("fake_solver_mod",))
-    yield solver
-    TRIAL_REGISTRY.pop("fake-exp", None)
-    MODULE_DEPENDENCIES.pop("fake-exp", None)
+class TestCodeVersion:
+    def test_code_version_hashes_the_loaded_package(self):
+        assert CODE_VERSION == package_version(PACKAGE_DIR)
+        assert len(CODE_VERSION) == 16
+        int(CODE_VERSION, 16)
+
+    def test_stable_when_nothing_changes(self, package):
+        before = package_version(package)
+        assert package_version(package) == before
+        # Files that are not Python sources never enter the tag.
+        (package / "notes.txt").write_text("not code")
+        (package / "sub" / "helper.cpython-311.pyc").write_bytes(b"\0")
+        assert package_version(package) == before
+
+    def test_editing_a_file_changes_the_version(self, package):
+        before = package_version(package)
+        (package / "sub" / "helper.py").write_text("def helper():\n    return 3\n")
+        assert package_version(package) != before
+
+    def test_adding_a_file_changes_the_version(self, package):
+        before = package_version(package)
+        (package / "sub" / "extra.py").write_text("")
+        assert package_version(package) != before
+
+    def test_renaming_a_file_changes_the_version(self, package):
+        before = package_version(package)
+        (package / "solver.py").rename(package / "kernel.py")
+        assert package_version(package) != before
+
+    def test_moving_a_file_between_packages_changes_the_version(self, package):
+        before = package_version(package)
+        (package / "solver.py").rename(package / "sub" / "solver.py")
+        assert package_version(package) != before
+
+    @pytest.mark.parametrize(
+        "relpath", ["analysis/tables.py", "core/__init__.py", "__init__.py"]
+    )
+    def test_harness_modules_are_in_the_tag(self, tmp_path, relpath):
+        """Not only solver modules: the table aggregation, the ``repro.core``
+        re-exports and the package root shape every table too, so editing
+        one must invalidate the cache."""
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert package_version(copy) == CODE_VERSION
+        with open(copy / relpath, "a") as handle:
+            handle.write("\n# edited\n")
+        assert package_version(copy) != CODE_VERSION
 
 
 class TestCacheLifecycle:
-    def test_editing_a_solver_module_changes_the_derived_version(self, fake_solver):
-        # Edits change the file size: the digest cache is keyed on the stat
-        # stamp, and same-size rewrites within one timestamp tick would reuse
-        # the old digest (a non-issue for real editing cadences).
-        before = code_version_for("fake-exp")
-        fake_solver.write_text("VALUE = 22  # edited\n")
-        after = code_version_for("fake-exp")
-        assert before != after
-        fake_solver.write_text("VALUE = 1\n")
-        assert code_version_for("fake-exp") == before
+    def test_entries_of_another_code_version_miss_and_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        cache_dir = tmp_path / "cache"
+        jobs = _jobs("unit", (1, 2), trials=1)
+        ExperimentEngine(cache_dir=cache_dir).run_jobs(_value_trial, jobs)
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "0" * 16)
+        rerun = ExperimentEngine(cache_dir=cache_dir)
+        results = rerun.run_jobs(_value_trial, jobs)
+        assert rerun.stats == {"hits": 0, "misses": 2, "executed": 2, "failures": 0}
+        assert not any(result.cached for result in results)
+        replay = ExperimentEngine(cache_dir=cache_dir)
+        replay.run_jobs(_value_trial, jobs)
+        assert replay.stats["hits"] == 2
 
-    def test_gc_evicts_exactly_the_stale_version_entries(self, fake_solver, tmp_path):
+    def test_gc_evicts_every_entry_of_another_code_version(
+        self, tmp_path, monkeypatch
+    ):
         cache_dir = tmp_path / "cache"
         engine = ExperimentEngine(cache_dir=cache_dir)
-        engine.run_jobs("fake-exp", _jobs("fake-exp", (1, 2), trials=1))
         engine.run_jobs(_value_trial, _jobs("unit", (1, 2), trials=1))
-        assert len(list(cache_dir.rglob("*.json"))) == 4
+        engine.run_jobs(_value_trial, _jobs("other", (3,), trials=1))
+        assert len(list(cache_dir.rglob("*.json"))) == 3
         # Nothing is stale yet, so gc is a no-op.
         assert cache_gc(cache_dir) == []
 
-        # Editing the fake solver outdates only fake-exp's entries.
-        fake_solver.write_text("VALUE = 99\n")
+        # A new checkout: every experiment's entries are stale at once.
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "f" * 16)
         stats = cache_stats(cache_dir)
-        assert stats["fake-exp"]["stale"] == 2
-        assert stats["unit"]["stale"] == 0
-        removed = cache_gc(cache_dir)
-        assert len(removed) == 2
-        assert all(path.parent.name == "fake-exp" for path in removed)
-        remaining = list(cache_dir.rglob("*.json"))
-        assert len(remaining) == 2
-        assert all(path.parent.name == "unit" for path in remaining)
+        assert stats["unit"]["stale"] == 2
+        assert stats["other"]["stale"] == 1
+        assert len(cache_gc(cache_dir)) == 3
+        assert not list(cache_dir.rglob("*.json"))
 
-    def test_stale_entries_miss_and_rerun_under_the_new_version(self, fake_solver, tmp_path):
+    def test_gc_keeps_entries_of_the_current_code_version(
+        self, tmp_path, monkeypatch
+    ):
         cache_dir = tmp_path / "cache"
-        jobs = _jobs("fake-exp", (1,), trials=1)
-        ExperimentEngine(cache_dir=cache_dir).run_jobs("fake-exp", jobs)
-        fake_solver.write_text("VALUE = 777\n")
-        rerun = ExperimentEngine(cache_dir=cache_dir)
-        rerun.run_jobs("fake-exp", jobs)
-        assert rerun.stats["hits"] == 0 and rerun.stats["misses"] == 1
+        ExperimentEngine(cache_dir=cache_dir).run_jobs(
+            _value_trial, _jobs("unit", (1,), trials=1)
+        )
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "e" * 16)
+        ExperimentEngine(cache_dir=cache_dir).run_jobs(
+            _value_trial, _jobs("unit", (1,), trials=1)
+        )
+        stats = cache_stats(cache_dir)["unit"]
+        assert (stats["entries"], stats["stale"]) == (2, 1)
+        (removed,) = cache_gc(cache_dir)
+        (kept,) = list(cache_dir.rglob("*.json"))
+        assert removed != kept
+        replay = ExperimentEngine(cache_dir=cache_dir)
+        replay.run_jobs(_value_trial, _jobs("unit", (1,), trials=1))
+        assert replay.stats["hits"] == 1
 
     def test_gc_removes_corrupt_entries(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -433,20 +467,6 @@ class TestCacheLifecycle:
         assert cache_gc(cache_dir) == []
         assert cache_clear(cache_dir) == 1
         assert foreign.exists() and nested.exists()
-
-    def test_gc_keeps_entries_written_under_a_pinned_code_version(self, tmp_path):
-        """Entries stored by an engine with an explicit ``code_version`` have
-        no derived hash to re-check against, so gc must not evict them."""
-        cache_dir = tmp_path / "cache"
-        pinned = ExperimentEngine(cache_dir=cache_dir, code_version="v-pinned")
-        jobs = _jobs("unit", (1,), trials=1)
-        pinned.run_jobs(_value_trial, jobs)
-        assert cache_stats(cache_dir)["unit"]["stale"] == 0
-        assert cache_gc(cache_dir) == []
-        # The pinned engine still replays its own entries afterwards.
-        replay = ExperimentEngine(cache_dir=cache_dir, code_version="v-pinned")
-        replay.run_jobs(_value_trial, jobs)
-        assert replay.stats["hits"] == 1
 
     def test_gc_and_clear_reclaim_orphaned_tmp_files(self, tmp_path):
         """A writer killed between write and rename leaks '<key>.json.<pid>.<tid>.tmp'."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.engine as engine_module
 from repro.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -128,18 +129,14 @@ class TestExperimentCommand:
             ["history", "e3"],
             ["regress", "e3"],
             ["store", "ls"],
+            ["experiment", "--id", "e7", "--no-cache"],
+            ["bench", "e3", "--no-cache"],
+            ["bench", "e3", "--cache-dir", "cache"],
         ],
     )
     def test_retired_options_are_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-
-    def test_no_cache_does_not_create_the_cache_dir(self, tmp_path, capsys):
-        cache_dir = tmp_path / "never-created"
-        code = main(["experiment", "--id", "e7", "--cache-dir", str(cache_dir),
-                     "--no-cache"])
-        assert code == 0
-        assert not cache_dir.exists()
 
     def test_cache_dir_is_created_and_populated(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -168,6 +165,19 @@ class TestCacheCommand:
         assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
         assert "evicted 0" in capsys.readouterr().out
         assert len(list(cache_dir.rglob("*.json"))) == entries
+
+    def test_gc_after_a_source_edit_evicts_every_entry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache_dir = tmp_path / "cache"
+        self._populate(cache_dir)
+        entries = len(list(cache_dir.rglob("*.json")))
+        # Any edit to the package changes CODE_VERSION; simulate the new checkout.
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "0123456789abcdef")
+        capsys.readouterr()
+        assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+        assert f"evicted {entries} stale" in capsys.readouterr().out
+        assert not list(cache_dir.rglob("*.json"))
 
     def test_clear_removes_every_entry(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -215,7 +225,8 @@ class TestLintCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["new"] == 1
         assert payload["findings"][0]["code"] == "DET001"
-        assert "CACHE001" in payload["rules"]
+        assert sorted(payload["rules"]) == ["DET001", "DET002", "DET003", "DET004"]
+        assert all(set(rule) == {"title"} for rule in payload["rules"].values())
 
     def test_bad_root_is_a_usage_error(self, tmp_path, capsys):
         assert main(["lint", "--root", str(tmp_path / "nope")]) == 2
@@ -249,9 +260,14 @@ class TestLintCommand:
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        output = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "CACHE001"):
-            assert code in output
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["code", "title"]
+        listed = [line.split()[0] for line in lines[4:] if not line.startswith("note:")]
+        assert listed == ["DET001", "DET002", "DET003", "DET004"]
+
+    def test_select_cache001_is_a_usage_error(self, capsys):
+        assert main(["lint", "--select", "CACHE001"]) == 2
+        assert "unknown lint rule 'CACHE001'" in capsys.readouterr().err
 
 
 def _swap_n16_metrics(payload):

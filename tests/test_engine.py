@@ -8,11 +8,13 @@ that replaced silent exception propagation in aggregation paths.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.analysis.code_version import code_version_for
+import repro.analysis.engine as engine_module
 from repro.analysis.engine import (
     CODE_VERSION,
     CacheFidelityError,
@@ -71,27 +73,29 @@ class TestTrialJob:
         assert a.config == (("exact_cutoff", 40), ("n", 16))
         assert a.config_dict == {"n": 16, "exact_cutoff": 40}
 
-    def test_cache_key_golden(self):
-        # Pinned under an explicit code-version tag; the no-argument form
-        # derives the tag from solver-module hashes and changes with the code.
+    def test_cache_key_golden(self, monkeypatch):
+        # Pinned under a fixed code version; the real CODE_VERSION is the
+        # package's content hash and changes with every source edit.
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "1")
         job = TrialJob.make("e1", {"n": 16, "exact_cutoff": 40}, 123, 0)
-        assert job.cache_key("1") == (
+        assert job.cache_key() == (
             "beec29cf67a044280275cef42f6a6416de3a877e18d09e5a86ee1c3ab90ef1a2"
         )
 
-    def test_cache_key_sensitivity(self):
+    def test_cache_key_sensitivity(self, monkeypatch):
         base = TrialJob.make("e1", {"n": 16}, 1)
-        assert base.cache_key() != TrialJob.make("e2", {"n": 16}, 1).cache_key()
-        assert base.cache_key() != TrialJob.make("e1", {"n": 17}, 1).cache_key()
-        assert base.cache_key() != TrialJob.make("e1", {"n": 16}, 2).cache_key()
-        assert base.cache_key() != base.cache_key(code_version="other")
+        key = base.cache_key()
+        assert key != TrialJob.make("e2", {"n": 16}, 1).cache_key()
+        assert key != TrialJob.make("e1", {"n": 17}, 1).cache_key()
+        assert key != TrialJob.make("e1", {"n": 16}, 2).cache_key()
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "other")
+        assert base.cache_key() != key
 
-    def test_default_cache_key_uses_derived_code_version(self):
-        # e1 declares its solver modules, so the derived tag is narrower than
-        # the conservative all-modules CODE_VERSION.
+    def test_cache_key_uses_the_package_code_version(self):
+        # Every experiment shares the one package-wide tag.
         job = TrialJob.make("e1", {"n": 16}, 1)
-        assert job.cache_key() == job.cache_key(code_version_for("e1"))
-        assert job.cache_key() != job.cache_key(CODE_VERSION)
+        payload = f"e1|{CODE_VERSION}|{job.config!r}|1"
+        assert job.cache_key() == hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestRegistry:
@@ -244,12 +248,14 @@ class TestEngineCache:
             type(live.metrics[k]) for k in live.metrics
         ]
 
-    def test_use_cache_false_neither_reads_nor_writes(self, tmp_path):
+    def test_no_cache_dir_neither_reads_nor_writes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         jobs = _jobs("unit", (1,), trials=1)
-        engine = ExperimentEngine(cache_dir=tmp_path, use_cache=False)
+        engine = ExperimentEngine()
         engine.run_jobs(_value_trial, jobs)
         assert not list(tmp_path.rglob("*.json"))
         assert not engine.caching
+        assert "cache=off" in engine.summary()
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
         jobs = _jobs("unit", (1,), trials=1)
@@ -262,10 +268,29 @@ class TestEngineCache:
         assert again.stats["hits"] == 0 and results[0].ok
         assert json.loads(path.read_text())["metrics"] == results[0].metrics
 
-    def test_code_version_change_invalidates_entries(self, tmp_path):
+    def test_entry_records_the_package_code_version(self, tmp_path):
+        ExperimentEngine(cache_dir=tmp_path).run_jobs(
+            _value_trial, _jobs("unit", (1,), trials=1)
+        )
+        (path,) = list(tmp_path.rglob("*.json"))
+        payload = json.loads(path.read_text())
+        assert payload["code_version"] == CODE_VERSION
+        assert set(payload) == {
+            "experiment", "config", "seed", "code_version", "metrics",
+            "duration", "queue_seconds",
+        }
+
+    def test_the_cache_directory_is_the_only_cache_setting(self):
+        configuration = {field.name for field in dataclasses.fields(ExperimentEngine)}
+        assert configuration == {"workers", "backend", "cache_dir", "stats", "observers"}
+        assert ExperimentEngine(cache_dir="somewhere").caching
+        assert not ExperimentEngine().caching
+
+    def test_code_version_change_invalidates_entries(self, tmp_path, monkeypatch):
         jobs = _jobs("unit", (1,), trials=1)
         ExperimentEngine(cache_dir=tmp_path).run_jobs(_value_trial, jobs)
-        bumped = ExperimentEngine(cache_dir=tmp_path, code_version="v-next")
+        monkeypatch.setattr(engine_module, "CODE_VERSION", "v-next")
+        bumped = ExperimentEngine(cache_dir=tmp_path)
         bumped.run_jobs(_value_trial, jobs)
         assert bumped.stats["hits"] == 0
         assert bumped.stats["misses"] == 1

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,19 @@ class TestPackageSurface:
         assert callable(repro.three_ecss)
         assert callable(repro.weighted_tap)
 
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """The ILP baseline imports ``scipy.optimize`` (about half a second)
+        only when it solves, so starting ``kecss`` does not pay for it."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, repro.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestExamples:
     @pytest.mark.parametrize(
@@ -56,6 +72,17 @@ class TestExamples:
         module.main()
         output = capsys.readouterr().out
         assert "2-edge-connected spanning subgraph found: True" in output
+
+    def test_quickstart_second_engine_run_replays_every_trial(self, capsys):
+        module = _load_example("quickstart.py")
+        module.main()
+        summaries = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine: ")
+        ]
+        assert len(summaries) == 2
+        assert summaries[0].startswith("engine: 0 cached, 2 executed")
+        assert summaries[1].startswith("engine: 2 cached, 2 executed")
 
     def test_fault_tolerance_example_shows_the_expected_ordering(self, capsys):
         module = _load_example("fault_tolerant_backbone.py")

@@ -2,10 +2,9 @@
 
 Rule behaviour is pinned with small inline source fixtures
 (:func:`repro.lint.project_from_sources` builds a project without touching
-the filesystem); the import graph is additionally exercised against a real
-on-disk package tree, and the CACHE001 mutation test lints a *copy* of the
-installed package with a declared module deleted -- proving the CI gate
-would catch exactly that regression.
+the filesystem); project loading is additionally exercised against a real
+on-disk package tree, and a *copy* of the installed package must lint clean
+through the CLI.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.code_version import declared_modules
 from repro.lint import (
     Finding,
     apply_baseline,
-    build_import_graph,
     lint_project,
     load_baseline,
     load_project,
@@ -28,8 +25,6 @@ from repro.lint import (
     run_lint,
     select_rules,
     suppressed_codes,
-    trial_closure,
-    trial_declarations,
     write_baseline,
 )
 
@@ -72,6 +67,23 @@ class TestDet001GlobalRandom:
         }, select=["DET001"])
         assert codes(findings) == ["DET001", "DET001"]
         assert "numpy.random.seed" in findings[1].message
+
+    def test_function_local_and_type_checking_imports(self):
+        # A lazy import resolves call targets like a module-level one; a
+        # TYPE_CHECKING import never executes, so it resolves nothing.
+        findings = lint_sources({
+            "pkg.mod": (
+                "from typing import TYPE_CHECKING\n"
+                "if TYPE_CHECKING:\n"
+                "    import random as typed\n"
+                "def f(items):\n"
+                "    import random as lazy\n"
+                "    lazy.shuffle(items)\n"
+                "    typed.shuffle(items)\n"
+            ),
+        }, select=["DET001"])
+        assert codes(findings) == ["DET001"]
+        assert findings[0].line == 6
 
     def test_seeded_generators_are_fine(self):
         findings = lint_sources({
@@ -152,6 +164,19 @@ class TestDet003TrialNondeterminism:
         assert "time.time" in findings[0].message
         assert findings[0].symbol == "t1_trial"
 
+    def test_attribute_qualified_decorator_marks_a_trial(self):
+        findings = lint_sources({
+            "pkg.exp": (
+                "import uuid\n"
+                "from repro.analysis import experiments\n"
+                "@experiments.register_trial('t2')\n"
+                "def t2_trial(config, seed):\n"
+                "    return {'id': str(uuid.uuid4())}\n"
+            ),
+        }, select=["DET003"])
+        assert codes(findings) == ["DET003"]
+        assert "uuid.uuid4" in findings[0].message
+
     def test_same_call_outside_a_trial_is_fine(self):
         findings = lint_sources({
             "pkg.exp": (
@@ -209,135 +234,8 @@ class TestDet004FloatInExactPath:
         assert findings == []
 
 
-# ------------------------------------------------------------------- CACHE001
-def cache_sources(modules_tuple: str) -> dict[str, str]:
-    """A synthetic package with one declared trial and a helper chain."""
-    return {
-        "repro": "",
-        "repro.engine": (
-            "def register_trial(name, modules=None):\n"
-            "    def wrap(fn):\n"
-            "        return fn\n"
-            "    return wrap\n"
-        ),
-        "repro.solver": (
-            "from repro.util import helper\n"
-            "def solve(seed):\n"
-            "    return helper(seed)\n"
-        ),
-        "repro.util": "def helper(seed):\n    return seed\n",
-        "repro.exp": (
-            "from repro.engine import register_trial\n"
-            "from repro.solver import solve\n"
-            f"@register_trial('t1', modules={modules_tuple})\n"
-            "def t1_trial(config, seed):\n"
-            "    return solve(seed)\n"
-        ),
-    }
-
-
-class TestCache001:
-    def test_flags_transitively_missing_module(self):
-        # The trial reaches repro.util through repro.solver's import.
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver')"), select=["CACHE001"]
-        )
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.util" in findings[0].message
-        assert findings[0].symbol == "t1_trial"
-
-    def test_complete_declaration_is_clean(self):
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver', 'repro.util')"),
-            select=["CACHE001"],
-        )
-        assert findings == []
-
-    def test_package_name_covers_all_submodules(self):
-        findings = lint_sources(cache_sources("('repro',)"), select=["CACHE001"])
-        assert findings == []
-
-    def test_undeclared_trial_uses_conservative_default(self):
-        sources = cache_sources("('repro.exp',)")
-        sources["repro.exp"] = sources["repro.exp"].replace(
-            ", modules=('repro.exp',)", ""
-        )
-        assert lint_sources(sources, select=["CACHE001"]) == []
-
-    def test_nonexistent_declared_module_is_flagged(self):
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver', 'repro.util', 'repro.gone')"),
-            select=["CACHE001"],
-        )
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.gone" in findings[0].message
-
-    def test_declaration_through_module_constant(self):
-        sources = cache_sources("_MODULES")
-        sources["repro.exp"] = (
-            "_MODULES = ('repro.exp', 'repro.solver', 'repro.util')\n"
-            + sources["repro.exp"]
-        )
-        assert lint_sources(sources, select=["CACHE001"]) == []
-
-    def test_type_checking_imports_do_not_extend_closure(self):
-        sources = cache_sources("('repro.exp', 'repro.solver', 'repro.util')")
-        sources["repro.big"] = "def heavy():\n    return 1\n"
-        sources["repro.util"] = (
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n"
-            "    from repro.big import heavy\n"
-            "def helper(seed):\n"
-            "    return seed\n"
-        )
-        assert lint_sources(sources, select=["CACHE001"]) == []
-
-    def test_function_local_imports_elsewhere_do_not_extend_closure(self):
-        # The engine-style lazy import inside a helper of another module must
-        # not connect the closure to the lazily imported module.
-        sources = cache_sources("('repro.exp', 'repro.solver', 'repro.util')")
-        sources["repro.lazy"] = "def lazy():\n    return 1\n"
-        sources["repro.util"] = (
-            "def helper(seed):\n"
-            "    from repro.lazy import lazy\n"
-            "    return lazy()\n"
-        )
-        assert lint_sources(sources, select=["CACHE001"]) == []
-
-    def test_lazy_import_in_the_trial_body_counts(self):
-        sources = cache_sources("('repro.exp', 'repro.solver')")
-        sources["repro.lazy"] = "def lazy():\n    return 1\n"
-        sources["repro.exp"] = (
-            "from repro.engine import register_trial\n"
-            "@register_trial('t1', modules=('repro.exp', 'repro.solver'))\n"
-            "def t1_trial(config, seed):\n"
-            "    from repro.lazy import lazy\n"
-            "    return lazy()\n"
-        )
-        findings = lint_sources(sources, select=["CACHE001"])
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.lazy" in findings[0].message
-
-    def test_helper_chain_pulls_in_helper_imports(self):
-        # The trial only calls a same-module helper; the helper's imported
-        # solver must still appear in the closure.
-        sources = cache_sources("('repro.exp',)")
-        sources["repro.exp"] = (
-            "from repro.engine import register_trial\n"
-            "from repro.solver import solve\n"
-            "def _instance(seed):\n"
-            "    return solve(seed)\n"
-            "@register_trial('t1', modules=('repro.exp',))\n"
-            "def t1_trial(config, seed):\n"
-            "    return _instance(seed)\n"
-        )
-        findings = lint_sources(sources, select=["CACHE001"])
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.solver" in findings[0].message
-
-
-# ------------------------------------------------------- import graph on disk
-class TestImportGraphOnDisk:
+# ------------------------------------------------------- project on disk
+class TestProjectOnDisk:
     @pytest.fixture()
     def package_root(self, tmp_path: Path) -> Path:
         pkg = tmp_path / "src" / "mypkg"
@@ -351,7 +249,7 @@ class TestImportGraphOnDisk:
         (pkg / "sub" / "e.py").write_text("from ..a import something\n")
         return pkg
 
-    def test_modules_paths_and_edges(self, package_root: Path):
+    def test_modules_and_paths(self, package_root: Path):
         project = load_project(package_root, package="mypkg")
         assert set(project.modules) == {
             "mypkg", "mypkg.a", "mypkg.b", "mypkg.c", "mypkg.d",
@@ -365,30 +263,19 @@ class TestImportGraphOnDisk:
         assert project.modules["mypkg.a"].relpath == "src/mypkg/a.py"
         assert project.modules["mypkg.sub.e"].relpath == "src/mypkg/sub/e.py"
 
-        graph = build_import_graph(project)
-        assert graph.edges["mypkg.a"] == {"mypkg.b"}
-        # ``from mypkg import c`` resolves submodule-first.
-        assert graph.edges["mypkg.b"] == {"mypkg.c"}
-        # Relative imports resolve against the defining package.
-        assert graph.edges["mypkg.c"] == {"mypkg.d"}
-        assert graph.edges["mypkg.sub.e"] == {"mypkg.a"}
-
-    def test_closure_and_skip_edges(self, package_root: Path):
+    def test_relative_imports_resolve_against_the_package(self, package_root: Path):
         project = load_project(package_root, package="mypkg")
-        graph = build_import_graph(project)
-        assert graph.closure({"mypkg.a"}) == {
-            "mypkg.a", "mypkg.b", "mypkg.c", "mypkg.d",
-        }
-        assert graph.closure(
-            {"mypkg.a"}, skip_edges_of=frozenset({"mypkg.a"})
-        ) == {"mypkg.a"}
+        (binding,) = project.modules["mypkg.c"].imports
+        assert (binding.module, binding.attr) == ("mypkg", "d")
+        (binding,) = project.modules["mypkg.sub.e"].imports
+        assert (binding.module, binding.attr) == ("mypkg.a", "something")
 
 
 # -------------------------------------------------- suppressions and baseline
 class TestSuppressionsAndBaseline:
     def test_suppressed_codes_parsing(self):
-        line = "x = 1.0  # repro: disable=DET004, CACHE001 -- justified"
-        assert suppressed_codes(line) == frozenset({"DET004", "CACHE001"})
+        line = "x = 1.0  # repro: disable=DET004, DET001 -- justified"
+        assert suppressed_codes(line) == frozenset({"DET004", "DET001"})
         assert suppressed_codes("x = 1.0  # plain comment") == frozenset()
 
     def test_baseline_roundtrip(self, tmp_path: Path):
@@ -427,49 +314,7 @@ class TestRepoIsClean:
         )
         assert result.exit_code == 0
 
-    def test_static_declarations_match_runtime_registry(self):
-        """The AST view of ``register_trial(modules=...)`` agrees with what
-        the runtime registry (and therefore ``code_version_for``) hashes."""
-        project = load_project(PACKAGE_DIR)
-        static = {
-            d.trial: d.modules
-            for d in trial_declarations(project)
-            if d.modules is not None
-        }
-        runtime = declared_modules()
-        assert static == {
-            trial: modules for trial, modules in runtime.items()
-        }
-
-    def test_every_trial_closure_is_computable(self):
-        project = load_project(PACKAGE_DIR)
-        graph = build_import_graph(project)
-        declarations = trial_declarations(project)
-        assert declarations, "no register_trial declarations found"
-        for declaration in declarations:
-            closure = trial_closure(project, graph, declaration)
-            assert declaration.module in closure
-
-
-# ------------------------------------------------------------- mutation test
-class TestCache001Mutation:
-    def test_deleting_a_declared_module_fails_lint(self, tmp_path: Path):
-        """Deleting a declared ``modules=`` entry from a copy of the real
-        package makes ``kecss lint`` exit non-zero: the CI gate catches the
-        exact stale-cache hole CACHE001 exists for."""
-        from repro.cli import main
-
-        root = tmp_path / "checkout"
-        shutil.copytree(PACKAGE_DIR, root / "src" / "repro")
-        experiments = root / "src" / "repro" / "analysis" / "experiments.py"
-        source = experiments.read_text()
-        needle = '        "repro.tap.fastcover",\n'
-        assert needle in source, "e4 no longer declares repro.tap.fastcover"
-        experiments.write_text(source.replace(needle, "", 1))
-
-        assert main(["lint", "--root", str(root), "--select", "CACHE001"]) == 1
-
-    def test_unmutated_copy_is_clean(self, tmp_path: Path, capsys):
+    def test_copied_checkout_is_clean(self, tmp_path: Path, capsys):
         from repro.cli import main
 
         root = tmp_path / "checkout"

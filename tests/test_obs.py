@@ -321,10 +321,10 @@ class TestPoolTracing:
 
     def test_engine_provenance_gains_a_trace_block_when_enabled(self, tmp_path):
         engine = ExperimentEngine()
-        assert "trace" not in engine_provenance(engine, "e1")
+        assert "trace" not in engine_provenance(engine)
         tracer = enable_tracing(tmp_path / "p.jsonl")
         tracer.instant("x", cat="unit")
-        provenance = engine_provenance(engine, "e1")
+        provenance = engine_provenance(engine)
         assert provenance["trace"]["enabled"] is True
         assert provenance["trace"]["events"] == 1
         assert provenance["trace"]["file"] == str(tmp_path / "p.jsonl")

@@ -82,8 +82,8 @@ def pool():
 @pytest.fixture(scope="module")
 def grid_results(pool):
     """``{trial: (serial results, pooled results)}`` over the whole grid."""
-    serial = ExperimentEngine(backend="serial", use_cache=False)
-    pooled = ExperimentEngine(workers=2, backend=pool, use_cache=False)
+    serial = ExperimentEngine(backend="serial")
+    pooled = ExperimentEngine(workers=2, backend=pool)
     return {
         trial: (serial.run_jobs(trial, jobs), pooled.run_jobs(trial, jobs))
         for trial, jobs in GRID_JOBS.items()
@@ -137,7 +137,7 @@ def _run_experiment(experiment_id, backend):
     experiment, params = EXPERIMENTS[experiment_id]
     seen = []
     engine = ExperimentEngine(
-        workers=2, backend=backend, use_cache=False,
+        workers=2, backend=backend,
         observers=[lambda _job, result: seen.append(result)],
     )
     table = experiment(engine=engine, **params)
