@@ -332,12 +332,21 @@ def diff_fastgraph_min_cuts_trial(config: Config, seed: int) -> dict:
     Size 3 on every instance -- non-minimum cuts on the 2-edge-connected
     families, none on the 4- and 5-edge-connected ones -- and size 4 on
     the 4-edge-connected instances, where the 4-cuts are the minimum cuts.
+    Every instance must satisfy ``2 * lambda > size``, the precondition
+    under which a confirmed cut-space element is exactly one cut.
     """
     graph = _fastgraph_instance(config, seed)
-    sizes = (3, 4) if edge_connectivity_nx(graph) == 4 else (3,)
+    connectivity = edge_connectivity_nx(graph)
+    sizes = (3, 4) if connectivity == 4 else (3,)
     fast_graph = FastGraph.from_nx(graph)
     counts = {}
     for size in sizes:
+        # cuts_of_size reads cut-space elements as cuts, which needs 2 lambda > s.
+        if 2 * connectivity <= size:
+            raise AssertionError(
+                f"instance has edge connectivity {connectivity}, outside the "
+                f"2 * lambda > {size} contract of cuts_of_size({size})"
+            )
         fast = _cut_key_set(
             Cut.from_side(graph, [fast_graph.labels[v] for v in side])
             for _, side in fast_graph.cuts_of_size(size)

@@ -20,16 +20,21 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
   ``repr``-ordered candidates at or above an exponent are cached with it.
 
 * :class:`BitsetCoverKernel` -- the cut-coverage bookkeeping of one ``Aug_k``
-  level (Section 4).  The ``covers`` relation is packed into one integer
-  bitmask per candidate edge plus its CSR transpose (cut id -> covering edge
-  ids); the still-uncovered cut set is a single integer mask and the live
-  cover count ``|C_e|`` of every edge is maintained *incrementally* when
-  edges join ``A``, so the per-iteration recompute drops from
-  ``O(|E| * |cuts|)`` frozenset intersections to a flat counter scan after
-  ``O(changed)`` update work.  The scan itself is memoised on a version
-  counter :meth:`BitsetCoverKernel.add_many` bumps: an iteration that added
-  nothing gets the previous scores (and their ``repr``-sorted maximum
-  bucket) back without touching the candidates.
+  level (Section 4).  The ``covers`` relation comes from a boolean
+  ``|cuts| x n`` side matrix -- candidate ``(u, v)`` covers cut ``C`` iff
+  ``side[C, u] != side[C, v]`` -- compared in blocks into two CSRs (cut ->
+  covering candidates, candidate -> covered cuts).  The still-uncovered
+  cuts and the candidates in ``A`` are boolean arrays, and the live cover
+  count ``|C_e|`` of every edge is an int64 array maintained
+  *incrementally*: an addition gathers the CSR rows of the newly covered
+  cuts and subtracts one ``bincount``.  A scan is one call of the exact
+  int64 exponent test the TAP kernel uses
+  (:func:`repro.tap.fastcover.rounded_exponents`), with no per-candidate
+  Python loop, memoised on a version counter
+  :meth:`BitsetCoverKernel.add_many` bumps: an iteration that added nothing
+  gets the previous scores (and their ``repr``-ordered maximum bucket, read
+  off a repr order built once per level) back without touching the
+  candidates.
 
 * :class:`GuessingSchedule` -- the probability-guessing schedule shared by
   ``Aug_k`` and the 3-ECSS loop: ``p`` starts at ``1 / 2^ceil(log2 m)``,
@@ -59,6 +64,14 @@ import numpy as np
 
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.graphs.connectivity import canonical_edge
+from repro.graphs.fastgraph import concat_ranges
+from repro.tap.fastcover import (
+    DEAD_EXPONENT,
+    INFINITE_EXPONENT,
+    rounded_exponents,
+    weight_array,
+    weight_scale,
+)
 from repro.trees.rooted import RootedTree
 
 if TYPE_CHECKING:
@@ -71,7 +84,6 @@ __all__ = [
     "PathLabelKernel",
     "BitsetCoverKernel",
     "probability_schedule_start",
-    "rounded_exponent",
 ]
 
 _UNSET = object()
@@ -82,20 +94,6 @@ def probability_schedule_start(m: int) -> float:
     # Exact despite floats: log2 of an int is only rounded by ceil() to pick
     # the exponent, and 1 / 2^e is a binary power, representable exactly.
     return 1.0 / (2 ** max(1, math.ceil(math.log2(max(m, 2)))))  # repro: disable=DET004
-
-
-def rounded_exponent(uncovered: int, weight: int) -> int:
-    """The exponent ``e`` with ``rho~ = 2^e``, the smallest power of two
-    strictly greater than ``uncovered / weight`` (both positive).
-
-    Exact integer arithmetic: ``2^(e-1) <= uncovered / weight < 2^e``, the
-    same value :func:`repro.core.cost_effectiveness.rounded_cost_effectiveness`
-    returns as a ``Fraction`` -- without constructing one.
-    """
-    shift = uncovered.bit_length() - weight.bit_length()
-    if shift >= 0:
-        return shift + 1 if uncovered >= weight << shift else shift
-    return shift + 1 if uncovered << -shift >= weight else shift
 
 
 class GuessingSchedule:
@@ -325,174 +323,173 @@ class PathLabelKernel:
         return chosen
 
 
+def _csr_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The concatenated CSR rows ``values[indptr[r]:indptr[r + 1]]`` of *rows*."""
+    starts = indptr[rows]
+    return values[concat_ranges(starts, indptr[rows + 1] - starts)]
+
+
+#: Side-matrix entries compared per block while building the cover incidence.
+_COVER_BLOCK = 1 << 22
+
+
 class BitsetCoverKernel:
-    """Packed-bitmask cut coverage for one ``Aug_k`` level (Section 4).
+    """Array cut coverage for one ``Aug_k`` level (Section 4).
 
     Args:
         cand_edges: Candidate edges outside ``H`` (``graph.edges()`` order).
         weights: Per-candidate integer weight.
-        covers: Per-candidate iterable of covered cut indices (ascending).
-        n_cuts: Total number of cuts of size ``k - 1``.
+        side: Boolean ``|cuts| x n`` matrix; ``side[c, v]`` says whether
+            vertex id ``v`` is on the recorded side of cut ``c``.
+        tails / heads: Per-candidate endpoint vertex ids (columns of *side*).
+
+    Candidate ``j`` covers cut ``c`` iff ``side[c, tails[j]] !=
+    side[c, heads[j]]`` (Definition 2.1); the incidence is compared in
+    blocks of cuts and kept as two CSRs, cut -> covering candidates and
+    candidate -> covered cuts.
 
     Attributes:
         live: Candidate id -> current ``|C_e|`` (covered *and still
-            uncovered* cuts), maintained incrementally by :meth:`add_many`.
-        uncovered_mask: Bitmask of still-uncovered cut indices.
-        masks: Candidate id -> bitmask of all cuts the edge covers.
-        in_added: Bytearray flag per candidate already in ``A``.
+            uncovered* cuts, int64), maintained incrementally by
+            :meth:`add_many`.
+        uncovered: Boolean flag per cut; ``uncovered_count`` counts them.
+        in_added: Boolean flag per candidate already in ``A``.
         version: Bumped by :meth:`add_many` whenever a candidate is newly
             flagged; it keys the :meth:`score` memo.
     """
 
     __slots__ = (
-        "cand_edges", "cand_repr", "weights", "masks", "live",
-        "cut_indptr", "cut_cover", "uncovered_mask", "uncovered_count",
-        "n_cuts", "in_added", "version", "_memo",
+        "cand_edges", "weights", "live", "n_cuts",
+        "cut_indptr", "cut_cover", "cand_indptr", "cand_cuts",
+        "uncovered", "uncovered_count", "in_added", "version",
+        "_scale", "_by_repr", "_memo",
     )
 
     def __init__(
         self,
         cand_edges: Sequence[Edge],
         weights: Sequence[int],
-        covers: Sequence[Iterable[int]],
-        n_cuts: int,
+        side: np.ndarray,
+        tails: Sequence[int] | np.ndarray,
+        heads: Sequence[int] | np.ndarray,
     ) -> None:
         self.cand_edges = list(cand_edges)
-        self.cand_repr = [repr(edge) for edge in self.cand_edges]
         self.weights = list(weights)
-        self.n_cuts = n_cuts
-        counts = [0] * n_cuts
-        masks: list[int] = []
-        live: list[int] = []
-        cover_lists: list[list[int]] = []
-        for cover in covers:
-            indices = list(cover)
-            mask = 0
-            for c in indices:
-                mask |= 1 << c
-                counts[c] += 1
-            masks.append(mask)
-            live.append(len(indices))
-            cover_lists.append(indices)
-        if len(masks) != len(self.cand_edges) or len(self.weights) != len(masks):
-            raise ValueError("cand_edges, weights and covers must align")
-        self.masks = masks
-        self.live = live
+        tails = np.asarray(tails, dtype=np.intp)
+        heads = np.asarray(heads, dtype=np.intp)
+        n_cand = len(self.cand_edges)
+        if len(self.weights) != n_cand or len(tails) != n_cand or len(heads) != n_cand:
+            raise ValueError("cand_edges, weights, tails and heads must align")
+        n_cuts = self.n_cuts = len(side)
 
-        # CSR transpose: cut id -> the candidate ids covering it.
-        cut_indptr = [0] * (n_cuts + 1)
-        for c in range(n_cuts):
-            cut_indptr[c + 1] = cut_indptr[c] + counts[c]
-        cursor = cut_indptr[:-1].copy()
-        cut_cover = [0] * sum(counts)
-        for j, indices in enumerate(cover_lists):
-            for c in indices:
-                cut_cover[cursor[c]] = j
-                cursor[c] += 1
-        self.cut_indptr = cut_indptr
-        self.cut_cover = cut_cover
+        # (cut, candidate) incidence, cut-major with candidates ascending.
+        cuts: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+        cands: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+        block = max(1, _COVER_BLOCK // max(1, n_cand))
+        for start in range(0, n_cuts, block):
+            rows = side[start:start + block]
+            cut, cand = (rows[:, tails] != rows[:, heads]).nonzero()
+            cuts.append((cut + start).astype(np.int32))
+            cands.append(cand.astype(np.int32))
+        cut = np.concatenate(cuts)
+        cand = np.concatenate(cands)
+        self.cut_indptr = np.zeros(n_cuts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cut, minlength=n_cuts), out=self.cut_indptr[1:])
+        self.cut_cover = cand
+        counts = np.bincount(cand, minlength=n_cand)
+        self.cand_indptr = np.zeros(n_cand + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.cand_indptr[1:])
+        self.cand_cuts = cut[np.argsort(cand, kind="stable")]
+        self.live = counts.astype(np.int64)
 
-        self.uncovered_mask = (1 << n_cuts) - 1
+        self.uncovered = np.ones(n_cuts, dtype=bool)
         self.uncovered_count = n_cuts
-        self.in_added = bytearray(len(self.cand_edges))
+        self.in_added = np.zeros(n_cand, dtype=bool)
         self.version = 0
-        # [version, (cand_ids, exponents, maximum), max bucket or None].
+        self._scale = weight_scale(weight_array(self.weights))
+        # Candidate ids in repr order (the tie-break of the activation draw).
+        reprs = [repr(edge) for edge in self.cand_edges]
+        self._by_repr = np.asarray(
+            sorted(range(n_cand), key=reprs.__getitem__), dtype=np.int64
+        )
+        # [version, (cand_ids, exponents, maximum), all exponents, max bucket
+        # or None] of the last scan.
         self._memo: list | None = None
 
     @property
     def all_covered(self) -> bool:
-        return self.uncovered_mask == 0
+        return self.uncovered_count == 0
 
     def covers_of(self, j: int) -> list[int]:
-        """Cut indices candidate *j* covers (from the packed mask)."""
-        mask = self.masks[j]
-        indices: list[int] = []
-        while mask:
-            low = mask & -mask
-            indices.append(low.bit_length() - 1)
-            mask ^= low
-        return indices
+        """Cut indices candidate *j* covers, ascending."""
+        return self.cand_cuts[self.cand_indptr[j]:self.cand_indptr[j + 1]].tolist()
 
     def add_many(self, ids: Iterable[int]) -> int:
         """Add candidates to ``A``; return how many cuts they newly covered.
 
         Every newly covered cut decrements the live counter of each edge
-        covering it exactly once -- O(changed) total work, replacing the
-        O(|E| * |cuts|) recompute of the historical implementation.
+        covering it exactly once: one gather of the newly covered cuts' CSR
+        rows and one ``bincount``, replacing the O(|E| * |cuts|) recompute
+        of the historical implementation.
         """
-        newly = 0
-        in_added, masks = self.in_added, self.masks
-        for j in ids:
-            if not in_added[j]:
-                in_added[j] = 1
-                self.version += 1
-            newly |= masks[j]
-        newly &= self.uncovered_mask
-        if not newly:
+        ids = np.fromiter(ids, dtype=np.int64)
+        fresh = np.unique(ids[~self.in_added[ids]])
+        if len(fresh):
+            self.in_added[fresh] = True
+            self.version += len(fresh)
+        cuts = _csr_rows(self.cand_indptr, self.cand_cuts, ids)
+        cuts = np.unique(cuts[self.uncovered[cuts]])
+        if not len(cuts):
             return 0
-        self.uncovered_mask &= ~newly
-        live = self.live
-        cut_indptr, cut_cover = self.cut_indptr, self.cut_cover
-        flipped = 0
-        while newly:
-            low = newly & -newly
-            c = low.bit_length() - 1
-            newly ^= low
-            flipped += 1
-            for s in range(cut_indptr[c], cut_indptr[c + 1]):
-                live[cut_cover[s]] -= 1
-        self.uncovered_count -= flipped
-        return flipped
+        self.uncovered[cuts] = False
+        self.uncovered_count -= len(cuts)
+        self.live -= np.bincount(
+            _csr_rows(self.cut_indptr, self.cut_cover, cuts), minlength=len(self.live)
+        )
+        return len(cuts)
 
-    def score(self) -> tuple[list[int], list[object], object]:
+    def score(self) -> tuple[np.ndarray, np.ndarray, object]:
         """Rounded cost-effectiveness of every live candidate outside ``A``.
 
-        Returns ``(cand_ids, exponents, maximum)``: integer exponents ``e``
-        (``rho~ = 2^e``), :data:`INFINITE_EFFECTIVENESS` for zero-weight
-        edges, and the maximum (``None`` when no candidate is live).  One
-        flat scan of the incrementally maintained counters -- or none: the
-        scores depend only on ``A``, so while :attr:`version` is unchanged
-        the previous result is returned (the lists are shared; callers must
-        not mutate them).
+        Returns ``(cand_ids, exponents, maximum)``: the live candidates
+        (ascending int64 ids), their integer exponents ``e`` (``rho~ =
+        2^e``, from the exact int64 test :func:`rounded_exponents` that the
+        TAP kernel shares; :data:`INFINITE_EXPONENT` for a zero-weight edge),
+        and the maximum -- a Python int, :data:`INFINITE_EFFECTIVENESS`, or
+        ``None`` when no candidate is live.  An edge of ``A`` covers no
+        uncovered cut, so its live count is already 0.  The scores depend
+        only on ``A``, so while :attr:`version` is unchanged the previous
+        result is returned (the arrays are shared; callers must not mutate
+        them).
         """
         memo = self._memo
         if memo is not None and memo[0] == self.version:
             return memo[1]
-        cand_ids: list[int] = []
-        exponents: list[object] = []
-        maximum: object = None
-        live, weights, in_added = self.live, self.weights, self.in_added
-        for j in range(len(live)):
-            if in_added[j]:
-                continue
-            uncovered = live[j]
-            if uncovered == 0:
-                continue
-            weight = weights[j]
-            if weight == 0:
-                exponent: object = INFINITE_EFFECTIVENESS
-            else:
-                exponent = rounded_exponent(uncovered, weight)
-            cand_ids.append(j)
-            exponents.append(exponent)
-            if maximum is None or exponent > maximum:
-                maximum = exponent
-        result = (cand_ids, exponents, maximum)
-        self._memo = [self.version, result, None]
+        exponents = rounded_exponents(self.live, self._scale)
+        cand_ids = np.flatnonzero(exponents != DEAD_EXPONENT)
+        best = int(exponents.max(initial=DEAD_EXPONENT))
+        if best == DEAD_EXPONENT:
+            maximum: object = None
+        elif best == INFINITE_EXPONENT:
+            maximum = INFINITE_EFFECTIVENESS
+        else:
+            maximum = best
+        result = (cand_ids, exponents[cand_ids], maximum)
+        self._memo = [self.version, result, exponents, None]
         return result
 
     def max_bucket(self) -> list[int]:
         """The ids scoring the maximum in the last :meth:`score`, ``repr``-sorted.
 
-        Sorted once per scan and cached with it; call :meth:`score` first.
+        Read off the repr order built once per level, and cached with the
+        scan; call :meth:`score` first.
         """
         memo = self._memo
         if memo is None or memo[0] != self.version:
             raise RuntimeError("max_bucket() needs a score() of the current A")
-        if memo[2] is None:
-            cand_ids, exponents, maximum = memo[1]
-            memo[2] = sorted(
-                (j for j, exponent in zip(cand_ids, exponents) if exponent == maximum),
-                key=self.cand_repr.__getitem__,
-            )
-        return memo[2]
+        if memo[3] is None:
+            exponents = memo[2]
+            order = self._by_repr
+            best = exponents.max(initial=DEAD_EXPONENT)
+            memo[3] = order[exponents[order] == best].tolist() if best != DEAD_EXPONENT else []
+        return memo[3]

@@ -26,14 +26,18 @@ connectivity 0 to 1), exactly as the 2-ECSS algorithm does; the generic
 procedure is used for every level ``i >= 2``.
 
 Two implementations share this structure.  :func:`augment_to_k` keeps the
-cut-coverage state in :class:`repro.core.fastaug.BitsetCoverKernel` -- packed
-integer bitmasks with incrementally maintained live-cover counters, so an
-iteration that follows an addition costs a flat counter scan instead of
-``O(|E| * |cuts|)`` frozenset intersections, and any other iteration reuses
-the previous scan.  :func:`augment_to_k_nx` (and :func:`k_ecss_nx` above it) is
-the historical frozenset implementation, retained as the differential oracle;
-the ``diff-kecss-kernel`` sweep asserts bit-identical added-edge sets,
-weights, iteration counts and histories.
+cut-coverage state in :class:`repro.core.fastaug.BitsetCoverKernel` on NumPy
+arrays: the cut sides become one boolean ``|cuts| x n`` matrix, the cover
+incidence is an array comparison of its columns at each candidate's
+endpoints, and the live-cover counters are maintained incrementally, so an
+iteration that follows an addition costs one vectorised exponent scan
+instead of ``O(|E| * |cuts|)`` frozenset intersections, and any other
+iteration reuses the previous scan.  The cuts themselves come from the exact
+enumeration of :mod:`repro.graphs.cuts`, which confirms each one in the cut
+space and runs no search per cut.  :func:`augment_to_k_nx` (and
+:func:`k_ecss_nx` above it) is the historical frozenset implementation,
+retained as the differential oracle; the ``diff-kecss-kernel`` sweep asserts
+bit-identical added-edge sets, weights, iteration counts and histories.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
@@ -56,7 +61,7 @@ from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
 from repro.graphs.connectivity import canonical_edge, check_solver_input
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
-from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
+from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 
 Edge = tuple[Hashable, Hashable]
@@ -154,22 +159,22 @@ def augment_to_k(
             metadata={"cuts": 0, "history": [], "k": k},
         )
 
+    node_id = {node: i for i, node in enumerate(graph.nodes())}
+    tails = [node_id[u] for u, _ in candidates_pool]
+    heads = [node_id[v] for _, v in candidates_pool]
     kernel = BitsetCoverKernel(
         candidates_pool,
         [weight_of[edge] for edge in candidates_pool],
-        [
-            [index for index, cut in enumerate(cuts) if (u in cut.side) != (v in cut.side)]
-            for u, v in candidates_pool
-        ],
-        len(cuts),
+        _side_matrix(cuts, node_id),
+        tails,
+        heads,
     )
     cand_edges = kernel.cand_edges
     if use_mst_filter:
         # The forest of A (empty at the start of every level) and, per
         # candidate, its endpoint ids and Kruskal tie rank.
         forest = ArrayUnionFind(n)
-        node_id = {node: i for i, node in enumerate(graph.nodes())}
-        ends = [(node_id[u], node_id[v]) for u, v in cand_edges]
+        ends = list(zip(tails, heads))
         rank = _kruskal_rank(graph, cand_edges)
 
     added_ids: list[int] = []
@@ -234,6 +239,23 @@ def augment_to_k(
         ledger=ledger,
         metadata={"cuts": len(cuts), "history": history, "k": k},
     )
+
+
+def _side_matrix(cuts: list[Cut], node_id: dict[Hashable, int]) -> np.ndarray:
+    """Boolean ``|cuts| x n`` matrix: row ``c`` flags the vertex ids of ``cuts[c].side``.
+
+    One scatter over the recorded sides, which are the smaller sides, so
+    the work is that of building the :class:`Cut` values themselves.
+    """
+    sizes = [len(cut.side) for cut in cuts]
+    side = np.zeros((len(cuts), len(node_id)), dtype=bool)
+    side[
+        np.repeat(np.arange(len(cuts)), sizes),
+        np.fromiter(
+            (node_id[v] for cut in cuts for v in cut.side), dtype=np.intp, count=sum(sizes)
+        ),
+    ] = True
+    return side
 
 
 def _kruskal_rank(graph: nx.Graph, cand_edges: list[Edge]) -> list[int]:
@@ -447,9 +469,13 @@ def _k_ecss_impl(
     """Shared Theorem 1.2 composition driver (MST level + ``Aug_2..k``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    check_solver_input(graph, k, "k-ECSS")
+    # One snapshot serves the input check and the diameter.
+    snapshot = FastGraph.from_nx(graph)
+    check_solver_input(graph, k, "k-ECSS", snapshot=snapshot)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+    cost_model = CostModel(
+        n=graph.number_of_nodes(), diameter=hop_diameter(graph, snapshot=snapshot)
+    )
 
     def mst_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
         del current, level

@@ -8,8 +8,8 @@ The hot paths run on the flat-array CSR kernel of
 :mod:`repro.graphs.fastgraph`: connectivity 0/1/2 is decided exactly by BFS,
 iterative Tarjan bridge finding and the exact cut-pair characterisation of
 Claim 5.6, and connectivity 3 by a certificate -- a degree-3 vertex or a
-3-edge cut the exact cycle-space enumerator found and a skip-edge BFS
-confirmed.  So every ``k <= 4`` check is exact without networkx max-flow,
+3-edge cut the exact cycle-space enumerator found and confirmed in the cut
+space.  So every ``k <= 4`` check is exact without networkx max-flow,
 and ``nx.edge_connectivity`` runs only to get the *value* of a graph with
 edge connectivity >= 4.  The historical networkx implementations are kept
 as ``*_nx`` oracles for the differential tests.

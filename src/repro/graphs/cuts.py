@@ -17,10 +17,14 @@ This module enumerates them, exactly and without randomness in the result:
   spanning tree, XOR-propagated to the tree edges) the labels of a cut's
   edges XOR to 0, and every cut contains a tree edge.  Looking up
   ``phi(t) ^ phi(X)`` for each tree edge ``t`` and each ``(size - 2)``-set
-  ``X`` of other edges therefore proposes every cut of that size; a
-  skip-edge BFS confirms each proposal, so the output does not depend on
-  the labels.  :func:`enumerate_cuts_exhaustive` (every bipartition) stays
-  as the ground truth for tests on tiny graphs.
+  ``X`` of other edges therefore proposes every cut of that size.  Each
+  proposal ``F`` is confirmed in the cut space: with exact labels (the
+  bitmask of the covering non-tree edges on each tree edge) ``F`` is a
+  cut-space element iff its labels XOR to 0, and on a graph with
+  ``2 * lambda > size`` a non-empty element of that size is exactly one
+  cut.  So the output does not depend on the random labels, and no search
+  runs per proposal.  :func:`enumerate_cuts_exhaustive` (every
+  bipartition) stays as the ground truth for tests on tiny graphs.
 
 A cut is represented by the vertex set of one side; an edge *covers* the cut
 iff it crosses the bipartition, matching Definition 2.1 (removing the cut
@@ -28,9 +32,10 @@ leaves exactly two components, and a crossing edge reconnects them).
 
 The enumerators run on the flat-array CSR kernel of
 :mod:`repro.graphs.fastgraph` (integer ids, one-pass bridge sides, label
-lookup and skip-edge BFS confirmation); the cut-pair enumerator keeps its
-historical dict-of-dicts implementation as the ``enumerate_cut_pairs_nx``
-oracle for the differential tests.
+lookup and cut-space confirmation; every side is read off a spanning-tree
+preorder as a few intervals); the cut-pair enumerator keeps its historical
+dict-of-dicts implementation as the ``enumerate_cut_pairs_nx`` oracle for
+the differential tests.
 """
 
 from __future__ import annotations
@@ -119,18 +124,22 @@ def _cut_from_side_ids(fast: FastGraph, side_ids: Iterable[int], crossing: Itera
 
     Produces exactly what ``Cut.from_side`` would when *crossing* holds the
     ids of the edges crossing the bipartition, which every caller already
-    knows (a bridge, a verified pair, a confirmed cut).
+    knows (a bridge, a cut pair, a confirmed cut).  The canonical side is
+    the smaller one, so the labels of the other side -- O(n) -- are only
+    built when *side_ids* is not strictly smaller; the cut methods of
+    :class:`FastGraph` hand over the smaller side.
     """
     labels = fast.labels
     side = frozenset(labels[v] for v in side_ids)
-    other = frozenset(labels) - side
-    if not side or not other:
+    if not 0 < len(side) < fast.n:
         raise ValueError("a cut side must be a proper non-empty subset of the vertices")
+    if 2 * len(side) >= fast.n:
+        side = _canonical_side(side, frozenset(labels) - side)
     tail, head = fast.tail, fast.head
     edges = frozenset(
         canonical_edge(labels[tail[eid]], labels[head[eid]]) for eid in crossing
     )
-    return Cut(side=_canonical_side(side, other), edges=edges)
+    return Cut(side=side, edges=edges)
 
 
 def enumerate_bridge_cuts(graph: nx.Graph) -> list[Cut]:
@@ -144,24 +153,25 @@ def enumerate_bridge_cuts(graph: nx.Graph) -> list[Cut]:
 
 
 def _bridge_cuts(fast: FastGraph) -> list[Cut]:
-    # The side holds the bridge's tail endpoint, within the bridge's own
-    # component (on a disconnected input the rest of the vertex set is
-    # other components the bridge does not separate).
+    # On a disconnected input the side holds the bridge's tail endpoint,
+    # within the bridge's own component: the rest of the vertex set is
+    # other components the bridge does not separate.
     return [_cut_from_side_ids(fast, side, (eid,)) for eid, side in fast.bridge_sides()]
 
 
 def enumerate_cut_pairs(graph: nx.Graph) -> list[Cut]:
-    """Return all cuts of size 2 of a 2-edge-connected *graph* (exact).
+    """Return all cuts of size 2 of a connected *graph* (exact).
 
     Uses the characterisation of Claim 5.6 on the flat-array kernel: fix any
     spanning tree ``T``.  A pair ``{e, f}`` is a cut pair iff either
 
     1. ``e`` is a tree edge and ``f`` is the unique non-tree edge covering it, or
-    2. ``e`` and ``f`` are tree edges covered by exactly the same non-tree edges.
+    2. ``e`` and ``f`` are tree edges covered by exactly the same non-empty
+       set of non-tree edges.
 
-    Candidate pairs are verified by skip-edge BFS (exactly two components
-    must remain), so inputs that are not 2-edge-connected are handled
-    defensively exactly like the networkx oracle.
+    On a connected graph every such pair is a cut, and pairs of bridges
+    (empty cover sets) never are, so no pair needs a search to confirm it
+    (:meth:`~repro.graphs.fastgraph.FastGraph.cut_pairs`).
     """
     if graph.number_of_nodes() < 2:
         return []
@@ -172,12 +182,8 @@ def enumerate_cut_pairs(graph: nx.Graph) -> list[Cut]:
 
 
 def _cut_pair_cuts(fast: FastGraph) -> list[Cut]:
-    # Both edges of a verified pair cross: each candidate is a fundamental
-    # cut or the symmetric difference of two.
-    return _dedupe(
-        _cut_from_side_ids(fast, fast.components_without_edges(pair)[0], pair)
-        for pair in fast.cut_pairs()
-    )
+    # Distinct pairs are distinct cuts, so nothing needs deduplicating.
+    return [_cut_from_side_ids(fast, side, pair) for pair, side in fast.cut_pair_sides()]
 
 
 def enumerate_cut_pairs_nx(graph: nx.Graph) -> list[Cut]:
@@ -288,9 +294,11 @@ def enumerate_cuts_of_size(graph: nx.Graph, size: int) -> list[Cut]:
     Sizes 1 and 2 go to the bridge and cut-pair enumerators, every larger
     size to the cycle-space label lookup of
     :meth:`~repro.graphs.fastgraph.FastGraph.cuts_of_size`; none of them is
-    randomised.  When the edge connectivity of the graph exceeds *size*
-    the result is empty (there is nothing to cover and the corresponding
-    ``Aug`` instance is already solved).
+    randomised.  The graph must be at least *size*-edge-connected (checked
+    here), which gives the ``2 * lambda > size`` that confirming a cut in
+    the cut space needs.  When the edge connectivity of the graph exceeds
+    *size* the result is empty (there is nothing to cover and the
+    corresponding ``Aug`` instance is already solved).
     """
     if size < 1:
         raise ValueError("cut size must be >= 1")

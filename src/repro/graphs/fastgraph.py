@@ -16,13 +16,16 @@ All kernels below are loops over those flat lists:
   :meth:`FastGraph.bridge_sides` reads every bridge's side off the same
   DFS as a preorder interval;
 * :meth:`FastGraph.cut_pairs` -- the exact spanning-tree covering-set
-  characterisation of Claim 5.6 on integer arrays;
+  characterisation of Claim 5.6 on exact integer cover bitmasks;
 * :meth:`FastGraph.cuts_of_size` / :meth:`FastGraph.has_cut_triple` --
-  exact, seed-free enumeration of cuts of size >= 3: cycle-space XOR labels
-  propose a superset of the cuts by hash lookup, and a skip-edge BFS
-  confirms each candidate;
+  exact, seed-free enumeration of cuts of size ``s >= 3`` on graphs with
+  ``2 * lambda > s``: cycle-space XOR labels propose a superset of the cuts
+  by hash lookup, and the exact cover bitmasks confirm each candidate in
+  the cut space, where a non-empty element of size ``s`` is then exactly
+  one cut.  Every cut's side is read off a preorder of the spanning tree
+  as at most ``s + 1`` intervals; no search runs per cut;
 * :meth:`FastGraph.components_without_edges` -- BFS that skips a few edge
-  ids, used to verify candidate cuts without copying the graph;
+  ids, the reference the tests check the cut methods against;
 * :meth:`FastGraph.hop_diameter` -- the exact hop diameter from three BFS
   sweeps plus one bit-parallel (64 sources per ``uint64`` word) NumPy BFS
   over the vertices whose eccentricity bound survives the sweeps, with no
@@ -48,20 +51,29 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["ArrayUnionFind", "CUT_LABEL_BITS", "FastGraph", "TreePathIndex", "hop_diameter"]
+__all__ = [
+    "ArrayUnionFind",
+    "CUT_LABEL_BITS",
+    "FastGraph",
+    "TreePathIndex",
+    "concat_ranges",
+    "hop_diameter",
+]
 
-#: Width of the cycle-space labels that propose candidate cuts
-#: (:meth:`FastGraph.cuts_of_size`).  Every candidate is confirmed by a
-#: skip-edge BFS, so any width gives the same cuts; narrower labels only let
+#: Width (at most 64) of the cycle-space labels that propose candidate cuts
+#: (:meth:`FastGraph.cuts_of_size`).  Every candidate is confirmed exactly in
+#: the cut space, so any width gives the same cuts; narrower labels only let
 #: more false candidates through to the confirmation.
 CUT_LABEL_BITS = 64
 #: Seed of the fixed label draw; like the width, it cannot change a result.
 CUT_LABEL_SEED = 0
+#: Label lookups made per NumPy pass of :meth:`FastGraph._cut_candidates`.
+_LOOKUP_BLOCK = 1 << 18
 
 
 class TreePathIndex:
@@ -251,6 +263,25 @@ class TreePathIndex:
         return indptr, child
 
 
+class _CutTree(NamedTuple):
+    """A spanning tree of a :class:`FastGraph` as the cut methods read it.
+
+    Vertex-indexed: ``parent``/``parent_eid`` (-1 at the root), ``order``
+    (preorder), ``first`` (preorder position) and ``size`` (subtree vertex
+    count).  Edge-indexed: ``child_of`` (the child endpoint of a tree edge,
+    -1 for a non-tree edge) and ``cover`` (the bitmask of the non-tree edges
+    covering a tree edge, 0 for a non-tree edge).
+    """
+
+    parent: list[int]
+    parent_eid: list[int]
+    child_of: list[int]
+    order: list[int]
+    first: list[int]
+    size: list[int]
+    cover: list[int]
+
+
 class ArrayUnionFind:
     """Union-find over ``0..n-1`` with path compression and union by size."""
 
@@ -301,7 +332,7 @@ class FastGraph:
 
     __slots__ = (
         "n", "m", "labels", "index", "tail", "head", "weight",
-        "indptr", "adj", "adj_eid",
+        "indptr", "adj", "adj_eid", "_cut_space",
     )
 
     def __init__(
@@ -340,6 +371,7 @@ class FastGraph:
             adj[slot], adj_eid[slot] = u, eid
             cursor[v] = slot + 1
         self.indptr, self.adj, self.adj_eid = indptr, adj, adj_eid
+        self._cut_space: _CutTree | None = None
 
     # ------------------------------------------------------------ converters
     @classmethod
@@ -540,8 +572,8 @@ class FastGraph:
         """Connected components after deleting the edge ids in *removed*.
 
         The graph is never copied: the BFS simply skips the removed slots.
-        Used to verify candidate cuts (a bipartition cut is minimal iff
-        exactly two components remain).
+        No solver path calls it; the tests confirm the cut methods with it
+        (a bipartition cut is minimal iff exactly two components remain).
         """
         skip = set(removed)
         comp = [-1] * self.n
@@ -573,20 +605,26 @@ class FastGraph:
         return [eid for eid, _, _ in self._bridge_dfs()[0]]
 
     def bridge_sides(self) -> list[tuple[int, list[int]]]:
-        """Every bridge with the side of it that holds its ``tail`` endpoint.
+        """Every bridge with one of its sides, as vertex ids.
 
+        On a connected graph the side is the smaller one (on a tie, the one
+        holding the bridge's ``tail`` endpoint); on a disconnected graph it
+        is the side holding ``tail``, within the bridge's own component.
         One DFS: a bridge is a DFS tree edge, so the side below it is the
         preorder interval of its child endpoint's subtree, and the side above
         it is the rest of its component's interval.  Same bridges, in the
-        same order, as :meth:`bridges`; on a disconnected graph each side
-        stays within the bridge's own component.
+        same order, as :meth:`bridges`.
         """
         found, order, first, size = self._bridge_dfs()
-        tail = self.tail
+        tail, n = self.tail, self.n
         sides: list[tuple[int, list[int]]] = []
         for eid, child, root in found:
             low, high = first[child], first[child] + size[child]
-            if tail[eid] == child:
+            if size[root] == n and 2 * size[child] != n:
+                below = 2 * size[child] < n
+            else:
+                below = tail[eid] == child
+            if below:
                 side = order[low:high]
             else:
                 start = first[root]
@@ -685,185 +723,254 @@ class FastGraph:
             raise ValueError("graph is not connected; it has no spanning tree")
         return parent, parent_eid, depth
 
+    # -------------------------------------------------------------- cut space
+    def _cut_tree(self) -> _CutTree:
+        """The BFS tree of vertex 0 with the cut-space data, built on first use.
+
+        ``cover[t]`` is the exact Python-int bitmask (bit = edge id) of the
+        non-tree edges covering tree edge ``t`` -- endpoint XOR tags folded
+        leaves-to-root, O(n * m / 64) word operations -- and ``0`` for a
+        non-tree edge.  ``order``/``first``/``size`` are a preorder of the
+        tree: the subtree of ``v`` is ``order[first[v]:first[v] + size[v]]``.
+        The snapshot never changes, so every cut method shares one build.
+        """
+        if self._cut_space is None:
+            n, m = self.n, self.m
+            parent, parent_eid, _ = self.bfs_tree(0)
+            child_of = [-1] * m
+            children: list[list[int]] = [[] for _ in range(n)]
+            for v in range(n):
+                if parent[v] >= 0:
+                    child_of[parent_eid[v]] = v
+                    children[parent[v]].append(v)
+            order: list[int] = []
+            stack = [0]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                stack.extend(reversed(children[v]))
+            first = [0] * n
+            for position, v in enumerate(order):
+                first[v] = position
+            size = [1] * n
+            tag = [0] * n
+            tail, head = self.tail, self.head
+            for eid in range(m):
+                if child_of[eid] < 0:
+                    bit = 1 << eid
+                    tag[tail[eid]] ^= bit
+                    tag[head[eid]] ^= bit
+            cover = [0] * m
+            # Reverse preorder: every subtree is complete before it folds
+            # into its parent, and the subtree XOR at v covers the edge above v.
+            for v in reversed(order[1:]):
+                p = parent[v]
+                size[p] += size[v]
+                cover[parent_eid[v]] = tag[v]
+                tag[p] ^= tag[v]
+            self._cut_space = _CutTree(parent, parent_eid, child_of, order, first, size, cover)
+        return self._cut_space
+
+    def _is_cut(self, edges: Sequence[int]) -> bool:
+        """Is the edge set *edges* an element of the cut space?
+
+        It is iff the non-tree edges covering an odd number of its tree
+        edges are exactly its non-tree edges: the XOR of their exact labels
+        (``cover[t]`` for a tree edge, ``1 << f`` for a non-tree edge) is 0.
+        """
+        tree = self._cut_tree()
+        cover, child_of = tree.cover, tree.child_of
+        parity = 0
+        for eid in edges:
+            parity ^= cover[eid] if child_of[eid] >= 0 else 1 << eid
+        return parity == 0
+
+    def _cut_side(self, edges: Iterable[int]) -> list[int]:
+        """Vertex ids of the smaller side of the cut *edges* (without vertex 0 on a tie).
+
+        The side without vertex 0 holds the vertices whose root path has an
+        odd number of the cut's tree edges.  Each tree edge flips the
+        preorder interval of its child's subtree, so a preorder position is
+        on that side iff an odd number of the sorted interval bounds lie at
+        or before it: the side is the runs ``[b0, b1), [b2, b3), ...``.
+        """
+        tree = self._cut_tree()
+        first, size, child_of = tree.first, tree.size, tree.child_of
+        bounds = sorted(
+            bound
+            for eid in edges
+            if child_of[eid] >= 0
+            for bound in (first[child_of[eid]], first[child_of[eid]] + size[child_of[eid]])
+        )
+        if 2 * sum(bounds[1::2]) - 2 * sum(bounds[::2]) > self.n:
+            bounds = [0, *bounds, self.n]  # the side of vertex 0 is smaller
+        order = tree.order
+        side: list[int] = []
+        for low, high in zip(bounds[::2], bounds[1::2]):
+            side += order[low:high]
+        return side
+
     # -------------------------------------------------------------- cut pairs
     def cut_pairs(self) -> list[tuple[int, int]]:
         """All 2-edge cuts of a connected graph, as sorted edge-id pairs (exact).
 
-        Every Claim 5.6 candidate is verified by a skip-edge BFS, so the
-        result is exact even on inputs that are not 2-edge-connected (bridge
-        pairs are filtered out).
-        """
-        return sorted(
-            pair
-            for pair in self._cut_pair_candidates()
-            if len(self.components_without_edges(pair)) == 2
-        )
-
-    def has_cut_pair(self) -> bool:
-        """True iff the connected graph has a 2-edge cut.
-
-        Stops at the first candidate that survives verification instead of
-        enumerating (and verifying) every 2-cut.
-        """
-        return any(
-            len(self.components_without_edges(pair)) == 2
-            for pair in self._cut_pair_candidates()
-        )
-
-    def _cut_pair_candidates(self) -> set[tuple[int, int]]:
-        """Unverified cut-pair candidates per the characterisation of Claim 5.6.
-
-        The spanning-tree argument on flat arrays: fix a BFS tree ``T``;
-        ``{e, f}`` is a cut pair iff either ``e`` is a tree edge and ``f``
-        the unique non-tree edge covering it, or ``e`` and ``f`` are tree
-        edges with identical covering sets.  Callers must verify each
-        candidate by a skip-edge BFS (exactly two components must remain).
+        The characterisation of Claim 5.6 over the BFS tree's exact cover
+        sets: ``{t, f}`` when ``f`` is the only non-tree edge covering tree
+        edge ``t``, and ``{t1, t2}`` when two tree edges share one non-empty
+        cover set.  On a connected graph each such pair is exactly one cut:
+        the tree splits into two (or, for ``{t1, t2}``, three) connected
+        parts and the cover sets say which non-tree edges join which.  A
+        bridge has an empty cover set, and pairs of bridges leave three
+        components, so they are never listed.
         """
         if self.n < 2:
-            return set()
-        parent, parent_eid, depth = self.bfs_tree(0)
-        is_tree = [False] * self.m
-        for eid in parent_eid:
-            if eid >= 0:
-                is_tree[eid] = True
-        # cover[t]: non-tree edge ids covering tree edge t, in increasing id
-        # order (each non-tree edge contributes to a tree edge at most once).
-        cover: dict[int, list[int]] = {
-            eid: [] for eid in parent_eid if eid >= 0
-        }
-        tail, head = self.tail, self.head
-        for eid in range(self.m):
-            if is_tree[eid]:
-                continue
-            a, b = tail[eid], head[eid]
-            while a != b:
-                if depth[a] >= depth[b]:
-                    cover[parent_eid[a]].append(eid)
-                    a = parent[a]
-                else:
-                    cover[parent_eid[b]].append(eid)
-                    b = parent[b]
-        candidates: set[tuple[int, int]] = set()
-        # Case 1: a tree edge covered by exactly one non-tree edge.
-        for t, covering in cover.items():
-            if len(covering) == 1:
-                f = covering[0]
-                candidates.add((t, f) if t < f else (f, t))
-        # Case 2: tree edges with identical cover sets.
-        by_cover: dict[tuple[int, ...], list[int]] = {}
-        for t, covering in cover.items():
-            by_cover.setdefault(tuple(covering), []).append(t)
+            return []
+        cover = self._cut_tree().cover
+        pairs: list[tuple[int, int]] = []
+        by_cover: dict[int, list[int]] = {}
+        for t, mask in enumerate(cover):
+            if not mask:
+                continue  # a non-tree edge or a bridge
+            if not mask & (mask - 1):
+                f = mask.bit_length() - 1
+                pairs.append((t, f) if t < f else (f, t))
+            by_cover.setdefault(mask, []).append(t)
         for group in by_cover.values():
-            if len(group) < 2:
-                continue
-            group.sort()
-            for i, t1 in enumerate(group):
-                for t2 in group[i + 1:]:
-                    candidates.add((t1, t2))
-        return candidates
+            pairs.extend(itertools.combinations(group, 2))
+        pairs.sort()
+        return pairs
+
+    def cut_pair_sides(self) -> list[tuple[tuple[int, int], list[int]]]:
+        """Every pair of :meth:`cut_pairs` with its smaller side's vertex ids."""
+        return [(pair, self._cut_side(pair)) for pair in self.cut_pairs()]
+
+    def has_cut_pair(self) -> bool:
+        """True iff the connected graph has a 2-edge cut; stops at the first one found."""
+        if self.n < 2:
+            return False
+        seen: set[int] = set()
+        for mask in self._cut_tree().cover:
+            if mask:
+                if not mask & (mask - 1) or mask in seen:
+                    return True
+                seen.add(mask)
+        return False
 
     # ------------------------------------------------------------ small cuts
     def cuts_of_size(self, size: int) -> list[tuple[tuple[int, ...], list[int]]]:
-        """Every cut of exactly *size* >= 3 edges of a connected graph (exact).
+        """Every cut of exactly *size* >= 3 edges (exact; needs ``2 * lambda > size``).
 
         A cut here is an edge set whose removal leaves exactly two
         components with every removed edge between them (Definition 2.1).
-        Returns ``(sorted edge ids, vertex ids of the side holding vertex
-        0)`` pairs.  Candidates come from :meth:`_cut_candidates` and each
-        is confirmed by a skip-edge BFS, so the result does not depend on
-        the label draw.
+        Returns ``(sorted edge ids, vertex ids of the smaller side)`` pairs
+        (on a tie, the side without vertex 0).  Candidates come from
+        :meth:`_cut_candidates` and each is confirmed in the cut space
+        (:meth:`_is_cut`), so the result does not depend on the label draw.
+
+        Precondition: the graph is connected with edge connectivity
+        ``lambda`` and ``2 * lambda > size``.  A non-empty cut-space element
+        is a disjoint union of bonds of at least ``lambda`` edges each, so
+        one of *size* edges is then exactly one bond.  Every caller holds
+        ``lambda >= size``.
         """
-        cuts = []
-        for candidate in self._cut_candidates(size):
-            side = self._cut_side(candidate)
-            if side is not None:
-                cuts.append((candidate, side))
-        return cuts
+        return [
+            (edges, self._cut_side(edges))
+            for edges in self._cut_candidates(size)
+            if self._is_cut(edges)
+        ]
 
     def has_cut_triple(self) -> bool:
-        """True iff the connected graph has a 3-edge cut.
+        """True iff the graph has a 3-edge cut (connected, ``lambda >= 2``).
 
-        Stops at the first candidate that survives confirmation, like
-        :meth:`has_cut_pair`.
+        Stops at the first candidate that survives confirmation; the
+        ``2 * lambda > 3`` precondition of :meth:`cuts_of_size` applies.
         """
-        return any(
-            self._cut_side(candidate) is not None
-            for candidate in self._cut_candidates(3)
-        )
-
-    def _cut_side(self, edges: Sequence[int]) -> list[int] | None:
-        """The side holding vertex 0 if *edges* is a cut, else ``None``."""
-        components = self.components_without_edges(edges)
-        if len(components) != 2:
-            return None
-        side = components[0]
-        in_side = [False] * self.n
-        for v in side:
-            in_side[v] = True
-        tail, head = self.tail, self.head
-        if all(in_side[tail[eid]] != in_side[head[eid]] for eid in edges):
-            return side
-        return None
+        return any(self._is_cut(edges) for edges in self._cut_candidates(3))
 
     def _cut_candidates(self, size: int) -> Iterator[tuple[int, ...]]:
         """Sorted edge-id tuples that include every cut of *size* edges.
 
         Cycle space sampling (Pritchard & Thurimella, TALG 2011): every
-        non-tree edge of a BFS tree draws a :data:`CUT_LABEL_BITS`-bit label
-        and each tree edge gets the XOR of the labels of the non-tree edges
-        covering it -- endpoint XOR tags folded leaves-to-root, O(m + n).
+        non-tree edge of the BFS tree draws a :data:`CUT_LABEL_BITS`-bit
+        label and each tree edge gets the XOR of the labels of the non-tree
+        edges covering it -- folded leaves-to-root like the exact covers.
         A cut meets every cycle in an even number of edges, so the labels of
         its edges XOR to 0 whatever the draw; and it contains a tree edge.
         So a cut ``C`` is proposed when ``t`` is its lowest-id tree edge and
         ``X`` the ``size - 2`` lowest-id edges of ``C - t``: the one edge
         left carries the label ``phi(t) ^ phi(X)``.  Each edge set is
-        proposed at most once; O(n * m^(size-2)) lookups.
+        proposed at most once, in the order of ``t``, then ``X``
+        lexicographically, then the last edge.  NumPy passes look the ``X``
+        up in blocks in the sorted label array -- one pass per tree edge
+        for size 3 -- for ``O(n * m^(size-2) * log m)`` work.
         """
         if size < 3:
             raise ValueError("cut candidates by label lookup need size >= 3")
         n, m = self.n, self.m
         if n < 2:
             return
-        parent, parent_eid, depth = self.bfs_tree(0)
-        is_tree = [False] * m
-        for eid in parent_eid:
-            if eid >= 0:
-                is_tree[eid] = True
+        tree = self._cut_tree()
+        child_of = tree.child_of
         rng = random.Random(CUT_LABEL_SEED)
         bits = CUT_LABEL_BITS
         label = [0] * m
         tag = [0] * n
         tail, head = self.tail, self.head
         for eid in range(m):
-            if not is_tree[eid]:
+            if child_of[eid] < 0:
                 draw = rng.getrandbits(bits)
                 label[eid] = draw
                 tag[tail[eid]] ^= draw
                 tag[head[eid]] ^= draw
-        # Deepest vertices first: each subtree is complete before it folds
-        # into its parent, and the subtree XOR at v labels the edge above v.
-        for v in sorted(range(n), key=depth.__getitem__, reverse=True):
-            if parent[v] >= 0:
-                label[parent_eid[v]] = tag[v]
-                tag[parent[v]] ^= tag[v]
-        by_label: dict[int, list[int]] = {}
-        for eid in range(m):
-            by_label.setdefault(label[eid], []).append(eid)
+        parent, parent_eid = tree.parent, tree.parent_eid
+        for v in reversed(tree.order[1:]):
+            label[parent_eid[v]] = tag[v]
+            tag[parent[v]] ^= tag[v]
+        labels = np.array(label, dtype=np.uint64)
+        # Edge ids by label; the stable sort keeps equal labels in id order.
+        # run_end[i]: one past the last sorted position with the label at i.
+        by_label = np.argsort(labels, kind="stable")
+        sorted_labels = labels[by_label]
+        run_end = np.searchsorted(sorted_labels, sorted_labels, side="right")
+        eids = np.arange(m)
+        is_tree = np.asarray(child_of) >= 0
 
-        for t in range(m):
-            if not is_tree[t]:
-                continue
+        for t in np.flatnonzero(is_tree).tolist():
             # Edges that may share a cut with t as its lowest tree edge.
-            pool = [eid for eid in range(m) if eid != t and not (is_tree[eid] and eid < t)]
-            for rest in itertools.combinations(pool, size - 2):
-                target = label[t]
-                for eid in rest:
-                    target ^= label[eid]
-                for eid in by_label.get(target, ()):
-                    if eid > rest[-1] and eid != t and not (is_tree[eid] and eid < t):
-                        yield tuple(sorted((t, *rest, eid)))
+            allowed = ~(is_tree & (eids < t))
+            allowed[t] = False
+            pool = np.flatnonzero(allowed)
+            # X = a prefix (pool positions, lexicographic) plus one later
+            # pool edge, all of them at once.
+            combos = list(itertools.combinations(range(len(pool)), size - 3))
+            # Blocks of prefixes bound the (X, match) arrays to ~_LOOKUP_BLOCK.
+            block = max(1, _LOOKUP_BLOCK // max(1, len(pool)))
+            for begin in range(0, len(combos), block):
+                chunk = combos[begin:begin + block]
+                prefixes = np.array(chunk, dtype=np.intp).reshape(len(chunk), size - 3)
+                first = prefixes.max(axis=1, initial=-1) + 1
+                owner = np.repeat(np.arange(len(prefixes)), len(pool) - first)
+                last = pool[concat_ranges(first, len(pool) - first)]
+                wanted = labels[last] ^ (
+                    labels[t] ^ np.bitwise_xor.reduce(labels[pool[prefixes]], axis=1)
+                )[owner]
+                low = np.searchsorted(sorted_labels, wanted)
+                hit = np.minimum(low, m - 1)
+                counts = np.where(sorted_labels[hit] == wanted, run_end[hit] - low, 0)
+                # Every (X, match) pair, X-major, matches by id.
+                match = by_label[concat_ranges(low, counts)]
+                owner, last = owner.repeat(counts), last.repeat(counts)
+                keep = allowed[match] & (match > last)
+                rest = pool[prefixes[owner[keep]]].tolist()
+                for prefix, r, eid in zip(rest, last[keep].tolist(), match[keep].tolist()):
+                    yield tuple(sorted((t, *prefix, r, eid)))
 
-
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``[starts[i], starts[i] + counts[i])``."""
+    ends = counts.cumsum()
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
 
 def hop_diameter(graph: nx.Graph, snapshot: FastGraph | None = None) -> int:
     """The hop diameter of a connected networkx graph via the CSR kernel.

@@ -47,7 +47,6 @@ class ImportBinding:
     local: str
     module: str
     attr: str | None
-    lineno: int
     type_checking: bool = False
 
 
@@ -129,7 +128,7 @@ def _collect_imports(
             for alias in child.names:
                 local = alias.asname or alias.name.partition(".")[0]
                 bindings.append(
-                    ImportBinding(local, alias.name, None, child.lineno, type_checking)
+                    ImportBinding(local, alias.name, None, type_checking)
                 )
         elif isinstance(child, ast.ImportFrom):
             base = child.module or ""
@@ -142,13 +141,7 @@ def _collect_imports(
                 if alias.name == "*":
                     continue
                 bindings.append(
-                    ImportBinding(
-                        alias.asname or alias.name,
-                        base,
-                        alias.name,
-                        child.lineno,
-                        type_checking,
-                    )
+                    ImportBinding(alias.asname or alias.name, base, alias.name, type_checking)
                 )
         visit(child, type_checking)
 
@@ -181,9 +174,7 @@ def walk_with_symbol(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
 class ProjectContext:
     """Every module of one package tree, keyed by dotted module name."""
 
-    package: str
     modules: dict[str, ModuleContext]
-    root: Path | None = None
 
 
 def _module_name_for(path: Path, package_dir: Path, package: str) -> str:
@@ -224,20 +215,16 @@ def load_project(package_dir: Path, package: str = "repro") -> ProjectContext:
             tree=tree,
             is_package=path.name == "__init__.py",
         )
-    return ProjectContext(package=package, modules=modules, root=report_base)
+    return ProjectContext(modules=modules)
 
 
-def project_from_sources(
-    sources: Mapping[str, str], package: str | None = None
-) -> ProjectContext:
+def project_from_sources(sources: Mapping[str, str]) -> ProjectContext:
     """Build a :class:`ProjectContext` from in-memory ``{name: source}`` pairs.
 
     Used by the lint test fixtures: a dotted name is treated as a package
     when any other supplied name nests under it.
     """
     names = set(sources)
-    if package is None:
-        package = min(names, key=len).partition(".")[0]
     modules: dict[str, ModuleContext] = {}
     for name, source in sources.items():
         is_package = any(other.startswith(name + ".") for other in names)
@@ -249,4 +236,4 @@ def project_from_sources(
             tree=ast.parse(source),
             is_package=is_package,
         )
-    return ProjectContext(package=package, modules=modules, root=None)
+    return ProjectContext(modules=modules)

@@ -51,12 +51,21 @@ from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["FastCoverage"]
+__all__ = [
+    "DEAD_EXPONENT",
+    "FastCoverage",
+    "INFINITE_EXPONENT",
+    "rounded_exponents",
+    "weight_array",
+    "weight_scale",
+]
 
 #: Scale of the exact exponent test: both of its sides fit in 62 bits.
 _TOP = 62
 #: Exponent of an edge that covers nothing new (never a candidate).
-_DEAD = np.iinfo(np.int64).min
+DEAD_EXPONENT = np.iinfo(np.int64).min
+#: Exponent of a zero-weight edge that covers something (``rho`` is infinite).
+INFINITE_EXPONENT = np.iinfo(np.int64).max
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -68,6 +77,55 @@ def _bit_lengths(values: np.ndarray) -> np.ndarray:
     # one bit too many; the shift test takes that bit back.
     bits -= (values >> np.maximum(bits - 1, 0)) == 0
     return np.maximum(bits, 0)
+
+
+def weight_array(weights: Sequence[int]) -> np.ndarray:
+    """*weights* as an int64 array, or as exact Python ints when one does not fit."""
+    values = np.asarray(weights)
+    if values.dtype.kind != "i":
+        # Past int64 (or mixed with non-integers): keep the exact objects.
+        values = np.array(weights, dtype=object)
+    return values
+
+
+def weight_scale(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight side of :func:`rounded_exponents`, built once per edge set.
+
+    *weights* comes from :func:`weight_array`.  Returns ``(bits(w),
+    ceil(w * 2^(62 - bits(w))), zero)``: two int64 arrays for any
+    non-negative integer weight, and the indices of the zero weights.
+    """
+    bits = _bit_lengths(weights)
+    up, down = np.maximum(_TOP - bits, 0), np.maximum(bits - _TOP, 0)
+    if weights.dtype == object:
+        up, down = up.astype(object), down.astype(object)
+    top = np.where(bits <= _TOP, weights << up, -(-weights >> down))
+    return bits, top.astype(np.int64), np.flatnonzero(bits == 0)
+
+
+def rounded_exponents(
+    uncovered: np.ndarray, scale: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The rounded cost-effectiveness ``2^e`` of every edge, as its exponent ``e``.
+
+    For ``u = |C_e| > 0`` and weight ``w > 0`` the rounded value is the
+    power of two ``2^e`` with ``2^(e-1) <= u/w < 2^e``, i.e. ``e`` is
+    ``bits(u) - bits(w)`` plus one when ``u * 2^(bits(w) - bits(u)) >= w``
+    -- one shift comparison.  Scaled by ``2^(62 - bits(w))`` its left side
+    is the integer ``u << (62 - bits(u))``, so it holds iff that is at least
+    ``ceil(w * 2^(62 - bits(w)))`` from :func:`weight_scale`: both sides
+    are int64, for weights past int64 too.  *uncovered* is int64 (far below
+    2^53); an edge with ``u = 0`` gets the smallest int64, and a zero-weight
+    edge with ``u > 0`` gets :data:`INFINITE_EXPONENT`.  Shared by the TAP
+    kernel and the ``Aug_k`` cover kernel.
+    """
+    weight_bits, weight_top, zero = scale
+    bits = np.frexp(uncovered)[1]  # exact: |C_e| is far below 2^53
+    exponent = bits - weight_bits
+    exponent += (uncovered << (_TOP - bits)) >= weight_top
+    if len(zero):
+        exponent[zero] = INFINITE_EXPONENT
+    return np.where(uncovered, exponent, DEAD_EXPONENT)
 
 
 class FastCoverage:
@@ -99,7 +157,7 @@ class FastCoverage:
     __slots__ = (
         "tree_edges", "n_tree", "m_nt", "nt_weight",
         "path_indptr", "path_tree", "covered", "nt_uncovered",
-        "_uncovered_total", "_weights", "_weight_bits", "_weight_top", "_lengths",
+        "_uncovered_total", "_weights", "_scale", "_lengths",
         "_nonempty",
         "_snapshot", "_nt_eid", "_nt_edges", "_nt_repr", "_nt_index",
     )
@@ -148,13 +206,9 @@ class FastCoverage:
 
         weights = snapshot.weight
         self.nt_weight: list[int] = [weights[eid] for eid in nt_eid.tolist()]
-        self._weights = np.asarray(self.nt_weight)
-        if self._weights.dtype.kind != "i":
-            # Past int64 (or mixed with non-integers): keep the exact objects.
-            self._weights = np.array(self.nt_weight, dtype=object)
-        # bits(w) and ceil(w * 2^(62 - bits(w))), built on the first scan.
-        self._weight_bits: np.ndarray | None = None
-        self._weight_top: np.ndarray | None = None
+        self._weights = weight_array(self.nt_weight)
+        # The weight side of the exponent test, built on the first scan.
+        self._scale: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
         self.covered = np.zeros(self.n_tree, dtype=bool)
         self._lengths = self.path_indptr[1:] - self.path_indptr[:-1]
@@ -237,31 +291,15 @@ class FastCoverage:
     def max_exponent_edges(self) -> tuple[int, list[int]] | None:
         """The best rounded cost-effectiveness ``2^e`` and the live edges attaining it.
 
-        For ``u = |C_e| > 0`` and weight ``w > 0`` the rounded value is the
-        power of two ``2^e`` with ``2^(e-1) <= u/w < 2^e``, i.e. ``e`` is
-        ``bits(u) - bits(w)`` plus one when ``u * 2^(bits(w) - bits(u)) >= w``
-        -- one shift comparison.  Scaled by ``2^(62 - bits(w))`` its left
-        side is the integer ``u << (62 - bits(u))``, so it holds iff that is
-        at least ``ceil(w * 2^(62 - bits(w)))``, precomputed once per edge
-        from the exact weight: both sides are int64, for weights past int64
-        too.  Returns ``(e, ids)`` (ids ascending), or ``None`` when no edge
-        is live.  Zero-weight edges must already be covered.
+        Exponents come from :func:`rounded_exponents`.  Returns ``(e, ids)``
+        (ids ascending), or ``None`` when no edge is live.  Zero-weight
+        edges must already be covered.
         """
-        if self._weight_top is None:
-            bits = _bit_lengths(self._weights)
-            up, down = np.maximum(_TOP - bits, 0), np.maximum(bits - _TOP, 0)
-            if self._weights.dtype == object:
-                up, down = up.astype(object), down.astype(object)
-            top = np.where(bits <= _TOP, self._weights << up, -(-self._weights >> down))
-            self._weight_bits = bits
-            self._weight_top = top.astype(np.int64)
-        uncovered = self.nt_uncovered
-        bits = np.frexp(uncovered)[1]  # exact: |C_e| is far below 2^53
-        exponent = bits - self._weight_bits
-        exponent += (uncovered << (_TOP - bits)) >= self._weight_top
-        exponent = np.where(uncovered, exponent, _DEAD)
-        best = int(exponent.max(initial=_DEAD))
-        if best == _DEAD:
+        if self._scale is None:
+            self._scale = weight_scale(self._weights)
+        exponent = rounded_exponents(self.nt_uncovered, self._scale)
+        best = int(exponent.max(initial=DEAD_EXPONENT))
+        if best == DEAD_EXPONENT:
             return None
         return best, (exponent == best).nonzero()[0].tolist()
 

@@ -18,6 +18,7 @@ from repro.graphs.cuts import (
     enumerate_cuts_exhaustive,
     enumerate_cuts_of_size,
 )
+from repro.graphs.connectivity import edge_connectivity_nx
 from repro.graphs.fastgraph import FastGraph
 from repro.graphs.generators import (
     FAMILIES,
@@ -197,18 +198,29 @@ class TestCutPairs:
             assert cut.size == 2
 
 
-#: Family instances with at most 16 vertices (exhaustive search is 2^(n-1)).
-SMALL_FAMILY_GRAPHS = [
-    pytest.param(name, n, id=f"{name}-{n}")
+#: Family instances with at most 16 vertices (exhaustive search is 2^(n-1)),
+#: each with the cut sizes 3 and 4 inside the ``2 * lambda > size`` contract
+#: of ``FastGraph.cuts_of_size`` (below it, two disjoint 2-cuts also form a
+#: 4-edge cut-space element; ``test_size_at_twice_lambda_is_outside_the_contract``).
+SMALL_FAMILY_CUTS = [
+    pytest.param(name, n, size, id=f"{size}-{name}-{n}")
+    for size in (3, 4)
     for name in sorted(FAMILIES)
     for n in (10, 14)
     if FAMILIES[name](n, seed=n).number_of_nodes() <= 16
+    and 2 * edge_connectivity_nx(FAMILIES[name](n, seed=n)) > size
+]
+#: Family instances with at most 14 vertices.
+SMALL_FAMILY_GRAPHS_14 = [
+    pytest.param(name, n, id=f"{name}-{n}")
+    for name in sorted(FAMILIES)
+    for n in (10, 14)
+    if FAMILIES[name](n, seed=n).number_of_nodes() <= 14
 ]
 
 
 class TestExactEnumeration:
-    @pytest.mark.parametrize("name, n", SMALL_FAMILY_GRAPHS)
-    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("name, n, size", SMALL_FAMILY_CUTS)
     def test_matches_exhaustive_on_every_family(self, name, n, size):
         graph = FAMILIES[name](n, seed=n)
         assert _kernel_cuts(graph, size) == _cut_keys(enumerate_cuts_exhaustive(graph, size))
@@ -255,6 +267,14 @@ class TestExactEnumeration:
         # ...and every one of them is rejected by the confirmation.
         assert _kernel_cuts(graph, size) == expected
 
+    @pytest.mark.parametrize("n, k, size", [(10, 3, 3), (11, 4, 4)])
+    def test_lookup_blocks_do_not_change_the_candidates(self, monkeypatch, n, k, size):
+        fast = FastGraph.from_nx(harary_graph(n, k))
+        expected = list(fast._cut_candidates(size))
+        assert expected
+        monkeypatch.setattr(fastgraph, "_LOOKUP_BLOCK", 1)  # one X per pass
+        assert list(fast._cut_candidates(size)) == expected
+
     def test_has_cut_triple(self):
         assert FastGraph.from_nx(harary_graph(10, 3)).has_cut_triple()
         assert not FastGraph.from_nx(harary_graph(10, 4)).has_cut_triple()
@@ -271,6 +291,154 @@ class TestExactEnumeration:
         for label_seed in (1, 2, 3):
             monkeypatch.setattr(fastgraph, "CUT_LABEL_SEED", label_seed)
             assert _cut_keys(enumerate_cuts_of_size(graph, 3)) == expected
+
+
+# ------------------------------------------- cut-space confirmation vs BFS
+def _bfs_side(fast: FastGraph, edges) -> list[int] | None:
+    """The skip-edge BFS confirmation the cut methods used to run (oracle):
+    the side holding vertex 0 when removing *edges* leaves exactly two
+    components with every removed edge between them, else ``None``."""
+    components = fast.components_without_edges(edges)
+    if len(components) != 2:
+        return None
+    side = set(components[0])
+    if all((fast.tail[eid] in side) != (fast.head[eid] in side) for eid in edges):
+        return components[0]
+    return None
+
+
+def _oracle_cut_pairs(fast: FastGraph) -> list[tuple[int, int]]:
+    """Claim 5.6 candidates from a BFS-tree path walk, each confirmed by BFS."""
+    parent, parent_eid, depth = fast.bfs_tree(0)
+    tree = {eid for eid in parent_eid if eid >= 0}
+    cover: dict[int, list[int]] = {eid: [] for eid in tree}
+    for eid in range(fast.m):
+        if eid in tree:
+            continue
+        a, b = fast.tail[eid], fast.head[eid]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            cover[parent_eid[a]].append(eid)
+            a = parent[a]
+    candidates = set()
+    for t, covering in cover.items():
+        if len(covering) == 1:
+            candidates.add(tuple(sorted((t, covering[0]))))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for t, covering in cover.items():
+        groups.setdefault(tuple(covering), []).append(t)
+    for group in groups.values():
+        candidates.update(itertools.combinations(sorted(group), 2))
+    return sorted(
+        pair for pair in candidates if len(fast.components_without_edges(pair)) == 2
+    )
+
+
+def _oracle_cuts_of_size(fast: FastGraph, size: int) -> list:
+    """The label-lookup proposals, each confirmed by BFS (oracle)."""
+    confirmed = []
+    for edges in fast._cut_candidates(size):
+        side = _bfs_side(fast, edges)
+        if side is not None:
+            confirmed.append((edges, side))
+    return confirmed
+
+
+def _bipartition(fast: FastGraph, side) -> frozenset:
+    """The side holding vertex 0, from either side's vertex ids."""
+    side = frozenset(side)
+    return frozenset(range(fast.n)) - side if 0 not in side else side
+
+
+def _assert_matches_bfs_oracle(graph: nx.Graph, sizes=(3,)) -> None:
+    fast = FastGraph.from_nx(graph)
+    pairs = _oracle_cut_pairs(fast)
+    assert fast.cut_pairs() == pairs
+    assert fast.has_cut_pair() == bool(pairs)
+    for (pair, side), expected in zip(fast.cut_pair_sides(), pairs):
+        assert pair == expected
+        assert len(side) <= fast.n - len(side)
+        assert _bipartition(fast, side) == frozenset(_bfs_side(fast, pair))
+    for size in sizes:
+        expected = _oracle_cuts_of_size(fast, size)
+        found = fast.cuts_of_size(size)
+        assert [edges for edges, _ in found] == [edges for edges, _ in expected]
+        for (_, side), (_, oracle_side) in zip(found, expected):
+            assert len(side) <= fast.n - len(side)
+            assert _bipartition(fast, side) == frozenset(oracle_side)
+        if size == 3:
+            assert fast.has_cut_triple() == bool(expected)
+
+
+def _lambda_at_least_three(graph: nx.Graph) -> bool:
+    fast = FastGraph.from_nx(graph)
+    return not fast.bridges() and not _oracle_cut_pairs(fast)
+
+
+def _bridged_graph(seed: int) -> nx.Graph:
+    """2-edge-connected blocks hung off each other by bridges, plus a pendant path."""
+    graph = nx.Graph()
+    offset = 0
+    for block in range(4):
+        part = cycle_with_chords(5 + 2 * block, extra_edges=2, seed=seed + block)
+        graph.add_edges_from((u + offset, v + offset) for u, v in part.edges())
+        if offset:
+            graph.add_edge(offset - 1, offset + seed % 3)
+        offset += part.number_of_nodes()
+    graph.add_edges_from([(offset - 1, offset), (offset, offset + 1)])
+    return graph
+
+
+class TestCutSpaceConfirmation:
+    """The no-search cut methods against the skip-edge BFS they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_matches_bfs_confirmation_on_every_family(self, name, n):
+        for seed in range(3):
+            graph = FAMILIES[name](n, seed=seed)
+            # 2 * lambda > 4 needs lambda >= 3; size 4 only on small graphs.
+            four = n <= 24 and _lambda_at_least_three(graph)
+            _assert_matches_bfs_oracle(graph, sizes=(3, 4) if four else (3,))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pairs_of_bridges_are_never_cut_pairs(self, seed):
+        graph = _bridged_graph(seed)
+        fast = FastGraph.from_nx(graph)
+        bridges = set(fast.bridges())
+        assert len(bridges) >= 2
+        assert fast.cut_pairs() == _oracle_cut_pairs(fast)
+        assert not any(set(pair) <= bridges for pair in fast.cut_pairs())
+        assert not any(set(pair) & bridges for pair in fast.cut_pairs())
+
+    @pytest.mark.parametrize("name, n", SMALL_FAMILY_GRAPHS_14)
+    def test_cut_pairs_match_exhaustive(self, name, n):
+        graph = FAMILIES[name](n, seed=n)
+        assert _cut_keys(enumerate_cut_pairs(graph)) == _cut_keys(
+            enumerate_cuts_exhaustive(graph, 2)
+        )
+
+    @given(
+        n=st.integers(min_value=5, max_value=30),
+        extra=st.floats(min_value=0.0, max_value=0.3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_bfs_on_2_edge_connected_graphs(self, n, extra, seed):
+        graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=extra, seed=seed)
+        _assert_matches_bfs_oracle(graph)
+
+    def test_size_at_twice_lambda_is_outside_the_contract(self):
+        # On a cycle (lambda = 2) two disjoint cut pairs form a 4-edge
+        # cut-space element that leaves four components: cuts_of_size(s)
+        # needs 2 * lambda > s to read cut-space elements as cuts.
+        graph = nx.cycle_graph(8)
+        fast = FastGraph.from_nx(graph)
+        eid = {frozenset(fast.edge_labels(e)): e for e in range(fast.m)}
+        union = sorted(eid[frozenset({i, i + 1})] for i in (0, 2, 4, 6))
+        assert fast._is_cut(union)
+        assert len(fast.components_without_edges(union)) == 4
 
 
 class TestEnumerateCutsOfSize:

@@ -27,6 +27,7 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.analysis.differential import KECSS_K4_SEEDS, solver_kernel_jobs
@@ -36,14 +37,14 @@ from repro.core.cost_effectiveness import (
     INFINITE_EFFECTIVENESS,
     rounded_cost_effectiveness,
 )
+from repro.core import fastaug
 from repro.core.fastaug import (
     BitsetCoverKernel,
     GuessingSchedule,
     PathLabelKernel,
     probability_schedule_start,
-    rounded_exponent,
 )
-from repro.core.k_ecss import augment_to_k, augment_to_k_nx
+from repro.core.k_ecss import _recompute_effectiveness_nx, augment_to_k, augment_to_k_nx
 from repro.core.three_ecss import (
     _score_round_nx,
     three_ecss,
@@ -54,6 +55,13 @@ from repro.graphs.connectivity import canonical_edge
 from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
+from repro.tap.fastcover import (
+    DEAD_EXPONENT,
+    INFINITE_EXPONENT,
+    rounded_exponents,
+    weight_array,
+    weight_scale,
+)
 
 N_GRAPHS = 50
 SWEEP_BACKEND = "serial"
@@ -343,7 +351,7 @@ class TestPathLabelKernel:
 
 
 # ------------------------------------------------------------ BitsetCoverKernel
-def _aug_level_state(n: int, seed: int, k: int = 2):
+def _aug_level_state(n: int, seed: int, k: int = 2, weights=None):
     graph = random_k_edge_connected_graph(n, k, extra_edge_prob=0.35, seed=seed)
     base = frozenset(
         canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
@@ -357,34 +365,53 @@ def _aug_level_state(n: int, seed: int, k: int = 2):
         for u, v in graph.edges()
         if canonical_edge(u, v) not in base
     ]
-    weights = [graph[u][v].get("weight", 1) for u, v in pool]
+    if weights is None:
+        weights = [graph[u][v].get("weight", 1) for u, v in pool]
     covers = [
         [i for i, cut in enumerate(cuts) if (u in cut.side) != (v in cut.side)]
         for u, v in pool
     ]
-    kernel = BitsetCoverKernel(pool, weights, covers, len(cuts))
-    return graph, pool, weights, covers, cuts, kernel
+    node_id = {node: i for i, node in enumerate(graph.nodes())}
+    side = np.zeros((len(cuts), len(node_id)), dtype=bool)
+    for c, cut in enumerate(cuts):
+        side[c, [node_id[v] for v in cut.side]] = True
+    ends = ([node_id[u] for u, _ in pool], [node_id[v] for _, v in pool])
+    kernel = BitsetCoverKernel(pool, weights, side, *ends)
+    return graph, pool, weights, covers, cuts, kernel, (side, ends)
+
+
+def _values(exponents) -> list:
+    """Kernel exponents as the oracle's ``rho~`` values."""
+    return [
+        INFINITE_EFFECTIVENESS if e == INFINITE_EXPONENT else Fraction(2) ** int(e)
+        for e in exponents
+    ]
 
 
 class TestBitsetCoverKernel:
     def test_masks_match_frozenset_covers(self):
-        _, pool, _, covers, cuts, kernel = _aug_level_state(16, 0)
+        _, pool, _, covers, cuts, kernel, _ = _aug_level_state(16, 0)
         assert kernel.n_cuts == len(cuts)
         for j in range(len(pool)):
             assert kernel.covers_of(j) == sorted(covers[j])
             assert kernel.live[j] == len(covers[j])
 
     def test_transpose_matches_membership(self):
-        _, pool, _, covers, cuts, kernel = _aug_level_state(14, 1)
+        _, pool, _, covers, cuts, kernel, _ = _aug_level_state(14, 1)
         for c in range(len(cuts)):
             expected = [j for j in range(len(pool)) if c in set(covers[j])]
-            listed = sorted(
-                kernel.cut_cover[kernel.cut_indptr[c]:kernel.cut_indptr[c + 1]]
-            )
-            assert listed == expected
+            listed = kernel.cut_cover[kernel.cut_indptr[c]:kernel.cut_indptr[c + 1]]
+            assert listed.tolist() == expected
+
+    def test_cover_blocks_do_not_change_the_incidence(self, monkeypatch):
+        _, pool, weights, _, _, kernel, (side, ends) = _aug_level_state(18, 7)
+        monkeypatch.setattr(fastaug, "_COVER_BLOCK", 1)  # one cut per block
+        blocked = BitsetCoverKernel(pool, weights, side, *ends)
+        for name in ("cut_indptr", "cut_cover", "cand_indptr", "cand_cuts", "live"):
+            assert np.array_equal(getattr(blocked, name), getattr(kernel, name))
 
     def test_incremental_live_counters_match_recompute(self):
-        _, pool, _, covers, _, kernel = _aug_level_state(18, 2)
+        _, pool, _, covers, _, kernel, _ = _aug_level_state(18, 2)
         rng = random.Random(2)
         ids = list(range(len(pool)))
         rng.shuffle(ids)
@@ -399,41 +426,59 @@ class TestBitsetCoverKernel:
                 assert kernel.live[probe] == len(set(covers[probe]) & uncovered)
 
     def test_add_many_is_idempotent(self):
-        _, pool, _, _, _, kernel = _aug_level_state(12, 3)
+        _, pool, _, _, _, kernel, _ = _aug_level_state(12, 3)
         first = kernel.add_many(range(len(pool)))
         assert first == kernel.n_cuts
         assert kernel.all_covered
         assert kernel.add_many(range(len(pool))) == 0
         assert kernel.uncovered_count == 0
 
-    def test_score_matches_fraction_oracle(self):
-        graph, pool, weights, covers, _, kernel = _aug_level_state(16, 4)
-        free = 0
-        kernel.weights[free] = 0
-        cand_ids, exponents, maximum = kernel.score()
+    @pytest.mark.parametrize("seed", range(4))
+    def test_score_matches_the_recompute_oracle_on_random_states(self, seed):
+        rng = random.Random(seed)
+        probe, *_ = _aug_level_state(16, 4 + seed)
+        n_pool = probe.number_of_edges() - (probe.number_of_nodes() - 1)
+        # Zero weights included: each such live edge scores infinity.
+        weights = [rng.choice((0, 1, 3, 7, 50, 2**40)) for _ in range(n_pool)]
+        _, pool, weights, covers, _, kernel, _ = _aug_level_state(
+            16, 4 + seed, weights=weights
+        )
+        weight_of = dict(zip(pool, weights))
+        cover_sets = {edge: frozenset(cover) for edge, cover in zip(pool, covers)}
+        added: set = set()
         uncovered = set(range(kernel.n_cuts))
-        for j, exponent in zip(cand_ids, exponents):
-            live = len(set(covers[j]) & uncovered)
-            oracle = rounded_cost_effectiveness(
-                live, kernel.weights[j]
+        while True:
+            cand_ids, exponents, maximum = kernel.score()
+            oracle = _recompute_effectiveness_nx(
+                pool, added, cover_sets, uncovered, weight_of
             )
-            if exponent is INFINITE_EFFECTIVENESS:
-                assert oracle is INFINITE_EFFECTIVENESS
+            assert dict(zip((pool[j] for j in cand_ids), _values(exponents))) == oracle
+            if not oracle:
+                assert maximum is None and kernel.max_bucket() == []
+                break
+            best = max(oracle.values())
+            if best is INFINITE_EFFECTIVENESS:
+                assert maximum is INFINITE_EFFECTIVENESS
             else:
-                assert Fraction(2) ** exponent == oracle
-        assert free in cand_ids or not covers[free]
-        if covers[free]:
-            assert maximum is INFINITE_EFFECTIVENESS
+                assert Fraction(2) ** maximum == best
+            assert [pool[j] for j in kernel.max_bucket()] == sorted(
+                (edge for edge, value in oracle.items() if value == best), key=repr
+            )
+            chosen = rng.sample(range(len(pool)), min(3, len(pool)))
+            kernel.add_many(chosen)
+            for j in chosen:
+                added.add(pool[j])
+                uncovered -= cover_sets[pool[j]]
 
     def test_score_is_memoised_until_an_addition(self):
-        _, pool, _, covers, _, kernel = _aug_level_state(16, 5)
+        _, pool, weights, covers, _, kernel, (side, ends) = _aug_level_state(16, 5)
         first = kernel.score()
         bucket = kernel.max_bucket()
         assert kernel.score() is first
         assert kernel.max_bucket() is bucket
         cand_ids, exponents, maximum = first
         assert bucket == sorted(
-            (j for j, e in zip(cand_ids, exponents) if e == maximum),
+            (int(j) for j, e in zip(cand_ids, exponents) if e == maximum),
             key=lambda j: repr(pool[j]),
         )
 
@@ -447,12 +492,15 @@ class TestBitsetCoverKernel:
         assert kernel.version == version
         assert kernel.score() is rescored
 
-        fresh = BitsetCoverKernel(pool, kernel.weights, covers, kernel.n_cuts)
+        fresh = BitsetCoverKernel(pool, weights, side, *ends)
         fresh.add_many(bucket[:1])
-        assert fresh.score() == rescored
+        cand_ids, exponents, maximum = fresh.score()
+        assert np.array_equal(cand_ids, rescored[0])
+        assert np.array_equal(exponents, rescored[1])
+        assert maximum == rescored[2]
 
     def test_max_bucket_needs_a_current_score(self):
-        _, _, _, _, _, kernel = _aug_level_state(12, 6)
+        kernel = _aug_level_state(12, 6)[5]
         with pytest.raises(RuntimeError):
             kernel.max_bucket()
         kernel.score()
@@ -461,10 +509,21 @@ class TestBitsetCoverKernel:
             kernel.max_bucket()
 
     def test_rounded_exponent_matches_reference(self):
-        for uncovered in range(1, 40):
-            for weight in range(1, 40):
-                expected = rounded_cost_effectiveness(uncovered, weight)
-                assert Fraction(2) ** rounded_exponent(uncovered, weight) == expected
+        pairs = [(u, w) for u in range(40) for w in range(40)]
+        huge = (2**53 + 1, 2**62 - 1, 2**62 + 3, 2**70)
+        pairs += [(u, w) for u in (1, 5, 2**20) for w in huge]
+        uncovered = np.array([u for u, _ in pairs], dtype=np.int64)
+        for weights in (
+            weight_array([w for _, w in pairs]),
+            weight_array([w for _, w in pairs if w < 2**63]),
+        ):
+            live = uncovered[: len(weights)]
+            exponents = rounded_exponents(live, weight_scale(weights))
+            for u, w, e in zip(live.tolist(), weights.tolist(), exponents.tolist()):
+                if u == 0:
+                    assert e == DEAD_EXPONENT
+                else:
+                    assert _values([e]) == [rounded_cost_effectiveness(u, w)]
 
     def test_level_parity_with_oracle(self):
         for seed in range(4):

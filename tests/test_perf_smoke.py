@@ -34,6 +34,12 @@ Guards in the default test run:
   level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
   the cover scan once per level plus once per iteration that follows an
   addition (count-based, machine-independent);
+* that solve, a weighted-k3 n = 96 k=3 solve and ``enumerate_cuts_of_size``
+  for sizes 1-3 make zero ``FastGraph.components_without_edges`` calls
+  (every cut is confirmed in the cut space), and each solve calls
+  ``FastGraph.from_nx`` once for its input plus once per ``Aug_k`` level
+  (4 and 3 calls); a 32 x 32 torus k=4 solve behind the ``slow`` marker
+  verifies with zero such calls and prints its wall time;
 * a weighted-sparse n = 256 2-ECSS solve calls ``FastGraph.from_nx`` exactly
   once (one snapshot for the input check, the diameter and the TAP kernel),
   and neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
@@ -69,6 +75,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.analysis.backends import ProcessBackend
@@ -110,12 +117,13 @@ from repro.graphs.fastgraph import FastGraph, TreePathIndex, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
     grid_torus,
+    harary_graph,
     make_family,
     random_k_edge_connected_graph,
 )
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import distributed_tap, distributed_tap_nx
-from repro.tap.fastcover import FastCoverage
+from repro.tap.fastcover import INFINITE_EXPONENT, FastCoverage
 from repro.trees.rooted import RootedTree
 
 # Generous ceiling: the smoke-mode sweep takes well under a second locally;
@@ -477,10 +485,15 @@ def _kecss_coverage_speedup(n: int, seed: int) -> float:
         )
         for edge in pool
     }
-    kernel = BitsetCoverKernel(
-        pool, [weight_of[edge] for edge in pool],
-        [sorted(covers[edge]) for edge in pool], len(cuts),
+    node_id = {node: i for i, node in enumerate(graph.nodes())}
+    side = np.zeros((len(cuts), len(node_id)), dtype=bool)
+    for c, cut in enumerate(cuts):
+        side[c, [node_id[v] for v in cut.side]] = True
+    arguments = (
+        pool, [weight_of[edge] for edge in pool], side,
+        [node_id[u] for u, _ in pool], [node_id[v] for _, v in pool],
     )
+    kernel = BitsetCoverKernel(*arguments)
     added = set(pool[::4])
     kernel.add_many(range(0, len(pool), 4))
     uncovered = set(range(len(cuts)))
@@ -491,18 +504,15 @@ def _kecss_coverage_speedup(n: int, seed: int) -> float:
     cand_ids, exponents, _ = kernel.score()
     reference = _recompute_effectiveness_nx(pool, added, covers, uncovered, weight_of)
     assert {
-        pool[j]: exponent
-        if exponent is INFINITE_EFFECTIVENESS
+        pool[j]: INFINITE_EFFECTIVENESS
+        if exponent == INFINITE_EXPONENT
         else Fraction(2) ** exponent
-        for j, exponent in zip(cand_ids, exponents)
+        for j, exponent in zip(cand_ids.tolist(), exponents.tolist())
     } == reference
 
     fast = float("inf")
     for _ in range(3):
-        cold = BitsetCoverKernel(
-            pool, [weight_of[edge] for edge in pool],
-            [sorted(covers[edge]) for edge in pool], len(cuts),
-        )
+        cold = BitsetCoverKernel(*arguments)
         cold.add_many(range(0, len(pool), 4))
         started = time.perf_counter()
         cold.score()
@@ -619,8 +629,8 @@ def test_kecss_torus_solve_runs_no_max_flow(monkeypatch):
     assert solve_calls == 0
 
 
-def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
-    """Count-based guard: the bridge sides of an MST come from one DFS."""
+def _counting_searches(monkeypatch) -> list[int]:
+    """Count every ``FastGraph.components_without_edges`` call from now on."""
     calls: list[int] = []
     search = FastGraph.components_without_edges
 
@@ -629,6 +639,12 @@ def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
         return search(self, removed)
 
     monkeypatch.setattr(FastGraph, "components_without_edges", counting_search)
+    return calls
+
+
+def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
+    """Count-based guard: the bridge sides of an MST come from one DFS."""
+    calls = _counting_searches(monkeypatch)
     tree = minimum_spanning_tree(make_family("weighted-sparse")(256, seed=1))
     cuts = enumerate_bridge_cuts(tree)
     print(
@@ -637,6 +653,88 @@ def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
     )
     assert len(cuts) == 255
     assert calls == []
+
+
+def module_k_ecss(graph, k, seed):
+    # The package re-exports the solver under the module's name, so the
+    # module itself comes from the import system, not attribute access.
+    return importlib.import_module("repro.core.k_ecss").k_ecss(graph, k, seed=seed)
+
+
+def test_kecss_solves_and_cut_enumeration_run_no_skip_edge_search(monkeypatch):
+    """Count-based guard (machine-independent): every cut of the k-ECSS
+    levels -- bridges, cut pairs and 3-edge cuts -- and every connectivity
+    certificate of the input check is confirmed in the cut space, so no
+    solve and no ``enumerate_cuts_of_size`` call runs a skip-edge BFS."""
+    calls = _counting_searches(monkeypatch)
+    torus = module_k_ecss(grid_torus(8, 8), 4, seed=1)
+    weighted = module_k_ecss(make_family("weighted-k3")(96, seed=1), 3, seed=1)
+    solve_calls = len(calls)
+    counts = {}
+    for size, graph in (
+        (1, minimum_spanning_tree(make_family("weighted-sparse")(64, seed=1))),
+        (2, clique_chain(16, 4, 2)),
+        (3, harary_graph(40, 3)),
+    ):
+        counts[size] = len(enumerate_cuts_of_size(graph, size))
+    print(
+        f"\nk-ECSS torus 8x8 k=4 + weighted-k3 n=96 k=3 and cuts of size "
+        f"1-3 {counts}: {len(calls)} components_without_edges calls"
+    )
+    assert all(counts.values())
+    assert solve_calls == 0 and calls == []
+    for result in (torus, weighted):
+        ok, reason = result.verify()
+        assert ok, reason
+
+
+@pytest.mark.parametrize(
+    "label, build, k, snapshots",
+    [
+        # One for the input check and the diameter, one per Aug_2..Aug_4 level.
+        ("torus-8x8", lambda: grid_torus(8, 8), 4, 4),
+        ("weighted-k3-96", lambda: make_family("weighted-k3")(96, seed=1), 3, 3),
+    ],
+)
+def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k, snapshots):
+    """Count-based guard (machine-independent): ``k_ecss`` converts ``G``
+    once for the input check and the diameter, plus once per ``Aug_k``
+    level for the cut enumeration of ``H``."""
+    graph = build()
+    converted: list[int] = []
+    from_nx = FastGraph.from_nx.__func__
+
+    def counting_from_nx(cls, source):
+        converted.append(id(source))
+        return from_nx(cls, source)
+
+    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    result = module_k_ecss(graph, k, seed=1)
+    print(f"\nk-ECSS {label} k={k}: {len(converted)} FastGraph.from_nx call(s)")
+    assert len(converted) == snapshots
+    assert converted.count(id(graph)) == 1
+    monkeypatch.undo()
+    ok, reason = result.verify()
+    assert ok, reason
+
+
+@pytest.mark.slow
+def test_kecss_torus_n1024_runs_no_skip_edge_search(monkeypatch):
+    """Scale check: a 32 x 32 torus k=4 solve (n = 1024, three ``Aug_k``
+    levels, about 16k cuts) verifies and runs no skip-edge BFS."""
+    calls = _counting_searches(monkeypatch)
+    started = time.perf_counter()
+    result = module_k_ecss(grid_torus(32, 32), 4, seed=1)
+    elapsed = time.perf_counter() - started
+    stages = result.metadata["stages"]
+    print(
+        f"\nk-ECSS torus 32x32 k=4: {elapsed:.2f}s, cuts per level "
+        f"{[stage['cuts'] for stage in stages[1:]]}, "
+        f"{len(calls)} components_without_edges calls"
+    )
+    assert calls == []
+    ok, reason = result.verify()
+    assert ok, reason
 
 
 # ------------------------------------------- diameter and simulator guards
