@@ -14,9 +14,9 @@ Trials fan out over an execution backend
 ``repro`` package (:mod:`repro.analysis.code_version`), and cleaned up with
 :func:`~repro.analysis.engine.cache_gc` /
 :func:`~repro.analysis.engine.cache_clear`.  See
-:mod:`repro.analysis.experiments` for the registered experiments and
-:mod:`repro.analysis.differential` for the engine-sharded differential
-trials.
+:mod:`repro.analysis.experiments` for the registered experiments; the
+differential sweeps against the reference oracles are plain tests
+(``tests/oracles.py``).
 """
 
 from repro.analysis.tables import Table

@@ -1,10 +1,9 @@
 """Parallel, cached experiment engine.
 
-The experiments E1..E10 (and the sharded differential suite) sweep randomized
-solvers over (configuration, seed) grids.  Every trial is described by a
-picklable :class:`TrialJob` -- the experiment name, the configuration (as
-sorted key/value pairs) and the seed derived for that trial -- so the engine
-can fan trials out over an
+The experiments E1..E10 sweep randomized solvers over (configuration,
+seed) grids.  Every trial is described by a picklable :class:`TrialJob` --
+the experiment name, the configuration (as sorted key/value pairs) and the
+seed derived for that trial -- so the engine can fan trials out over an
 :class:`~repro.analysis.backends.ExecutionBackend` (``"serial"`` or
 ``"processes"``) and still reassemble results in deterministic job order.
 Because seeds are derived up front (see
@@ -81,14 +80,13 @@ def resolve_trial(trial: TrialFn | str) -> TrialFn:
 
     Accepts either a trial function directly or the name of an experiment
     registered in :data:`repro.analysis.experiments.TRIAL_REGISTRY` (e.g.
-    ``"e1"`` or ``"diff-2ecss"``).  Name-based lookup keeps jobs picklable
-    under any multiprocessing start method.
+    ``"e1"``).  Name-based lookup keeps jobs picklable under any
+    multiprocessing start method.
     """
     if callable(trial):
         return trial
-    # Importing the trial modules populates TRIAL_REGISTRY (worker processes
+    # Importing the experiments populates TRIAL_REGISTRY (worker processes
     # start from a blank registry).
-    import repro.analysis.differential  # noqa: F401
     from repro.analysis.experiments import TRIAL_REGISTRY
 
     try:

@@ -66,7 +66,6 @@ __all__ = [
     "experiment_e8_augmentation_invariants",
     "experiment_e9_voting_ablation",
     "experiment_e10_schedule_ablation",
-    "all_experiments",
 ]
 
 Config = Mapping[str, object]
@@ -629,12 +628,3 @@ EXPERIMENTS: dict[str, Callable[..., Table]] = {
     "e9": experiment_e9_voting_ablation,
     "e10": experiment_e10_schedule_ablation,
 }
-
-
-def all_experiments(
-    fast: bool = True, engine: ExperimentEngine | None = None
-) -> list[Table]:
-    """Run every experiment (with the default, laptop-sized settings) and return the tables."""
-    del fast  # the defaults are already the fast settings; kept for CLI symmetry
-    engine = _engine_or_default(engine)
-    return [experiment(engine=engine) for experiment in EXPERIMENTS.values()]

@@ -45,7 +45,7 @@ removes every entry.
 
 The ``lint`` subcommand runs the :mod:`repro.lint` static analyzer over the
 package sources: the DET001-DET004 determinism rules.  Exit codes: 0
-clean, 1 new findings, 2 usage error.  See ``docs/lint.md``.
+clean, 1 findings, 2 usage error.  See ``docs/lint.md``.
 
 Observability (see ``docs/observability.md``): ``--trace FILE`` on
 ``experiment``/``bench`` records a JSONL structured trace of the run (engine
@@ -190,14 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="comma-separated rule codes to run "
                            "(default: every registered rule)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="baseline file of grandfathered findings "
-                           "(default: <root>/lint-baseline.json when present)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file: report every finding as new")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline file from the current findings "
-                           "and exit 0")
     lint.add_argument("--list-rules", action="store_true",
                       help="list the registered rules and exit")
     return parser
@@ -435,12 +427,10 @@ def _lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         RULES,
         default_package_dir,
-        load_baseline,
         render_json,
         render_text,
         run_lint,
     )
-    from repro.lint import write_baseline as write_lint_baseline
 
     if args.list_rules:
         table = Table(
@@ -449,20 +439,18 @@ def _lint(args: argparse.Namespace) -> int:
         )
         for code in sorted(RULES):
             table.add_row(code, RULES[code].title)
-        table.add_note("rationales and the suppression/baseline workflow: docs/lint.md")
+        table.add_note("rationales and the suppression workflow: docs/lint.md")
         print(table.to_text())
         return 0
 
     if args.root is not None:
-        root = Path(args.root)
-        package_dir = root / "src" / "repro"
+        package_dir = Path(args.root) / "src" / "repro"
         if not package_dir.is_dir():
             print(f"no package tree at {package_dir} (expected <root>/src/repro)",
                   file=sys.stderr)
             return 2
     else:
         package_dir = default_package_dir()
-        root = package_dir.parent.parent
 
     select = None
     if args.select is not None:
@@ -471,36 +459,14 @@ def _lint(args: argparse.Namespace) -> int:
             print(f"--select {args.select!r} names no rules", file=sys.stderr)
             return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else root / "lint-baseline.json"
-    baseline: dict = {}
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.exists():
-            try:
-                baseline = load_baseline(baseline_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-                return 2
-        elif args.baseline is not None:
-            # An explicitly named baseline must exist; the default is optional.
-            print(f"baseline file {baseline_path} does not exist", file=sys.stderr)
-            return 2
-
     try:
-        result = run_lint(package_dir, select=select, baseline=baseline)
+        result = run_lint(package_dir, select=select)
     except KeyError as exc:
         print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        count = write_lint_baseline(baseline_path, result.findings)
-        print(f"wrote {baseline_path} ({count} finding"
-              f"{'' if count == 1 else 's'} grandfathered)")
-        return 0
-
-    if args.output_format == "json":
-        print(render_json(result.new, result.baselined))
-    else:
-        print(render_text(result.new, result.baselined))
+    render = render_json if args.output_format == "json" else render_text
+    print(render(result.findings))
     return result.exit_code
 
 

@@ -28,8 +28,8 @@ from repro.core.cost_effectiveness import (
 from repro.core.augmentation import AugmentationResult, compose_augmentations
 from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule, PathLabelKernel
 from repro.core.two_ecss import two_ecss, weighted_tap
-from repro.core.k_ecss import k_ecss, k_ecss_nx, augment_to_k, augment_to_k_nx
-from repro.core.three_ecss import three_ecss, three_ecss_nx, unweighted_two_ecss_2approx
+from repro.core.k_ecss import k_ecss, augment_to_k
+from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 
 __all__ = [
     "ECSSResult",
@@ -45,10 +45,7 @@ __all__ = [
     "GuessingSchedule",
     "PathLabelKernel",
     "k_ecss",
-    "k_ecss_nx",
     "augment_to_k",
-    "augment_to_k_nx",
     "three_ecss",
-    "three_ecss_nx",
     "unweighted_two_ecss_2approx",
 ]

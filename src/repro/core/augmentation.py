@@ -17,7 +17,6 @@ from typing import Callable, Hashable, Iterable
 import networkx as nx
 
 from repro.congest.metrics import RoundLedger
-from repro.graphs.connectivity import canonical_edge, edge_set, subgraph_weight
 
 Edge = tuple[Hashable, Hashable]
 
@@ -100,21 +99,3 @@ def compose_augmentations(
         stages.append(stage)
         iterations += stage.iterations
     return current, iterations, ledger, stages
-
-
-def augmentation_from_edges(
-    graph: nx.Graph,
-    added: Iterable[Edge],
-    ledger: RoundLedger | None = None,
-    iterations: int = 0,
-    metadata: dict | None = None,
-) -> AugmentationResult:
-    """Convenience constructor canonicalising edges and recomputing the weight."""
-    canonical = edge_set(canonical_edge(u, v) for u, v in added)
-    return AugmentationResult(
-        added=canonical,
-        weight=subgraph_weight(graph, canonical),
-        iterations=iterations,
-        ledger=ledger if ledger is not None else RoundLedger(),
-        metadata=metadata or {},
-    )

@@ -48,10 +48,10 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 
 Rounded cost-effectiveness values are represented by their integer exponents
 (``rho~ = 2^e``) in both solvers, including the 3-ECSS Lemma 5.11 clamp, and
-compared exactly against the ``Fraction`` values the retained ``*_nx``
-oracles produce; the ``diff-3ecss-kernel`` /
-``diff-kecss-kernel`` differential sweeps assert bit-identical added-edge
-sets, weights, iteration counts and histories.
+compared exactly against the ``Fraction`` values the ``*_nx`` oracles in
+``tests/oracles.py`` produce; the solver-kernel differential sweeps in
+``tests/test_fastaug.py`` assert bit-identical added-edge sets, weights,
+iteration counts and histories.
 """
 
 from __future__ import annotations

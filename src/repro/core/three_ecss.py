@@ -14,10 +14,10 @@ rounds (a BFS tree plus one covering non-tree edge per tree edge, following
 4. the algorithm stops once no tree edge shares its label with another edge
    (Claim 5.10), i.e. ``H ∪ A`` is 3-edge-connected.
 
-Both implementations label ``H ∪ A`` in one fixed edge order: ``H`` in
-``graph.edges()`` order, then each activated batch appended in activation
-(``repr``) order.  That order fixes the label draw order, so runs do not
-depend on ``PYTHONHASHSEED`` even for string vertex names.
+The solver and its reference oracle label ``H ∪ A`` in one fixed edge
+order: ``H`` in ``graph.edges()`` order, then each activated batch appended
+in activation (``repr``) order.  That order fixes the label draw order, so
+runs do not depend on ``PYTHONHASHSEED`` even for string vertex names.
 
 :func:`three_ecss` keeps ``H ∪ A`` as one append-only
 :class:`repro.cycle_space.labels.CycleSpace` per solve (integer endpoint
@@ -31,13 +31,14 @@ labels split the edges into the same cut-pair classes), and a scan counts
 (candidate, class) pairs with NumPy over the tree edges whose class holds
 more than one edge.  The power-of-two rounding is ``rho~ = 2^e`` with
 ``e = bit_length(value)``; the Lemma 5.11 clamp and the ``repr``-ordered
-candidate filter run on those integer exponents.  :func:`three_ecss_nx` is
-the historical implementation -- an ``nx.Graph`` of ``H ∪ A``, a
-``Counter`` per candidate and exact ``Fraction`` values -- retained as the
-differential oracle (the ``diff-3ecss-kernel`` sweep asserts bit-identical
-results).  Both consume the seeded RNG in exactly the same order -- labels
-first, then one draw per candidate in ``repr`` order -- so outputs,
-iteration counts and histories match bit for bit.
+candidate filter run on those integer exponents.  The historical
+implementation -- an ``nx.Graph`` of ``H ∪ A``, a ``Counter`` per candidate
+and exact ``Fraction`` values -- is the ``three_ecss_nx`` oracle in
+``tests/oracles.py``, and the solver-kernel sweep in
+``tests/test_fastaug.py`` asserts bit-identical results.  Both consume the
+seeded RNG in exactly the same order -- labels first, then one draw per
+candidate in ``repr`` order -- so outputs, iteration counts and histories
+match bit for bit.
 
 A round where tree edges still share a label but no candidate scores is a
 label collision (the input was checked 3-edge-connected at entry); it raises
@@ -48,16 +49,13 @@ a :class:`RuntimeError` suggesting a larger ``label_bits`` or
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable
 
 import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.cost_effectiveness import round_up_to_power_of_two
 from repro.core.fastaug import GuessingSchedule, PathLabelKernel
 from repro.core.result import ECSSResult
 from repro.cycle_space.labels import CycleSpace, compute_labels
@@ -66,7 +64,7 @@ from repro.graphs.connectivity import (
     check_solver_input,
     is_k_edge_connected,
 )
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -75,7 +73,6 @@ __all__ = [
     "ThreeEcssIterationStats",
     "unweighted_two_ecss_2approx",
     "three_ecss",
-    "three_ecss_nx",
 ]
 
 
@@ -153,19 +150,21 @@ def _setup(
     schedule_constant: int,
     simulate_bfs: bool,
 ) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, nx.Graph]:
-    """Shared preamble of both 3-ECSS implementations (validation + ``H``).
+    """The 3-ECSS preamble (validation + ``H``), shared with the reference oracle.
 
-    Returns ``H`` as an ``nx.Graph`` too: the oracle grows it into
-    ``H ∪ A``, the kernel solver turns it into its :class:`CycleSpace`.
+    Returns ``H`` as an ``nx.Graph`` too: the solver turns it into its
+    :class:`CycleSpace`, the oracle grows it into ``H ∪ A``.
     """
     if label_bits is not None and not _is_positive_int(label_bits):
         raise ValueError(f"label_bits must be an int >= 1 or None, got {label_bits!r}")
     if not _is_positive_int(schedule_constant):
         raise ValueError(f"schedule_constant must be an int >= 1, got {schedule_constant!r}")
-    check_solver_input(graph, 3, "3-ECSS")
+    # One snapshot serves the input check and the diameter.
+    snapshot = FastGraph.from_nx(graph)
+    check_solver_input(graph, 3, "3-ECSS", snapshot=snapshot)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = graph.number_of_nodes()
-    cost_model = CostModel(n=n, diameter=hop_diameter(graph))
+    cost_model = CostModel(n=n, diameter=hop_diameter(graph, snapshot=snapshot))
     ledger = RoundLedger()
 
     if simulate_bfs:
@@ -257,8 +256,7 @@ def three_ecss(
 
     Returns:
         An :class:`ECSSResult` with ``k = 3``; the weight equals the number of
-        edges because the problem is unweighted.  Bit-identical to
-        :func:`three_ecss_nx` for the same arguments.
+        edges because the problem is unweighted.
     """
     rng, cost_model, ledger, h_edges, tree, h_graph = _setup(
         graph, seed, label_bits, schedule_constant, simulate_bfs
@@ -340,147 +338,6 @@ def three_ecss(
                 probability=probability,
                 candidates=len(candidate_ids),
                 added=len(active_ids),
-                tree_edges_in_cut_pairs=tree_in_pairs,
-            )
-        )
-
-    return _result(graph, h_edges, added, history, mode, cost_model, ledger, iteration)
-
-
-def _score_round_nx(
-    labels: dict[Edge, object],
-    tree_edge_set: set[Edge],
-    candidate_paths: dict[Edge, list[Edge]],
-    added: set[Edge],
-) -> tuple[int, dict[Edge, Fraction]]:
-    """One iteration of the historical Claim 5.8 scoring (the oracle inner loop).
-
-    Returns ``(tree_in_pairs, rounded)`` where *rounded* maps each candidate
-    with positive cost-effectiveness to its rounded value ``rho~`` -- computed
-    once per candidate and reused for both the maximum and the candidate
-    filter.
-    """
-    n_phi = Counter(labels.values())
-    tree_in_pairs = sum(1 for t in tree_edge_set if n_phi[labels[t]] > 1)
-    if tree_in_pairs == 0:
-        return 0, {}
-
-    # Claim 5.8: cost-effectiveness of e is sum over labels on its path of
-    # n_{phi,e} * (n_phi - n_{phi,e}).
-    rounded: dict[Edge, Fraction] = {}
-    for edge, path in candidate_paths.items():
-        if edge in added:
-            continue
-        on_path = Counter(labels[t] for t in path)
-        value = sum(
-            count * (n_phi[label] - count) for label, count in on_path.items()
-        )
-        if value > 0:
-            rounded[edge] = round_up_to_power_of_two(Fraction(value))
-    return tree_in_pairs, rounded
-
-
-def three_ecss_nx(
-    graph: nx.Graph,
-    seed: int | random.Random | None = None,
-    label_bits: int | None = None,
-    exact_labels: bool = False,
-    schedule_constant: int = 2,
-    simulate_bfs: bool = False,
-) -> ECSSResult:
-    """Historical set/``Counter`` 3-ECSS, retained as the differential oracle.
-
-    Same arguments and bit-identical output as :func:`three_ecss`; every
-    iteration rebuilds label counts with :class:`collections.Counter` per
-    candidate path and compares exact :class:`~fractions.Fraction` values.
-    """
-    rng, cost_model, ledger, h_edges, tree, current = _setup(
-        graph, seed, label_bits, schedule_constant, simulate_bfs
-    )
-    tree_edge_set = set(tree.tree_edges())
-
-    # Pre-compute the tree path of every potential candidate edge.
-    candidate_paths: dict[Edge, list[Edge]] = {}
-    for u, v in graph.edges():
-        edge = canonical_edge(u, v)
-        if edge in h_edges:
-            continue
-        candidate_paths[edge] = [canonical_edge(a, b) for a, b in tree.tree_path_edges(u, v)]
-
-    added: set[Edge] = set()
-    history: list[ThreeEcssIterationStats] = []
-    mode = "exact" if exact_labels else "random"
-
-    schedule = GuessingSchedule(
-        graph.number_of_edges(), max(1, schedule_constant * cost_model.log_n)
-    )
-    previous_max: Fraction | None = None
-    previous_probability_was_one = False
-
-    n = graph.number_of_nodes()
-    max_iterations = 16 * schedule_constant * cost_model.log_n ** 3 + 8 * n + 64
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > max_iterations:
-            raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
-
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
-        ledger.add(
-            "3ecss-iteration",
-            cost_model.three_ecss_iteration_rounds(),
-            note=f"iteration {iteration} (labels + cost-effectiveness, O(D))",
-        )
-
-        tree_in_pairs, rounded = _score_round_nx(
-            labelling.labels, tree_edge_set, candidate_paths, added
-        )
-        if tree_in_pairs == 0:
-            history.append(
-                ThreeEcssIterationStats(
-                    iteration=iteration,
-                    probability=schedule.probability,
-                    candidates=0,
-                    added=0,
-                    tree_edges_in_cut_pairs=0,
-                )
-            )
-            break
-        if not rounded:
-            raise _stall(tree_in_pairs, label_bits)
-
-        computed_max = max(rounded.values())
-        # Lemma 5.11's robustness tweak: the maximum rounded cost-effectiveness
-        # is forced to be non-increasing, and to halve after a p = 1 iteration.
-        maximum = computed_max
-        if previous_max is not None:
-            maximum = min(maximum, previous_max)
-            if previous_probability_was_one:
-                maximum = min(maximum, previous_max / 2)
-        candidates = sorted(
-            (edge for edge, value in rounded.items() if value >= maximum),
-            key=repr,
-        )
-
-        probability = schedule.update(maximum)
-        previous_max = maximum
-        # The schedule emits exact binary powers capped at 1, so >= 1.0 is a
-        # reliable saturation test, not a float tolerance.
-        previous_probability_was_one = probability >= 1.0  # repro: disable=DET004
-
-        if probability >= 1.0:  # repro: disable=DET004
-            active = list(candidates)
-        else:
-            active = [edge for edge in candidates if rng.random() < probability]
-        added.update(active)
-        current.add_edges_from(active)
-
-        history.append(
-            ThreeEcssIterationStats(
-                iteration=iteration,
-                probability=probability,
-                candidates=len(candidates),
-                added=len(active),
                 tree_edges_in_cut_pairs=tree_in_pairs,
             )
         )

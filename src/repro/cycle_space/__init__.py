@@ -18,7 +18,6 @@ from repro.cycle_space.labels import (
     CycleSpace,
     EdgeLabelling,
     compute_labels,
-    compute_labels_nx,
 )
 from repro.cycle_space.cut_pairs import (
     cut_pairs_from_labels,
@@ -32,7 +31,6 @@ __all__ = [
     "CycleSpace",
     "EdgeLabelling",
     "compute_labels",
-    "compute_labels_nx",
     "cut_pairs_from_labels",
     "exact_cut_pairs",
     "label_multiplicities",

@@ -26,8 +26,8 @@ the distributed implementation performs (Theorem 4.2 of [32]), O(n + m) per
 labelling for any label width.  With one-hot labels the subtree XOR is the
 covering set as a bitmask, so exact-mode label equality is covering-set
 equality; :attr:`EdgeLabelling.labels` turns the masks back into frozensets
-on first use.  The historical per-path accumulation survives as
-:func:`compute_labels_nx`, the oracle of the ``diff-labels-*`` suite.
+on first use.  The historical per-path accumulation is the
+``compute_labels_nx`` oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.trees.rooted import RootedTree
 Edge = tuple[Hashable, Hashable]
 Label = object  # int (random mode) or frozenset (exact mode)
 
-__all__ = ["CycleSpace", "EdgeLabelling", "compute_labels", "compute_labels_nx"]
+__all__ = ["CycleSpace", "EdgeLabelling", "compute_labels"]
 
 
 class CycleSpace:
@@ -207,7 +207,7 @@ class EdgeLabelling:
 
 
 def _check(n: int, mode: str) -> None:
-    """Shared validation of both labelling implementations."""
+    """Validation shared with the reference oracle."""
     if n < 2:
         raise ValueError("labelling needs at least two vertices")
     if mode not in {"random", "exact"}:
@@ -285,69 +285,4 @@ def compute_labels(
         bits=bits,
         mode=mode,
         graph=graph,
-    )
-
-
-# --------------------------------------------------------------------- oracle
-def compute_labels_nx(
-    graph: nx.Graph,
-    tree: RootedTree | None = None,
-    bits: int | None = None,
-    mode: str = "random",
-    seed: int | random.Random | None = None,
-) -> EdgeLabelling:
-    """The historical per-path accumulation (reference oracle).
-
-    Draws the same RNG stream and produces identical labels to
-    :func:`compute_labels`, but XORs every non-tree label onto each tree edge
-    of its path individually -- O(sum of path lengths).  The
-    ``diff-labels-*`` differential suite asserts the parity.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    _check(graph.number_of_nodes(), mode)
-    if tree is None:
-        tree = RootedTree.bfs_tree(graph)
-    if bits is None:
-        bits = _default_bits(graph.number_of_nodes())
-    tree_edge_set = set(tree.tree_edges())
-    non_tree_edges = [
-        edge
-        for edge in (canonical_edge(u, v) for u, v in graph.edges())
-        if edge not in tree_edge_set
-    ]
-
-    labels: dict[Edge, Label] = {}
-    tree_paths: dict[Edge, frozenset[Edge]] = {}
-    for edge in non_tree_edges:
-        tree_paths[edge] = frozenset(tree.tree_path_edges(*edge))
-
-    if mode == "random":
-        for edge in non_tree_edges:
-            labels[edge] = rng.getrandbits(bits)
-        accumulator: dict[Edge, int] = {t: 0 for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                accumulator[t] ^= labels[edge]
-        labels.update(accumulator)
-    else:
-        for edge in non_tree_edges:
-            labels[edge] = frozenset({edge})
-        covering: dict[Edge, set[Edge]] = {t: set() for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                covering[t].add(edge)
-        for t, cover in covering.items():
-            labels[t] = frozenset(cover)
-        bits = 0
-
-    return EdgeLabelling(
-        tree=tree,
-        non_tree_edges=non_tree_edges,
-        non_tree_labels=[labels[edge] for edge in non_tree_edges],
-        tree_labels=[labels[edge] for edge in tree.parent_edges[1:]],
-        bits=bits,
-        mode=mode,
-        graph=graph,
-        labels=labels,
-        tree_paths=tree_paths,
     )

@@ -27,10 +27,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.connectivity import (
     edge_connectivity,
-    edge_connectivity_nx,
     is_k_edge_connected,
     bridges,
-    bridges_nx,
     verify_spanning_subgraph,
     subgraph_weight,
 )
@@ -39,7 +37,6 @@ from repro.graphs.cuts import (
     enumerate_cuts_of_size,
     enumerate_bridge_cuts,
     enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
     cut_is_covered,
 )
 
@@ -56,16 +53,13 @@ __all__ = [
     "assign_random_weights",
     "assign_unit_weights",
     "edge_connectivity",
-    "edge_connectivity_nx",
     "is_k_edge_connected",
     "bridges",
-    "bridges_nx",
     "verify_spanning_subgraph",
     "subgraph_weight",
     "Cut",
     "enumerate_cuts_of_size",
     "enumerate_bridge_cuts",
     "enumerate_cut_pairs",
-    "enumerate_cut_pairs_nx",
     "cut_is_covered",
 ]

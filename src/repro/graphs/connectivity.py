@@ -11,8 +11,8 @@ Claim 5.6, and connectivity 3 by a certificate -- a degree-3 vertex or a
 3-edge cut the exact cycle-space enumerator found and confirmed in the cut
 space.  So every ``k <= 4`` check is exact without networkx max-flow,
 and ``nx.edge_connectivity`` runs only to get the *value* of a graph with
-edge connectivity >= 4.  The historical networkx implementations are kept
-as ``*_nx`` oracles for the differential tests.
+edge connectivity >= 4.  The historical networkx implementations are the
+reference oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ Edge = tuple[Hashable, Hashable]
 
 __all__ = [
     "edge_connectivity",
-    "edge_connectivity_nx",
     "is_k_edge_connected",
     "check_solver_input",
     "bridges",
-    "bridges_nx",
     "subgraph_weight",
     "verify_spanning_subgraph",
     "edge_set",
@@ -99,15 +97,6 @@ def edge_connectivity(graph: nx.Graph) -> int:
     if graph.number_of_nodes() <= 1:
         return 0
     return _edge_connectivity(FastGraph.from_nx(graph), graph)
-
-
-def edge_connectivity_nx(graph: nx.Graph) -> int:
-    """The historical all-networkx edge connectivity (differential oracle)."""
-    if graph.number_of_nodes() <= 1:
-        return 0
-    if not nx.is_connected(graph):
-        return 0
-    return nx.edge_connectivity(graph)
 
 
 def is_k_edge_connected(
@@ -185,13 +174,6 @@ def bridges(graph: nx.Graph) -> set[Edge]:
         return set()
     fast = FastGraph.from_nx(graph)
     return {canonical_edge(*fast.edge_labels(eid)) for eid in fast.bridges()}
-
-
-def bridges_nx(graph: nx.Graph) -> set[Edge]:
-    """The historical networkx bridge finder (differential oracle)."""
-    if graph.number_of_edges() == 0:
-        return set()
-    return {canonical_edge(u, v) for u, v in nx.bridges(graph)}
 
 
 def subgraph_weight(graph: nx.Graph, edges: Iterable[Edge]) -> int:

@@ -23,8 +23,8 @@ This module enumerates them, exactly and without randomness in the result:
   cut-space element iff its labels XOR to 0, and on a graph with
   ``2 * lambda > size`` a non-empty element of that size is exactly one
   cut.  So the output does not depend on the random labels, and no search
-  runs per proposal.  :func:`enumerate_cuts_exhaustive` (every
-  bipartition) stays as the ground truth for tests on tiny graphs.
+  runs per proposal.  The ground truth for tests on tiny graphs, an
+  enumeration over every bipartition, is in ``tests/oracles.py``.
 
 A cut is represented by the vertex set of one side; an edge *covers* the cut
 iff it crosses the bipartition, matching Definition 2.1 (removing the cut
@@ -33,14 +33,12 @@ leaves exactly two components, and a crossing edge reconnects them).
 The enumerators run on the flat-array CSR kernel of
 :mod:`repro.graphs.fastgraph` (integer ids, one-pass bridge sides, label
 lookup and cut-space confirmation; every side is read off a spanning-tree
-preorder as a few intervals); the cut-pair enumerator keeps its historical
-dict-of-dicts implementation as the ``enumerate_cut_pairs_nx`` oracle for
-the differential tests.
+preorder as a few intervals); the historical dict-of-dicts cut-pair
+enumerator is the ``enumerate_cut_pairs_nx`` oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -59,8 +57,6 @@ __all__ = [
     "Cut",
     "enumerate_bridge_cuts",
     "enumerate_cut_pairs",
-    "enumerate_cut_pairs_nx",
-    "enumerate_cuts_exhaustive",
     "enumerate_cuts_of_size",
     "cut_is_covered",
     "edge_covers_cut",
@@ -184,108 +180,6 @@ def enumerate_cut_pairs(graph: nx.Graph) -> list[Cut]:
 def _cut_pair_cuts(fast: FastGraph) -> list[Cut]:
     # Distinct pairs are distinct cuts, so nothing needs deduplicating.
     return [_cut_from_side_ids(fast, side, pair) for pair, side in fast.cut_pair_sides()]
-
-
-def enumerate_cut_pairs_nx(graph: nx.Graph) -> list[Cut]:
-    """The historical all-networkx cut-pair enumeration (differential oracle)."""
-    if graph.number_of_nodes() < 2:
-        return []
-    if not nx.is_connected(graph):
-        raise ValueError("cut-pair enumeration requires a connected graph")
-    tree = nx.minimum_spanning_tree(graph, weight=None)
-    tree_edges = [canonical_edge(u, v) for u, v in tree.edges()]
-    tree_edge_set = set(tree_edges)
-    non_tree_edges = [
-        canonical_edge(u, v)
-        for u, v in graph.edges()
-        if canonical_edge(u, v) not in tree_edge_set
-    ]
-    root = next(iter(graph.nodes()))
-    parent = {root: None}
-    depth = {root: 0}
-    for child, par in nx.bfs_predecessors(tree, root):
-        parent[child] = par
-        depth[child] = depth[par] + 1
-
-    def tree_path_edges(u: Hashable, v: Hashable) -> set[Edge]:
-        """Edges on the unique tree path between u and v."""
-        path = set()
-        a, b = u, v
-        while a != b:
-            if depth[a] >= depth[b]:
-                path.add(canonical_edge(a, parent[a]))
-                a = parent[a]
-            else:
-                path.add(canonical_edge(b, parent[b]))
-                b = parent[b]
-        return path
-
-    cover_sets: dict[Edge, set[Edge]] = {t: set() for t in tree_edges}
-    for f in non_tree_edges:
-        for t in tree_path_edges(*f):
-            cover_sets[t].add(f)
-
-    pairs: set[frozenset[Edge]] = set()
-    # Case 1: tree edge covered by a single non-tree edge.
-    for t, covering in cover_sets.items():
-        if len(covering) == 1:
-            pairs.add(frozenset({t, next(iter(covering))}))
-    # Case 2: tree edges with identical (non-empty or empty) cover sets.
-    by_cover: dict[frozenset[Edge], list[Edge]] = {}
-    for t, covering in cover_sets.items():
-        by_cover.setdefault(frozenset(covering), []).append(t)
-    for group in by_cover.values():
-        for t1, t2 in itertools.combinations(group, 2):
-            pairs.add(frozenset({t1, t2}))
-
-    cuts = []
-    for pair in pairs:
-        pruned = graph.copy()
-        pruned.remove_edges_from(pair)
-        components = list(nx.connected_components(pruned))
-        if len(components) != 2:
-            # The pair is not actually a cut pair (can happen only if the
-            # graph is not 2-edge-connected); skip defensively.
-            continue
-        cuts.append(Cut.from_side(graph, components[0]))
-    return _dedupe(cuts)
-
-
-def enumerate_cuts_exhaustive(graph: nx.Graph, size: int) -> list[Cut]:
-    """Enumerate all cuts of exactly *size* edges by trying every bipartition.
-
-    Exponential in ``n``; intended as ground truth for tests on graphs with at
-    most ~16 vertices.
-    """
-    nodes = sorted(graph.nodes(), key=repr)
-    if len(nodes) > 20:
-        raise ValueError("exhaustive cut enumeration is limited to 20 vertices")
-    anchor = nodes[0]
-    rest = nodes[1:]
-    cuts = []
-    for r in range(0, len(rest) + 1):
-        for subset in itertools.combinations(rest, r):
-            side = frozenset(subset) | {anchor}
-            if len(side) == len(nodes):
-                continue
-            cut = Cut.from_side(graph, side)
-            if cut.size == size and _is_minimal_cut(graph, cut):
-                cuts.append(cut)
-    return _dedupe(cuts)
-
-
-def _is_minimal_cut(graph: nx.Graph, cut: Cut) -> bool:
-    """A bipartition cut is minimal iff removing it leaves exactly two components."""
-    pruned = graph.copy()
-    pruned.remove_edges_from(cut.edges)
-    return nx.number_connected_components(pruned) == 2
-
-
-def _dedupe(cuts: Iterable[Cut]) -> list[Cut]:
-    seen: dict[frozenset, Cut] = {}
-    for cut in cuts:
-        seen[cut.side] = cut
-    return list(seen.values())
 
 
 def enumerate_cuts_of_size(graph: nx.Graph, size: int) -> list[Cut]:

@@ -43,7 +43,7 @@ All kernels below are loops over those flat lists:
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the
 original label of vertex ``i``), so the kernel slots under the existing
 networkx-facing APIs without changing any observable output: the networkx
-implementations stay available as oracles for the differential tests.
+implementations are the reference oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 Every guarantee this reproduction makes -- bit-identical kernel/oracle
 parity, replayable trials, identical aggregates across execution backends --
-is a determinism invariant that the runtime checks (``diff-*`` sweeps,
-``kecss bench --against``) only verify on the seeds actually swept.  This
-package checks the *sources* of nondeterminism statically, before execution,
-AST-only (the analysed tree is never imported):
+is a determinism invariant that the runtime checks (the differential
+sweeps against ``tests/oracles.py``, ``kecss bench --against``) only verify
+on the seeds actually swept.  This package checks the *sources* of
+nondeterminism statically, before execution, AST-only (the analysed tree is
+never imported):
 
 * a rule registry (:mod:`repro.lint.registry`), shipped with the
   DET001-DET004 determinism rules (:mod:`repro.lint.rules`);
-* inline ``# repro: disable=CODE`` suppressions and a committed baseline
-  file for grandfathered findings (:mod:`repro.lint.report`).
+* inline ``# repro: disable=CODE`` suppressions (:mod:`repro.lint.report`).
 
 See ``docs/lint.md`` for the rule catalogue and workflows.
 """
@@ -19,13 +19,10 @@ from repro.lint.driver import LintResult, default_package_dir, lint_project, run
 from repro.lint.registry import RULES, Rule, register_rule, select_rules
 from repro.lint.report import (
     Finding,
-    apply_baseline,
     apply_suppressions,
-    load_baseline,
     render_json,
     render_text,
     suppressed_codes,
-    write_baseline,
 )
 from repro.lint.rules import EXACT_MODULES
 from repro.lint.walker import (
@@ -46,13 +43,10 @@ __all__ = [
     "register_rule",
     "select_rules",
     "Finding",
-    "apply_baseline",
     "apply_suppressions",
-    "load_baseline",
     "render_json",
     "render_text",
     "suppressed_codes",
-    "write_baseline",
     "EXACT_MODULES",
     "ImportBinding",
     "ModuleContext",

@@ -2,9 +2,10 @@
 
 Every guarantee the reproduction makes -- bit-identical kernel/oracle parity,
 replay-safe caches, identical aggregates across execution backends -- is a
-determinism invariant.  The runtime checks (``diff-*`` sweeps, ``kecss
-bench --against``) only cover the seeds actually swept; these rules check the
-*sources* of nondeterminism statically, before execution:
+determinism invariant.  The runtime checks (the differential sweeps against
+``tests/oracles.py``, ``kecss bench --against``) only cover the seeds
+actually swept; these rules check the *sources* of nondeterminism
+statically, before execution:
 
 * DET001 -- global ``random`` / ``numpy.random`` module state instead of a
   threaded, seeded generator;
@@ -82,7 +83,6 @@ EXACT_MODULES = frozenset(
         "repro.core.cost_effectiveness",
         "repro.core.fastaug",
         "repro.core.three_ecss",
-        "repro.tap.cover",
         "repro.tap.distributed",
         "repro.tap.fastcover",
         "repro.tap.greedy",

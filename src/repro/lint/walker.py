@@ -154,7 +154,7 @@ def walk_with_symbol(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
 
     The symbol is the nearest enclosing function (qualified by ``.`` for
     nesting, class names included), or ``""`` at module level -- it feeds the
-    human report and the baseline fingerprints.
+    reports.
     """
 
     def visit(node: ast.AST, symbol: str) -> Iterator[tuple[ast.AST, str]]:

@@ -30,7 +30,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "TRACE_ENV",
@@ -341,12 +341,3 @@ def reset_tracer() -> None:
     global _global_tracer
     with _global_lock:
         _global_tracer = None
-
-
-def iter_trace_lines(path: str | Path) -> Iterator[str]:
-    """Yield the non-empty lines of a trace file (shared by the timeline)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield line

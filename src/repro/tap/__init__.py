@@ -8,25 +8,19 @@ added edge whose tree path contains it.
 * :mod:`repro.tap.fastcover` -- the NumPy coverage/voting kernel every TAP
   solver runs on (a CSR of tree paths over integer tree-edge ids, ``|C_e|``
   recounted per cover, voting with ``np.minimum.at``),
-* :mod:`repro.tap.cover` -- ``CoverageStateNX``, the historical set-based
-  coverage bookkeeping, kept as the oracle of the differential suite,
 * :mod:`repro.tap.distributed` -- the paper's randomised voting algorithm
   (Theorem 3.12): O(log n)-approximation, O(log^2 n) iterations w.h.p.,
 * :mod:`repro.tap.greedy` -- the classic sequential greedy set-cover TAP used
   as a quality baseline.
 """
 
-from repro.tap.cover import CoverageStateNX
-from repro.tap.distributed import TapResult, distributed_tap, distributed_tap_nx
+from repro.tap.distributed import TapResult, distributed_tap
 from repro.tap.fastcover import FastCoverage
-from repro.tap.greedy import greedy_tap, greedy_tap_nx
+from repro.tap.greedy import greedy_tap
 
 __all__ = [
-    "CoverageStateNX",
     "FastCoverage",
     "TapResult",
     "distributed_tap",
-    "distributed_tap_nx",
     "greedy_tap",
-    "greedy_tap_nx",
 ]

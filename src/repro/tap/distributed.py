@@ -18,9 +18,8 @@ each iteration scores every live non-tree edge with integer array ops on
 the ``|C_e|`` array, sorts only the maximum-effectiveness candidates by their
 (lazily built) ``repr``, votes with ``np.minimum.at`` over the candidates'
 uncovered path entries, and recounts ``|C_e|`` after the cover.  The
-historical set-algebra implementation survives as :func:`distributed_tap_nx`,
-the reference oracle of the ``diff-tap-*`` differential suite, and both
-consume identical RNG streams and tie-breaks.
+historical set-algebra implementation is the ``distributed_tap_nx`` oracle in
+``tests/oracles.py``; both consume identical RNG streams and tie-breaks.
 """
 
 from __future__ import annotations
@@ -34,15 +33,13 @@ import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.cost_effectiveness import rounded_cost_effectiveness
 from repro.graphs.fastgraph import FastGraph, hop_diameter
-from repro.tap.cover import CoverageStateNX
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["TapIterationStats", "TapResult", "distributed_tap", "distributed_tap_nx"]
+__all__ = ["TapIterationStats", "TapResult", "distributed_tap"]
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,6 @@ class TapResult:
     history: list[TapIterationStats] = field(default_factory=list)
 
 
-def _passes_voting_threshold(votes: int, candidate_uncovered: int) -> bool:
-    """The votes >= |C_e| / 8 test of Line 5, in exact integer arithmetic."""
-    return 8 * votes >= candidate_uncovered
-
-
 def _resolve_run_parameters(
     graph: nx.Graph,
     cost_model: CostModel | None,
@@ -88,7 +80,7 @@ def _resolve_run_parameters(
     max_iterations: int | None,
     snapshot: FastGraph | None = None,
 ) -> tuple[CostModel, int, int]:
-    """Shared defaults of the fast path and the reference oracle."""
+    """Run defaults, shared with the reference oracle."""
     n = graph.number_of_nodes()
     if cost_model is None:
         cost_model = CostModel(n=n, diameter=hop_diameter(graph, snapshot))
@@ -225,133 +217,3 @@ def distributed_tap(
         ledger=ledger,
         history=history,
     )
-
-
-# --------------------------------------------------------------------- oracle
-def distributed_tap_nx(
-    graph: nx.Graph,
-    tree: RootedTree,
-    seed: int | random.Random | None = None,
-    segment_diameter: int | None = None,
-    cost_model: CostModel | None = None,
-    symmetry_breaking: bool = True,
-    max_iterations: int | None = None,
-) -> TapResult:
-    """The historical set-algebra implementation (reference oracle).
-
-    Bit-identical to :func:`distributed_tap` on every input -- same RNG
-    stream, candidate order, tie-breaks and ledger charges -- but runs on
-    :class:`CoverageStateNX` ``frozenset`` paths; the ``diff-tap-*``
-    differential suite asserts the parity.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    cost_model, segment_diameter, max_iterations = _resolve_run_parameters(
-        graph, cost_model, segment_diameter, max_iterations
-    )
-
-    state = CoverageStateNX(graph, tree)
-    ledger = RoundLedger()
-    augmentation: set[Edge] = set()
-    history: list[TapIterationStats] = []
-
-    zero_weight = [edge for edge in state.non_tree_edges if state.weight(edge) == 0]
-    if zero_weight:
-        augmentation.update(zero_weight)
-        state.cover_with_many(zero_weight)
-        ledger.add(
-            "tap-zero-weight-setup",
-            cost_model.tap_iteration_rounds(segment_diameter),
-            note="initial coverage by zero-weight edges (pre-iteration Line 6)",
-        )
-
-    iteration = 0
-    while not state.all_covered():
-        iteration += 1
-        if iteration > max_iterations:
-            raise RuntimeError(
-                f"weighted TAP did not converge within {max_iterations} iterations; "
-                "is the input graph 2-edge-connected?"
-            )
-
-        # Line 1-2: rounded cost-effectiveness and candidate selection.
-        effectiveness: dict[Edge, object] = {}
-        for edge in state.non_tree_edges:
-            if edge in augmentation:
-                continue
-            uncovered = state.uncovered_count(edge)
-            if uncovered == 0:
-                continue
-            effectiveness[edge] = rounded_cost_effectiveness(uncovered, state.weight(edge))
-        if not effectiveness:
-            raise RuntimeError(
-                "no non-tree edge covers the remaining uncovered tree edges; "
-                "the input graph is not 2-edge-connected"
-            )
-        maximum = max(effectiveness.values())
-        candidates = sorted(
-            (edge for edge, value in effectiveness.items() if value == maximum), key=repr
-        )
-
-        if symmetry_breaking:
-            added = _voting_round_nx(state, candidates, rng, n)
-        else:
-            added = list(candidates)
-
-        newly_covered = state.cover_with_many(added)
-        augmentation.update(added)
-
-        ledger.add(
-            "tap-iteration",
-            cost_model.tap_iteration_rounds(segment_diameter),
-            note=f"iteration {iteration} (Lemma 3.3: O(D + sqrt n))",
-        )
-        history.append(
-            TapIterationStats(
-                iteration=iteration,
-                max_rounded_effectiveness=maximum,
-                candidates=len(candidates),
-                added=len(added),
-                newly_covered=len(newly_covered),
-                uncovered_remaining=len(state.uncovered_indices()),
-            )
-        )
-
-    weight = sum(state.weight(edge) for edge in augmentation)
-    return TapResult(
-        augmentation=augmentation,
-        weight=weight,
-        iterations=iteration,
-        ledger=ledger,
-        history=history,
-    )
-
-
-def _voting_round_nx(
-    state: CoverageStateNX,
-    candidates: list[Edge],
-    rng: random.Random,
-    n: int,
-) -> list[Edge]:
-    """Lines 3-5: random numbers, votes of uncovered tree edges, threshold check."""
-    numbers = {edge: rng.randint(1, n ** 8) for edge in candidates}
-
-    # Every uncovered tree edge votes for the first candidate covering it.
-    votes: dict[Edge, int] = {edge: 0 for edge in candidates}
-    candidate_uncovered = {edge: state.uncovered_on_path(edge) for edge in candidates}
-    voters: dict[int, list[Edge]] = {}
-    for edge, uncovered in candidate_uncovered.items():
-        for index in uncovered:
-            voters.setdefault(index, []).append(edge)
-    for index, covering in voters.items():
-        chosen = min(covering, key=lambda edge: (numbers[edge], repr(edge)))
-        votes[chosen] += 1
-
-    added = []
-    for edge in candidates:
-        uncovered = candidate_uncovered[edge]
-        if not uncovered:
-            continue
-        if _passes_voting_threshold(votes[edge], len(uncovered)):
-            added.append(edge)
-    return added

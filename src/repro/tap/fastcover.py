@@ -28,7 +28,7 @@ an int64 array, or an object array of Python ints when one does not fit, so
 every comparison stays exact.
 
 Tree-edge ids are the tree edges sorted by ``repr`` -- the index space of
-the set-based oracle :class:`~repro.tap.cover.CoverageStateNX` -- so the
+the set-based ``CoverageStateNX`` oracle in ``tests/oracles.py`` -- so the
 kernel and the oracle agree on indices.
 
 :meth:`FastCoverage.voting_round` implements Lines 3-5 of the paper's

@@ -11,8 +11,7 @@ the ``repr``-sorted edge list computed once up front, ``|C_e|`` comes from the
 kernel's counter array (recounted after every cover), and cost-effectiveness
 ties are decided by integer cross-multiplication -- no ``repr`` calls or
 ``Fraction`` allocations per step.  The output is identical to the historical
-implementation, which survives as :func:`greedy_tap_nx` for the differential
-suite.
+implementation, the ``greedy_tap_nx`` oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.core.cost_effectiveness import cost_effectiveness
-from repro.tap.cover import CoverageStateNX
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["GreedyTapResult", "greedy_tap", "greedy_tap_nx"]
+__all__ = ["GreedyTapResult", "greedy_tap"]
 
 
 @dataclass
@@ -99,46 +96,3 @@ def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
         weight=sum(weights[j] for j in augmentation_ids),
         steps=steps,
     )
-
-
-def greedy_tap_nx(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
-    """The historical per-step rescan implementation (reference oracle).
-
-    Kept for the ``diff-tap-greedy`` differential suite: it re-evaluates
-    ``cost_effectiveness`` as exact fractions and breaks ties by ``repr``
-    inside the loop, the behaviour :func:`greedy_tap` reproduces exactly.
-    """
-    state = CoverageStateNX(graph, tree)
-    augmentation: set[Edge] = set()
-    steps = 0
-
-    zero_weight = [edge for edge in state.non_tree_edges if state.weight(edge) == 0]
-    if zero_weight:
-        augmentation.update(zero_weight)
-        state.cover_with_many(zero_weight)
-
-    while not state.all_covered():
-        steps += 1
-        best_edge = None
-        best_value = None
-        for edge in state.non_tree_edges:
-            if edge in augmentation:
-                continue
-            uncovered = state.uncovered_count(edge)
-            if uncovered == 0:
-                continue
-            value = cost_effectiveness(uncovered, state.weight(edge))
-            if best_value is None or value > best_value or (
-                value == best_value and repr(edge) < repr(best_edge)
-            ):
-                best_value = value
-                best_edge = edge
-        if best_edge is None:
-            raise RuntimeError(
-                "greedy TAP ran out of covering edges; the graph is not 2-edge-connected"
-            )
-        augmentation.add(best_edge)
-        state.cover_with(best_edge)
-
-    weight = sum(state.weight(edge) for edge in augmentation)
-    return GreedyTapResult(augmentation=augmentation, weight=weight, steps=steps)

@@ -8,7 +8,12 @@ from typing import Callable
 
 import networkx as nx
 
+from repro.graphs.generators import FAMILIES
 from repro.trees.rooted import RootedTree
+
+#: The generator families every differential sweep runs on: registering a
+#: family in ``FAMILIES`` enrolls it.
+SWEEP_FAMILIES = sorted(FAMILIES)
 
 
 def random_tree(n: int, seed: int) -> RootedTree:
@@ -19,6 +24,24 @@ def random_tree(n: int, seed: int) -> RootedTree:
     for node in range(1, n):
         tree.add_edge(node, rng.randrange(node))
     return RootedTree(tree, root=0)
+
+
+def sweep_instance(family: str, seed: int) -> nx.Graph:
+    """The seeded *family* instance of the kernel sweeps (n = 10..30)."""
+    return FAMILIES[family](10 + seed % 21, seed=seed)
+
+
+def shuffled_string_copy(graph: nx.Graph, seed: int) -> nx.Graph:
+    """*graph* with vertices renamed ``"v<name>"``, in seeded-shuffled node and edge order."""
+    rng = random.Random(seed)
+    nodes = [f"v{node}" for node in graph.nodes()]
+    edges = [(f"v{u}", f"v{v}") for u, v in graph.edges()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    copy = nx.Graph()
+    copy.add_nodes_from(nodes)
+    copy.add_edges_from(edges)
+    return copy
 
 
 # -------------------------------------------------------- store crash points

@@ -195,7 +195,7 @@ class TestCacheCommand:
 
 
 class TestLintCommand:
-    """Exit codes: 0 clean, 1 new findings, 2 usage error (argparse errors
+    """Exit codes: 0 clean, 1 findings, 2 usage error (argparse errors
     also exit 2)."""
 
     @staticmethod
@@ -223,7 +223,7 @@ class TestLintCommand:
         root = self._root_with_finding(tmp_path)
         assert main(["lint", "--root", str(root), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 1
+        assert payload["summary"] == {"total": 1, "rules": {"DET001": 1}}
         assert payload["findings"][0]["code"] == "DET001"
         assert sorted(payload["rules"]) == ["DET001", "DET002", "DET003", "DET004"]
         assert all(set(rule) == {"title"} for rule in payload["rules"].values())
@@ -236,27 +236,18 @@ class TestLintCommand:
         assert main(["lint", "--select", "NOPE"]) == 2
         assert "unknown lint rule" in capsys.readouterr().err
 
-    def test_missing_explicit_baseline_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["lint", "--baseline", str(tmp_path / "gone.json")]) == 2
-        assert "does not exist" in capsys.readouterr().err
-
     def test_bad_format_exits_two_via_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", "--format", "yaml"])
         assert excinfo.value.code == 2
 
-    def test_write_baseline_then_lint_is_clean(self, tmp_path, capsys):
+    def test_a_lint_baseline_file_grandfathers_nothing(self, tmp_path, capsys):
         root = self._root_with_finding(tmp_path)
-        baseline = root / "lint-baseline.json"
-        assert main(["lint", "--root", str(root), "--write-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        # The grandfathered finding is still reported but does not fail.
-        assert main(["lint", "--root", str(root)]) == 0
-        output = capsys.readouterr().out
-        assert "(baselined)" in output and "0 new" in output
-        # --no-baseline restores failure.
-        assert main(["lint", "--root", str(root), "--no-baseline"]) == 1
+        (root / "lint-baseline.json").write_text(
+            json.dumps({"version": 1, "findings": [{"code": "DET001"}]})
+        )
+        assert main(["lint", "--root", str(root)]) == 1
+        assert "DET001" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

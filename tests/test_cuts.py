@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import edge_connectivity_nx, enumerate_cuts_exhaustive
 from repro.graphs import fastgraph
 from repro.graphs.cuts import (
     Cut,
@@ -15,10 +16,8 @@ from repro.graphs.cuts import (
     edge_covers_cut,
     enumerate_bridge_cuts,
     enumerate_cut_pairs,
-    enumerate_cuts_exhaustive,
     enumerate_cuts_of_size,
 )
-from repro.graphs.connectivity import edge_connectivity_nx
 from repro.graphs.fastgraph import FastGraph
 from repro.graphs.generators import (
     FAMILIES,

@@ -9,7 +9,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.differential import _shuffled_string_copy
+from _helpers import shuffled_string_copy
+from oracles import compute_labels_nx
 from repro.cycle_space.circulation import (
     fundamental_cycle,
     is_binary_circulation,
@@ -22,7 +23,7 @@ from repro.cycle_space.cut_pairs import (
     is_cut_pair,
     label_multiplicities,
 )
-from repro.cycle_space.labels import CycleSpace, compute_labels, compute_labels_nx
+from repro.cycle_space.labels import CycleSpace, compute_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import cycle_with_chords, harary_graph
 from repro.trees.rooted import RootedTree
@@ -132,7 +133,7 @@ class TestLabels:
 def _shuffled_string_graph(n: int, rng: random.Random) -> nx.Graph:
     """A 2-edge-connected graph with string names and shuffled insertion orders."""
     base = cycle_with_chords(n, extra_edges=n // 3, seed=rng.randrange(1 << 30))
-    return _shuffled_string_copy(base, rng.randrange(1 << 30))
+    return shuffled_string_copy(base, rng.randrange(1 << 30))
 
 
 #: Label settings of the parity property: widths 1, 10, the default and a

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import repro
 import repro.analysis.engine as engine_module
 from repro.analysis.engine import (
     CODE_VERSION,
@@ -100,16 +103,22 @@ class TestTrialJob:
 
 class TestRegistry:
     def test_all_ten_experiments_register_a_trial(self):
-        # The registry also hosts the differential trials (diff-*), so the
-        # table-producing experiments are a subset rather than the whole set.
         assert set(TRIAL_REGISTRY) >= {f"e{i}" for i in range(1, 11)}
         assert set(EXPERIMENTS) == {f"e{i}" for i in range(1, 11)}
         assert set(EXPERIMENTS) <= set(TRIAL_REGISTRY)
 
-    def test_differential_trials_resolve_by_name(self):
-        assert callable(resolve_trial("diff-2ecss"))
-        assert callable(resolve_trial("diff-3ecss"))
-        assert callable(resolve_trial("diff-kecss"))
+    def test_reference_oracles_live_only_in_the_tests(self):
+        """The library keeps one path per solver: no module under ``repro``
+        defines or re-exports an ``*_nx`` / ``*NX`` oracle, the modules that
+        held them are gone, and the registry holds exactly the experiments."""
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            names = vars(importlib.import_module(module.name))
+            oracles = [n for n in names if n.endswith("_nx") or n.endswith("NX")]
+            assert oracles == [], module.name
+        for gone in ("repro.analysis.differential", "repro.tap.cover"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(gone)
+        assert TRIAL_REGISTRY.keys() == EXPERIMENTS.keys()
 
     def test_resolve_by_name_and_by_callable(self):
         assert resolve_trial("e1") is TRIAL_REGISTRY["e1"]

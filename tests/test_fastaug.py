@@ -13,12 +13,12 @@ Three layers:
   the score memos (reused for an unchanged partition or ``A``, rescored
   otherwise), packed cover masks vs the frozenset relation, and the
   incremental live counters vs recomputation;
-* the seeded ``diff-3ecss-kernel`` / ``diff-kecss-kernel`` differential
-  sweep, wired through the experiment engine: 50 instances of **every**
+* the seeded solver-kernel differential sweep: 50 instances of **every**
   registered generator family per solver (plus k=4 k-ECSS cells on 3-edge
   cuts from the cycle-space label lookup), each asserting bit-identical
-  output (added-edge sets, weights, iteration counts, histories) against the
-  retained ``three_ecss_nx`` / ``k_ecss_nx`` oracles.
+  output (added-edge sets, weights, iteration counts, histories, ledger
+  round totals) against the ``three_ecss_nx`` / ``k_ecss_nx`` /
+  ``augment_to_k_nx`` oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.differential import KECSS_K4_SEEDS, solver_kernel_jobs
-from repro.analysis.engine import ExperimentEngine
-from repro.analysis.runner import trial_groups
+from _helpers import SWEEP_FAMILIES, shuffled_string_copy
+from oracles import (
+    _recompute_effectiveness_nx,
+    _score_round_nx,
+    augment_to_k_nx,
+    k_ecss_nx,
+    three_ecss_nx,
+)
 from repro.core.cost_effectiveness import (
     INFINITE_EFFECTIVENESS,
     rounded_cost_effectiveness,
@@ -44,14 +49,10 @@ from repro.core.fastaug import (
     PathLabelKernel,
     probability_schedule_start,
 )
-from repro.core.k_ecss import _recompute_effectiveness_nx, augment_to_k, augment_to_k_nx
-from repro.core.three_ecss import (
-    _score_round_nx,
-    three_ecss,
-    unweighted_two_ecss_2approx,
-)
+from repro.core.k_ecss import augment_to_k, k_ecss
+from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.cycle_space.labels import CycleSpace, compute_labels
-from repro.graphs.connectivity import canonical_edge
+from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
@@ -64,8 +65,11 @@ from repro.tap.fastcover import (
 )
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "serial"
-SWEEP_WORKERS = 1
+
+#: Seeds of the k=4 k-ECSS cells: ``Aug_4`` covers the 3-edge cuts found by
+#: the cycle-space label lookup, on top of forests that persist through
+#: ``Aug_2``..``Aug_4``.
+KECSS_K4_SEEDS = (11, 12)
 
 
 # ------------------------------------------------------------ GuessingSchedule
@@ -540,26 +544,86 @@ class TestBitsetCoverKernel:
             assert fast.metadata["history"] == oracle.metadata["history"]
 
 
-# ------------------------------------------------- engine-driven differential
-def _run_sweep(name: str, jobs) -> list:
-    engine = ExperimentEngine(workers=SWEEP_WORKERS, backend=SWEEP_BACKEND)
-    results = engine.run_jobs(name, jobs)
-    # Any parity violation raises inside the trial; trial_groups re-raises it
-    # here with the offending (family, seed) pair and traceback attached.
-    trial_groups(results, key=lambda r: r.config["family"])
-    return results
+# ------------------------------------------------------ differential sweep
+def _solver_instance(family: str, seed: int, k: int) -> nx.Graph:
+    """One seeded family instance lifted to k-edge-connectivity if needed."""
+    graph = FAMILIES[family](10 + seed % 13, seed=seed)
+    if not is_k_edge_connected(graph, k):
+        graph.add_edges_from(nx.k_edge_augmentation(graph, k))
+    return graph
 
 
+def _assert_k_ecss_parity(family: str, seed: int, k: int) -> None:
+    """The full Theorem 1.2 composition, then one explicit ``Aug_2`` level
+    over the MST base, against the frozenset oracle: bit-identical runs."""
+    where = (family, seed, k)
+    graph = _solver_instance(family, seed, k)
+    fast = k_ecss(graph, k, seed=seed)
+    oracle = k_ecss_nx(graph, k, seed=seed)
+    assert fast.edges == oracle.edges, where
+    assert (fast.weight, fast.iterations) == (oracle.weight, oracle.iterations), where
+    assert fast.metadata["stages"] == oracle.metadata["stages"], where
+    assert fast.ledger.total_rounds == oracle.ledger.total_rounds, where
+
+    mst_edges = frozenset(
+        canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
+    )
+    level = augment_to_k(graph, mst_edges, 2, seed=seed)
+    level_oracle = augment_to_k_nx(graph, mst_edges, 2, seed=seed)
+    assert level.added == level_oracle.added, where
+    assert (level.weight, level.iterations) == (
+        level_oracle.weight, level_oracle.iterations
+    ), where
+    # The incrementally maintained uncovered-cut counts must match record
+    # for record.
+    assert level.metadata["history"] == level_oracle.metadata["history"], where
+    assert level.ledger.total_rounds == level_oracle.ledger.total_rounds, where
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestSolverKernelDifferentialSweep:
-    """>= 50 seeded graphs per generator family, per ported solver loop."""
+    """50 seeded graphs per generator family, per ported solver loop."""
 
-    @pytest.mark.parametrize("name", sorted(solver_kernel_jobs(1)))
-    def test_parity_with_reference_implementations(self, name):
-        jobs = solver_kernel_jobs(N_GRAPHS)[name]
-        results = _run_sweep(name, jobs)
-        k4_cells = len(KECSS_K4_SEEDS) * len(FAMILIES) if name == "diff-kecss-kernel" else 0
-        assert len(results) == N_GRAPHS * len(FAMILIES) + k4_cells
-        assert {r.config["family"] for r in results} == set(FAMILIES)
-        assert all(r.ok for r in results)
-        if name == "diff-kecss-kernel":
-            assert sum(r.config["k"] == 4 for r in results) == k4_cells
+    @pytest.mark.parametrize(
+        "variant", ["random", "exact", "100-bit", "string-names"]
+    )
+    def test_three_ecss_matches_oracle(self, family, variant):
+        """Kernel-backed 3-ECSS vs the ``Counter`` oracle: bit-identical runs.
+
+        Both consume the same RNG stream (labels first, then one draw per
+        candidate in ``repr`` order), so the added-edge set, the iteration
+        count and every :class:`~repro.core.three_ecss.ThreeEcssIterationStats`
+        record must match exactly -- in random- and exact-label modes, with
+        100-bit (multi-word) labels, and on a copy with string vertex names
+        in shuffled node and edge order (which fixes a different label draw
+        order).
+        """
+        options = {"exact": {"exact_labels": True}, "100-bit": {"label_bits": 100}}
+        for seed in range(N_GRAPHS):
+            graph = _solver_instance(family, seed, 3)
+            if variant == "string-names":
+                graph = shuffled_string_copy(graph, seed)
+            fast = three_ecss(graph, seed=seed, **options.get(variant, {}))
+            oracle = three_ecss_nx(graph, seed=seed, **options.get(variant, {}))
+            assert fast.edges == oracle.edges, seed
+            assert (fast.weight, fast.num_edges, fast.iterations) == (
+                oracle.weight, oracle.num_edges, oracle.iterations
+            ), seed
+            assert (
+                fast.metadata["iterations_history"] == oracle.metadata["iterations_history"]
+            ), seed
+            assert (fast.metadata["h_size"], fast.metadata["augmentation_size"]) == (
+                oracle.metadata["h_size"], oracle.metadata["augmentation_size"]
+            ), seed
+            assert fast.ledger.total_rounds == oracle.ledger.total_rounds, seed
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_ecss_matches_oracle(self, family, k):
+        """The target connectivity alternates between 2 and 3 by seed, which
+        exercises the bridge and cut-pair enumerators."""
+        for seed in range(k - 2, N_GRAPHS, 2):
+            _assert_k_ecss_parity(family, seed, k)
+
+    def test_k_ecss_matches_oracle_at_k4(self, family):
+        for seed in KECSS_K4_SEEDS:
+            _assert_k_ecss_parity(family, seed, 4)

@@ -13,11 +13,10 @@ Four layers:
   historical set-based implementation;
 * oracle parity of both TAP solvers on deep trees (clique chains, n = 256)
   and on weights past int64 (exact integer scoring);
-* the seeded ``diff-tap-*`` / ``diff-labels-*`` differential sweep, wired
-  through the experiment engine: 50 instances of **every** registered
+* the seeded differential sweep: 50 instances of **every** registered
   generator family per solver, each asserting bit-identical output
   (augmentations, weights, iteration counts, histories, label maps) against
-  the historical reference implementations.
+  the historical reference implementations of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,21 +27,19 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.differential import tap_labels_jobs
-from repro.analysis.engine import ExperimentEngine
-from repro.analysis.runner import trial_groups
+from _helpers import SWEEP_FAMILIES, sweep_instance
+from oracles import CoverageStateNX, compute_labels_nx, distributed_tap_nx, greedy_tap_nx
+from repro.cycle_space.cut_pairs import cut_pairs_from_labels
+from repro.cycle_space.labels import compute_labels
 from repro.graphs.fastgraph import TreePathIndex
-from repro.graphs.generators import FAMILIES, make_family, random_k_edge_connected_graph
+from repro.graphs.generators import make_family, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.cover import CoverageStateNX
-from repro.tap.distributed import distributed_tap, distributed_tap_nx
+from repro.tap.distributed import distributed_tap
 from repro.tap.fastcover import FastCoverage
-from repro.tap.greedy import greedy_tap, greedy_tap_nx
+from repro.tap.greedy import greedy_tap
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "serial"
-SWEEP_WORKERS = 1
 
 
 def _mst_instance(n: int, seed: int, prob: float = 0.3):
@@ -276,7 +273,7 @@ def _assert_tap_parity(graph, tree, seed):
 
 
 class TestTapOracleParity:
-    """Cases the ``diff-tap-*`` grid (n <= 30, small weights) never reaches."""
+    """Cases the differential sweep (n <= 30, small weights) never reaches."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_deep_clique_chain_mst(self, seed):
@@ -305,23 +302,64 @@ class TestTapOracleParity:
         _assert_tap_parity(graph, tree, seed)
 
 
-# ------------------------------------------------- engine-driven differential
-def _run_sweep(name: str, jobs) -> list:
-    engine = ExperimentEngine(workers=SWEEP_WORKERS, backend=SWEEP_BACKEND)
-    results = engine.run_jobs(name, jobs)
-    # Any parity violation raises inside the trial; trial_groups re-raises it
-    # here with the offending (family, seed) pair and traceback attached.
-    trial_groups(results, key=lambda r: r.config["family"])
-    return results
+# ------------------------------------------------------ differential sweep
+def _tap_instance(family: str, seed: int) -> tuple[nx.Graph, RootedTree]:
+    """One seeded family instance plus its rooted MST (as the TAP stage sees it)."""
+    graph = sweep_instance(family, seed)
+    tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes(), key=repr))
+    return graph, tree
 
 
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestTapLabelsDifferentialSweep:
-    """>= 50 seeded graphs per generator family, per ported solver."""
+    """50 seeded graphs per generator family, per ported solver."""
 
-    @pytest.mark.parametrize("name", sorted(tap_labels_jobs(1)))
-    def test_parity_with_reference_implementations(self, name):
-        jobs = tap_labels_jobs(N_GRAPHS)[name]
-        results = _run_sweep(name, jobs)
-        assert len(results) == N_GRAPHS * len(FAMILIES)
-        assert {r.config["family"] for r in results} == set(FAMILIES)
-        assert all(r.ok for r in results)
+    @pytest.mark.parametrize("symmetry_breaking", [True, False])
+    def test_distributed_tap_matches_oracle(self, family, symmetry_breaking):
+        """Fast distributed TAP vs the set-algebra oracle: bit-identical runs.
+
+        Both consume the same RNG stream, so augmentation set, weight,
+        iteration count and every per-iteration history record (including
+        the maximum rounded cost-effectiveness fractions) must match exactly.
+        """
+        for seed in range(N_GRAPHS):
+            graph, tree = _tap_instance(family, seed)
+            fast = distributed_tap(
+                graph, tree, seed=seed, symmetry_breaking=symmetry_breaking
+            )
+            oracle = distributed_tap_nx(
+                graph, tree, seed=seed, symmetry_breaking=symmetry_breaking
+            )
+            assert fast.augmentation == oracle.augmentation, seed
+            assert (fast.weight, fast.iterations) == (oracle.weight, oracle.iterations), seed
+            assert fast.history == oracle.history, seed
+            assert fast.ledger.total_rounds == oracle.ledger.total_rounds, seed
+
+    def test_greedy_tap_matches_oracle(self, family):
+        """Array-scan greedy TAP vs the per-step rescan oracle: identical output."""
+        for seed in range(N_GRAPHS):
+            graph, tree = _tap_instance(family, seed)
+            fast, oracle = greedy_tap(graph, tree), greedy_tap_nx(graph, tree)
+            assert (fast.augmentation, fast.weight, fast.steps) == (
+                oracle.augmentation, oracle.weight, oracle.steps
+            ), seed
+
+    def test_random_labels_match_oracle(self, family):
+        """O(m+n) XOR labelling vs the per-path oracle: identical label maps."""
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            fast = compute_labels(graph, seed=seed)
+            oracle = compute_labels_nx(graph, seed=seed)
+            assert fast.bits == oracle.bits, seed
+            assert fast.labels == oracle.labels, seed
+            assert fast.tree_paths == oracle.tree_paths, seed
+
+    def test_exact_labels_and_cut_pairs_match_oracle(self, family):
+        """Exact covering-set labels and the cut pairs detected from them."""
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            fast = compute_labels(graph, mode="exact")
+            oracle = compute_labels_nx(graph, mode="exact")
+            assert fast.labels == oracle.labels, seed
+            assert fast.tree_paths == oracle.tree_paths, seed
+            assert cut_pairs_from_labels(fast) == cut_pairs_from_labels(oracle), seed

@@ -5,32 +5,37 @@ Two layers:
 * direct unit tests of :class:`repro.graphs.fastgraph.FastGraph` and
   :class:`~repro.graphs.fastgraph.ArrayUnionFind` on hand-built graphs
   (converters, BFS, bridges, cut pairs, skip-edge components);
-* the seeded ``diff-fastgraph-*`` differential sweep, wired through the
-  experiment engine: 50 instances of **every** registered generator family
-  per kernel primitive, each asserting exact parity with the historical
-  networkx oracles (bridges, edge connectivity, cut pairs, Kruskal MST
-  weight, hop diameter) and, for the exact cycle-space enumeration of cuts
-  of size 3 and 4, with a brute force over edge subsets.
+* the seeded differential sweep: 50 instances of **every** registered
+  generator family per kernel primitive, each asserting exact parity with
+  the historical networkx oracles of ``tests/oracles.py`` (bridges, edge
+  connectivity, cut pairs, Kruskal MST weight, hop diameter) and, for the
+  exact cycle-space enumeration of cuts of size 3 and 4, with a brute force
+  over edge subsets.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.differential import fastgraph_jobs
-from repro.analysis.engine import ExperimentEngine
-from repro.analysis.runner import trial_groups
-from repro.graphs.connectivity import canonical_edge
+from _helpers import SWEEP_FAMILIES, sweep_instance
+from oracles import bridges_nx, edge_connectivity_nx, enumerate_cut_pairs_nx
+from repro.graphs.connectivity import (
+    bridges,
+    canonical_edge,
+    edge_connectivity,
+    is_k_edge_connected,
+)
+from repro.graphs.cuts import Cut, enumerate_cut_pairs
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.graphs.generators import FAMILIES, cycle_with_chords
+from repro.mst.sequential import minimum_spanning_tree, mst_weight
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "serial"
-SWEEP_WORKERS = 1
 
 
 # ---------------------------------------------------------------- unit tests
@@ -215,23 +220,112 @@ class TestFastGraphCutPairs:
         assert all(not (set(pair) <= bridge_eids) for pair in pairs)
 
 
-# ------------------------------------------------- engine-driven differential
-def _run_sweep(name: str, jobs) -> list:
-    engine = ExperimentEngine(workers=SWEEP_WORKERS, backend=SWEEP_BACKEND)
-    results = engine.run_jobs(name, jobs)
-    # Any parity violation raises inside the trial; trial_groups re-raises it
-    # here with the offending (family, seed) pair and traceback attached.
-    trial_groups(results, key=lambda r: r.config["family"])
-    return results
+# ------------------------------------------------------ differential sweep
+def _cut_key_set(cuts) -> set:
+    """A comparable identity for a list of cuts: (side, crossing edges)."""
+    return {(cut.side, cut.edges) for cut in cuts}
 
 
+def _brute_force_cuts(graph: nx.Graph, size: int) -> set:
+    """Every cut of exactly *size* edges of a connected graph, by trying
+    every *size*-subset of its edges.
+
+    An edge set is an edge cut iff it meets every fundamental cycle of a
+    spanning tree in an even number of edges (exact GF(2) orthogonality to
+    the cycle space; no sampling).  So for each ``(size - 1)``-subset the
+    only completions worth trying are the edges whose cycle-incidence mask
+    equals the subset's XOR, looked up in a dict; each resulting set is kept
+    iff removing it from a copy of the graph leaves exactly two components
+    with every removed edge between them.
+    """
+    tree = nx.minimum_spanning_tree(graph, weight=None)
+    edges = [canonical_edge(u, v) for u, v in graph.edges()]
+    masks = {edge: 0 for edge in edges}
+    fundamental = [edge for edge in edges if not tree.has_edge(*edge)]
+    for bit, edge in enumerate(fundamental):
+        masks[edge] |= 1 << bit
+        path = nx.shortest_path(tree, *edge)
+        for u, v in zip(path, path[1:]):
+            masks[canonical_edge(u, v)] |= 1 << bit
+    by_mask: dict[int, list] = {}
+    for edge in edges:
+        by_mask.setdefault(masks[edge], []).append(edge)
+    subsets = set()
+    for rest in itertools.combinations(edges, size - 1):
+        parity = 0
+        for edge in rest:
+            parity ^= masks[edge]
+        for edge in by_mask.get(parity, ()):
+            if edge not in rest:
+                subsets.add(frozenset((*rest, edge)))
+    cuts = set()
+    for subset in subsets:
+        pruned = graph.copy()
+        pruned.remove_edges_from(subset)
+        components = list(nx.connected_components(pruned))
+        if len(components) != 2:
+            continue
+        cut = Cut.from_side(graph, components[0])
+        if cut.size == size:
+            cuts.add((cut.side, cut.edges))
+    return cuts
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestFastgraphDifferentialSweep:
-    """>= 50 seeded graphs per generator family, per kernel primitive."""
+    """50 seeded graphs per generator family, per kernel primitive."""
 
-    @pytest.mark.parametrize("name", sorted(fastgraph_jobs(1)))
-    def test_parity_with_networkx_oracles(self, name):
-        jobs = fastgraph_jobs(N_GRAPHS)[name]
-        results = _run_sweep(name, jobs)
-        assert len(results) == N_GRAPHS * len(FAMILIES)
-        assert {r.config["family"] for r in results} == set(FAMILIES)
-        assert all(r.ok for r in results)
+    def test_connectivity_matches_networkx(self, family):
+        """Bridges / edge connectivity / diameter parity with the networkx oracles."""
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            assert bridges(graph) == bridges_nx(graph), seed
+            oracle = edge_connectivity_nx(graph)
+            assert edge_connectivity(graph) == oracle, seed
+            for k in (1, 2, 3, 4):
+                assert is_k_edge_connected(graph, k) == (oracle >= k), (seed, k)
+            assert hop_diameter(graph) == nx.diameter(graph), seed
+
+    def test_cut_pairs_match_networkx(self, family):
+        """Exact cut-pair enumeration parity (Claim 5.6) with the networkx oracle."""
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            fast = _cut_key_set(enumerate_cut_pairs(graph))
+            assert fast == _cut_key_set(enumerate_cut_pairs_nx(graph)), seed
+
+    def test_min_cuts_match_brute_force(self, family):
+        """Exact cycle-space cut enumeration vs a brute force over edge subsets.
+
+        Size 3 on every instance -- non-minimum cuts on the 2-edge-connected
+        families, none on the 4- and 5-edge-connected ones -- and size 4 on
+        the 4-edge-connected instances, where the 4-cuts are the minimum cuts.
+        Every instance must satisfy ``2 * lambda > size``, the precondition
+        under which a confirmed cut-space element is exactly one cut.
+        """
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            connectivity = edge_connectivity_nx(graph)
+            fast_graph = FastGraph.from_nx(graph)
+            for size in (3, 4) if connectivity == 4 else (3,):
+                # cuts_of_size reads cut-space elements as cuts, which needs 2 lambda > s.
+                assert 2 * connectivity > size, (seed, connectivity, size)
+                fast = _cut_key_set(
+                    Cut.from_side(graph, [fast_graph.labels[v] for v in side])
+                    for _, side in fast_graph.cuts_of_size(size)
+                )
+                assert fast == _brute_force_cuts(graph, size), (seed, size)
+
+    def test_mst_matches_networkx(self, family):
+        """Kruskal-on-array-union-find parity with the networkx MST oracle."""
+        for seed in range(N_GRAPHS):
+            graph = sweep_instance(family, seed)
+            tree = minimum_spanning_tree(graph)
+            assert tree.number_of_edges() == graph.number_of_nodes() - 1, seed
+            assert nx.is_connected(tree), seed
+            weight = sum(data.get("weight", 1) for _, _, data in tree.edges(data=True))
+            oracle = sum(
+                data.get("weight", 1)
+                for _, _, data in nx.minimum_spanning_tree(graph).edges(data=True)
+            )
+            assert weight == oracle, seed
+            assert mst_weight(graph) == weight, seed

@@ -209,15 +209,14 @@ class TestHypercubeGraph:
 
 
 class TestNewFamiliesInDiffSweeps:
-    def test_both_families_are_in_every_engine_sharded_sweep_grid(self):
-        """Registering in FAMILIES is what enrolls a family in the sharded
-        ``diff-fastgraph-*`` / ``diff-tap-*`` / ``diff-labels-*`` suites."""
-        from repro.analysis.differential import fastgraph_jobs, tap_labels_jobs
+    def test_both_families_are_in_every_differential_sweep(self):
+        """Registering in FAMILIES is what enrolls a family in the kernel
+        sweeps of ``test_fastgraph``, ``test_fastcover`` and ``test_fastaug``,
+        which are parametrized over ``SWEEP_FAMILIES``."""
+        from _helpers import SWEEP_FAMILIES
 
-        for grids in (fastgraph_jobs(2), tap_labels_jobs(2)):
-            for name, jobs in grids.items():
-                families = {job.config_dict["family"] for job in jobs}
-                assert {"powerlaw", "hypercube"} <= families, name
+        assert {"powerlaw", "hypercube"} <= set(SWEEP_FAMILIES)
+        assert SWEEP_FAMILIES == sorted(FAMILIES)
 
 
 class TestWeightAssignment:

@@ -15,15 +15,8 @@ from repro.core.augmentation import (
     build_subgraph,
     compose_augmentations,
 )
-from repro.core.k_ecss import (
-    _forest_filter,
-    _kruskal_rank,
-    _mst_filter,
-    augment_to_k,
-    augment_to_k_nx,
-    k_ecss,
-    k_ecss_nx,
-)
+from oracles import _mst_filter, augment_to_k_nx, k_ecss_nx
+from repro.core.k_ecss import _forest_filter, _kruskal_rank, augment_to_k, k_ecss
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.fastgraph import ArrayUnionFind

@@ -9,7 +9,6 @@ through the CLI.
 
 from __future__ import annotations
 
-import json
 import shutil
 from pathlib import Path
 
@@ -17,15 +16,12 @@ import pytest
 
 from repro.lint import (
     Finding,
-    apply_baseline,
     lint_project,
-    load_baseline,
     load_project,
     project_from_sources,
     run_lint,
     select_rules,
     suppressed_codes,
-    write_baseline,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -197,7 +193,7 @@ class TestDet003TrialNondeterminism:
 
 # --------------------------------------------------------------------- DET004
 class TestDet004FloatInExactPath:
-    EXACT = "repro.tap.cover"  # a member of EXACT_MODULES
+    EXACT = "repro.tap.greedy"  # a member of EXACT_MODULES
 
     def test_flags_float_literal_cast_and_inexact_math(self):
         sources = {
@@ -271,34 +267,12 @@ class TestProjectOnDisk:
         assert (binding.module, binding.attr) == ("mypkg.a", "something")
 
 
-# -------------------------------------------------- suppressions and baseline
-class TestSuppressionsAndBaseline:
+# --------------------------------------------------------------- suppressions
+class TestSuppressions:
     def test_suppressed_codes_parsing(self):
         line = "x = 1.0  # repro: disable=DET004, DET001 -- justified"
         assert suppressed_codes(line) == frozenset({"DET004", "DET001"})
         assert suppressed_codes("x = 1.0  # plain comment") == frozenset()
-
-    def test_baseline_roundtrip(self, tmp_path: Path):
-        finding = Finding("DET001", "src/repro/x.py", 3, 0, "msg", "f")
-        path = tmp_path / "lint-baseline.json"
-        assert write_baseline(path, [finding]) == 1
-        baseline = load_baseline(path)
-        assert finding.fingerprint in baseline
-        new, grandfathered = apply_baseline([finding], baseline)
-        assert new == [] and len(grandfathered) == 1
-        assert grandfathered[0].baselined
-
-    def test_fingerprint_survives_line_motion(self):
-        a = Finding("DET001", "p.py", 3, 0, "msg", "f")
-        b = Finding("DET001", "p.py", 99, 7, "msg", "f")
-        assert a.fingerprint == b.fingerprint
-        assert a.fingerprint != Finding("DET002", "p.py", 3, 0, "msg", "f").fingerprint
-
-    def test_baseline_version_mismatch_rejected(self, tmp_path: Path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(KeyError):
@@ -309,8 +283,8 @@ class TestSuppressionsAndBaseline:
 class TestRepoIsClean:
     def test_package_tree_has_no_findings(self):
         result = run_lint(PACKAGE_DIR)
-        assert result.new == [], "\n".join(
-            f"{f.path}:{f.line}: {f.code} {f.message}" for f in result.new
+        assert result.findings == [], "\n".join(
+            f"{f.path}:{f.line}: {f.code} {f.message}" for f in result.findings
         )
         assert result.exit_code == 0
 

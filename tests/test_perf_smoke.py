@@ -21,7 +21,7 @@ Guards in the default test run:
 * the 3-ECSS path-label scoring kernel (the Claim 5.8 inner loop of every
   E5/E7 trial) and the k-ECSS bitset coverage kernel (the per-iteration
   recompute of every E4/E8/E10 trial) are each at least 3x faster than the
-  retained ``Counter``/frozenset oracle loops on n >= 256 instances --
+  ``Counter``/frozenset oracle loops of ``tests/oracles.py`` on n >= 256 instances --
   asserting value-identical scores first, so the guards double as one more
   parity check -- with stricter n = 400 variants behind the ``slow`` marker;
   both kernels are timed on cold scans (first calls on fresh kernels),
@@ -42,7 +42,9 @@ Guards in the default test run:
   verifies with zero such calls and prints its wall time;
 * a weighted-sparse n = 256 2-ECSS solve calls ``FastGraph.from_nx`` exactly
   once (one snapshot for the input check, the diameter and the TAP kernel),
-  and neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
+  a 12 x 12 torus 3-ECSS solve exactly twice (one snapshot for the input
+  check and the diameter, one for the 2-approximation's own check), and
+  neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
   ``TreePathIndex.path_edges`` (count-based, machine-independent);
 * ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
   of traced allocation (no n x n distance matrix), and the CONGEST BFS
@@ -85,32 +87,32 @@ from repro.analysis.experiments import (
     experiment_e1_two_ecss_approximation,
     experiment_e4_k_ecss,
 )
+from oracles import (
+    _recompute_effectiveness_nx,
+    _score_round_nx,
+    bridges_nx,
+    distributed_tap_nx,
+    edge_connectivity_nx,
+    enumerate_cut_pairs_nx,
+)
 from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
 from repro.congest.network import CongestNode
 from repro.congest.primitives import _BfsNode, simulate_bfs_tree
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
-from repro.core.k_ecss import _recompute_effectiveness_nx
-from repro.core.three_ecss import (
-    _score_round_nx,
-    three_ecss,
-    unweighted_two_ecss_2approx,
-)
+from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.core.two_ecss import two_ecss
 from repro.cycle_space.labels import compute_labels
 from repro.decomposition.segments import Segment, TreeDecomposition
 from repro.graphs.connectivity import (
     bridges,
-    bridges_nx,
     canonical_edge,
-    edge_connectivity_nx,
     is_k_edge_connected,
 )
 from repro.graphs.cuts import (
     enumerate_bridge_cuts,
     enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
     enumerate_cuts_of_size,
 )
 from repro.graphs.fastgraph import FastGraph, TreePathIndex, hop_diameter
@@ -122,7 +124,7 @@ from repro.graphs.generators import (
     random_k_edge_connected_graph,
 )
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.distributed import distributed_tap, distributed_tap_nx
+from repro.tap.distributed import distributed_tap
 from repro.tap.fastcover import INFINITE_EXPONENT, FastCoverage
 from repro.trees.rooted import RootedTree
 
@@ -867,6 +869,30 @@ def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
     result = two_ecss(graph, seed=1)
     print(f"\n2-ECSS weighted-sparse n=256: {len(snapshots)} FastGraph.from_nx call(s)")
     assert snapshots == [id(graph)]
+    monkeypatch.undo()
+    ok, reason = result.verify()
+    assert ok, reason
+
+
+def test_three_ecss_solve_snapshots_the_graph_twice(monkeypatch):
+    """Count-based guard on a 12 x 12 torus solve (machine-independent).
+
+    The input check and ``hop_diameter`` share one ``FastGraph`` snapshot;
+    ``unweighted_two_ecss_2approx`` converts the graph once more for the
+    2-edge-connectivity check that guards its direct callers.
+    """
+    snapshots: list[int] = []
+    from_nx = FastGraph.from_nx.__func__
+
+    def counting_from_nx(cls, graph):
+        snapshots.append(id(graph))
+        return from_nx(cls, graph)
+
+    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    graph = grid_torus(12, 12)
+    result = three_ecss(graph, seed=1)
+    print(f"\n3-ECSS torus 12x12: {len(snapshots)} FastGraph.from_nx call(s)")
+    assert snapshots == [id(graph), id(graph)]
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason

@@ -13,8 +13,9 @@ import networkx as nx
 import pytest
 
 import repro
+from oracles import three_ecss_nx
 from repro.baselines.thurimella import sparse_certificate_k_ecss
-from repro.core.three_ecss import three_ecss, three_ecss_nx, unweighted_two_ecss_2approx
+from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.graphs.connectivity import is_k_edge_connected
 from repro.graphs.generators import grid_torus, harary_graph, random_k_edge_connected_graph
 
