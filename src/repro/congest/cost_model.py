@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["CostModel"]
 
@@ -41,15 +42,17 @@ class CostModel:
     THREE_ECSS_SUBPHASES: int = 4
 
     # ------------------------------------------------------------ primitives
-    @property
+    # Functions of n alone, computed once per model: the Aug_k loop charges
+    # sqrt(n) log* n on every iteration.
+    @cached_property
     def sqrt_n(self) -> int:
         return max(1, math.isqrt(self.n))
 
-    @property
+    @cached_property
     def log_n(self) -> int:
         return max(1, math.ceil(math.log2(max(self.n, 2))))
 
-    @property
+    @cached_property
     def log_star_n(self) -> int:
         """Iterated logarithm of n (tiny; appears in the Kutten-Peleg bound)."""
         value = max(self.n, 2)

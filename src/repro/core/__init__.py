@@ -10,8 +10,6 @@
   space sampling, O(log n)-approximation (expected) in O(D log^3 n) rounds.
 * :mod:`repro.core.augmentation` -- the Aug_k framework and the composition of
   Claim 2.1.
-* :mod:`repro.core.cost_effectiveness` -- exact (fraction-valued) cost
-  effectiveness and the power-of-two rounding used for candidate selection.
 * :mod:`repro.core.fastaug` -- the flat-array kernels behind the solver inner
   loops (CSR path-label scoring, bitset cut coverage, the guessing schedule).
 * :mod:`repro.core.result` -- the :class:`~repro.core.result.ECSSResult`
@@ -19,14 +17,13 @@
 """
 
 from repro.core.result import ECSSResult
-from repro.core.cost_effectiveness import (
-    INFINITE_EFFECTIVENESS,
-    cost_effectiveness,
-    rounded_cost_effectiveness,
-    round_up_to_power_of_two,
-)
 from repro.core.augmentation import AugmentationResult, compose_augmentations
-from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule, PathLabelKernel
+from repro.core.fastaug import (
+    INFINITE_EFFECTIVENESS,
+    BitsetCoverKernel,
+    GuessingSchedule,
+    PathLabelKernel,
+)
 from repro.core.two_ecss import two_ecss, weighted_tap
 from repro.core.k_ecss import k_ecss, augment_to_k
 from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
@@ -34,9 +31,6 @@ from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 __all__ = [
     "ECSSResult",
     "INFINITE_EFFECTIVENESS",
-    "cost_effectiveness",
-    "rounded_cost_effectiveness",
-    "round_up_to_power_of_two",
     "AugmentationResult",
     "compose_augmentations",
     "two_ecss",

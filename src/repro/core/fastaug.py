@@ -4,20 +4,21 @@ These are the last two Python-object inner loops of the reproduction, ported
 to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 :mod:`repro.graphs.fastgraph` (verification):
 
-* :class:`PathLabelKernel` -- the per-iteration cost-effectiveness scoring of
-  the 3-ECSS algorithm (Claim 5.8).  Candidate tree paths are materialised
-  once as a CSR pair of NumPy arrays over integer tree-edge ids (built in one
-  call of the BFS tree's vectorised path builder,
+* :class:`PathLabelKernel` -- the cost-effectiveness scoring of the 3-ECSS
+  algorithm (Claim 5.8) on one evolving labelling of ``H ∪ A``.  Candidate
+  tree paths are materialised once as a CSR pair of NumPy arrays over
+  integer tree-edge ids (built in one call of the BFS tree's vectorised path
+  builder,
   :meth:`TreePathIndex.path_csr <repro.graphs.fastgraph.TreePathIndex.path_csr>`)
-  plus their transpose (tree edge -> candidates).  Each iteration reads the
-  labelling's two label lists and turns them into a class-id list with
-  C-level builtins; the scan is memoised on that list and on ``A`` (a
-  version counter :meth:`PathLabelKernel.mark_added` bumps), so a labelling
-  with the same partition returns the previous result without touching the
-  candidates.  A scan gathers, with NumPy, the candidates of only the tree
-  edges whose class holds more than one edge, counts (candidate, class)
-  pairs with ``np.unique`` and sums ``c * (n_phi - c)`` per candidate; the
-  ``repr``-ordered candidates at or above an exponent are cached with it.
+  plus their transpose (tree edge -> candidates).  The kernel loads one full
+  labelling and then extends it: :meth:`PathLabelKernel.add_edges` draws a
+  label for each edge that joins ``A`` and XORs it into the tree edges on
+  its path, and the next :meth:`PathLabelKernel.score_round` regroups only
+  the label classes those paths crossed.  A scan gathers, with NumPy, the
+  candidates of the tree edges of those classes, counts (candidate, class)
+  pairs with ``np.unique`` and moves each candidate's ``sum c * (n_phi - c)``
+  by the classes' new minus old contributions; the ``repr``-ordered
+  candidates at or above an exponent are cached with the result.
 
 * :class:`BitsetCoverKernel` -- the cut-coverage bookkeeping of one ``Aug_k``
   level (Section 4).  The ``covers`` relation comes from a boolean
@@ -57,12 +58,14 @@ iteration counts and histories.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
 
-from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
+from repro.cycle_space.labels import draw_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.fastgraph import concat_ranges
 from repro.tap.fastcover import (
@@ -80,6 +83,7 @@ if TYPE_CHECKING:
 Edge = tuple[Hashable, Hashable]
 
 __all__ = [
+    "INFINITE_EFFECTIVENESS",
     "GuessingSchedule",
     "PathLabelKernel",
     "BitsetCoverKernel",
@@ -87,6 +91,36 @@ __all__ = [
 ]
 
 _UNSET = object()
+
+
+class _Infinity:
+    """Sentinel comparing greater than every finite value (the rho of zero-weight edges)."""
+
+    def __gt__(self, other) -> bool:
+        return not isinstance(other, _Infinity)
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __le__(self, other) -> bool:
+        return isinstance(other, _Infinity)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Infinity)
+
+    def __hash__(self) -> int:
+        return hash("INFINITE_EFFECTIVENESS")
+
+    def __repr__(self) -> str:
+        return "INFINITE_EFFECTIVENESS"
+
+
+#: The maximum rounded cost-effectiveness of an ``Aug_k`` iteration that
+#: holds a zero-weight candidate (the algorithms add those edges first).
+INFINITE_EFFECTIVENESS = _Infinity()
 
 
 def probability_schedule_start(m: int) -> float:
@@ -141,7 +175,7 @@ class GuessingSchedule:
 
 
 class PathLabelKernel:
-    """Array-native Claim 5.8 scoring for the 3-ECSS augmentation loop.
+    """Claim 5.8 scoring on one evolving labelling of ``H ∪ A`` (Section 5).
 
     Args:
         graph: The 3-edge-connected input graph ``G``.
@@ -153,22 +187,33 @@ class PathLabelKernel:
         cand_edges: Candidate id -> canonical edge (``graph.edges()`` order,
             the order the historical implementation iterated in).
         cand_repr: Candidate id -> ``repr`` string (the tie-break/sort key).
-        in_added: Bytearray flag per candidate (set by the driver as edges
-            join ``A``; flagged candidates are skipped by the scorer).
-        version: Bumped by :meth:`mark_added` whenever a candidate is newly
-            flagged -- together with the label partition it keys the
-            :meth:`score_round` memo.
+        in_added: Bytearray flag per candidate already in ``A`` (set by
+            :meth:`add_edges`; flagged candidates are never scored).
+        version: Bumped by every load and every :meth:`add_edges`; it keys
+            the :meth:`candidates` cache.
+        tree_labels: Vertex id -> label of the tree edge to its parent (the
+            root's slot 0 is unused): the loaded labelling, extended by
+            every :meth:`add_edges` since.
 
     Tree edges are identified by the integer id of their child vertex in the
     tree.  The candidate paths are kept as a CSR pair (candidate -> child
     ids) and its transpose (child id -> candidate ids), both built once, so
-    :meth:`score_round` never touches a hashable edge object.
+    scoring never touches a hashable edge object.
+
+    The kernel keeps the label classes of the tree edges (label -> child
+    ids), the multiset of non-tree labels and each candidate's Claim 5.8
+    total.  An edge joining ``A`` only changes the labels on its path, so
+    :meth:`score_round` after :meth:`add_edges` regroups just the classes
+    those paths crossed, and moves each candidate's total by the difference
+    between their old and new contributions.
     """
 
     __slots__ = (
         "tree", "cand_edges", "cand_repr", "in_added", "version",
-        "path_indptr", "path_child", "_tree_indptr", "_tree_cand",
-        "_by_repr", "_memo",
+        "path_indptr", "path_child", "tree_labels",
+        "_tree_indptr", "_tree_cand", "_by_repr",
+        "_bits", "_next", "_groups", "_nontree", "_moved", "_fresh",
+        "_totals", "_pairs", "_scan",
     )
 
     def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
@@ -206,9 +251,25 @@ class PathLabelKernel:
             sorted(range(len(cand_edges)), key=self.cand_repr.__getitem__),
             dtype=np.int64,
         )
-        # [version, class ids, result, exponents, {maximum: repr-ordered ids}]
-        # of the last candidate scan.
-        self._memo: list | None = None
+        self.tree_labels: list = []
+        # The loaded labelling's width (0: exact one-hot labels) and the
+        # position of the next non-tree edge.
+        self._bits = 0
+        self._next = 0
+        # Label -> tree child ids at the last scan (None until a load), and
+        # non-tree label -> multiplicity.
+        self._groups: dict | None = None
+        self._nontree: Counter = Counter()
+        # Pending additions: child id -> its label at the last scan, and the
+        # labels drawn for the edges that joined A.
+        self._moved: dict[int, object] = {}
+        self._fresh: list = []
+        # Claim 5.8 total per candidate (0 for candidates in A) and the
+        # number of tree edges in a class of size > 1.
+        self._totals = np.zeros(len(cand_edges), dtype=np.int64)
+        self._pairs = 0
+        # [version, result, exponents, {exponent: repr-ordered ids}].
+        self._scan: list | None = None
 
     @property
     def m_candidates(self) -> int:
@@ -219,21 +280,46 @@ class PathLabelKernel:
         """Child-vertex ids of the tree edges on the path of candidate *j*."""
         return self.path_child[self.path_indptr[j]:self.path_indptr[j + 1]].tolist()
 
-    def mark_added(self, ids: Iterable[int]) -> None:
-        """Flag candidates that joined ``A`` (skipped by future rounds)."""
-        in_added = self.in_added
-        for j in ids:
-            if not in_added[j]:
-                in_added[j] = 1
-                self.version += 1
+    def add_edges(self, ids: Sequence[int], rng: random.Random) -> list:
+        """Candidates *ids* join ``A``, in activation order.
 
-    def score_round(self, labelling: EdgeLabelling) -> tuple[int, list[int], list[int], int]:
-        """Score one iteration under the labelling ``phi``.
+        Each draws one fresh label -- :func:`~repro.cycle_space.labels.draw_labels`
+        at the loaded labelling's width, so a uniform ``b``-bit int from
+        *rng*, or the next one-hot bit in exact mode -- and XORs it into the
+        tree edges on its path.  Returns the labels drawn.  The next
+        :meth:`score_round` rescores what the additions changed.
+        """
+        if self._groups is None:
+            raise RuntimeError("add_edges() needs a labelling: call score_round(labelling) first")
+        in_added = self.in_added
+        if any(in_added[j] for j in ids):
+            raise ValueError("a candidate can join A only once")
+        labels = draw_labels(len(ids), self._bits, rng, self._next)
+        self._next += len(ids)
+        tree_labels, moved = self.tree_labels, self._moved
+        indptr, child = self.path_indptr, self.path_child
+        for j, label in zip(ids, labels):
+            in_added[j] = 1
+            for c in child[indptr[j]:indptr[j + 1]].tolist():
+                if c not in moved:
+                    moved[c] = tree_labels[c]
+                tree_labels[c] ^= label
+        self._fresh.extend(labels)
+        self._totals[list(ids)] = 0
+        self.version += 1
+        return labels
+
+    def score_round(self, labelling: EdgeLabelling | None = None) -> tuple[int, list[int], list[int], int]:
+        """Score the current labelling of ``H ∪ A`` (Claims 5.8 and 5.10).
 
         Args:
-            labelling: The :class:`~repro.cycle_space.labels.EdgeLabelling`
-                of ``H ∪ A`` over this kernel's tree; its labels may be any
-                hashable values (random ints, exact bitmasks or frozensets).
+            labelling: A full :class:`~repro.cycle_space.labels.EdgeLabelling`
+                of ``H ∪ A`` over this kernel's tree.  It replaces the
+                kernel's labels, and every class is scanned.  Without it,
+                the additions since the last call are scored: only the
+                classes their paths crossed are regrouped and rescanned.  A
+                label that joins an untouched class (a collision) falls back
+                to a full scan.
 
         Returns:
             ``(tree_in_pairs, cand_ids, values, max_value)`` where
@@ -241,67 +327,44 @@ class PathLabelKernel:
             with another edge (the Claim 5.10 termination count), *cand_ids*
             (ascending) and *values* list the candidates with positive
             Claim 5.8 cost-effectiveness, and *max_value* is the largest
-            such value (0 when there is none).  When *tree_in_pairs* is 0 the
-            candidate scan is skipped entirely.
+            such value (0 when there is none).  The result is cached until
+            the labels change (callers must not mutate the lists).
 
-        The scores are a function of the label *partition* alone and of
-        ``A``.  The partition is the class-id list below (each edge's class
-        is the position of the last edge carrying its label).  While
-        ``H ∪ A`` and the cut-pair classes of Property 5.1 hold, a fresh
-        labelling reproduces that list exactly, so the previous scan's result
-        is returned (the lists are shared; callers must not mutate them).
+        Labels may be any hashable values (random ints, exact bitmasks or
+        frozensets); :meth:`add_edges` needs the ints
+        :func:`~repro.cycle_space.labels.compute_labels` draws.
         """
-        values = labelling.non_tree_labels + labelling.tree_labels
-        last = dict(zip(values, range(len(values))))
-        classes = list(map(last.__getitem__, values))
-        memo = self._memo
-        if memo is not None and memo[0] == self.version and memo[1] == classes:
-            return memo[2]
-
-        # Claim 5.10: a tree edge is in a cut pair iff its class has size > 1.
-        sizes = np.bincount(classes, minlength=len(values))
-        tree_class = np.asarray(classes[len(labelling.non_tree_labels):], dtype=np.int64)
-        shared = np.flatnonzero(sizes[tree_class] > 1)
-        if not len(shared):
-            return 0, [], [], 0
-
-        # Claim 5.8 per candidate: sum over the classes on its path of
-        # n_{phi,e} * (n_phi - n_{phi,e}).  Only tree edges of classes with
-        # n_phi > 1 can contribute, so gather just their candidate lists from
-        # the transpose, tagged with the class, and count (candidate, class)
-        # pairs.
-        indptr = self._tree_indptr
-        starts = indptr[shared + 1]
-        lengths = indptr[shared + 2] - starts
-        ends = np.cumsum(lengths)
-        gather = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-        cand = self._tree_cand[gather]
-        cls = np.repeat(tree_class[shared], lengths)
-        live = np.frombuffer(self.in_added, dtype=np.uint8)[cand] == 0
-        keys, counts = np.unique(
-            cand[live] * len(values) + cls[live], return_counts=True
-        )
-        # The sums are integers far below 2^53, so float64 holds them
-        # exactly -- and frexp's exponent is their bit_length, the e of
-        # rho~ = 2^e.
-        totals = np.bincount(
-            keys // len(values),
-            weights=counts * (sizes[keys % len(values)] - counts),
-            minlength=len(self.cand_edges),
-        )
+        if labelling is not None:
+            self.tree_labels = [0, *labelling.tree_labels]
+            self._nontree = Counter(labelling.non_tree_labels)
+            self._bits = labelling.bits
+            self._next = len(labelling.non_tree_labels)
+            self._moved, self._fresh = {}, []
+            self.version += 1
+            self._full_scan()
+        elif self._groups is None:
+            raise RuntimeError("the first score_round() needs a labelling")
+        elif self._moved or self._fresh:
+            if not self._rescan_split():
+                self._full_scan()
+        scan = self._scan
+        if scan is not None and scan[0] == self.version:
+            return scan[1]
+        totals = self._totals
         cand_ids = np.flatnonzero(totals > 0)
         scores = totals[cand_ids]
         result = (
-            len(shared),
+            self._pairs,
             cand_ids.tolist(),
-            scores.astype(np.int64).tolist(),
+            scores.tolist(),
             int(scores.max()) if len(scores) else 0,
         )
-        # Candidates that scored nothing never pass the filter, whatever
-        # exponent the clamp asks for.
-        exponents = np.full(len(self.cand_edges), np.iinfo(np.int64).min)
+        # frexp's exponent of an integer below 2^53 is its bit_length, the
+        # e of rho~ = 2^e.  Candidates that scored nothing never pass the
+        # filter, whatever exponent the clamp asks for.
+        exponents = np.full(len(totals), np.iinfo(np.int64).min)
         exponents[cand_ids] = np.frexp(scores)[1]
-        self._memo = [self.version, classes, result, exponents, {}]
+        self._scan = [self.version, result, exponents, {}]
         return result
 
     def candidates(self, min_exponent: int) -> list[int]:
@@ -311,16 +374,125 @@ class PathLabelKernel:
         per scan and exponent and cached with the scan; call
         :meth:`score_round` first.
         """
-        memo = self._memo
-        if memo is None or memo[0] != self.version:
+        scan = self._scan
+        if scan is None or scan[0] != self.version:
             raise RuntimeError("candidates() needs a score_round() of the current A")
-        by_exponent = memo[4]
+        by_exponent = scan[3]
         chosen = by_exponent.get(min_exponent)
         if chosen is None:
             order = self._by_repr
-            chosen = order[memo[3][order] >= min_exponent].tolist()
+            chosen = order[scan[2][order] >= min_exponent].tolist()
             by_exponent[min_exponent] = chosen
         return chosen
+
+    def _full_scan(self) -> None:
+        """Group every tree edge by label and score every class."""
+        self._nontree.update(self._fresh)
+        self._moved, self._fresh = {}, []
+        groups: dict = {}
+        for c, label in enumerate(self.tree_labels[1:], 1):
+            groups.setdefault(label, []).append(c)
+        self._groups = groups
+        nontree = self._nontree
+        shared = [
+            (members, size)
+            for label, members in groups.items()
+            if (size := len(members) + nontree[label]) > 1
+        ]
+        child, cls, sizes = _class_arrays(shared)
+        self._pairs = len(child)
+        cand, row = self._gather(child)
+        self._totals = _claim58(cand, cls[row], sizes, len(self.cand_edges))
+
+    def _rescan_split(self) -> bool:
+        """Regroup the classes the pending paths crossed; ``False`` on a collision.
+
+        Claim 5.10 and Claim 5.8 only read classes with more than one edge,
+        and a class no added path crossed keeps its members and its size.
+        So the crossed classes' tree edges are regrouped by their new
+        labels, and each candidate's total loses the crossed classes' old
+        contributions and gains the new classes'.  That is exact unless a
+        new label -- of a moved tree edge or of an added edge -- equals the
+        label of an uncrossed class, which would change that class's size.
+        """
+        groups, nontree, tree_labels = self._groups, self._nontree, self.tree_labels
+        crossed = dict.fromkeys(self._moved.values())
+        fresh = self._fresh
+        self._moved, self._fresh = {}, []
+        before = []
+        for label in crossed:
+            members = groups.pop(label)
+            before.append((members, len(members) + nontree[label]))
+        nontree.update(fresh)
+        split: dict = {}
+        for members, _ in before:
+            for c in members:
+                split.setdefault(tree_labels[c], []).append(c)
+        if not (groups.keys().isdisjoint(split) and groups.keys().isdisjoint(fresh)):
+            return False
+        groups.update(split)
+        after = [(members, len(members) + nontree[label]) for label, members in split.items()]
+
+        old_child, old_cls, old_sizes = _class_arrays([c for c in before if c[1] > 1])
+        new_child, new_cls, new_sizes = _class_arrays([c for c in after if c[1] > 1])
+        self._pairs += len(new_child) - len(old_child)
+        # One gather serves both sides: every tree edge of a shared class,
+        # before or after, tagged with its old and new class (-1: none).
+        old_of = np.full(len(tree_labels), -1, dtype=np.int64)
+        old_of[old_child] = old_cls
+        new_of = np.full(len(tree_labels), -1, dtype=np.int64)
+        new_of[new_child] = new_cls
+        rows = np.flatnonzero((old_of >= 0) | (new_of >= 0))
+        cand, row = self._gather(rows)
+        child = rows[row]
+        m = len(self.cand_edges)
+        for of, sizes, sign in ((old_of, old_sizes, -1), (new_of, new_sizes, 1)):
+            cls = of[child]
+            keep = cls >= 0
+            self._totals += sign * _claim58(cand[keep], cls[keep], sizes, m)
+        return True
+
+    def _gather(self, child: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (candidate, row) pairs of the tree edges *child*, candidates outside ``A``.
+
+        *row* indexes *child*: the pair's candidate has ``child[row]`` on
+        its path.
+        """
+        indptr = self._tree_indptr
+        cand = _csr_rows(indptr, self._tree_cand, child)
+        row = np.repeat(np.arange(len(child)), indptr[child + 1] - indptr[child])
+        live = np.frombuffer(self.in_added, dtype=np.uint8)[cand] == 0
+        return cand[live], row[live]
+
+
+def _class_arrays(classes: list[tuple[list[int], int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(child ids, class per child, size per class)`` of ``(members, size)`` classes."""
+    lengths = [len(members) for members, _ in classes]
+    child = np.fromiter(
+        (c for members, _ in classes for c in members), dtype=np.int64, count=sum(lengths)
+    )
+    cls = np.repeat(np.arange(len(classes), dtype=np.int64), lengths)
+    sizes = np.fromiter((size for _, size in classes), dtype=np.int64, count=len(classes))
+    return child, cls, sizes
+
+
+def _claim58(cand: np.ndarray, cls: np.ndarray, sizes: np.ndarray, m: int) -> np.ndarray:
+    """Claim 5.8 per candidate: the sum of ``c * (n_phi - c)`` over its classes.
+
+    *cand* and *cls* list one (candidate, class) pair per tree edge of the
+    class on the candidate's path; ``c`` counts a candidate's pairs in a
+    class and ``n_phi`` is the class's size.  Returns an int64 array over
+    all *m* candidates.
+    """
+    n_classes = max(1, len(sizes))
+    keys, counts = np.unique(cand * n_classes + cls, return_counts=True)
+    # The sums are integers far below 2^53, so float64 holds them exactly.
+    totals = np.bincount(
+        keys // n_classes,
+        weights=counts * (sizes[keys % n_classes] - counts),
+        minlength=m,
+    )
+    return totals.astype(np.int64)
 
 
 def _csr_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -14,35 +14,38 @@ rounds (a BFS tree plus one covering non-tree edge per tree edge, following
 4. the algorithm stops once no tree edge shares its label with another edge
    (Claim 5.10), i.e. ``H ∪ A`` is 3-edge-connected.
 
-The solver and its reference oracle label ``H ∪ A`` in one fixed edge
-order: ``H`` in ``graph.edges()`` order, then each activated batch appended
-in activation (``repr``) order.  That order fixes the label draw order, so
-runs do not depend on ``PYTHONHASHSEED`` even for string vertex names.
+The solver labels ``H`` once and lets that one labelling evolve with ``A``
+(the labelling is linear in the edge set, Pritchard & Thurimella): each
+edge that joins ``A`` draws one fresh label and XORs it into the tree edges
+of its path.  The RNG stream is therefore the labels of ``H`` (in
+``graph.edges()`` order), then per iteration one activation draw per
+candidate in ``repr`` order followed by one label per activated edge in
+activation order -- independent of ``PYTHONHASHSEED`` even for string
+vertex names.
 
-:func:`three_ecss` keeps ``H ∪ A`` as one append-only
-:class:`repro.cycle_space.labels.CycleSpace` per solve (integer endpoint
-arrays over the BFS tree's vertex ids, in the order ``networkx`` would
-iterate the grown graph), labels it with Python-int XOR tags in
-O(n + |H ∪ A|) per iteration, and scores each iteration with
-:class:`repro.core.fastaug.PathLabelKernel`: the label partition comes from
-C-level builtins, the last scan is memoised while the partition and ``A``
-are unchanged (most iterations add nothing, and by Property 5.1 their fresh
-labels split the edges into the same cut-pair classes), and a scan counts
-(candidate, class) pairs with NumPy over the tree edges whose class holds
-more than one edge.  The power-of-two rounding is ``rho~ = 2^e`` with
-``e = bit_length(value)``; the Lemma 5.11 clamp and the ``repr``-ordered
-candidate filter run on those integer exponents.  The historical
-implementation -- an ``nx.Graph`` of ``H ∪ A``, a ``Counter`` per candidate
-and exact ``Fraction`` values -- is the ``three_ecss_nx`` oracle in
-``tests/oracles.py``, and the solver-kernel sweep in
-``tests/test_fastaug.py`` asserts bit-identical results.  Both consume the
-seeded RNG in exactly the same order -- labels first, then one draw per
-candidate in ``repr`` order -- so outputs, iteration counts and histories
-match bit for bit.
+:func:`three_ecss` scores with
+:class:`repro.core.fastaug.PathLabelKernel`: an iteration that adds nothing
+changes no label, so it reuses the last scan; after an addition the kernel
+regroups only the label classes the added paths crossed and moves each
+candidate's Claim 5.8 total by their new minus old contributions.  Work per
+solve is O(n + m) plus the sizes of the added paths and of the crossed
+classes' candidate lists.  The power-of-two rounding is
+``rho~ = 2^e`` with ``e = bit_length(value)``; the Lemma 5.11 clamp and the
+``repr``-ordered candidate filter run on those integer exponents.  The
+reference -- an ``nx.Graph`` labelling evolved on a label dict, a
+``Counter`` per candidate and exact ``Fraction`` values -- is the
+``three_ecss_nx`` oracle in ``tests/oracles.py``, and the solver-kernel
+sweep in ``tests/test_fastaug.py`` asserts bit-identical results: outputs,
+iteration counts and histories match bit for bit.
 
-A round where tree edges still share a label but no candidate scores is a
-label collision (the input was checked 3-edge-connected at entry); it raises
-a :class:`RuntimeError` suggesting a larger ``label_bits`` or
+Lemma 5.4 gives each labelling a ``2^-b`` chance per pair of edges of
+breaking Property 5.1.  A solve scores at most ``|A| + 1`` labellings --
+the labelling of ``H`` and one after each iteration that adds to ``A`` --
+so the union bound ranges over those.  A false collision persists until an
+addition moves it, so a round where tree edges still share a label but no
+candidate scores (the input was checked 3-edge-connected at entry)
+triggers one full redraw of ``H ∪ A``; if the redrawn labelling stalls
+too, a :class:`RuntimeError` suggests a larger ``label_bits`` or
 ``exact_labels=True``.
 """
 
@@ -153,7 +156,7 @@ def _setup(
     """The 3-ECSS preamble (validation + ``H``), shared with the reference oracle.
 
     Returns ``H`` as an ``nx.Graph`` too: the solver turns it into its
-    :class:`CycleSpace`, the oracle grows it into ``H ∪ A``.
+    :class:`CycleSpace`, the oracle labels it directly.
     """
     if label_bits is not None and not _is_positive_int(label_bits):
         raise ValueError(f"label_bits must be an int >= 1 or None, got {label_bits!r}")
@@ -176,9 +179,9 @@ def _setup(
     h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
     ledger.extend(h_ledger)
 
-    # H in graph.edges() order; the solvers append each activated batch in
-    # activation order.  That edge order fixes the label draw order,
-    # independent of set hashing.
+    # H in graph.edges() order; the solvers append A in activation order.
+    # That edge order fixes the label draw order, independent of set
+    # hashing.
     current = nx.Graph()
     current.add_nodes_from(graph.nodes())
     current.add_edges_from(
@@ -261,12 +264,13 @@ def three_ecss(
     rng, cost_model, ledger, h_edges, tree, h_graph = _setup(
         graph, seed, label_bits, schedule_constant, simulate_bfs
     )
+    mode = "exact" if exact_labels else "random"
     space = CycleSpace(h_graph, tree)
     kernel = PathLabelKernel(graph, tree, skip=h_edges)
+    scan = kernel.score_round(compute_labels(space, bits=label_bits, mode=mode, seed=rng))
 
     added: set[Edge] = set()
     history: list[ThreeEcssIterationStats] = []
-    mode = "exact" if exact_labels else "random"
 
     schedule = GuessingSchedule(
         graph.number_of_edges(), max(1, schedule_constant * cost_model.log_n)
@@ -282,14 +286,18 @@ def three_ecss(
         if iteration > max_iterations:
             raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
 
-        labelling = compute_labels(space, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),
             note=f"iteration {iteration} (labels + cost-effectiveness, O(D))",
         )
-
-        tree_in_pairs, cand_ids, _, max_value = kernel.score_round(labelling)
+        tree_in_pairs, cand_ids, _, max_value = scan
+        if tree_in_pairs and not cand_ids:
+            # A collision in the evolving labelling: redraw H ∪ A once.
+            scan = kernel.score_round(
+                compute_labels(space, bits=label_bits, mode=mode, seed=rng)
+            )
+            tree_in_pairs, cand_ids, _, max_value = scan
         if tree_in_pairs == 0:
             history.append(
                 ThreeEcssIterationStats(
@@ -327,10 +335,12 @@ def three_ecss(
             active_ids = candidate_ids
         else:
             active_ids = [j for j in candidate_ids if rng.random() < probability]
-        kernel.mark_added(active_ids)
-        active = [kernel.cand_edges[j] for j in active_ids]
-        added.update(active)
-        space.add_edges(active)
+        if active_ids:
+            kernel.add_edges(active_ids, rng)
+            active = [kernel.cand_edges[j] for j in active_ids]
+            added.update(active)
+            space.add_edges(active)
+            scan = kernel.score_round()
 
         history.append(
             ThreeEcssIterationStats(

@@ -28,13 +28,24 @@ covering set as a bitmask, so exact-mode label equality is covering-set
 equality; :attr:`EdgeLabelling.labels` turns the masks back into frozensets
 on first use.  The historical per-path accumulation is the
 ``compute_labels_nx`` oracle in ``tests/oracles.py``.
+
+The labelling is linear in the edge set (Pritchard & Thurimella): adding a
+non-tree edge with a fresh label ``r`` XORs ``r`` into exactly the tree
+edges of its fundamental cycle and leaves a uniformly random circulation of
+the grown graph.  The 3-ECSS solver therefore labels ``H`` once with
+:func:`compute_labels` and extends that labelling as ``A`` grows --
+:func:`draw_labels` gives each edge that joins ``A`` its label, and
+:class:`repro.core.fastaug.PathLabelKernel` XORs it into the tree path.
+Lemma 5.4 bounds the chance that one labelling breaks Property 5.1 by
+``2^-b`` per pair of edges, so a solve's union bound ranges over at most
+``|A| + 1`` labellings (the first, and one after each iteration that adds
+to ``A``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from typing import Hashable, Iterable
 
 import networkx as nx
@@ -45,7 +56,7 @@ from repro.trees.rooted import RootedTree
 Edge = tuple[Hashable, Hashable]
 Label = object  # int (random mode) or frozenset (exact mode)
 
-__all__ = ["CycleSpace", "EdgeLabelling", "compute_labels"]
+__all__ = ["CycleSpace", "EdgeLabelling", "compute_labels", "draw_labels"]
 
 
 class CycleSpace:
@@ -61,30 +72,22 @@ class CycleSpace:
         u, v: Endpoint vertex ids of every non-tree edge.
         edges: The canonical form of every non-tree edge.
 
-    The non-tree edges are kept in ``graph.edges()`` order, and
-    :meth:`add_edges` preserves the order ``networkx`` would iterate the
-    grown graph in: an edge belongs to the bucket of whichever endpoint
-    comes first in the graph's node order, buckets follow node order, and
-    edges within a bucket keep insertion order.  That is how ``nx.Graph``
-    iterates a graph that only ever gains edges, so labelling the space
-    draws the same RNG stream as labelling the equivalent ``nx.Graph``.
-    :meth:`add_edges` replaces the lists instead of mutating them, so a
-    labelling keeps the edge set it was computed on.
+    The non-tree edges start in ``graph.edges()`` order, and
+    :meth:`add_edges` appends after them, so labelling the space draws one
+    label per non-tree edge in that order: labelling ``H ∪ A`` draws ``H``
+    first, then ``A`` in the order it was added.
     """
 
-    __slots__ = ("tree", "parent", "u", "v", "edges", "_bucket", "_position", "_present")
+    __slots__ = ("tree", "parent", "u", "v", "edges")
 
     def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
         self.tree = tree
         index = tree.index
         order = tree.bfs_order()
         self.parent = [-1] + [index[tree.parent(node)] for node in order[1:]]
-        self._position = {node: i for i, node in enumerate(graph)}
         self.u: list[int] = []
         self.v: list[int] = []
         self.edges: list[Edge] = []
-        self._bucket: list[int] = []
-        self._present: set[Edge] = set()
         self.add_edges(graph.edges())
 
     @property
@@ -93,28 +96,19 @@ class CycleSpace:
         return len(self.parent)
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add *edges* to the labelled graph (tree edges and repeats are ignored)."""
-        index, parent, position = self.tree.index, self.parent, self._position
-        present = self._present
-        bucket = u = v = out = None
+        """Append *edges* to the labelled graph (tree edges are skipped).
+
+        Each non-tree edge must be added once: a repeat would cancel its own
+        label out of every tree edge it covers.
+        """
+        index, parent = self.tree.index, self.parent
         for a, b in edges:
             ia, ib = index[a], index[b]
             if parent[ia] == ib or parent[ib] == ia:
                 continue
-            edge = canonical_edge(a, b)
-            if edge in present:
-                continue
-            present.add(edge)
-            if bucket is None:
-                bucket, u, v, out = self._bucket[:], self.u[:], self.v[:], self.edges[:]
-            key = min(position[a], position[b])
-            at = bisect_right(bucket, key)
-            bucket.insert(at, key)
-            u.insert(at, ia)
-            v.insert(at, ib)
-            out.insert(at, edge)
-        if bucket is not None:
-            self._bucket, self.u, self.v, self.edges = bucket, u, v, out
+            self.u.append(ia)
+            self.v.append(ib)
+            self.edges.append(canonical_edge(a, b))
 
 
 class EdgeLabelling:
@@ -219,6 +213,19 @@ def _default_bits(n: int) -> int:
     return 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
 
 
+def draw_labels(count: int, bits: int, rng: random.Random, start: int = 0) -> list[int]:
+    """Labels for *count* new non-tree edges, the first at position *start*.
+
+    Uniform *bits*-bit ints drawn from *rng*, one per edge in order; with
+    ``bits == 0`` (exact mode) the one-hot ``1 << i`` of each position ``i``,
+    drawing nothing.
+    """
+    if bits == 0:
+        return [1 << i for i in range(start, start + count)]
+    getrandbits = rng.getrandbits
+    return [getrandbits(bits) for _ in range(count)]
+
+
 def compute_labels(
     graph: nx.Graph | CycleSpace,
     tree: RootedTree | None = None,
@@ -230,12 +237,14 @@ def compute_labels(
 
     Args:
         graph: The graph ``H`` to label, as an ``nx.Graph`` or a
-            :class:`CycleSpace` (the 3-ECSS algorithm labels ``H ∪ A``).
+            :class:`CycleSpace` (the 3-ECSS algorithm labels ``H``, and
+            ``H ∪ A`` again after a stall).
         tree: Spanning tree to use; defaults to a BFS tree from the minimum-id
             vertex, matching the O(D)-depth requirement of Section 5.  A
             :class:`CycleSpace` brings its own tree.
-        bits: Label width; defaults to ``4 * ceil(log2 n) + 8`` so that the
-            union bound of Lemma 5.4 leaves polynomially small error.
+        bits: Label width, ``>= 1`` in random mode; defaults to
+            ``4 * ceil(log2 n) + 8`` so that the union bound of Lemma 5.4
+            leaves polynomially small error.
         mode: ``"random"`` (paper) or ``"exact"`` (covering-set labels).
         seed: Randomness for the random mode.
 
@@ -258,11 +267,11 @@ def compute_labels(
     if mode == "random":
         if bits is None:
             bits = _default_bits(n)
-        getrandbits = rng.getrandbits
-        non_tree_labels = [getrandbits(bits) for _ in space.edges]
+        elif bits < 1:
+            raise ValueError(f"random labels need bits >= 1, got {bits!r}")
     else:
         bits = 0
-        non_tree_labels = [1 << i for i in range(len(space.edges))]
+    non_tree_labels = draw_labels(len(space.edges), bits, rng)
 
     # Endpoint XOR tags: tree edge (v, p(v)) is crossed by exactly the
     # non-tree edges with an odd number of endpoints in the subtree of v, so
@@ -279,7 +288,7 @@ def compute_labels(
         tags[parent[i]] ^= tags[i]
     return EdgeLabelling(
         tree=space.tree,
-        non_tree_edges=space.edges,
+        non_tree_edges=space.edges[:],
         non_tree_labels=non_tree_labels,
         tree_labels=tags[1:],
         bits=bits,

@@ -80,7 +80,6 @@ _INEXACT_MATH = frozenset(
 #: DET004 flags any float that creeps into them.
 EXACT_MODULES = frozenset(
     {
-        "repro.core.cost_effectiveness",
         "repro.core.fastaug",
         "repro.core.three_ecss",
         "repro.tap.distributed",

@@ -28,12 +28,7 @@ import networkx as nx
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.core.augmentation import AugmentationResult
-from repro.core.cost_effectiveness import (
-    cost_effectiveness,
-    round_up_to_power_of_two,
-    rounded_cost_effectiveness,
-)
-from repro.core.fastaug import GuessingSchedule
+from repro.core.fastaug import INFINITE_EFFECTIVENESS, GuessingSchedule
 from repro.core.k_ecss import AugIterationStats, _k_ecss_impl, _level_setup
 from repro.core.result import ECSSResult
 from repro.core.three_ecss import ThreeEcssIterationStats, _result, _setup, _stall
@@ -55,6 +50,50 @@ from repro.tap.greedy import GreedyTapResult
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
+
+
+# ------------------------------------------------- cost-effectiveness
+# Section 2.1 in exact fractions: rho(e) = |C_e| / w(e), rounded up to
+# rho~, the smallest power of two strictly greater than rho.  The kernels
+# compare integer exponents of rho~ instead.
+def cost_effectiveness(uncovered: int, weight: int) -> object:
+    """Return ``rho = uncovered / weight`` (infinite when ``weight == 0``)."""
+    if uncovered < 0:
+        raise ValueError("the number of uncovered cuts cannot be negative")
+    if weight < 0:
+        raise ValueError("edge weights must be non-negative")
+    if weight == 0:
+        return INFINITE_EFFECTIVENESS
+    return Fraction(uncovered, weight)
+
+
+def round_up_to_power_of_two(value: Fraction) -> Fraction:
+    """Return the smallest power of two strictly greater than *value* (> 0).
+
+    The paper rounds ``rho`` "to the closest power of 2 that is greater than
+    rho", so for every candidate ``rho~ / 2 <= rho < rho~`` -- the property the
+    approximation analysis (Lemma 3.6) uses.
+    """
+    if value <= 0:
+        raise ValueError("can only round positive values")
+    power = Fraction(1)
+    if value >= 1:
+        while power <= value:
+            power *= 2
+        return power
+    while power / 2 > value:
+        power /= 2
+    return power
+
+
+def rounded_cost_effectiveness(uncovered: int, weight: int) -> object:
+    """Return ``rho~`` for an edge covering *uncovered* cuts at cost *weight*."""
+    rho = cost_effectiveness(uncovered, weight)
+    if rho is INFINITE_EFFECTIVENESS:
+        return rho
+    if rho == 0:
+        return Fraction(0)
+    return round_up_to_power_of_two(rho)
 
 
 # ---------------------------------------------------------- connectivity
@@ -177,6 +216,42 @@ def _dedupe(cuts: Iterable[Cut]) -> list[Cut]:
 
 
 # ---------------------------------------------------------------- labels
+def _labels_nx(
+    non_tree_edges: list[Edge],
+    tree: RootedTree,
+    bits: int,
+    mode: str,
+    rng: random.Random,
+) -> tuple[dict[Edge, object], dict[Edge, frozenset[Edge]]]:
+    """Labels of *non_tree_edges* (drawn in list order) and of the tree edges.
+
+    Random mode draws one ``bits``-bit int per non-tree edge and XORs it
+    onto each tree edge of its path; exact mode labels edge ``e`` with
+    ``{e}`` and each tree edge with its covering set.  Returns ``(labels,
+    tree_paths)``.
+    """
+    tree_paths = {edge: frozenset(tree.tree_path_edges(*edge)) for edge in non_tree_edges}
+    labels: dict[Edge, object] = {}
+    if mode == "random":
+        for edge in non_tree_edges:
+            labels[edge] = rng.getrandbits(bits)
+        accumulator: dict[Edge, int] = {t: 0 for t in tree.tree_edges()}
+        for edge in non_tree_edges:
+            for t in tree_paths[edge]:
+                accumulator[t] ^= labels[edge]
+        labels.update(accumulator)
+    else:
+        for edge in non_tree_edges:
+            labels[edge] = frozenset({edge})
+        covering: dict[Edge, set[Edge]] = {t: set() for t in tree.tree_edges()}
+        for edge in non_tree_edges:
+            for t in tree_paths[edge]:
+                covering[t].add(edge)
+        for t, cover in covering.items():
+            labels[t] = frozenset(cover)
+    return labels, tree_paths
+
+
 def compute_labels_nx(
     graph: nx.Graph,
     tree: RootedTree | None = None,
@@ -197,37 +272,15 @@ def compute_labels_nx(
         tree = RootedTree.bfs_tree(graph)
     if bits is None:
         bits = _default_bits(graph.number_of_nodes())
+    if mode == "exact":
+        bits = 0
     tree_edge_set = set(tree.tree_edges())
     non_tree_edges = [
         edge
         for edge in (canonical_edge(u, v) for u, v in graph.edges())
         if edge not in tree_edge_set
     ]
-
-    labels: dict[Edge, object] = {}
-    tree_paths: dict[Edge, frozenset[Edge]] = {}
-    for edge in non_tree_edges:
-        tree_paths[edge] = frozenset(tree.tree_path_edges(*edge))
-
-    if mode == "random":
-        for edge in non_tree_edges:
-            labels[edge] = rng.getrandbits(bits)
-        accumulator: dict[Edge, int] = {t: 0 for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                accumulator[t] ^= labels[edge]
-        labels.update(accumulator)
-    else:
-        for edge in non_tree_edges:
-            labels[edge] = frozenset({edge})
-        covering: dict[Edge, set[Edge]] = {t: set() for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                covering[t].add(edge)
-        for t, cover in covering.items():
-            labels[t] = frozenset(cover)
-        bits = 0
-
+    labels, tree_paths = _labels_nx(non_tree_edges, tree, bits, mode, rng)
     return EdgeLabelling(
         tree=tree,
         non_tree_edges=non_tree_edges,
@@ -540,18 +593,22 @@ def three_ecss_nx(
     schedule_constant: int = 2,
     simulate_bfs: bool = False,
 ) -> ECSSResult:
-    """The historical set/``Counter`` 3-ECSS.
+    """The set/``Counter`` 3-ECSS on one evolving label dict.
 
     Same arguments and bit-identical output as
-    :func:`repro.core.three_ecss.three_ecss`; every iteration labels an
-    ``nx.Graph`` of ``H ∪ A``, rebuilds label counts with
-    :class:`collections.Counter` per candidate path and compares exact
-    :class:`~fractions.Fraction` values.
+    :func:`repro.core.three_ecss.three_ecss`: ``H`` is labelled once, each
+    activated edge draws one label (a ``{e}`` frozenset in exact mode) that
+    is XORed onto every tree edge of its path, and after every addition the
+    whole labelling is rescored with a :class:`collections.Counter` per
+    candidate path and exact :class:`~fractions.Fraction` values.  A stall
+    redraws ``H ∪ A`` once, in the solver's draw order (``H``, then ``A`` in
+    activation order).
     """
     rng, cost_model, ledger, h_edges, tree, current = _setup(
         graph, seed, label_bits, schedule_constant, simulate_bfs
     )
     tree_edge_set = set(tree.tree_edges())
+    mode = "exact" if exact_labels else "random"
 
     # Pre-compute the tree path of every potential candidate edge.
     candidate_paths: dict[Edge, list[Edge]] = {}
@@ -561,9 +618,13 @@ def three_ecss_nx(
             continue
         candidate_paths[edge] = [canonical_edge(a, b) for a, b in tree.tree_path_edges(u, v)]
 
+    labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
+    labels = dict(labelling.labels)
+    bits = labelling.bits
+    draw_order = labelling.non_tree_edges()
     added: set[Edge] = set()
+    scan = _score_round_nx(labels, tree_edge_set, candidate_paths, added)
     history: list[ThreeEcssIterationStats] = []
-    mode = "exact" if exact_labels else "random"
 
     schedule = GuessingSchedule(
         graph.number_of_edges(), max(1, schedule_constant * cost_model.log_n)
@@ -579,16 +640,16 @@ def three_ecss_nx(
         if iteration > max_iterations:
             raise RuntimeError(f"3-ECSS did not converge within {max_iterations} iterations")
 
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),
             note=f"iteration {iteration} (labels + cost-effectiveness, O(D))",
         )
-
-        tree_in_pairs, rounded = _score_round_nx(
-            labelling.labels, tree_edge_set, candidate_paths, added
-        )
+        tree_in_pairs, rounded = scan
+        if tree_in_pairs and not rounded:
+            labels, _ = _labels_nx(draw_order, tree, bits, mode, rng)
+            scan = _score_round_nx(labels, tree_edge_set, candidate_paths, added)
+            tree_in_pairs, rounded = scan
         if tree_in_pairs == 0:
             history.append(
                 ThreeEcssIterationStats(
@@ -624,8 +685,15 @@ def three_ecss_nx(
             active = list(candidates)
         else:
             active = [edge for edge in candidates if rng.random() < probability]
-        added.update(active)
-        current.add_edges_from(active)
+        if active:
+            for edge in active:
+                label = frozenset({edge}) if mode == "exact" else rng.getrandbits(bits)
+                labels[edge] = label
+                for t in candidate_paths[edge]:
+                    labels[t] ^= label
+            draw_order.extend(active)
+            added.update(active)
+            scan = _score_round_nx(labels, tree_edge_set, candidate_paths, added)
 
         history.append(
             ThreeEcssIterationStats(

@@ -1,4 +1,8 @@
-"""Tests for cost-effectiveness values and power-of-two rounding."""
+"""Tests for the exact cost-effectiveness reference and power-of-two rounding.
+
+The fractions live in ``tests/oracles.py`` (the kernels compare integer
+exponents); :data:`INFINITE_EFFECTIVENESS` is the library's sentinel.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cost_effectiveness import (
-    INFINITE_EFFECTIVENESS,
+from oracles import (
     cost_effectiveness,
     round_up_to_power_of_two,
     rounded_cost_effectiveness,
 )
+from repro.core.fastaug import INFINITE_EFFECTIVENESS
 
 
 class TestCostEffectiveness:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import shuffled_string_copy
-from oracles import compute_labels_nx
+from oracles import _labels_nx, compute_labels_nx
 from repro.cycle_space.circulation import (
     fundamental_cycle,
     is_binary_circulation,
@@ -23,7 +23,7 @@ from repro.cycle_space.cut_pairs import (
     is_cut_pair,
     label_multiplicities,
 )
-from repro.cycle_space.labels import CycleSpace, compute_labels
+from repro.cycle_space.labels import CycleSpace, compute_labels, draw_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import cycle_with_chords, harary_graph
 from repro.trees.rooted import RootedTree
@@ -146,31 +146,42 @@ _LABEL_SETTINGS = [
 class TestCycleSpaceOrder:
     @given(seed=st.integers(0, 10_000), n=st.integers(4, 14))
     @settings(max_examples=30, deadline=None)
-    def test_property_appended_space_labels_like_the_grown_graph(self, seed, n):
-        # A CycleSpace grown by add_edges must draw exactly the labels (and
-        # leave exactly the RNG state) of the nx.Graph grown the same way,
-        # including repeats of edges that are already present.
+    def test_property_appended_space_labels_in_append_order(self, seed, n):
+        # A CycleSpace draws one label per non-tree edge: the graph's in
+        # graph.edges() order, then every appended edge in append order
+        # (tree edges skipped) -- the order a 3-ECSS redraw of H ∪ A uses.
         rng = random.Random(seed)
         graph = _shuffled_string_graph(n, rng)
         tree = RootedTree.bfs_tree(graph)
+        tree_edges = set(tree.tree_edges())
         nodes = list(graph.nodes())
-        batches = [
-            [tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(4))]
-            for _ in range(3)
-        ]
+        extra = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randrange(6))]
+        extra = list({canonical_edge(*e): e for e in extra if not graph.has_edge(*e)}.values())
+        order = [
+            edge for edge in (canonical_edge(u, v) for u, v in graph.edges())
+            if edge not in tree_edges
+        ] + [canonical_edge(*e) for e in extra]
         for setting in _LABEL_SETTINGS:
-            grown = graph.copy()
             space = CycleSpace(graph, tree)
-            for batch in [[]] + batches:
-                grown.add_edges_from(batch)
-                space.add_edges(batch)
-                fast_rng, nx_rng, oracle_rng = (random.Random(seed) for _ in range(3))
-                fast = compute_labels(space, seed=fast_rng, **setting)
-                from_nx = compute_labels(grown, tree=tree, seed=nx_rng, **setting)
-                oracle = compute_labels_nx(grown, tree=tree, seed=oracle_rng, **setting)
-                assert fast.labels == from_nx.labels == oracle.labels
-                assert fast.non_tree_edges() == oracle.non_tree_edges()
-                assert fast_rng.getstate() == nx_rng.getstate() == oracle_rng.getstate()
+            space.add_edges(extra[:1])
+            space.add_edges(extra[1:])
+            fast_rng, oracle_rng = random.Random(seed), random.Random(seed)
+            fast = compute_labels(space, seed=fast_rng, **setting)
+            bits = fast.bits
+            labels, _ = _labels_nx(order, tree, bits, setting.get("mode", "random"), oracle_rng)
+            assert fast.non_tree_edges() == order
+            assert fast.labels == labels
+            assert fast_rng.getstate() == oracle_rng.getstate()
+
+    def test_draw_labels_continues_the_one_hot_positions(self):
+        assert draw_labels(3, 0, random.Random(1), start=2) == [4, 8, 16]
+        rng, again = random.Random(5), random.Random(5)
+        assert draw_labels(4, 12, rng) == [again.getrandbits(12) for _ in range(4)]
+
+    def test_random_labels_need_a_positive_width(self):
+        graph = cycle_with_chords(8, extra_edges=2, seed=1)
+        with pytest.raises(ValueError, match="bits"):
+            compute_labels(graph, bits=0, seed=1)
 
     @pytest.mark.parametrize("mode", ["random", "exact"])
     def test_nx_input_matches_the_oracle(self, mode):

@@ -10,9 +10,11 @@ Three layers:
 * direct unit tests of :class:`repro.core.fastaug.PathLabelKernel` and
   :class:`repro.core.fastaug.BitsetCoverKernel` -- CSR path parity with
   ``RootedTree.tree_path_edges``, Claim 5.8 scores vs the ``Counter`` oracle,
-  the score memos (reused for an unchanged partition or ``A``, rescored
-  otherwise), packed cover masks vs the frozenset relation, and the
-  incremental live counters vs recomputation;
+  the evolving labelling (every tree label the XOR of its covering edges
+  after any ``add_edges`` batches, incremental rescans equal to full
+  ``Counter`` scans, wide random labels splitting ``H ∪ A`` into Claim
+  5.6's exact classes), the cover score memo, packed cover masks vs the
+  frozenset relation, and the incremental live counters vs recomputation;
 * the seeded solver-kernel differential sweep: 50 instances of **every**
   registered generator family per solver (plus k=4 k-ECSS cells on 3-edge
   cuts from the cycle-space label lookup), each asserting bit-identical
@@ -29,21 +31,21 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import SWEEP_FAMILIES, shuffled_string_copy
 from oracles import (
     _recompute_effectiveness_nx,
     _score_round_nx,
     augment_to_k_nx,
+    compute_labels_nx,
     k_ecss_nx,
-    three_ecss_nx,
-)
-from repro.core.cost_effectiveness import (
-    INFINITE_EFFECTIVENESS,
     rounded_cost_effectiveness,
+    three_ecss_nx,
 )
 from repro.core import fastaug
 from repro.core.fastaug import (
+    INFINITE_EFFECTIVENESS,
     BitsetCoverKernel,
     GuessingSchedule,
     PathLabelKernel,
@@ -139,15 +141,15 @@ class TestGuessingSchedule:
         result = three_ecss(graph, seed=7)
         history = result.metadata["iterations_history"]
         probabilities = [record.probability for record in history]
-        # m = 37 edges -> p starts at 1/64 and doubles every 2 log2(n) = 8
-        # iterations; the first additions (iterations 19 and 27) drop the
-        # maximum at iteration 28, restarting the schedule from 1/64.
-        assert result.iterations == 39
+        # m = 43 edges -> p starts at 1/64 and doubles every 2 log2(n) = 8
+        # iterations; the first additions (iterations 17 and 26) drop the
+        # maximum at iteration 27, restarting the schedule from 1/64.
+        assert result.iterations == 53
         assert probabilities == (
-            [1 / 64] * 8 + [1 / 32] * 8 + [1 / 16] * 8 + [1 / 8] * 3
-            + [1 / 64] * 8 + [1 / 32] * 4
+            [1 / 64] * 8 + [1 / 32] * 8 + [1 / 16] * 8 + [1 / 8] * 2
+            + [1 / 64] * 8 + [1 / 32] * 8 + [1 / 16] * 8 + [1 / 8] * 3
         )
-        assert [record.added for record in history if record.added] == [1, 2, 1]
+        assert [record.added for record in history if record.added] == [1, 1, 1, 1]
         assert history[-1].tree_edges_in_cut_pairs == 0
         exact = three_ecss(graph, seed=7, exact_labels=True)
         assert exact.iterations == 42
@@ -203,7 +205,7 @@ class TestPathLabelKernel:
                         rounded.values()
                     )
 
-    def test_mark_added_skips_candidates(self):
+    def test_added_candidates_are_never_scored(self):
         graph, h_edges, tree = _three_ecss_state(14, 1)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = nx.Graph()
@@ -212,10 +214,12 @@ class TestPathLabelKernel:
         labelling = compute_labels(current, tree=tree, mode="exact")
         _, before_ids, _, _ = kernel.score_round(labelling)
         assert before_ids
-        kernel.mark_added(before_ids[:1])
-        _, after_ids, _, _ = kernel.score_round(labelling)
+        kernel.add_edges(before_ids[:1], random.Random(0))
+        _, after_ids, _, _ = kernel.score_round()
         assert before_ids[0] not in after_ids
-        assert set(after_ids) == set(before_ids[1:])
+        # A reload keeps A: the added candidate stays unscored.
+        _, reloaded_ids, _, _ = kernel.score_round(labelling)
+        assert set(reloaded_ids) == set(before_ids[1:])
 
     def _h_graph(self, graph, h_edges):
         current = nx.Graph()
@@ -239,18 +243,24 @@ class TestPathLabelKernel:
             for j, value in zip(cand_ids, values)
         }
 
-    def test_memo_returns_equal_result_for_the_same_partition(self):
+    def test_score_round_without_additions_returns_the_last_scan(self):
         graph, h_edges, tree = _three_ecss_state(16, 3)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = self._h_graph(graph, h_edges)
         first = kernel.score_round(compute_labels(current, tree=tree, seed=1))
         assert first[0] > 0 and first[1]
-        # The same labelling, and a fresh draw that splits H into the same
-        # cut-pair classes, both hit the memo.
-        again = kernel.score_round(compute_labels(current, tree=tree, seed=1))
-        fresh = kernel.score_round(compute_labels(current, tree=tree, seed=2))
-        assert again == first and again is first
-        assert fresh == first and fresh is first
+        assert kernel.score_round() is first
+        # An empty batch draws nothing and changes no label.
+        kernel.add_edges([], random.Random(0))
+        assert kernel.score_round() == first
+
+    def test_add_edges_needs_a_loaded_labelling(self):
+        graph, h_edges, tree = _three_ecss_state(14, 2)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        with pytest.raises(RuntimeError, match="labelling"):
+            kernel.score_round()
+        with pytest.raises(RuntimeError, match="labelling"):
+            kernel.add_edges([0], random.Random(0))
 
     def test_memo_rescores_a_different_partition(self):
         graph, h_edges, tree = _three_ecss_state(16, 4)
@@ -267,29 +277,29 @@ class TestPathLabelKernel:
         assert second[0] == pairs
         assert self._rounded(kernel, second[1], second[2]) == rounded
 
-    def test_memo_with_exact_labels(self):
+    def test_frozenset_labels_match_counter_oracle(self):
         graph, h_edges, tree = _three_ecss_state(14, 5)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         current = self._h_graph(graph, h_edges)
-        labelling = compute_labels(current, tree=tree, mode="exact")
+        labelling = compute_labels_nx(current, tree=tree, mode="exact")
         labels = labelling.labels
         assert all(isinstance(label, frozenset) for label in labels.values())
         first = kernel.score_round(labelling)
-        second = kernel.score_round(compute_labels(current, tree=tree, mode="exact"))
-        assert second is first
         pairs, rounded = self._oracle(kernel, tree, labels)
         assert first[0] == pairs
         assert self._rounded(kernel, first[1], first[2]) == rounded
+        # Equal covering sets give equal one-hot bitmasks: the same scores.
+        assert kernel.score_round(compute_labels(current, tree=tree, mode="exact")) == first
 
-    def test_mark_added_bumps_version_only_for_new_candidates(self):
+    def test_add_edges_rejects_a_repeat_and_bumps_the_version(self):
         graph, h_edges, tree = _three_ecss_state(14, 1)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
-        kernel.mark_added([])
-        assert kernel.version == 0
-        kernel.mark_added([0, 1])
-        assert kernel.version == 2
-        kernel.mark_added([1])
-        assert kernel.version == 2
+        kernel.score_round(compute_labels(self._h_graph(graph, h_edges), tree=tree, seed=1))
+        version = kernel.version
+        kernel.add_edges([0, 1], random.Random(0))
+        assert kernel.version > version
+        with pytest.raises(ValueError, match="only once"):
+            kernel.add_edges([1], random.Random(0))
 
     def test_termination_when_every_label_unique(self):
         graph, h_edges, tree = _three_ecss_state(12, 2)
@@ -300,9 +310,11 @@ class TestPathLabelKernel:
         pairs, cand_ids, values, max_value = kernel.score_round(labelling)
         assert (pairs, cand_ids, values, max_value) == (0, [], [], 0)
 
-    def _assert_matches_oracle(self, kernel, tree, labelling, added=frozenset()):
+    def _assert_matches_oracle(self, kernel, tree, labelling, added=frozenset(), labels=None):
         pairs, cand_ids, values, max_value = kernel.score_round(labelling)
-        oracle_pairs, rounded = self._oracle(kernel, tree, labelling.labels, added)
+        if labels is None:
+            labels = labelling.labels
+        oracle_pairs, rounded = self._oracle(kernel, tree, labels, added)
         assert pairs == oracle_pairs
         if pairs:
             assert self._rounded(kernel, cand_ids, values) == rounded
@@ -336,23 +348,107 @@ class TestPathLabelKernel:
             self._assert_matches_oracle(kernel, tree, labelling)
         assert collided
 
-    def test_labelling_after_mark_added_matches_counter_oracle(self):
-        graph, h_edges, tree = _three_ecss_state(18, 6)
-        kernel = PathLabelKernel(graph, tree, skip=h_edges)
-        space = CycleSpace(self._h_graph(graph, h_edges), tree)
-        _, cand_ids = self._assert_matches_oracle(
-            kernel, tree, compute_labels(space, seed=1)
-        )
-        chosen = cand_ids[::3]
-        kernel.mark_added(chosen)
-        active = [kernel.cand_edges[j] for j in chosen]
-        space.add_edges(active)
-        for seed in (2, 3):
-            labelling = compute_labels(space, seed=seed)
-            self._assert_matches_oracle(kernel, tree, labelling, added=active)
-            _, after_ids, _, _ = kernel.score_round(labelling)
-            assert not set(after_ids) & set(chosen)
+    def _kernel_labels(self, kernel, labelling, drawn):
+        """Edge -> label of H ∪ A as the kernel holds it after additions."""
+        labels = dict(zip(labelling.non_tree_edges(), labelling.non_tree_labels))
+        for j, label in drawn.items():
+            labels[kernel.cand_edges[j]] = label
+        tree = kernel.tree
+        for vid in range(1, len(tree.parent_edges)):
+            labels[tree.parent_edges[vid]] = kernel.tree_labels[vid]
+        return labels
 
+    def _grow(self, kernel, labelling, batches, rng):
+        """Run *batches* of ``add_edges``; return the labels drawn per candidate."""
+        drawn: dict[int, object] = {}
+        for batch in batches:
+            fresh = [j for j in dict.fromkeys(batch) if not kernel.in_added[j] and j not in drawn]
+            drawn.update(zip(fresh, kernel.add_edges(fresh, rng)))
+        return drawn
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 18), setting=st.sampled_from(
+        [{"bits": 2}, {"bits": 8}, {"bits": None}, {"bits": 100}, {"mode": "exact"}]
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_property_added_labels_are_xors_of_covering_edges(self, seed, n, setting):
+        # After any sequence of add_edges batches, every tree label is the
+        # XOR of the labels of the non-tree edges of H ∪ A that cover it,
+        # and the incremental score equals a full Counter scan of those
+        # labels -- also with 2-bit labels, whose collisions take the
+        # full-scan fallback.
+        rng = random.Random(seed)
+        graph, h_edges, tree = _three_ecss_state(n, seed % 7)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        labelling = compute_labels(
+            CycleSpace(self._h_graph(graph, h_edges), tree), seed=rng, **setting
+        )
+        kernel.score_round(labelling)
+        added: list = []
+        drawn: dict[int, object] = {}
+        for _ in range(rng.randrange(1, 5)):
+            live = [j for j in range(kernel.m_candidates) if not kernel.in_added[j]]
+            batch = rng.sample(live, min(len(live), rng.randrange(4)))
+            drawn.update(self._grow(kernel, labelling, [batch], rng))
+            added.extend(kernel.cand_edges[j] for j in batch)
+            labels = self._kernel_labels(kernel, labelling, drawn)
+            non_tree = list(labelling.non_tree_edges()) + added
+            for vid in range(1, len(tree.parent_edges)):
+                t = tree.parent_edges[vid]
+                expected = 0
+                for edge in non_tree:
+                    if t in set(tree.tree_path_edges(*edge)):
+                        expected ^= labels[edge]
+                assert labels[t] == expected
+            self._assert_matches_oracle(kernel, tree, None, added, labels)
+
+    def test_random_partition_matches_exact_cut_pair_classes(self):
+        # With wide labels the evolving random labelling splits H ∪ A into
+        # exactly the classes of Claim 5.6's covering-set labels.
+        for seed in range(6):
+            rng = random.Random(seed)
+            graph, h_edges, tree = _three_ecss_state(18, seed)
+            kernel = PathLabelKernel(graph, tree, skip=h_edges)
+            current = self._h_graph(graph, h_edges)
+            labelling = compute_labels(CycleSpace(current, tree), bits=128, seed=rng)
+            kernel.score_round(labelling)
+            batches = [rng.sample(range(kernel.m_candidates), 3) for _ in range(3)]
+            drawn = self._grow(kernel, labelling, batches, rng)
+            random_labels = self._kernel_labels(kernel, labelling, drawn)
+            current.add_edges_from(kernel.cand_edges[j] for j in drawn)
+            exact = compute_labels(current, tree=tree, mode="exact").labels
+            assert set(random_labels) == set(exact)
+
+            def classes(labels):
+                groups: dict = {}
+                for edge, label in labels.items():
+                    groups.setdefault(label, set()).add(edge)
+                return {frozenset(group) for group in groups.values()}
+
+            assert classes(random_labels) == classes(exact)
+            pairs, _, _, _ = kernel.score_round()
+            assert pairs == sum(
+                1 for t in tree.tree_edges() if len([e for e in exact if exact[e] == exact[t]]) > 1
+            )
+
+    def test_incremental_scan_gathers_fewer_pairs_than_a_full_scan(self, monkeypatch):
+        graph, h_edges, tree = _three_ecss_state(40, 1)
+        kernel = PathLabelKernel(graph, tree, skip=h_edges)
+        labelling = compute_labels(self._h_graph(graph, h_edges), tree=tree, seed=1)
+        _, cand_ids, _, _ = kernel.score_round(labelling)
+        gathered: list[int] = []
+        rows = fastaug._csr_rows
+
+        def counting_rows(indptr, values, ids):
+            out = rows(indptr, values, ids)
+            gathered.append(len(out))
+            return out
+
+        monkeypatch.setattr(fastaug, "_csr_rows", counting_rows)
+        kernel.add_edges(cand_ids[:1], random.Random(2))
+        kernel.score_round()
+        kernel.score_round(labelling)
+        incremental, full = gathered
+        assert incremental < full
 
 # ------------------------------------------------------------ BitsetCoverKernel
 def _aug_level_state(n: int, seed: int, k: int = 2, weights=None):
@@ -590,8 +686,9 @@ class TestSolverKernelDifferentialSweep:
     def test_three_ecss_matches_oracle(self, family, variant):
         """Kernel-backed 3-ECSS vs the ``Counter`` oracle: bit-identical runs.
 
-        Both consume the same RNG stream (labels first, then one draw per
-        candidate in ``repr`` order), so the added-edge set, the iteration
+        Both consume the same RNG stream (the labels of ``H``, then per
+        iteration one draw per candidate in ``repr`` order and one label per
+        activated edge), so the added-edge set, the iteration
         count and every :class:`~repro.core.three_ecss.ThreeEcssIterationStats`
         record must match exactly -- in random- and exact-label modes, with
         100-bit (multi-word) labels, and on a copy with string vertex names

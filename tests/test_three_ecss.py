@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 import repro
 from oracles import three_ecss_nx
 from repro.baselines.thurimella import sparse_certificate_k_ecss
+from repro.core.fastaug import PathLabelKernel
 from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.graphs.connectivity import is_k_edge_connected
 from repro.graphs.generators import grid_torus, harary_graph, random_k_edge_connected_graph
@@ -203,3 +205,44 @@ class TestThreeEcssLabelCollisions:
         result = three_ecss(_string_torus(), seed=0, exact_labels=True)
         ok, reason = result.verify()
         assert ok, reason
+
+    def test_one_bit_labels_redraw_once_per_stall(self, monkeypatch):
+        # One-bit labels collide constantly.  A stall redraws H ∪ A once;
+        # a second stall straight after the redraw raises the collision
+        # error, so after the labelling of H two labellings never run back
+        # to back.  The oracle follows the same stream to the same outcome.
+        module = importlib.import_module("repro.core.three_ecss")
+        events: list[str] = []
+        label, add = module.compute_labels, PathLabelKernel.add_edges
+
+        def counting_labels(*args, **kwargs):
+            events.append("label")
+            return label(*args, **kwargs)
+
+        def counting_add(self, ids, rng):
+            if ids:
+                events.append("add")
+            return add(self, ids, rng)
+
+        monkeypatch.setattr(module, "compute_labels", counting_labels)
+        monkeypatch.setattr(PathLabelKernel, "add_edges", counting_add)
+        graph = _string_torus()
+        for seed in range(4):
+            events.clear()
+            try:
+                result = module.three_ecss(graph, seed=seed, label_bits=1)
+            except RuntimeError as error:
+                outcome = str(error)
+                assert "label collision" in outcome
+                assert events[-1] == "label"
+            else:
+                ok, reason = result.verify()
+                assert ok, reason
+                outcome = sorted(result.edges)
+            assert events.count("label") >= 2, events
+            assert ["label", "label"] not in [events[i:i + 2] for i in range(1, len(events))]
+            try:
+                expected = sorted(three_ecss_nx(graph, seed=seed, label_bits=1).edges)
+            except RuntimeError as error:
+                expected = str(error)
+            assert outcome == expected
