@@ -33,7 +33,6 @@ from typing import Callable, Hashable, Mapping, NamedTuple
 import networkx as nx
 
 from repro.congest.metrics import RoundReport
-from repro.graphs.fastgraph import hop_diameter
 
 __all__ = ["Message", "CongestNode", "CongestNetwork", "BandwidthExceeded"]
 
@@ -292,7 +291,3 @@ class CongestNetwork:
     def edge_weight(self, u: Hashable, v: Hashable) -> int:
         """Return the weight of edge ``{u, v}`` (1 if unweighted)."""
         return self.graph[u][v].get("weight", 1)
-
-    def diameter(self) -> int:
-        """Return the (hop) diameter of the communication graph."""
-        return hop_diameter(self.graph)

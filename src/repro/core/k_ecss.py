@@ -50,11 +50,7 @@ import numpy as np
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.augmentation import (
-    AugmentationResult,
-    build_subgraph,
-    compose_augmentations,
-)
+from repro.core.augmentation import AugmentationResult, compose_augmentations
 from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
 from repro.graphs.connectivity import canonical_edge, check_solver_input
@@ -83,35 +79,8 @@ class AugIterationStats:
     uncovered_remaining: int
 
 
-def _level_setup(
-    graph: nx.Graph,
-    current_edges: frozenset[Edge],
-    k: int,
-    cost_model: CostModel | None,
-) -> tuple[CostModel, RoundLedger, list[Cut], list[Edge], dict[Edge, int]]:
-    """Shared preamble of one ``Aug_k`` level (broadcast + cut enumeration)."""
-    if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
-    subgraph = build_subgraph(graph, current_edges)
-    ledger = RoundLedger()
-    ledger.add(
-        "aug-state-broadcast",
-        cost_model.aug_state_broadcast_rounds(len(current_edges)),
-        note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
-    )
-    cuts: list[Cut] = enumerate_cuts_of_size(subgraph, k - 1)
-    current = frozenset(canonical_edge(u, v) for u, v in current_edges)
-    candidates_pool = [
-        canonical_edge(u, v) for u, v in graph.edges() if canonical_edge(u, v) not in current
-    ]
-    weight_of = {
-        edge: graph[edge[0]][edge[1]].get("weight", 1) for edge in candidates_pool
-    }
-    return cost_model, ledger, cuts, candidates_pool, weight_of
-
-
 def augment_to_k(
-    graph: nx.Graph,
+    graph: nx.Graph | FastGraph,
     current_edges: frozenset[Edge],
     k: int,
     seed: int | random.Random | None = None,
@@ -123,7 +92,10 @@ def augment_to_k(
     """Raise the connectivity of ``current_edges`` from ``k - 1`` to ``k`` (Section 4).
 
     Args:
-        graph: The k-edge-connected input graph ``G``.
+        graph: The k-edge-connected input graph ``G``, or its
+            :class:`FastGraph` snapshot: :func:`k_ecss` passes every level
+            the one its input check built, so the per-edge canonical forms
+            and Kruskal tie ranks are computed once per solve.
         current_edges: Edges of the (k-1)-edge-connected subgraph ``H``.
         k: Target connectivity of this level.
         seed: Randomness for candidate activation -- the only randomness of
@@ -141,11 +113,26 @@ def augment_to_k(
         ``current_edges``, form a k-edge-connected spanning subgraph.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    cost_model, ledger, cuts, candidates_pool, weight_of = _level_setup(
-        graph, current_edges, k, cost_model
+    fast = FastGraph.of(graph)
+    n, m = fast.n, fast.m
+    if cost_model is None:
+        cost_model = CostModel(n=n, diameter=hop_diameter(fast))
+    ledger = RoundLedger()
+    ledger.add(
+        "aug-state-broadcast",
+        cost_model.aug_state_broadcast_rounds(len(current_edges)),
+        note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
     )
+    # H and the candidates split G's edge ids; H's snapshot is built from
+    # them directly, with G's vertex ids.
+    edges, rank = fast.canonical_edges()
+    current = frozenset(canonical_edge(u, v) for u, v in current_edges)
+    in_h = [edge in current for edge in edges]
+    tail, head, weight = fast.tail, fast.head, fast.weight
+    h_fast = FastGraph(
+        fast.labels, ((tail[e], head[e], weight[e]) for e in range(m) if in_h[e])
+    )
+    cuts: list[Cut] = enumerate_cuts_of_size(h_fast, k - 1)
     if max_iterations is None:
         max_iterations = 16 * schedule_constant * cost_model.log_n ** 3 + 8 * n + 64
     if not cuts:
@@ -154,13 +141,13 @@ def augment_to_k(
             metadata={"cuts": 0, "history": [], "k": k},
         )
 
-    node_id = {node: i for i, node in enumerate(graph.nodes())}
-    tails = [node_id[u] for u, _ in candidates_pool]
-    heads = [node_id[v] for _, v in candidates_pool]
+    pool = [e for e in range(m) if not in_h[e]]
+    tails = [tail[e] for e in pool]
+    heads = [head[e] for e in pool]
     kernel = BitsetCoverKernel(
-        candidates_pool,
-        [weight_of[edge] for edge in candidates_pool],
-        _side_matrix(cuts, node_id),
+        [edges[e] for e in pool],
+        [weight[e] for e in pool],
+        _side_matrix(cuts, fast.index),
         tails,
         heads,
     )
@@ -170,7 +157,7 @@ def augment_to_k(
         # candidate, its endpoint ids and Kruskal tie rank.
         forest = ArrayUnionFind(n)
         ends = list(zip(tails, heads))
-        rank = _kruskal_rank(graph, cand_edges)
+        cand_rank = [rank[e] for e in pool]
 
     added_ids: list[int] = []
     history: list[AugIterationStats] = []
@@ -204,7 +191,7 @@ def augment_to_k(
 
         # Line 4: MST filtering keeps A acyclic.
         if use_mst_filter:
-            newly_added = _forest_filter(forest, ends, rank, active_ids)
+            newly_added = _forest_filter(forest, ends, cand_rank, active_ids)
         else:
             newly_added = active_ids
         if newly_added:
@@ -253,21 +240,6 @@ def _side_matrix(cuts: list[Cut], node_id: dict[Hashable, int]) -> np.ndarray:
     return side
 
 
-def _kruskal_rank(graph: nx.Graph, cand_edges: list[Edge]) -> list[int]:
-    """Candidate id -> position in the tie order of :func:`minimum_spanning_tree`.
-
-    Canonical edge tuples, or their ``repr`` when the node labels do not
-    compare -- decided once per level, by whether the edges of ``G`` sort.
-    """
-    edges = [canonical_edge(u, v) for u, v in graph.edges()]
-    try:
-        ordered = sorted(edges)
-    except TypeError:
-        ordered = sorted(edges, key=repr)
-    position = {edge: i for i, edge in enumerate(ordered)}
-    return [position[edge] for edge in cand_edges]
-
-
 def _forest_filter(
     forest: ArrayUnionFind,
     ends: list[tuple[int, int]],
@@ -297,16 +269,17 @@ def _k_ecss_impl(
     use_mst_filter: bool,
     level_solver: Callable[..., AugmentationResult],
 ) -> ECSSResult:
-    """Shared Theorem 1.2 composition driver (MST level + ``Aug_2..k``)."""
+    """Shared Theorem 1.2 composition driver (MST level + ``Aug_2..k``).
+
+    Every ``Aug_2..k`` level gets the :class:`FastGraph` the input check
+    built in place of *graph*.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # One snapshot serves the input check and the diameter.
-    snapshot = FastGraph.from_nx(graph)
-    check_solver_input(graph, k, "k-ECSS", snapshot=snapshot)
+    # The input check's snapshot serves the diameter and every Aug_k level.
+    fast = check_solver_input(graph, k, "k-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    cost_model = CostModel(
-        n=graph.number_of_nodes(), diameter=hop_diameter(graph, snapshot=snapshot)
-    )
+    cost_model = CostModel(n=fast.n, diameter=hop_diameter(fast))
 
     def mst_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
         del current, level
@@ -320,8 +293,9 @@ def _k_ecss_impl(
                                   metadata={"stage": "mst"})
 
     def aug_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
+        del g
         return level_solver(
-            g,
+            fast,
             current,
             level,
             seed=rng,

@@ -105,10 +105,18 @@ def unweighted_two_ecss_2approx(
 
     Returns ``(edges, bfs_tree, ledger)``.
     """
-    if not is_k_edge_connected(graph, 2):
+    fast = FastGraph.from_nx(graph)
+    if not is_k_edge_connected(fast, 2):
         raise ValueError("the input graph is not 2-edge-connected")
     if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+        cost_model = CostModel(n=fast.n, diameter=hop_diameter(fast))
+    return _two_ecss_2approx(graph, root, cost_model)
+
+
+def _two_ecss_2approx(
+    graph: nx.Graph, root: Hashable | None, cost_model: CostModel
+) -> tuple[set[Edge], RootedTree, RoundLedger]:
+    """:func:`unweighted_two_ecss_2approx` on a graph already proved 2-edge-connected."""
     tree = RootedTree.bfs_tree(graph, root=root)
     tree_edges = tree.tree_edges()
     tree_edge_set = set(tree_edges)
@@ -152,22 +160,19 @@ def _setup(
     label_bits: int | None,
     schedule_constant: int,
     simulate_bfs: bool,
-) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, nx.Graph]:
+) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, list[Edge]]:
     """The 3-ECSS preamble (validation + ``H``), shared with the reference oracle.
 
-    Returns ``H`` as an ``nx.Graph`` too: the solver turns it into its
-    :class:`CycleSpace`, the oracle labels it directly.
+    Returns ``H``'s edges twice: as a set, and as a list in
+    ``graph.edges()`` order -- the order its labels are drawn in.
     """
     if label_bits is not None and not _is_positive_int(label_bits):
         raise ValueError(f"label_bits must be an int >= 1 or None, got {label_bits!r}")
     if not _is_positive_int(schedule_constant):
         raise ValueError(f"schedule_constant must be an int >= 1, got {schedule_constant!r}")
-    # One snapshot serves the input check and the diameter.
-    snapshot = FastGraph.from_nx(graph)
-    check_solver_input(graph, 3, "3-ECSS", snapshot=snapshot)
+    fast = check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    cost_model = CostModel(n=n, diameter=hop_diameter(graph, snapshot=snapshot))
+    cost_model = CostModel(n=fast.n, diameter=hop_diameter(fast))
     ledger = RoundLedger()
 
     if simulate_bfs:
@@ -176,18 +181,18 @@ def _setup(
         _, report = simulate_bfs_tree(graph)
         ledger.add_report(report)
 
-    h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
+    # The input check proved G 3-edge-connected, so the 2-approximation
+    # needs no check of its own.
+    h_edges, tree, h_ledger = _two_ecss_2approx(graph, None, cost_model)
     ledger.extend(h_ledger)
 
     # H in graph.edges() order; the solvers append A in activation order.
     # That edge order fixes the label draw order, independent of set
     # hashing.
-    current = nx.Graph()
-    current.add_nodes_from(graph.nodes())
-    current.add_edges_from(
+    h_order = [
         edge for edge in (canonical_edge(u, v) for u, v in graph.edges()) if edge in h_edges
-    )
-    return rng, cost_model, ledger, h_edges, tree, current
+    ]
+    return rng, cost_model, ledger, h_edges, tree, h_order
 
 
 def _stall(tree_in_pairs: int, label_bits: int | None) -> RuntimeError:
@@ -261,11 +266,11 @@ def three_ecss(
         An :class:`ECSSResult` with ``k = 3``; the weight equals the number of
         edges because the problem is unweighted.
     """
-    rng, cost_model, ledger, h_edges, tree, h_graph = _setup(
+    rng, cost_model, ledger, h_edges, tree, h_order = _setup(
         graph, seed, label_bits, schedule_constant, simulate_bfs
     )
     mode = "exact" if exact_labels else "random"
-    space = CycleSpace(h_graph, tree)
+    space = CycleSpace(h_order, tree)
     kernel = PathLabelKernel(graph, tree, skip=h_edges)
     scan = kernel.score_round(compute_labels(space, bits=label_bits, mode=mode, seed=rng))
 

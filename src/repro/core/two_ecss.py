@@ -20,7 +20,7 @@ from repro.congest.metrics import RoundLedger
 from repro.core.result import ECSSResult
 from repro.decomposition.segments import TreeDecomposition, build_decomposition
 from repro.graphs.connectivity import check_solver_input
-from repro.graphs.fastgraph import FastGraph
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.mst.distributed import build_mst_with_fragments
 from repro.tap.distributed import TapResult, distributed_tap
 from repro.trees.rooted import RootedTree
@@ -31,13 +31,12 @@ __all__ = ["weighted_tap", "two_ecss"]
 
 
 def weighted_tap(
-    graph: nx.Graph,
+    graph: nx.Graph | FastGraph,
     tree: RootedTree,
     decomposition: TreeDecomposition | None = None,
     seed: int | random.Random | None = None,
     symmetry_breaking: bool = True,
     cost_model: CostModel | None = None,
-    snapshot: FastGraph | None = None,
 ) -> TapResult:
     """Distributed weighted tree augmentation (Theorem 3.12).
 
@@ -45,8 +44,8 @@ def weighted_tap(
     derives the segment-diameter round charge from *decomposition* when given
     (the decomposition the 2-ECSS pipeline builds anyway).  The tree carries
     its own cached path index, so the decomposition and the coverage kernel
-    index the MST once per instance; *snapshot* (a :class:`FastGraph` of
-    *graph*) spares the coverage kernel its own conversion.
+    index the MST once per instance; a :class:`FastGraph` *graph* spares the
+    coverage kernel its own conversion.
     """
     segment_diameter = None
     if decomposition is not None:
@@ -58,7 +57,6 @@ def weighted_tap(
         segment_diameter=segment_diameter,
         cost_model=cost_model,
         symmetry_breaking=symmetry_breaking,
-        snapshot=snapshot,
     )
 
 
@@ -83,15 +81,14 @@ def two_ecss(
         the graph.  ``metadata`` records the MST weight, the TAP stage result
         and the decomposition statistics used in the experiments.
     """
-    # One CSR snapshot serves the input check, the diameter and the TAP kernel.
-    snapshot = FastGraph.from_nx(graph)
-    check_solver_input(graph, 2, "2-ECSS", snapshot)
+    # The input check's snapshot serves the diameter and the TAP kernel.
+    fast = check_solver_input(graph, 2, "2-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    cost_model = CostModel(n=fast.n, diameter=hop_diameter(fast))
 
     mst_stage = build_mst_with_fragments(
-        graph, simulate_bfs=simulate_bfs, snapshot=snapshot
+        graph, simulate_bfs=simulate_bfs, cost_model=cost_model
     )
-    cost_model = CostModel(n=graph.number_of_nodes(), diameter=mst_stage.diameter)
 
     decomposition = build_decomposition(mst_stage.mst, mst_stage.fragments)
     ledger = RoundLedger()
@@ -103,13 +100,12 @@ def two_ecss(
     )
 
     tap_result = weighted_tap(
-        graph,
+        fast,
         mst_stage.mst,
         decomposition=decomposition,
         seed=rng,
         symmetry_breaking=symmetry_breaking,
         cost_model=cost_model,
-        snapshot=snapshot,
     )
     ledger.extend(tap_result.ledger)
 

@@ -63,7 +63,8 @@ class CycleSpace:
     """A labelled graph as append-only integer arrays over a spanning tree.
 
     Args:
-        graph: The graph to label; *tree* must be a spanning tree of it.
+        edges: The edges of the graph to label, in label draw order; *tree*
+            must be a spanning tree of that graph.
         tree: The spanning tree of the fundamental-cycle basis.
 
     Attributes:
@@ -72,15 +73,15 @@ class CycleSpace:
         u, v: Endpoint vertex ids of every non-tree edge.
         edges: The canonical form of every non-tree edge.
 
-    The non-tree edges start in ``graph.edges()`` order, and
-    :meth:`add_edges` appends after them, so labelling the space draws one
-    label per non-tree edge in that order: labelling ``H ∪ A`` draws ``H``
-    first, then ``A`` in the order it was added.
+    The non-tree edges start in *edges* order, and :meth:`add_edges`
+    appends after them, so labelling the space draws one label per non-tree
+    edge in that order: labelling ``H ∪ A`` draws ``H`` first, then ``A``
+    in the order it was added.
     """
 
     __slots__ = ("tree", "parent", "u", "v", "edges")
 
-    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
+    def __init__(self, edges: Iterable[Edge], tree: RootedTree) -> None:
         self.tree = tree
         index = tree.index
         order = tree.bfs_order()
@@ -88,7 +89,7 @@ class CycleSpace:
         self.u: list[int] = []
         self.v: list[int] = []
         self.edges: list[Edge] = []
-        self.add_edges(graph.edges())
+        self.add_edges(edges)
 
     @property
     def n(self) -> int:
@@ -262,7 +263,9 @@ def compute_labels(
         _check(space.n, mode)
     else:
         _check(graph.number_of_nodes(), mode)
-        space = CycleSpace(graph, RootedTree.bfs_tree(graph) if tree is None else tree)
+        space = CycleSpace(
+            graph.edges(), RootedTree.bfs_tree(graph) if tree is None else tree
+        )
     n = space.n
     if mode == "random":
         if bits is None:

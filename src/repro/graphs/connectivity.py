@@ -21,7 +21,7 @@ from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.graphs.fastgraph import FastGraph
+from repro.graphs.fastgraph import FastGraph, canonical_edge
 
 Edge = tuple[Hashable, Hashable]
 
@@ -35,18 +35,6 @@ __all__ = [
     "edge_set",
     "canonical_edge",
 ]
-
-
-def canonical_edge(u: Hashable, v: Hashable) -> Edge:
-    """Return the endpoints of an undirected edge in a canonical (sorted) order.
-
-    Falls back to ordering by ``repr`` when the endpoints are not mutually
-    comparable (e.g. mixed int/str node labels).
-    """
-    try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 def edge_set(graph_or_edges: nx.Graph | Iterable[Edge]) -> frozenset[Edge]:
@@ -75,17 +63,17 @@ def _small_connectivity(fast: FastGraph) -> int:
     return 3
 
 
-def _edge_connectivity(fast: FastGraph, graph: nx.Graph) -> int:
-    """:func:`edge_connectivity` on the kernel snapshot *fast* of *graph*."""
+def _edge_connectivity(fast: FastGraph) -> int:
+    """:func:`edge_connectivity` on the kernel snapshot *fast*."""
     small = _small_connectivity(fast)
     if small < 3:
         return small
     if fast.min_degree() == 3 or fast.has_cut_triple():
         return 3
-    return nx.edge_connectivity(graph)
+    return nx.edge_connectivity(fast.to_nx())
 
 
-def edge_connectivity(graph: nx.Graph) -> int:
+def edge_connectivity(graph: nx.Graph | FastGraph) -> int:
     """Return the (global, unweighted) edge connectivity of *graph*.
 
     A disconnected or single-vertex graph has edge connectivity 0.  Values
@@ -94,28 +82,19 @@ def edge_connectivity(graph: nx.Graph) -> int:
     3-edge cut); only graphs with edge connectivity >= 4 pay for a networkx
     max-flow sweep.
     """
-    if graph.number_of_nodes() <= 1:
-        return 0
-    return _edge_connectivity(FastGraph.from_nx(graph), graph)
+    fast = FastGraph.of(graph)
+    return _edge_connectivity(fast) if fast.n > 1 else 0
 
 
-def is_k_edge_connected(
-    graph: nx.Graph, k: int, snapshot: FastGraph | None = None
-) -> bool:
-    """Return ``True`` iff *graph* remains connected after any ``k - 1`` edge removals.
-
-    Pass *snapshot* (a :class:`FastGraph` of *graph*) to skip the conversion.
-    """
+def is_k_edge_connected(graph: nx.Graph | FastGraph, k: int) -> bool:
+    """Return ``True`` iff *graph* remains connected after any ``k - 1`` edge removals."""
     if k <= 0:
         return True
-    if graph.number_of_nodes() <= 1:
-        return False
-    if snapshot is None:
-        snapshot = FastGraph.from_nx(graph)
-    return _is_k_edge_connected(snapshot, graph, k)
+    fast = FastGraph.of(graph)
+    return fast.n > 1 and _is_k_edge_connected(fast, k)
 
 
-def _is_k_edge_connected(fast: FastGraph, graph: nx.Graph, k: int) -> bool:
+def _is_k_edge_connected(fast: FastGraph, k: int) -> bool:
     """:func:`is_k_edge_connected` (``k >= 1``, ``n >= 2``) on the snapshot *fast*."""
     if k == 1:
         return fast.is_connected()
@@ -128,21 +107,21 @@ def _is_k_edge_connected(fast: FastGraph, graph: nx.Graph, k: int) -> bool:
         # Exact without max-flow: connected, bridgeless, no 2-edge cut, and
         # for k = 4 no 3-edge cut.
         return _small_connectivity(fast) >= 3 and (k == 3 or not fast.has_cut_triple())
-    return _edge_connectivity(fast, graph) >= k
+    return _edge_connectivity(fast) >= k
 
 
-def check_solver_input(
-    graph: nx.Graph, k: int, problem: str, snapshot: FastGraph | None = None
-) -> None:
-    """Enforce the solvers' input contract; raise ``ValueError`` naming the breach.
+def check_solver_input(graph: nx.Graph, k: int, problem: str) -> FastGraph:
+    """Enforce the solvers' input contract and return the snapshot of *graph*.
 
     Every k-ECSS solver takes a simple undirected graph whose edges are
     unweighted (weight 1) or carry non-negative ``int`` weights, and which
     is k-edge-connected.  Parallel edges would pass the connectivity check
     and then break the tree-augmentation stage, and float or negative
     weights would break (or silently falsify) the weight classes, so each
-    is rejected here, before any solver work starts.  *snapshot* (a
-    :class:`FastGraph` of *graph*) is handed to the connectivity check.
+    is rejected here with a ``ValueError`` naming the breach, before any
+    solver work starts.  The :class:`FastGraph` built for the check is the
+    one every later stage of the solve reads, so a solve converts its input
+    exactly once.
     """
     if graph.is_multigraph():
         raise ValueError(
@@ -151,16 +130,19 @@ def check_solver_input(
         )
     if graph.is_directed():
         raise ValueError(f"{problem} needs an undirected graph; got a {type(graph).__name__}")
-    for u, v, weight in graph.edges(data="weight", default=1):
+    fast = FastGraph.from_nx(graph)
+    for eid, weight in enumerate(fast.weight):
         if isinstance(weight, bool) or not isinstance(weight, int) or weight < 0:
+            u, v = fast.edge_labels(eid)
             raise ValueError(
                 f"{problem} needs non-negative integer edge weights; "
                 f"edge ({u!r}, {v!r}) has weight {weight!r}"
             )
-    if not is_k_edge_connected(graph, k, snapshot):
+    if not is_k_edge_connected(fast, k):
         raise ValueError(
             f"the input graph is not {k}-edge-connected; {problem} is infeasible"
         )
+    return fast
 
 
 def bridges(graph: nx.Graph) -> set[Edge]:

@@ -182,7 +182,7 @@ def _cut_pair_cuts(fast: FastGraph) -> list[Cut]:
     return [_cut_from_side_ids(fast, side, pair) for pair, side in fast.cut_pair_sides()]
 
 
-def enumerate_cuts_of_size(graph: nx.Graph, size: int) -> list[Cut]:
+def enumerate_cuts_of_size(graph: nx.Graph | FastGraph, size: int) -> list[Cut]:
     """Enumerate the cuts of exactly *size* edges of a connected *graph* (exact).
 
     Sizes 1 and 2 go to the bridge and cut-pair enumerators, every larger
@@ -192,16 +192,17 @@ def enumerate_cuts_of_size(graph: nx.Graph, size: int) -> list[Cut]:
     here), which gives the ``2 * lambda > size`` that confirming a cut in
     the cut space needs.  When the edge connectivity of the graph exceeds
     *size* the result is empty (there is nothing to cover and the
-    corresponding ``Aug`` instance is already solved).
+    corresponding ``Aug`` instance is already solved).  *graph* may be a
+    :class:`FastGraph` snapshot, which is read as it is.
     """
     if size < 1:
         raise ValueError("cut size must be >= 1")
-    if graph.number_of_nodes() < 2:
+    fast = FastGraph.of(graph)
+    if fast.n < 2:
         return []
-    fast = FastGraph.from_nx(graph)
-    if not _is_k_edge_connected(fast, graph, size):
+    if not _is_k_edge_connected(fast, size):
         raise ValueError(
-            f"graph has edge connectivity {edge_connectivity(graph)} < requested cut "
+            f"graph has edge connectivity {edge_connectivity(fast)} < requested cut "
             f"size {size}; the augmentation framework requires a (size)-edge-connected input"
         )
     if size == 1:

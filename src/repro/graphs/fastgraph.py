@@ -24,8 +24,6 @@ All kernels below are loops over those flat lists:
   the cut space, where a non-empty element of size ``s`` is then exactly
   one cut.  Every cut's side is read off a preorder of the spanning tree
   as at most ``s + 1`` intervals; no search runs per cut;
-* :meth:`FastGraph.components_without_edges` -- BFS that skips a few edge
-  ids, the reference the tests check the cut methods against;
 * :meth:`FastGraph.hop_diameter` -- the exact hop diameter from three BFS
   sweeps plus one bit-parallel (64 sources per ``uint64`` word) NumPy BFS
   over the vertices whose eccentricity bound survives the sweeps, with no
@@ -43,7 +41,11 @@ All kernels below are loops over those flat lists:
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the
 original label of vertex ``i``), so the kernel slots under the existing
 networkx-facing APIs without changing any observable output: the networkx
-implementations are the reference oracles in ``tests/oracles.py``.
+implementations are the reference oracles in ``tests/oracles.py``.  A solve
+converts its input once: :func:`~repro.graphs.connectivity.check_solver_input`
+returns the snapshot, and every function that reads a graph through
+:meth:`FastGraph.of` -- the connectivity and cut queries, ``hop_diameter``,
+the TAP kernel -- takes that snapshot as it is and converts anything else.
 """
 
 from __future__ import annotations
@@ -61,9 +63,12 @@ __all__ = [
     "CUT_LABEL_BITS",
     "FastGraph",
     "TreePathIndex",
+    "canonical_edge",
     "concat_ranges",
     "hop_diameter",
 ]
+
+Edge = tuple[Hashable, Hashable]
 
 #: Width (at most 64) of the cycle-space labels that propose candidate cuts
 #: (:meth:`FastGraph.cuts_of_size`).  Every candidate is confirmed exactly in
@@ -74,6 +79,18 @@ CUT_LABEL_BITS = 64
 CUT_LABEL_SEED = 0
 #: Label lookups made per NumPy pass of :meth:`FastGraph._cut_candidates`.
 _LOOKUP_BLOCK = 1 << 18
+
+
+def canonical_edge(u: Hashable, v: Hashable) -> Edge:
+    """Return the endpoints of an undirected edge in a canonical (sorted) order.
+
+    Falls back to ordering by ``repr`` when the endpoints are not mutually
+    comparable (e.g. mixed int/str node labels).
+    """
+    try:
+        return (u, v) if u <= v else (v, u)
+    except TypeError:
+        return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 class TreePathIndex:
@@ -332,7 +349,7 @@ class FastGraph:
 
     __slots__ = (
         "n", "m", "labels", "index", "tail", "head", "weight",
-        "indptr", "adj", "adj_eid", "_cut_space",
+        "indptr", "adj", "adj_eid", "_cut_space", "_canonical",
     )
 
     def __init__(
@@ -372,8 +389,14 @@ class FastGraph:
             cursor[v] = slot + 1
         self.indptr, self.adj, self.adj_eid = indptr, adj, adj_eid
         self._cut_space: _CutTree | None = None
+        self._canonical: tuple[list[Edge], list[int]] | None = None
 
     # ------------------------------------------------------------ converters
+    @classmethod
+    def of(cls, graph: "nx.Graph | FastGraph") -> "FastGraph":
+        """*graph* itself when it is a snapshot, else :meth:`from_nx` of it."""
+        return graph if isinstance(graph, FastGraph) else cls.from_nx(graph)
+
     @classmethod
     def from_nx(cls, graph: nx.Graph) -> "FastGraph":
         """Snapshot *graph* (node order = ``graph.nodes()``, edge order = ``graph.edges()``)."""
@@ -400,6 +423,30 @@ class FastGraph:
     def edge_labels(self, eid: int) -> tuple[Hashable, Hashable]:
         """The original-label endpoints of edge *eid*."""
         return self.labels[self.tail[eid]], self.labels[self.head[eid]]
+
+    def canonical_edges(self) -> tuple[list[Edge], list[int]]:
+        """``(edges, rank)``: per edge id, its :func:`canonical_edge` and its sort position.
+
+        ``rank`` orders the canonical edges as tuples, or by ``repr`` when
+        the labels do not compare -- the tie order of Kruskal in
+        :func:`repro.mst.sequential.minimum_spanning_tree`.  Built on first
+        use; the snapshot never changes.
+        """
+        if self._canonical is None:
+            labels = self.labels
+            edges = [
+                canonical_edge(labels[u], labels[v]) for u, v in zip(self.tail, self.head)
+            ]
+            try:
+                order = sorted(range(self.m), key=edges.__getitem__)
+            except TypeError:
+                keys = [repr(edge) for edge in edges]
+                order = sorted(range(self.m), key=keys.__getitem__)
+            rank = [0] * self.m
+            for position, eid in enumerate(order):
+                rank[eid] = position
+            self._canonical = (edges, rank)
+        return self._canonical
 
     # ------------------------------------------------------------ basic facts
     def degree(self, v: int) -> int:
@@ -558,39 +605,6 @@ class FastGraph:
             while queue:
                 v = queue.popleft()
                 for slot in range(indptr[v], indptr[v + 1]):
-                    w = adj[slot]
-                    if comp[w] < 0:
-                        comp[w] = label
-                        members.append(w)
-                        queue.append(w)
-            components.append(members)
-        return components
-
-    def components_without_edges(
-        self, removed: Iterable[int]
-    ) -> list[list[int]]:
-        """Connected components after deleting the edge ids in *removed*.
-
-        The graph is never copied: the BFS simply skips the removed slots.
-        No solver path calls it; the tests confirm the cut methods with it
-        (a bipartition cut is minimal iff exactly two components remain).
-        """
-        skip = set(removed)
-        comp = [-1] * self.n
-        components: list[list[int]] = []
-        indptr, adj, adj_eid = self.indptr, self.adj, self.adj_eid
-        for start in range(self.n):
-            if comp[start] >= 0:
-                continue
-            label = len(components)
-            comp[start] = label
-            members = [start]
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for slot in range(indptr[v], indptr[v + 1]):
-                    if adj_eid[slot] in skip:
-                        continue
                     w = adj[slot]
                     if comp[w] < 0:
                         comp[w] = label
@@ -972,13 +986,10 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out += np.arange(len(out))
     return out
 
-def hop_diameter(graph: nx.Graph, snapshot: FastGraph | None = None) -> int:
-    """The hop diameter of a connected networkx graph via the CSR kernel.
+def hop_diameter(graph: nx.Graph | FastGraph) -> int:
+    """The hop diameter of a connected graph (or snapshot) via the CSR kernel.
 
     Drop-in fast path for ``nx.diameter`` on unweighted connected graphs;
-    raises ``ValueError`` when the graph is empty or disconnected.  Pass
-    *snapshot* (a :class:`FastGraph` of *graph*) to skip the conversion.
+    raises ``ValueError`` when the graph is empty or disconnected.
     """
-    if snapshot is None:
-        snapshot = FastGraph.from_nx(graph)
-    return snapshot.hop_diameter()
+    return FastGraph.of(graph).hop_diameter()

@@ -25,7 +25,7 @@ import networkx as nx
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.congest.primitives import simulate_bfs_tree
-from repro.graphs.fastgraph import FastGraph, hop_diameter
+from repro.graphs.fastgraph import hop_diameter
 from repro.mst.fragments import FragmentDecomposition, decompose_tree_into_fragments
 from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.rooted import RootedTree
@@ -57,7 +57,7 @@ def build_mst_with_fragments(
     root: Hashable | None = None,
     fragment_cap: int | None = None,
     simulate_bfs: bool = True,
-    snapshot: FastGraph | None = None,
+    cost_model: CostModel | None = None,
 ) -> MstResult:
     """Build the rooted MST, its fragment decomposition and the round ledger.
 
@@ -69,8 +69,8 @@ def build_mst_with_fragments(
             message passing and its measured rounds recorded; when ``False``
             the BFS tree is computed centrally and O(D) rounds are charged
             (useful for very large experiment instances).
-        snapshot: A :class:`FastGraph` of *graph* for the diameter
-            computation; one is built when omitted.
+        cost_model: The solve's round cost model, whose diameter the stage
+            reports; built from *graph* when omitted.
     """
     if graph.number_of_nodes() == 0:
         raise ValueError("cannot build an MST of an empty graph")
@@ -80,15 +80,15 @@ def build_mst_with_fragments(
         root = min(graph.nodes(), key=repr)
 
     ledger = RoundLedger()
-    diameter = hop_diameter(graph, snapshot)
-    cost = CostModel(n=graph.number_of_nodes(), diameter=diameter)
+    if cost_model is None:
+        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
 
     if simulate_bfs and graph.number_of_nodes() > 1:
         bfs_tree, report = simulate_bfs_tree(graph, root=root)
         ledger.add_report(report)
     else:
         bfs_tree = RootedTree.bfs_tree(graph, root=root)
-        ledger.add("bfs-tree", cost.bfs_rounds(), kind="modelled",
+        ledger.add("bfs-tree", cost_model.bfs_rounds(), kind="modelled",
                    note="BFS construction charged at O(D)")
 
     mst_graph = minimum_spanning_tree(graph)
@@ -98,7 +98,7 @@ def build_mst_with_fragments(
     fragments = decompose_tree_into_fragments(mst, cap=fragment_cap)
     ledger.add(
         "mst-kutten-peleg",
-        cost.mst_rounds(),
+        cost_model.mst_rounds(),
         kind="modelled",
         note="Kutten-Peleg MST + fragments, O(D + sqrt(n) log* n) rounds [25]",
     )
@@ -106,6 +106,6 @@ def build_mst_with_fragments(
         mst=mst,
         fragments=fragments,
         bfs_tree=bfs_tree,
-        diameter=diameter,
+        diameter=cost_model.diameter,
         ledger=ledger,
     )

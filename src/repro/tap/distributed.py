@@ -74,16 +74,16 @@ class TapResult:
 
 
 def _resolve_run_parameters(
-    graph: nx.Graph,
+    graph: nx.Graph | FastGraph,
     cost_model: CostModel | None,
     segment_diameter: int | None,
     max_iterations: int | None,
-    snapshot: FastGraph | None = None,
 ) -> tuple[CostModel, int, int]:
     """Run defaults, shared with the reference oracle."""
-    n = graph.number_of_nodes()
+    fast = FastGraph.of(graph)
+    n = fast.n
     if cost_model is None:
-        cost_model = CostModel(n=n, diameter=hop_diameter(graph, snapshot))
+        cost_model = CostModel(n=n, diameter=hop_diameter(fast))
     if segment_diameter is None:
         segment_diameter = cost_model.sqrt_n
     if max_iterations is None:
@@ -94,19 +94,20 @@ def _resolve_run_parameters(
 
 
 def distributed_tap(
-    graph: nx.Graph,
+    graph: nx.Graph | FastGraph,
     tree: RootedTree,
     seed: int | random.Random | None = None,
     segment_diameter: int | None = None,
     cost_model: CostModel | None = None,
     symmetry_breaking: bool = True,
     max_iterations: int | None = None,
-    snapshot: FastGraph | None = None,
 ) -> TapResult:
     """Run the distributed weighted-TAP algorithm on ``(graph, tree)``.
 
     Args:
-        graph: 2-edge-connected weighted graph ``G``.
+        graph: 2-edge-connected weighted graph ``G``, or its
+            :class:`FastGraph` snapshot (the 2-ECSS driver passes the one
+            its input check built).
         tree: Spanning tree ``T`` of ``G`` to augment (typically the MST).
         seed: Randomness for candidate numbers.
         segment_diameter: Maximum segment diameter of the decomposition built
@@ -118,8 +119,6 @@ def distributed_tap(
             (the naive parallelisation the paper argues against; ablation E9).
         max_iterations: Safety bound; defaults to
             ``max(64 * log(n)^2, 4 * n) + 64``.
-        snapshot: A :class:`FastGraph` of *graph* (the one the 2-ECSS
-            driver built for its input check); one is built when omitted.
 
     Returns:
         A :class:`TapResult`; ``augmentation ∪ T`` is guaranteed to be
@@ -129,14 +128,13 @@ def distributed_tap(
         ValueError: When *tree* is not a spanning tree of *graph*.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    if snapshot is None:
-        snapshot = FastGraph.from_nx(graph)
+    graph = FastGraph.of(graph)
+    n = graph.n
     cost_model, segment_diameter, max_iterations = _resolve_run_parameters(
-        graph, cost_model, segment_diameter, max_iterations, snapshot
+        graph, cost_model, segment_diameter, max_iterations
     )
 
-    fast = FastCoverage(graph, tree, snapshot)
+    fast = FastCoverage(graph, tree)
     ledger = RoundLedger()
     history: list[TapIterationStats] = []
 

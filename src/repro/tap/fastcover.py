@@ -132,12 +132,11 @@ class FastCoverage:
     """Array-native coverage bookkeeping for one TAP instance ``(G, T)``.
 
     Args:
-        graph: The weighted 2-edge-connected graph ``G``.
+        graph: The weighted 2-edge-connected graph ``G``, or its
+            :class:`FastGraph` snapshot, which is read as it is.
         tree: The spanning tree ``T`` to augment (typically the MST); its
             cached path index is reused, so the 2-ECSS driver indexes the
             MST once for both the decomposition and the coverage kernel.
-        snapshot: A :class:`FastGraph` of *graph* to read the edges from;
-            one is built when omitted.
 
     Raises:
         ValueError: When *tree* is not a spanning tree of *graph* (a vertex
@@ -162,11 +161,8 @@ class FastCoverage:
         "_snapshot", "_nt_eid", "_nt_edges", "_nt_repr", "_nt_index",
     )
 
-    def __init__(
-        self, graph: nx.Graph, tree: RootedTree, snapshot: FastGraph | None = None
-    ) -> None:
-        if snapshot is None:
-            snapshot = FastGraph.from_nx(graph)
+    def __init__(self, graph: nx.Graph | FastGraph, tree: RootedTree) -> None:
+        snapshot = FastGraph.of(graph)
         index_of = tree.index
         tree_id = np.fromiter(
             (index_of.get(label, -1) for label in snapshot.labels),

@@ -8,9 +8,11 @@ its reference here bit for bit: edge sets, weights, iteration counts,
 per-iteration histories and ledger round totals, with identical RNG streams.
 
 Where a reference shares a preamble or a driver with its kernel (input
-validation, the ``Aug_k`` level set-up, the Theorem 1.2 composition, the
-TAP run parameters), it imports the library's private helper instead of
-copying it, so the two can only differ in the loop under test.
+validation and ``H`` for 3-ECSS, the Theorem 1.2 composition, the TAP run
+parameters), it imports the library's private helper instead of copying it,
+so the two can only differ in the loop under test.  The library builds
+each ``Aug_k`` level on the input's :class:`FastGraph` snapshot; the
+reference keeps the networkx level set-up (:func:`_level_setup`).
 
 Tests import this module as ``from oracles import ...``.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -27,9 +29,9 @@ import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.augmentation import AugmentationResult
+from repro.core.augmentation import AugmentationResult, build_subgraph
 from repro.core.fastaug import INFINITE_EFFECTIVENESS, GuessingSchedule
-from repro.core.k_ecss import AugIterationStats, _k_ecss_impl, _level_setup
+from repro.core.k_ecss import AugIterationStats, _k_ecss_impl
 from repro.core.result import ECSSResult
 from repro.core.three_ecss import ThreeEcssIterationStats, _result, _setup, _stall
 from repro.cycle_space.labels import (
@@ -39,7 +41,8 @@ from repro.cycle_space.labels import (
     compute_labels,
 )
 from repro.graphs.connectivity import canonical_edge
-from repro.graphs.cuts import Cut
+from repro.graphs.cuts import Cut, enumerate_cuts_of_size
+from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import (
     TapIterationStats,
@@ -104,6 +107,37 @@ def edge_connectivity_nx(graph: nx.Graph) -> int:
     if not nx.is_connected(graph):
         return 0
     return nx.edge_connectivity(graph)
+
+
+def components_without_edges(fast: FastGraph, removed: Iterable[int]) -> list[list[int]]:
+    """Connected components of *fast* after deleting the edge ids in *removed*.
+
+    A BFS that skips the removed slots; the tests confirm the cut methods
+    with it (a bipartition cut is minimal iff exactly two components remain).
+    """
+    skip = set(removed)
+    comp = [-1] * fast.n
+    components: list[list[int]] = []
+    indptr, adj, adj_eid = fast.indptr, fast.adj, fast.adj_eid
+    for start in range(fast.n):
+        if comp[start] >= 0:
+            continue
+        label = len(components)
+        comp[start] = label
+        members = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for slot in range(indptr[v], indptr[v + 1]):
+                if adj_eid[slot] in skip:
+                    continue
+                w = adj[slot]
+                if comp[w] < 0:
+                    comp[w] = label
+                    members.append(w)
+                    queue.append(w)
+        components.append(members)
+    return components
 
 
 def bridges_nx(graph: nx.Graph) -> set[Edge]:
@@ -604,9 +638,13 @@ def three_ecss_nx(
     redraws ``H ∪ A`` once, in the solver's draw order (``H``, then ``A`` in
     activation order).
     """
-    rng, cost_model, ledger, h_edges, tree, current = _setup(
+    rng, cost_model, ledger, h_edges, tree, h_order = _setup(
         graph, seed, label_bits, schedule_constant, simulate_bfs
     )
+    # H as an nx.Graph whose edges() order is h_order, the draw order.
+    current = nx.Graph()
+    current.add_nodes_from(graph.nodes())
+    current.add_edges_from(h_order)
     tree_edge_set = set(tree.tree_edges())
     mode = "exact" if exact_labels else "random"
 
@@ -726,6 +764,33 @@ def _recompute_effectiveness_nx(
             continue
         effectiveness[edge] = rounded_cost_effectiveness(live, weight_of[edge])
     return effectiveness
+
+
+def _level_setup(
+    graph: nx.Graph,
+    current_edges: frozenset[Edge],
+    k: int,
+    cost_model: CostModel | None,
+) -> tuple[CostModel, RoundLedger, list[Cut], list[Edge], dict[Edge, int]]:
+    """The networkx preamble of one ``Aug_k`` level (broadcast + cut enumeration)."""
+    if cost_model is None:
+        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+    subgraph = build_subgraph(graph, current_edges)
+    ledger = RoundLedger()
+    ledger.add(
+        "aug-state-broadcast",
+        cost_model.aug_state_broadcast_rounds(len(current_edges)),
+        note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
+    )
+    cuts: list[Cut] = enumerate_cuts_of_size(subgraph, k - 1)
+    current = frozenset(canonical_edge(u, v) for u, v in current_edges)
+    candidates_pool = [
+        canonical_edge(u, v) for u, v in graph.edges() if canonical_edge(u, v) not in current
+    ]
+    weight_of = {
+        edge: graph[edge[0]][edge[1]].get("weight", 1) for edge in candidates_pool
+    }
+    return cost_model, ledger, cuts, candidates_pool, weight_of
 
 
 def augment_to_k_nx(
@@ -880,5 +945,14 @@ def k_ecss_nx(
     schedule_constant: int = 2,
     use_mst_filter: bool = True,
 ) -> ECSSResult:
-    """:func:`repro.core.k_ecss.k_ecss` over the :func:`augment_to_k_nx` levels."""
-    return _k_ecss_impl(graph, k, seed, schedule_constant, use_mst_filter, augment_to_k_nx)
+    """:func:`repro.core.k_ecss.k_ecss` over the :func:`augment_to_k_nx` levels.
+
+    The driver hands each level the input's snapshot; the reference levels
+    run on *graph* itself.
+    """
+
+    def level_solver(fast: FastGraph, *args, **kwargs) -> AugmentationResult:
+        del fast
+        return augment_to_k_nx(graph, *args, **kwargs)
+
+    return _k_ecss_impl(graph, k, seed, schedule_constant, use_mst_filter, level_solver)

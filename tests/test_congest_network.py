@@ -99,10 +99,6 @@ class TestNetworkExecution:
         report = network.run(lambda *args: _EchoNode(*args), max_rounds=5)
         assert network.last_report is report
 
-    def test_diameter_helper(self):
-        network = CongestNetwork(nx.path_graph(5))
-        assert network.diameter() == 4
-
     def test_inbox_lists_senders_in_node_order(self):
         """Messages queued in initialize() and in round 1 share one delivery
         round; the inbox still lists them by sender node order."""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.k_ecss import k_ecss
 from repro.core.three_ecss import three_ecss
@@ -19,6 +22,7 @@ from repro.graphs.connectivity import (
     verify_spanning_subgraph,
 )
 from repro.graphs.generators import (
+    FAMILIES,
     grid_torus,
     harary_graph,
     hypercube_graph,
@@ -215,6 +219,37 @@ SOLVERS = {
 }
 
 
+#: Ways to spoil a generated instance; "none" and "mixed-labels" keep it valid.
+_ADVERSARIES = (
+    "none", "bridge", "component", "multigraph", "digraph", "float", "bool",
+    "negative", "str", "mixed-labels", "self-loop",
+)
+
+
+def _adversarial(graph: nx.Graph, adversary: str, rng: random.Random) -> nx.Graph:
+    """A copy of *graph* spoiled by *adversary*."""
+    graph = graph.copy()
+    u, v = rng.choice(list(graph.edges()))
+    if adversary == "bridge":
+        graph.add_edge(u, "pendant", weight=1)
+    elif adversary == "component":
+        graph.add_edges_from([("x", "y"), ("y", "z"), ("z", "x")], weight=1)
+    elif adversary == "multigraph":
+        graph = nx.MultiGraph(graph)
+    elif adversary == "digraph":
+        graph = nx.DiGraph(graph)
+    elif adversary in _BAD_WEIGHTS:
+        graph[u][v]["weight"] = _BAD_WEIGHTS[adversary]
+    elif adversary == "mixed-labels":
+        graph = nx.relabel_nodes(graph, {node: str(node) for node in list(graph)[::2]})
+    elif adversary == "self-loop":
+        graph.add_edge(u, u, weight=1)
+    return graph
+
+
+_BAD_WEIGHTS = {"float": 1.5, "bool": True, "negative": -3, "str": "3"}
+
+
 class TestCheckSolverInput:
     def test_valid_input_passes(self):
         check_solver_input(_unit_k5(), 3, "k-ECSS")
@@ -256,3 +291,28 @@ class TestCheckSolverInput:
 
     def test_missing_weights_default_to_one(self):
         check_solver_input(nx.complete_graph(5), 3, "3-ECSS")
+
+    def test_returns_the_snapshot_of_the_input(self):
+        graph = _unit_k5()
+        fast = check_solver_input(graph, 3, "k-ECSS")
+        assert fast.labels == list(graph.nodes())
+        assert [fast.edge_labels(eid) for eid in range(fast.m)] == list(graph.edges())
+
+    @given(
+        problem=st.sampled_from(sorted(SOLVERS)),
+        family=st.sampled_from(sorted(FAMILIES)),
+        n=st.integers(4, 10),
+        seed=st.integers(0, 1000),
+        adversary=st.sampled_from(_ADVERSARIES),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_property_value_error_or_verified(self, problem, family, n, seed, adversary):
+        # Whatever the input, a solver either rejects it with a ValueError
+        # or returns a subgraph that verifies: no other exception, and no
+        # unverified result.
+        graph = _adversarial(FAMILIES[family](n, seed), adversary, random.Random(seed))
+        try:
+            result = SOLVERS[problem](graph)
+        except ValueError:
+            return
+        assert result.verify() == (True, "")

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import edge_connectivity_nx, enumerate_cuts_exhaustive
+from oracles import components_without_edges, edge_connectivity_nx, enumerate_cuts_exhaustive
 from repro.graphs import fastgraph
 from repro.graphs.cuts import (
     Cut,
@@ -297,7 +297,7 @@ def _bfs_side(fast: FastGraph, edges) -> list[int] | None:
     """The skip-edge BFS confirmation the cut methods used to run (oracle):
     the side holding vertex 0 when removing *edges* leaves exactly two
     components with every removed edge between them, else ``None``."""
-    components = fast.components_without_edges(edges)
+    components = components_without_edges(fast, edges)
     if len(components) != 2:
         return None
     side = set(components[0])
@@ -330,7 +330,7 @@ def _oracle_cut_pairs(fast: FastGraph) -> list[tuple[int, int]]:
     for group in groups.values():
         candidates.update(itertools.combinations(sorted(group), 2))
     return sorted(
-        pair for pair in candidates if len(fast.components_without_edges(pair)) == 2
+        pair for pair in candidates if len(components_without_edges(fast, pair)) == 2
     )
 
 
@@ -437,7 +437,7 @@ class TestCutSpaceConfirmation:
         eid = {frozenset(fast.edge_labels(e)): e for e in range(fast.m)}
         union = sorted(eid[frozenset({i, i + 1})] for i in (0, 2, 4, 6))
         assert fast._is_cut(union)
-        assert len(fast.components_without_edges(union)) == 4
+        assert len(components_without_edges(fast, union)) == 4
 
 
 class TestEnumerateCutsOfSize:

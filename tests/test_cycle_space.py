@@ -162,7 +162,7 @@ class TestCycleSpaceOrder:
             if edge not in tree_edges
         ] + [canonical_edge(*e) for e in extra]
         for setting in _LABEL_SETTINGS:
-            space = CycleSpace(graph, tree)
+            space = CycleSpace(graph.edges(), tree)
             space.add_edges(extra[:1])
             space.add_edges(extra[1:])
             fast_rng, oracle_rng = random.Random(seed), random.Random(seed)
@@ -195,7 +195,7 @@ class TestCycleSpaceOrder:
 
     def test_space_brings_its_own_tree(self):
         graph = cycle_with_chords(8, extra_edges=2, seed=1)
-        space = CycleSpace(graph, RootedTree.bfs_tree(graph))
+        space = CycleSpace(graph.edges(), RootedTree.bfs_tree(graph))
         assert compute_labels(space, tree=space.tree, seed=1).labels == (
             compute_labels(graph, seed=1).labels
         )
@@ -205,7 +205,7 @@ class TestCycleSpaceOrder:
     def test_labelling_keeps_its_edge_set_after_add_edges(self):
         graph = cycle_with_chords(10, extra_edges=1, seed=2)
         assert not graph.has_edge(0, 5) and not graph.has_edge(2, 7)
-        space = CycleSpace(graph, RootedTree.bfs_tree(graph))
+        space = CycleSpace(graph.edges(), RootedTree.bfs_tree(graph))
         before = compute_labels(space, seed=3)
         edges = before.non_tree_edges()
         space.add_edges([(0, 5), (2, 7)])

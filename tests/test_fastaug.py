@@ -380,7 +380,7 @@ class TestPathLabelKernel:
         graph, h_edges, tree = _three_ecss_state(n, seed % 7)
         kernel = PathLabelKernel(graph, tree, skip=h_edges)
         labelling = compute_labels(
-            CycleSpace(self._h_graph(graph, h_edges), tree), seed=rng, **setting
+            CycleSpace(self._h_graph(graph, h_edges).edges(), tree), seed=rng, **setting
         )
         kernel.score_round(labelling)
         added: list = []
@@ -409,7 +409,7 @@ class TestPathLabelKernel:
             graph, h_edges, tree = _three_ecss_state(18, seed)
             kernel = PathLabelKernel(graph, tree, skip=h_edges)
             current = self._h_graph(graph, h_edges)
-            labelling = compute_labels(CycleSpace(current, tree), bits=128, seed=rng)
+            labelling = compute_labels(CycleSpace(current.edges(), tree), bits=128, seed=rng)
             kernel.score_round(labelling)
             batches = [rng.sample(range(kernel.m_candidates), 3) for _ in range(3)]
             drawn = self._grow(kernel, labelling, batches, rng)

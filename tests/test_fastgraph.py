@@ -23,7 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import SWEEP_FAMILIES, sweep_instance
-from oracles import bridges_nx, edge_connectivity_nx, enumerate_cut_pairs_nx
+from oracles import (
+    bridges_nx,
+    components_without_edges,
+    edge_connectivity_nx,
+    enumerate_cut_pairs_nx,
+)
 from repro.graphs.connectivity import (
     bridges,
     canonical_edge,
@@ -79,6 +84,28 @@ class TestFastGraphConversion:
         assert all(fast.degree(v) == 2 for v in range(4))
         endpoints = {frozenset(fast.edge_labels(eid)) for eid in range(fast.m)}
         assert endpoints == {frozenset(edge) for edge in graph.edges()}
+
+    def test_of_passes_a_snapshot_through_and_converts_anything_else(self):
+        graph = nx.cycle_graph(5)
+        fast = FastGraph.of(graph)
+        assert FastGraph.of(fast) is fast
+        assert fast.labels == list(graph.nodes())
+        assert [fast.edge_labels(eid) for eid in range(fast.m)] == list(graph.edges())
+
+    @pytest.mark.parametrize("labels", ["int", "mixed"])
+    def test_canonical_edges_rank_the_sorted_canonical_edges(self, labels):
+        graph = nx.relabel_nodes(
+            nx.petersen_graph(),
+            {v: str(v) if labels == "mixed" and v % 2 else v for v in range(10)},
+        )
+        fast = FastGraph.from_nx(graph)
+        edges, rank = fast.canonical_edges()
+        assert edges == [canonical_edge(u, v) for u, v in graph.edges()]
+        key = repr if labels == "mixed" else None
+        assert [edges[eid] for eid in sorted(range(fast.m), key=rank.__getitem__)] == (
+            sorted(edges, key=key)
+        )
+        assert fast.canonical_edges() is fast.canonical_edges()
 
 
 class TestFastGraphBfs:
@@ -171,10 +198,10 @@ class TestHopDiameterParity:
         eid_of = {
             frozenset(fast.edge_labels(eid)): eid for eid in range(fast.m)
         }
-        assert len(fast.components_without_edges(())) == 1
-        assert len(fast.components_without_edges((eid_of[frozenset({0, 1})],))) == 1
-        two = fast.components_without_edges(
-            (eid_of[frozenset({0, 1})], eid_of[frozenset({3, 4})])
+        assert len(components_without_edges(fast, ())) == 1
+        assert len(components_without_edges(fast, (eid_of[frozenset({0, 1})],))) == 1
+        two = components_without_edges(
+            fast, (eid_of[frozenset({0, 1})], eid_of[frozenset({3, 4})])
         )
         assert len(two) == 2
         assert sorted(len(side) for side in two) == [3, 3]

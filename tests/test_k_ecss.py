@@ -16,10 +16,10 @@ from repro.core.augmentation import (
     compose_augmentations,
 )
 from oracles import _mst_filter, augment_to_k_nx, k_ecss_nx
-from repro.core.k_ecss import _forest_filter, _kruskal_rank, augment_to_k, k_ecss
+from repro.core.k_ecss import _forest_filter, augment_to_k, k_ecss
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
-from repro.graphs.fastgraph import ArrayUnionFind
+from repro.graphs.fastgraph import ArrayUnionFind, FastGraph
 from repro.graphs.generators import (
     harary_graph,
     hypercube_graph,
@@ -38,6 +38,18 @@ class TestAugmentToK:
         result = augment_to_k(graph, current, 2, seed=0)
         combined = build_subgraph(graph, current | result.added)
         assert is_k_edge_connected(combined, 2)
+
+    def test_a_snapshot_of_g_gives_the_same_level(self):
+        graph = _relabelled(
+            random_k_edge_connected_graph(16, 3, extra_edge_prob=0.3, seed=2), "mixed"
+        )
+        current = self._mst_edges(graph)
+        on_graph = augment_to_k(graph, current, 2, seed=5)
+        on_snapshot = augment_to_k(FastGraph.from_nx(graph), current, 2, seed=5)
+        assert on_snapshot.added == on_graph.added
+        assert on_snapshot.weight == on_graph.weight
+        assert on_snapshot.metadata == on_graph.metadata
+        assert on_snapshot.ledger.total_rounds == on_graph.ledger.total_rounds
 
     def test_added_edges_do_not_overlap_h(self):
         graph = random_k_edge_connected_graph(14, 2, extra_edge_prob=0.3, seed=1)
@@ -131,7 +143,9 @@ class TestForestFilter:
             rng.shuffle(pool)
             node_id = {node: i for i, node in enumerate(graph.nodes())}
             ends = [(node_id[u], node_id[v]) for u, v in pool]
-            rank = _kruskal_rank(graph, pool)
+            edges, order = FastGraph.from_nx(graph).canonical_edges()
+            position = dict(zip(edges, order))
+            rank = [position[edge] for edge in pool]
 
             # A random forest A: a random prefix of a random spanning forest.
             spanning_forest = ArrayUnionFind(len(node_id))

@@ -37,16 +37,13 @@ Guards in the default test run:
   level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
   the cover scan once per level plus once per iteration that follows an
   addition (count-based, machine-independent);
-* that solve, a weighted-k3 n = 96 k=3 solve and ``enumerate_cuts_of_size``
-  for sizes 1-3 make zero ``FastGraph.components_without_edges`` calls
-  (every cut is confirmed in the cut space), and each solve calls
-  ``FastGraph.from_nx`` once for its input plus once per ``Aug_k`` level
-  (4 and 3 calls); a 32 x 32 torus k=4 solve behind the ``slow`` marker
-  verifies with zero such calls and prints its wall time;
-* a weighted-sparse n = 256 2-ECSS solve calls ``FastGraph.from_nx`` exactly
-  once (one snapshot for the input check, the diameter and the TAP kernel),
-  a 12 x 12 torus 3-ECSS solve exactly twice (one snapshot for the input
-  check and the diameter, one for the 2-approximation's own check), and
+* that solve and a weighted-k3 n = 96 k=3 solve each call
+  ``FastGraph.from_nx`` exactly once (the input check's snapshot serves the
+  diameter and every ``Aug_k`` level); a 32 x 32 torus k=4 solve behind the
+  ``slow`` marker verifies and prints its wall time;
+* a weighted-sparse n = 256 2-ECSS solve and a 12 x 12 torus 3-ECSS solve
+  each call ``FastGraph.from_nx`` exactly once (the input check's snapshot
+  serves the diameter, the TAP kernel and the 2-approximation), and
   neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
   ``TreePathIndex.path_edges`` (count-based, machine-independent);
 * ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
@@ -113,16 +110,11 @@ from repro.graphs.connectivity import (
     canonical_edge,
     is_k_edge_connected,
 )
-from repro.graphs.cuts import (
-    enumerate_bridge_cuts,
-    enumerate_cut_pairs,
-    enumerate_cuts_of_size,
-)
+from repro.graphs.cuts import enumerate_cut_pairs, enumerate_cuts_of_size
 from repro.graphs.fastgraph import FastGraph, TreePathIndex, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
     grid_torus,
-    harary_graph,
     make_family,
     random_k_edge_connected_graph,
 )
@@ -687,77 +679,23 @@ def test_kecss_torus_solve_runs_no_max_flow(monkeypatch):
     assert solve_calls == 0
 
 
-def _counting_searches(monkeypatch) -> list[int]:
-    """Count every ``FastGraph.components_without_edges`` call from now on."""
-    calls: list[int] = []
-    search = FastGraph.components_without_edges
-
-    def counting_search(self, removed):
-        calls.append(1)
-        return search(self, removed)
-
-    monkeypatch.setattr(FastGraph, "components_without_edges", counting_search)
-    return calls
-
-
-def test_bridge_cuts_run_no_per_bridge_search(monkeypatch):
-    """Count-based guard: the bridge sides of an MST come from one DFS."""
-    calls = _counting_searches(monkeypatch)
-    tree = minimum_spanning_tree(make_family("weighted-sparse")(256, seed=1))
-    cuts = enumerate_bridge_cuts(tree)
-    print(
-        f"\nbridge cuts (MST of weighted-sparse n=256): {len(cuts)} cuts, "
-        f"{len(calls)} components_without_edges calls"
-    )
-    assert len(cuts) == 255
-    assert calls == []
-
-
 def module_k_ecss(graph, k, seed):
     # The package re-exports the solver under the module's name, so the
     # module itself comes from the import system, not attribute access.
     return importlib.import_module("repro.core.k_ecss").k_ecss(graph, k, seed=seed)
 
 
-def test_kecss_solves_and_cut_enumeration_run_no_skip_edge_search(monkeypatch):
-    """Count-based guard (machine-independent): every cut of the k-ECSS
-    levels -- bridges, cut pairs and 3-edge cuts -- and every connectivity
-    certificate of the input check is confirmed in the cut space, so no
-    solve and no ``enumerate_cuts_of_size`` call runs a skip-edge BFS."""
-    calls = _counting_searches(monkeypatch)
-    torus = module_k_ecss(grid_torus(8, 8), 4, seed=1)
-    weighted = module_k_ecss(make_family("weighted-k3")(96, seed=1), 3, seed=1)
-    solve_calls = len(calls)
-    counts = {}
-    for size, graph in (
-        (1, minimum_spanning_tree(make_family("weighted-sparse")(64, seed=1))),
-        (2, clique_chain(16, 4, 2)),
-        (3, harary_graph(40, 3)),
-    ):
-        counts[size] = len(enumerate_cuts_of_size(graph, size))
-    print(
-        f"\nk-ECSS torus 8x8 k=4 + weighted-k3 n=96 k=3 and cuts of size "
-        f"1-3 {counts}: {len(calls)} components_without_edges calls"
-    )
-    assert all(counts.values())
-    assert solve_calls == 0 and calls == []
-    for result in (torus, weighted):
-        ok, reason = result.verify()
-        assert ok, reason
-
-
 @pytest.mark.parametrize(
-    "label, build, k, snapshots",
+    "label, build, k",
     [
-        # One for the input check and the diameter, one per Aug_2..Aug_4 level.
-        ("torus-8x8", lambda: grid_torus(8, 8), 4, 4),
-        ("weighted-k3-96", lambda: make_family("weighted-k3")(96, seed=1), 3, 3),
+        ("torus-8x8", lambda: grid_torus(8, 8), 4),
+        ("weighted-k3-96", lambda: make_family("weighted-k3")(96, seed=1), 3),
     ],
 )
-def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k, snapshots):
+def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k):
     """Count-based guard (machine-independent): ``k_ecss`` converts ``G``
-    once for the input check and the diameter, plus once per ``Aug_k``
-    level for the cut enumeration of ``H``."""
+    once, for the input check; the diameter and every ``Aug_k`` level read
+    that snapshot, and each level builds ``H``'s from ``G``'s edge ids."""
     graph = build()
     converted: list[int] = []
     from_nx = FastGraph.from_nx.__func__
@@ -769,28 +707,24 @@ def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k, snap
     monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
     result = module_k_ecss(graph, k, seed=1)
     print(f"\nk-ECSS {label} k={k}: {len(converted)} FastGraph.from_nx call(s)")
-    assert len(converted) == snapshots
-    assert converted.count(id(graph)) == 1
+    assert converted == [id(graph)]
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason
 
 
 @pytest.mark.slow
-def test_kecss_torus_n1024_runs_no_skip_edge_search(monkeypatch):
+def test_kecss_torus_n1024_verifies():
     """Scale check: a 32 x 32 torus k=4 solve (n = 1024, three ``Aug_k``
-    levels, about 16k cuts) verifies and runs no skip-edge BFS."""
-    calls = _counting_searches(monkeypatch)
+    levels, about 16k cuts) verifies."""
     started = time.perf_counter()
     result = module_k_ecss(grid_torus(32, 32), 4, seed=1)
     elapsed = time.perf_counter() - started
     stages = result.metadata["stages"]
     print(
         f"\nk-ECSS torus 32x32 k=4: {elapsed:.2f}s, cuts per level "
-        f"{[stage['cuts'] for stage in stages[1:]]}, "
-        f"{len(calls)} components_without_edges calls"
+        f"{[stage['cuts'] for stage in stages[1:]]}"
     )
-    assert calls == []
     ok, reason = result.verify()
     assert ok, reason
 
@@ -930,12 +864,12 @@ def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
     assert ok, reason
 
 
-def test_three_ecss_solve_snapshots_the_graph_twice(monkeypatch):
+def test_three_ecss_solve_snapshots_the_graph_once(monkeypatch):
     """Count-based guard on a 12 x 12 torus solve (machine-independent).
 
-    The input check and ``hop_diameter`` share one ``FastGraph`` snapshot;
-    ``unweighted_two_ecss_2approx`` converts the graph once more for the
-    2-edge-connectivity check that guards its direct callers.
+    The input check's ``FastGraph`` snapshot serves ``hop_diameter``; the
+    2-approximation skips the 2-edge-connectivity check that guards its
+    direct callers, since the input check proved more.
     """
     snapshots: list[int] = []
     from_nx = FastGraph.from_nx.__func__
@@ -948,7 +882,7 @@ def test_three_ecss_solve_snapshots_the_graph_twice(monkeypatch):
     graph = grid_torus(12, 12)
     result = three_ecss(graph, seed=1)
     print(f"\n3-ECSS torus 12x12: {len(snapshots)} FastGraph.from_nx call(s)")
-    assert snapshots == [id(graph), id(graph)]
+    assert snapshots == [id(graph)]
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason
