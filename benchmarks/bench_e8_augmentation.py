@@ -6,7 +6,6 @@ from _bench_helpers import engine_from_env, show
 
 from repro.analysis.experiments import experiment_e8_augmentation_invariants
 from repro.core.k_ecss import augment_to_k
-from repro.graphs.connectivity import canonical_edge
 from repro.graphs.generators import random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 
@@ -14,9 +13,7 @@ from repro.mst.sequential import minimum_spanning_tree
 def test_e8_single_augmentation_benchmark(benchmark):
     """Time one Aug_2 stage (cover all bridges of the MST) on n = 24."""
     graph = random_k_edge_connected_graph(24, 2, extra_edge_prob=0.25, seed=8)
-    mst_edges = frozenset(
-        canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
-    )
+    mst_edges = frozenset(minimum_spanning_tree(graph))
     result = benchmark(lambda: augment_to_k(graph, mst_edges, 2, seed=8))
     assert len(result.added) <= graph.number_of_nodes() - 1
 

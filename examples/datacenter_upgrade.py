@@ -17,7 +17,6 @@ import random
 
 import networkx as nx
 
-from repro.core.augmentation import build_subgraph
 from repro.core.k_ecss import augment_to_k
 from repro.graphs.connectivity import canonical_edge, edge_connectivity
 
@@ -49,7 +48,7 @@ def main() -> None:
     print(f"sites: {sites}, owned ring links: {len(owned)}, "
           f"leasable links: {graph.number_of_edges() - len(owned)}")
     print(f"current edge connectivity (ring only): "
-          f"{edge_connectivity(build_subgraph(graph, owned))}")
+          f"{edge_connectivity(graph.edge_subgraph(owned))}")
 
     # Upgrade in two steps, exactly as Claim 2.1 composes Aug_i stages.
     current = owned
@@ -58,7 +57,7 @@ def main() -> None:
         stage = augment_to_k(graph, current, target, seed=3)
         current = frozenset(current | stage.added)
         total_cost += stage.weight
-        upgraded = build_subgraph(graph, current)
+        upgraded = graph.edge_subgraph(current)
         print(f"\nupgrade to {target}-edge-connectivity:")
         print(f"  links leased       : {len(stage.added)}")
         print(f"  lease cost         : {stage.weight}")

@@ -47,11 +47,9 @@ def dfs_unweighted_two_ecss(graph: nx.Graph, root: Hashable | None = None) -> Tw
     """
     if root is None:
         root = min(graph.nodes(), key=repr)
-    dfs_tree = nx.dfs_tree(graph, root)
-    tree = nx.Graph()
-    tree.add_nodes_from(graph.nodes())
-    tree.add_edges_from(dfs_tree.edges())
-    rooted = RootedTree(tree, root=root)
+    rooted = RootedTree(nx.dfs_edges(graph, root), root=root)
+    if rooted.number_of_nodes() != graph.number_of_nodes():
+        raise ValueError("the input graph is not connected")
 
     # low[v]: the smallest depth reachable from the subtree of v via one back edge.
     tree_edge_set = set(rooted.tree_edges())
@@ -98,7 +96,7 @@ def mst_plus_greedy_two_ecss(graph: nx.Graph) -> TwoEcssBaselineResult:
     mst = minimum_spanning_tree(graph)
     rooted = RootedTree(mst, root=min(graph.nodes(), key=repr))
     tap = greedy_tap(graph, rooted)
-    tree_edges = {canonical_edge(u, v) for u, v in mst.edges()}
+    tree_edges = set(mst)
     edges = tree_edges | tap.augmentation
     tree_weight = sum(graph[u][v].get("weight", 1) for u, v in tree_edges)
     return TwoEcssBaselineResult(

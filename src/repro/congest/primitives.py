@@ -67,8 +67,9 @@ def simulate_bfs_tree(
 ) -> tuple[RootedTree, RoundReport]:
     """Build a BFS tree of *graph* by flooding from *root* (min-id by default).
 
-    Returns the resulting :class:`RootedTree` together with the simulated
-    round report.  On two or more vertices ``rounds`` is the root's
+    Returns the resulting :class:`RootedTree` -- rooted from the
+    ``(child, parent)`` pairs the nodes chose, in node order -- together with
+    the simulated round report.  On two or more vertices ``rounds`` is the root's
     eccentricity plus one (``D + O(1)``; the echo the wave's last senders
     cause is not counted) and ``messages`` is ``2m`` (every vertex
     broadcasts once).  Nodes sleep until the wave reaches them, so the
@@ -86,8 +87,7 @@ def simulate_bfs_tree(
         return node
 
     report = network.run(factory, max_rounds=graph.number_of_nodes() + 2, label="bfs-tree")
-    tree = nx.Graph()
-    tree.add_node(root)
+    edges = []
     for node_id, node in network.node_states().items():
         if node.distance is None:
             raise ValueError(
@@ -95,9 +95,8 @@ def simulate_bfs_tree(
                 "(the graph is disconnected)"
             )
         if node.parent is not None:
-            tree.add_edge(node_id, node.parent)
-    rooted = RootedTree(tree, root=root)
-    return rooted, report
+            edges.append((node_id, node.parent))
+    return RootedTree(edges, root=root), report
 
 
 # --------------------------------------------------------------------- broadcast

@@ -12,7 +12,7 @@ composition, parameterised by the per-stage solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 import networkx as nx
 
@@ -20,7 +20,7 @@ from repro.congest.metrics import RoundLedger
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["AugmentationResult", "AugSolver", "compose_augmentations", "build_subgraph"]
+__all__ = ["AugmentationResult", "AugSolver", "compose_augmentations"]
 
 
 @dataclass
@@ -44,15 +44,6 @@ class AugmentationResult:
 
 # A solver for Aug_i: (graph, current subgraph edges, target connectivity i) -> result.
 AugSolver = Callable[[nx.Graph, frozenset[Edge], int], AugmentationResult]
-
-
-def build_subgraph(graph: nx.Graph, edges: Iterable[Edge]) -> nx.Graph:
-    """Return the spanning subgraph of *graph* induced by *edges* (weights copied)."""
-    subgraph = nx.Graph()
-    subgraph.add_nodes_from(graph.nodes())
-    for u, v in edges:
-        subgraph.add_edge(u, v, weight=graph[u][v].get("weight", 1))
-    return subgraph
 
 
 def compose_augmentations(

@@ -283,11 +283,10 @@ def _k_ecss_impl(
 
     def mst_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
         del current, level
-        tree = minimum_spanning_tree(g)
         ledger = RoundLedger()
         ledger.add("mst-kutten-peleg", cost_model.mst_rounds(),
                    note="Aug_1 solved by the MST (O(D + sqrt n log* n) rounds [25])")
-        edges = frozenset(canonical_edge(u, v) for u, v in tree.edges())
+        edges = frozenset(minimum_spanning_tree(g))
         weight = sum(g[u][v].get("weight", 1) for u, v in edges)
         return AugmentationResult(added=edges, weight=weight, iterations=1, ledger=ledger,
                                   metadata={"stage": "mst"})

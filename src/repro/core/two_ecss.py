@@ -121,7 +121,7 @@ def two_ecss(
         "segments": decomposition.segment_count(),
         "max_segment_diameter": decomposition.max_segment_diameter(),
         "marked_vertices": len(decomposition.marked),
-        "diameter": mst_stage.diameter,
+        "diameter": cost_model.diameter,
         "round_bound": cost_model.tap_round_bound(),
     }
     return ECSSResult.from_edges(

@@ -69,7 +69,8 @@ class CycleSpace:
 
     Attributes:
         tree: The spanning tree.
-        parent: Vertex id -> parent vertex id (BFS ids of *tree*, root -1).
+        parent: Vertex id -> parent vertex id (BFS ids of *tree*, root -1);
+            the tree's own :attr:`~repro.trees.rooted.RootedTree.parent_ids`.
         u, v: Endpoint vertex ids of every non-tree edge.
         edges: The canonical form of every non-tree edge.
 
@@ -83,9 +84,7 @@ class CycleSpace:
 
     def __init__(self, edges: Iterable[Edge], tree: RootedTree) -> None:
         self.tree = tree
-        index = tree.index
-        order = tree.bfs_order()
-        self.parent = [-1] + [index[tree.parent(node)] for node in order[1:]]
+        self.parent = tree.parent_ids
         self.u: list[int] = []
         self.v: list[int] = []
         self.edges: list[Edge] = []

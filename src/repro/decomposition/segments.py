@@ -135,10 +135,9 @@ class TreeDecomposition:
             problems.append(f"{len(doubled)} tree edges belong to more than one segment")
         for segment in self.segments:
             for vertex in segment.internal_vertices():
+                neighbors = self.tree.children(vertex) + [self.tree.parent(vertex)]
                 neighbors_outside = [
-                    w
-                    for w in self.tree.graph.neighbors(vertex)
-                    if w not in segment.vertices
+                    w for w in neighbors if w is not None and w not in segment.vertices
                 ]
                 if neighbors_outside:
                     problems.append(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
-
 from repro.graphs.connectivity import canonical_edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -160,12 +158,3 @@ class SkeletonTree:
                 canonical_edge(x, y) for x, y in zip(highway, highway[1:])
             )
         return edges
-
-    def as_networkx(self) -> nx.Graph:
-        """Return the skeleton tree as a ``networkx.Graph`` (for plotting / tests)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._parent)
-        for child, parent in self._parent.items():
-            if parent is not None:
-                graph.add_edge(parent, child)
-        return graph

@@ -115,8 +115,9 @@ def check_solver_input(graph: nx.Graph, k: int, problem: str) -> FastGraph:
 
     Every k-ECSS solver takes a simple undirected graph whose edges are
     unweighted (weight 1) or carry non-negative ``int`` weights, and which
-    is k-edge-connected.  Parallel edges would pass the connectivity check
-    and then break the tree-augmentation stage, and float or negative
+    is k-edge-connected.  Parallel edges and self-loops would pass the
+    connectivity check and then break the tree-augmentation stage (a
+    self-loop can even land in the output), and float or negative
     weights would break (or silently falsify) the weight classes, so each
     is rejected here with a ``ValueError`` naming the breach, before any
     solver work starts.  The :class:`FastGraph` built for the check is the
@@ -130,6 +131,9 @@ def check_solver_input(graph: nx.Graph, k: int, problem: str) -> FastGraph:
         )
     if graph.is_directed():
         raise ValueError(f"{problem} needs an undirected graph; got a {type(graph).__name__}")
+    looped = next(nx.nodes_with_selfloops(graph), None)
+    if looped is not None:
+        raise ValueError(f"{problem} needs a simple graph; vertex {looped!r} has a self-loop")
     fast = FastGraph.from_nx(graph)
     for eid, weight in enumerate(fast.weight):
         if isinstance(weight, bool) or not isinstance(weight, int) or weight < 0:

@@ -34,8 +34,9 @@ All kernels below are loops over those flat lists:
   query) plus ancestor-array tree-path extraction over integer parent/depth
   arrays, one pair at a time (``path_edges``) or for whole arrays of pairs
   at once as a NumPy CSR (``path_csr``); every
-  :class:`~repro.trees.rooted.RootedTree` builds one lazily (``tree.paths``)
-  and its LCA/path queries, the TAP coverage kernel
+  :class:`~repro.trees.rooted.RootedTree` (built from an ordered edge list,
+  with no networkx graph behind it) builds one lazily (``tree.paths``) from
+  its own ``parent_ids``, and its LCA/path queries, the TAP coverage kernel
   (:mod:`repro.tap.fastcover`) and the labelling kernels all run on it.
 
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the

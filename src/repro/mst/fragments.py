@@ -110,7 +110,7 @@ def decompose_tree_into_fragments(
 
     Processing vertices from the leaves towards the root, each vertex
     accumulates the still-open components of its children plus itself; when
-    the accumulated size reaches *cap* (default ``ceil(sqrt(n))``), the
+    the accumulated size reaches *cap* (default ``isqrt(n)``, at least 1), the
     pending component is closed as a fragment rooted at the current vertex.
     The root always closes whatever remains.
 

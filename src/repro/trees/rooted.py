@@ -2,12 +2,15 @@
 
 Every non-tree edge ``e = {u, v}`` of the paper's algorithms covers exactly
 the tree edges on the unique tree path ``P_e`` between ``u`` and ``v``
-(Section 3).  :class:`RootedTree` answers that question itself: it numbers
-its vertices in BFS order (root 0) and lazily builds one flat-array
+(Section 3).  :class:`RootedTree` answers that question itself: built from
+an ordered edge list (the MST's Kruskal order, a BFS's discovery order), it
+keeps plain adjacency lists in that order, numbers its vertices in BFS order
+(root 0) with one BFS from the root, and lazily builds one flat-array
 Euler-tour index (:class:`repro.graphs.fastgraph.TreePathIndex`) over those
 ids, cached on the tree, so every stage that shares the tree object -- the
 segment decomposition, the TAP coverage kernel, the labelling and scoring
-kernels -- shares one index.
+kernels -- shares one index.  Equal edge orders give the BFS order that
+``nx.bfs_edges`` gives on an ``nx.Graph`` built from the same edges.
 """
 
 from __future__ import annotations
@@ -27,48 +30,66 @@ __all__ = ["RootedTree"]
 class RootedTree:
     """An undirected spanning tree rooted at a designated vertex.
 
-    The class wraps a ``networkx.Graph`` tree with the bookkeeping the paper's
-    algorithms use throughout: parent pointers ``p(v)``, depths, subtree
-    membership, the canonical tree-edge identifier ``(child, parent)``, and the
-    BFS/DFS orders used for convergecasts.
+    The class holds the bookkeeping the paper's algorithms use throughout:
+    parent pointers ``p(v)``, depths, subtree membership, the canonical
+    tree-edge identifier ``(child, parent)``, and the BFS/DFS orders used for
+    convergecasts.
 
     Args:
-        tree: A connected acyclic graph (a tree).
-        root: The root vertex (the paper uses the minimum-id vertex).
+        edges: The tree's edges, in the order that fixes the order of every
+            vertex's neighbours (and so the BFS order).
+        root: The root vertex (the paper uses the minimum-id vertex, the
+            default).  A single-vertex tree has no edges and names its
+            vertex here.
 
     Attributes:
         index: Vertex label -> integer vertex id, the vertex's position in
             :meth:`bfs_order` (the root is 0).
+        parent_ids: Vertex id -> parent vertex id (``-1`` for the root).
         parent_edges: Vertex id -> canonical tree edge to its parent
             (``None`` for the root).  Kernels that key tree edges by their
             child vertex id use it with :attr:`paths`.
     """
 
-    def __init__(self, tree: nx.Graph, root: Hashable | None = None) -> None:
-        if tree.number_of_nodes() == 0:
-            raise ValueError("cannot root an empty tree")
-        if tree.number_of_edges() != tree.number_of_nodes() - 1 or not nx.is_connected(tree):
-            raise ValueError("input graph is not a tree")
+    def __init__(self, edges: Iterable[Edge], root: Hashable | None = None) -> None:
+        if isinstance(edges, nx.Graph):
+            raise TypeError("RootedTree takes an edge list: pass graph.edges(), not the graph")
+        adjacency: dict[Hashable, list[Hashable]] = {}
+        count = 0
+        for u, v in edges:
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+            count += 1
+        if not adjacency:
+            if root is None:
+                raise ValueError("cannot root an empty tree")
+            adjacency[root] = []
+        if count != len(adjacency) - 1:
+            raise ValueError("the edges do not form a tree")
         if root is None:
-            root = min(tree.nodes(), key=repr)
-        if root not in tree:
+            root = min(adjacency, key=repr)
+        if root not in adjacency:
             raise ValueError(f"root {root!r} is not a vertex of the tree")
-        self._tree = tree
         self._root = root
         self._parent: dict[Hashable, Hashable | None] = {root: None}
         self._depth: dict[Hashable, int] = {root: 0}
-        self._children: dict[Hashable, list[Hashable]] = {v: [] for v in tree.nodes()}
-        self._bfs_order: list[Hashable] = [root]
-        for parent, child in nx.bfs_edges(tree, root):
-            self._parent[child] = parent
-            self._depth[child] = self._depth[parent] + 1
-            self._children[parent].append(child)
-            self._bfs_order.append(child)
-        self.index: dict[Hashable, int] = {
-            node: i for i, node in enumerate(self._bfs_order)
-        }
+        self._children: dict[Hashable, list[Hashable]] = {v: [] for v in adjacency}
+        order = self._bfs_order = [root]
+        for parent in order:
+            child_depth = self._depth[parent] + 1
+            for child in adjacency[parent]:
+                if child not in self._parent:
+                    self._parent[child] = parent
+                    self._depth[child] = child_depth
+                    self._children[parent].append(child)
+                    order.append(child)
+        if len(order) != len(adjacency):
+            raise ValueError("the edges do not form a tree")
+        self.index: dict[Hashable, int] = {node: i for i, node in enumerate(order)}
+        parents = [self._parent[child] for child in order[1:]]
+        self.parent_ids: list[int] = [-1] + [self.index[p] for p in parents]
         self.parent_edges: list[Edge | None] = [None] + [
-            canonical_edge(child, self._parent[child]) for child in self._bfs_order[1:]
+            canonical_edge(child, p) for child, p in zip(order[1:], parents)
         ]
         self._paths: TreePathIndex | None = None
 
@@ -78,17 +99,12 @@ class RootedTree:
         """The root vertex."""
         return self._root
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying undirected tree."""
-        return self._tree
-
     def nodes(self) -> Iterator[Hashable]:
-        """Iterate over the vertices of the tree."""
-        return iter(self._tree.nodes())
+        """Iterate over the vertices of the tree in vertex-id (BFS) order."""
+        return iter(self._bfs_order)
 
     def number_of_nodes(self) -> int:
-        return self._tree.number_of_nodes()
+        return len(self._bfs_order)
 
     def parent(self, node: Hashable) -> Hashable | None:
         """Return ``p(node)``, or ``None`` for the root."""
@@ -104,19 +120,21 @@ class RootedTree:
 
     def height(self) -> int:
         """Return the height of the tree (max depth)."""
-        return max(self._depth.values())
+        return self._depth[self._bfs_order[-1]]
 
     # ------------------------------------------------------------------ edges
     def tree_edges(self) -> list[Edge]:
-        """Return every tree edge in canonical (sorted-endpoint) form."""
-        return [canonical_edge(u, v) for u, v in self._tree.edges()]
+        """Return every tree edge in canonical form, in vertex-id (BFS) order."""
+        return self.parent_edges[1:]
 
     def deeper_endpoint(self, edge: Edge) -> Hashable:
         """Return the endpoint of a tree *edge* farther from the root (the child)."""
         u, v = edge
-        if not self._tree.has_edge(u, v):
-            raise ValueError(f"{edge!r} is not a tree edge")
-        return u if self._depth[u] > self._depth[v] else v
+        if u in self._parent and self._parent[u] == v:
+            return u
+        if v in self._parent and self._parent[v] == u:
+            return v
+        raise ValueError(f"{edge!r} is not a tree edge")
 
     # -------------------------------------------------------------- traversal
     def bfs_order(self) -> list[Hashable]:
@@ -166,9 +184,10 @@ class RootedTree:
         extraction ``O(|path|)`` per query.
         """
         if self._paths is None:
-            index, parent_of, order = self.index, self._parent, self._bfs_order
-            parent = [-1] + [index[parent_of[node]] for node in order[1:]]
-            self._paths = TreePathIndex(parent, [self._depth[node] for node in order])
+            depth = self._depth
+            self._paths = TreePathIndex(
+                self.parent_ids, [depth[node] for node in self._bfs_order]
+            )
         return self._paths
 
     def lca(self, u: Hashable, v: Hashable) -> Hashable:
@@ -190,19 +209,8 @@ class RootedTree:
 
     # ----------------------------------------------------------- construction
     @staticmethod
-    def from_edges(edges: Iterable[Edge], root: Hashable | None = None) -> "RootedTree":
-        """Build a :class:`RootedTree` from an iterable of edges."""
-        tree = nx.Graph()
-        tree.add_edges_from(edges)
-        return RootedTree(tree, root=root)
-
-    @staticmethod
     def bfs_tree(graph: nx.Graph, root: Hashable | None = None) -> "RootedTree":
         """Build the BFS spanning tree of *graph* rooted at *root* (min-id default)."""
         if root is None:
             root = min(graph.nodes(), key=repr)
-        tree = nx.Graph()
-        tree.add_node(root)
-        for parent, child in nx.bfs_edges(graph, root):
-            tree.add_edge(parent, child)
-        return RootedTree(tree, root=root)
+        return RootedTree(nx.bfs_edges(graph, root), root=root)

@@ -16,14 +16,15 @@ from repro.trees.rooted import RootedTree
 SWEEP_FAMILIES = sorted(FAMILIES)
 
 
-def random_tree(n: int, seed: int) -> RootedTree:
-    """A random rooted tree on ``n`` vertices (random attachment)."""
+def random_tree_edges(n: int, seed: int) -> list[tuple[int, int]]:
+    """The edges of a random tree on ``n`` vertices (random attachment)."""
     rng = random.Random(seed)
-    tree = nx.Graph()
-    tree.add_node(0)
-    for node in range(1, n):
-        tree.add_edge(node, rng.randrange(node))
-    return RootedTree(tree, root=0)
+    return [(node, rng.randrange(node)) for node in range(1, n)]
+
+
+def random_tree(n: int, seed: int) -> RootedTree:
+    """The tree of :func:`random_tree_edges`, rooted at vertex 0."""
+    return RootedTree(random_tree_edges(n, seed), root=0)
 
 
 def sweep_instance(family: str, seed: int) -> nx.Graph:

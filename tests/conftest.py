@@ -60,12 +60,10 @@ def small_mst_tree(small_weighted_graph) -> RootedTree:
 @pytest.fixture
 def path_tree() -> RootedTree:
     """A 10-vertex path rooted at one end."""
-    tree = nx.path_graph(10)
-    return RootedTree(tree, root=0)
+    return RootedTree(nx.path_graph(10).edges(), root=0)
 
 
 @pytest.fixture
 def star_tree() -> RootedTree:
     """A 9-leaf star rooted at the centre."""
-    tree = nx.star_graph(9)
-    return RootedTree(tree, root=0)
+    return RootedTree(nx.star_graph(9).edges(), root=0)

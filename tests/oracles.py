@@ -19,6 +19,7 @@ Tests import this module as ``from oracles import ...``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import Counter, deque
@@ -29,9 +30,10 @@ import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.augmentation import AugmentationResult, build_subgraph
+from repro.core.augmentation import AugmentationResult
 from repro.core.fastaug import INFINITE_EFFECTIVENESS, GuessingSchedule
 from repro.core.k_ecss import AugIterationStats, _k_ecss_impl
+from repro.decomposition.skeleton import SkeletonTree
 from repro.core.result import ECSSResult
 from repro.core.three_ecss import ThreeEcssIterationStats, _result, _setup, _stall
 from repro.cycle_space.labels import (
@@ -53,6 +55,80 @@ from repro.tap.greedy import GreedyTapResult
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
+
+
+# ------------------------------------------------------------------ trees
+def bfs_tree_nx(edges: Iterable[Edge], root: Hashable) -> tuple[list, dict]:
+    """``(bfs_order, parent)`` of the tree on the ordered *edges*, via networkx.
+
+    The historical :class:`RootedTree` built an ``nx.Graph`` from the edges
+    and ran ``nx.bfs_edges`` from the root; the root's parent is ``None``.
+    """
+    tree = nx.Graph()
+    tree.add_node(root)
+    tree.add_edges_from(edges)
+    parent: dict[Hashable, Hashable | None] = {root: None}
+    order = [root]
+    for u, v in nx.bfs_edges(tree, root):
+        parent[v] = u
+        order.append(v)
+    return order, parent
+
+
+def build_subgraph(graph: nx.Graph, edges: Iterable[Edge]) -> nx.Graph:
+    """Return the spanning subgraph of *graph* induced by *edges* (weights copied)."""
+    subgraph = nx.Graph()
+    subgraph.add_nodes_from(graph.nodes())
+    for u, v in edges:
+        subgraph.add_edge(u, v, weight=graph[u][v].get("weight", 1))
+    return subgraph
+
+
+def skeleton_as_networkx(skeleton: SkeletonTree) -> nx.Graph:
+    """The skeleton tree as an ``nx.Graph`` over the marked vertices."""
+    graph = nx.Graph()
+    graph.add_nodes_from(skeleton.nodes())
+    for child in skeleton.nodes():
+        parent = skeleton.parent(child)
+        if parent is not None:
+            graph.add_edge(parent, child)
+    return graph
+
+
+def prim_mst(graph: nx.Graph, start: Hashable | None = None) -> list[Edge]:
+    """The canonical edges of an MST of *graph* via Prim's algorithm.
+
+    A cross-check on :func:`repro.mst.sequential.minimum_spanning_tree`.
+    Heap entries compare by ``(weight, repr(edge))``, so node labels need
+    not be mutually comparable.
+    """
+    if graph.number_of_nodes() == 0:
+        raise ValueError("cannot compute an MST of an empty graph")
+    if not nx.is_connected(graph):
+        raise ValueError("the graph is not connected; it has no spanning tree")
+    if start is None:
+        start = min(graph.nodes(), key=repr)
+
+    def push(heap: list, u: Hashable, v: Hashable) -> None:
+        edge = canonical_edge(u, v)
+        heapq.heappush(heap, (graph[u][v].get("weight", 1), repr(edge), edge))
+
+    visited = {start}
+    tree: list[Edge] = []
+    heap: list[tuple[int, str, Edge]] = []
+    for neighbor in graph.neighbors(start):
+        push(heap, start, neighbor)
+    while heap and len(visited) < graph.number_of_nodes():
+        _, _, (u, v) = heapq.heappop(heap)
+        if u in visited and v in visited:
+            continue
+        new = v if u in visited else u
+        tree.append((u, v))
+        visited.add(new)
+        for neighbor in graph.neighbors(new):
+            if neighbor not in visited:
+                push(heap, new, neighbor)
+    return tree
 
 
 # ------------------------------------------------- cost-effectiveness
@@ -934,8 +1010,8 @@ def _mst_filter(graph: nx.Graph, zero_weight_edges: set[Edge], active: list[Edge
         else:
             weight = 2
         reweighted.add_edge(u, v, weight=weight)
-    mst = minimum_spanning_tree(reweighted)
-    return [edge for edge in active if mst.has_edge(*edge)]
+    mst = set(minimum_spanning_tree(reweighted))
+    return [edge for edge in active if canonical_edge(*edge) in mst]
 
 
 def k_ecss_nx(

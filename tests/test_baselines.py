@@ -21,7 +21,7 @@ from repro.graphs.generators import (
     harary_graph,
     random_k_edge_connected_graph,
 )
-from repro.mst.sequential import minimum_spanning_tree
+from repro.mst.sequential import minimum_spanning_tree, mst_weight
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
@@ -78,6 +78,11 @@ class TestDfsUnweightedTwoEcss:
         assert result.weight == subgraph_weight(graph, result.edges)
         assert result.weight == result.tree_weight + result.augmentation_weight
 
+    def test_rejects_disconnected_graph(self):
+        graph = nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(3))
+        with pytest.raises(ValueError, match="not connected"):
+            dfs_unweighted_two_ecss(graph)
+
 
 class TestMstPlusGreedy:
     def test_valid_2_ecss(self):
@@ -91,9 +96,7 @@ class TestMstPlusGreedy:
     def test_tree_weight_is_mst_weight(self):
         graph = random_k_edge_connected_graph(15, 2, extra_edge_prob=0.25, seed=7)
         result = mst_plus_greedy_two_ecss(graph)
-        assert result.tree_weight == int(
-            minimum_spanning_tree(graph).size(weight="weight")
-        )
+        assert result.tree_weight == mst_weight(graph)
 
 
 class TestExactTap:
@@ -116,7 +119,7 @@ class TestExactTap:
 
     def test_infeasible_instances_rejected(self):
         graph = nx.path_graph(5)
-        tree = RootedTree(nx.path_graph(5), root=0)
+        tree = RootedTree(nx.path_graph(5).edges(), root=0)
         with pytest.raises(ValueError):
             exact_tap(graph, tree)
 

@@ -21,6 +21,7 @@ from repro.graphs.connectivity import (
     subgraph_weight,
     verify_spanning_subgraph,
 )
+from repro.graphs.fastgraph import FastGraph
 from repro.graphs.generators import (
     FAMILIES,
     grid_torus,
@@ -282,6 +283,24 @@ class TestCheckSolverInput:
         with pytest.raises(ValueError, match=f"edge-connected; {problem} is infeasible"):
             solve(path)
 
+        looped = _unit_k5()
+        looped.add_edge(3, 3, weight=1)
+        with pytest.raises(ValueError, match=f"{problem} needs a simple graph; vertex 3"):
+            solve(looped)
+
+    def test_self_loop_is_rejected_before_any_work(self, monkeypatch):
+        # Past the check, the free loop (0, 0) would land in the 2-ECSS output.
+        graph = nx.cycle_graph(6)
+        nx.set_edge_attributes(graph, 1, "weight")
+        graph.add_edge(0, 0, weight=0)
+
+        def no_snapshot(cls, source):
+            raise AssertionError("the self-loop must be rejected before the snapshot")
+
+        monkeypatch.setattr(FastGraph, "from_nx", classmethod(no_snapshot))
+        with pytest.raises(ValueError, match="2-ECSS needs a simple graph; vertex 0 has a self-loop"):
+            two_ecss(graph, seed=0)
+
     @pytest.mark.parametrize("weight", [True, 2.0, "3", None])
     def test_non_int_weights_are_rejected(self, weight):
         graph = _unit_k5()
@@ -311,6 +330,10 @@ class TestCheckSolverInput:
         # or returns a subgraph that verifies: no other exception, and no
         # unverified result.
         graph = _adversarial(FAMILIES[family](n, seed), adversary, random.Random(seed))
+        if adversary == "self-loop":
+            with pytest.raises(ValueError, match="has a self-loop"):
+                SOLVERS[problem](graph)
+            return
         try:
             result = SOLVERS[problem](graph)
         except ValueError:

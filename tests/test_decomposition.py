@@ -15,6 +15,7 @@ from repro.graphs.generators import random_k_edge_connected_graph
 from repro.mst.distributed import build_mst_with_fragments
 
 from _helpers import random_tree
+from oracles import skeleton_as_networkx
 
 
 def _pipeline(n: int, seed: int):
@@ -122,8 +123,9 @@ class TestSegments:
         _, stage, decomposition = _pipeline(40, 13)
         for segment in decomposition.segments:
             for vertex in segment.internal_vertices():
-                for neighbor in stage.mst.graph.neighbors(vertex):
-                    assert neighbor in segment.vertices
+                neighbors = stage.mst.children(vertex) + [stage.mst.parent(vertex)]
+                for neighbor in neighbors:
+                    assert neighbor is None or neighbor in segment.vertices
 
     def test_segments_of_edge_partition(self):
         _, stage, decomposition = _pipeline(30, 14)
@@ -157,7 +159,7 @@ class TestSkeletonTree:
 
     def test_skeleton_is_a_tree(self):
         _, _, decomposition = _pipeline(60, 17)
-        skeleton_graph = decomposition.skeleton.as_networkx()
+        skeleton_graph = skeleton_as_networkx(decomposition.skeleton)
         assert nx.is_connected(skeleton_graph)
         assert skeleton_graph.number_of_edges() == skeleton_graph.number_of_nodes() - 1
 

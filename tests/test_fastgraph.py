@@ -346,10 +346,11 @@ class TestFastgraphDifferentialSweep:
         """Kruskal-on-array-union-find parity with the networkx MST oracle."""
         for seed in range(N_GRAPHS):
             graph = sweep_instance(family, seed)
-            tree = minimum_spanning_tree(graph)
-            assert tree.number_of_edges() == graph.number_of_nodes() - 1, seed
-            assert nx.is_connected(tree), seed
-            weight = sum(data.get("weight", 1) for _, _, data in tree.edges(data=True))
+            edges = minimum_spanning_tree(graph)
+            tree = nx.Graph(edges)
+            assert set(tree) == set(graph) and nx.is_tree(tree), seed
+            assert len(edges) == tree.number_of_edges(), seed
+            weight = sum(graph[u][v].get("weight", 1) for u, v in edges)
             oracle = sum(
                 data.get("weight", 1)
                 for _, _, data in nx.minimum_spanning_tree(graph).edges(data=True)

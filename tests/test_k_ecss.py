@@ -10,12 +10,8 @@ import pytest
 
 from repro.baselines.exact import exact_k_ecss_weight
 from repro.baselines.mst_baseline import k_ecss_lower_bound
-from repro.core.augmentation import (
-    AugmentationResult,
-    build_subgraph,
-    compose_augmentations,
-)
-from oracles import _mst_filter, augment_to_k_nx, k_ecss_nx
+from repro.core.augmentation import AugmentationResult, compose_augmentations
+from oracles import _mst_filter, augment_to_k_nx, build_subgraph, k_ecss_nx
 from repro.core.k_ecss import _forest_filter, augment_to_k, k_ecss
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
@@ -25,12 +21,12 @@ from repro.graphs.generators import (
     hypercube_graph,
     random_k_edge_connected_graph,
 )
-from repro.mst.sequential import minimum_spanning_tree
+from repro.mst.sequential import minimum_spanning_tree, mst_weight
 
 
 class TestAugmentToK:
     def _mst_edges(self, graph):
-        return frozenset(canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges())
+        return frozenset(minimum_spanning_tree(graph))
 
     def test_raises_connectivity_from_1_to_2(self):
         graph = random_k_edge_connected_graph(14, 2, extra_edge_prob=0.3, seed=0)
@@ -176,9 +172,7 @@ class TestKEcss:
         graph = random_k_edge_connected_graph(15, 2, extra_edge_prob=0.2, seed=8)
         result = k_ecss(graph, 1, seed=8)
         assert result.num_edges == graph.number_of_nodes() - 1
-        assert result.weight == int(
-            minimum_spanning_tree(graph).size(weight="weight")
-        )
+        assert result.weight == mst_weight(graph)
         ok, reason = result.verify()
         assert ok, reason
 

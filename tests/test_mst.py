@@ -8,39 +8,50 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest.cost_model import CostModel
 from repro.graphs.generators import random_k_edge_connected_graph
 from repro.mst.distributed import build_mst_with_fragments
 from repro.mst.fragments import decompose_tree_into_fragments
-from repro.mst.sequential import minimum_spanning_tree, mst_weight, prim_mst
+from repro.mst.sequential import minimum_spanning_tree, mst_weight
 from repro.trees.rooted import RootedTree
 
-from _helpers import random_tree
+from _helpers import random_tree, random_tree_edges
+from oracles import prim_mst
+
+
+def _weight(graph: nx.Graph, edges) -> int:
+    return sum(graph[u][v].get("weight", 1) for u, v in edges)
 
 
 class TestSequentialMst:
     def test_matches_networkx_weight(self, small_weighted_graph):
         ours = minimum_spanning_tree(small_weighted_graph)
         reference = nx.minimum_spanning_tree(small_weighted_graph)
-        assert ours.size(weight="weight") == reference.size(weight="weight")
+        assert _weight(small_weighted_graph, ours) == reference.size(weight="weight")
 
     def test_prim_matches_kruskal_weight(self, small_weighted_graph):
         kruskal = minimum_spanning_tree(small_weighted_graph)
         prim = prim_mst(small_weighted_graph)
-        assert kruskal.size(weight="weight") == prim.size(weight="weight")
+        assert _weight(small_weighted_graph, kruskal) == _weight(small_weighted_graph, prim)
 
     def test_result_is_a_spanning_tree(self, medium_weighted_graph):
-        tree = minimum_spanning_tree(medium_weighted_graph)
-        assert tree.number_of_nodes() == medium_weighted_graph.number_of_nodes()
-        assert tree.number_of_edges() == tree.number_of_nodes() - 1
+        edges = minimum_spanning_tree(medium_weighted_graph)
+        tree = nx.Graph(edges)
+        assert set(tree.nodes()) == set(medium_weighted_graph.nodes())
+        assert len(edges) == tree.number_of_nodes() - 1
         assert nx.is_connected(tree)
+        assert all(u < v and medium_weighted_graph.has_edge(u, v) for u, v in edges)
+
+    def test_edges_come_in_kruskal_order(self, medium_weighted_graph):
+        edges = minimum_spanning_tree(medium_weighted_graph)
+        keys = [(medium_weighted_graph[u][v]["weight"], (u, v)) for u, v in edges]
+        assert keys == sorted(keys)
 
     def test_deterministic_under_ties(self):
         graph = nx.cycle_graph(6)
         for _, _, data in graph.edges(data=True):
             data["weight"] = 1
-        first = set(minimum_spanning_tree(graph).edges())
-        second = set(minimum_spanning_tree(graph).edges())
-        assert first == second
+        assert minimum_spanning_tree(graph) == minimum_spanning_tree(graph)
 
     def test_comparable_labels_keep_the_plain_tie_order(self):
         # On a unit-weight 12-cycle the plain order leaves out (10, 11), the
@@ -48,7 +59,7 @@ class TestSequentialMst:
         graph = nx.cycle_graph(12)
         nx.set_edge_attributes(graph, 1, "weight")
         tree = minimum_spanning_tree(graph)
-        assert not tree.has_edge(10, 11) and tree.has_edge(9, 10)
+        assert (10, 11) not in tree and (9, 10) in tree
 
     def test_mst_weight_helper(self, small_weighted_graph):
         assert mst_weight(small_weighted_graph) == int(
@@ -69,17 +80,16 @@ class TestSequentialMst:
         # Equal weights force the edge-id tie-break across int/str labels.
         graph = nx.relabel_nodes(nx.cycle_graph(6), {0: "a", 3: "b"})
         nx.set_edge_attributes(graph, 1, "weight")
-        for tree in (minimum_spanning_tree(graph), prim_mst(graph)):
+        for edges in (minimum_spanning_tree(graph), prim_mst(graph)):
+            tree = nx.Graph(edges)
             assert nx.is_tree(tree) and set(tree.nodes()) == set(graph.nodes())
-            assert tree.size(weight="weight") == 5
+            assert _weight(graph, edges) == 5
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
     def test_property_kruskal_equals_prim(self, seed):
         graph = random_k_edge_connected_graph(12, 2, extra_edge_prob=0.3, seed=seed)
-        assert minimum_spanning_tree(graph).size(weight="weight") == prim_mst(graph).size(
-            weight="weight"
-        )
+        assert _weight(graph, minimum_spanning_tree(graph)) == _weight(graph, prim_mst(graph))
 
 
 class TestFragmentDecomposition:
@@ -107,9 +117,10 @@ class TestFragmentDecomposition:
         assert decomposition.max_fragment_diameter() <= 2 * cap
 
     def test_fragments_are_connected_subtrees(self):
-        tree, decomposition = self._decompose(50, 3)
+        _, decomposition = self._decompose(50, 3)
+        reference = nx.Graph(random_tree_edges(50, 3))
         for fragment in decomposition.fragments:
-            induced = tree.graph.subgraph(fragment.vertices)
+            induced = reference.subgraph(fragment.vertices)
             assert nx.is_connected(induced)
 
     def test_fragment_root_is_an_ancestor_of_all_members(self):
@@ -151,13 +162,14 @@ class TestBuildMstWithFragments:
     def test_returns_consistent_structures(self, small_weighted_graph):
         result = build_mst_with_fragments(small_weighted_graph)
         assert isinstance(result.mst, RootedTree)
-        assert result.mst.number_of_nodes() == small_weighted_graph.number_of_nodes()
-        assert result.diameter == nx.diameter(small_weighted_graph)
+        assert result.mst.root == min(small_weighted_graph.nodes())
+        assert set(result.mst.tree_edges()) == set(minimum_spanning_tree(small_weighted_graph))
+        assert result.fragments.tree is result.mst
         assert result.ledger.total_rounds > 0
         # The simulated BFS entry is present by default.
         assert result.ledger.simulated_rounds > 0
 
-    def test_fragment_cap_defaults_to_sqrt_n(self, medium_weighted_graph):
+    def test_fragment_cap_is_isqrt_n(self, medium_weighted_graph):
         result = build_mst_with_fragments(medium_weighted_graph, simulate_bfs=False)
         assert result.fragments.cap == math.isqrt(medium_weighted_graph.number_of_nodes())
 
@@ -169,5 +181,11 @@ class TestBuildMstWithFragments:
     def test_rejects_disconnected_graph(self):
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            build_mst_with_fragments(graph)
+        cost_model = CostModel(n=4, diameter=1)
+        for simulate_bfs in (True, False):
+            with pytest.raises(ValueError, match="not connected|not reachable"):
+                build_mst_with_fragments(graph, simulate_bfs=simulate_bfs)
+            with pytest.raises(ValueError, match="not connected|not reachable"):
+                build_mst_with_fragments(
+                    graph, simulate_bfs=simulate_bfs, cost_model=cost_model
+                )

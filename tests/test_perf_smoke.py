@@ -39,11 +39,14 @@ Guards in the default test run:
   addition (count-based, machine-independent);
 * that solve and a weighted-k3 n = 96 k=3 solve each call
   ``FastGraph.from_nx`` exactly once (the input check's snapshot serves the
-  diameter and every ``Aug_k`` level); a 32 x 32 torus k=4 solve behind the
-  ``slow`` marker verifies and prints its wall time;
+  diameter and every ``Aug_k`` level) and construct no ``nx.Graph`` and
+  call no ``nx.is_connected`` (the MST is an edge list); a 32 x 32 torus
+  k=4 solve behind the ``slow`` marker verifies and prints its wall time;
 * a weighted-sparse n = 256 2-ECSS solve and a 12 x 12 torus 3-ECSS solve
   each call ``FastGraph.from_nx`` exactly once (the input check's snapshot
-  serves the diameter, the TAP kernel and the 2-approximation), and
+  serves the diameter, the TAP kernel and the 2-approximation), construct
+  no ``nx.Graph`` and call no ``nx.is_connected`` (every tree is rooted
+  from an ordered edge list), and
   neither ``FastCoverage`` nor ``PathLabelKernel`` calls the per-pair
   ``TreePathIndex.path_edges`` (count-based, machine-independent);
 * ``FastGraph.hop_diameter`` on weighted-sparse n = 2048 peaks below 8 MB
@@ -514,9 +517,7 @@ def _kecss_coverage_speedup(n: int, seed: int) -> float:
     the timer: a repeat call under the same ``A`` would be a memo hit.
     """
     graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=3.0 / n, seed=seed)
-    base = frozenset(
-        canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
-    )
+    base = frozenset(minimum_spanning_tree(graph))
     subgraph = nx.Graph()
     subgraph.add_nodes_from(graph.nodes())
     subgraph.add_edges_from(base)
@@ -695,7 +696,8 @@ def module_k_ecss(graph, k, seed):
 def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k):
     """Count-based guard (machine-independent): ``k_ecss`` converts ``G``
     once, for the input check; the diameter and every ``Aug_k`` level read
-    that snapshot, and each level builds ``H``'s from ``G``'s edge ids."""
+    that snapshot, and each level builds ``H``'s from ``G``'s edge ids.
+    The level-1 MST is an edge list: no ``nx.Graph``, no ``nx.is_connected``."""
     graph = build()
     converted: list[int] = []
     from_nx = FastGraph.from_nx.__func__
@@ -705,9 +707,11 @@ def test_kecss_solve_snapshots_the_input_once(monkeypatch, label, build, k):
         return from_nx(cls, source)
 
     monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    trees = _count_networkx_trees(monkeypatch)
     result = module_k_ecss(graph, k, seed=1)
-    print(f"\nk-ECSS {label} k={k}: {len(converted)} FastGraph.from_nx call(s)")
+    print(f"\nk-ECSS {label} k={k}: {len(converted)} FastGraph.from_nx call(s), {trees}")
     assert converted == [id(graph)]
+    assert trees == {"nx.Graph": 0, "nx.is_connected": 0}
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason
@@ -841,11 +845,36 @@ def test_build_decomposition_reads_each_highway_at_most_once(monkeypatch):
     assert len(evaluations) <= segments
 
 
+def _count_networkx_trees(monkeypatch) -> dict[str, int]:
+    """Count ``nx.Graph`` constructions and ``nx.is_connected`` calls.
+
+    The counts run until ``monkeypatch.undo()``.  A solve builds its trees
+    (:class:`RootedTree`, the MST, the simulated BFS tree) from ordered
+    edge lists, so it should make neither.
+    """
+    counts = {"nx.Graph": 0, "nx.is_connected": 0}
+    init, is_connected = nx.Graph.__init__, nx.is_connected
+
+    def counting_init(self, *args, **kwargs):
+        counts["nx.Graph"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_is_connected(graph):
+        counts["nx.is_connected"] += 1
+        return is_connected(graph)
+
+    monkeypatch.setattr(nx.Graph, "__init__", counting_init)
+    monkeypatch.setattr(nx, "is_connected", counting_is_connected)
+    return counts
+
+
 def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
     """Count-based guard on a weighted-sparse n = 256 solve (machine-independent).
 
     The input check, ``hop_diameter`` and the TAP kernel share one
-    ``FastGraph`` snapshot, so the solve converts the graph exactly once.
+    ``FastGraph`` snapshot, so the solve converts the graph exactly once,
+    and it roots the MST and the simulated BFS tree without building an
+    ``nx.Graph`` or calling ``nx.is_connected``.
     """
     snapshots: list[int] = []
     from_nx = FastGraph.from_nx.__func__
@@ -854,11 +883,13 @@ def test_two_ecss_solve_snapshots_the_graph_once(monkeypatch):
         snapshots.append(id(graph))
         return from_nx(cls, graph)
 
-    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
     graph = make_family("weighted-sparse")(256, seed=1)
+    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    trees = _count_networkx_trees(monkeypatch)
     result = two_ecss(graph, seed=1)
-    print(f"\n2-ECSS weighted-sparse n=256: {len(snapshots)} FastGraph.from_nx call(s)")
+    print(f"\n2-ECSS weighted-sparse n=256: {len(snapshots)} FastGraph.from_nx call(s), {trees}")
     assert snapshots == [id(graph)]
+    assert trees == {"nx.Graph": 0, "nx.is_connected": 0}
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason
@@ -869,7 +900,9 @@ def test_three_ecss_solve_snapshots_the_graph_once(monkeypatch):
 
     The input check's ``FastGraph`` snapshot serves ``hop_diameter``; the
     2-approximation skips the 2-edge-connectivity check that guards its
-    direct callers, since the input check proved more.
+    direct callers, since the input check proved more.  The BFS tree is
+    rooted straight from ``nx.bfs_edges``: no ``nx.Graph``, no
+    ``nx.is_connected``.
     """
     snapshots: list[int] = []
     from_nx = FastGraph.from_nx.__func__
@@ -878,11 +911,13 @@ def test_three_ecss_solve_snapshots_the_graph_once(monkeypatch):
         snapshots.append(id(graph))
         return from_nx(cls, graph)
 
-    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
     graph = grid_torus(12, 12)
+    monkeypatch.setattr(FastGraph, "from_nx", classmethod(counting_from_nx))
+    trees = _count_networkx_trees(monkeypatch)
     result = three_ecss(graph, seed=1)
-    print(f"\n3-ECSS torus 12x12: {len(snapshots)} FastGraph.from_nx call(s)")
+    print(f"\n3-ECSS torus 12x12: {len(snapshots)} FastGraph.from_nx call(s), {trees}")
     assert snapshots == [id(graph)]
+    assert trees == {"nx.Graph": 0, "nx.is_connected": 0}
     monkeypatch.undo()
     ok, reason = result.verify()
     assert ok, reason

@@ -10,43 +10,88 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.three_ecss import three_ecss
 from repro.core.two_ecss import two_ecss
+from repro.graphs.connectivity import canonical_edge
 from repro.graphs.fastgraph import TreePathIndex
 from repro.graphs.generators import grid_torus, make_family
 from repro.trees.rooted import RootedTree
 
-from _helpers import random_tree
+from _helpers import random_tree, random_tree_edges
+from oracles import bfs_tree_nx
 
 
 class TestRootedTreeConstruction:
     def test_rejects_non_tree(self):
-        with pytest.raises(ValueError):
-            RootedTree(nx.cycle_graph(4))
+        with pytest.raises(ValueError, match="do not form a tree"):
+            RootedTree(nx.cycle_graph(4).edges())
 
     def test_rejects_disconnected_forest(self):
-        forest = nx.Graph()
-        forest.add_edges_from([(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            RootedTree(forest)
+        with pytest.raises(ValueError, match="do not form a tree"):
+            RootedTree([(0, 1), (2, 3)])
+
+    def test_rejects_forest_with_n_minus_1_edges(self):
+        # Four edges on five vertices, but a triangle plus a separate edge.
+        with pytest.raises(ValueError, match="do not form a tree"):
+            RootedTree([(0, 1), (1, 2), (2, 0), (3, 4)])
+
+    def test_rejects_a_graph_in_place_of_its_edges(self):
+        with pytest.raises(TypeError, match=r"graph\.edges\(\)"):
+            RootedTree(nx.path_graph(["ab", "bc"]))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            RootedTree(nx.Graph())
+        with pytest.raises(ValueError, match="empty"):
+            RootedTree([])
 
     def test_rejects_foreign_root(self):
-        with pytest.raises(ValueError):
-            RootedTree(nx.path_graph(3), root=99)
+        with pytest.raises(ValueError, match="99"):
+            RootedTree([(0, 1), (1, 2)], root=99)
 
     def test_default_root_is_minimum_id(self):
-        tree = RootedTree(nx.path_graph(5))
+        tree = RootedTree([(3, 4), (1, 2), (0, 1), (2, 3)])
         assert tree.root == 0
 
     def test_single_vertex_tree(self):
-        graph = nx.Graph()
-        graph.add_node(7)
-        tree = RootedTree(graph)
+        tree = RootedTree([], root=7)
         assert tree.root == 7
         assert tree.height() == 0
         assert tree.tree_edges() == []
+        assert tree.bfs_order() == [7]
+        assert tree.parent_edges == [None]
+
+    def test_rooted_at_any_vertex(self):
+        tree = RootedTree([(0, 1), (1, 2)], root=2)
+        assert tree.root == 2
+        assert tree.depth(0) == 2
+
+    def test_tree_edges_follow_the_vertex_ids(self):
+        tree = RootedTree([(2, 1), (0, 2), (3, 0)])
+        assert tree.bfs_order() == [0, 2, 3, 1]
+        assert tree.tree_edges() == [(0, 2), (0, 3), (1, 2)]
+        assert tree.parent_ids == [-1, 0, 0, 1]
+
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        seed=st.integers(0, 10_000),
+        root_choice=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_networkx_bfs(self, n, seed, root_choice):
+        """Shuffled edge orders, mixed int/str labels: same BFS as networkx."""
+        rng = random.Random(seed)
+        labels = [i if rng.random() < 0.5 else f"v{i}" for i in range(n)]
+        edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        root = labels[root_choice % n]
+        tree = RootedTree(edges, root=root)
+        order, parent = bfs_tree_nx(edges, root)
+        assert tree.bfs_order() == order
+        assert {node: tree.parent(node) for node in order} == parent
+        for node in order:
+            assert tree.children(node) == [w for w in order if parent[w] == node]
+        assert tree.parent_edges == [None] + [
+            canonical_edge(node, parent[node]) for node in order[1:]
+        ]
+        assert tree.parent_ids == [-1] + [order.index(parent[node]) for node in order[1:]]
 
 
 class TestRootedTreeQueries:
@@ -102,10 +147,11 @@ class TestRootedTreeQueries:
         for node in graph.nodes():
             assert tree.depth(node) == nx.shortest_path_length(graph, 0, node)
 
-    def test_from_edges(self):
-        tree = RootedTree.from_edges([(0, 1), (1, 2)], root=2)
-        assert tree.root == 2
-        assert tree.depth(0) == 2
+    def test_bfs_tree_matches_networkx_bfs_on_the_graph(self):
+        graph = make_family("weighted-sparse")(64, seed=3)
+        tree = RootedTree.bfs_tree(graph)
+        root = min(graph.nodes())
+        assert tree.bfs_order() == [root] + [v for _, v in nx.bfs_edges(graph, root)]
 
 
 class TestRootedTreeIndex:
@@ -155,7 +201,9 @@ class TestRootedTreePaths:
             pairs = [(a, b) for a in range(0, 30, 7) for b in range(3, 30, 5)]
             expected = dict(
                 nx.tree_all_pairs_lowest_common_ancestor(
-                    nx.bfs_tree(tree.graph, tree.root), root=tree.root, pairs=pairs
+                    nx.bfs_tree(nx.Graph(random_tree_edges(30, seed)), 0),
+                    root=0,
+                    pairs=pairs,
                 )
             )
             for pair, answer in expected.items():
@@ -170,7 +218,7 @@ class TestRootedTreePaths:
             assert tree.paths.distance(tree.index[u], tree.index[v]) == expected
 
     def test_mixed_label_tree(self):
-        tree = RootedTree(nx.relabel_nodes(nx.path_graph(5), {0: "a", 3: "b"}), root=1)
+        tree = RootedTree([("a", 1), (1, 2), (2, "b"), ("b", 4)], root=1)
         assert tree.lca("a", 4) == 1
         # Mixed endpoints are ordered by repr, as canonical_edge does.
         assert tree.tree_path_edges("a", "b") == [("a", 1), ("b", 2), (1, 2)]
@@ -182,7 +230,7 @@ class TestRootedTreePaths:
         rng = random.Random(seed)
         u, v = rng.randrange(n), rng.randrange(n)
         edges = tree.tree_path_edges(u, v)
-        expected = nx.shortest_path_length(tree.graph, u, v)
+        expected = nx.shortest_path_length(nx.Graph(random_tree_edges(n, seed)), u, v)
         assert len(edges) == expected == tree.paths.distance(tree.index[u], tree.index[v])
         # The edges really form a u-v path in the tree.
         if edges:
