@@ -16,8 +16,7 @@ Examples::
     kecss cache gc --cache-dir .repro-cache
     kecss families
     kecss lint                                       # determinism checks
-    kecss lint --format json --select DET002
-    kecss lint --list-rules
+    kecss lint --root ../other-checkout --format json  # what the CI gate parses
 
 The ``experiment`` subcommand runs through the parallel cached
 :class:`~repro.analysis.engine.ExperimentEngine`: ``--workers N`` fans trials
@@ -113,11 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = subparsers.add_parser("experiment", help="run one of the E1..E10 experiments")
-    experiment.add_argument("positional_id", nargs="?", default=None, metavar="id",
+    experiment.add_argument("experiment_id", nargs="?", default="all", metavar="id",
                             choices=["all", *sorted(_EXPERIMENTS)],
-                            help="experiment id (same as --id; defaults to 'all')")
-    experiment.add_argument("--id", dest="experiment_id", default=None,
-                            choices=["all", *sorted(_EXPERIMENTS)])
+                            help="experiment id (defaults to 'all')")
     experiment.add_argument("--markdown", action="store_true", help="emit Markdown tables")
     experiment.add_argument("--workers", type=int, default=1,
                             help="worker processes for trial fan-out (default: 1, serial)")
@@ -187,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", dest="output_format", default="text",
                       choices=["text", "json"],
                       help="report format (json is what the CI gate parses)")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes to run "
-                           "(default: every registered rule)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list the registered rules and exit")
     return parser
 
 
@@ -269,16 +261,6 @@ def _apply_obs_options(args: argparse.Namespace) -> None:
 
 
 def _experiment(args: argparse.Namespace) -> int:
-    if (
-        args.positional_id is not None
-        and args.experiment_id is not None
-        and args.positional_id != args.experiment_id
-    ):
-        raise SystemExit(
-            f"conflicting experiment ids: positional {args.positional_id!r} "
-            f"vs --id {args.experiment_id!r}"
-        )
-    experiment_id = args.positional_id or args.experiment_id or "all"
     _apply_obs_options(args)
     if args.cache_dir is not None:
         try:
@@ -286,7 +268,7 @@ def _experiment(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
     engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
-    ids = list(_EXPERIMENTS) if experiment_id == "all" else [experiment_id]
+    ids = list(_EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
     # Entering the engine keeps one process pool alive across every
     # experiment instead of rebuilding it per batch.
     with engine:
@@ -424,24 +406,7 @@ def _cache(args: argparse.Namespace) -> int:
 
 
 def _lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        RULES,
-        default_package_dir,
-        render_json,
-        render_text,
-        run_lint,
-    )
-
-    if args.list_rules:
-        table = Table(
-            title="registered lint rules",
-            columns=["code", "title"],
-        )
-        for code in sorted(RULES):
-            table.add_row(code, RULES[code].title)
-        table.add_note("rationales and the suppression workflow: docs/lint.md")
-        print(table.to_text())
-        return 0
+    from repro.lint import lint, render_json, render_text
 
     if args.root is not None:
         package_dir = Path(args.root) / "src" / "repro"
@@ -450,24 +415,12 @@ def _lint(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     else:
-        package_dir = default_package_dir()
+        package_dir = Path(__file__).resolve().parent
 
-    select = None
-    if args.select is not None:
-        select = [code.strip() for code in args.select.split(",") if code.strip()]
-        if not select:
-            print(f"--select {args.select!r} names no rules", file=sys.stderr)
-            return 2
-
-    try:
-        result = run_lint(package_dir, select=select)
-    except KeyError as exc:
-        print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
-        return 2
-
+    findings = lint(package_dir)
     render = render_json if args.output_format == "json" else render_text
-    print(render(result.findings))
-    return result.exit_code
+    print(render(findings))
+    return 1 if findings else 0
 
 
 def _trace(args: argparse.Namespace) -> int:

@@ -53,7 +53,7 @@ from repro.congest.metrics import RoundLedger
 from repro.core.augmentation import AugmentationResult, compose_augmentations
 from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
-from repro.graphs.connectivity import canonical_edge, check_solver_input
+from repro.graphs.connectivity import canonical_edge, check_solver_input, is_positive_int
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
@@ -111,7 +111,13 @@ def augment_to_k(
     Returns:
         An :class:`AugmentationResult` whose ``added`` edges, together with
         ``current_edges``, form a k-edge-connected spanning subgraph.
+
+    Raises:
+        ValueError: ``k`` or ``schedule_constant`` is not an int >= 1.
     """
+    if not is_positive_int(k):
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+    _check_schedule_constant(schedule_constant)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     fast = FastGraph.of(graph)
     n, m = fast.n, fast.m
@@ -261,6 +267,11 @@ def _forest_filter(
     return [j for j in active_ids if j in kept]
 
 
+def _check_schedule_constant(schedule_constant: object) -> None:
+    if not is_positive_int(schedule_constant):
+        raise ValueError(f"schedule_constant must be an int >= 1, got {schedule_constant!r}")
+
+
 def _k_ecss_impl(
     graph: nx.Graph,
     k: int,
@@ -274,8 +285,7 @@ def _k_ecss_impl(
     Every ``Aug_2..k`` level gets the :class:`FastGraph` the input check
     built in place of *graph*.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_schedule_constant(schedule_constant)
     # The input check's snapshot serves the diameter and every Aug_k level.
     fast = check_solver_input(graph, k, "k-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)

@@ -66,6 +66,7 @@ from repro.graphs.connectivity import (
     canonical_edge,
     check_solver_input,
     is_k_edge_connected,
+    is_positive_int,
 )
 from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.trees.rooted import RootedTree
@@ -150,10 +151,6 @@ def _two_ecss_2approx(
     return chosen, tree, ledger
 
 
-def _is_positive_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _setup(
     graph: nx.Graph,
     seed: int | random.Random | None,
@@ -166,9 +163,9 @@ def _setup(
     Returns ``H``'s edges twice: as a set, and as a list in
     ``graph.edges()`` order -- the order its labels are drawn in.
     """
-    if label_bits is not None and not _is_positive_int(label_bits):
+    if label_bits is not None and not is_positive_int(label_bits):
         raise ValueError(f"label_bits must be an int >= 1 or None, got {label_bits!r}")
-    if not _is_positive_int(schedule_constant):
+    if not is_positive_int(schedule_constant):
         raise ValueError(f"schedule_constant must be an int >= 1, got {schedule_constant!r}")
     fast = check_solver_input(graph, 3, "3-ECSS")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)

@@ -29,6 +29,7 @@ __all__ = [
     "edge_connectivity",
     "is_k_edge_connected",
     "check_solver_input",
+    "is_positive_int",
     "bridges",
     "subgraph_weight",
     "verify_spanning_subgraph",
@@ -110,12 +111,17 @@ def _is_k_edge_connected(fast: FastGraph, k: int) -> bool:
     return _edge_connectivity(fast) >= k
 
 
+def is_positive_int(value: object) -> bool:
+    """True for an ``int`` >= 1 that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def check_solver_input(graph: nx.Graph, k: int, problem: str) -> FastGraph:
     """Enforce the solvers' input contract and return the snapshot of *graph*.
 
     Every k-ECSS solver takes a simple undirected graph whose edges are
     unweighted (weight 1) or carry non-negative ``int`` weights, and which
-    is k-edge-connected.  Parallel edges and self-loops would pass the
+    is k-edge-connected, for an ``int`` ``k >= 1``.  Parallel edges and self-loops would pass the
     connectivity check and then break the tree-augmentation stage (a
     self-loop can even land in the output), and float or negative
     weights would break (or silently falsify) the weight classes, so each
@@ -124,6 +130,8 @@ def check_solver_input(graph: nx.Graph, k: int, problem: str) -> FastGraph:
     one every later stage of the solve reads, so a solve converts its input
     exactly once.
     """
+    if not is_positive_int(k):
+        raise ValueError(f"{problem}: k must be an int >= 1, got {k!r}")
     if graph.is_multigraph():
         raise ValueError(
             f"{problem} needs a simple graph; got a {type(graph).__name__} "

@@ -1,32 +1,38 @@
-"""The shipped rule family: determinism (DET001-DET004).
+"""repro.lint: determinism static analysis (``kecss lint``).
 
-Every guarantee the reproduction makes -- bit-identical kernel/oracle parity,
-replay-safe caches, identical aggregates across execution backends -- is a
-determinism invariant.  The runtime checks (the differential sweeps against
-``tests/oracles.py``, ``kecss bench --against``) only cover the seeds
-actually swept; these rules check the *sources* of nondeterminism
-statically, before execution:
-
-* DET001 -- global ``random`` / ``numpy.random`` module state instead of a
-  threaded, seeded generator;
-* DET002 -- iteration over an unordered ``set`` feeding ordering-sensitive
-  output without an intervening ``sorted()``;
-* DET003 -- wall-clock, ``uuid`` or OS-entropy calls inside registered trial
-  functions;
-* DET004 -- float arithmetic in modules whose scoring paths are documented
-  exact (``Fraction``/int).
+Every guarantee this reproduction makes -- bit-identical kernel/oracle
+parity, replay-safe caches, identical aggregates across execution backends
+-- is a determinism invariant.  The runtime checks (the differential sweeps
+against ``tests/oracles.py``, ``kecss bench --against``) only cover the
+seeds actually swept; the DET001-DET004 rules in :data:`RULES` check the
+*sources* of nondeterminism statically, before execution.  The analyzer is
+AST-only: it never imports what it checks, so linting a broken tree or a
+copy of the package is safe.  An inline ``# repro: disable=CODE[,CODE...]``
+comment, ideally followed by a justification (``-- reason``), silences its
+own line.  See ``docs/lint.md`` for the rule catalogue and workflows.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import re
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterator
 
-from repro.lint.registry import register_rule
-from repro.lint.report import Finding
-from repro.lint.walker import ModuleContext, dotted_name, walk_with_symbol
+__all__ = [
+    "Finding",
+    "RULES",
+    "lint",
+    "lint_source",
+    "suppressed_codes",
+    "render_text",
+    "render_json",
+]
 
-__all__ = ["EXACT_MODULES"]
+#: ``# repro: disable=DET001,DET004 -- optional justification``
+_SUPPRESSION = re.compile(r"#\s*repro:\s*disable=([A-Z0-9_,\s]+)")
 
 #: ``random``-module attributes that are fine to touch: constructing a
 #: seeded (or explicitly OS-backed) generator is the threaded-``rng``
@@ -89,10 +95,110 @@ EXACT_MODULES = frozenset(
 )
 
 
+@dataclass
+class Finding:
+    """One rule violation at one source location."""
+
+    code: str
+    path: str
+    line: int
+    col: int
+    message: str
+    symbol: str = ""
+
+
+@dataclass(frozen=True)
+class ModuleContext:
+    """One parsed source file and its import table (:func:`_import_targets`)."""
+
+    name: str
+    relpath: str
+    tree: ast.Module
+    imports: dict[str, str]
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a ``Name``/``Attribute`` chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _import_targets(
+    tree: ast.Module, module_name: str, is_package: bool
+) -> dict[str, str]:
+    """Local name -> dotted target for every import (module-level, nested,
+    function-local).
+
+    ``import a.b.c`` binds ``a`` to ``a.b.c``; ``import a.b as x`` binds
+    ``x`` to ``a.b``; ``from a.b import c as x`` binds ``x`` to ``a.b.c``, and a
+    relative ``from`` climbs from the defining package.  A plain ``import``
+    wins over a ``from`` import of the same local name.  The body of an
+    ``if TYPE_CHECKING:`` block never executes, so it binds nothing.
+    """
+    package = module_name if is_package else module_name.rpartition(".")[0]
+    modules: dict[str, str] = {}
+    attrs: dict[str, str] = {}
+
+    def record(stmt: ast.AST) -> None:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                modules[alias.asname or alias.name.partition(".")[0]] = alias.name
+        elif isinstance(stmt, ast.ImportFrom):
+            base = stmt.module or ""
+            if stmt.level:
+                # Relative import: climb from the defining package.
+                anchor = package.split(".") if package else []
+                anchor = anchor[: len(anchor) - (stmt.level - 1)]
+                base = ".".join(anchor + ([stmt.module] if stmt.module else []))
+            for alias in stmt.names:
+                if alias.name != "*":
+                    target = f"{base}.{alias.name}" if base else alias.name
+                    attrs[alias.asname or alias.name] = target
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and dotted_name(child.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING",
+            ):
+                stmts = child.orelse
+            else:
+                stmts = [child]
+            for stmt in stmts:
+                record(stmt)
+                visit(stmt)
+
+    visit(tree)
+    return {**attrs, **modules}
+
+
+def walk_with_symbol(
+    node: ast.AST, symbol: str = ""
+) -> Iterator[tuple[ast.AST, str]]:
+    """Yield ``(node, enclosing_function_name)`` pairs below *node*, depth
+    first.
+
+    The symbol is the nearest enclosing function (qualified by ``.`` for
+    nesting, class names included), or ``""`` at module level -- it feeds the
+    reports.
+    """
+    for child in ast.iter_child_nodes(node):
+        child_symbol = symbol
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            child_symbol = f"{symbol}.{child.name}" if symbol else child.name
+        yield child, child_symbol
+        yield from walk_with_symbol(child, child_symbol)
+
+
 def _qualified(func: ast.expr, ctx: ModuleContext) -> str | None:
     """Resolve a call target to a fully-qualified dotted name.
 
-    ``np.random.seed`` resolves through the alias map to
+    ``np.random.seed`` resolves through the import table to
     ``numpy.random.seed``; ``shuffle`` bound by ``from random import
     shuffle`` resolves to ``random.shuffle``.  Unresolvable heads come back
     verbatim (attribute chains on local variables match no pattern).
@@ -101,27 +207,12 @@ def _qualified(func: ast.expr, ctx: ModuleContext) -> str | None:
     if name is None:
         return None
     head, _, rest = name.partition(".")
-    aliases = ctx.alias_map()
-    from_imports = ctx.from_import_map()
-    if head in aliases:
-        base = aliases[head]
-    elif head in from_imports:
-        binding = from_imports[head]
-        base = f"{binding.module}.{binding.attr}" if binding.module else binding.attr
-    else:
+    if head not in ctx.imports:
         return name
+    base = ctx.imports[head]
     return f"{base}.{rest}" if rest else base
 
 
-def is_register_trial_decorator(decorator: ast.expr) -> bool:
-    """True for ``@register_trial(...)`` (bare or attribute-qualified)."""
-    if not isinstance(decorator, ast.Call):
-        return False
-    name = dotted_name(decorator.func)
-    return name is not None and name.split(".")[-1] == "register_trial"
-
-
-@register_rule("DET001", "global RNG state")
 def det001_global_random(ctx: ModuleContext) -> Iterator[Finding]:
     """Global ``random``/``numpy.random`` calls draw from interpreter-wide
     state: results then depend on import order, on other trials sharing the
@@ -168,7 +259,6 @@ def _is_set_expression(node: ast.expr) -> bool:
 _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 
 
-@register_rule("DET002", "unordered set iteration")
 def det002_set_iteration_order(ctx: ModuleContext) -> Iterator[Finding]:
     """Iterating a ``set`` materialises an order that depends on hash seeds
     and insertion history, not on the data -- any list, RNG draw or
@@ -205,7 +295,6 @@ def det002_set_iteration_order(ctx: ModuleContext) -> Iterator[Finding]:
             yield finding(node.args[0], symbol, f"passed to {node.func.id}(...)")
 
 
-@register_rule("DET003", "nondeterminism inside trial functions")
 def det003_trial_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     """A registered trial function is the unit of caching and replay: its
     metrics must be a pure function of ``(config, seed)``.  Wall-clock
@@ -216,8 +305,10 @@ def det003_trial_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     for stmt in ctx.tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        # ``@register_trial(...)``, bare or attribute-qualified.
         if not any(
-            is_register_trial_decorator(decorator)
+            isinstance(decorator, ast.Call)
+            and (dotted_name(decorator.func) or "").split(".")[-1] == "register_trial"
             for decorator in stmt.decorator_list
         ):
             continue
@@ -239,7 +330,6 @@ def det003_trial_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
                 )
 
 
-@register_rule("DET004", "float arithmetic in exact paths")
 def det004_float_in_exact_path(ctx: ModuleContext) -> Iterator[Finding]:
     """The TAP/3-ECSS/k-ECSS scoring pipeline is documented exact: integer
     weights and ``Fraction`` cost-effectiveness values, compared without
@@ -279,3 +369,111 @@ def det004_float_in_exact_path(ctx: ModuleContext) -> Iterator[Finding]:
                     f"results are 53-bit floats, not exact values",
                     symbol,
                 )
+
+
+#: Every rule, in code order: ``(code, title, check)``.  A check is called
+#: once per module and sees only that file.
+RULES = (
+    ("DET001", "global RNG state", det001_global_random),
+    ("DET002", "unordered set iteration", det002_set_iteration_order),
+    ("DET003", "nondeterminism inside trial functions", det003_trial_wall_clock),
+    ("DET004", "float arithmetic in exact paths", det004_float_in_exact_path),
+)
+
+
+def suppressed_codes(line: str) -> frozenset[str]:
+    """The rule codes an inline comment on *line* suppresses."""
+    match = _SUPPRESSION.search(line)
+    if match is None:
+        return frozenset()
+    return frozenset(
+        code.strip() for code in match.group(1).split(",") if code.strip()
+    )
+
+
+def _position(finding: Finding) -> tuple:
+    return (finding.path, finding.line, finding.col, finding.code)
+
+
+def lint_source(
+    source: str, name: str, relpath: str, is_package: bool = False
+) -> list[Finding]:
+    """Every rule's findings on one source file, in report order.
+
+    *name* is the dotted module name (``__init__.py`` files carry their
+    package's name and set *is_package*); *relpath* is the path the
+    findings report.  Findings on a line whose inline comment disables
+    their code are dropped.
+    """
+    tree = ast.parse(source, filename=relpath)
+    ctx = ModuleContext(name, relpath, tree, _import_targets(tree, name, is_package))
+    lines = source.splitlines()
+    findings = [
+        finding
+        for _, _, check in RULES
+        for finding in check(ctx)
+        if finding.code not in suppressed_codes(
+            lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
+        )
+    ]
+    return sorted(findings, key=_position)
+
+
+def lint(package_dir: Path) -> list[Finding]:
+    """Lint every ``*.py`` under the package directory *package_dir*.
+
+    Modules are named after ``package_dir.name`` (``.../src/repro`` holds
+    ``repro``); paths in findings are relative to the grandparent of
+    *package_dir* (the repo root for the standard ``src`` layout).
+    """
+    package_dir = Path(package_dir).resolve()
+    report_base = package_dir.parent.parent
+    findings: list[Finding] = []
+    for path in sorted(package_dir.rglob("*.py")):
+        parts = path.relative_to(package_dir).with_suffix("").parts
+        is_package = path.name == "__init__.py"
+        name = ".".join((package_dir.name, *parts[: -1 if is_package else None]))
+        relpath = path.relative_to(report_base).as_posix()
+        findings += lint_source(path.read_text(), name, relpath, is_package)
+    return sorted(findings, key=_position)
+
+
+def _summary(findings: list[Finding]) -> dict:
+    per_rule: dict[str, int] = {}
+    for finding in findings:
+        per_rule[finding.code] = per_rule.get(finding.code, 0) + 1
+    return {"total": len(findings), "rules": dict(sorted(per_rule.items()))}
+
+
+def render_text(findings: list[Finding]) -> str:
+    """The human report: one line per finding (in :func:`lint` order) plus
+    a summary."""
+    lines: list[str] = []
+    for finding in findings:
+        suffix = f" [{finding.symbol}]" if finding.symbol else ""
+        lines.append(
+            f"{finding.path}:{finding.line}:{finding.col}: "
+            f"{finding.code} {finding.message}{suffix}"
+        )
+    summary = _summary(findings)
+    if summary["total"] == 0:
+        lines.append("kecss lint: no findings")
+    else:
+        per_rule = ", ".join(
+            f"{code}:{count}" for code, count in summary["rules"].items()
+        )
+        lines.append(
+            f"kecss lint: {summary['total']} finding"
+            f"{'' if summary['total'] == 1 else 's'} [{per_rule}]"
+        )
+    return "\n".join(lines)
+
+
+def render_json(findings: list[Finding]) -> str:
+    """The machine report consumed by the CI gate."""
+    payload = {
+        "findings": [asdict(finding) for finding in findings],
+        "summary": _summary(findings),
+        "rules": {code: {"title": title} for code, title, _ in RULES},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

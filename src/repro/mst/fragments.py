@@ -98,9 +98,6 @@ class FragmentDecomposition:
         """Maximum fragment diameter across the decomposition."""
         return max((self.fragment_diameter(f) for f in self.fragments), default=0)
 
-    def fragment_roots(self) -> set[Hashable]:
-        return {fragment.root for fragment in self.fragments}
-
 
 def decompose_tree_into_fragments(
     tree: RootedTree,

@@ -210,7 +210,18 @@ class RootedTree:
     # ----------------------------------------------------------- construction
     @staticmethod
     def bfs_tree(graph: nx.Graph, root: Hashable | None = None) -> "RootedTree":
-        """Build the BFS spanning tree of *graph* rooted at *root* (min-id default)."""
+        """Build the BFS spanning tree of *graph* rooted at *root* (min-id default).
+
+        Raises ``ValueError`` naming a vertex the BFS did not reach when
+        *graph* is disconnected.
+        """
         if root is None:
             root = min(graph.nodes(), key=repr)
-        return RootedTree(nx.bfs_edges(graph, root), root=root)
+        tree = RootedTree(nx.bfs_edges(graph, root), root=root)
+        if tree.number_of_nodes() != graph.number_of_nodes():
+            missing = next(node for node in graph if node not in tree.index)
+            raise ValueError(
+                f"bfs-tree: vertex {missing!r} is not reachable from root {root!r} "
+                "(the graph is disconnected)"
+            )
+        return tree

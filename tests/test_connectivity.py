@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.k_ecss import k_ecss
+from repro.core.k_ecss import augment_to_k, k_ecss
 from repro.core.three_ecss import three_ecss
 from repro.core.two_ecss import two_ecss
 from repro.graphs.connectivity import (
@@ -300,6 +300,36 @@ class TestCheckSolverInput:
         monkeypatch.setattr(FastGraph, "from_nx", classmethod(no_snapshot))
         with pytest.raises(ValueError, match="2-ECSS needs a simple graph; vertex 0 has a self-loop"):
             two_ecss(graph, seed=0)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda graph, k, constant: k_ecss(graph, k, seed=0, schedule_constant=constant),
+            lambda graph, k, constant: augment_to_k(
+                graph, frozenset(), k, seed=0, schedule_constant=constant
+            ),
+        ],
+        ids=["k_ecss", "augment_to_k"],
+    )
+    @pytest.mark.parametrize(
+        "k, constant, match",
+        [
+            # k=2.5 and k="3" used to raise TypeError; k=True solved as k=1.
+            *[(k, 2, "k") for k in (2.5, "3", True, 0, -1, None)],
+            # schedule_constant=-1 used to end in "did not converge within
+            # -1744 iterations", "2" in a TypeError; 0 and 1.5 ran.
+            *[(3, c, "schedule_constant") for c in (-1, 0, 1.5, "2", True, None)],
+        ],
+    )
+    def test_k_ecss_rejects_bad_k_and_schedule_constant_before_any_work(
+        self, monkeypatch, solve, k, constant, match
+    ):
+        def no_snapshot(cls, source):
+            raise AssertionError("bad arguments must be rejected before the snapshot")
+
+        monkeypatch.setattr(FastGraph, "from_nx", classmethod(no_snapshot))
+        with pytest.raises(ValueError, match=f"{match} must be an int >= 1, got"):
+            solve(_unit_k5(), k, constant)
 
     @pytest.mark.parametrize("weight", [True, 2.0, "3", None])
     def test_non_int_weights_are_rejected(self, weight):

@@ -129,6 +129,12 @@ class TestLabels:
         with pytest.raises(ValueError):
             compute_labels(single)
 
+    def test_disconnected_graph_names_an_unreached_vertex(self):
+        # Used to die with a bare KeyError: 4 inside the labelling.
+        graph = nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(3))
+        with pytest.raises(ValueError, match="vertex 4 is not reachable from root 0"):
+            compute_labels(graph, seed=1)
+
 
 def _shuffled_string_graph(n: int, rng: random.Random) -> nx.Graph:
     """A 2-edge-connected graph with string names and shuffled insertion orders."""

@@ -1,35 +1,37 @@
 """Tests for the :mod:`repro.lint` static analyzer.
 
 Rule behaviour is pinned with small inline source fixtures
-(:func:`repro.lint.project_from_sources` builds a project without touching
-the filesystem); project loading is additionally exercised against a real
-on-disk package tree, and a *copy* of the installed package must lint clean
-through the CLI.
+(:func:`repro.lint.lint_source` lints one module without touching the
+filesystem); :func:`repro.lint.lint` is additionally exercised against real
+on-disk package trees, the package itself must lint clean, and every inline
+suppression in it must still hide a live finding.
 """
 
 from __future__ import annotations
 
+import io
+import re
 import shutil
+import tokenize
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Finding,
-    lint_project,
-    load_project,
-    project_from_sources,
-    run_lint,
-    select_rules,
-    suppressed_codes,
-)
+from repro.lint import _INEXACT_MATH, Finding, lint, lint_source, suppressed_codes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = REPO_ROOT / "src" / "repro"
 
 
-def lint_sources(sources: dict[str, str], select=None) -> list[Finding]:
-    return lint_project(project_from_sources(sources), select=select)
+def lint_sources(sources: dict[str, str], code: str) -> list[Finding]:
+    """The *code* findings in in-memory ``{dotted name: source}`` modules; a
+    name is a package when another supplied name nests under it."""
+    findings: list[Finding] = []
+    for name, source in sources.items():
+        is_package = any(other.startswith(name + ".") for other in sources)
+        relpath = name.replace(".", "/") + ("/__init__.py" if is_package else ".py")
+        findings += lint_source(source, name, relpath, is_package)
+    return [finding for finding in findings if finding.code == code]
 
 
 def codes(findings: list[Finding]) -> list[str]:
@@ -46,7 +48,7 @@ class TestDet001GlobalRandom:
                 "    random.shuffle(items)\n"
                 "    return random.randint(0, 3)\n"
             ),
-        }, select=["DET001"])
+        }, code="DET001")
         assert codes(findings) == ["DET001", "DET001"]
         assert "random.shuffle" in findings[0].message
         assert findings[0].symbol == "pick"
@@ -60,7 +62,7 @@ class TestDet001GlobalRandom:
                 "    shuffle(items)\n"
                 "    np.random.seed(0)\n"
             ),
-        }, select=["DET001"])
+        }, code="DET001")
         assert codes(findings) == ["DET001", "DET001"]
         assert "numpy.random.seed" in findings[1].message
 
@@ -77,7 +79,7 @@ class TestDet001GlobalRandom:
                 "    lazy.shuffle(items)\n"
                 "    typed.shuffle(items)\n"
             ),
-        }, select=["DET001"])
+        }, code="DET001")
         assert codes(findings) == ["DET001"]
         assert findings[0].line == 6
 
@@ -92,7 +94,7 @@ class TestDet001GlobalRandom:
                 "    rng.shuffle([1, 2])\n"
                 "    return gen\n"
             ),
-        }, select=["DET001"])
+        }, code="DET001")
         assert findings == []
 
     def test_inline_suppression_silences(self):
@@ -102,7 +104,7 @@ class TestDet001GlobalRandom:
                 "def f():\n"
                 "    return random.random()  # repro: disable=DET001 -- demo\n"
             ),
-        }, select=["DET001"])
+        }, code="DET001")
         assert findings == []
 
 
@@ -118,7 +120,7 @@ class TestDet002SetIteration:
                 "    ys = [y for y in {1, 2, 3}]\n"
                 "    return out, ys, list(set(items) - {0})\n"
             ),
-        }, select=["DET002"])
+        }, code="DET002")
         assert codes(findings) == ["DET002", "DET002", "DET002"]
 
     def test_sorted_and_membership_are_fine(self):
@@ -130,7 +132,7 @@ class TestDet002SetIteration:
                 "    both = set(items) & {1, 2}\n"
                 "    return out, hit, both\n"
             ),
-        }, select=["DET002"])
+        }, code="DET002")
         assert findings == []
 
     def test_inline_suppression_silences(self):
@@ -140,7 +142,7 @@ class TestDet002SetIteration:
                 "    for x in set(items):  # repro: disable=DET002 -- order unused\n"
                 "        print(x)\n"
             ),
-        }, select=["DET002"])
+        }, code="DET002")
         assert findings == []
 
 
@@ -155,7 +157,7 @@ class TestDet003TrialNondeterminism:
     )
 
     def test_flags_wall_clock_in_trial(self):
-        findings = lint_sources({"pkg.exp": self.TRIAL}, select=["DET003"])
+        findings = lint_sources({"pkg.exp": self.TRIAL}, code="DET003")
         assert codes(findings) == ["DET003"]
         assert "time.time" in findings[0].message
         assert findings[0].symbol == "t1_trial"
@@ -169,7 +171,7 @@ class TestDet003TrialNondeterminism:
                 "def t2_trial(config, seed):\n"
                 "    return {'id': str(uuid.uuid4())}\n"
             ),
-        }, select=["DET003"])
+        }, code="DET003")
         assert codes(findings) == ["DET003"]
         assert "uuid.uuid4" in findings[0].message
 
@@ -180,14 +182,14 @@ class TestDet003TrialNondeterminism:
                 "def helper():\n"
                 "    return time.time()\n"
             ),
-        }, select=["DET003"])
+        }, code="DET003")
         assert findings == []
 
     def test_inline_suppression_silences(self):
         suppressed = self.TRIAL.replace(
             "time.time()}", "time.time()}  # repro: disable=DET003 -- demo"
         )
-        findings = lint_sources({"pkg.exp": suppressed}, select=["DET003"])
+        findings = lint_sources({"pkg.exp": suppressed}, code="DET003")
         assert findings == []
 
 
@@ -207,7 +209,7 @@ class TestDet004FloatInExactPath:
                 "    return math.sqrt(total)\n"
             ),
         }
-        findings = lint_sources(sources, select=["DET004"])
+        findings = lint_sources(sources, code="DET004")
         assert codes(findings) == ["DET004", "DET004", "DET004"]
         messages = " ".join(finding.message for finding in findings)
         assert "8.0" in messages and "float()" in messages and "math.sqrt" in messages
@@ -216,7 +218,7 @@ class TestDet004FloatInExactPath:
         findings = lint_sources({
             "repro": "",
             "repro.metrics": "def mean(xs):\n    return sum(xs) / 1.0\n",
-        }, select=["DET004"])
+        }, code="DET004")
         assert findings == []
 
     def test_inline_suppression_silences(self):
@@ -226,45 +228,63 @@ class TestDet004FloatInExactPath:
             self.EXACT: (
                 "P = 1.0 / 8  # repro: disable=DET004 -- exact binary power\n"
             ),
-        }, select=["DET004"])
+        }, code="DET004")
         assert findings == []
 
 
-# ------------------------------------------------------- project on disk
-class TestProjectOnDisk:
-    @pytest.fixture()
-    def package_root(self, tmp_path: Path) -> Path:
-        pkg = tmp_path / "src" / "mypkg"
-        (pkg / "sub").mkdir(parents=True)
-        (pkg / "__init__.py").write_text("")
-        (pkg / "a.py").write_text("import mypkg.b\n")
-        (pkg / "b.py").write_text("from mypkg import c\n")
-        (pkg / "c.py").write_text("from . import d\n")
-        (pkg / "d.py").write_text("")
-        (pkg / "sub" / "__init__.py").write_text("")
-        (pkg / "sub" / "e.py").write_text("from ..a import something\n")
-        return pkg
+# ------------------------------------------------------- package on disk
+class TestPackageOnDisk:
+    @staticmethod
+    def write(package_dir: Path, files: dict[str, str]) -> None:
+        for relpath, source in files.items():
+            (package_dir / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (package_dir / relpath).write_text(source)
 
-    def test_modules_and_paths(self, package_root: Path):
-        project = load_project(package_root, package="mypkg")
-        assert set(project.modules) == {
-            "mypkg", "mypkg.a", "mypkg.b", "mypkg.c", "mypkg.d",
-            "mypkg.sub", "mypkg.sub.e",
+    def test_modules_are_named_after_the_package_dir(self, tmp_path: Path):
+        # DET004 fires only in EXACT_MODULES, so its findings show which
+        # files got which dotted names; paths are relative to the
+        # grandparent of the package dir (the repo root in a src layout).
+        files = {
+            relpath: "X = 1.0\n"
+            for relpath in (
+                "__init__.py", "tap/__init__.py", "tap/greedy.py",
+                "tap/other.py", "core/fastaug/__init__.py",
+            )
         }
-        assert project.modules["mypkg"].is_package
-        assert project.modules["mypkg.sub"].is_package
-        assert not project.modules["mypkg.a"].is_package
-        # Paths are reported relative to the grandparent of the package dir
-        # (the repo root in a src layout).
-        assert project.modules["mypkg.a"].relpath == "src/mypkg/a.py"
-        assert project.modules["mypkg.sub.e"].relpath == "src/mypkg/sub/e.py"
+        for package in ("repro", "other"):
+            self.write(tmp_path / package / "src" / package, files)
+        findings = lint(tmp_path / "repro" / "src" / "repro")
+        assert [(f.code, f.path) for f in findings] == [
+            ("DET004", "src/repro/core/fastaug/__init__.py"),
+            ("DET004", "src/repro/tap/greedy.py"),
+        ]
+        assert lint(tmp_path / "other" / "src" / "other") == []
 
-    def test_relative_imports_resolve_against_the_package(self, package_root: Path):
-        project = load_project(package_root, package="mypkg")
-        (binding,) = project.modules["mypkg.c"].imports
-        assert (binding.module, binding.attr) == ("mypkg", "d")
-        (binding,) = project.modules["mypkg.sub.e"].imports
-        assert (binding.module, binding.attr) == ("mypkg.a", "something")
+    def test_relative_imports_resolve_against_the_package(self, tmp_path: Path):
+        # DET003 flags any call that resolves under ``secrets.`` inside a
+        # trial, and quotes the resolved name: a package of that name puts
+        # every relative import's resolution into the report.
+        def trial(statement: str, name: str) -> str:
+            return (
+                f"{statement}\n"
+                "@register_trial('t')\n"
+                "def t(config, seed):\n"
+                f"    return {name}()\n"
+            )
+
+        self.write(tmp_path / "src" / "secrets", {
+            "__init__.py": trial("from . import a", "a"),
+            "c.py": trial("from . import d", "d"),
+            "sub/__init__.py": trial("from .. import b", "b"),
+            "sub/e.py": trial("from ..a import something", "something"),
+        })
+        findings = lint(tmp_path / "src" / "secrets")
+        assert [(f.path, f.message.split("'")[1]) for f in findings] == [
+            ("src/secrets/__init__.py", "secrets.a"),
+            ("src/secrets/c.py", "secrets.d"),
+            ("src/secrets/sub/__init__.py", "secrets.b"),
+            ("src/secrets/sub/e.py", "secrets.a.something"),
+        ]
 
 
 # --------------------------------------------------------------- suppressions
@@ -274,19 +294,58 @@ class TestSuppressions:
         assert suppressed_codes(line) == frozenset({"DET004", "DET001"})
         assert suppressed_codes("x = 1.0  # plain comment") == frozenset()
 
-    def test_unknown_rule_selection_raises(self):
-        with pytest.raises(KeyError):
-            select_rules(["NOPE"])
+    def test_every_suppression_in_the_package_hides_a_live_finding(
+        self, tmp_path: Path
+    ):
+        # Strip every inline suppression from a copy of the package: each
+        # line that carried one must then yield a finding for every code it
+        # named, and nothing else may appear.  Inexact math calls on those
+        # lines must be reported by name, which needs `import math`
+        # resolution to work on real code.
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        suppressed: set[tuple[str, int, str]] = set()
+        inexact: set[tuple[str, int, str]] = set()
+        for path in sorted(copy.rglob("*.py")):
+            source = path.read_text()
+            lines = source.splitlines(keepends=True)
+            relpath = path.relative_to(tmp_path).as_posix()
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type != tokenize.COMMENT or not re.match(
+                    r"#\s*repro:\s*disable=", token.string
+                ):
+                    continue
+                row, col = token.start
+                lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
+                suppressed |= {
+                    (relpath, row, code) for code in suppressed_codes(token.string)
+                }
+                inexact |= {
+                    (relpath, row, call)
+                    for call in re.findall(r"\b(math\.\w+)\(", lines[row - 1])
+                    if call in _INEXACT_MATH
+                }
+            path.write_text("".join(lines))
+        assert suppressed, "the package carries no inline suppressions"
+
+        findings = lint(copy)
+        assert {(f.path, f.line, f.code) for f in findings} == suppressed
+        assert inexact <= {
+            (f.path, f.line, f.message.split("'")[1])
+            for f in findings
+            if f.message.startswith("inexact")
+        }
 
 
 # ------------------------------------------------------- the repo lints clean
 class TestRepoIsClean:
     def test_package_tree_has_no_findings(self):
-        result = run_lint(PACKAGE_DIR)
-        assert result.findings == [], "\n".join(
-            f"{f.path}:{f.line}: {f.code} {f.message}" for f in result.findings
+        findings = lint(PACKAGE_DIR)
+        assert findings == [], "\n".join(
+            f"{f.path}:{f.line}: {f.code} {f.message}" for f in findings
         )
-        assert result.exit_code == 0
 
     def test_copied_checkout_is_clean(self, tmp_path: Path, capsys):
         from repro.cli import main

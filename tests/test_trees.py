@@ -153,6 +153,13 @@ class TestRootedTreeQueries:
         root = min(graph.nodes())
         assert tree.bfs_order() == [root] + [v for _, v in nx.bfs_edges(graph, root)]
 
+    def test_bfs_tree_rejects_a_disconnected_graph(self):
+        graph = nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(3))
+        with pytest.raises(ValueError, match="vertex 4 is not reachable from root 0"):
+            RootedTree.bfs_tree(graph)
+        with pytest.raises(ValueError, match=r"vertex 0 is not reachable from root 5 \(the graph"):
+            RootedTree.bfs_tree(graph, root=5)
+
 
 class TestRootedTreeIndex:
     def test_vertex_ids_follow_bfs_order(self, star_tree):
