@@ -33,16 +33,19 @@ iteration that follows an addition costs one vectorised exponent scan
 instead of ``O(|E| * |cuts|)`` frozenset intersections, and any other
 iteration reuses the previous scan.  The cuts themselves come from the exact
 enumeration of :mod:`repro.graphs.cuts`, which confirms each one in the cut
-space and runs no search per cut.  The historical frozenset implementation
-is the ``augment_to_k_nx`` / ``k_ecss_nx`` oracle in ``tests/oracles.py``;
-the solver-kernel sweep in ``tests/test_fastaug.py`` asserts bit-identical
-added-edge sets, weights, iteration counts and histories.
+space and runs no search per cut; they stay in vertex and edge ids from
+enumeration to the side matrix (the label ``Cut`` of node labels is the
+tests' reference, in ``tests/oracles.py``).  The historical frozenset
+implementation is the ``augment_to_k_nx`` / ``k_ecss_nx`` oracle in
+``tests/oracles.py``; the solver-kernel sweep in ``tests/test_fastaug.py``
+asserts bit-identical added-edge sets, weights, iteration counts and
+histories.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 import networkx as nx
@@ -50,11 +53,15 @@ import numpy as np
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.augmentation import AugmentationResult, compose_augmentations
 from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
-from repro.graphs.connectivity import canonical_edge, check_solver_input, is_positive_int
-from repro.graphs.cuts import Cut, enumerate_cuts_of_size
+from repro.graphs.connectivity import (
+    canonical_edge,
+    check_solver_input,
+    edge_connectivity,
+    is_positive_int,
+)
+from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 
@@ -62,9 +69,29 @@ Edge = tuple[Hashable, Hashable]
 
 __all__ = [
     "AugIterationStats",
+    "AugmentationResult",
     "augment_to_k",
     "k_ecss",
 ]
+
+
+@dataclass
+class AugmentationResult:
+    """Result of one ``Aug_i`` level.
+
+    Attributes:
+        added: The edges added to the augmentation (disjoint from ``H``).
+        weight: Their total weight.
+        iterations: Covering iterations used by the level.
+        ledger: Round charges of the level.
+        metadata: Level-specific diagnostics.
+    """
+
+    added: frozenset[Edge]
+    weight: int
+    iterations: int
+    ledger: RoundLedger
+    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -92,12 +119,16 @@ def augment_to_k(
     """Raise the connectivity of ``current_edges`` from ``k - 1`` to ``k`` (Section 4).
 
     Args:
-        graph: The k-edge-connected input graph ``G``, or its
-            :class:`FastGraph` snapshot: :func:`k_ecss` passes every level
-            the one its input check built, so the per-edge canonical forms
-            and Kruskal tie ranks are computed once per solve.
-        current_edges: Edges of the (k-1)-edge-connected subgraph ``H``.
-        k: Target connectivity of this level.
+        graph: The k-edge-connected input graph ``G``, which goes through
+            :func:`~repro.graphs.connectivity.check_solver_input`, or a
+            :class:`FastGraph` snapshot that has passed it: :func:`k_ecss`
+            passes every level the one its input check built, so the
+            per-edge canonical forms and Kruskal tie ranks are computed once
+            per solve.
+        current_edges: Edges of ``G`` that form the (k-1)-edge-connected
+            spanning subgraph ``H``.
+        k: Target connectivity of this level, an int >= 2 (level 1 is the
+            MST of :func:`k_ecss`, not an augmentation).
         seed: Randomness for candidate activation -- the only randomness of
             a level: the cuts of size ``k - 1`` of ``H`` come from the exact,
             deterministic :func:`~repro.graphs.cuts.enumerate_cuts_of_size`.
@@ -113,14 +144,42 @@ def augment_to_k(
         ``current_edges``, form a k-edge-connected spanning subgraph.
 
     Raises:
-        ValueError: ``k`` or ``schedule_constant`` is not an int >= 1.
+        ValueError: before any work, when ``k`` is not an int >= 2,
+            ``schedule_constant`` is not an int >= 1, ``G`` breaks the
+            solver input contract, ``current_edges`` holds an edge that is
+            not in ``G``, or ``H`` is not (k-1)-edge-connected.
     """
     if not is_positive_int(k):
         raise ValueError(f"k must be an int >= 1, got {k!r}")
+    if k < 2:
+        raise ValueError(
+            "Aug_k needs k >= 2: level 1 is the MST of k_ecss, not an augmentation"
+        )
     _check_schedule_constant(schedule_constant)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    fast = FastGraph.of(graph)
+    fast = graph if isinstance(graph, FastGraph) else check_solver_input(graph, k, "Aug_k")
     n, m = fast.n, fast.m
+    # H and the candidates split G's edge ids; H's snapshot is built from
+    # them directly, with G's vertex ids.
+    edges, rank = fast.canonical_edges()
+    edge_id = dict(zip(edges, range(m)))
+    in_h = [False] * m
+    for u, v in current_edges:
+        eid = edge_id.get(canonical_edge(u, v))
+        if eid is None:
+            raise ValueError(f"current_edges holds ({u!r}, {v!r}), which is not an edge of G")
+        in_h[eid] = True
+    tail, head, weight = fast.tail, fast.head, fast.weight
+    h_fast = FastGraph(
+        fast.labels, ((tail[e], head[e], weight[e]) for e in range(m) if in_h[e])
+    )
+    try:
+        cuts = enumerate_cuts_of_size(h_fast, k - 1)
+    except ValueError:
+        raise ValueError(
+            f"Aug_{k} needs a {k - 1}-edge-connected H, but current_edges has edge "
+            f"connectivity {edge_connectivity(h_fast)}"
+        ) from None
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if cost_model is None:
         cost_model = CostModel(n=n, diameter=hop_diameter(fast))
     ledger = RoundLedger()
@@ -129,16 +188,6 @@ def augment_to_k(
         cost_model.aug_state_broadcast_rounds(len(current_edges)),
         note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
     )
-    # H and the candidates split G's edge ids; H's snapshot is built from
-    # them directly, with G's vertex ids.
-    edges, rank = fast.canonical_edges()
-    current = frozenset(canonical_edge(u, v) for u, v in current_edges)
-    in_h = [edge in current for edge in edges]
-    tail, head, weight = fast.tail, fast.head, fast.weight
-    h_fast = FastGraph(
-        fast.labels, ((tail[e], head[e], weight[e]) for e in range(m) if in_h[e])
-    )
-    cuts: list[Cut] = enumerate_cuts_of_size(h_fast, k - 1)
     if max_iterations is None:
         max_iterations = 16 * schedule_constant * cost_model.log_n ** 3 + 8 * n + 64
     if not cuts:
@@ -153,7 +202,7 @@ def augment_to_k(
     kernel = BitsetCoverKernel(
         [edges[e] for e in pool],
         [weight[e] for e in pool],
-        _side_matrix(cuts, fast.index),
+        _side_matrix(cuts, n),
         tails,
         heads,
     )
@@ -229,21 +278,20 @@ def augment_to_k(
     )
 
 
-def _side_matrix(cuts: list[Cut], node_id: dict[Hashable, int]) -> np.ndarray:
-    """Boolean ``|cuts| x n`` matrix: row ``c`` flags the vertex ids of ``cuts[c].side``.
+def _side_matrix(cuts: list[tuple[tuple[int, ...], list[int]]], n: int) -> np.ndarray:
+    """Boolean ``|cuts| x n`` matrix: row ``c`` flags the side ids of ``cuts[c]``.
 
-    One scatter over the recorded sides, which are the smaller sides, so
-    the work is that of building the :class:`Cut` values themselves.
+    One scatter over the recorded sides, which are the smaller sides.
+    Coverage compares a candidate's two endpoints in a row, so it does not
+    depend on which side a row marks.
     """
-    sizes = [len(cut.side) for cut in cuts]
-    side = np.zeros((len(cuts), len(node_id)), dtype=bool)
-    side[
+    sizes = [len(side) for _, side in cuts]
+    matrix = np.zeros((len(cuts), n), dtype=bool)
+    matrix[
         np.repeat(np.arange(len(cuts)), sizes),
-        np.fromiter(
-            (node_id[v] for cut in cuts for v in cut.side), dtype=np.intp, count=sum(sizes)
-        ),
+        np.fromiter((v for _, side in cuts for v in side), dtype=np.intp, count=sum(sizes)),
     ] = True
-    return side
+    return matrix
 
 
 def _forest_filter(
@@ -280,10 +328,13 @@ def _k_ecss_impl(
     use_mst_filter: bool,
     level_solver: Callable[..., AugmentationResult],
 ) -> ECSSResult:
-    """Shared Theorem 1.2 composition driver (MST level + ``Aug_2..k``).
+    """Theorem 1.2 as Claim 2.1 composes it: the MST, then ``Aug_2..k``.
 
-    Every ``Aug_2..k`` level gets the :class:`FastGraph` the input check
-    built in place of *graph*.
+    Level 1 is the MST of ``G``; every level ``i >= 2`` is
+    ``level_solver(fast, H, i, ...)``, which gets the :class:`FastGraph`
+    the input check built in place of *graph*.  ``H`` grows by each level's
+    edges, which must be new to it, and the levels' approximation ratios
+    and round counts add up.
     """
     _check_schedule_constant(schedule_constant)
     # The input check's snapshot serves the diameter and every Aug_k level.
@@ -291,33 +342,43 @@ def _k_ecss_impl(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cost_model = CostModel(n=fast.n, diameter=hop_diameter(fast))
 
-    def mst_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
-        del current, level
-        ledger = RoundLedger()
-        ledger.add("mst-kutten-peleg", cost_model.mst_rounds(),
-                   note="Aug_1 solved by the MST (O(D + sqrt n log* n) rounds [25])")
-        edges = frozenset(minimum_spanning_tree(g))
-        weight = sum(g[u][v].get("weight", 1) for u, v in edges)
-        return AugmentationResult(added=edges, weight=weight, iterations=1, ledger=ledger,
-                                  metadata={"stage": "mst"})
-
-    def aug_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
-        del g
-        return level_solver(
-            fast,
-            current,
-            level,
-            seed=rng,
-            schedule_constant=schedule_constant,
-            cost_model=cost_model,
-            use_mst_filter=use_mst_filter,
+    current: frozenset[Edge] = frozenset()
+    ledger = RoundLedger()
+    stages: list[AugmentationResult] = []
+    for level in range(1, k + 1):
+        if level == 1:
+            mst_ledger = RoundLedger()
+            mst_ledger.add("mst-kutten-peleg", cost_model.mst_rounds(),
+                           note="Aug_1 solved by the MST (O(D + sqrt n log* n) rounds [25])")
+            mst = frozenset(minimum_spanning_tree(graph))
+            stage = AugmentationResult(
+                added=mst, weight=sum(graph[u][v].get("weight", 1) for u, v in mst),
+                iterations=1, ledger=mst_ledger, metadata={"stage": "mst"},
+            )
+        else:
+            stage = level_solver(
+                fast,
+                current,
+                level,
+                seed=rng,
+                schedule_constant=schedule_constant,
+                cost_model=cost_model,
+                use_mst_filter=use_mst_filter,
+            )
+        overlap = stage.added & current
+        if overlap:
+            raise RuntimeError(
+                f"Aug_{level} returned {len(overlap)} edges already present in H"
+            )
+        current |= stage.added
+        ledger.extend(stage.ledger)
+        ledger.add(
+            f"aug-{level}-compose",
+            0,
+            note=f"level {level}: +{len(stage.added)} edges, weight {stage.weight}",
         )
+        stages.append(stage)
 
-    solvers = {1: mst_solver}
-    for level in range(2, k + 1):
-        solvers[level] = aug_solver
-
-    edges, iterations, ledger, stages = compose_augmentations(graph, k, solvers)
     metadata = {
         "stages": [
             {
@@ -335,9 +396,9 @@ def _k_ecss_impl(
     return ECSSResult.from_edges(
         k=k,
         graph=graph,
-        edges=edges,
+        edges=current,
         ledger=ledger,
-        iterations=iterations,
+        iterations=sum(stage.iterations for stage in stages),
         algorithm="dory-kecss",
         metadata=metadata,
     )

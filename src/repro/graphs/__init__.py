@@ -8,7 +8,9 @@ subpackage provides
 * :mod:`repro.graphs.generators` -- families of k-edge-connected test graphs,
 * :mod:`repro.graphs.connectivity` -- connectivity queries and verification,
 * :mod:`repro.graphs.cuts` -- enumeration of small edge cuts (the objects the
-  augmentation algorithms must cover),
+  augmentation algorithms must cover), as edge ids and the vertex ids of
+  one side in the graph's :class:`FastGraph` snapshot (the label ``Cut`` the
+  tests compare against lives in ``tests/oracles.py``),
 * :mod:`repro.graphs.fastgraph` -- the flat-array CSR kernel the hot paths
   above run on (integer relabelling, iterative Tarjan, array union-find,
   cycle-space cut lookup).
@@ -32,13 +34,7 @@ from repro.graphs.connectivity import (
     verify_spanning_subgraph,
     subgraph_weight,
 )
-from repro.graphs.cuts import (
-    Cut,
-    enumerate_cuts_of_size,
-    enumerate_bridge_cuts,
-    enumerate_cut_pairs,
-    cut_is_covered,
-)
+from repro.graphs.cuts import enumerate_cuts_of_size
 
 __all__ = [
     "ArrayUnionFind",
@@ -57,9 +53,5 @@ __all__ = [
     "bridges",
     "verify_spanning_subgraph",
     "subgraph_weight",
-    "Cut",
     "enumerate_cuts_of_size",
-    "enumerate_bridge_cuts",
-    "enumerate_cut_pairs",
-    "cut_is_covered",
 ]

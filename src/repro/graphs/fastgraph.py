@@ -340,7 +340,6 @@ class FastGraph:
         n: Number of vertices (ids ``0..n-1``).
         m: Number of edges (ids ``0..m-1``, in ``graph.edges()`` order).
         labels: Vertex id -> original node label.
-        index: Original node label -> vertex id.
         tail / head: Edge id -> endpoint vertex ids (as encountered).
         weight: Edge id -> integer ``weight`` attribute (1 when absent).
         indptr: CSR row pointer, length ``n + 1``.
@@ -349,7 +348,7 @@ class FastGraph:
     """
 
     __slots__ = (
-        "n", "m", "labels", "index", "tail", "head", "weight",
+        "n", "m", "labels", "tail", "head", "weight",
         "indptr", "adj", "adj_eid", "_cut_space", "_canonical",
     )
 
@@ -360,7 +359,6 @@ class FastGraph:
     ) -> None:
         """Build from relabelled data: *edges* yields ``(u, v, weight)`` ids."""
         self.labels = list(labels)
-        self.index = {label: i for i, label in enumerate(self.labels)}
         self.n = len(self.labels)
         tail: list[int] = []
         head: list[int] = []
@@ -617,53 +615,48 @@ class FastGraph:
     # ---------------------------------------------------------------- bridges
     def bridges(self) -> list[int]:
         """Edge ids of all bridges (iterative Tarjan low-link, any # components)."""
-        return [eid for eid, _, _ in self._bridge_dfs()[0]]
+        return [eid for eid, _ in self._bridge_dfs()[0]]
 
     def bridge_sides(self) -> list[tuple[int, list[int]]]:
-        """Every bridge with one of its sides, as vertex ids.
+        """Every bridge of a connected graph with its smaller side, as vertex ids.
 
-        On a connected graph the side is the smaller one (on a tie, the one
-        holding the bridge's ``tail`` endpoint); on a disconnected graph it
-        is the side holding ``tail``, within the bridge's own component.
+        On a tie the side is the one holding the bridge's ``tail`` endpoint.
         One DFS: a bridge is a DFS tree edge, so the side below it is the
         preorder interval of its child endpoint's subtree, and the side above
-        it is the rest of its component's interval.  Same bridges, in the
-        same order, as :meth:`bridges`.
+        it is the rest of the preorder.  Same bridges, in the same order, as
+        :meth:`bridges`; raises when the graph is disconnected.
         """
         found, order, first, size = self._bridge_dfs()
         tail, n = self.tail, self.n
+        if n and size[0] != n:
+            raise ValueError("graph is not connected; a bridge does not split it in two")
         sides: list[tuple[int, list[int]]] = []
-        for eid, child, root in found:
+        for eid, child in found:
             low, high = first[child], first[child] + size[child]
-            if size[root] == n and 2 * size[child] != n:
+            if 2 * size[child] != n:
                 below = 2 * size[child] < n
             else:
                 below = tail[eid] == child
-            if below:
-                side = order[low:high]
-            else:
-                start = first[root]
-                side = order[start:low] + order[high:start + size[root]]
-            sides.append((eid, side))
+            sides.append((eid, order[low:high] if below else order[:low] + order[high:]))
         return sides
 
     def _bridge_dfs(
         self,
-    ) -> tuple[list[tuple[int, int, int]], list[int], list[int], list[int]]:
+    ) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]]:
         """Iterative Tarjan low-link over every component.
 
         Returns ``(found, order, first, size)``: ``found`` lists each bridge
-        as ``(edge id, child endpoint, DFS root of its component)``;
-        ``order`` is the DFS preorder, ``first[v]`` the position of ``v`` in
-        it and ``size[v]`` the vertex count of the DFS subtree of ``v``, so
-        a subtree is the interval ``order[first[v]:first[v] + size[v]]``.
+        as ``(edge id, child endpoint)``; ``order`` is the DFS preorder,
+        ``first[v]`` the position of ``v`` in it and ``size[v]`` the vertex
+        count of the DFS subtree of ``v``, so a subtree is the interval
+        ``order[first[v]:first[v] + size[v]]``.
         """
         n = self.n
         first = [-1] * n  # preorder position; -1 = unvisited
         low = [0] * n
         size = [1] * n
         order: list[int] = []
-        found: list[tuple[int, int, int]] = []
+        found: list[tuple[int, int]] = []
         indptr, adj, adj_eid = self.indptr, self.adj, self.adj_eid
         # Explicit DFS stack: per frame the vertex, the edge id to its parent
         # and the next adjacency slot to scan.
@@ -706,7 +699,7 @@ class FastGraph:
                         if low[v] < low[u]:
                             low[u] = low[v]
                         if low[v] > first[u]:
-                            found.append((peid, v, root))
+                            found.append((peid, v))
         return found, order, first, size
 
     # ---------------------------------------------------------- spanning tree
@@ -854,10 +847,6 @@ class FastGraph:
             pairs.extend(itertools.combinations(group, 2))
         pairs.sort()
         return pairs
-
-    def cut_pair_sides(self) -> list[tuple[tuple[int, int], list[int]]]:
-        """Every pair of :meth:`cut_pairs` with its smaller side's vertex ids."""
-        return [(pair, self._cut_side(pair)) for pair in self.cut_pairs()]
 
     def has_cut_pair(self) -> bool:
         """True iff the connected graph has a 2-edge cut; stops at the first one found."""

@@ -135,7 +135,8 @@ def _import_targets(
     """Local name -> dotted target for every import (module-level, nested,
     function-local).
 
-    ``import a.b.c`` binds ``a`` to ``a.b.c``; ``import a.b as x`` binds
+    ``import a.b.c`` binds ``a`` to ``a`` (the name it binds is the top
+    package, so ``a.b.c.f`` resolves as written); ``import a.b as x`` binds
     ``x`` to ``a.b``; ``from a.b import c as x`` binds ``x`` to ``a.b.c``, and a
     relative ``from`` climbs from the defining package.  A plain ``import``
     wins over a ``from`` import of the same local name.  The body of an
@@ -148,7 +149,8 @@ def _import_targets(
     def record(stmt: ast.AST) -> None:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
-                modules[alias.asname or alias.name.partition(".")[0]] = alias.name
+                top = alias.name.partition(".")[0]
+                modules[alias.asname or top] = alias.name if alias.asname else top
         elif isinstance(stmt, ast.ImportFrom):
             base = stmt.module or ""
             if stmt.level:

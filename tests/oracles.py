@@ -23,6 +23,7 @@ import heapq
 import itertools
 import random
 from collections import Counter, deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -30,9 +31,8 @@ import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.core.augmentation import AugmentationResult
 from repro.core.fastaug import INFINITE_EFFECTIVENESS, GuessingSchedule
-from repro.core.k_ecss import AugIterationStats, _k_ecss_impl
+from repro.core.k_ecss import AugIterationStats, AugmentationResult, _k_ecss_impl
 from repro.decomposition.skeleton import SkeletonTree
 from repro.core.result import ECSSResult
 from repro.core.three_ecss import ThreeEcssIterationStats, _result, _setup, _stall
@@ -43,7 +43,7 @@ from repro.cycle_space.labels import (
     compute_labels,
 )
 from repro.graphs.connectivity import canonical_edge
-from repro.graphs.cuts import Cut, enumerate_cuts_of_size
+from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.fastgraph import FastGraph, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import (
@@ -224,6 +224,63 @@ def bridges_nx(graph: nx.Graph) -> set[Edge]:
 
 
 # ------------------------------------------------------------------ cuts
+@dataclass(frozen=True)
+class Cut:
+    """An edge cut of a graph ``H`` in node labels, identified by one side.
+
+    The label form of the ``(edge ids, side ids)`` pairs that
+    :func:`repro.graphs.cuts.enumerate_cuts_of_size` returns.
+
+    Attributes:
+        side: The vertex set of one side: the smaller one, and on a tie the
+            one whose sorted ``repr`` labels come first, so equal cuts
+            compare equal.
+        edges: The edges of ``H`` crossing the bipartition, in canonical form.
+    """
+
+    side: frozenset[Hashable]
+    edges: frozenset[Edge] = field(compare=False)
+
+    @property
+    def size(self) -> int:
+        """Number of edges in the cut."""
+        return len(self.edges)
+
+    @staticmethod
+    def from_side(graph: nx.Graph, side: Iterable[Hashable]) -> "Cut":
+        """Build a :class:`Cut` of *graph* from one side of a bipartition."""
+        side_set = frozenset(side)
+        other = frozenset(graph.nodes()) - side_set
+        if not side_set or not other:
+            raise ValueError("a cut side must be a proper non-empty subset of the vertices")
+        crossing = frozenset(
+            canonical_edge(u, v)
+            for u, v in graph.edges()
+            if (u in side_set) != (v in side_set)
+        )
+        if len(side_set) != len(other):
+            canonical = side_set if len(side_set) < len(other) else other
+        else:
+            canonical = min(side_set, other, key=lambda s: sorted(repr(v) for v in s))
+        return Cut(side=canonical, edges=crossing)
+
+
+def label_cuts(graph: nx.Graph, size: int) -> list[Cut]:
+    """:func:`enumerate_cuts_of_size` on *graph*, each cut as a label :class:`Cut`.
+
+    Asserts that every cut's edge ids are exactly the edges crossing its side.
+    """
+    fast = FastGraph.from_nx(graph)
+    cuts = []
+    for edge_ids, side in enumerate_cuts_of_size(fast, size):
+        cut = Cut.from_side(graph, [fast.labels[v] for v in side])
+        assert {frozenset(fast.edge_labels(eid)) for eid in edge_ids} == {
+            frozenset(edge) for edge in cut.edges
+        }
+        cuts.append(cut)
+    return cuts
+
+
 def enumerate_cut_pairs_nx(graph: nx.Graph) -> list[Cut]:
     """The historical all-networkx cut-pair enumeration."""
     if graph.number_of_nodes() < 2:
@@ -858,7 +915,7 @@ def _level_setup(
         cost_model.aug_state_broadcast_rounds(len(current_edges)),
         note=f"all vertices learn H (|H| = {len(current_edges)} edges, O(D + |H|))",
     )
-    cuts: list[Cut] = enumerate_cuts_of_size(subgraph, k - 1)
+    cuts = label_cuts(subgraph, k - 1)
     current = frozenset(canonical_edge(u, v) for u, v in current_edges)
     candidates_pool = [
         canonical_edge(u, v) for u, v in graph.edges() if canonical_edge(u, v) not in current

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import networkx as nx
@@ -29,6 +30,10 @@ from repro.graphs.generators import (
     hypercube_graph,
     random_k_edge_connected_graph,
 )
+
+
+#: A spanning path of ``nx.cycle_graph(6)``: a 1-edge-connected ``H``.
+_CYCLE6_PATH = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 class TestCanonicalEdge:
@@ -330,6 +335,40 @@ class TestCheckSolverInput:
         monkeypatch.setattr(FastGraph, "from_nx", classmethod(no_snapshot))
         with pytest.raises(ValueError, match=f"{match} must be an int >= 1, got"):
             solve(_unit_k5(), k, constant)
+
+    @pytest.mark.parametrize(
+        "weight, k, current, match",
+        [
+            # k=1 used to fail in the cut enumeration: "cut size must be >= 1".
+            (1, 1, _CYCLE6_PATH, "Aug_k needs k >= 2: level 1 is the MST of k_ecss"),
+            # A float weight used to die in a TypeError of the weight classes.
+            (1.5, 2, _CYCLE6_PATH,
+             r"Aug_k needs non-negative integer edge weights; edge \(0, 1\) has weight 1.5"),
+            # A G below k used to raise RuntimeError only after the loop ran.
+            (1, 3, _CYCLE6_PATH, "the input graph is not 3-edge-connected; Aug_k is infeasible"),
+            # A foreign edge used to be dropped, then reported as "graph has
+            # edge connectivity 0".
+            (1, 2, [*_CYCLE6_PATH, (3, 0)],
+             r"current_edges holds \(3, 0\), which is not an edge of G"),
+            (1, 2, _CYCLE6_PATH[:-1],
+             "Aug_2 needs a 1-edge-connected H, but current_edges has edge connectivity 0"),
+        ],
+        ids=["k=1", "float-weight", "G-below-k", "foreign-edge", "H-below-k-1"],
+    )
+    def test_augment_to_k_enforces_its_input_contract(
+        self, monkeypatch, weight, k, current, match
+    ):
+        graph = nx.cycle_graph(6)
+        graph[0][1]["weight"] = weight
+
+        def no_kernel(*args):
+            raise AssertionError("a bad input must be rejected before the cover kernel")
+
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.k_ecss"), "BitsetCoverKernel", no_kernel
+        )
+        with pytest.raises(ValueError, match=match):
+            augment_to_k(graph, current, k, seed=0)
 
     @pytest.mark.parametrize("weight", [True, 2.0, "3", None])
     def test_non_int_weights_are_rejected(self, weight):

@@ -8,16 +8,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import components_without_edges, edge_connectivity_nx, enumerate_cuts_exhaustive
-from repro.graphs import fastgraph
-from repro.graphs.cuts import (
+from oracles import (
     Cut,
-    cut_is_covered,
-    edge_covers_cut,
-    enumerate_bridge_cuts,
-    enumerate_cut_pairs,
-    enumerate_cuts_of_size,
+    components_without_edges,
+    edge_connectivity_nx,
+    enumerate_cuts_exhaustive,
+    label_cuts,
 )
+from repro.graphs import fastgraph
+from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.fastgraph import FastGraph
 from repro.graphs.generators import (
     FAMILIES,
@@ -81,19 +80,6 @@ class TestCutObject:
         with pytest.raises(ValueError):
             Cut.from_side(graph, set(graph.nodes()))
 
-    def test_edge_covers_cut(self):
-        graph = nx.cycle_graph(6)
-        cut = Cut.from_side(graph, {0, 1, 2})
-        assert edge_covers_cut((0, 3), cut)
-        assert edge_covers_cut((2, 5), cut)
-        assert not edge_covers_cut((0, 2), cut)
-
-    def test_cut_is_covered(self):
-        graph = nx.cycle_graph(6)
-        cut = Cut.from_side(graph, {0, 1, 2})
-        assert cut_is_covered(cut, [(0, 2), (1, 4)])
-        assert not cut_is_covered(cut, [(0, 1), (3, 5)])
-
 
 def _oracle_bridge_cuts(graph: nx.Graph) -> set:
     """``nx.bridges`` plus ``Cut.from_side`` on a connected *graph*."""
@@ -111,7 +97,7 @@ class TestBridgeCuts:
     def test_one_pass_sides_match_nx_bridges_on_msts(self, seed):
         graph = random_k_edge_connected_graph(40, 2, extra_edge_prob=0.1, seed=seed)
         tree = nx.minimum_spanning_tree(graph)
-        cuts = enumerate_bridge_cuts(tree)
+        cuts = label_cuts(tree, 1)
         assert len(cuts) == tree.number_of_nodes() - 1
         assert _cut_keys(cuts) == _oracle_bridge_cuts(tree)
 
@@ -129,35 +115,29 @@ class TestBridgeCuts:
             offset += part.number_of_nodes()
         graph.add_edges_from([(offset - 1, offset), (offset, offset + 1)])
         assert graph.number_of_edges() > graph.number_of_nodes()
-        cuts = enumerate_bridge_cuts(graph)
+        cuts = label_cuts(graph, 1)
         assert len(cuts) == 5
         assert _cut_keys(cuts) == _oracle_bridge_cuts(graph)
 
-    def test_disconnected_input_keeps_each_side_in_its_component(self):
+    def test_disconnected_input_is_rejected(self):
         graph = nx.Graph([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)])
-        cuts = {cut.edges: cut.side for cut in enumerate_bridge_cuts(graph)}
-        assert cuts == {
-            frozenset({(2, 3)}): frozenset({0, 1, 2}),
-            frozenset({(5, 6)}): frozenset({4, 5}),
-            frozenset({(4, 5)}): frozenset({4}),
-        }
-        assert set(cuts.items()) == {
-            (cut.edges, cut.side)
-            for cut in (Cut.from_side(graph, side) for side in ({0, 1, 2}, {4, 5}, {4}))
-        }
+        with pytest.raises(ValueError, match="graph is not connected"):
+            FastGraph.from_nx(graph).bridge_sides()
+        with pytest.raises(ValueError, match="edge connectivity 0"):
+            enumerate_cuts_of_size(graph, 1)
 
     def test_path_graph(self):
         graph = nx.path_graph(5)
-        cuts = enumerate_bridge_cuts(graph)
+        cuts = label_cuts(graph, 1)
         assert len(cuts) == 4
         assert all(cut.size == 1 for cut in cuts)
 
     def test_cycle_has_none(self):
-        assert enumerate_bridge_cuts(nx.cycle_graph(5)) == []
+        assert enumerate_cuts_of_size(nx.cycle_graph(5), 1) == []
 
     def test_barbell_single_bridge(self):
         graph = nx.barbell_graph(4, 0)
-        cuts = enumerate_bridge_cuts(graph)
+        cuts = label_cuts(graph, 1)
         assert len(cuts) == 1
         assert cuts[0].edges == frozenset({(3, 4)})
         assert cuts[0].side in (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))
@@ -166,31 +146,31 @@ class TestBridgeCuts:
 class TestCutPairs:
     def test_cycle_every_pair_is_a_cut_pair(self):
         graph = nx.cycle_graph(5)
-        cuts = enumerate_cut_pairs(graph)
+        cuts = enumerate_cuts_of_size(graph, 2)
         # Every pair of cycle edges disconnects a cycle: C(5, 2) = 10 cuts.
         assert len(cuts) == 10
 
     def test_matches_exhaustive_enumeration(self):
         graph = cycle_with_chords(9, extra_edges=3, seed=2)
         expected = {cut.side for cut in enumerate_cuts_exhaustive(graph, 2)}
-        actual = {cut.side for cut in enumerate_cut_pairs(graph)}
+        actual = {cut.side for cut in label_cuts(graph, 2)}
         assert actual == expected
 
     def test_three_connected_graph_has_no_cut_pairs(self):
         graph = harary_graph(10, 3)
-        assert enumerate_cut_pairs(graph) == []
+        assert enumerate_cuts_of_size(graph, 2) == []
 
     def test_requires_connected_graph(self):
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            enumerate_cut_pairs(graph)
+            enumerate_cuts_of_size(graph, 2)
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)
     def test_property_every_reported_pair_disconnects(self, seed):
         graph = cycle_with_chords(10, extra_edges=3, seed=seed)
-        for cut in enumerate_cut_pairs(graph):
+        for cut in label_cuts(graph, 2):
             pruned = graph.copy()
             pruned.remove_edges_from(cut.edges)
             assert not nx.is_connected(pruned)
@@ -233,7 +213,7 @@ class TestExactEnumeration:
         expected = _cut_keys(enumerate_cuts_exhaustive(graph, size))
         assert bool(expected) == (size == 4)
         assert _kernel_cuts(graph, size) == expected
-        assert _cut_keys(enumerate_cuts_of_size(graph, size)) == expected
+        assert _cut_keys(label_cuts(graph, size)) == expected
 
     @given(
         n=st.integers(min_value=5, max_value=9),
@@ -285,11 +265,11 @@ class TestExactEnumeration:
 
     def test_output_does_not_depend_on_the_label_seed(self, monkeypatch):
         graph = random_k_edge_connected_graph(40, 3, extra_edge_prob=0.02, seed=5)
-        expected = _cut_keys(enumerate_cuts_of_size(graph, 3))
+        expected = enumerate_cuts_of_size(graph, 3)
         assert expected
         for label_seed in (1, 2, 3):
             monkeypatch.setattr(fastgraph, "CUT_LABEL_SEED", label_seed)
-            assert _cut_keys(enumerate_cuts_of_size(graph, 3)) == expected
+            assert enumerate_cuts_of_size(graph, 3) == expected
 
 
 # ------------------------------------------- cut-space confirmation vs BFS
@@ -355,8 +335,8 @@ def _assert_matches_bfs_oracle(graph: nx.Graph, sizes=(3,)) -> None:
     pairs = _oracle_cut_pairs(fast)
     assert fast.cut_pairs() == pairs
     assert fast.has_cut_pair() == bool(pairs)
-    for (pair, side), expected in zip(fast.cut_pair_sides(), pairs):
-        assert pair == expected
+    for pair in pairs:
+        side = fast._cut_side(pair)
         assert len(side) <= fast.n - len(side)
         assert _bipartition(fast, side) == frozenset(_bfs_side(fast, pair))
     for size in sizes:
@@ -414,9 +394,7 @@ class TestCutSpaceConfirmation:
     @pytest.mark.parametrize("name, n", SMALL_FAMILY_GRAPHS_14)
     def test_cut_pairs_match_exhaustive(self, name, n):
         graph = FAMILIES[name](n, seed=n)
-        assert _cut_keys(enumerate_cut_pairs(graph)) == _cut_keys(
-            enumerate_cuts_exhaustive(graph, 2)
-        )
+        assert _cut_keys(label_cuts(graph, 2)) == _cut_keys(enumerate_cuts_exhaustive(graph, 2))
 
     @given(
         n=st.integers(min_value=5, max_value=30),
@@ -467,6 +445,31 @@ class TestEnumerateCutsOfSize:
     def test_exhaustive_rejects_large_graphs(self):
         with pytest.raises(ValueError):
             enumerate_cuts_exhaustive(nx.cycle_graph(25), 2)
+
+    @pytest.mark.parametrize(
+        "graph, size",
+        [
+            (nx.barbell_graph(4, 0), 1),
+            (nx.path_graph(6), 1),
+            (nx.cycle_graph(6), 2),
+            (cycle_with_chords(12, extra_edges=4, seed=1), 2),
+            (harary_graph(9, 3), 4),
+        ],
+        ids=["barbell-1", "path-1", "cycle-2", "chords-2", "harary-4"],
+    )
+    def test_returns_edge_ids_and_the_smaller_side(self, graph, size):
+        fast = FastGraph.from_nx(graph)
+        cuts = enumerate_cuts_of_size(graph, size)
+        assert cuts
+        for edge_ids, side in cuts:
+            assert list(edge_ids) == sorted(set(edge_ids)) and len(edge_ids) == size
+            assert 0 < 2 * len(side) <= fast.n
+            on_side = set(side)
+            crossing = [
+                eid for eid in range(fast.m)
+                if (fast.tail[eid] in on_side) != (fast.head[eid] in on_side)
+            ]
+            assert crossing == list(edge_ids)
 
     def test_dinitz_karzanov_lomonosov_bound(self):
         # At most n choose 2 minimum cuts (footnote 4 of the paper).

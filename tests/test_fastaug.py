@@ -40,6 +40,7 @@ from oracles import (
     augment_to_k_nx,
     compute_labels_nx,
     k_ecss_nx,
+    label_cuts,
     rounded_cost_effectiveness,
     three_ecss_nx,
 )
@@ -55,7 +56,6 @@ from repro.core.k_ecss import augment_to_k, k_ecss
 from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.cycle_space.labels import CycleSpace, compute_labels
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
-from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.fastcover import (
@@ -457,7 +457,7 @@ def _aug_level_state(n: int, seed: int, k: int = 2, weights=None):
     subgraph = nx.Graph()
     subgraph.add_nodes_from(graph.nodes())
     subgraph.add_edges_from(base)
-    cuts = enumerate_cuts_of_size(subgraph, k - 1)
+    cuts = label_cuts(subgraph, k - 1)
     pool = [
         canonical_edge(u, v)
         for u, v in graph.edges()

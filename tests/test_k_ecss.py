@@ -10,9 +10,14 @@ import pytest
 
 from repro.baselines.exact import exact_k_ecss_weight
 from repro.baselines.mst_baseline import k_ecss_lower_bound
-from repro.core.augmentation import AugmentationResult, compose_augmentations
 from oracles import _mst_filter, augment_to_k_nx, build_subgraph, k_ecss_nx
-from repro.core.k_ecss import _forest_filter, augment_to_k, k_ecss
+from repro.core.k_ecss import (
+    AugmentationResult,
+    _forest_filter,
+    _k_ecss_impl,
+    augment_to_k,
+    k_ecss,
+)
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.fastgraph import ArrayUnionFind, FastGraph
@@ -248,22 +253,45 @@ class TestKEcss:
 
 
 class TestComposeAugmentations:
-    def test_missing_solver_rejected(self):
-        graph = harary_graph(8, 2)
-        with pytest.raises(ValueError):
-            compose_augmentations(graph, 2, {1: lambda g, c, l: None})
+    """The Claim 2.1 loop of ``_k_ecss_impl``: the MST, then the level solver."""
+
+    @staticmethod
+    def _stub_solver(calls, added=lambda fast, current, level: frozenset()):
+        def stub(fast, current, level, **options):
+            calls.append((fast, current, level, sorted(options)))
+            ledger = RoundLedger()
+            ledger.add("stage", 5)
+            edges = added(fast, current, level)
+            return AugmentationResult(
+                added=edges, weight=len(edges), iterations=2, ledger=ledger
+            )
+
+        return stub
+
+    def test_level_one_is_the_mst_and_the_rest_go_to_the_level_solver(self):
+        graph = harary_graph(8, 4)
+        calls: list = []
+        result = _k_ecss_impl(graph, 3, 0, 2, True, self._stub_solver(calls))
+        mst = frozenset(minimum_spanning_tree(graph))
+        assert [level for _, _, level, _ in calls] == [2, 3]
+        assert all(isinstance(fast, FastGraph) for fast, _, _, _ in calls)
+        assert calls[0][0] is calls[1][0]
+        assert all(current == mst for _, current, _, _ in calls)
+        assert calls[0][3] == ["cost_model", "schedule_constant", "seed", "use_mst_filter"]
+        assert result.edges == mst
+        assert result.metadata["stages"][0] == {
+            "level": 1, "added": len(mst), "weight": mst_weight(graph),
+            "iterations": 1, "cuts": None,
+        }
 
     def test_overlapping_stage_output_rejected(self):
         graph = harary_graph(8, 2)
-        edge = canonical_edge(*next(iter(graph.edges())))
 
-        def stage(g, current, level):
-            return AugmentationResult(
-                added=frozenset({edge}), weight=1, iterations=1, ledger=RoundLedger()
-            )
+        def overlap(fast, current, level):
+            return frozenset(list(current)[:1])
 
-        with pytest.raises(RuntimeError):
-            compose_augmentations(graph, 2, {1: stage, 2: stage})
+        with pytest.raises(RuntimeError, match="Aug_2 returned 1 edges already present in H"):
+            _k_ecss_impl(graph, 2, 0, 2, True, self._stub_solver([], overlap))
 
     def test_build_subgraph_copies_weights(self):
         graph = nx.Graph()
@@ -275,20 +303,20 @@ class TestComposeAugmentations:
         assert subgraph.number_of_edges() == 1
 
     def test_composition_accumulates_ledgers_and_iterations(self):
-        graph = harary_graph(8, 2)
+        graph = harary_graph(8, 4)
 
-        def stage(g, current, level):
-            ledger = RoundLedger()
-            ledger.add("stage", 5)
-            edges = frozenset(
-                {canonical_edge(u, v) for u, v in g.edges() if (u + v + level) % 7 == 0}
+        def some_new_edges(fast, current, level):
+            return frozenset(
+                canonical_edge(u, v) for u, v in graph.edges() if (u + v + level) % 7 == 0
             ) - current
-            return AugmentationResult(
-                added=edges, weight=len(edges), iterations=2, ledger=ledger
-            )
 
-        edges, iterations, ledger, stages = compose_augmentations(graph, 2, {1: stage, 2: stage})
-        assert iterations == 4
-        assert ledger.by_label()["stage"] == 10
-        assert len(stages) == 2
-        assert edges == stages[0].added | stages[1].added
+        result = _k_ecss_impl(graph, 3, 0, 2, True, self._stub_solver([], some_new_edges))
+        stages = result.metadata["stages"]
+        assert result.iterations == 1 + 2 + 2
+        assert result.ledger.by_label()["stage"] == 10
+        assert [entry.label for entry in result.ledger.entries][:2] == [
+            "mst-kutten-peleg", "aug-1-compose",
+        ]
+        assert [result.ledger.count(f"aug-{level}-compose") for level in (1, 2, 3)] == [1, 1, 1]
+        assert [stage["level"] for stage in stages] == [1, 2, 3]
+        assert sum(stage["added"] for stage in stages) == len(result.edges)

@@ -66,6 +66,19 @@ class TestDet001GlobalRandom:
         assert codes(findings) == ["DET001", "DET001"]
         assert "numpy.random.seed" in findings[1].message
 
+    def test_dotted_import_binds_its_top_package(self):
+        # ``import numpy.random`` binds ``numpy``: the call resolves to
+        # ``numpy.random.seed``, not one level too deep.
+        findings = lint_sources({
+            "pkg.mod": (
+                "import numpy.random\n"
+                "def f():\n"
+                "    numpy.random.seed(0)\n"
+            ),
+        }, code="DET001")
+        assert codes(findings) == ["DET001"]
+        assert "numpy.random.seed" in findings[0].message
+
     def test_function_local_and_type_checking_imports(self):
         # A lazy import resolves call targets like a module-level one; a
         # TYPE_CHECKING import never executes, so it resolves nothing.
@@ -174,6 +187,19 @@ class TestDet003TrialNondeterminism:
         }, code="DET003")
         assert codes(findings) == ["DET003"]
         assert "uuid.uuid4" in findings[0].message
+
+    def test_dotted_import_binds_its_top_package(self):
+        findings = lint_sources({
+            "pkg.exp": (
+                "import os.path\n"
+                "from repro.engine import register_trial\n"
+                "@register_trial('t3')\n"
+                "def t3_trial(config, seed):\n"
+                "    return {'pid': os.getpid()}\n"
+            ),
+        }, code="DET003")
+        assert codes(findings) == ["DET003"]
+        assert "os.getpid" in findings[0].message
 
     def test_same_call_outside_a_trial_is_fine(self):
         findings = lint_sources({

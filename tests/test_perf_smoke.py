@@ -34,9 +34,11 @@ Guards in the default test run:
   verifies and prints its wall time (count-based, machine-independent
   guards);
 * an 8 x 8 torus k=4 k-ECSS solve runs ``minimum_spanning_tree`` once (for
-  level 1 only: the ``Aug_k`` MST filter is a persistent union-find) and
-  the cover scan once per level plus once per iteration that follows an
-  addition (count-based, machine-independent);
+  level 1 only: the ``Aug_k`` MST filter is a persistent union-find), the
+  cover scan once per level plus once per iteration that follows an
+  addition, and makes at most 6 ``canonical_edge`` calls per edge of ``G``
+  (the cuts stay in ids from enumeration to the side matrix; count-based,
+  machine-independent);
 * that solve and a weighted-k3 n = 96 k=3 solve each call
   ``FastGraph.from_nx`` exactly once (the input check's snapshot serves the
   diameter and every ``Aug_k`` level) and construct no ``nx.Graph`` and
@@ -63,8 +65,9 @@ Guards in the default test run:
 * ``kecss bench --dry-run`` emits baseline JSON that passes the published
   schema check (and a written baseline round-trips through it);
 * ``kecss bench <id> --against BENCH_<id>.json`` reproduces every committed
-  baseline (e2, e3, e4, e5, e6, e9) -- table and per-trial metrics -- so the
-  drift gate itself is exercised on every default test run;
+  baseline (e2, e3, e4, e5, e6, e8, e9, e10) -- table and per-trial
+  metrics -- so the drift gate itself is exercised on every default test
+  run;
 * timings are printed so the speedups are visible in the test log with
   ``-s``.
 """
@@ -97,6 +100,7 @@ from oracles import (
     distributed_tap_nx,
     edge_connectivity_nx,
     enumerate_cut_pairs_nx,
+    label_cuts,
 )
 from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
@@ -113,7 +117,7 @@ from repro.graphs.connectivity import (
     canonical_edge,
     is_k_edge_connected,
 )
-from repro.graphs.cuts import enumerate_cut_pairs, enumerate_cuts_of_size
+from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.fastgraph import FastGraph, TreePathIndex, hop_diameter
 from repro.graphs.generators import (
     clique_chain,
@@ -218,7 +222,7 @@ def _cold_path_speedup(graph) -> float:
     def fast_path():
         is_k_edge_connected(graph, 2)
         bridges(graph)
-        enumerate_cut_pairs(graph)
+        enumerate_cuts_of_size(graph, 2)
         hop_diameter(graph)
 
     def oracle_path():
@@ -506,6 +510,40 @@ def test_three_ecss_solve_canonicalises_each_edge_a_bounded_number_of_times():
     assert calls <= THREE_ECSS_CANONICAL_PER_EDGE * m
 
 
+#: ``canonical_edge`` calls allowed per edge of G in one k-ECSS solve: the
+#: snapshot's canonical edges, each level's ``H`` and the result; a cut
+#: carries edge and vertex ids, never labels.
+KECSS_CANONICAL_PER_EDGE = 6
+
+
+def test_kecss_solve_canonicalises_each_edge_a_bounded_number_of_times():
+    """Count-based guard on an 8 x 8 torus k=4 solve (machine-independent).
+
+    Turning every enumerated cut into node labels and canonical edges
+    would cost about 5m calls on this solve, above the bound.
+    """
+    graph = grid_torus(8, 8)
+    m = graph.number_of_edges()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = module_k_ecss(graph, 4, seed=1)
+    finally:
+        profiler.disable()
+    calls = sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if entry.code is canonical_edge.__code__
+    )
+    print(
+        f"\nk-ECSS torus 8x8 k=4: {calls} canonical_edge calls for m={m} "
+        f"(bound {KECSS_CANONICAL_PER_EDGE}m)"
+    )
+    assert calls <= KECSS_CANONICAL_PER_EDGE * m
+    ok, reason = result.verify()
+    assert ok, reason
+
+
 def _kecss_coverage_speedup(n: int, seed: int) -> float:
     """Bitset coverage kernel vs the frozenset recompute on one Aug_2 level.
 
@@ -521,7 +559,7 @@ def _kecss_coverage_speedup(n: int, seed: int) -> float:
     subgraph = nx.Graph()
     subgraph.add_nodes_from(graph.nodes())
     subgraph.add_edges_from(base)
-    cuts = enumerate_cuts_of_size(subgraph, 1)
+    cuts = label_cuts(subgraph, 1)
     pool = [
         canonical_edge(u, v)
         for u, v in graph.edges()
@@ -1012,7 +1050,7 @@ def test_bench_dry_run_emits_schema_valid_baseline_json(capsys):
     assert all(trial["error"] is None for trial in payload["trials"])
 
 
-@pytest.mark.parametrize("experiment", ["e2", "e3", "e4", "e5", "e6", "e9"])
+@pytest.mark.parametrize("experiment", ["e2", "e3", "e4", "e5", "e6", "e8", "e9", "e10"])
 def test_bench_against_committed_baseline(experiment, capsys):
     """``kecss bench <id> --against BENCH_<id>.json`` passes on every
     committed baseline: the table and every trial's metrics reproduce
